@@ -3,11 +3,12 @@
 // figure; used to track regressions in the substrates.
 //
 // In addition to the google-benchmark registrations, this binary runs a
-// row-store-vs-columnar comparison suite (scan, group-by, predicate
-// evaluation, what-if end to end) and emits one JSON record per comparison
-// to BENCH_micro.json. `--smoke` skips the google benchmarks and runs the
-// comparison suite at a reduced size — the pre-merge gate scripts/check.sh
-// uses exactly that mode.
+// comparison suite (row store vs columnar scan, group-by and predicate
+// evaluation; estimator training and inference; what-if prepare/evaluate)
+// and a scale sweep, and emits one JSON record per measurement to
+// BENCH_micro.json. `--smoke` skips the google benchmarks and runs both at
+// a reduced size — the pre-merge gate scripts/check.sh uses exactly that
+// mode.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +22,6 @@
 #include "causal/graph.h"
 #include "causal/ground.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "learn/forest.h"
 #include "learn/frequency.h"
@@ -199,10 +199,10 @@ BENCHMARK(BM_WhatIfEndToEnd);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Row-store vs columnar comparison suite (JSON lines). These are the
-// substrate measurements behind the columnar execution PR: every record
-// reports seconds per repetition for the legacy row path, the columnar /
-// compiled path, and the speedup.
+// Comparison suite (JSON lines): seconds per repetition for the row store
+// vs the columnar / compiled substrate (records 1-3), exact vs histogram
+// estimator training and per-row vs batched inference (4), and the what-if
+// prepare/evaluate costs on the forest configuration (5).
 // ---------------------------------------------------------------------------
 
 void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
@@ -373,45 +373,7 @@ void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
                 {"speedup_mask", interp_s / mask_s}});
   }
 
-  // 4. What-if end to end, row interpreter vs columnar engine, with an
-  // identical-answer assertion (fixed seed).
-  {
-    data::GermanOptions gopt;
-    gopt.rows = smoke ? 5000 : 20000;
-    auto gds = bench::Unwrap(data::MakeGermanSyn(gopt), "german_syn");
-    auto stmt = bench::Unwrap(
-        sql::ParseSql("Use German Update(Status) = 3 "
-                      "Output Count(Credit = 1) For Pre(Age) = 1"),
-        "parse");
-    whatif::WhatIfOptions options;
-    options.estimator = learn::EstimatorKind::kFrequency;
-    options.use_columnar = false;
-    whatif::WhatIfEngine row_engine(&gds.db, &gds.graph, options);
-    options.use_columnar = true;
-    whatif::WhatIfEngine col_engine(&gds.db, &gds.graph, options);
-
-    const size_t e2e_reps = smoke ? 3 : 5;
-    double row_value = 0.0, col_value = 0.0;
-    const double row_s = bench::TimePerRep(e2e_reps, [&] {
-      row_value = row_engine.Run(*stmt.whatif).value().value;
-    });
-    const double col_s = bench::TimePerRep(e2e_reps, [&] {
-      col_value = col_engine.Run(*stmt.whatif).value().value;
-    });
-    if (row_value != col_value) {
-      std::fprintf(stderr,
-                   "[bench] row/columnar answers diverge: %.17g vs %.17g\n",
-                   row_value, col_value);
-      std::exit(1);
-    }
-    out.Record("whatif_e2e_german",
-               {{"rows", static_cast<double>(gds.db.TotalRows())},
-                {"row_store_s", row_s},
-                {"columnar_s", col_s},
-                {"speedup", row_s / col_s}});
-  }
-
-  // 5. Estimator training: exact sort-based tree splits vs pre-binned
+  // 4. Estimator training: exact sort-based tree splits vs pre-binned
   // histogram training, and per-row vs batched tree inference, on the
   // german-syn forest configuration (the what-if estimator workload).
   {
@@ -486,10 +448,8 @@ void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
                 {"speedup", perrow_s / batch_s}});
   }
 
-  // 6. What-if prepare/evaluate on the german-syn forest config: cold
-  // prepare+train with exact vs histogram training, and warm Evaluate with
-  // per-row vs batched inference (bit-equality enforced on the latter —
-  // identical estimators, different loop).
+  // 5. What-if prepare/evaluate on the german-syn forest config: cold
+  // prepare+train with exact vs histogram training, and warm Evaluate.
   {
     data::GermanOptions gopt;
     gopt.rows = smoke ? 2000 : 7000;
@@ -520,7 +480,6 @@ void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
 
     whatif::WhatIfOptions exact_opt = base;
     exact_opt.forest.tree.use_histograms = false;
-    exact_opt.batched_inference = false;
     double exact_value = 0.0, hist_value = 0.0;
     const double cold_exact_s = cold_seconds(exact_opt, &exact_value);
     const double cold_hist_s = cold_seconds(base, &hist_value);
@@ -540,36 +499,16 @@ void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
                 {"histogram_cold_s", cold_hist_s},
                 {"speedup", cold_exact_s / cold_hist_s}});
 
-    // Warm Evaluate A/B on one shared plan per engine: estimators are
-    // identical (histogram-trained), only the inference loop differs.
-    auto warm_seconds = [&](const whatif::WhatIfOptions& options,
-                            double* value) {
-      whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
-      auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
-      *value =
-          bench::Unwrap(engine.Evaluate(*plan, specs), "train eval").value;
-      const size_t reps = smoke ? 5 : 10;
-      return bench::TimePerRep(reps, [&] {
-        auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
-        sink += result.value;
-      });
-    };
-    whatif::WhatIfOptions per_row_opt = base;
-    per_row_opt.batched_inference = false;
-    double warm_perrow_value = 0.0, warm_batched_value = 0.0;
-    const double warm_perrow_s = warm_seconds(per_row_opt, &warm_perrow_value);
-    const double warm_batched_s = warm_seconds(base, &warm_batched_value);
-    if (warm_perrow_value != warm_batched_value) {
-      std::fprintf(stderr,
-                   "[bench] batched evaluate diverges: %.17g vs %.17g\n",
-                   warm_perrow_value, warm_batched_value);
-      std::exit(1);
-    }
+    // Warm Evaluate on one shared plan (histogram-trained estimators).
+    whatif::WhatIfEngine engine(&gds.db, &gds.graph, base);
+    auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
+    sink += bench::Unwrap(engine.Evaluate(*plan, specs), "train eval").value;
+    const double warm_s = bench::TimePerRep(smoke ? 5 : 10, [&] {
+      sink += bench::Unwrap(engine.Evaluate(*plan, specs), "eval").value;
+    });
     out.Record("whatif_evaluate_forest",
                {{"rows", static_cast<double>(gds.db.TotalRows())},
-                {"per_row_s", warm_perrow_s},
-                {"batched_s", warm_batched_s},
-                {"speedup", warm_perrow_s / warm_batched_s}});
+                {"warm_s", warm_s}});
   }
 
   if (sink == 42.0) std::printf("(unlikely sink)\n");  // defeat DCE
@@ -578,12 +517,9 @@ void RunComparisonSuite(bool smoke, bench::JsonLines& out) {
 // ---------------------------------------------------------------------------
 // Scale sweep: per-kernel and end-to-end records at 10k / 100k / 1M rows on
 // german-syn (1M only outside --smoke; scripts/check.sh runs the smoke
-// sizes). Every A/B pair in here is a bit-equality contract — scalar vs
-// SIMD kernels, per-row loops vs vectorized loops, morsel vs static
-// scheduling — so any divergence aborts the bench with exit 1. The
-// end-to-end record compares the engine's current defaults against the
-// pre-vectorization configuration (scalar SIMD level, static shards,
-// per-row expression loops) at the same thread budget.
+// sizes). The kernel records compare the per-row evaluator, the scalar
+// kernel mirror and the SIMD kernel; each pair is a bit-equality contract,
+// so any divergence aborts the bench with exit 1.
 // ---------------------------------------------------------------------------
 
 void RunScaleSweep(bool smoke, bench::JsonLines& out) {
@@ -592,17 +528,6 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
   std::vector<size_t> sizes{10000, 100000};
   if (!smoke) sizes.push_back(1000000);
   double sink = 0.0;
-
-  // Restores process-wide execution knobs even if a gate exits early is not
-  // needed: gates call std::exit, and the knobs are process-local.
-  const auto scalar_static_on = [] {
-    simd::SetForceScalar(true);
-    SetSchedulingMode(SchedulingMode::kStatic);
-  };
-  const auto scalar_static_off = [] {
-    simd::SetForceScalar(false);
-    SetSchedulingMode(SchedulingMode::kMorsel);
-  };
 
   for (size_t n : sizes) {
     data::GermanOptions gopt;
@@ -725,40 +650,23 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
                   {"equal", 1.0}});
     }
 
-    // --- Override patching: ~25% of rows get one Status cell each;
-    // morsel-parallel segment patching vs the static pre-PR schedule.
-    // Both runs must produce byte-identical columns. ---
+    // --- Override patching: ~25% of rows get one Status cell each,
+    // patched segment-parallel (morsel-scheduled). ---
     {
       TableCellOverrides overrides;
       const size_t status = t.schema().IndexOf("Status").value();
       AttributeCellOverrides& cells = overrides[status];
       for (size_t r = 0; r < n; r += 4) cells.emplace(r, Value::Int(2));
 
-      auto ct_static = bench::Unwrap(ColumnTable::FromTable(t), "columnarize");
-      scalar_static_on();
-      const double static_s = bench::TimePerRep(reps, [&] {
-        bench::CheckOk(ct_static.ApplyOverrides(overrides), "patch static");
-        sink += 1.0;
-      });
-      scalar_static_off();
-      auto ct_morsel = bench::Unwrap(ColumnTable::FromTable(t), "columnarize");
+      auto patched = bench::Unwrap(ColumnTable::FromTable(t), "columnarize");
       const double morsel_s = bench::TimePerRep(reps, [&] {
-        bench::CheckOk(ct_morsel.ApplyOverrides(overrides), "patch morsel");
+        bench::CheckOk(patched.ApplyOverrides(overrides), "patch");
         sink += 1.0;
       });
-      const Column& a = ct_static.col(status);
-      const Column& b = ct_morsel.col(status);
-      if (a.i64 != b.i64) {
-        std::fprintf(stderr, "[bench] override patch diverges at %zu\n", n);
-        std::exit(1);
-      }
       out.Record("scale_apply_overrides",
                  {{"rows", rows},
                   {"cells", static_cast<double>(cells.size())},
-                  {"static_s", static_s},
-                  {"morsel_s", morsel_s},
-                  {"speedup", static_s / morsel_s},
-                  {"equal", 1.0}});
+                  {"morsel_s", morsel_s}});
     }
 
     // --- Histogram training: SoA scatter + sibling subtraction at scale
@@ -790,9 +698,8 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
                   {"rows_per_s", rows * fo.num_trees / hist_s}});
     }
 
-    // --- End to end: warm Evaluate and cold Prepare+Evaluate, engine
-    // defaults vs the pre-vectorization configuration (scalar kernels,
-    // static shards, per-row loops) at the same thread budget. ---
+    // --- End to end: cold Prepare+Evaluate and warm Evaluate at the
+    // engine defaults. ---
     {
       auto stmt = bench::Unwrap(
           sql::ParseSql("Use German When Status = 1 Update(Status) = 2 "
@@ -800,58 +707,24 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
           "parse");
       const std::vector<whatif::UpdateSpec> specs =
           whatif::SpecsOfStatement(*stmt.whatif);
+      whatif::WhatIfOptions options;
+      options.estimator = learn::EstimatorKind::kFrequency;
 
-      whatif::WhatIfOptions new_opt;
-      new_opt.estimator = learn::EstimatorKind::kFrequency;
-      whatif::WhatIfOptions legacy_opt = new_opt;
-      legacy_opt.vectorized_exec = false;
-
-      struct Arm {
-        double cold_s = 0.0;
-        double warm_s = 0.0;
-        double value = 0.0;
-      };
-      auto run_arm = [&](const whatif::WhatIfOptions& options) {
-        Arm arm;
-        const size_t cold_reps = n >= 1000000 ? 2 : 3;
-        arm.cold_s = bench::TimePerRep(cold_reps, [&] {
-          whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
-          auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
-          auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
-          arm.value = result.value;
-          sink += result.value;
-        });
+      const size_t cold_reps = n >= 1000000 ? 2 : 3;
+      const double cold_s = bench::TimePerRep(cold_reps, [&] {
         whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
         auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
-        sink += bench::Unwrap(engine.Evaluate(*plan, specs), "warmup").value;
-        const size_t warm_reps = n >= 1000000 ? 3 : 5;
-        arm.warm_s = bench::TimePerRep(warm_reps, [&] {
-          auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
-          arm.value = result.value;
-          sink += result.value;
-        });
-        return arm;
-      };
-
-      scalar_static_on();
-      const Arm legacy = run_arm(legacy_opt);
-      scalar_static_off();
-      const Arm vectorized = run_arm(new_opt);
-      if (legacy.value != vectorized.value) {
-        std::fprintf(stderr,
-                     "[bench] e2e arms diverge at %zu: %.17g vs %.17g\n", n,
-                     legacy.value, vectorized.value);
-        std::exit(1);
-      }
+        sink += bench::Unwrap(engine.Evaluate(*plan, specs), "eval").value;
+      });
+      whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
+      auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
+      sink += bench::Unwrap(engine.Evaluate(*plan, specs), "warmup").value;
+      const size_t warm_reps = n >= 1000000 ? 3 : 5;
+      const double warm_s = bench::TimePerRep(warm_reps, [&] {
+        sink += bench::Unwrap(engine.Evaluate(*plan, specs), "eval").value;
+      });
       out.Record("scale_whatif_e2e",
-                 {{"rows", rows},
-                  {"legacy_cold_s", legacy.cold_s},
-                  {"vectorized_cold_s", vectorized.cold_s},
-                  {"cold_speedup", legacy.cold_s / vectorized.cold_s},
-                  {"legacy_warm_s", legacy.warm_s},
-                  {"vectorized_warm_s", vectorized.warm_s},
-                  {"warm_speedup", legacy.warm_s / vectorized.warm_s},
-                  {"equal", 1.0}});
+                 {{"rows", rows}, {"cold_s", cold_s}, {"warm_s", warm_s}});
     }
   }
 

@@ -13,10 +13,11 @@
 //   2. sweep_batch           — N interventions over one shared view: fresh
 //                              engine runs vs warm-cache singles vs one
 //                              SubmitWhatIfBatch against one prepared plan.
-//   3. howto_shared          — a how-to run with per-candidate retraining
-//                              (legacy) vs shared-plan candidate scoring.
+//   3. howto_shared          — one how-to run with shared-plan candidate
+//                              scoring (estimators trained once, reused).
 //   4. bench_howto           — parallel candidate scoring at 1/2/4/8 threads.
-//   5. branch_fanout         — chained branch deltas, cold vs staged reuse.
+//   5. branch_fanout         — chained branch deltas, cold prepares vs
+//                              staged reuse.
 //   6. governance_overhead   — warm what-if with a generous budget armed vs
 //                              ungoverned; gated within 2%.
 //   7. durability_recovery   — journaled applies vs in-memory applies, then
@@ -194,59 +195,28 @@ int main(int argc, char** argv) {
                {"equal", g_mismatches == 0 ? 1.0 : 0.0}});
 
   // -------------------------------------------------------------------
-  Banner("3. how-to: per-candidate retraining vs shared estimators");
+  Banner("3. how-to: shared-plan candidate scoring");
   const std::string howto_sql =
       "Use German HowToUpdate Status, Savings "
       "ToMaximize Count(Credit = 1)";
-  howto::HowToOptions legacy;
-  legacy.whatif = options;
-  legacy.share_plans = false;
-  howto::HowToOptions shared_options = legacy;
-  shared_options.share_plans = true;
-
-  howto::HowToEngine legacy_engine(&ds.db, &ds.graph, legacy);
-  Stopwatch howto_timer;
-  howto::HowToResult before = Unwrap(legacy_engine.RunSql(howto_sql),
-                                     "how-to legacy");
-  const double before_seconds = howto_timer.ElapsedSeconds();
-
+  howto::HowToOptions shared_options;
+  shared_options.whatif = options;
   howto::HowToEngine shared_engine(&ds.db, &ds.graph, shared_options);
-  howto_timer.Restart();
-  howto::HowToResult after = Unwrap(shared_engine.RunSql(howto_sql),
-                                    "how-to shared");
-  const double after_seconds = howto_timer.ElapsedSeconds();
+  Stopwatch howto_timer;
+  howto::HowToResult shared = Unwrap(shared_engine.RunSql(howto_sql),
+                                     "how-to shared");
+  const double shared_seconds = howto_timer.ElapsedSeconds();
 
-  CheckEqual(before.baseline_value, after.baseline_value, "how-to baseline");
-  CheckEqual(before.objective_value, after.objective_value,
-             "how-to objective");
-  if (before.PlanToString() != after.PlanToString()) {
-    std::fprintf(stderr, "[bench_scenarios] MISMATCH how-to plans: %s vs %s\n",
-                 before.PlanToString().c_str(), after.PlanToString().c_str());
-    ++g_mismatches;
-  }
-  for (size_t a = 0; a < before.candidates.size(); ++a) {
-    for (size_t i = 0; i < before.candidates[a].size(); ++i) {
-      CheckEqual(before.candidates[a][i].objective_value,
-                 after.candidates[a][i].objective_value,
-                 "how-to candidate " + std::to_string(a) + "/" +
-                     std::to_string(i));
-    }
-  }
-
-  TablePrinter t3({"variant", "seconds", "speedup", "trainings-saved"});
+  TablePrinter t3({"candidates", "seconds", "trainings-saved"});
   t3.PrintHeader();
-  t3.PrintRow({"per-candidate", Fmt(before_seconds), "1.0", "0"});
-  t3.PrintRow({"shared plans", Fmt(after_seconds),
-               Fmt(before_seconds / after_seconds, "%.1f"),
-               Fmt(static_cast<double>(after.pattern_cache_hits), "%.0f")});
+  t3.PrintRow({Fmt(static_cast<double>(shared.candidates_evaluated), "%.0f"),
+               Fmt(shared_seconds),
+               Fmt(static_cast<double>(shared.pattern_cache_hits), "%.0f")});
   json.Record("howto_shared",
-              {{"candidates", static_cast<double>(before.candidates_evaluated)},
-               {"legacy_seconds", before_seconds},
-               {"shared_seconds", after_seconds},
-               {"speedup", before_seconds / after_seconds},
+              {{"candidates", static_cast<double>(shared.candidates_evaluated)},
+               {"shared_seconds", shared_seconds},
                {"pattern_cache_hits",
-                static_cast<double>(after.pattern_cache_hits)},
-               {"equal", g_mismatches == 0 ? 1.0 : 0.0}});
+                static_cast<double>(shared.pattern_cache_hits)}});
 
   // -------------------------------------------------------------------
   Banner("4. bench_howto: parallel candidate scoring at 1/2/4/8 threads");
@@ -353,55 +323,60 @@ int main(int argc, char** argv) {
   // adjustment set, the update attribute and the For/Output references).
   // The staged pipeline must serve every branch's first query by patching
   // the trunk's columnar image and reusing its Causal/Learn stages — the
-  // per-stage miss counters prove it — where the monolithic arm re-prepares
-  // and retrains per branch. Answers are gated bit-identical across arms.
+  // per-stage miss counters prove it. The cold arm prepares each branch's
+  // world with no stage cache (all four stages built fresh, estimators
+  // retrained). Answers are gated bit-identical across arms.
   const size_t fan_n = smoke ? 3 : 8;
   auto fan_branch_sql = [](size_t i) {
     return "Use German When Id = " + std::to_string(i) +
            " Update(Savings) = " + std::to_string(i % 3) + " Output Count(*)";
   };
 
-  service::ServiceOptions staged_opts = service_options;
-  service::ServiceOptions monolithic_opts = service_options;
-  monolithic_opts.whatif.staged_prepare = false;
-
   struct FanArm {
     std::vector<double> values;
     std::vector<double> prepare_seconds;
     double submit_seconds = 0.0;
   };
-  auto run_arm = [&](service::ScenarioService& svc) {
-    FanArm arm;
-    // Warm the trunk first: branch traffic rides on an already-serving
-    // world in both arms.
-    service::Response trunk = svc.Submit({"main", query, {}});
-    CheckOk(trunk.status, "fan-out trunk");
-    std::string parent = "main";
-    for (size_t i = 0; i < fan_n; ++i) {
-      const std::string name = "fan" + std::to_string(i);
-      CheckOk(svc.CreateScenario(name, parent), "fan-out create");
-      auto updated = svc.ApplyHypotheticalSql(name, fan_branch_sql(i));
-      CheckOk(updated.status(), "fan-out delta");
-      if (updated.ok() && *updated != 1) {
-        std::fprintf(stderr, "[bench_scenarios] fan-out delta hit %zu rows\n",
-                     *updated);
-        ++g_mismatches;
-      }
-      Stopwatch branch_timer;
-      service::Response r = svc.Submit({name, query, {}});
-      arm.submit_seconds += branch_timer.ElapsedSeconds();
-      CheckOk(r.status, "fan-out submit");
-      arm.values.push_back(r.whatif.value);
-      arm.prepare_seconds.push_back(r.whatif.prepare_seconds);
-      parent = name;
+  service::ScenarioService staged_svc(ds.db, ds.graph, service_options);
+  FanArm staged_arm;
+  // Warm the trunk first: branch traffic rides on an already-serving world.
+  CheckOk(staged_svc.Submit({"main", query, {}}).status, "fan-out trunk");
+  std::vector<std::string> fan_names;
+  for (size_t i = 0; i < fan_n; ++i) {
+    const std::string name = "fan" + std::to_string(i);
+    CheckOk(staged_svc.CreateScenario(name, i == 0 ? "main" : fan_names.back()),
+            "fan-out create");
+    auto updated = staged_svc.ApplyHypotheticalSql(name, fan_branch_sql(i));
+    CheckOk(updated.status(), "fan-out delta");
+    if (updated.ok() && *updated != 1) {
+      std::fprintf(stderr, "[bench_scenarios] fan-out delta hit %zu rows\n",
+                   *updated);
+      ++g_mismatches;
     }
-    return arm;
-  };
+    Stopwatch branch_timer;
+    service::Response r = staged_svc.Submit({name, query, {}});
+    staged_arm.submit_seconds += branch_timer.ElapsedSeconds();
+    CheckOk(r.status, "fan-out submit");
+    staged_arm.values.push_back(r.whatif.value);
+    staged_arm.prepare_seconds.push_back(r.whatif.prepare_seconds);
+    fan_names.push_back(name);
+  }
 
-  service::ScenarioService staged_svc(ds.db, ds.graph, staged_opts);
-  const FanArm staged_arm = run_arm(staged_svc);
-  service::ScenarioService monolithic_svc(ds.db, ds.graph, monolithic_opts);
-  const FanArm cold_arm = run_arm(monolithic_svc);
+  FanArm cold_arm;
+  const sql::Statement fan_stmt = Unwrap(sql::ParseSql(query), "parse");
+  for (const std::string& name : fan_names) {
+    const std::shared_ptr<const Database> world =
+        Unwrap(staged_svc.EffectiveDatabase(name), "fan-out world");
+    whatif::WhatIfEngine engine(world.get(), &ds.graph, options);
+    Stopwatch branch_timer;
+    auto plan = Unwrap(engine.Prepare(*fan_stmt.whatif), "fan-out prepare");
+    const whatif::WhatIfResult r = Unwrap(
+        engine.Evaluate(*plan, whatif::SpecsOfStatement(*fan_stmt.whatif)),
+        "fan-out evaluate");
+    cold_arm.submit_seconds += branch_timer.ElapsedSeconds();
+    cold_arm.values.push_back(r.value);
+    cold_arm.prepare_seconds.push_back(plan->prepare_seconds());
+  }
 
   for (size_t i = 0; i < fan_n; ++i) {
     CheckEqual(cold_arm.values[i], staged_arm.values[i],
@@ -426,22 +401,22 @@ int main(int argc, char** argv) {
   gate_counter("learn.misses", fan_stats.learn.misses, 1);
   gate_counter("query.misses", fan_stats.query.misses, fan_n + 1);
 
-  double staged_prepare = 0.0, cold_prepare = 0.0;
+  double reuse_prepare = 0.0, cold_prepare = 0.0;
   for (size_t i = 0; i < fan_n; ++i) {
-    staged_prepare += staged_arm.prepare_seconds[i];
+    reuse_prepare += staged_arm.prepare_seconds[i];
     cold_prepare += cold_arm.prepare_seconds[i];
   }
-  const double fan_speedup = cold_prepare / staged_prepare;
+  const double fan_speedup = cold_prepare / reuse_prepare;
 
   TablePrinter t5({"variant", "prepare-s/branch", "submit-s/branch",
                    "speedup"});
   t5.PrintHeader();
-  t5.PrintRow({"cold (monolithic)",
+  t5.PrintRow({"cold prepare",
                Fmt(cold_prepare / static_cast<double>(fan_n)),
                Fmt(cold_arm.submit_seconds / static_cast<double>(fan_n)),
                "1.0"});
   t5.PrintRow({"staged reuse",
-               Fmt(staged_prepare / static_cast<double>(fan_n)),
+               Fmt(reuse_prepare / static_cast<double>(fan_n)),
                Fmt(staged_arm.submit_seconds / static_cast<double>(fan_n)),
                Fmt(fan_speedup, "%.1f")});
   std::printf("staged stage misses: scope %zu | causal %zu | learn %zu | "
@@ -453,9 +428,9 @@ int main(int argc, char** argv) {
       "branch_fanout",
       {{"n", static_cast<double>(fan_n)},
        {"cold_prepare_seconds", cold_prepare},
-       {"staged_prepare_seconds", staged_prepare},
+       {"reuse_prepare_seconds", reuse_prepare},
        {"cold_submit_seconds", cold_arm.submit_seconds},
-       {"staged_submit_seconds", staged_arm.submit_seconds},
+       {"reuse_submit_seconds", staged_arm.submit_seconds},
        {"speedup_prepare", fan_speedup},
        {"learn_prepares", static_cast<double>(fan_stats.learn.misses)},
        {"equal", g_mismatches == 0 ? 1.0 : 0.0}});

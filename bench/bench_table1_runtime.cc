@@ -71,8 +71,7 @@ whatif::WhatIfOptions ModeOptions(whatif::BackdoorMode mode,
 }
 
 double TimeRun(const data::Dataset& ds, const char* query,
-               const whatif::WhatIfOptions& options,
-               double* value_out = nullptr) {
+               const whatif::WhatIfOptions& options) {
   whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
   Stopwatch timer;
   auto result = engine.RunSql(query);
@@ -82,7 +81,6 @@ double TimeRun(const data::Dataset& ds, const char* query,
                  result.status().ToString().c_str());
     std::exit(1);
   }
-  if (value_out != nullptr) *value_out = result->value;
   return seconds;
 }
 
@@ -98,7 +96,7 @@ int main(int argc, char** argv) {
   std::printf("expected shape: Indep < HypeR < HypeR-NB; grows with rows\n\n");
 
   bench::TablePrinter table(
-      {"dataset", "rows", "HypeR", "HypeR-row", "HypeR-NB", "Indep"});
+      {"dataset", "rows", "HypeR", "HypeR-NB", "Indep"});
   table.PrintHeader();
 
   for (const auto& workload : kWorkloads) {
@@ -106,25 +104,8 @@ int main(int argc, char** argv) {
     auto ds = bench::Unwrap(
         data::MakeByName(workload.dataset, scale, flags.seed), "dataset");
 
-    // HypeR on the columnar engine vs the legacy row interpreter: the
-    // answers must agree exactly (fixed seed) — only the latency may differ.
-    double columnar_value = 0.0, row_value = 0.0;
-    const double hyper_s =
-        TimeRun(ds, workload.query,
-                ModeOptions(whatif::BackdoorMode::kGraph, 0),
-                &columnar_value);
-    whatif::WhatIfOptions row_options =
-        ModeOptions(whatif::BackdoorMode::kGraph, 0);
-    row_options.use_columnar = false;
-    const double hyper_row_s =
-        TimeRun(ds, workload.query, row_options, &row_value);
-    if (columnar_value != row_value) {
-      std::fprintf(stderr,
-                   "[bench] columnar/row answers diverge on %s: %.17g vs "
-                   "%.17g\n",
-                   workload.dataset, columnar_value, row_value);
-      std::exit(1);
-    }
+    const double hyper_s = TimeRun(
+        ds, workload.query, ModeOptions(whatif::BackdoorMode::kGraph, 0));
     const double nb_s = TimeRun(
         ds, workload.query,
         ModeOptions(whatif::BackdoorMode::kAllAttributes, 0));
@@ -145,8 +126,7 @@ int main(int argc, char** argv) {
       nb_cell += " (" + bench::Fmt(sampled_nb_s, "%.3f") + ")";
     }
     table.PrintRow({workload.dataset, std::to_string(ds.db.TotalRows()),
-                    hyper_cell, bench::Fmt(hyper_row_s, "%.3f"), nb_cell,
-                    bench::Fmt(indep_s, "%.3f")});
+                    hyper_cell, nb_cell, bench::Fmt(indep_s, "%.3f")});
   }
   std::printf(
       "\n(values in parentheses: HypeR(-NB)-sampled with a 50k training "

@@ -3,12 +3,13 @@
 #
 # Usage: scripts/check.sh [build-dir]
 #
-# Exits non-zero on the first failure. The perf gate (`ctest -L perf`) runs
-# the histogram/batched-inference parity tests and the bench smoke runs,
-# which assert that the columnar engine reproduces the row interpreter, that
-# cached/batched answers are bit-identical to fresh runs, and that
-# PredictBatch matches per-row Predict — so a green check covers both
-# correctness and the perf substrate's wiring.
+# Exits non-zero on the first failure. The ctest leg includes golden_test,
+# which pins the engine's answers bit for bit (tests/golden/answers.txt).
+# The perf gate (`ctest -L perf`) runs the histogram/batched-inference
+# parity tests and the bench smoke runs, which assert that cached/batched
+# answers are bit-identical to fresh runs, that the SIMD kernels match
+# their scalar mirror, and that PredictBatch matches per-row Predict — so
+# a green check covers both correctness and the perf substrate's wiring.
 
 set -euo pipefail
 
@@ -62,9 +63,10 @@ fi
 echo "== perf gate (parity tests + bench smoke + 100k scale smoke) =="
 # bench_micro_smoke exists only when google-benchmark was found; ctest runs
 # whatever perf tests are registered. scale_perf_test is the 100k-row
-# mirror of the bench scale sweep: legacy-vs-vectorized what-if bit
-# equality at 1/2/4/8 threads plus kernel-vs-per-row bit equality across a
-# segment boundary (bit-equality gates only — no timing assertions).
+# mirror of the bench scale sweep: a what-if with SIMD at its default level
+# at 1/2/4/8 threads must match the forced-scalar single-thread answer bit
+# for bit, plus kernel-vs-per-row bit equality across a segment boundary
+# (bit-equality gates only — no timing assertions).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 
 # Sanitizer legs over the `service`-labeled tests (the scenario service,

@@ -27,34 +27,6 @@ inline uint64_t DeriveStreamSeed(uint64_t base, uint64_t stream) {
   return z ^ (z >> 31);
 }
 
-/// How ParallelForRange distributes a loop across participants.
-///
-/// kMorsel (default): participants claim grain-sized morsels from the front
-/// of their own deque and steal half from the back of a victim's when theirs
-/// runs dry — skewed iterations can't idle workers. kStatic reproduces the
-/// pre-morsel behavior (each participant claims its whole contiguous shard,
-/// no stealing) and exists for the morsel-vs-static A/B bit-equality tests
-/// and benches: callers merge results by index, so answers are identical
-/// under either mode — only wall-clock differs.
-enum class SchedulingMode : uint8_t { kMorsel = 0, kStatic = 1 };
-
-namespace internal {
-inline std::atomic<uint8_t>& SchedulingModeFlag() {
-  static std::atomic<uint8_t> mode{static_cast<uint8_t>(SchedulingMode::kMorsel)};
-  return mode;
-}
-}  // namespace internal
-
-inline void SetSchedulingMode(SchedulingMode mode) {
-  internal::SchedulingModeFlag().store(static_cast<uint8_t>(mode),
-                                       std::memory_order_relaxed);
-}
-
-inline SchedulingMode CurrentSchedulingMode() {
-  return static_cast<SchedulingMode>(
-      internal::SchedulingModeFlag().load(std::memory_order_relaxed));
-}
-
 /// A small fixed-size worker pool for sharding independent loops (the
 /// what-if engine's block decomposition, bench harnesses). Tasks must not
 /// throw: the library communicates failure via Status, and a task's status
@@ -141,9 +113,8 @@ class ThreadPool {
   /// fn must be safe to call concurrently from multiple threads. The set of
   /// (begin, end) ranges fn sees is scheduling-dependent; callers must (and
   /// do) write results into per-index slots and merge them in index order,
-  /// so answers are bit-identical at any thread count and under either
-  /// SchedulingMode. `max_parallelism` caps participating threads including
-  /// the caller (0 = pool size).
+  /// so answers are bit-identical at any thread count. `max_parallelism`
+  /// caps participating threads including the caller (0 = pool size).
   void ParallelForRange(size_t n,
                         size_t grain,
                         const std::function<void(size_t, size_t)>& fn,
@@ -176,7 +147,6 @@ class ThreadPool {
     state->n = n;
     state->grain = grain;
     state->fn = &fn;
-    state->steal = CurrentSchedulingMode() == SchedulingMode::kMorsel;
     for (size_t s = 0; s < participants; ++s) {
       state->deques[s].store(
           RangeState::Pack(n * s / participants, n * (s + 1) / participants),
@@ -209,7 +179,6 @@ class ThreadPool {
     size_t n = 0;
     size_t grain = 1;
     const std::function<void(size_t, size_t)>* fn = nullptr;
-    bool steal = true;
     std::vector<std::atomic<uint64_t>> deques;
     std::atomic<size_t> next_slot{0};
     std::atomic<size_t> done{0};
@@ -228,15 +197,15 @@ class ThreadPool {
       }
     }
 
-    /// Claims up to `grain` indices (the whole shard under static
-    /// scheduling) from the front of the caller's own deque.
+    /// Claims up to `grain` indices from the front of the caller's own
+    /// deque.
     bool PopFront(size_t slot, size_t* begin, size_t* end) {
       uint64_t cur = deques[slot].load(std::memory_order_acquire);
       for (;;) {
         const size_t b = static_cast<size_t>(cur >> 32);
         const size_t e = static_cast<size_t>(cur & 0xffffffffu);
         if (b >= e) return false;
-        const size_t take = steal ? std::min(grain, e - b) : e - b;
+        const size_t take = std::min(grain, e - b);
         if (deques[slot].compare_exchange_weak(cur, Pack(b + take, e),
                                                std::memory_order_acq_rel,
                                                std::memory_order_acquire)) {
@@ -247,17 +216,16 @@ class ThreadPool {
       }
     }
 
-    /// Claims the back half (rounded up) of the victim's remaining range —
-    /// the whole range under static scheduling, which only ever moves
-    /// unstarted shards. No ABA hazard: every index is claimed exactly
-    /// once, so a deque's packed value can never recur after it changes.
+    /// Claims the back half (rounded up) of the victim's remaining range.
+    /// No ABA hazard: every index is claimed exactly once, so a deque's
+    /// packed value can never recur after it changes.
     bool StealBack(size_t victim, size_t* begin, size_t* end) {
       uint64_t cur = deques[victim].load(std::memory_order_acquire);
       for (;;) {
         const size_t b = static_cast<size_t>(cur >> 32);
         const size_t e = static_cast<size_t>(cur & 0xffffffffu);
         if (b >= e) return false;
-        const size_t take = steal ? (e - b + 1) / 2 : e - b;
+        const size_t take = (e - b + 1) / 2;
         if (deques[victim].compare_exchange_weak(cur, Pack(b, e - take),
                                                  std::memory_order_acq_rel,
                                                  std::memory_order_acquire)) {
@@ -281,15 +249,6 @@ class ThreadPool {
         for (size_t k = 1; k < deques.size(); ++k) {
           const size_t victim = (slot + k) % deques.size();
           if (!StealBack(victim, &b, &e)) continue;
-          if (!steal) {
-            // Static mode still drains leftover whole shards (a queued
-            // driver may never get a pool slot — e.g. nested loops on a
-            // saturated pool — and someone must finish its shard), it just
-            // never splits one.
-            Run(b, e);
-            stole = true;
-            break;
-          }
           // Run the first morsel of the stolen range and park the rest in
           // our own deque — empty right now, and only its owner stores to
           // it, so a plain store cannot race a successful CAS.

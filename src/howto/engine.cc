@@ -353,7 +353,6 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   // trained once, not once per candidate. Prepare ignores update constants,
   // so Evaluate(plan, {spec}) is bit-for-bit identical to a fresh
   // Run(MakeCandidateWhatIf(stmt, {spec})).
-  const bool shared = options_.share_plans;
   // Staged pipeline (when the caller wired a StageContext): the baseline
   // and every per-attribute plan share the ScopeStage, and candidates of
   // one attribute share everything above the QueryStage.
@@ -389,25 +388,13 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
         MakeBaselineWhatIf(stmt, stmt.update_attributes[0],
                            candidates[0].empty() ? Value::Int(0)
                                                  : candidates[0][0].constant);
-    bool ran = false;
-    if (shared) {
-      auto plan = prepare_shared(baseline);
-      if (plan.ok()) {
-        HYPER_ASSIGN_OR_RETURN(
-            whatif::WhatIfResult result,
-            engine.Evaluate(**plan, whatif::SpecsOfStatement(baseline)));
-        scored.baseline = result.value;
-        record_eval(result);
-        ran = true;
-      } else if (plan.status().code() != StatusCode::kUnimplemented) {
-        return plan.status();
-      }
-    }
-    if (!ran) {
-      HYPER_ASSIGN_OR_RETURN(whatif::WhatIfResult result,
-                             engine.Run(baseline));
-      scored.baseline = result.value;
-    }
+    HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const whatif::PreparedWhatIf> plan,
+                           prepare_shared(baseline));
+    HYPER_ASSIGN_OR_RETURN(
+        whatif::WhatIfResult result,
+        engine.Evaluate(*plan, whatif::SpecsOfStatement(baseline)));
+    scored.baseline = result.value;
+    record_eval(result);
   }
 
   // Per-tuple pre values for L1 costs.
@@ -498,24 +485,15 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   // skips plan construction and estimator training entirely.
   std::vector<std::shared_ptr<const whatif::PreparedWhatIf>> plans(
       candidates.size());
-  std::vector<bool> prepare_attempted(candidates.size(), false);
   for (const WorkItem& w : work) {
-    if (!shared || prepare_attempted[w.a]) continue;
-    prepare_attempted[w.a] = true;
+    if (plans[w.a] != nullptr) continue;
     sql::WhatIfStmt tmpl = MakeCandidateWhatIf(stmt, {candidates[w.a][w.i]});
-    auto prepared = prepare_shared(tmpl);
-    if (prepared.ok()) {
-      plans[w.a] = *prepared;
-    } else if (prepared.status().code() != StatusCode::kUnimplemented) {
-      return prepared.status();
-    }
+    HYPER_ASSIGN_OR_RETURN(plans[w.a], prepare_shared(tmpl));
   }
 
   auto eval_candidate = [&](const whatif::WhatIfEngine& eng,
                             const WorkItem& w) -> Result<whatif::WhatIfResult> {
-    const UpdateSpec& spec = candidates[w.a][w.i];
-    if (plans[w.a] != nullptr) return eng.Evaluate(*plans[w.a], {spec});
-    return eng.Run(MakeCandidateWhatIf(stmt, {spec}));
+    return eng.Evaluate(*plans[w.a], {candidates[w.a][w.i]});
   };
 
   const size_t threads = ThreadPool::ResolveBudget(options_.whatif.num_threads);
@@ -588,7 +566,7 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   // independent of which worker finished first.
   for (size_t w = 0; w < work.size(); ++w) {
     const whatif::WhatIfResult& result = *results[w];
-    if (plans[work[w].a] != nullptr) record_eval(result);
+    record_eval(result);
     ++scored.evaluated;
     CandidateUpdate& cu = scored.per_attribute[work[w].a][work[w].i];
     cu.objective_value = result.value;

@@ -44,12 +44,6 @@ struct HowToOptions {
   /// IP has only choice rows + one budget row; false forces general
   /// branch-and-bound (ablation).
   bool prefer_mck = true;
-  /// Share prepared what-if plans across the baseline and every candidate
-  /// of a run: the relevant view is built and each (view, adjustment-set)
-  /// estimator is trained once instead of once per candidate. Off = the
-  /// legacy per-candidate path, kept for A/B benchmarking; answers are
-  /// bit-for-bit identical either way.
-  bool share_plans = true;
   /// Optional cross-run plan cache (the scenario service passes its own so
   /// repeated how-to runs reuse trained estimators). When null, plans are
   /// shared within a single run only. Not owned.
@@ -107,8 +101,7 @@ struct HowToResult {
   /// Prepared plans served by the cross-run cache instead of being built.
   size_t plan_cache_hits = 0;
   /// Candidate evaluations that reused an already-trained pattern estimator
-  /// (the shared-plan win: without sharing this is always 0 and every
-  /// candidate retrains).
+  /// of a shared plan instead of retraining it.
   size_t pattern_cache_hits = 0;
   /// Plan construction (view + encode + training matrix) charged to this
   /// run; ~0 when every plan came from the cache.

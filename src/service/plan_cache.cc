@@ -22,10 +22,8 @@ std::string WhatIfPlanKey(const std::string& scope,
   key += field("out", stmt.output.ToString());
   key += field("for",
                stmt.for_pred != nullptr ? stmt.for_pred->ToString() : "");
-  key += StrFormat("|mode=%d|blocks=%d|cols=%d|staged=%d",
-                   static_cast<int>(options.backdoor),
-                   options.use_blocks ? 1 : 0, options.use_columnar ? 1 : 0,
-                   options.staged_prepare ? 1 : 0);
+  key += StrFormat("|mode=%d|blocks=%d", static_cast<int>(options.backdoor),
+                   options.use_blocks ? 1 : 0);
   key += whatif::EstimatorConfigKey(options);
   return key;
 }

@@ -61,8 +61,7 @@ struct PlanCacheStats {
 ///     update-attribute list. Update *constants and functions* are excluded:
 ///     a prepared plan answers any intervention over its attributes.
 ///   - the estimator configuration: backdoor mode, estimator kind, forest
-///     hyperparameters, smoothing, sample size and seed, block decomposition
-///     — and the staged/monolithic arm, so A/B runs never share entries.
+///     hyperparameters, smoothing, sample size and seed, block decomposition.
 std::string WhatIfPlanKey(const std::string& scope,
                           const sql::WhatIfStmt& stmt,
                           const whatif::WhatIfOptions& options);

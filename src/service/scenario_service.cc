@@ -316,6 +316,7 @@ std::vector<ScenarioInfo> ScenarioService::ListScenarios() const {
     info.parent = state.branch.parent();
     info.updates_applied = state.branch.updates_applied();
     info.overridden_cells = state.branch.overridden_cells();
+    info.version = state.branch.version();
     info.delta_fingerprint = state.branch.delta_fingerprint();
     out.push_back(std::move(info));
   }
@@ -524,16 +525,38 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
   delta.updated_rows = s_rows.size();
 
   // Deterministic post image f(pre), all updates from the same pre state.
+  // A post value must keep its column's string/number kind: a string in a
+  // numeric column (or a number in a string column) would leave a column no
+  // columnar image can hold, failing every later query on the branch.
+  // Numeric widening (a scaled int becoming a double) stays allowed. A Set
+  // constant is checked even when S is empty, so the answer does not depend
+  // on the data.
   delta.cells.resize(stmt.updates.size());
   for (size_t j = 0; j < stmt.updates.size(); ++j) {
     whatif::UpdateSpec spec;
     spec.attribute = stmt.updates[j].attribute;
     spec.func = stmt.updates[j].func;
     spec.constant = stmt.updates[j].constant;
+    const AttributeDef& attr = schema.attribute(delta.attr_of_update[j]);
+    const auto check_kind = [&](const Value& post) -> Status {
+      if (post.is_null() || (post.type() == ValueType::kString) ==
+                                (attr.type == ValueType::kString)) {
+        return Status::OK();
+      }
+      return Status::InvalidArgument(StrFormat(
+          "update of '%s' writes %s (%s) into a column declared %s; strings "
+          "and numbers cannot share a column",
+          attr.name.c_str(), post.ToString().c_str(),
+          ValueTypeName(post.type()), ValueTypeName(attr.type)));
+    };
+    if (spec.func == sql::UpdateFuncKind::kSet) {
+      HYPER_RETURN_NOT_OK(check_kind(spec.constant));
+    }
     delta.cells[j].reserve(s_rows.size());
     for (size_t r : s_rows) {
       HYPER_ASSIGN_OR_RETURN(
           Value post, spec.Apply(table->At(r, delta.attr_of_update[j])));
+      HYPER_RETURN_NOT_OK(check_kind(post));
       delta.cells[j].emplace_back(r, std::move(post));
     }
   }
@@ -652,19 +675,6 @@ Response ScenarioService::Dispatch(const Request& request,
       }
       response.whatif.total_seconds =
           response.whatif.prepare_seconds + response.whatif.eval_seconds;
-    } else if (plan.status().code() == StatusCode::kUnimplemented) {
-      // Shapes the columnar substrate cannot serve run uncached on the
-      // legacy row path — dispatched there directly, so the failed Prepare
-      // is not attempted a second time inside Run.
-      whatif::WhatIfOptions row_options = opts;
-      row_options.use_columnar = false;
-      whatif::WhatIfEngine row_engine(world.db.get(), graph(), row_options);
-      auto result = row_engine.Run(*parsed->whatif);
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
-      }
-      response.whatif = std::move(result).value();
     } else {
       response.status = plan.status();
       return response;
@@ -934,49 +944,7 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
   auto plan = cache_.GetOrPrepare(
       WhatIfPlanKey(world.scope, *parsed.whatif, options_.whatif),
       [&] { return engine.Prepare(*parsed.whatif, &stage_context); }, &hit);
-  if (!plan.ok()) {
-    if (plan.status().code() != StatusCode::kUnimplemented) {
-      return plan.status();
-    }
-    // Row-path fallback: run each intervention as a fresh statement, with
-    // the same shape contract Evaluate enforces — interventions supply
-    // constants and functions, never new attributes. Dispatch straight to
-    // the row interpreter so the failed Prepare is not re-attempted N times.
-    // Failures (shape mismatches, evaluation errors) stay per item.
-    whatif::WhatIfOptions row_options = engine_options;
-    row_options.use_columnar = false;
-    whatif::WhatIfEngine row_engine(world.db.get(), graph(), row_options);
-    std::vector<WhatIfBatchItem> items(interventions.size());
-    for (size_t i = 0; i < interventions.size(); ++i) {
-      const std::vector<whatif::UpdateSpec>& specs = interventions[i];
-      if (specs.size() != parsed.whatif->updates.size()) {
-        items[i].status =
-            Status::InvalidArgument("intervention arity mismatch");
-        continue;
-      }
-      bool shape_ok = true;
-      for (size_t j = 0; j < specs.size(); ++j) {
-        if (specs[j].attribute != parsed.whatif->updates[j].attribute) {
-          items[i].status = Status::InvalidArgument(
-              "intervention update attribute '" + specs[j].attribute +
-              "' does not match the base statement's '" +
-              parsed.whatif->updates[j].attribute + "'");
-          shape_ok = false;
-          break;
-        }
-        parsed.whatif->updates[j].func = specs[j].func;
-        parsed.whatif->updates[j].constant = specs[j].constant;
-      }
-      if (!shape_ok) continue;
-      auto result = row_engine.Run(*parsed.whatif);
-      if (result.ok()) {
-        items[i].result = std::move(result).value();
-      } else {
-        items[i].status = result.status();
-      }
-    }
-    return items;
-  }
+  if (!plan.ok()) return plan.status();
 
   std::vector<Status> statuses;
   HYPER_ASSIGN_OR_RETURN(

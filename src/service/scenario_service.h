@@ -121,6 +121,8 @@ struct ScenarioInfo {
   std::string parent;
   size_t updates_applied = 0;
   size_t overridden_cells = 0;
+  /// Bumped by every override batch the branch accepts.
+  uint64_t version = 0;
   /// delta_fingerprint() of the branch — the recovery acceptance check
   /// compares these across a crash/restart.
   uint64_t delta_fingerprint = 0;

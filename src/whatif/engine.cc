@@ -29,7 +29,6 @@
 namespace hyper::whatif {
 
 using relational::Env;
-using relational::EvalExpr;
 using relational::EvalPredicate;
 using sql::AggKind;
 using sql::Expr;
@@ -85,32 +84,6 @@ ExecGuardPtr GuardFor(const WhatIfOptions& options) {
   return ExecGuard::Arm(options.budget, options.cancel_token);
 }
 
-// ---------------------------------------------------------------------------
-// For-predicate folding (§A.2): per tuple, every subexpression whose value
-// is already determined (pre-update values, immutable attributes, the
-// deterministic post-update value of the update attribute itself) is folded
-// to a literal; what remains — the residual — references only genuinely
-// random post-update attributes and is handled by the estimator.
-// ---------------------------------------------------------------------------
-
-/// True when `expr` (inside or outside Post) transitively references a
-/// random column through a Post(...) wrapper.
-bool ContainsRandomPost(const Expr& expr,
-                        const std::set<std::string>& random_cols) {
-  if (expr.kind == ExprKind::kPost) {
-    std::vector<std::string> cols;
-    sql::CollectColumnRefs(*expr.children[0], &cols);
-    for (const std::string& col : cols) {
-      if (random_cols.count(col) > 0) return true;
-    }
-    return false;
-  }
-  for (const auto& child : expr.children) {
-    if (ContainsRandomPost(*child, random_cols)) return true;
-  }
-  return false;
-}
-
 /// Collects columns referenced inside Post(...) wrappers — the outcome
 /// attributes of the query, as opposed to pre-update conditioning columns.
 void CollectPostColumnRefs(const Expr& expr, std::vector<std::string>* out) {
@@ -129,67 +102,6 @@ bool IsBoolLiteral(const Expr& expr, bool* value) {
   if (!b.ok()) return false;
   *value = *b;
   return true;
-}
-
-/// Folds `expr` for one tuple. `env` binds the tuple with its deterministic
-/// post image (update attributes set to f(b), everything else pre).
-Result<ExprPtr> FoldExpr(const Expr& expr, const Env& env,
-                         const std::set<std::string>& random_cols) {
-  if (!ContainsRandomPost(expr, random_cols)) {
-    HYPER_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, env));
-    return sql::MakeLiteral(std::move(v));
-  }
-  switch (expr.kind) {
-    case ExprKind::kBinary:
-      if (expr.op == sql::BinaryOp::kAnd || expr.op == sql::BinaryOp::kOr) {
-        HYPER_ASSIGN_OR_RETURN(ExprPtr lhs,
-                               FoldExpr(*expr.children[0], env, random_cols));
-        HYPER_ASSIGN_OR_RETURN(ExprPtr rhs,
-                               FoldExpr(*expr.children[1], env, random_cols));
-        bool lit = false;
-        const bool is_and = expr.op == sql::BinaryOp::kAnd;
-        if (IsBoolLiteral(*lhs, &lit)) {
-          if (is_and) return lit ? std::move(rhs) : sql::MakeLiteral(Value::Bool(false));
-          return lit ? sql::MakeLiteral(Value::Bool(true)) : std::move(rhs);
-        }
-        if (IsBoolLiteral(*rhs, &lit)) {
-          if (is_and) return lit ? std::move(lhs) : sql::MakeLiteral(Value::Bool(false));
-          return lit ? sql::MakeLiteral(Value::Bool(true)) : std::move(lhs);
-        }
-        return sql::MakeBinary(expr.op, std::move(lhs), std::move(rhs));
-      }
-      break;
-    case ExprKind::kNot: {
-      HYPER_ASSIGN_OR_RETURN(ExprPtr inner,
-                             FoldExpr(*expr.children[0], env, random_cols));
-      bool lit = false;
-      if (IsBoolLiteral(*inner, &lit)) {
-        return sql::MakeLiteral(Value::Bool(!lit));
-      }
-      return sql::MakeNot(std::move(inner));
-    }
-    case ExprKind::kPost:
-      // A random Post reference: keep verbatim for the estimator.
-      return expr.Clone();
-    default:
-      break;
-  }
-  // A mixed atom (comparison/arithmetic/in-list containing a random Post
-  // plus determined parts): fold the determined children to literals — this
-  // is the Proposition 6 grounding, e.g. Post(A) > Pre(A) becomes
-  // "Post(A) > 5" for a tuple whose A is 5.
-  auto out = std::make_unique<Expr>();
-  out->kind = expr.kind;
-  out->literal = expr.literal;
-  out->qualifier = expr.qualifier;
-  out->name = expr.name;
-  out->op = expr.op;
-  for (const auto& child : expr.children) {
-    HYPER_ASSIGN_OR_RETURN(ExprPtr folded,
-                           FoldExpr(*child, env, random_cols));
-    out->children.push_back(std::move(folded));
-  }
-  return out;
 }
 
 /// Estimators trained for one residual pattern.
@@ -235,10 +147,8 @@ Status FitPatternEstimator(learn::ConditionalMeanEstimator* est,
 double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
 // ---------------------------------------------------------------------------
-// Query planning shared by the row and columnar execution paths: everything
-// derivable from the compiled query + causal graph without scanning a single
-// row. Keeping this in one place is what makes "both paths return identical
-// answers" a structural property instead of a test-enforced hope.
+// Query planning: everything derivable from the compiled query + causal
+// graph without scanning a single row.
 // ---------------------------------------------------------------------------
 
 struct WhatIfPlan {
@@ -458,9 +368,9 @@ Result<WhatIfPlan> BuildWhatIfPlan(const CompiledWhatIf& q,
   return plan;
 }
 
-/// Block-independent decomposition (§3.3), shared by both paths: view rows
-/// grouped by the ground-graph component of their base tuple (a single
-/// block when decomposition is off or unavailable).
+/// Block-independent decomposition (§3.3): view rows grouped by the
+/// ground-graph component of their base tuple (a single block when
+/// decomposition is off or unavailable).
 std::vector<std::vector<size_t>> BuildBlockRows(
     const CompiledWhatIf& q, const Database& db,
     const causal::CausalGraph* graph, bool use_blocks, size_t n) {
@@ -510,16 +420,20 @@ std::vector<std::vector<size_t>> BuildBlockRows(
 }
 
 // ---------------------------------------------------------------------------
-// Columnar fold machinery. FoldExpr's recursion structure is row-independent:
-// which subtrees are "determined" depends only on random_cols. The columnar
-// path therefore compiles every maximal determined subtree (a "hole") once,
-// evaluates only the hole values per tuple, and caches the folded residual
-// per distinct hole-value vector — the Proposition 6 grounding, memoized.
+// For-predicate folding (§A.2): per tuple, every subexpression whose value
+// is already determined (pre-update values, immutable attributes, the
+// deterministic post-update value of the update attribute itself) is folded
+// to a literal; what remains — the residual — references only genuinely
+// random post-update attributes and is handled by the estimator. Which
+// subtrees are determined depends only on random_cols, not on the row, so
+// every maximal determined subtree (a "hole") is compiled once, only the
+// hole values are evaluated per tuple, and the folded residual is cached per
+// distinct hole-value vector — the Proposition 6 grounding, memoized.
 // ---------------------------------------------------------------------------
 
-/// Marks every node that transitively contains a random Post(...) reference
-/// (the nodes ContainsRandomPost is true for). Nodes inside a Post subtree
-/// are never marked: FoldExpr keeps Post subtrees verbatim.
+/// Marks every node that transitively contains a random Post(...) reference.
+/// Nodes inside a Post subtree are never marked: the fold keeps Post
+/// subtrees verbatim.
 bool MarkRandom(const Expr& e, const std::set<std::string>& random_cols,
                 std::unordered_set<const Expr*>* random) {
   if (e.kind == ExprKind::kPost) {
@@ -541,7 +455,7 @@ bool MarkRandom(const Expr& e, const std::set<std::string>& random_cols,
   return any;
 }
 
-/// Registers the maximal determined subtrees in FoldExpr evaluation order.
+/// Registers the maximal determined subtrees in fold (pre-)order.
 void CollectHoles(const Expr& e,
                   const std::unordered_set<const Expr*>& random,
                   std::vector<const Expr*>* holes,
@@ -557,9 +471,9 @@ void CollectHoles(const Expr& e,
   }
 }
 
-/// FoldExpr with the determined subtrees replaced by precomputed values.
-/// Mirrors FoldExpr exactly, so the residual for a tuple is identical to
-/// what the row path would fold.
+/// Folds the For predicate for one tuple, given its hole values: holes
+/// become literals, And/Or/Not over a literal simplify, random Post
+/// references stay verbatim for the estimator.
 ExprPtr FoldFromHoles(const Expr& expr,
                       const std::unordered_map<const Expr*, size_t>& hole_of,
                       const std::vector<Value>& hole_values) {
@@ -602,6 +516,10 @@ ExprPtr FoldFromHoles(const Expr& expr,
     default:
       break;
   }
+  // A mixed atom (comparison/arithmetic/in-list containing a random Post
+  // plus determined parts): its determined children are holes and fold to
+  // literals, e.g. Post(A) > Pre(A) becomes "Post(A) > 5" for a tuple whose
+  // A is 5.
   auto out = std::make_unique<Expr>();
   out->kind = expr.kind;
   out->literal = expr.literal;
@@ -788,320 +706,26 @@ Result<WhatIfResult> WhatIfEngine::Run(const sql::WhatIfStmt& stmt) const {
   if (options_.exec_guard == nullptr) {
     ExecGuardPtr guard = ExecGuard::Arm(options_.budget, options_.cancel_token);
     if (guard != nullptr) {
-      // Re-enter with the armed guard injected so Prepare, Evaluate and the
-      // row fallback all observe one deadline and one pair of meters.
+      // Re-enter with the armed guard injected so Prepare and Evaluate
+      // observe one deadline and one pair of meters.
       WhatIfOptions governed = options_;
       governed.exec_guard = std::move(guard);
       return WhatIfEngine(db_, graph_, std::move(governed)).Run(stmt);
     }
   }
-  if (!options_.use_columnar) return RunRows(stmt);
   Stopwatch total_timer;
-  auto prepared = Prepare(stmt);
-  if (!prepared.ok()) {
-    // Shapes the columnar substrate cannot represent fall back to the row
-    // interpreter, exactly as the pre-split engine did.
-    if (prepared.status().code() == StatusCode::kUnimplemented) {
-      return RunRows(stmt);
-    }
-    return prepared.status();
-  }
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedWhatIf> prepared,
+                         Prepare(stmt));
   HYPER_ASSIGN_OR_RETURN(WhatIfResult result,
-                         Evaluate(**prepared, SpecsOfStatement(stmt)));
-  result.prepare_seconds = (*prepared)->prepare_seconds();
-  result.total_seconds = total_timer.ElapsedSeconds();
-  return result;
-}
-
-Result<WhatIfResult> WhatIfEngine::RunRows(const sql::WhatIfStmt& stmt) const {
-  Stopwatch total_timer;
-  WhatIfResult result;
-
-  HYPER_ASSIGN_OR_RETURN(CompiledWhatIf q, CompileWhatIf(*db_, stmt));
-  const Table& view = *q.view_info->view;
-  const Schema& vschema = view.schema();
-  const size_t n = view.num_rows();
-  result.view_rows = n;
-  if (n == 0) {
-    return Status::InvalidArgument("relevant view is empty");
-  }
-  const ExecGuardPtr guard = GuardFor(options_);
-  if (guard != nullptr) {
-    HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.run_rows"));
-  }
-
-  HYPER_ASSIGN_OR_RETURN(WhatIfPlan plan,
-                         BuildWhatIfPlan(q, graph_, options_.backdoor));
-  const std::vector<size_t>& update_cols = plan.update_cols;
-  result.backdoor = plan.backdoor_causal;
-
-  std::vector<bool> in_s(n, true);
-  if (q.when != nullptr) {
-    for (size_t r = 0; r < n; ++r) {
-      Env env;
-      env.Bind(vschema.relation_name(), &vschema, &view.row(r));
-      HYPER_ASSIGN_OR_RETURN(bool sel, EvalPredicate(*q.when, env));
-      in_s[r] = sel;
-    }
-  }
-  // Deterministic post image per row: update attributes set to f(b) on S.
-  std::vector<Row> post_rows(n);
-  size_t updated = 0;
-  for (size_t r = 0; r < n; ++r) {
-    post_rows[r] = view.row(r);
-    if (!in_s[r]) continue;
-    ++updated;
-    for (size_t j = 0; j < q.updates.size(); ++j) {
-      HYPER_ASSIGN_OR_RETURN(
-          Value post, q.updates[j].Apply(view.At(r, update_cols[j])));
-      post_rows[r][update_cols[j]] = std::move(post);
-    }
-  }
-  result.updated_rows = updated;
-
-  const std::set<std::string>& random_cols = plan.random_cols;
-  const std::vector<WhatIfPlan::PsiSpec>& psi_specs = plan.psi_specs;
-
-  // Group means for psi features (pre and post).
-  std::vector<std::vector<double>> psi_pre(psi_specs.size()),
-      psi_post(psi_specs.size());
-  std::vector<bool> psi_changed(n, false);
-  for (size_t p = 0; p < psi_specs.size(); ++p) {
-    const WhatIfPlan::PsiSpec& spec = psi_specs[p];
-    const size_t bcol = update_cols[spec.update_index];
-    std::unordered_map<Value, std::pair<double, double>, ValueHash> sums;
-    std::unordered_map<Value, size_t, ValueHash> counts;
-    for (size_t r = 0; r < n; ++r) {
-      const Value& g = view.At(r, spec.link_col);
-      HYPER_ASSIGN_OR_RETURN(double pre, view.At(r, bcol).AsDouble());
-      HYPER_ASSIGN_OR_RETURN(double post, post_rows[r][bcol].AsDouble());
-      sums[g].first += pre;
-      sums[g].second += post;
-      counts[g] += 1;
-    }
-    psi_pre[p].resize(n);
-    psi_post[p].resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      const Value& g = view.At(r, spec.link_col);
-      const auto& s = sums.at(g);
-      const double c = static_cast<double>(counts.at(g));
-      psi_pre[p][r] = s.first / c;
-      psi_post[p][r] = s.second / c;
-      if (std::fabs(psi_pre[p][r] - psi_post[p][r]) > 1e-12) {
-        psi_changed[r] = true;
-      }
-    }
-  }
-
-  // Feature layout from the shared plan: update attributes, then backdoor
-  // columns, then For conditioning columns, then psi.
-  const std::vector<std::string>& feature_cols = plan.feature_cols;
-  HYPER_ASSIGN_OR_RETURN(learn::FeatureEncoder encoder,
-                         learn::FeatureEncoder::Fit(view, feature_cols));
-
-  // The frequency estimator needs a discrete feature space: bucketize
-  // continuous feature columns into equal-count (quantile) cells, fitted
-  // over pre- and post-update values so hypothetical points land inside the
-  // range (the paper likewise bucketizes continuous attributes, §5.4).
-  // Quantile cells keep the tails densely populated, so conditional
-  // estimates stay stable at extreme candidate values.
-  std::vector<std::optional<learn::QuantileDiscretizer>> feature_disc(
-      feature_cols.size());
-  if (options_.estimator == learn::EstimatorKind::kFrequency) {
-    for (size_t j = 0; j < feature_cols.size(); ++j) {
-      const size_t col = vschema.IndexOf(feature_cols[j]).value();
-      if (vschema.attribute(col).type != ValueType::kDouble) continue;
-      // Fit on the observed (pre-update) distribution only: the grid must
-      // reflect where training data lives; hypothetical points clamp into
-      // the nearest populated cell, which keeps candidate rankings monotone
-      // without letting duplicated post-update constants distort the cells.
-      std::vector<double> values;
-      values.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        auto pre = view.At(r, col).AsDouble();
-        if (pre.ok()) values.push_back(*pre);
-      }
-      auto disc = learn::QuantileDiscretizer::FitToData(std::move(values), 16);
-      if (disc.ok()) feature_disc[j] = *disc;
-    }
-  }
-  auto snap_feature = [&](size_t j, double v) {
-    return feature_disc[j].has_value()
-               ? feature_disc[j]->Representative(feature_disc[j]->BucketOf(v))
-               : v;
-  };
-
-  // Training rows (HypeR-sampled caps them).
-  std::vector<size_t> train_rows;
-  if (options_.sample_size > 0 && options_.sample_size < n) {
-    Rng rng(options_.seed);
-    train_rows = rng.SampleWithoutReplacement(n, options_.sample_size);
-  } else {
-    train_rows.resize(n);
-    for (size_t r = 0; r < n; ++r) train_rows[r] = r;
-  }
-
-  Stopwatch train_timer;
-  double train_seconds = 0.0;
-
-  // Pre-encode training features (observed values + psi_pre).
-  learn::FeatureMatrix train_x(train_rows.size(),
-                               feature_cols.size() + psi_specs.size());
-  for (size_t i = 0; i < train_rows.size(); ++i) {
-    const size_t r = train_rows[i];
-    HYPER_ASSIGN_OR_RETURN(std::vector<double> x, encoder.EncodeRow(view, r));
-    double* row = train_x.mutable_row(i);
-    for (size_t j = 0; j < x.size(); ++j) row[j] = snap_feature(j, x[j]);
-    for (size_t p = 0; p < psi_specs.size(); ++p) {
-      row[feature_cols.size() + p] = psi_pre[p][r];
-    }
-  }
-
-  // Observed output values (Sum/Avg only).
-  std::vector<double> y_obs;
-  if (q.output_value != nullptr) {
-    y_obs.resize(train_rows.size());
-    for (size_t i = 0; i < train_rows.size(); ++i) {
-      const size_t r = train_rows[i];
-      Env env;
-      env.Bind(vschema.relation_name(), &vschema, &view.row(r),
-               &view.row(r));
-      HYPER_ASSIGN_OR_RETURN(Value v, EvalExpr(*q.output_value, env));
-      HYPER_ASSIGN_OR_RETURN(y_obs[i], v.AsDouble());
-    }
-  }
-
-  // Residual-pattern estimator cache with lazy training.
-  std::unordered_map<std::string, PatternEstimators> patterns;
-  auto get_pattern = [&](const ExprPtr& residual,
-                         const std::string& key) -> Result<PatternEstimators*> {
-    auto it = patterns.find(key);
-    if (it != patterns.end()) return &it->second;
-    train_timer.Restart();
-    PatternEstimators pat;
-    bool lit = false;
-    const bool is_literal = IsBoolLiteral(*residual, &lit);
-    pat.literal = is_literal;
-    pat.literal_value = lit;
-
-    // Indicator targets 1{residual} evaluated observationally.
-    std::vector<double> ind(train_rows.size(), 1.0);
-    if (!is_literal) {
-      for (size_t i = 0; i < train_rows.size(); ++i) {
-        const size_t r = train_rows[i];
-        Env env;
-        env.Bind(vschema.relation_name(), &vschema, &view.row(r),
-                 &view.row(r));
-        HYPER_ASSIGN_OR_RETURN(bool b, EvalPredicate(*residual, env));
-        ind[i] = b ? 1.0 : 0.0;
-      }
-      pat.weight = MakeEstimator(options_);
-      HYPER_RETURN_NOT_OK(pat.weight->Fit(train_x, ind));
-    }
-    if (q.output_value != nullptr && !(is_literal && !lit)) {
-      std::vector<double> value_target(train_rows.size());
-      for (size_t i = 0; i < train_rows.size(); ++i) {
-        value_target[i] = y_obs[i] * ind[i];
-      }
-      pat.value = MakeEstimator(options_);
-      HYPER_RETURN_NOT_OK(pat.value->Fit(train_x, value_target));
-    }
-    train_seconds += train_timer.ElapsedSeconds();
-    auto [ins, _] = patterns.emplace(key, std::move(pat));
-    return &ins->second;
-  };
-
-  const std::vector<std::vector<size_t>> block_rows =
-      BuildBlockRows(q, *db_, graph_, options_.use_blocks, n);
-  result.num_blocks = block_rows.size();
-
-  // Main evaluation loop.
-  prob::BlockAccumulator acc(q.output_agg);
-  ExprPtr literal_true = sql::MakeLiteral(Value::Bool(true));
-
-  LoopCheck gov_loop(guard.get());
-  for (const std::vector<size_t>& rows : block_rows) {
-    acc.BeginBlock();
-    for (size_t r : rows) {
-      if (gov_loop.Due()) {
-        HYPER_RETURN_NOT_OK(gov_loop.guard()->Check("whatif.run_rows"));
-      }
-      // Fold the For predicate against this tuple's deterministic values.
-      Env fold_env;
-      fold_env.Bind(vschema.relation_name(), &vschema, &view.row(r),
-                    &post_rows[r]);
-      ExprPtr residual;
-      if (q.for_pred != nullptr) {
-        HYPER_ASSIGN_OR_RETURN(residual,
-                               FoldExpr(*q.for_pred, fold_env, random_cols));
-      } else {
-        residual = literal_true->Clone();
-      }
-      bool lit = false;
-      if (IsBoolLiteral(*residual, &lit) && !lit) continue;  // disqualified
-
-      const bool affected = in_s[r] || psi_changed[r];
-      if (!affected) {
-        // Unchanged tuple: post == pre, everything is exact.
-        Env env;
-        env.Bind(vschema.relation_name(), &vschema, &view.row(r),
-                 &view.row(r));
-        HYPER_ASSIGN_OR_RETURN(bool qualifies, EvalPredicate(*residual, env));
-        if (!qualifies) continue;
-        double value = 0.0;
-        if (q.output_value != nullptr) {
-          HYPER_ASSIGN_OR_RETURN(Value v, EvalExpr(*q.output_value, env));
-          HYPER_ASSIGN_OR_RETURN(value, v.AsDouble());
-        }
-        acc.Add(1.0, value);
-        continue;
-      }
-
-      // Affected tuple: estimate via the backdoor-adjusted estimator at the
-      // post-update feature point.
-      HYPER_ASSIGN_OR_RETURN(PatternEstimators * pat,
-                             get_pattern(residual, residual->ToString()));
-      std::vector<double> x;
-      x.reserve(feature_cols.size() + psi_specs.size());
-      for (size_t j = 0; j < q.updates.size(); ++j) {
-        HYPER_ASSIGN_OR_RETURN(
-            double f, encoder.EncodeValue(j, post_rows[r][update_cols[j]]));
-        x.push_back(snap_feature(j, f));
-      }
-      for (size_t j = q.updates.size(); j < feature_cols.size(); ++j) {
-        HYPER_ASSIGN_OR_RETURN(
-            double f,
-            encoder.EncodeValue(
-                j, view.At(r, vschema.IndexOf(feature_cols[j]).value())));
-        x.push_back(snap_feature(j, f));
-      }
-      for (size_t p = 0; p < psi_specs.size(); ++p) {
-        x.push_back(psi_post[p][r]);
-      }
-
-      const double weight =
-          pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                       : Clamp01(pat->weight->Predict(x));
-      if (weight <= 0.0) continue;
-      double weighted_value = 0.0;
-      if (pat->value != nullptr) {
-        weighted_value = pat->value->Predict(x);
-      }
-      acc.Add(weight, weighted_value);
-    }
-    acc.EndBlock();
-  }
-
-  result.num_patterns = patterns.size();
-  result.train_seconds = train_seconds;
-  HYPER_ASSIGN_OR_RETURN(result.value, acc.Finish());
+                         Evaluate(*prepared, SpecsOfStatement(stmt)));
+  result.prepare_seconds = prepared->prepare_seconds();
   result.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 
 // ---------------------------------------------------------------------------
 // Prepared plans, staged: the intervention-independent four-fifths of a
-// columnar run split into four independently keyed, independently cacheable
+// what-if run split into four independently keyed, independently cacheable
 // stages — Scope (view + columnar image), Causal (backdoor plan + blocks),
 // Learn (encoders + training matrix + the trained pattern-estimator cache),
 // Query (compiled hole plan + per-row constants). A PreparedWhatIf is just
@@ -1128,6 +752,24 @@ Result<double> ReadColumnDouble(const ColumnTable& cview, const Column& col,
                                      "' to a number");
   }
   return Status::Internal("unhandled column kind");
+}
+
+/// Bulk typed widening of a null-free numeric column: value for value what
+/// ReadColumnDouble returns per row. Callers exclude dictionary codes.
+void WidenColumn(const Column& col, size_t n, double* out) {
+  switch (col.kind) {
+    case ColumnKind::kInt64:
+      simd::I64ToF64(col.i64.data(), n, out);
+      break;
+    case ColumnKind::kDouble:
+      std::copy_n(col.f64.data(), n, out);
+      break;
+    case ColumnKind::kBool:
+      simd::U8ToF64(col.b8.data(), n, out);
+      break;
+    case ColumnKind::kCode:
+      break;
+  }
 }
 
 }  // namespace
@@ -1189,7 +831,6 @@ struct LearnStageData {
   /// post-update feature point whenever the update features and psi are
   /// row-constant). Lets a Set-update evaluation map affected rows to batch
   /// slots with one array read instead of hashing the point per row.
-  /// Computed only under vectorized_exec; empty otherwise.
   std::vector<uint32_t> residual_gid;
   uint32_t residual_groups = 0;
   std::vector<size_t> train_rows;
@@ -1255,7 +896,7 @@ struct LearnStageData {
       // the sampled ones; on ineligible trees the per-row loop (which can
       // also surface evaluation errors) runs instead.
       std::vector<uint8_t> ind_mask;
-      if (options.vectorized_exec && exact->TryMaskKernel(&ind_mask)) {
+      if (exact->TryMaskKernel(&ind_mask)) {
         for (size_t i = 0; i < train_rows.size(); ++i) {
           ind[i] = ind_mask[train_rows[i]] != 0 ? 1.0 : 0.0;
         }
@@ -1303,9 +944,6 @@ struct QueryStageData {
   /// PostImage::set_active and the SIMD mask kernels without conversion).
   std::vector<uint8_t> in_s;
   size_t updated = 0;
-  /// Snapshot of WhatIfOptions::vectorized_exec at build time; lazily-built
-  /// residual entries follow it so one stage never mixes paths.
-  bool vectorized = true;
 
   std::optional<relational::ColumnBoundExpr> out_eval;
   /// Per-row observed output values (pre image), precomputed once per
@@ -1381,7 +1019,7 @@ struct QueryStageData {
         // The mask kernel only fires on trees it can prove error-free, so
         // its 0/1 output is exactly the scalar tri-state without any 2s.
         const size_t n = built_on->cview.num_rows();
-        if (vectorized && e->exact->TryMaskKernel(&e->exact_vals)) {
+        if (e->exact->TryMaskKernel(&e->exact_vals)) {
           // done: exact_vals[r] == (EvalBool(r) ? 1 : 0) for every row.
         } else {
           e->exact_vals.resize(n);
@@ -1410,9 +1048,9 @@ struct PreparedWhatIf::Impl {
 // ---------------------------------------------------------------------------
 // Stage builders + keys. Each builder is a pure function of its key's
 // inputs; Prepare assembles a plan by running the four builders in
-// dependency order, consulting the StageContext's stage cache when staged
-// prepare is on. Keys use the same injective length-prefixed field encoding
-// as the plan-cache key.
+// dependency order, consulting the StageContext's stage cache when there is
+// one. Keys use the same injective length-prefixed field encoding as the
+// plan-cache key.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1503,15 +1141,9 @@ Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     }
   }
   if (!patched) {
-    // Columnar image of the view. Shapes the substrate cannot represent (a
-    // column mixing strings with numbers) surface as Unimplemented so Run
-    // and the scenario service fall back to the row interpreter.
-    auto cview_result = ColumnTable::FromTable(*vi.view);
-    if (!cview_result.ok()) {
-      return Status::Unimplemented("columnar image unavailable: " +
-                                   cview_result.status().message());
-    }
-    stage->cview = std::move(cview_result).value();
+    // Columnar image of the view. A column mixing strings with numbers has
+    // none: FromTable's InvalidArgument names it.
+    HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(*vi.view));
   }
   const Schema& vschema = vi.view->schema();
   stage->scope = {relational::ScopedTuple{vschema.relation_name(), &vschema}};
@@ -1583,31 +1215,15 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.prepare.learn"));
   }
 
-  // psi prep: link groups and pre-update sums, accumulated in row order
-  // (bit-identical to the row path).
+  // psi prep: link groups and pre-update sums, accumulated in row order.
   stage->psi.resize(psi_specs.size());
   for (size_t p = 0; p < psi_specs.size(); ++p) {
     const WhatIfPlan::PsiSpec& spec = psi_specs[p];
     const Column& bc = cview.col(plan.update_cols[spec.update_index]);
     LearnStageData::PsiPrep& prep = stage->psi[p];
     prep.pre_b.resize(n);
-    if (options.vectorized_exec && !bc.has_nulls() &&
-        bc.kind != ColumnKind::kCode) {
-      // Bulk typed widening — value-for-value what ReadColumnDouble returns
-      // on a null-free numeric column.
-      switch (bc.kind) {
-        case ColumnKind::kInt64:
-          simd::I64ToF64(bc.i64.data(), n, prep.pre_b.data());
-          break;
-        case ColumnKind::kDouble:
-          std::copy(bc.f64.begin(), bc.f64.end(), prep.pre_b.begin());
-          break;
-        case ColumnKind::kBool:
-          simd::U8ToF64(bc.b8.data(), n, prep.pre_b.data());
-          break;
-        case ColumnKind::kCode:
-          break;  // excluded above
-      }
+    if (!bc.has_nulls() && bc.kind != ColumnKind::kCode) {
+      WidenColumn(bc, n, prep.pre_b.data());
     } else {
       for (size_t r = 0; r < n; ++r) {
         HYPER_ASSIGN_OR_RETURN(prep.pre_b[r], ReadColumnDouble(cview, bc, r));
@@ -1681,41 +1297,39 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   // row's batch slot from its group id instead of hashing the full feature
   // point per row; byte equality here is exactly the memcmp the per-row
   // dedup applies, so the slot assignment is identical.
-  if (options.vectorized_exec) {
-    const size_t first = q.updates.size();
-    stage->residual_gid.resize(n);
-    std::unordered_map<uint64_t, std::vector<uint32_t>> gid_of_hash;
-    std::vector<uint32_t> group_rep;  // first row of each group
-    for (size_t r = 0; r < n; ++r) {
-      Fnv1a hasher;
-      for (size_t j = first; j < num_features; ++j) {
-        uint64_t bits;
-        std::memcpy(&bits, &stage->feat[j][r], sizeof(bits));
-        hasher.Mix(bits);
-      }
-      std::vector<uint32_t>& candidates = gid_of_hash[hasher.hash()];
-      uint32_t gid = UINT32_MAX;
-      for (uint32_t g : candidates) {
-        const size_t rep = group_rep[g];
-        bool same = true;
-        for (size_t j = first; same && j < num_features; ++j) {
-          same = std::memcmp(&stage->feat[j][r], &stage->feat[j][rep],
-                             sizeof(double)) == 0;
-        }
-        if (same) {
-          gid = g;
-          break;
-        }
-      }
-      if (gid == UINT32_MAX) {
-        gid = static_cast<uint32_t>(group_rep.size());
-        group_rep.push_back(static_cast<uint32_t>(r));
-        candidates.push_back(gid);
-      }
-      stage->residual_gid[r] = gid;
+  const size_t first = q.updates.size();
+  stage->residual_gid.resize(n);
+  std::unordered_map<uint64_t, std::vector<uint32_t>> gid_of_hash;
+  std::vector<uint32_t> group_rep;  // first row of each group
+  for (size_t r = 0; r < n; ++r) {
+    Fnv1a hasher;
+    for (size_t j = first; j < num_features; ++j) {
+      uint64_t bits;
+      std::memcpy(&bits, &stage->feat[j][r], sizeof(bits));
+      hasher.Mix(bits);
     }
-    stage->residual_groups = static_cast<uint32_t>(group_rep.size());
+    std::vector<uint32_t>& candidates = gid_of_hash[hasher.hash()];
+    uint32_t gid = UINT32_MAX;
+    for (uint32_t g : candidates) {
+      const size_t rep = group_rep[g];
+      bool same = true;
+      for (size_t j = first; same && j < num_features; ++j) {
+        same = std::memcmp(&stage->feat[j][r], &stage->feat[j][rep],
+                           sizeof(double)) == 0;
+      }
+      if (same) {
+        gid = g;
+        break;
+      }
+    }
+    if (gid == UINT32_MAX) {
+      gid = static_cast<uint32_t>(group_rep.size());
+      group_rep.push_back(static_cast<uint32_t>(r));
+      candidates.push_back(gid);
+    }
+    stage->residual_gid[r] = gid;
   }
+  stage->residual_groups = static_cast<uint32_t>(group_rep.size());
 
   // Training rows (HypeR-sampled caps them).
   if (options.sample_size > 0 && options.sample_size < n) {
@@ -1760,8 +1374,7 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
 
   // Training targets for the value estimators: the output expression
   // evaluated observationally over the training rows (Post reads the pre
-  // image). A training row must evaluate cleanly — errors fail the build,
-  // exactly as they failed the monolithic Prepare.
+  // image). A training row must evaluate cleanly — errors fail the build.
   if (q.output_value != nullptr) {
     HYPER_ASSIGN_OR_RETURN(
         relational::CompiledExpr ce,
@@ -1769,23 +1382,21 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     HYPER_ASSIGN_OR_RETURN(relational::ColumnBoundExpr be,
                            relational::ColumnBoundExpr::Bind(ce, cview));
     stage->y_obs.resize(stage->train_rows.size());
-    // Vectorized path: evaluate the full column once, then gather the
-    // sampled rows. If any sampled row errored (division by zero is the only
-    // error an eligible tree can raise), fall back to the per-row loop so
-    // the build fails with exactly the scalar path's error and ordering.
+    // Evaluate the full column once, then gather the sampled rows. If the
+    // tree is kernel-ineligible or any sampled row errored (division by zero
+    // is the only error an eligible tree can raise), the per-row loop runs
+    // instead, so the build fails with the per-row error and ordering.
     bool done = false;
-    if (options.vectorized_exec) {
-      std::vector<double> all;
-      std::vector<uint8_t> err;
-      if (be.TryEvalDoubleKernel(&all, &err)) {
-        bool any_err = false;
-        for (size_t r : stage->train_rows) any_err |= err[r] != 0;
-        if (!any_err) {
-          for (size_t i = 0; i < stage->train_rows.size(); ++i) {
-            stage->y_obs[i] = all[stage->train_rows[i]];
-          }
-          done = true;
+    std::vector<double> all;
+    std::vector<uint8_t> err;
+    if (be.TryEvalDoubleKernel(&all, &err)) {
+      bool any_err = false;
+      for (size_t r : stage->train_rows) any_err |= err[r] != 0;
+      if (!any_err) {
+        for (size_t i = 0; i < stage->train_rows.size(); ++i) {
+          stage->y_obs[i] = all[stage->train_rows[i]];
         }
+        done = true;
       }
     }
     if (!done) {
@@ -1805,11 +1416,10 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
 
 Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
     std::shared_ptr<const ScopeStageData> scope_stage, CompiledWhatIf q,
-    const CausalStageData& causal, const ExecGuard* guard, bool vectorized) {
+    const CausalStageData& causal, const ExecGuard* guard) {
   auto stage = std::make_shared<QueryStageData>();
   stage->built_on = scope_stage;
   stage->q = std::move(q);
-  stage->vectorized = vectorized;
   const ColumnTable& cview = scope_stage->cview;
   const size_t n = cview.num_rows();
   if (guard != nullptr) {
@@ -1837,10 +1447,9 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
     // them directly. Errors do not fail the build — they are recorded and
     // reproduced only if Evaluate actually consults that row. The numeric
     // kernel only fires on trees whose sole reachable error is division by
-    // zero, and it reports exactly those rows in out_err, so both paths
-    // produce identical (out_all, out_err) pairs.
-    if (!vectorized ||
-        !stage->out_eval->TryEvalDoubleKernel(&stage->out_all,
+    // zero, and it reports exactly those rows in out_err; ineligible trees
+    // fill the same (out_all, out_err) pair row by row.
+    if (!stage->out_eval->TryEvalDoubleKernel(&stage->out_all,
                                               &stage->out_err)) {
       stage->out_all.assign(n, 0.0);
       stage->out_err.assign(n, 0);
@@ -1887,8 +1496,8 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
   return std::shared_ptr<const QueryStageData>(std::move(stage));
 }
 
-/// GetOrBuild through the context's stage cache when staged prepare is
-/// active, a plain build otherwise. `built` accrues per-call factory runs.
+/// GetOrBuild through the context's stage cache when Prepare has one, a
+/// plain build otherwise.
 template <typename T, typename Factory>
 Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
                                                bool staged, StageKind kind,
@@ -1914,16 +1523,11 @@ PreparedWhatIf::~PreparedWhatIf() = default;
 
 Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
     const sql::WhatIfStmt& stmt, const StageContext* ctx) const {
-  if (!options_.use_columnar) {
-    return Status::Unimplemented(
-        "Prepare requires the columnar path (use_columnar = true)");
-  }
   if (stmt.updates.empty()) {
     return Status::InvalidArgument("what-if query requires an Update clause");
   }
   Stopwatch prep_timer;
-  const bool staged =
-      ctx != nullptr && ctx->stages != nullptr && options_.staged_prepare;
+  const bool staged = ctx != nullptr && ctx->stages != nullptr;
   const std::string& update_attr0 = stmt.updates[0].attribute;
   HYPER_ASSIGN_OR_RETURN(std::string update_relation,
                          db_->RelationOfAttribute(update_attr0));
@@ -2061,7 +1665,7 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
       (StagedOrFresh<QueryStageData>(
           ctx, staged, StageKind::kQuery, query_key, [&] {
             return BuildQueryStage(scope_stage, std::move(q), *causal_stage,
-                                   guard.get(), options_.vectorized_exec);
+                                   guard.get());
           })));
 
   // --- assembly ------------------------------------------------------------
@@ -2086,12 +1690,10 @@ namespace {
 
 /// The per-intervention fifth of a what-if run, against a prepared plan.
 /// `block_threads` shards the block loop (1 inside batch fan-out to avoid
-/// oversubscription); `batched` is the serving engine's batched_inference
-/// choice (a plan can serve both A/B arms). The answer is identical for
-/// every setting of either knob.
+/// oversubscription); the answer is identical for every setting.
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      size_t block_threads, bool batched,
+                                      size_t block_threads,
                                       const ExecGuard* guard) {
   Stopwatch eval_timer;
   WhatIfResult result;
@@ -2154,25 +1756,12 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     if (updated > 0) {
       HYPER_ASSIGN_OR_RETURN(double c, u.constant.AsDouble());
       const Column& col = cview.col(update_cols[j]);
-      if (qs.vectorized && !col.has_nulls() &&
-          col.kind != ColumnKind::kCode) {
+      if (!col.has_nulls() && col.kind != ColumnKind::kCode) {
         // Null-free numeric column: widen once, then a branch-free select.
         // Rows outside S keep the 0.0 the assign above wrote, exactly like
         // the skipping loop below.
         std::vector<double> pre(n);
-        switch (col.kind) {
-          case ColumnKind::kInt64:
-            simd::I64ToF64(col.i64.data(), n, pre.data());
-            break;
-          case ColumnKind::kDouble:
-            std::copy(col.f64.begin(), col.f64.end(), pre.begin());
-            break;
-          case ColumnKind::kBool:
-            simd::U8ToF64(col.b8.data(), n, pre.data());
-            break;
-          case ColumnKind::kCode:
-            break;  // excluded above
-        }
+        WidenColumn(col, n, pre.data());
         const bool is_scale = u.func == sql::UpdateFuncKind::kScale;
         double* out = upost[j].per_row.data();
         for (size_t r = 0; r < n; ++r) {
@@ -2180,6 +1769,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           out[r] = in_s[r] != 0 ? v : 0.0;
         }
       } else {
+        // NULLs and strings: only S rows are read, so only they can fail.
         for (size_t r = 0; r < n; ++r) {
           if (!in_s[r]) continue;
           HYPER_ASSIGN_OR_RETURN(double p, ReadColumnDouble(cview, col, r));
@@ -2271,8 +1861,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // feature point (common with discrete adjustment sets and a Set
   // intervention) share one prediction slot, since estimators are pure
   // functions of the point. One PredictBatch per estimator then covers the
-  // distinct points; the block loop just reads its row's slot. Predictions
-  // (and the fold order) are bit-for-bit those of the per-row path.
+  // distinct points (PredictBatch returns exactly what Predict returns per
+  // point); the block loop just reads its row's slot.
   struct EntryBatch {
     std::vector<double> feat;  // row-major distinct points, dims wide
     uint32_t count = 0;        // distinct points
@@ -2281,7 +1871,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     std::vector<double> weights, values;  // per slot
   };
   std::vector<EntryBatch> batches;
-  std::vector<uint32_t> slot_of_row(batched ? n : 0);
+  std::vector<uint32_t> slot_of_row(n);
 
   // Pass A (sequential): resolve each row to its residual entry, make sure
   // the pattern estimators needed by affected rows are trained, and gather
@@ -2292,10 +1882,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   double train_seconds = 0.0;
   // Row-invariant holes (constant thresholds, or no For predicate at all):
   // every row folds to the same residual, so resolve the shared entry once
-  // and skip the per-row hole evaluation + cache lookup entirely. Gated on
-  // batched_inference: the flag-off path faithfully reproduces the legacy
-  // per-row evaluation loop for A/B measurement.
-  const bool uniform = qs.holes_row_invariant && batched;
+  // and skip the per-row hole evaluation + cache lookup entirely.
+  const bool uniform = qs.holes_row_invariant;
   const bool all_set = [&] {
     for (const UpdatePost& u : upost) {
       if (!u.is_set) return false;
@@ -2304,10 +1892,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   }();
   // Identity singleton blocks on a single-threaded budget take a flat
   // row-order pass in Pass B below — the per-block merge in block order IS
-  // a row-order fold there, so the per-block accumulator, partial, and
-  // status arrays are pure overhead (one heap pair + Status per tuple).
-  const bool flat_blocks =
-      qs.vectorized && ca.identity_blocks && block_threads <= 1;
+  // a row-order fold there, so the per-block partial and status arrays are
+  // pure overhead (one pair + Status per tuple).
+  const bool flat_blocks = ca.identity_blocks && block_threads <= 1;
   // Fast Pass A for the common serving shape — row-invariant holes, Set
   // updates only, no psi features: every affected row's post-update point
   // is (constant set features) ++ (its non-update feature bytes), so the
@@ -2315,8 +1902,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // map to batch slots with one array read; the slots, the gathered feature
   // points, and their order are identical to the hashing loop in the else
   // branch below (first appearance in row order, byte equality).
-  const bool fast_pass_a = uniform && all_set && psi_specs.empty() &&
-                           qs.vectorized && !le.residual_gid.empty();
+  const bool fast_pass_a = uniform && all_set && psi_specs.empty();
   // A flat uniform Pass B reads the shared entry directly, so the fast
   // Pass A can skip both the entry map and its n-slot zeroed allocation.
   std::vector<uint32_t> entry_of_row(fast_pass_a && flat_blocks ? 0 : n);
@@ -2397,100 +1983,168 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       }
     }
   } else {
-  LoopCheck pass_a_check(guard);
-  for (size_t r = 0; r < n; ++r) {
-    if (pass_a_check.Due()) {
-      HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
-    }
-    uint32_t id;
-    if (uniform) {
-      id = uniform_id;
-    } else {
-      scratch.clear();
-      for (const relational::ColumnBoundExpr& he : hole_eval) {
-        HYPER_ASSIGN_OR_RETURN(relational::Scalar s, he.Eval(r));
-        scratch.push_back(s.ToValue());
+    LoopCheck pass_a_check(guard);
+    for (size_t r = 0; r < n; ++r) {
+      if (pass_a_check.Due()) {
+        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
       }
-      auto it = local_cache.find(scratch);
-      if (it != local_cache.end()) {
-        id = it->second;
+      uint32_t id;
+      if (uniform) {
+        id = uniform_id;
       } else {
-        MutexLock lock(&qs.mu);
-        HYPER_ASSIGN_OR_RETURN(id, qs.ResolveEntryLocked(scratch));
-        grow_local(id);
-        local_entries[id] = qs.entries[id].get();
-        local_cache.emplace(scratch, id);
+        scratch.clear();
+        for (const relational::ColumnBoundExpr& he : hole_eval) {
+          HYPER_ASSIGN_OR_RETURN(relational::Scalar s, he.Eval(r));
+          scratch.push_back(s.ToValue());
+        }
+        auto it = local_cache.find(scratch);
+        if (it != local_cache.end()) {
+          id = it->second;
+        } else {
+          MutexLock lock(&qs.mu);
+          HYPER_ASSIGN_OR_RETURN(id, qs.ResolveEntryLocked(scratch));
+          grow_local(id);
+          local_entries[id] = qs.entries[id].get();
+          local_cache.emplace(scratch, id);
+        }
       }
-    }
-    entry_of_row[r] = id;
-    const QueryStageData::Entry& e = *local_entries[id];
-    if (e.is_literal && !e.literal_value) continue;  // disqualified
-    if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
-    if (pattern_of_entry[id] == nullptr) {
-      // Train (or fetch) on the LearnStage — entries are immutable once
-      // published, so the residual evaluates outside the entry lock.
-      bool was_cached = false;
-      const PatternEstimators* pat = nullptr;
-      HYPER_ASSIGN_OR_RETURN(
-          pat, le.EnsurePattern(e.key, e.is_literal, e.literal_value,
-                                e.exact.has_value() ? &*e.exact : nullptr,
-                                &was_cached, &train_seconds, guard));
-      pattern_of_entry[id] = pat;
-      if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
-    }
-    if (!batched) continue;
-    const PatternEstimators* pat = pattern_of_entry[id];
-    if (pat->weight == nullptr && pat->value == nullptr) continue;
-    if (id >= batches.size()) batches.resize(id + 1);
-    EntryBatch& eb = batches[id];
-    emit_features(r, point.data());
-    Fnv1a hasher;
-    for (size_t i = 0; i < dims; ++i) {
-      uint64_t bits;
-      std::memcpy(&bits, &point[i], sizeof(bits));
-      hasher.Mix(bits);
-    }
-    std::vector<uint32_t>& slots = eb.dedup[hasher.hash()];
-    uint32_t slot = UINT32_MAX;
-    for (uint32_t s : slots) {
-      if (std::memcmp(eb.feat.data() + static_cast<size_t>(s) * dims,
-                      point.data(), dims * sizeof(double)) == 0) {
-        slot = s;
-        break;
+      entry_of_row[r] = id;
+      const QueryStageData::Entry& e = *local_entries[id];
+      if (e.is_literal && !e.literal_value) continue;  // disqualified
+      if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
+      if (pattern_of_entry[id] == nullptr) {
+        // Train (or fetch) on the LearnStage — entries are immutable once
+        // published, so the residual evaluates outside the entry lock.
+        bool was_cached = false;
+        const PatternEstimators* pat = nullptr;
+        HYPER_ASSIGN_OR_RETURN(
+            pat, le.EnsurePattern(e.key, e.is_literal, e.literal_value,
+                                  e.exact.has_value() ? &*e.exact : nullptr,
+                                  &was_cached, &train_seconds, guard));
+        pattern_of_entry[id] = pat;
+        if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
       }
+      const PatternEstimators* pat = pattern_of_entry[id];
+      if (pat->weight == nullptr && pat->value == nullptr) continue;
+      if (id >= batches.size()) batches.resize(id + 1);
+      EntryBatch& eb = batches[id];
+      emit_features(r, point.data());
+      Fnv1a hasher;
+      for (size_t i = 0; i < dims; ++i) {
+        uint64_t bits;
+        std::memcpy(&bits, &point[i], sizeof(bits));
+        hasher.Mix(bits);
+      }
+      std::vector<uint32_t>& slots = eb.dedup[hasher.hash()];
+      uint32_t slot = UINT32_MAX;
+      for (uint32_t s : slots) {
+        if (std::memcmp(eb.feat.data() + static_cast<size_t>(s) * dims,
+                        point.data(), dims * sizeof(double)) == 0) {
+          slot = s;
+          break;
+        }
+      }
+      if (slot == UINT32_MAX) {
+        slot = eb.count++;
+        slots.push_back(slot);
+        eb.feat.insert(eb.feat.end(), point.begin(), point.end());
+      }
+      slot_of_row[r] = slot;
     }
-    if (slot == UINT32_MAX) {
-      slot = eb.count++;
-      slots.push_back(slot);
-      eb.feat.insert(eb.feat.end(), point.begin(), point.end());
-    }
-    slot_of_row[r] = slot;
-  }
   }
 
   // Batched inference: one PredictBatch per (pattern, estimator) over the
   // distinct feature points collected above.
-  if (batched) {
-    for (uint32_t id = 0; id < batches.size(); ++id) {
-      EntryBatch& eb = batches[id];
-      if (eb.count == 0) continue;
-      const PatternEstimators* pat = pattern_of_entry[id];
-      const learn::FeatureMatrix points(dims, std::move(eb.feat));
-      if (pat->weight != nullptr) {
-        eb.weights.resize(points.num_rows());
-        pat->weight->PredictBatch(points, eb.weights);
-      }
-      if (pat->value != nullptr) {
-        eb.values.resize(points.num_rows());
-        pat->value->PredictBatch(points, eb.values);
-      }
+  for (uint32_t id = 0; id < batches.size(); ++id) {
+    EntryBatch& eb = batches[id];
+    if (eb.count == 0) continue;
+    const PatternEstimators* pat = pattern_of_entry[id];
+    const learn::FeatureMatrix points(dims, std::move(eb.feat));
+    if (pat->weight != nullptr) {
+      eb.weights.resize(points.num_rows());
+      pat->weight->PredictBatch(points, eb.weights);
+    }
+    if (pat->value != nullptr) {
+      eb.values.resize(points.num_rows());
+      pat->value->PredictBatch(points, eb.values);
     }
   }
 
+  // Pass B: the row body every loop below runs. It folds tuple r (resolved
+  // to entry `id`) into (*num, *den) exactly as BlockAccumulator::Add folds
+  // (weight, weighted value). An unchanged tuple is exact — weight 1 and its
+  // observed output, read from the stage-level caches; a tri-state error
+  // mark re-evaluates the row, reproducing its per-row error. An affected
+  // tuple reads its pattern's batch slot. Returns false with *error set when
+  // a re-evaluated row fails.
+  const auto add_row = [&](size_t r, uint32_t id, double* num, double* den,
+                           Status* error) __attribute__((always_inline)) {
+    const QueryStageData::Entry& e = *local_entries[id];
+    if (e.is_literal && !e.literal_value) return true;  // disqualified
+    double weight = 1.0, weighted_value = 0.0;
+    if (!(in_s[r] || (psic != nullptr && psic[r]))) {
+      bool qualifies = e.literal_value;
+      if (!e.is_literal) {
+        const uint8_t v = e.exact_vals.empty() ? 2 : e.exact_vals[r];
+        if (v == 2) {
+          auto qr = e.exact->EvalBool(r);
+          if (!qr.ok()) {
+            *error = qr.status();
+            return false;
+          }
+          qualifies = *qr;
+        } else {
+          qualifies = v != 0;
+        }
+      }
+      if (!qualifies) return true;
+      if (qs.out_eval.has_value()) {
+        if (qs.out_err[r]) {
+          auto vr = qs.out_eval->Eval(r);
+          if (!vr.ok()) {
+            *error = vr.status();
+            return false;
+          }
+          auto dr = vr->AsDouble();
+          if (!dr.ok()) {
+            *error = dr.status();
+            return false;
+          }
+          weighted_value = *dr;
+        } else {
+          weighted_value = qs.out_all[r];
+        }
+      }
+    } else {
+      const PatternEstimators* pat = pattern_of_entry[id];
+      weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
+                            : Clamp01(batches[id].weights[slot_of_row[r]]);
+      if (weight <= 0.0) return true;
+      if (pat->value != nullptr) {
+        weighted_value = batches[id].values[slot_of_row[r]];
+      }
+    }
+    switch (q.output_agg) {
+      case sql::AggKind::kCount:
+        *num += weight;
+        break;
+      case sql::AggKind::kSum:
+        *num += weighted_value;
+        break;
+      case sql::AggKind::kAvg:
+        *num += weighted_value;
+        *den += weight;
+        break;
+      default:
+        break;
+    }
+    return true;
+  };
+
   // Pass B (parallel): blocks are independent (§3.3), so each one is
-  // evaluated on its own accumulator — estimators and batch slots are
-  // read-only here — and the partials merge in block order, bit-identical
-  // to a sequential fold.
+  // evaluated on its own partial — estimators and batch slots are read-only
+  // here — and the partials merge in block order, bit-identical to a
+  // sequential fold.
   const std::vector<std::vector<size_t>>& block_rows = ca.block_rows;
   std::vector<std::pair<double, double>> partials(
       flat_blocks ? 0 : block_rows.size(), {0.0, 0.0});
@@ -2508,76 +2162,15 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
     }
     LoopCheck block_check(guard);
-    prob::BlockAccumulator bacc(q.output_agg);
-    bacc.BeginBlock();
-    std::vector<double> x(batched ? 0 : dims);
+    double num = 0.0, den = 0.0;
+    Status error;
     for (size_t r : block_rows[b]) {
       if (block_check.Due()) {
         HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
       }
-      const uint32_t id = entry_of_row[r];
-      const QueryStageData::Entry& e = *local_entries[id];
-      if (e.is_literal && !e.literal_value) continue;  // disqualified
-      const bool affected = in_s[r] || (psic != nullptr && psic[r]);
-      if (!affected) {
-        // Unchanged tuple: post == pre, everything is exact. Qualification
-        // and output value come from the stage-level caches when present;
-        // tri-state error marks reproduce the per-row error exactly.
-        bool qualifies = e.literal_value;
-        if (!e.is_literal) {
-          if (batched && !e.exact_vals.empty()) {
-            const uint8_t v = e.exact_vals[r];
-            if (v == 2) {
-              auto qr = e.exact->EvalBool(r);
-              if (!qr.ok()) return qr.status();
-              qualifies = *qr;
-            } else {
-              qualifies = v != 0;
-            }
-          } else {
-            auto qr = e.exact->EvalBool(r);
-            if (!qr.ok()) return qr.status();
-            qualifies = *qr;
-          }
-        }
-        if (!qualifies) continue;
-        double value = 0.0;
-        if (qs.out_eval.has_value()) {
-          if (!batched || qs.out_err[r]) {
-            auto vr = qs.out_eval->Eval(r);
-            if (!vr.ok()) return vr.status();
-            auto dr = vr->AsDouble();
-            if (!dr.ok()) return dr.status();
-            value = *dr;
-          } else {
-            value = qs.out_all[r];
-          }
-        }
-        bacc.Add(1.0, value);
-        continue;
-      }
-
-      // Affected tuple: estimate at the post-update feature point.
-      const PatternEstimators* pat = pattern_of_entry[id];
-      double weight = 0.0, weighted_value = 0.0;
-      if (batched) {
-        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                              : Clamp01(batches[id].weights[slot_of_row[r]]);
-        if (weight <= 0.0) continue;
-        if (pat->value != nullptr) {
-          weighted_value = batches[id].values[slot_of_row[r]];
-        }
-      } else {
-        emit_features(r, x.data());
-        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                              : Clamp01(pat->weight->Predict(x));
-        if (weight <= 0.0) continue;
-        if (pat->value != nullptr) weighted_value = pat->value->Predict(x);
-      }
-      bacc.Add(weight, weighted_value);
+      if (!add_row(r, entry_of_row[r], &num, &den, &error)) return error;
     }
-    bacc.EndBlock();
-    partials[b] = {bacc.numerator(), bacc.denominator()};
+    partials[b] = {num, den};
     return Status::OK();
   };
 
@@ -2588,9 +2181,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     // of the flat totals is bit-identical to n singleton merges). Errors
     // surface as the first failing row, which is the first failing block.
     double num = 0.0, den = 0.0;
-    LoopCheck flat_check(guard);
     // Branchless specialization for the dominant serving shape: one shared
-    // entry, batched Count with a trained weight estimator and a cached
+    // entry, Count with a trained weight estimator and a cached
     // qualification mask. Every row adds exactly what the generic body
     // adds — non-qualifying and zero-weight rows contribute +0.0, which is
     // bit-identical to skipping them because the partial starts at +0.0 and
@@ -2605,7 +2197,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     const bool table_disqualified =
         uniform && ue->is_literal && !ue->literal_value;
     const bool turbo_count =
-        uniform && batched && !table_disqualified && psi_specs.empty() &&
+        uniform && !table_disqualified && psi_specs.empty() &&
         q.output_agg == sql::AggKind::kCount && !ue->is_literal &&
         !ue->exact_vals.empty() && upat != nullptr && !upat->literal &&
         upat->weight != nullptr && uniform_id < batches.size() &&
@@ -2642,77 +2234,14 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
       }
     } else {
-    std::vector<double> x(batched ? 0 : dims);
-    for (size_t r = 0; r < n; ++r) {
-      if (guard != nullptr && (r & 63) == 0) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      if (flat_check.Due()) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      const uint32_t id = uniform ? uniform_id : entry_of_row[r];
-      const QueryStageData::Entry& e = *local_entries[id];
-      if (e.is_literal && !e.literal_value) continue;  // disqualified
-      double weight = 0.0, weighted_value = 0.0;
-      const bool affected = in_s[r] || (psic != nullptr && psic[r]);
-      if (!affected) {
-        bool qualifies = e.literal_value;
-        if (!e.is_literal) {
-          if (batched && !e.exact_vals.empty()) {
-            const uint8_t v = e.exact_vals[r];
-            if (v == 2) {
-              HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
-            } else {
-              qualifies = v != 0;
-            }
-          } else {
-            HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
-          }
+      Status error;
+      for (size_t r = 0; r < n; ++r) {
+        if (guard != nullptr && (r & 63) == 0) {
+          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
         }
-        if (!qualifies) continue;
-        double value = 0.0;
-        if (qs.out_eval.has_value()) {
-          if (!batched || qs.out_err[r]) {
-            HYPER_ASSIGN_OR_RETURN(relational::Scalar vs, qs.out_eval->Eval(r));
-            HYPER_ASSIGN_OR_RETURN(value, vs.AsDouble());
-          } else {
-            value = qs.out_all[r];
-          }
-        }
-        weight = 1.0;
-        weighted_value = value;
-      } else {
-        const PatternEstimators* pat = pattern_of_entry[id];
-        if (batched) {
-          weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                                : Clamp01(batches[id].weights[slot_of_row[r]]);
-          if (weight <= 0.0) continue;
-          if (pat->value != nullptr) {
-            weighted_value = batches[id].values[slot_of_row[r]];
-          }
-        } else {
-          emit_features(r, x.data());
-          weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                                : Clamp01(pat->weight->Predict(x));
-          if (weight <= 0.0) continue;
-          if (pat->value != nullptr) weighted_value = pat->value->Predict(x);
-        }
+        const uint32_t id = uniform ? uniform_id : entry_of_row[r];
+        if (!add_row(r, id, &num, &den, &error)) return error;
       }
-      switch (q.output_agg) {
-        case sql::AggKind::kCount:
-          num += weight;
-          break;
-        case sql::AggKind::kSum:
-          num += weighted_value;
-          break;
-        case sql::AggKind::kAvg:
-          num += weighted_value;
-          den += weight;
-          break;
-        default:
-          break;
-      }
-    }
     }
     acc.MergeBlockPartial(num, den);
   } else if (block_threads <= 1 || block_rows.size() <= 1) {
@@ -2751,15 +2280,13 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   return result;
 }
 
-
 }  // namespace
 
 Result<WhatIfResult> WhatIfEngine::Evaluate(
     const PreparedWhatIf& plan, const std::vector<UpdateSpec>& updates) const {
   const size_t threads = ThreadPool::ResolveBudget(options_.num_threads);
   const ExecGuardPtr guard = GuardFor(options_);
-  return EvaluatePrepared(*plan.impl_, updates, threads,
-                          options_.batched_inference, guard.get());
+  return EvaluatePrepared(*plan.impl_, updates, threads, guard.get());
 }
 
 Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
@@ -2786,7 +2313,7 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
       }
     }
     auto r = EvaluatePrepared(*plan.impl_, interventions[i], item_threads,
-                              options_.batched_inference, guard.get());
+                              guard.get());
     if (!r.ok()) {
       item_status[i] = r.status();
     } else {

@@ -140,39 +140,13 @@ struct WhatIfOptions {
   /// switches to a single block — same value, used by the ablation bench.
   bool use_blocks = true;
   uint64_t seed = 7;
-  /// Route the tuple scans through the columnar substrate with compiled
-  /// expressions (default). Off = the legacy row-store interpreter path,
-  /// kept for A/B benchmarking; both paths return identical answers.
-  bool use_columnar = true;
-  /// Worker threads for the independent-block loop (columnar path only):
-  /// 1 = single-threaded, anything else = the process-wide hardware-sized
-  /// pool (0 is the default). Blocks are evaluated on separate accumulators
-  /// and merged in block order, so the answer is bit-for-bit identical for
-  /// every setting. Also the forest trainer's thread budget (unless
-  /// forest.num_threads overrides it).
+  /// Worker threads for the independent-block loop: 1 = single-threaded,
+  /// anything else = the process-wide hardware-sized pool (0 is the
+  /// default). Blocks are evaluated on separate accumulators and merged in
+  /// block order, so the answer is bit-for-bit identical for every setting.
+  /// Also the forest trainer's thread budget (unless forest.num_threads
+  /// overrides it).
   size_t num_threads = 0;
-  /// Batched estimator inference in Evaluate (default): affected tuples are
-  /// grouped per residual pattern and predicted with one PredictBatch call
-  /// per estimator instead of a virtual Predict per tuple. Off = the legacy
-  /// per-row prediction loop, kept for A/B benchmarking; both paths return
-  /// bit-for-bit identical answers.
-  bool batched_inference = true;
-  /// Vectorized execution (default): per-row constant loops (When masks,
-  /// output values, psi baselines, training targets, exact-pattern
-  /// indicators) go through the SIMD-dispatched column kernels of
-  /// relational::ColumnBoundExpr when the expression tree is eligible. Off =
-  /// the per-row scalar loops, kept for A/B benchmarking; both paths return
-  /// bit-for-bit identical answers (the kernels reproduce the scalar
-  /// evaluator exactly), so this flag is not part of any cache key.
-  bool vectorized_exec = true;
-  /// Staged prepare (default): Prepare consults the per-stage cache of the
-  /// StageContext it was given, sharing Scope/Causal/Learn/Query stages
-  /// across plans whose keys agree (and patching branch deltas into a cached
-  /// columnar image instead of re-encoding). Off = the monolithic path:
-  /// every Prepare builds all four stages fresh and only whole plans are
-  /// cached, kept for A/B benchmarking; answers are bit-for-bit identical
-  /// either way (stages are pure functions of their keyed inputs).
-  bool staged_prepare = true;
   // --- resource governance (per-request; never part of any cache key) ---
   /// Wall-clock / row / byte limits for each engine call. The default
   /// (all-zero) budget is ungoverned and costs nothing. An abort returns
@@ -282,8 +256,8 @@ class WhatIfEngine {
   WhatIfEngine(const Database* db, const causal::CausalGraph* graph,
                WhatIfOptions options = {});
 
-  /// Runs a parsed what-if statement. On the columnar path this is exactly
-  /// Prepare + Evaluate, so cached plans reproduce Run bit-for-bit.
+  /// Runs a parsed what-if statement: exactly Prepare + Evaluate, so cached
+  /// plans reproduce Run bit-for-bit.
   Result<WhatIfResult> Run(const sql::WhatIfStmt& stmt) const;
 
   /// Parses and runs query text (must be a what-if statement).
@@ -292,11 +266,11 @@ class WhatIfEngine {
   /// Builds the intervention-independent plan for `stmt`: relevant view,
   /// adjustment set, encoders, training matrix, residual hole plan. The
   /// update constants/functions of `stmt` are ignored — only the update
-  /// attribute list matters. Returns Unimplemented when the statement needs
-  /// the legacy row path (callers should fall back to Run).
+  /// attribute list matters. A view column that mixes strings with numbers
+  /// has no columnar image and returns InvalidArgument.
   ///
-  /// With a StageContext (and options().staged_prepare), the plan is
-  /// assembled from the four-stage pipeline: each stage is looked up in the
+  /// With a StageContext that carries a stage cache, the plan is assembled
+  /// from the four-stage pipeline: each stage is looked up in the
   /// context's stage cache under its own key and only missing stages are
   /// built — so a plan differing from a cached one only in its When clause
   /// rebuilds just the QueryStage, and a scenario branch whose delta touches
@@ -336,9 +310,6 @@ class WhatIfEngine {
   const WhatIfOptions& options() const { return options_; }
 
  private:
-  /// Legacy interpreter: row store + per-row Env lookups.
-  Result<WhatIfResult> RunRows(const sql::WhatIfStmt& stmt) const;
-
   const Database* db_;
   const causal::CausalGraph* graph_;  // nullable
   WhatIfOptions options_;

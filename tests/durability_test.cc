@@ -626,6 +626,64 @@ TEST_F(DurableServiceTest, ReloadGenerationSurvivesRecovery) {
   }
 }
 
+// Branch writes that would put a string into a numeric column are refused
+// before they are journaled, but a log written before that check existed
+// may hold one. Such a record still replays onto its journaled fingerprint;
+// queries over the branch then fail with InvalidArgument naming the column.
+TEST_F(DurableServiceTest, LegacyMismatchedWriteReplaysAndQueriesFailTyped) {
+  TempDir dir;
+  uint64_t pre_fingerprint = 0;
+  {
+    auto service = MakeService(dir.path());
+    ASSERT_TRUE(service->CreateScenario("legacy").ok());
+    for (const service::ScenarioInfo& info : service->ListScenarios()) {
+      if (info.name == "legacy") pre_fingerprint = info.delta_fingerprint;
+    }
+  }
+  data::Dataset ds = MakeData();
+  const size_t savings = ds.db.GetTable("German")
+                             .value()
+                             ->schema()
+                             .IndexOf("Savings")
+                             .value();
+  {
+    DurabilityOptions options;
+    options.dir = dir.path();
+    options.fsync = FsyncPolicy::kAlways;
+    options.snapshot_every_records = 0;
+    auto opened = Manager::Open(options, ds.db.ContentFingerprint());
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    const std::vector<std::pair<size_t, Value>> cells = {
+        {0, Value::String("lots")}};
+    ApplyRecord record;
+    record.branch = "legacy";
+    record.pre_fingerprint = pre_fingerprint;
+    record.post_fingerprint = service::ScenarioBranch::PreviewFingerprint(
+        pre_fingerprint, "German", savings, cells);
+    ApplyBatch batch;
+    batch.relation = "German";
+    batch.attr = savings;
+    batch.cells.assign(cells.begin(), cells.end());
+    record.batches.push_back(std::move(batch));
+    ASSERT_TRUE(opened->manager->AppendApply(record).ok());
+  }
+
+  auto recovered = MakeService(dir.path());
+  ASSERT_TRUE(recovered->recovery_status().ok())
+      << recovered->recovery_status();
+  service::Request request;
+  request.scenario = "legacy";
+  request.sql = kQuery;
+  const service::Response response = recovered->Submit(request);
+  EXPECT_EQ(StatusCode::kInvalidArgument, response.status.code())
+      << response.status;
+  EXPECT_NE(std::string::npos, response.status.message().find("Savings"))
+      << response.status;
+  // main never saw the record and still answers.
+  request.scenario = "main";
+  EXPECT_TRUE(recovered->Submit(request).ok());
+}
+
 TEST_F(DurableServiceTest, WalMetricsAreRegisteredAndCounted) {
   TempDir dir;
   obs::MetricsRegistry registry;

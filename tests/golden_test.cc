@@ -1,0 +1,230 @@
+// Golden answers: every query below runs on the engine and is compared, bit
+// for bit, against tests/golden/answers.txt (format in golden_cases.h).
+// Each case runs at 1 and 4 threads, with the SIMD kernels at their default
+// level and again forced to the scalar mirror; every run must reproduce the
+// committed line exactly. The file lists exactly one line per case: a
+// missing or extra line fails.
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/simd.h"
+#include "golden_cases.h"
+#include "howto/engine.h"
+#include "sql/parser.h"
+#include "whatif/engine.h"
+
+namespace hyper::golden {
+namespace {
+
+struct Config {
+  size_t threads;
+  bool force_scalar;
+  std::string Name() const {
+    return "threads=" + std::to_string(threads) +
+           (force_scalar ? " simd=scalar" : " simd=default");
+  }
+};
+
+const Config kConfigs[] = {{1, false}, {4, false}, {1, true}, {4, true}};
+
+/// Sets the process-wide SIMD level for one config; restores it on exit.
+class ScopedConfig {
+ public:
+  explicit ScopedConfig(const Config& config) : saved_(simd::ForceScalar()) {
+    simd::SetForceScalar(config.force_scalar);
+  }
+  ~ScopedConfig() { simd::SetForceScalar(saved_); }
+
+ private:
+  bool saved_;
+};
+
+// ---------------------------------------------------------------------------
+// Cases
+// ---------------------------------------------------------------------------
+
+const data::Dataset& German1500() {
+  static const data::Dataset* ds = [] {
+    data::GermanOptions options;
+    options.rows = 1500;
+    return new data::Dataset(std::move(data::MakeGermanSyn(options).value()));
+  }();
+  return *ds;
+}
+
+const data::Dataset& Amazon200() {
+  static const data::Dataset* ds = [] {
+    data::AmazonOptions options;
+    options.products = 200;
+    options.reviews_per_product = 4;
+    return new data::Dataset(std::move(data::MakeAmazonSyn(options).value()));
+  }();
+  return *ds;
+}
+
+struct WhatIfCase {
+  std::string id;
+  const data::Dataset* ds;
+  std::string sql;
+  whatif::WhatIfOptions options;
+};
+
+std::vector<WhatIfCase> WhatIfCases() {
+  std::vector<WhatIfCase> cases;
+  // german-syn, both estimators, across the query shapes: Count with and
+  // without For, Avg with For, Sum over a When selection, a second When.
+  const std::pair<const char*, const char*> german_queries[] = {
+      {"count-for", "Use German Update(Status) = 3 Output Count(Credit = 1) "
+                    "For Pre(Age) = 1"},
+      {"count-nofor",
+       "Use German Update(Status) = 3 Output Count(Credit = 1)"},
+      {"avg", "Use German Update(Status) = 3 Output Avg(Credit) "
+              "For Pre(Age) = 1"},
+      {"sum-when", "Use German When Age = 1 Update(Status) = 2 "
+                   "Output Sum(Credit)"},
+      {"scale", "Use German When Sex = 1 Update(Status) = 2 "
+                "Output Count(Credit = 1)"},
+  };
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
+    for (const auto& [name, sql] : german_queries) {
+      WhatIfCase c;
+      c.id = std::string("whatif.german1500.") +
+             learn::EstimatorKindName(estimator) + "." + name;
+      c.ds = &German1500();
+      c.sql = sql;
+      c.options.estimator = estimator;
+      c.options.forest.num_trees = 4;
+      cases.push_back(std::move(c));
+    }
+  }
+  // A When selection plus a For on a pre-update confounder, both
+  // estimators.
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kForest, learn::EstimatorKind::kFrequency}) {
+    WhatIfCase c;
+    c.id = std::string("whatif.german1500.when-for.") +
+           learn::EstimatorKindName(estimator);
+    c.ds = &German1500();
+    c.sql =
+        "Use German When Status = 1 Update(Status) = 2 "
+        "Output Count(Credit = 1) For Pre(Age) = 1";
+    c.options.estimator = estimator;
+    c.options.forest.num_trees = 6;
+    cases.push_back(std::move(c));
+  }
+  // A joined, aggregated view (blocks span several tuples) under every
+  // backdoor mode.
+  for (whatif::BackdoorMode mode :
+       {whatif::BackdoorMode::kGraph, whatif::BackdoorMode::kAllAttributes,
+        whatif::BackdoorMode::kUpdateOnly}) {
+    WhatIfCase c;
+    c.id = std::string("whatif.amazon200.") + whatif::BackdoorModeName(mode);
+    c.ds = &Amazon200();
+    c.sql =
+        "Use V As (Select T1.PID, T1.Category, T1.Brand, T1.Price, "
+        "T1.Quality, Avg(T2.Rating) As Rtng From Product As T1, Review As T2 "
+        "Where T1.PID = T2.PID Group By T1.PID, T1.Category, T1.Brand, "
+        "T1.Price, T1.Quality) "
+        "When Category = 'Laptop' Update(Price) = 1.1 * Pre(Price) "
+        "Output Count(Rtng >= 4) For Pre(Category) = 'Laptop'";
+    c.options.estimator = learn::EstimatorKind::kForest;
+    c.options.forest.num_trees = 4;
+    c.options.backdoor = mode;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+struct HowToCase {
+  std::string id;
+  std::string sql;
+  howto::HowToOptions options;
+};
+
+std::vector<HowToCase> HowToCases() {
+  std::vector<HowToCase> cases;
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
+    HowToCase c;
+    c.id = std::string("howto.german800.status.") +
+           learn::EstimatorKindName(estimator);
+    c.sql = "Use German HowToUpdate Status ToMaximize Count(Credit = 1)";
+    c.options.whatif.backdoor = whatif::BackdoorMode::kGraph;
+    c.options.whatif.estimator = estimator;
+    c.options.whatif.forest.num_trees = 4;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+// ---------------------------------------------------------------------------
+// Tests
+// ---------------------------------------------------------------------------
+
+TEST(GoldenTest, FileHoldsExactlyOneLinePerCase) {
+  const GoldenFile file = LoadGoldens();
+  for (const std::string& id : file.duplicate_ids) {
+    ADD_FAILURE() << "duplicate golden line: " << id;
+  }
+  std::set<std::string> expected;
+  for (const WhatIfCase& c : WhatIfCases()) expected.insert(c.id);
+  for (const HowToCase& c : HowToCases()) expected.insert(c.id);
+  for (const std::string& id : ServiceCaseIds()) expected.insert(id);
+  for (const std::string& id : expected) {
+    EXPECT_TRUE(file.line_of.count(id) > 0) << "missing golden line: " << id;
+  }
+  for (const auto& [id, line] : file.line_of) {
+    EXPECT_TRUE(expected.count(id) > 0) << "extra golden line: " << id;
+  }
+}
+
+TEST(GoldenTest, WhatIfEngineAnswersMatch) {
+  const GoldenFile file = LoadGoldens();
+  for (const Config& config : kConfigs) {
+    ScopedConfig scoped(config);
+    for (const WhatIfCase& c : WhatIfCases()) {
+      whatif::WhatIfOptions options = c.options;
+      options.num_threads = config.threads;
+      whatif::WhatIfEngine engine(&c.ds->db, &c.ds->graph, options);
+      auto result = engine.RunSql(c.sql);
+      ASSERT_TRUE(result.ok()) << c.id << ": " << result.status();
+      ExpectGolden(file, WhatIfLine(c.id, *result), config.Name());
+    }
+  }
+}
+
+TEST(GoldenTest, ScenarioBranchAnswersMatch) {
+  const GoldenFile file = LoadGoldens();
+  for (const Config& config : kConfigs) {
+    ScopedConfig scoped(config);
+    whatif::WhatIfOptions options = ServiceCaseOptions();
+    options.num_threads = config.threads;
+    for (const std::string& line : ServiceCaseLines(options, config.threads)) {
+      ExpectGolden(file, line, config.Name());
+    }
+  }
+}
+
+TEST(GoldenTest, HowToAnswersMatch) {
+  const GoldenFile file = LoadGoldens();
+  const data::Dataset& ds = German800();
+  for (const Config& config : kConfigs) {
+    ScopedConfig scoped(config);
+    for (const HowToCase& c : HowToCases()) {
+      howto::HowToOptions options = c.options;
+      options.whatif.num_threads = config.threads;
+      howto::HowToEngine engine(&ds.db, &ds.graph, options);
+      auto result = engine.RunSql(c.sql);
+      ASSERT_TRUE(result.ok()) << c.id << ": " << result.status();
+      ExpectGolden(file, HowToLine(c.id, *result), config.Name());
+    }
+  }
+}
+
+}  // namespace
+}  // namespace hyper::golden

@@ -468,18 +468,14 @@ TEST_F(GovernanceTest, DrainRejectsNewAndQueuedRequests) {
 
 // --- fault-injection matrix ------------------------------------------------
 
-// The full workload mix: cold + warm what-ifs, an Avg(Post(...)), a
-// forced row-interpreter run, a how-to scoring pass, and a what-if batch
-// sweep — together they visit every governance checkpoint in the engine.
+// The full workload mix: cold + warm what-ifs, an Avg(Post(...)), a how-to
+// scoring pass, and a what-if batch sweep — together they visit every
+// governance checkpoint in the engine.
 std::vector<service::Response> RunWorkload(service::ScenarioService& service) {
   std::vector<service::Response> responses;
   responses.push_back(service.Submit({"main", kQuery, {}}));
   responses.push_back(service.Submit({"main", kQuery, {}}));  // warm
   responses.push_back(service.Submit({"main", kAvgQuery, {}}));
-  whatif::WhatIfOptions row_options;
-  row_options.estimator = learn::EstimatorKind::kFrequency;
-  row_options.use_columnar = false;  // exercises the whatif.run_rows path
-  responses.push_back(service.Submit({"main", kQuery, row_options}));
   responses.push_back(service.Submit({"main", kHowToQuery, {}}));
 
   std::vector<std::vector<whatif::UpdateSpec>> interventions;
@@ -533,7 +529,7 @@ TEST_F(GovernanceTest, FaultInjectionMatrixAbortsCleanlyAtEveryCheckpoint) {
        {"whatif.prepare.scope", "whatif.prepare.causal",
         "whatif.prepare.learn", "whatif.prepare.query", "whatif.train",
         "whatif.eval.rows", "whatif.eval.blocks", "whatif.eval.batch",
-        "whatif.run_rows", "howto.score"}) {
+        "howto.score"}) {
     EXPECT_NE(checkpoints.end(),
               std::find(checkpoints.begin(), checkpoints.end(), expected))
         << "workload no longer reaches checkpoint " << expected;

@@ -322,35 +322,11 @@ TEST(ForestThreadsTest, ExplicitBudgetOverridesWorkHeuristic) {
 }  // namespace hyper::learn
 
 // ---------------------------------------------------------------------------
-// Engine-level A/B: batched inference and histogram training
+// Engine-level histogram training
 // ---------------------------------------------------------------------------
 
 namespace hyper::whatif {
 namespace {
-
-TEST(EngineBatchedInferenceTest, BitIdenticalToPerRowPath) {
-  data::GermanOptions gopt;
-  gopt.rows = 1500;
-  auto ds = data::MakeGermanSyn(gopt).value();
-  auto stmt = sql::ParseSql(
-                  "Use German When Status = 1 Update(Status) = 2 "
-                  "Output Count(Credit = 1) For Pre(Age) = 1")
-                  .value();
-  for (learn::EstimatorKind kind :
-       {learn::EstimatorKind::kForest, learn::EstimatorKind::kFrequency}) {
-    WhatIfOptions options;
-    options.estimator = kind;
-    options.forest.num_trees = 6;
-    options.batched_inference = true;
-    WhatIfEngine batched(&ds.db, &ds.graph, options);
-    options.batched_inference = false;
-    WhatIfEngine per_row(&ds.db, &ds.graph, options);
-    const double a = batched.Run(*stmt.whatif).value().value;
-    const double b = per_row.Run(*stmt.whatif).value().value;
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-        << learn::EstimatorKindName(kind) << ": " << a << " vs " << b;
-  }
-}
 
 TEST(EngineHistogramTest, CloseToExactTraining) {
   data::GermanOptions gopt;

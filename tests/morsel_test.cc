@@ -13,19 +13,6 @@
 namespace hyper {
 namespace {
 
-/// RAII: restores the process-wide scheduling mode (tests toggle it).
-class ScopedSchedulingMode {
- public:
-  explicit ScopedSchedulingMode(SchedulingMode mode)
-      : saved_(CurrentSchedulingMode()) {
-    SetSchedulingMode(mode);
-  }
-  ~ScopedSchedulingMode() { SetSchedulingMode(saved_); }
-
- private:
-  SchedulingMode saved_;
-};
-
 const std::vector<size_t>& PoolSizes() {
   static const std::vector<size_t> kSizes = {1, 2, 4, 8};
   return kSizes;
@@ -35,31 +22,28 @@ const std::vector<size_t>& PoolSizes() {
 // Coverage: ParallelForRange must hand every index to fn exactly once —
 // morsels popped from a participant's own shard and ranges stolen from a
 // victim's back half must tile [0, n) with no gap and no overlap, at every
-// pool size, grain, and scheduling mode.
+// pool size and grain.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, RangeCoversEveryIndexExactlyOnce) {
-  for (SchedulingMode mode : {SchedulingMode::kMorsel, SchedulingMode::kStatic}) {
-    ScopedSchedulingMode scoped(mode);
-    for (size_t threads : PoolSizes()) {
-      ThreadPool pool(threads);
-      for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
-                       size_t{65}, size_t{10007}}) {
-        for (size_t grain : {size_t{1}, size_t{64}, size_t{4096}}) {
-          std::vector<std::atomic<uint32_t>> hits(n);
-          for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-          pool.ParallelForRange(n, grain, [&](size_t begin, size_t end) {
-            ASSERT_LE(begin, end);
-            ASSERT_LE(end, n);
-            for (size_t i = begin; i < end; ++i) {
-              hits[i].fetch_add(1, std::memory_order_relaxed);
-            }
-          });
-          for (size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1u)
-                << "mode=" << static_cast<int>(mode) << " threads=" << threads
-                << " n=" << n << " grain=" << grain << " i=" << i;
+  for (size_t threads : PoolSizes()) {
+    ThreadPool pool(threads);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{65}, size_t{10007}}) {
+      for (size_t grain : {size_t{1}, size_t{64}, size_t{4096}}) {
+        std::vector<std::atomic<uint32_t>> hits(n);
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        pool.ParallelForRange(n, grain, [&](size_t begin, size_t end) {
+          ASSERT_LE(begin, end);
+          ASSERT_LE(end, n);
+          for (size_t i = begin; i < end; ++i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
           }
+        });
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1u)
+              << "threads=" << threads << " n=" << n << " grain=" << grain
+              << " i=" << i;
         }
       }
     }
@@ -82,9 +66,8 @@ TEST(MorselTest, ParallelForCoversEveryIndexOnce) {
 // ---------------------------------------------------------------------------
 // Work stealing under skew: one contiguous run of indices is orders of
 // magnitude more expensive than the rest. Per-index outputs land in fixed
-// slots, so any thread count and either scheduling mode must produce the
-// byte-identical result vector — the determinism contract the engine's
-// ordered block merge builds on.
+// slots, so any thread count must produce the byte-identical result vector
+// — the determinism contract the engine's ordered block merge builds on.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, SkewedWorkIsDeterministicAcrossThreadCounts) {
@@ -99,18 +82,15 @@ TEST(MorselTest, SkewedWorkIsDeterministicAcrossThreadCounts) {
   std::vector<uint64_t> reference(n);
   for (size_t i = 0; i < n; ++i) reference[i] = heavy(i);
 
-  for (SchedulingMode mode : {SchedulingMode::kMorsel, SchedulingMode::kStatic}) {
-    ScopedSchedulingMode scoped(mode);
-    for (size_t threads : PoolSizes()) {
-      ThreadPool pool(threads);
-      std::vector<uint64_t> out(n, 0);
-      pool.ParallelForRange(n, /*grain=*/16, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) out[i] = heavy(i);
-      });
-      ASSERT_EQ(std::memcmp(out.data(), reference.data(), n * sizeof(uint64_t)),
-                0)
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-    }
+  for (size_t threads : PoolSizes()) {
+    ThreadPool pool(threads);
+    std::vector<uint64_t> out(n, 0);
+    pool.ParallelForRange(n, /*grain=*/16, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) out[i] = heavy(i);
+    });
+    ASSERT_EQ(std::memcmp(out.data(), reference.data(), n * sizeof(uint64_t)),
+              0)
+        << "threads=" << threads;
   }
 }
 
@@ -138,22 +118,14 @@ TEST(MorselTest, MaxParallelismCapsParticipants) {
   EXPECT_LE(peak.load(std::memory_order_relaxed), 2u);
 }
 
-TEST(MorselTest, SchedulingModeFlagRoundTrips) {
-  ScopedSchedulingMode scoped(SchedulingMode::kStatic);
-  EXPECT_EQ(CurrentSchedulingMode(), SchedulingMode::kStatic);
-  SetSchedulingMode(SchedulingMode::kMorsel);
-  EXPECT_EQ(CurrentSchedulingMode(), SchedulingMode::kMorsel);
-}
-
 // ---------------------------------------------------------------------------
 // End to end: a what-if evaluation over skewed ground blocks must be
-// bit-for-bit identical at every thread budget and under both scheduling
-// modes (ordered block merge). german-syn's blocks are singletons — the
+// bit-for-bit identical at every thread budget (ordered block merge). german-syn's blocks are singletons — the
 // skew here comes from the morsel grain interacting with uneven per-row
 // work — which is exactly the production shape of the block loop.
 // ---------------------------------------------------------------------------
 
-TEST(MorselTest, WhatIfBitIdenticalAcrossThreadsAndModes) {
+TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
   data::GermanOptions gopt;
   gopt.rows = 20000;
   auto ds = data::MakeGermanSyn(gopt);
@@ -165,26 +137,22 @@ TEST(MorselTest, WhatIfBitIdenticalAcrossThreadsAndModes) {
 
   double reference = 0.0;
   bool have_reference = false;
-  for (SchedulingMode mode : {SchedulingMode::kMorsel, SchedulingMode::kStatic}) {
-    ScopedSchedulingMode scoped(mode);
-    for (size_t threads : PoolSizes()) {
-      whatif::WhatIfOptions options;
-      options.estimator = learn::EstimatorKind::kFrequency;
-      options.num_threads = threads;
-      whatif::WhatIfEngine engine(&ds->db, &ds->graph, options);
-      auto result = engine.Run(*stmt->whatif);
-      ASSERT_TRUE(result.ok()) << result.status();
-      if (!have_reference) {
-        reference = result->value;
-        have_reference = true;
-        continue;
-      }
-      uint64_t got = 0, want = 0;
-      std::memcpy(&got, &result->value, sizeof(got));
-      std::memcpy(&want, &reference, sizeof(want));
-      ASSERT_EQ(got, want)
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
+  for (size_t threads : PoolSizes()) {
+    whatif::WhatIfOptions options;
+    options.estimator = learn::EstimatorKind::kFrequency;
+    options.num_threads = threads;
+    whatif::WhatIfEngine engine(&ds->db, &ds->graph, options);
+    auto result = engine.Run(*stmt->whatif);
+    ASSERT_TRUE(result.ok()) << result.status();
+    if (!have_reference) {
+      reference = result->value;
+      have_reference = true;
+      continue;
     }
+    uint64_t got = 0, want = 0;
+    std::memcpy(&got, &result->value, sizeof(got));
+    std::memcpy(&want, &reference, sizeof(want));
+    ASSERT_EQ(got, want) << "threads=" << threads;
   }
 }
 

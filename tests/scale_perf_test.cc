@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "relational/compiled.h"
 #include "sql/ast.h"
@@ -27,21 +26,14 @@ namespace {
 
 constexpr size_t kRows = 100000;
 
-/// Restores the process-wide execution knobs (SIMD force-scalar flag and
-/// scheduling mode) that the legacy arm flips.
-class ScopedExecutionKnobs {
+/// Restores the process-wide SIMD force-scalar flag the tests flip.
+class ScopedForceScalar {
  public:
-  ScopedExecutionKnobs()
-      : saved_scalar_(simd::ForceScalar()),
-        saved_mode_(CurrentSchedulingMode()) {}
-  ~ScopedExecutionKnobs() {
-    simd::SetForceScalar(saved_scalar_);
-    SetSchedulingMode(saved_mode_);
-  }
+  ScopedForceScalar() : saved_(simd::ForceScalar()) {}
+  ~ScopedForceScalar() { simd::SetForceScalar(saved_); }
 
  private:
-  bool saved_scalar_;
-  SchedulingMode saved_mode_;
+  bool saved_;
 };
 
 data::Dataset MakeGerman() {
@@ -52,41 +44,34 @@ data::Dataset MakeGerman() {
   return std::move(ds).value();
 }
 
-// The pre-PR execution configuration: per-row expression loops, scalar SIMD
-// level, static shards. Any divergence from the vectorized default is a
-// correctness bug, not a perf regression.
-TEST(ScalePerfTest, WhatIfLegacyVsVectorizedBitEqualAt100k) {
-  ScopedExecutionKnobs knobs;
+// The reference runs the SIMD kernels forced to their scalar mirror on one
+// thread. Default-level SIMD at any thread budget must reproduce its bits:
+// a divergence is a correctness bug, not a perf regression.
+TEST(ScalePerfTest, WhatIfScalarVsSimdBitEqualAt100k) {
+  ScopedForceScalar restore;
   auto ds = MakeGerman();
   auto stmt = sql::ParseSql(
       "Use German When Status = 1 Update(Status) = 2 Output Count(Credit = 1)");
   ASSERT_TRUE(stmt.ok()) << stmt.status();
   ASSERT_NE(stmt->whatif, nullptr);
 
-  const auto run = [&](bool vectorized, size_t threads) {
+  const auto run = [&](bool force_scalar, size_t threads) {
     whatif::WhatIfOptions options;
     options.estimator = learn::EstimatorKind::kFrequency;
     options.num_threads = threads;
-    options.vectorized_exec = vectorized;
-    if (!vectorized) {
-      simd::SetForceScalar(true);
-      SetSchedulingMode(SchedulingMode::kStatic);
-    } else {
-      simd::SetForceScalar(false);
-      SetSchedulingMode(SchedulingMode::kMorsel);
-    }
+    simd::SetForceScalar(force_scalar);
     whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
     auto result = engine.Run(*stmt->whatif);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? result->value : 0.0;
   };
 
-  const double legacy = run(/*vectorized=*/false, /*threads=*/1);
+  const double scalar = run(/*force_scalar=*/true, /*threads=*/1);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    const double vectorized = run(/*vectorized=*/true, threads);
+    const double value = run(/*force_scalar=*/false, threads);
     uint64_t got = 0, want = 0;
-    std::memcpy(&got, &vectorized, sizeof(got));
-    std::memcpy(&want, &legacy, sizeof(want));
+    std::memcpy(&got, &value, sizeof(got));
+    std::memcpy(&want, &scalar, sizeof(want));
     ASSERT_EQ(got, want) << "threads=" << threads;
   }
 }
@@ -94,7 +79,7 @@ TEST(ScalePerfTest, WhatIfLegacyVsVectorizedBitEqualAt100k) {
 // Kernel-vs-per-row equality for the two expression kernels the engine leans
 // on (When-mask and double projection), across a >1-segment table.
 TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
-  ScopedExecutionKnobs knobs;
+  ScopedForceScalar restore;
   auto ds = MakeGerman();
   const Table& t = *ds.db.GetTable("German").value();
   auto ct_or = ColumnTable::FromTable(t);

@@ -6,7 +6,9 @@
 #include <thread>
 
 #include "data/datasets.h"
+#include "golden_cases.h"
 #include "howto/engine.h"
+#include "net/query_handler.h"
 #include "service/plan_cache.h"
 #include "service/scenario_service.h"
 #include "sql/parser.h"
@@ -528,39 +530,21 @@ TEST_F(ServiceTest, SubmitWhatIfBatchReportsPerItemFailures) {
 
 // --- how-to through shared plans ------------------------------------------
 
-TEST_F(ServiceTest, HowToSharedPlansBitEqualToLegacyPath) {
+// Answers of this run are pinned in tests/golden/ (howto.german800.*); here:
+// the run actually shared its plans, reusing estimators across candidates
+// instead of retraining them.
+TEST_F(ServiceTest, HowToSharedPlansReuseEstimators) {
   const std::string stmt_text =
       "Use German HowToUpdate Status ToMaximize Count(Credit = 1)";
   for (learn::EstimatorKind estimator :
        {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
-    howto::HowToOptions legacy;
-    legacy.whatif = EngineOptions(whatif::BackdoorMode::kGraph, estimator);
-    legacy.share_plans = false;
-    howto::HowToOptions shared = legacy;
-    shared.share_plans = true;
-
-    howto::HowToEngine legacy_engine(&db_, &graph_, legacy);
-    howto::HowToEngine shared_engine(&db_, &graph_, shared);
-    auto a = legacy_engine.RunSql(stmt_text);
-    auto b = shared_engine.RunSql(stmt_text);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-
-    EXPECT_EQ(a->baseline_value, b->baseline_value);
-    EXPECT_EQ(a->objective_value, b->objective_value);
-    EXPECT_EQ(a->PlanToString(), b->PlanToString());
-    ASSERT_EQ(a->candidates.size(), b->candidates.size());
-    for (size_t i = 0; i < a->candidates.size(); ++i) {
-      ASSERT_EQ(a->candidates[i].size(), b->candidates[i].size());
-      for (size_t j = 0; j < a->candidates[i].size(); ++j) {
-        EXPECT_EQ(a->candidates[i][j].objective_value,
-                  b->candidates[i][j].objective_value);
-      }
-    }
-    // The shared path actually shared: estimators were reused across
-    // candidates instead of retrained.
-    EXPECT_EQ(0u, a->pattern_cache_hits);
-    EXPECT_GT(b->pattern_cache_hits, 0u);
+    howto::HowToOptions options;
+    options.whatif = EngineOptions(whatif::BackdoorMode::kGraph, estimator);
+    howto::HowToEngine engine(&db_, &graph_, options);
+    auto result = engine.RunSql(stmt_text);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_GT(result->pattern_cache_hits, 0u)
+        << learn::EstimatorKindName(estimator);
   }
 }
 
@@ -944,51 +928,146 @@ TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
   EXPECT_EQ(expected, value_of(**second));
 }
 
-// Staged (default) vs monolithic (staged_prepare = false) answers are
-// bit-identical at 1/2/4/8 threads, across branches and When-variants.
-TEST_F(ServiceTest, StagedVsMonolithicBitEqualAcrossThreads) {
-  whatif::WhatIfOptions staged_options = EngineOptions(
-      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
-  whatif::WhatIfOptions monolithic_options = staged_options;
-  monolithic_options.staged_prepare = false;
-
-  const std::string queries[] = {
-      kQuery,
-      "Use German When Status = 2 Update(Status) = 3 Output Count(Credit = 1)",
-      "Use German Update(Savings) = 2 Output Avg(Post(Credit))",
-  };
-
-  auto run_all = [&](const whatif::WhatIfOptions& options, size_t threads) {
-    whatif::WhatIfOptions with_threads = options;
-    with_threads.num_threads = threads;
-    auto service = MakeService(with_threads, 64, threads);
-    EXPECT_TRUE(service->CreateScenario("b").ok());
-    EXPECT_TRUE(service
-                    ->ApplyHypotheticalSql("b",
-                                           "Use German When Id = 2 "
-                                           "Update(Housing) = 0 "
-                                           "Output Count(*)")
-                    .ok());
-    std::vector<Request> requests;
-    for (const std::string& q : queries) {
-      requests.push_back({"main", q, {}});
-      requests.push_back({"b", q, {}});
-    }
-    std::vector<double> values;
-    for (const Response& r : service->SubmitBatch(requests)) {
-      EXPECT_TRUE(r.ok()) << r.status;
-      values.push_back(r.whatif.value);
-    }
-    return values;
-  };
-
-  const std::vector<double> reference = run_all(monolithic_options, 1);
+// Staged answers over main and a branch, across When-variants, match the
+// committed goldens (service.german800.*) at 1/2/4/8 threads.
+TEST_F(ServiceTest, StagedAnswersMatchGoldensAcrossThreads) {
+  const golden::GoldenFile goldens = golden::LoadGoldens();
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(reference, run_all(staged_options, threads))
-        << "staged answers diverged at " << threads << " thread(s)";
-    EXPECT_EQ(reference, run_all(monolithic_options, threads))
-        << "monolithic answers diverged at " << threads << " thread(s)";
+    whatif::WhatIfOptions options = golden::ServiceCaseOptions();
+    options.num_threads = threads;
+    for (const std::string& line : golden::ServiceCaseLines(options, threads)) {
+      golden::ExpectGolden(goldens, line,
+                           "threads=" + std::to_string(threads));
+    }
   }
+}
+
+// --- type-mismatched writes and mixed columns ----------------------------
+
+ScenarioInfo InfoOf(const ScenarioService& service, const std::string& name) {
+  for (const ScenarioInfo& info : service.ListScenarios()) {
+    if (info.name == name) return info;
+  }
+  ADD_FAILURE() << "no scenario " << name;
+  return {};
+}
+
+// A string written into the int column Savings would leave the branch with
+// a column no columnar image can hold; the write is refused before it is
+// journaled, the branch does not move, and its queries stay cached.
+TEST_F(ServiceTest, BranchWriteOfStringIntoIntColumnIsRejected) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  ASSERT_TRUE(service
+                  ->ApplyHypotheticalSql(
+                      "b", "Use German When Age = 1 Update(Savings) = 2 "
+                           "Output Count(*)")
+                  .ok());
+  const ScenarioInfo before = InfoOf(*service, "b");
+
+  auto write = service->ApplyHypotheticalSql(
+      "b", "Use German When Age = 2 Update(Savings) = 'lots' Output Count(*)");
+  EXPECT_EQ(StatusCode::kInvalidArgument, write.status().code());
+  EXPECT_NE(std::string::npos, write.status().message().find("Savings"))
+      << write.status();
+  // A Set constant is checked even when the When clause selects nothing.
+  auto empty = service->ApplyHypotheticalSql(
+      "b", "Use German When Age = 9 Update(Savings) = 'lots' Output Count(*)");
+  EXPECT_EQ(StatusCode::kInvalidArgument, empty.status().code());
+
+  const ScenarioInfo after = InfoOf(*service, "b");
+  EXPECT_EQ(before.version, after.version);
+  EXPECT_EQ(before.delta_fingerprint, after.delta_fingerprint);
+  EXPECT_EQ(before.updates_applied, after.updates_applied);
+
+  // Numeric widening stays allowed: a scaled int column takes doubles.
+  EXPECT_TRUE(service
+                  ->ApplyHypotheticalSql(
+                      "b", "Use German When Id = 3 "
+                           "Update(CreditAmount) = 1.5 * Pre(CreditAmount) "
+                           "Output Count(*)")
+                  .ok());
+  EXPECT_EQ(before.updates_applied + 1, InfoOf(*service, "b").updates_applied);
+
+  // Queries on the branch keep their cached plans.
+  Response first = service->Submit({"b", kQuery, {}});
+  ASSERT_TRUE(first.ok()) << first.status;
+  Response second = service->Submit({"b", kQuery, {}});
+  ASSERT_TRUE(second.ok()) << second.status;
+  EXPECT_FALSE(first.whatif.plan_cache_hit);
+  EXPECT_TRUE(second.whatif.plan_cache_hit);
+  EXPECT_EQ(first.whatif.value, second.whatif.value);
+}
+
+TEST_F(ServiceTest, BranchWriteOfNumberIntoStringColumnIsRejected) {
+  Database db;
+  Table t(Schema("Shop",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"Color", ValueType::kString, Mutability::kMutable},
+                  {"Sales", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(t.Append({Value::Int(i), Value::String(i % 2 ? "red" : "blue"),
+                          Value::Int(i)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  ScenarioService service(db, causal::CausalGraph(), ServiceOptions{});
+  ASSERT_TRUE(service.CreateScenario("b").ok());
+  auto write = service.ApplyHypotheticalSql(
+      "b", "Use Shop Update(Color) = 3 Output Count(*)");
+  EXPECT_EQ(StatusCode::kInvalidArgument, write.status().code());
+  EXPECT_NE(std::string::npos, write.status().message().find("Color"))
+      << write.status();
+  EXPECT_EQ(0u, InfoOf(service, "b").updates_applied);
+}
+
+// A table whose column mixes strings with ints (possible only through
+// AppendUnchecked) has no columnar image: every entry point answers
+// InvalidArgument naming the column, and HTTP maps that to 400.
+TEST_F(ServiceTest, MixedColumnWhatIfIsInvalidArgument) {
+  Database db;
+  Table t(Schema("Mixed",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"A", ValueType::kInt, Mutability::kMutable},
+                  {"B", ValueType::kInt, Mutability::kMutable},
+                  {"Y", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  for (int i = 0; i < 8; ++i) {
+    t.AppendUnchecked({Value::Int(i), Value::Int(i % 2),
+                       i == 3 ? Value::String("three") : Value::Int(i % 3),
+                       Value::Int(i % 2)});
+  }
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  const causal::CausalGraph no_graph;
+  const std::string query = "Use Mixed Update(A) = 1 Output Count(Y = 1)";
+
+  whatif::WhatIfOptions options;
+  options.estimator = learn::EstimatorKind::kFrequency;
+  whatif::WhatIfEngine engine(&db, &no_graph, options);
+  auto run = engine.RunSql(query);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, run.status().code());
+  EXPECT_NE(std::string::npos, run.status().message().find("'B'"))
+      << run.status();
+
+  ServiceOptions service_options;
+  service_options.whatif = options;
+  ScenarioService service(db, no_graph, service_options);
+  Response submitted = service.Submit({"main", query, {}});
+  EXPECT_EQ(StatusCode::kInvalidArgument, submitted.status.code())
+      << submitted.status;
+
+  net::QueryHandler handler(&service, nullptr);
+  net::HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/whatif";
+  request.version = "HTTP/1.1";
+  request.body = "{\"sql\":\"" + query + "\"}";
+  net::HttpResponse response;
+  handler.Handle(request, &response);
+  EXPECT_EQ(400, response.status) << response.body;
 }
 
 // --- the storage substrate the branches ride on ---------------------------
