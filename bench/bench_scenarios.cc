@@ -220,19 +220,20 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   Banner("4. bench_howto: parallel candidate scoring at 1/2/4/8 threads");
-  // One shared plan cache, warmed once: the timed runs then measure the
+  // One shared stage cache, warmed once: the timed runs then measure the
   // candidate-scoring loop itself (per-candidate Evaluate sharded over the
   // pool), not plan construction or estimator training. Answers must be
   // bit-identical at every thread count.
-  service::PlanCache howto_cache(64);
-  const std::string howto_scope =
+  service::StageCache howto_cache(64);
+  whatif::StageContext howto_context;
+  howto_context.stages = &howto_cache;
+  howto_context.data_scope =
       "bench|" + std::to_string(ds.db.ContentFingerprint());
   auto howto_engine_at = [&](size_t threads) {
     howto::HowToOptions ho;
     ho.whatif = options;
     ho.whatif.num_threads = threads;
-    ho.plan_cache = &howto_cache;
-    ho.cache_scope = howto_scope;
+    ho.stage_context = &howto_context;
     return howto::HowToEngine(&ds.db, &ds.graph, ho);
   };
   {

@@ -1,7 +1,7 @@
 // Interactive HypeR shell: load a built-in dataset (or your own CSVs) and
 // run what-if / how-to / select statements against it — served through the
-// ScenarioService, so queries hit the shared estimator/plan cache and can
-// target named scenario branches.
+// ScenarioService, so queries hit the shared stage cache (prepared plans
+// and trained estimators) and can target named scenario branches.
 //
 //   ./build/examples/hyper_shell                 # german-syn-20k by default
 //   ./build/examples/hyper_shell student-syn --threads 4
@@ -23,7 +23,9 @@
 //                                  to the current scenario (chained updates)
 //   \budget deadline <sec> | rows <n> | bytes <n> | off | show
 //                         per-request resource budget (0 = unlimited)
-//   \cache stats|clear    shared estimator/plan cache + admission counters
+//   \cache stats|clear    stage cache (scope/causal/learn/query sections;
+//                         the query section holds the plans) + admission
+//                         counters
 //   \metrics              full metrics snapshot (the server's /statusz JSON)
 //   \wal stats            durability state (needs --data-dir <dir>)
 //   \quit
@@ -220,7 +222,7 @@ void RunCommand(ShellState& state, const std::string& line) {
     const std::string sub = parts.size() > 1 ? parts[1] : "stats";
     if (sub == "clear") {
       state.service->ClearCache();
-      std::printf("plan cache cleared\n");
+      std::printf("stage cache cleared\n");
     } else {
       examples::PrintCacheStats(state.service->cache_stats());
       examples::PrintGovernanceStats(state.service->governance_stats());

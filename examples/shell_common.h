@@ -53,28 +53,20 @@ inline void PrintHowTo(const howto::HowToResult& result) {
 }
 
 inline void PrintCacheStats(const service::PlanCacheStats& stats) {
-  auto line = [](const char* name, size_t entries, size_t capacity,
-                 size_t hits, size_t misses, size_t coalesced,
-                 size_t evictions) {
-    std::printf(
-        "%-7s %4zu/%zu entr%s | %zu hit(s), %zu miss(es), %zu coalesced, "
-        "%zu eviction(s)\n",
-        name, entries, capacity, entries == 1 ? "y" : "ies", hits, misses,
-        coalesced, evictions);
-  };
-  line("plan", stats.entries, stats.capacity, stats.hits, stats.misses,
-       stats.coalesced, stats.evictions);
-  // Per-stage sections of the staged prepare pipeline: `miss(es)` counts
-  // actual stage builds, so `learn` misses staying flat while `plan` misses
-  // climb is estimator reuse at work.
+  // One line per stage section: `miss(es)` counts actual stage builds, and
+  // the query section holds the plans, so `learn` misses staying flat while
+  // `query` misses climb is estimator reuse at work.
   const std::pair<const char*, const service::StageStats*> stages[] = {
       {"scope", &stats.scope},
       {"causal", &stats.causal},
       {"learn", &stats.learn},
       {"query", &stats.query}};
   for (const auto& [name, s] : stages) {
-    line(name, s->entries, s->capacity, s->hits, s->misses, s->coalesced,
-         s->evictions);
+    std::printf(
+        "%-7s %4zu/%zu entr%s | %zu hit(s), %zu miss(es), %zu coalesced, "
+        "%zu eviction(s)\n",
+        name, s->entries, s->capacity, s->entries == 1 ? "y" : "ies", s->hits,
+        s->misses, s->coalesced, s->evictions);
   }
 }
 

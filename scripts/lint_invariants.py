@@ -4,9 +4,15 @@
 Five rules, each encoding a contract the type system cannot express and a
 bug class this codebase has to actively defend against:
 
-  cache-key-governance   Cache-key structs (names ending in `Key`) must not
-                         carry governance state (QueryBudget, CancelToken,
-                         ExecGuard, deadlines). Keys are shared across
+  cache-key-governance   Cache keys must not carry governance state. The
+                         rule scans every struct/class whose name ends in
+                         `Key` and every function whose name ends in `Key`
+                         (its parameters and body — the stage-cache keys
+                         are strings built in such functions), comments and
+                         string literals excluded, for governance types
+                         (QueryBudget, CancelToken, ExecGuard, deadlines)
+                         and the governance option fields (budget,
+                         cancel_token, exec_guard). Keys are shared across
                          requests; a budget in the key either fragments the
                          cache (per-request keys never hit) or leaks one
                          request's governance into another's plan.
@@ -56,9 +62,18 @@ import os
 import re
 import sys
 
-GOVERNANCE_TYPES = re.compile(
-    r"\b(QueryBudget|CancelToken|ExecGuard|Deadline|time_point)\b")
-KEY_STRUCT = re.compile(r"^\s*(?:struct|class)\s+(\w*Key)\b[^;]*$")
+GOVERNANCE = re.compile(
+    r"\b(QueryBudget|CancelToken|ExecGuard|Deadline|time_point|"
+    r"budget|cancel_token|exec_guard)\b")
+KEY_STRUCT = re.compile(r"\b(?:struct|class)\s+(\w*Key)\b[^;{()]*\{")
+KEY_NAME = re.compile(r"\b(\w*Key)\s*\(")
+# Comments and string/char literals, blanked (newlines kept) before the
+# cache-key scan so prose and messages never trip it.
+COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'",
+    re.S)
+NOT_A_RETURN_TYPE = {"return", "else", "case", "throw", "new", "delete",
+                     "sizeof", "co_return", "co_yield"}
 UNORDERED_DECL = re.compile(
     r"unordered_(?:map|set)<[^;\n]*>\s+(\w+)\s*(?:;|=|\{|\bGUARDED_BY)")
 UNORDERED_DECL_CONT = re.compile(r"^\s*(\w+)\s*(?:;|=|\{|\bGUARDED_BY)")
@@ -85,6 +100,57 @@ def has_comment_justification(lines, idx):
     return False
 
 
+def blank_comments_and_literals(text):
+    """`text` with comments and literals replaced by spaces, same offsets."""
+    return COMMENT_OR_LITERAL.sub(
+        lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+
+
+def matching(code, open_idx, open_ch, close_ch):
+    """Index of the bracket closing the one at `open_idx`, or -1."""
+    depth = 0
+    for k in range(open_idx, len(code)):
+        if code[k] == open_ch:
+            depth += 1
+        elif code[k] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return k
+    return -1
+
+
+def key_scopes(code):
+    """Yields (name, start, end) spans of `code` (comments and literals
+    blanked) that build or hold a cache key: the body of every struct/class
+    named *Key, and the parameters + body of every function named *Key.
+    Calls and declarations of such functions are not scopes."""
+    for m in KEY_STRUCT.finditer(code):
+        end = matching(code, m.end() - 1, "{", "}")
+        if end != -1:
+            yield m.group(1), m.end(), end
+    for m in KEY_NAME.finditer(code):
+        # A definition names its return type (or its class, `T::`) right
+        # before the function name; a call follows an operator, a bracket,
+        # a comma or a keyword such as `return`.
+        before = code[max(0, m.start() - 200):m.start()].rstrip()
+        if not before or not re.search(r"[\w&*>:]$", before):
+            continue
+        last_word = re.search(r"(\w*)$", before).group(1)
+        if last_word in NOT_A_RETURN_TYPE:
+            continue
+        close = matching(code, m.end() - 1, "(", ")")
+        if close == -1:
+            continue
+        tail = re.match(r"(?:\s|\bconst\b|\bnoexcept\b|\boverride\b|"
+                        r"\bfinal\b)*\{", code[close + 1:])
+        if not tail:
+            continue  # a declaration or a call
+        body_open = close + tail.end() - 1
+        end = matching(code, body_open, "{", "}")
+        if end != -1:
+            yield m.group(1), m.start(), end
+
+
 def lint_file(path, findings):
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -98,23 +164,18 @@ def lint_file(path, findings):
     in_hot = any(d in parts for d in HOT_DIRS)
 
     # --- cache-key-governance ---
-    for i, line in enumerate(lines):
-        m = KEY_STRUCT.match(line)
-        if not m:
-            continue
-        # Scan the struct body until its closing brace at column 0/struct
-        # indent ('};'). Key structs here are small; cap the scan.
-        for j in range(i + 1, min(i + 120, len(lines))):
-            body_line = lines[j]
-            if re.match(r"^\s*};", body_line):
-                break
-            gm = GOVERNANCE_TYPES.search(body_line)
-            if gm and ALLOW not in body_line:
-                findings.append(
-                    (path, j + 1, "cache-key-governance",
-                     f"cache-key struct {m.group(1)} carries governance "
-                     f"state ({gm.group(1)}); keys must be request-"
-                     "independent"))
+    code = blank_comments_and_literals(text)
+    flagged = set()
+    for name, start, end in key_scopes(code):
+        for gm in GOVERNANCE.finditer(code, start, end):
+            line = code.count("\n", 0, gm.start())
+            if line in flagged or ALLOW in lines[line]:
+                continue
+            flagged.add(line)
+            findings.append(
+                (path, line + 1, "cache-key-governance",
+                 f"cache key {name} reads governance state "
+                 f"({gm.group(1)}); keys must be request-independent"))
 
     # --- unordered-iter (serving dirs only) ---
     if in_serving:

@@ -17,31 +17,14 @@ namespace {
 
 std::atomic<bool> g_force_scalar{false};
 
-/// Parses HYPER_SIMD once: "scalar" forces the reference path, "sse2" caps
-/// the dispatch below AVX2 (A/B between vector widths), anything else (or
-/// unset) leaves the detected level alone.
-enum class EnvCap : uint8_t { kNone, kScalar, kSSE2 };
-
-EnvCap EnvCapValue() {
-  static const EnvCap cap = [] {
+/// HYPER_SIMD=scalar forces the reference path for the whole process
+/// (parsed once); anything else, or unset, leaves the detected level alone.
+bool EnvForcesScalar() {
+  static const bool forced = [] {
     const char* env = std::getenv("HYPER_SIMD");
-    if (env == nullptr) return EnvCap::kNone;
-    if (std::strcmp(env, "scalar") == 0) return EnvCap::kScalar;
-    if (std::strcmp(env, "sse2") == 0) return EnvCap::kSSE2;
-    return EnvCap::kNone;
+    return env != nullptr && std::strcmp(env, "scalar") == 0;
   }();
-  return cap;
-}
-
-Level Detect() {
-#if HYPER_SIMD_X86
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-#endif
-  return Level::kSSE2;  // baseline on x86-64
-#else
-  return Level::kScalar;
-#endif
+  return forced;
 }
 
 // ---------------------------------------------------------------------------
@@ -75,130 +58,10 @@ void CmpColsScalar(const T* a, const T* b, size_t n, Cmp op, uint8_t* out) {
 
 #if HYPER_SIMD_X86
 
-// --- SSE2 (x86-64 baseline) ------------------------------------------------
-
-__m128d CmpPdSse2(__m128d a, __m128d b, Cmp op) {
-  switch (op) {
-    case Cmp::kEq: return _mm_cmpeq_pd(a, b);   // ordered: NaN -> false
-    case Cmp::kNe: return _mm_cmpneq_pd(a, b);  // unordered: NaN -> true
-    case Cmp::kLt: return _mm_cmplt_pd(a, b);
-    case Cmp::kLe: return _mm_cmple_pd(a, b);
-    case Cmp::kGt: return _mm_cmpgt_pd(a, b);
-    case Cmp::kGe: return _mm_cmpge_pd(a, b);
-  }
-  return _mm_setzero_pd();
-}
-
-void CmpF64ConstSse2(const double* x, size_t n, double c, Cmp op,
-                     uint8_t* out) {
-  const __m128d vc = _mm_set1_pd(c);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int m = _mm_movemask_pd(CmpPdSse2(_mm_loadu_pd(x + i), vc, op));
-    out[i] = m & 1;
-    out[i + 1] = (m >> 1) & 1;
-  }
-  CmpConstScalar(x + i, n - i, c, op, out + i);
-}
-
-void CmpF64ColsSse2(const double* a, const double* b, size_t n, Cmp op,
-                    uint8_t* out) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int m = _mm_movemask_pd(
-        CmpPdSse2(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i), op));
-    out[i] = m & 1;
-    out[i + 1] = (m >> 1) & 1;
-  }
-  CmpColsScalar(a + i, b + i, n - i, op, out + i);
-}
-
-void CmpI32ConstSse2(const int32_t* x, size_t n, int32_t code, bool want_eq,
-                     uint8_t* out) {
-  const __m128i vc = _mm_set1_epi32(code);
-  const __m128i flip = _mm_set1_epi8(want_eq ? 0 : 1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i eq = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)), vc);
-    const int m = _mm_movemask_ps(_mm_castsi128_ps(eq));
-    out[i] = ((m >> 0) & 1) ^ !want_eq;
-    out[i + 1] = ((m >> 1) & 1) ^ !want_eq;
-    out[i + 2] = ((m >> 2) & 1) ^ !want_eq;
-    out[i + 3] = ((m >> 3) & 1) ^ !want_eq;
-  }
-  (void)flip;  // byte-lane flip is done on the extracted bits above
-  for (; i < n; ++i) out[i] = (x[i] == code) == want_eq;
-}
-
-void CmpI32ColsSse2(const int32_t* a, const int32_t* b, size_t n,
-                    bool want_eq, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i eq = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    const int m = _mm_movemask_ps(_mm_castsi128_ps(eq));
-    out[i] = ((m >> 0) & 1) ^ !want_eq;
-    out[i + 1] = ((m >> 1) & 1) ^ !want_eq;
-    out[i + 2] = ((m >> 2) & 1) ^ !want_eq;
-    out[i + 3] = ((m >> 3) & 1) ^ !want_eq;
-  }
-  for (; i < n; ++i) out[i] = (a[i] == b[i]) == want_eq;
-}
-
-void MaskAndSse2(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + i),
-        _mm_and_si128(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)),
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i))));
-  }
-  for (; i < n; ++i) out[i] = a[i] & b[i];
-}
-
-void MaskOrSse2(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + i),
-        _mm_or_si128(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)),
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i))));
-  }
-  for (; i < n; ++i) out[i] = a[i] | b[i];
-}
-
-void MaskNotSse2(const uint8_t* a, size_t n, uint8_t* out) {
-  const __m128i one = _mm_set1_epi8(1);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + i),
-        _mm_xor_si128(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), one));
-  }
-  for (; i < n; ++i) out[i] = a[i] ^ 1;
-}
-
 // --- AVX2 (runtime-dispatched; compiled with a per-function target) --------
 
 #if defined(__GNUC__) || defined(__clang__)
 #define HYPER_TARGET_AVX2 __attribute__((target("avx2")))
-
-HYPER_TARGET_AVX2 int CmpImmAvx2(Cmp op) {
-  switch (op) {
-    case Cmp::kEq: return _CMP_EQ_OQ;
-    case Cmp::kNe: return _CMP_NEQ_UQ;
-    case Cmp::kLt: return _CMP_LT_OQ;
-    case Cmp::kLe: return _CMP_LE_OQ;
-    case Cmp::kGt: return _CMP_GT_OQ;
-    case Cmp::kGe: return _CMP_GE_OQ;
-  }
-  return _CMP_FALSE_OQ;
-}
 
 HYPER_TARGET_AVX2 void CmpF64ConstAvx2(const double* x, size_t n, double c,
                                        Cmp op, uint8_t* out) {
@@ -334,7 +197,6 @@ HYPER_TARGET_AVX2 void MaskNotAvx2(const uint8_t* a, size_t n, uint8_t* out) {
 const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSSE2: return "sse2";
     case Level::kAVX2: return "avx2";
   }
   return "?";
@@ -342,17 +204,11 @@ const char* LevelName(Level level) {
 
 Level DetectedLevel() {
   static const Level level = [] {
-    Level l = Detect();
-#if !HYPER_HAVE_AVX2
-    if (l == Level::kAVX2) l = Level::kSSE2;
+    if (EnvForcesScalar()) return Level::kScalar;
+#if HYPER_HAVE_AVX2
+    if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
 #endif
-    switch (EnvCapValue()) {
-      case EnvCap::kScalar: return Level::kScalar;
-      case EnvCap::kSSE2:
-        return l == Level::kScalar ? Level::kScalar : Level::kSSE2;
-      case EnvCap::kNone: break;
-    }
-    return l;
+    return Level::kScalar;
   }();
   return level;
 }
@@ -370,101 +226,80 @@ bool ForceScalar() {
   return g_force_scalar.load(std::memory_order_relaxed);
 }
 
+// Each kernel runs its AVX2 body when the active level allows it, else the
+// scalar reference.
+
 void CmpF64Const(const double* x, size_t n, double c, Cmp op, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: CmpF64ConstAvx2(x, n, c, op, out); return;
-#endif
-    case Level::kSSE2: CmpF64ConstSse2(x, n, c, op, out); return;
-#endif
-    default: CmpConstScalar(x, n, c, op, out); return;
+  if (ActiveLevel() == Level::kAVX2) {
+    CmpF64ConstAvx2(x, n, c, op, out);
+    return;
   }
+#endif
+  CmpConstScalar(x, n, c, op, out);
 }
 
 void CmpF64Cols(const double* a, const double* b, size_t n, Cmp op,
                 uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: CmpF64ColsAvx2(a, b, n, op, out); return;
-#endif
-    case Level::kSSE2: CmpF64ColsSse2(a, b, n, op, out); return;
-#endif
-    default: CmpColsScalar(a, b, n, op, out); return;
+  if (ActiveLevel() == Level::kAVX2) {
+    CmpF64ColsAvx2(a, b, n, op, out);
+    return;
   }
+#endif
+  CmpColsScalar(a, b, n, op, out);
 }
 
 void CmpI32Const(const int32_t* x, size_t n, int32_t code, bool want_eq,
                  uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: CmpI32ConstAvx2(x, n, code, want_eq, out); return;
-#endif
-    case Level::kSSE2: CmpI32ConstSse2(x, n, code, want_eq, out); return;
-#endif
-    default:
-      for (size_t i = 0; i < n; ++i) out[i] = (x[i] == code) == want_eq;
-      return;
+  if (ActiveLevel() == Level::kAVX2) {
+    CmpI32ConstAvx2(x, n, code, want_eq, out);
+    return;
   }
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = (x[i] == code) == want_eq;
 }
 
 void CmpI32Cols(const int32_t* a, const int32_t* b, size_t n, bool want_eq,
                 uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: CmpI32ColsAvx2(a, b, n, want_eq, out); return;
-#endif
-    case Level::kSSE2: CmpI32ColsSse2(a, b, n, want_eq, out); return;
-#endif
-    default:
-      for (size_t i = 0; i < n; ++i) out[i] = (a[i] == b[i]) == want_eq;
-      return;
+  if (ActiveLevel() == Level::kAVX2) {
+    CmpI32ColsAvx2(a, b, n, want_eq, out);
+    return;
   }
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = (a[i] == b[i]) == want_eq;
 }
 
 void MaskAnd(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: MaskAndAvx2(a, b, n, out); return;
-#endif
-    case Level::kSSE2: MaskAndSse2(a, b, n, out); return;
-#endif
-    default:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
-      return;
+  if (ActiveLevel() == Level::kAVX2) {
+    MaskAndAvx2(a, b, n, out);
+    return;
   }
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
 }
 
 void MaskOr(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: MaskOrAvx2(a, b, n, out); return;
-#endif
-    case Level::kSSE2: MaskOrSse2(a, b, n, out); return;
-#endif
-    default:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] | b[i];
-      return;
+  if (ActiveLevel() == Level::kAVX2) {
+    MaskOrAvx2(a, b, n, out);
+    return;
   }
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] | b[i];
 }
 
 void MaskNot(const uint8_t* a, size_t n, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if HYPER_SIMD_X86
 #if HYPER_HAVE_AVX2
-    case Level::kAVX2: MaskNotAvx2(a, n, out); return;
-#endif
-    case Level::kSSE2: MaskNotSse2(a, n, out); return;
-#endif
-    default:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] ^ 1;
-      return;
+  if (ActiveLevel() == Level::kAVX2) {
+    MaskNotAvx2(a, n, out);
+    return;
   }
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] ^ 1;
 }
 
 size_t MaskCount(const uint8_t* m, size_t n) {

@@ -23,10 +23,10 @@ namespace hyper::simd {
 // live here.
 // ---------------------------------------------------------------------------
 
+/// AVX2 where the CPU has it; every other CPU runs the scalar reference.
 enum class Level : uint8_t {
   kScalar = 0,
-  kSSE2 = 1,
-  kAVX2 = 2,
+  kAVX2 = 1,
 };
 
 const char* LevelName(Level level);

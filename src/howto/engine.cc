@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
@@ -315,21 +316,24 @@ Result<std::vector<std::vector<UpdateSpec>>> HowToEngine::EnumerateCandidates(
   return out;
 }
 
-struct HowToEngine::ScoredCandidates {
-  double baseline = 0.0;
-  std::vector<std::vector<CandidateUpdate>> per_attribute;
-  size_t evaluated = 0;
-  size_t pruned = 0;
-  size_t plan_cache_hits = 0;
-  size_t pattern_cache_hits = 0;
-  double prepare_seconds = 0.0;
-  double eval_seconds = 0.0;
-  double train_seconds = 0.0;
-};
-
-Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
+Result<HowToResult> HowToEngine::ScoreCandidates(
     const sql::HowToStmt& stmt, double prune_budget) const {
-  ScoredCandidates scored;
+  // Soundness (§4.1): updated attributes must be causally unrelated.
+  if (graph_ != nullptr && stmt.update_attributes.size() > 1) {
+    for (const std::string& a : stmt.update_attributes) {
+      if (!graph_->HasNode(a)) continue;
+      const auto desc = graph_->Descendants(a);
+      for (const std::string& b : stmt.update_attributes) {
+        if (a != b && desc.count(b) > 0) {
+          return Status::InvalidArgument(
+              "HowToUpdate attributes must be causally unrelated: '" + a +
+              "' affects '" + b + "'");
+        }
+      }
+    }
+  }
+
+  HowToResult scored;
   HYPER_ASSIGN_OR_RETURN(std::vector<std::vector<UpdateSpec>> candidates,
                          EnumerateCandidates(stmt));
 
@@ -352,29 +356,20 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   // relevant view is compiled and each (view, adjustment-set) estimator is
   // trained once, not once per candidate. Prepare ignores update constants,
   // so Evaluate(plan, {spec}) is bit-for-bit identical to a fresh
-  // Run(MakeCandidateWhatIf(stmt, {spec})).
-  // Staged pipeline (when the caller wired a StageContext): the baseline
-  // and every per-attribute plan share the ScopeStage, and candidates of
-  // one attribute share everything above the QueryStage.
-  const whatif::StageContext* stage_ctx = options_.stage_context;
+  // Run(MakeCandidateWhatIf(stmt, {spec})). With a StageContext the plans
+  // come from its stage cache when an earlier run prepared them, and the
+  // baseline and every per-attribute plan share the ScopeStage.
   auto prepare_shared = [&](const sql::WhatIfStmt& ws)
       -> Result<std::shared_ptr<const whatif::PreparedWhatIf>> {
-    if (options_.plan_cache != nullptr) {
-      bool hit = false;
-      auto plan = options_.plan_cache->GetOrPrepare(
-          service::WhatIfPlanKey(options_.cache_scope, ws, options_.whatif),
-          [&] { return engine.Prepare(ws, stage_ctx); }, &hit);
-      if (plan.ok()) {
-        if (hit) {
-          ++scored.plan_cache_hits;
-        } else {
-          scored.prepare_seconds += (*plan)->prepare_seconds();
-        }
+    bool hit = false;
+    auto plan = engine.Prepare(ws, options_.stage_context, &hit);
+    if (plan.ok()) {
+      if (hit) {
+        ++scored.plan_cache_hits;
+      } else {
+        scored.prepare_seconds += (*plan)->prepare_seconds();
       }
-      return plan;
     }
-    auto plan = engine.Prepare(ws, stage_ctx);
-    if (plan.ok()) scored.prepare_seconds += (*plan)->prepare_seconds();
     return plan;
   };
   auto record_eval = [&](const whatif::WhatIfResult& result) {
@@ -393,7 +388,7 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
     HYPER_ASSIGN_OR_RETURN(
         whatif::WhatIfResult result,
         engine.Evaluate(*plan, whatif::SpecsOfStatement(baseline)));
-    scored.baseline = result.value;
+    scored.baseline_value = result.value;
     record_eval(result);
   }
 
@@ -416,7 +411,7 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
     double dbl = 0.0;
     const Value* value = nullptr;
   };
-  scored.per_attribute.resize(candidates.size());
+  scored.candidates.resize(candidates.size());
   for (size_t a = 0; a < candidates.size(); ++a) {
     HYPER_ASSIGN_OR_RETURN(
         size_t col, vschema.IndexOf(stmt.update_attributes[a]));
@@ -427,7 +422,7 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
       pre[k].numeric = v.is_numeric();
       if (pre[k].numeric) pre[k].dbl = v.AsDouble().value();
     }
-    scored.per_attribute[a].reserve(candidates[a].size());
+    scored.candidates[a].reserve(candidates[a].size());
     for (const UpdateSpec& spec : candidates[a]) {
       CandidateUpdate cu;
       cu.spec = spec;
@@ -453,11 +448,11 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
       // of (candidate, budget), so pruning never depends on thread count.
       if (prune_budget >= 0.0 && cu.cost > prune_budget + 1e-12) {
         cu.pruned = true;
-        cu.objective_value = scored.baseline;
+        cu.objective_value = scored.baseline_value;
         cu.delta = 0.0;
-        ++scored.pruned;
+        ++scored.candidates_pruned;
       }
-      scored.per_attribute[a].push_back(std::move(cu));
+      scored.candidates[a].push_back(std::move(cu));
     }
   }
 
@@ -474,12 +469,12 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   std::vector<WorkItem> work;
   for (size_t a = 0; a < candidates.size(); ++a) {
     for (size_t i = 0; i < candidates[a].size(); ++i) {
-      if (!scored.per_attribute[a][i].pruned) work.push_back({a, i});
+      if (!scored.candidates[a][i].pruned) work.push_back({a, i});
     }
   }
 
   // One prepared plan per attribute with surviving candidates, built up
-  // front so the parallel evaluation below never prepares (the plan cache
+  // front so the parallel evaluation below never prepares (the stage cache
   // single-flights concurrent runs racing on the same key). Prepared after
   // pruning: an attribute whose whole candidate set is cost-infeasible
   // skips plan construction and estimator training entirely.
@@ -567,109 +562,80 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
   for (size_t w = 0; w < work.size(); ++w) {
     const whatif::WhatIfResult& result = *results[w];
     record_eval(result);
-    ++scored.evaluated;
-    CandidateUpdate& cu = scored.per_attribute[work[w].a][work[w].i];
+    ++scored.candidates_evaluated;
+    CandidateUpdate& cu = scored.candidates[work[w].a][work[w].i];
     cu.objective_value = result.value;
-    cu.delta = result.value - scored.baseline;
+    cu.delta = result.value - scored.baseline_value;
   }
   return scored;
 }
 
-Result<HowToResult> HowToEngine::Run(const sql::HowToStmt& stmt) const {
-  Stopwatch timer;
+namespace {
 
-  // Soundness (§4.1): updated attributes must be causally unrelated.
-  if (graph_ != nullptr && stmt.update_attributes.size() > 1) {
-    for (const std::string& a : stmt.update_attributes) {
-      if (!graph_->HasNode(a)) continue;
-      const auto desc = graph_->Descendants(a);
-      for (const std::string& b : stmt.update_attributes) {
-        if (a != b && desc.count(b) > 0) {
-          return Status::InvalidArgument(
-              "HowToUpdate attributes must be causally unrelated: '" + a +
-              "' affects '" + b + "'");
-        }
-      }
+using Candidates = std::vector<std::vector<CandidateUpdate>>;
+
+/// One coefficient per IP variable: a binary variable per (attribute,
+/// candidate), attribute-major.
+std::vector<double> RowOf(
+    const Candidates& candidates,
+    const std::function<double(const CandidateUpdate&)>& coef) {
+  std::vector<double> row;
+  for (const std::vector<CandidateUpdate>& group : candidates) {
+    for (const CandidateUpdate& cu : group) row.push_back(coef(cu));
+  }
+  return row;
+}
+
+/// The IP every solve shares (Equations 7-9): objective `objective`,
+/// Equation (8)'s choice rows (at most one update per attribute) and, when
+/// `budget` >= 0, the global L1 budget row over the candidates' costs.
+opt::LpProblem ChoiceIp(const Candidates& candidates,
+                        std::vector<double> objective, double budget) {
+  opt::LpProblem ip;
+  ip.objective = std::move(objective);
+  size_t first = 0;
+  for (const std::vector<CandidateUpdate>& group : candidates) {
+    std::vector<double> row(ip.objective.size(), 0.0);
+    std::fill_n(row.begin() + first, group.size(), 1.0);
+    ip.AddRow(std::move(row), 1.0);
+    first += group.size();
+  }
+  if (budget >= 0.0) {
+    ip.AddRow(RowOf(candidates, [](const CandidateUpdate& cu) {
+                return cu.cost;
+              }),
+              budget);
+  }
+  return ip;
+}
+
+/// The chosen candidate per attribute (-1 = no change) of a 0/1 solution
+/// over ChoiceIp's variables.
+std::vector<int> ChoiceOf(const Candidates& candidates,
+                          const std::vector<int>& x) {
+  std::vector<int> choice(candidates.size(), -1);
+  size_t v = 0;
+  for (size_t a = 0; a < candidates.size(); ++a) {
+    for (size_t i = 0; i < candidates[a].size(); ++i, ++v) {
+      if (x[v] == 1) choice[a] = static_cast<int>(i);
     }
   }
+  return choice;
+}
 
-  // The Run solve couples choices through the global L1 budget (when set),
-  // so cost-infeasible candidates can be pruned before evaluation.
-  HYPER_ASSIGN_OR_RETURN(ScoredCandidates scored,
-                         ScoreCandidates(stmt, options_.global_l1_budget));
-
-  // IP objective: maximize sum of chosen deltas (negated for ToMinimize).
-  const double sign = stmt.maximize ? 1.0 : -1.0;
-
-  HowToResult result;
-  result.baseline_value = scored.baseline;
-  result.candidates_evaluated = scored.evaluated;
-  result.candidates_pruned = scored.pruned;
-  result.candidates = scored.per_attribute;
-  result.plan_cache_hits = scored.plan_cache_hits;
-  result.pattern_cache_hits = scored.pattern_cache_hits;
-  result.prepare_seconds = scored.prepare_seconds;
-  result.eval_seconds = scored.eval_seconds;
-  result.train_seconds = scored.train_seconds;
-
-  const bool mck_applicable = options_.prefer_mck;
-  std::vector<int> choice(scored.per_attribute.size(), -1);
-  if (mck_applicable) {
-    std::vector<opt::MckGroup> groups(scored.per_attribute.size());
-    for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-      for (const CandidateUpdate& cu : scored.per_attribute[a]) {
-        groups[a].values.push_back(sign * cu.delta);
-        groups[a].costs.push_back(cu.cost);
-      }
-    }
-    HYPER_ASSIGN_OR_RETURN(opt::MckSolution sol,
-                           opt::SolveMck(groups, options_.global_l1_budget));
-    choice = sol.choice;
-    result.used_mck = true;
-    result.solver_nodes = sol.nodes_explored;
-  } else {
-    // General IP path (Equations 7-9).
-    opt::LpProblem ip;
-    std::vector<std::pair<size_t, size_t>> var_index;  // (attr, candidate)
-    for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-      for (size_t i = 0; i < scored.per_attribute[a].size(); ++i) {
-        ip.objective.push_back(sign * scored.per_attribute[a][i].delta);
-        var_index.emplace_back(a, i);
-      }
-    }
-    for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-      std::vector<double> row(ip.objective.size(), 0.0);
-      for (size_t v = 0; v < var_index.size(); ++v) {
-        if (var_index[v].first == a) row[v] = 1.0;
-      }
-      ip.AddRow(std::move(row), 1.0);  // Equation (8)
-    }
-    if (options_.global_l1_budget >= 0.0) {
-      std::vector<double> row;
-      for (const auto& [a, i] : var_index) {
-        row.push_back(scored.per_attribute[a][i].cost);
-      }
-      ip.AddRow(std::move(row), options_.global_l1_budget);
-    }
-    HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
-    if (!sol.feasible) {
-      return Status::Internal("how-to IP infeasible (unexpected)");
-    }
-    result.solver_nodes = sol.nodes_explored;
-    for (size_t v = 0; v < var_index.size(); ++v) {
-      if (sol.x[v] == 1) {
-        choice[var_index[v].first] = static_cast<int>(var_index[v].second);
-      }
-    }
-  }
-
-  // Assemble the plan.
-  result.objective_value = scored.baseline;
-  for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
+/// The result assembly every solve shares: completes `result` (the primary
+/// objective's scoring) with the plan `choice` selects, the objective it
+/// reaches (baseline + sum of chosen deltas, linear phi), the solver work
+/// and the wall time since `timer` started.
+HowToResult Assemble(const sql::HowToStmt& stmt, HowToResult result,
+                     const std::vector<int>& choice, size_t solver_nodes,
+                     const Stopwatch& timer) {
+  result.objective_value = result.baseline_value;
+  for (size_t a = 0; a < result.candidates.size(); ++a) {
     AttributeChoice ac;
     ac.attribute = stmt.update_attributes[a];
     if (choice[a] >= 0) {
-      const CandidateUpdate& cu = scored.per_attribute[a][choice[a]];
+      const CandidateUpdate& cu = result.candidates[a][choice[a]];
       ac.changed = true;
       ac.update = cu.spec;
       ac.delta = cu.delta;
@@ -678,8 +644,48 @@ Result<HowToResult> HowToEngine::Run(const sql::HowToStmt& stmt) const {
     }
     result.plan.push_back(std::move(ac));
   }
+  result.solver_nodes = solver_nodes;
   result.total_seconds = timer.ElapsedSeconds();
   return result;
+}
+
+}  // namespace
+
+Result<HowToResult> HowToEngine::Run(const sql::HowToStmt& stmt) const {
+  Stopwatch timer;
+  // The Run solve couples choices through the global L1 budget (when set),
+  // so cost-infeasible candidates can be pruned before evaluation.
+  HYPER_ASSIGN_OR_RETURN(HowToResult scored,
+                         ScoreCandidates(stmt, options_.global_l1_budget));
+
+  // IP objective: maximize sum of chosen deltas (negated for ToMinimize).
+  const double sign = stmt.maximize ? 1.0 : -1.0;
+  if (options_.prefer_mck) {
+    std::vector<opt::MckGroup> groups(scored.candidates.size());
+    for (size_t a = 0; a < scored.candidates.size(); ++a) {
+      for (const CandidateUpdate& cu : scored.candidates[a]) {
+        groups[a].values.push_back(sign * cu.delta);
+        groups[a].costs.push_back(cu.cost);
+      }
+    }
+    HYPER_ASSIGN_OR_RETURN(opt::MckSolution sol,
+                           opt::SolveMck(groups, options_.global_l1_budget));
+    scored.used_mck = true;
+    return Assemble(stmt, std::move(scored), sol.choice, sol.nodes_explored,
+                    timer);
+  }
+  // General IP path (Equations 7-9).
+  const opt::LpProblem ip = ChoiceIp(
+      scored.candidates,
+      RowOf(scored.candidates,
+            [&](const CandidateUpdate& cu) { return sign * cu.delta; }),
+      options_.global_l1_budget);
+  HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
+  if (!sol.feasible) {
+    return Status::Internal("how-to IP infeasible (unexpected)");
+  }
+  const std::vector<int> choice = ChoiceOf(scored.candidates, sol.x);
+  return Assemble(stmt, std::move(scored), choice, sol.nodes_explored, timer);
 }
 
 Result<HowToResult> HowToEngine::RunMinCost(const sql::HowToStmt& stmt,
@@ -687,82 +693,37 @@ Result<HowToResult> HowToEngine::RunMinCost(const sql::HowToStmt& stmt,
   Stopwatch timer;
   // No budget row in the min-cost IP: any candidate may be selected, so no
   // cost-based pruning applies here.
-  HYPER_ASSIGN_OR_RETURN(ScoredCandidates scored,
+  HYPER_ASSIGN_OR_RETURN(HowToResult scored,
                          ScoreCandidates(stmt, /*prune_budget=*/-1.0));
   const double sign = stmt.maximize ? 1.0 : -1.0;
   // Required signed improvement over the baseline.
-  const double required = sign * (objective_target - scored.baseline);
+  const double required = sign * (objective_target - scored.baseline_value);
 
   // IP: minimize sum(cost * delta-vars)  ==  maximize -cost, subject to
-  // choice rows and  sum(signed_delta * delta-vars) >= required.
-  opt::LpProblem ip;
-  std::vector<std::pair<size_t, size_t>> var_index;
-  for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-    for (size_t i = 0; i < scored.per_attribute[a].size(); ++i) {
-      ip.objective.push_back(-scored.per_attribute[a][i].cost);
-      var_index.emplace_back(a, i);
-    }
-  }
-  for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-    std::vector<double> row(var_index.size(), 0.0);
-    for (size_t v = 0; v < var_index.size(); ++v) {
-      if (var_index[v].first == a) row[v] = 1.0;
-    }
-    ip.AddRow(std::move(row), 1.0);
-  }
-  {
-    // -sum(signed_delta) <= -required.
-    std::vector<double> row;
-    for (const auto& [a, i] : var_index) {
-      row.push_back(-sign * scored.per_attribute[a][i].delta);
-    }
-    ip.AddRow(std::move(row), -required);
-  }
+  // choice rows and  sum(signed_delta * delta-vars) >= required, i.e.
+  // -sum(signed_delta) <= -required.
+  opt::LpProblem ip = ChoiceIp(
+      scored.candidates,
+      RowOf(scored.candidates,
+            [](const CandidateUpdate& cu) { return -cu.cost; }),
+      /*budget=*/-1.0);
+  ip.AddRow(RowOf(scored.candidates,
+                  [&](const CandidateUpdate& cu) { return -sign * cu.delta; }),
+            -required);
   HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
   if (!sol.feasible) {
     return Status::FailedPrecondition(
         "no feasible plan reaches the objective target " +
         StrFormat("%g", objective_target) +
-        " (baseline " + StrFormat("%g", scored.baseline) + ")");
+        " (baseline " + StrFormat("%g", scored.baseline_value) + ")");
   }
-
-  HowToResult result;
-  result.baseline_value = scored.baseline;
-  result.candidates_evaluated = scored.evaluated;
-  result.candidates_pruned = scored.pruned;
-  result.candidates = scored.per_attribute;
-  result.plan_cache_hits = scored.plan_cache_hits;
-  result.pattern_cache_hits = scored.pattern_cache_hits;
-  result.prepare_seconds = scored.prepare_seconds;
-  result.eval_seconds = scored.eval_seconds;
-  result.train_seconds = scored.train_seconds;
-  result.solver_nodes = sol.nodes_explored;
-  result.objective_value = scored.baseline;
-  std::vector<int> choice(scored.per_attribute.size(), -1);
-  for (size_t v = 0; v < var_index.size(); ++v) {
-    if (sol.x[v] == 1) {
-      choice[var_index[v].first] = static_cast<int>(var_index[v].second);
-    }
-  }
-  for (size_t a = 0; a < scored.per_attribute.size(); ++a) {
-    AttributeChoice ac;
-    ac.attribute = stmt.update_attributes[a];
-    if (choice[a] >= 0) {
-      const CandidateUpdate& cu = scored.per_attribute[a][choice[a]];
-      ac.changed = true;
-      ac.update = cu.spec;
-      ac.delta = cu.delta;
-      ac.cost = cu.cost;
-      result.objective_value += cu.delta;
-    }
-    result.plan.push_back(std::move(ac));
-  }
-  result.total_seconds = timer.ElapsedSeconds();
-  return result;
+  const std::vector<int> choice = ChoiceOf(scored.candidates, sol.x);
+  return Assemble(stmt, std::move(scored), choice, sol.nodes_explored, timer);
 }
 
 Result<HowToResult> HowToEngine::RunLexicographic(
     const std::vector<const sql::HowToStmt*>& stmts) const {
+  Stopwatch timer;
   if (stmts.empty()) {
     return Status::InvalidArgument("need at least one objective");
   }
@@ -794,111 +755,71 @@ Result<HowToResult> HowToEngine::RunLexicographic(
   // carries the global-L1 budget row, so cost-infeasible candidates prune
   // exactly as in Run (identically across objectives: the cost depends only
   // on the candidate and the shared Use/When, never on the objective).
-  std::vector<ScoredCandidates> scored;
+  std::vector<HowToResult> scored;
   for (const sql::HowToStmt* s : stmts) {
-    HYPER_ASSIGN_OR_RETURN(ScoredCandidates sc,
+    HYPER_ASSIGN_OR_RETURN(HowToResult sc,
                            ScoreCandidates(*s, lex_prune_budget));
     scored.push_back(std::move(sc));
   }
   // Candidate sets must align (same Limit structure).
   for (size_t k = 1; k < scored.size(); ++k) {
-    if (scored[k].per_attribute.size() != scored[0].per_attribute.size()) {
+    if (scored[k].candidates.size() != scored[0].candidates.size()) {
       return Status::InvalidArgument("objectives disagree on candidates");
     }
-    for (size_t a = 0; a < scored[0].per_attribute.size(); ++a) {
-      if (scored[k].per_attribute[a].size() !=
-          scored[0].per_attribute[a].size()) {
+    for (size_t a = 0; a < scored[0].candidates.size(); ++a) {
+      if (scored[k].candidates[a].size() != scored[0].candidates[a].size()) {
         return Status::InvalidArgument("objectives disagree on candidates");
       }
     }
   }
 
-  std::vector<std::pair<size_t, size_t>> var_index;
-  for (size_t a = 0; a < scored[0].per_attribute.size(); ++a) {
-    for (size_t i = 0; i < scored[0].per_attribute[a].size(); ++i) {
-      var_index.emplace_back(a, i);
-    }
-  }
-
-  std::vector<double> locked_values;  // achieved signed deltas per objective
-  std::vector<int> final_x;
+  // Signed delta rows per objective: the IP objective of solve k, and the
+  // lock rows of every later solve.
+  std::vector<std::vector<double>> signed_deltas;
   for (size_t k = 0; k < stmts.size(); ++k) {
     const double sign = stmts[k]->maximize ? 1.0 : -1.0;
-    opt::LpProblem ip;
-    for (const auto& [a, i] : var_index) {
-      ip.objective.push_back(sign * scored[k].per_attribute[a][i].delta);
-    }
-    for (size_t a = 0; a < scored[0].per_attribute.size(); ++a) {
-      std::vector<double> row(var_index.size(), 0.0);
-      for (size_t v = 0; v < var_index.size(); ++v) {
-        if (var_index[v].first == a) row[v] = 1.0;
-      }
-      ip.AddRow(std::move(row), 1.0);
-    }
-    if (options_.global_l1_budget >= 0.0) {
-      std::vector<double> row;
-      for (const auto& [a, i] : var_index) {
-        row.push_back(scored[k].per_attribute[a][i].cost);
-      }
-      ip.AddRow(std::move(row), options_.global_l1_budget);
-    }
+    signed_deltas.push_back(
+        RowOf(scored[k].candidates,
+              [&](const CandidateUpdate& cu) { return sign * cu.delta; }));
+  }
+  std::vector<double> locked_values;  // achieved signed deltas per objective
+  std::vector<int> final_x;
+  size_t solver_nodes = 0;
+  for (size_t k = 0; k < stmts.size(); ++k) {
+    opt::LpProblem ip = ChoiceIp(scored[k].candidates, signed_deltas[k],
+                                 options_.global_l1_budget);
     // Lock previously solved objectives to their achieved values
     // (Example 11): equality as a <= / >= pair with a small tolerance.
     for (size_t j = 0; j < locked_values.size(); ++j) {
-      const double sj = stmts[j]->maximize ? 1.0 : -1.0;
-      std::vector<double> row;
-      for (const auto& [a, i] : var_index) {
-        row.push_back(sj * scored[j].per_attribute[a][i].delta);
-      }
       const double eps = 1e-6 * (1.0 + std::fabs(locked_values[j]));
-      std::vector<double> neg(row.size());
-      for (size_t v = 0; v < row.size(); ++v) neg[v] = -row[v];
-      ip.AddRow(std::move(row), locked_values[j] + eps);
+      std::vector<double> neg(signed_deltas[j].size());
+      for (size_t v = 0; v < neg.size(); ++v) neg[v] = -signed_deltas[j][v];
+      ip.AddRow(signed_deltas[j], locked_values[j] + eps);
       ip.AddRow(std::move(neg), -(locked_values[j] - eps));
     }
     HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
     if (!sol.feasible) {
       return Status::Internal("lexicographic IP infeasible");
     }
+    solver_nodes += sol.nodes_explored;
     locked_values.push_back(sol.objective);
-    final_x = sol.x;
+    final_x = std::move(sol.x);
   }
 
-  // Assemble from the last solve; report the primary objective's metrics.
-  HowToResult result;
-  result.baseline_value = scored[0].baseline;
-  result.candidates_evaluated = 0;
-  for (const ScoredCandidates& sc : scored) {
-    result.candidates_evaluated += sc.evaluated;
-    result.candidates_pruned += sc.pruned;
-    result.plan_cache_hits += sc.plan_cache_hits;
-    result.pattern_cache_hits += sc.pattern_cache_hits;
-    result.prepare_seconds += sc.prepare_seconds;
-    result.eval_seconds += sc.eval_seconds;
-    result.train_seconds += sc.train_seconds;
+  // Assemble from the last solve; report the primary objective's metrics,
+  // with the scoring counters of every objective.
+  HowToResult result = std::move(scored[0]);
+  for (size_t k = 1; k < scored.size(); ++k) {
+    result.candidates_evaluated += scored[k].candidates_evaluated;
+    result.candidates_pruned += scored[k].candidates_pruned;
+    result.plan_cache_hits += scored[k].plan_cache_hits;
+    result.pattern_cache_hits += scored[k].pattern_cache_hits;
+    result.prepare_seconds += scored[k].prepare_seconds;
+    result.eval_seconds += scored[k].eval_seconds;
+    result.train_seconds += scored[k].train_seconds;
   }
-  result.candidates = scored[0].per_attribute;
-  result.objective_value = scored[0].baseline;
-  std::vector<int> choice(scored[0].per_attribute.size(), -1);
-  for (size_t v = 0; v < var_index.size(); ++v) {
-    if (final_x[v] == 1) {
-      choice[var_index[v].first] = static_cast<int>(var_index[v].second);
-    }
-  }
-  for (size_t a = 0; a < scored[0].per_attribute.size(); ++a) {
-    AttributeChoice ac;
-    ac.attribute = stmts[0]->update_attributes[a];
-    if (choice[a] >= 0) {
-      const CandidateUpdate& cu = scored[0].per_attribute[a][choice[a]];
-      ac.changed = true;
-      ac.update = cu.spec;
-      ac.delta = cu.delta;
-      ac.cost = cu.cost;
-      result.objective_value += cu.delta;
-    }
-    result.plan.push_back(std::move(ac));
-  }
-  return result;
+  const std::vector<int> choice = ChoiceOf(result.candidates, final_x);
+  return Assemble(*stmts[0], std::move(result), choice, solver_nodes, timer);
 }
 
 }  // namespace hyper::howto

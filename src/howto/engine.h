@@ -7,7 +7,6 @@
 
 #include "causal/graph.h"
 #include "common/status.h"
-#include "service/plan_cache.h"
 #include "sql/ast.h"
 #include "storage/database.h"
 #include "whatif/compile.h"
@@ -44,18 +43,13 @@ struct HowToOptions {
   /// IP has only choice rows + one budget row; false forces general
   /// branch-and-bound (ablation).
   bool prefer_mck = true;
-  /// Optional cross-run plan cache (the scenario service passes its own so
-  /// repeated how-to runs reuse trained estimators). When null, plans are
-  /// shared within a single run only. Not owned.
-  service::PlanCache* plan_cache = nullptr;
-  /// Data-snapshot scope for plan_cache keys (see WhatIfPlanKey); must
-  /// change whenever the database content changes.
-  std::string cache_scope;
   /// Optional staged-prepare wiring (see whatif::StageContext): when set,
-  /// the baseline plan and every per-attribute candidate plan route through
-  /// the same staged pipeline, so they share the ScopeStage (and, per
-  /// attribute, everything above the QueryStage) instead of each
-  /// re-materializing the view. Not owned; must outlive Run.
+  /// the baseline plan and every per-attribute candidate plan are looked up
+  /// in the context's stage cache, so repeated runs (the scenario service
+  /// passes its own) reuse prepared plans and trained estimators, and the
+  /// plans of one run share the ScopeStage instead of each
+  /// re-materializing the view. When null, plans are shared within a
+  /// single run only. Not owned; must outlive Run.
   const whatif::StageContext* stage_context = nullptr;
 };
 
@@ -98,7 +92,8 @@ struct HowToResult {
   bool used_mck = false;
   size_t solver_nodes = 0;
   double total_seconds = 0.0;
-  /// Prepared plans served by the cross-run cache instead of being built.
+  /// Prepared plans served by the stage cache (a QueryStage lookup hit)
+  /// instead of being built.
   size_t plan_cache_hits = 0;
   /// Candidate evaluations that reused an already-trained pattern estimator
   /// of a shared plan instead of retraining it.
@@ -152,16 +147,18 @@ class HowToEngine {
   const HowToOptions& options() const { return options_; }
 
  private:
-  struct ScoredCandidates;
-
-  /// Scores every candidate with a single-attribute what-if evaluation,
-  /// sharding the (attribute, candidate) pairs across the worker pool under
-  /// the `whatif.num_threads` budget with an ordered deterministic merge.
-  /// `prune_budget` >= 0 enables cost-infeasibility pruning against that
-  /// global L1 budget (callers whose solve has no budget row — RunMinCost —
-  /// pass -1, since every candidate stays selectable there).
-  Result<ScoredCandidates> ScoreCandidates(const sql::HowToStmt& stmt,
-                                           double prune_budget) const;
+  /// Checks the statement is sound (§4.1: the updated attributes are
+  /// causally unrelated), then scores every candidate with a
+  /// single-attribute what-if evaluation, sharding the (attribute,
+  /// candidate) pairs across the worker pool under the `whatif.num_threads`
+  /// budget with an ordered deterministic merge. Returns a result holding
+  /// the baseline, every candidate and the scoring counters; the solve
+  /// fills in the rest. `prune_budget` >= 0 enables cost-infeasibility
+  /// pruning against that global L1 budget (callers whose solve has no
+  /// budget row — RunMinCost — pass -1, since every candidate stays
+  /// selectable there).
+  Result<HowToResult> ScoreCandidates(const sql::HowToStmt& stmt,
+                                      double prune_budget) const;
 
   const Database* db_;
   const causal::CausalGraph* graph_;  // nullable

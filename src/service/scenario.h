@@ -71,7 +71,7 @@ class ScenarioBranch {
 
   /// Deterministic hash of every override cell (relation, attribute, tid,
   /// value). Two branches with identical deltas fingerprint identically, so
-  /// they share plan-cache entries.
+  /// they share stage-cache entries.
   uint64_t delta_fingerprint() const { return fnv_.hash(); }
 
   size_t updates_applied() const { return updates_applied_; }

@@ -295,7 +295,7 @@ Status ScenarioService::DropScenario(const std::string& name) {
     }
   }
   // Eager eviction outside the service lock (the cache has its own): drop
-  // the branch-scoped plan / scope / query entries now instead of letting
+  // the branch-scoped scope / query (plan) entries now instead of letting
   // them squat in the LRU until capacity pressure pushes them out.
   if (!scope_tag.empty()) cache_.EvictTagged(scope_tag);
   return Status::OK();
@@ -658,9 +658,7 @@ Response ScenarioService::Dispatch(const Request& request,
     response.kind = Response::Kind::kWhatIf;
     whatif::WhatIfEngine engine(world.db.get(), graph(), opts);
     bool hit = false;
-    auto plan = cache_.GetOrPrepare(
-        WhatIfPlanKey(world.scope, *parsed->whatif, opts),
-        [&] { return engine.Prepare(*parsed->whatif, &stage_context); }, &hit);
+    auto plan = engine.Prepare(*parsed->whatif, &stage_context, &hit);
     if (plan.ok()) {
       auto result =
           engine.Evaluate(**plan, whatif::SpecsOfStatement(*parsed->whatif));
@@ -686,8 +684,6 @@ Response ScenarioService::Dispatch(const Request& request,
     ho.num_buckets = options_.howto_num_buckets;
     ho.global_l1_budget = options_.howto_global_l1_budget;
     ho.prefer_mck = options_.howto_prefer_mck;
-    ho.plan_cache = &cache_;
-    ho.cache_scope = world.scope;
     ho.stage_context = &stage_context;
     howto::HowToEngine engine(world.db.get(), graph(), ho);
     auto result = engine.Run(*parsed->howto);
@@ -812,11 +808,11 @@ Response ScenarioService::GovernedDispatch(const Request& request,
     response = Dispatch(request, world);
   } else {
     // Inject the armed guard through the per-request what-if options: the
-    // what-if engine, the how-to engine's scoring pass and the row fallback
-    // all pick it up instead of arming their own, so one deadline spans the
-    // whole request. Plan-cache keys are built from named option fields and
-    // never include governance state, so a governed request hits exactly the
-    // entries an ungoverned one would.
+    // what-if engine and the how-to engine's scoring pass both pick it up
+    // instead of arming their own, so one deadline spans the whole request.
+    // Stage-cache keys are built from named option fields and never include
+    // governance state, so a governed request hits exactly the entries an
+    // ungoverned one would.
     Request governed = request;
     whatif::WhatIfOptions opts = request.whatif_options.has_value()
                                      ? *request.whatif_options
@@ -931,8 +927,7 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
 
   // One guard for the whole sweep (when the service defaults carry a budget
   // or token): Prepare and every intervention draw down the same deadline
-  // and meters. The plan-cache key below keeps using the raw options —
-  // governance state never enters a key.
+  // and meters. Governance state never enters a stage-cache key.
   whatif::WhatIfOptions engine_options = options_.whatif;
   if (engine_options.exec_guard == nullptr) {
     engine_options.exec_guard = governance::ExecGuard::Arm(
@@ -941,9 +936,7 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
   whatif::WhatIfEngine engine(world.db.get(), graph(), engine_options);
   whatif::StageContext stage_context = StageContextFor(world);
   bool hit = false;
-  auto plan = cache_.GetOrPrepare(
-      WhatIfPlanKey(world.scope, *parsed.whatif, options_.whatif),
-      [&] { return engine.Prepare(*parsed.whatif, &stage_context); }, &hit);
+  auto plan = engine.Prepare(*parsed.whatif, &stage_context, &hit);
   if (!plan.ok()) return plan.status();
 
   std::vector<Status> statuses;

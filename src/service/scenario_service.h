@@ -39,7 +39,8 @@ struct ServiceOptions {
   size_t howto_num_buckets = 8;
   double howto_global_l1_budget = -1.0;
   bool howto_prefer_mck = true;
-  /// Prepared plans kept across requests (LRU; 0 disables the cache).
+  /// Entries kept per stage-cache section across requests (LRU; 0 disables
+  /// the cache). The query section holds the prepared plans.
   size_t plan_cache_capacity = 64;
   /// Worker threads for SubmitBatch request sharding: 1 = sequential,
   /// anything else = the process-wide pool (0 = hardware default). Results
@@ -82,7 +83,7 @@ struct Request {
   /// Per-request resource limits (zero-valued fields are unlimited). One
   /// guard spans parse + prepare + evaluate; aborts surface as
   /// kDeadlineExceeded / kResourceExhausted in the response status and
-  /// never leave partial plan- or stage-cache entries.
+  /// never leave partial stage-cache entries.
   QueryBudget budget;
   /// Cooperative cancellation (detached by default). Trip it from any
   /// thread; the request unwinds with kCancelled at its next checkpoint.
@@ -141,8 +142,8 @@ struct WhatIfBatchItem {
 
 /// The HypeR serving layer: owns a base database, a causal graph, named
 /// scenario branches (chained hypothetical updates as copy-on-write deltas,
-/// see ScenarioBranch) and a shared estimator/plan cache, and serves
-/// what-if / how-to / select requests against any branch.
+/// see ScenarioBranch) and a shared stage cache (plans and estimators), and
+/// serves what-if / how-to / select requests against any branch.
 ///
 /// Sharing model: a prepared what-if plan (relevant view, adjustment set,
 /// trained estimators) is keyed by (data scope, query shape, estimator
@@ -233,7 +234,7 @@ class ScenarioService {
   void ClearCache() { cache_.Clear(); }
 
   /// Replaces the base database: every branch is dropped back to a clean
-  /// trunk and the plan cache scope rolls over (cached plans for the old
+  /// trunk and the stage cache scope rolls over (cached plans for the old
   /// data can never serve the new data). With durability on, the reload is
   /// journaled and immediately followed by a fresh snapshot (the base data
   /// itself is not journaled — recovery verifies the operator reloaded the
@@ -361,12 +362,12 @@ class ScenarioService {
   /// they are intentionally unguarded.
   causal::CausalGraph graph_;
   bool has_graph_ = false;
-  /// Bumped by ReloadDataset; prefixes every plan-cache scope.
+  /// Bumped by ReloadDataset; prefixes every stage-cache scope.
   uint64_t generation_ GUARDED_BY(mu_) = 1;
   uint64_t next_branch_id_ GUARDED_BY(mu_) = 1;
   std::map<std::string, BranchState> branches_ GUARDED_BY(mu_);
   ServiceOptions options_;
-  PlanCache cache_;
+  StageCache cache_;
   /// Metrics handles, present iff options_.metrics was set.
   std::unique_ptr<ServiceInstruments> instruments_;
   /// Durability manager, present iff options_.data_dir was set AND recovery

@@ -55,7 +55,7 @@ void AppendCacheSection(obs::MetricsSnapshot* snapshot, const char* section,
   const std::string base = StrFormat("section=\"%s\"", section);
   AppendCounter(snapshot, "hyper_cache_events_total",
                 base + ",event=\"hit\"",
-                "Plan/stage cache events by section", double(stats.hits));
+                "Stage cache events by section", double(stats.hits));
   AppendCounter(snapshot, "hyper_cache_events_total",
                 base + ",event=\"miss\"", "", double(stats.misses));
   AppendCounter(snapshot, "hyper_cache_events_total",
@@ -188,14 +188,6 @@ void AppendServiceSeries(const ScenarioService& service,
               "1 while the service is draining", gov.draining ? 1.0 : 0.0);
 
   const PlanCacheStats cache = service.cache_stats();
-  StageStats plan;
-  plan.hits = cache.hits;
-  plan.misses = cache.misses;
-  plan.coalesced = cache.coalesced;
-  plan.evictions = cache.evictions;
-  plan.entries = cache.entries;
-  plan.capacity = cache.capacity;
-  AppendCacheSection(snapshot, "plan", plan);
   AppendCacheSection(snapshot, "scope", cache.scope);
   AppendCacheSection(snapshot, "causal", cache.causal);
   AppendCacheSection(snapshot, "learn", cache.learn);
@@ -249,15 +241,6 @@ std::string StatuszJson(const ScenarioService& service,
       .EndObject();
 
   w.Key("cache").BeginObject();
-  w.Key("plan");
-  StageStats plan;
-  plan.hits = cache.hits;
-  plan.misses = cache.misses;
-  plan.coalesced = cache.coalesced;
-  plan.evictions = cache.evictions;
-  plan.entries = cache.entries;
-  plan.capacity = cache.capacity;
-  WriteStageStats(&w, plan);
   w.Key("scope");
   WriteStageStats(&w, cache.scope);
   w.Key("causal");

@@ -88,7 +88,7 @@ class Database {
 
   /// Order-independent-of-identity content hash over schemas and cell values:
   /// two databases with Equals-equal relations fingerprint identically. Used
-  /// to scope plan-cache keys to a data snapshot.
+  /// to scope stage-cache keys to a data snapshot.
   uint64_t ContentFingerprint() const;
 
  private:

@@ -54,21 +54,6 @@ const char* StageKindName(StageKind kind) {
   return "?";
 }
 
-std::string EstimatorConfigKey(const WhatIfOptions& options) {
-  std::string key = StrFormat(
-      "|est=%d|smooth=%.17g|sample=%zu|seed=%llu",
-      static_cast<int>(options.estimator), options.frequency_smoothing,
-      options.sample_size, static_cast<unsigned long long>(options.seed));
-  const learn::ForestOptions& f = options.forest;
-  key += StrFormat(
-      "|forest=%zu,%.17g,%d,%llu,%d,%zu,%zu,%zu,%d,%zu", f.num_trees,
-      f.subsample, f.sqrt_features ? 1 : 0,
-      static_cast<unsigned long long>(f.seed), f.tree.max_depth,
-      f.tree.min_samples_leaf, f.tree.max_features, f.tree.max_thresholds,
-      f.tree.use_histograms ? 1 : 0, f.tree.max_bins);
-  return key;
-}
-
 namespace {
 
 using governance::ExecGuard;
@@ -728,10 +713,10 @@ Result<WhatIfResult> WhatIfEngine::Run(const sql::WhatIfStmt& stmt) const {
 // what-if run split into four independently keyed, independently cacheable
 // stages — Scope (view + columnar image), Causal (backdoor plan + blocks),
 // Learn (encoders + training matrix + the trained pattern-estimator cache),
-// Query (compiled hole plan + per-row constants). A PreparedWhatIf is just
-// the composition of four stage handles; Evaluate() is the cheap
+// Query (compiled hole plan + per-row constants). A PreparedWhatIf is one
+// QueryStage, which holds the other three; Evaluate() is the cheap
 // per-intervention fifth. Every stage is a pure function of its key, so a
-// plan assembled from cached stages is bit-identical to one built fresh.
+// plan built from cached stages is bit-identical to one built fresh.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -932,13 +917,17 @@ struct LearnStageData {
   }
 };
 
-/// QueryStage: the per-query leaves — compiled statement ASTs, the When
-/// mask, per-row output constants and the compiled residual (hole) plan,
-/// plus the lazily-grown residual-entry cache. Bound to one ScopeStage; the
-/// cheapest stage to rebuild, and the only one an intervention sweep or a
+/// QueryStage — the plan: the per-query leaves (compiled statement ASTs,
+/// the When mask, per-row output constants and the compiled residual (hole)
+/// plan, plus the lazily-grown residual-entry cache) and shared pointers to
+/// the Scope, Causal and Learn stages it was built from. A PreparedWhatIf
+/// owns exactly one, and the query section of a stage cache stores that
+/// PreparedWhatIf. The cheapest stage to rebuild, and the only one a
 /// When-variant pays for.
-struct QueryStageData {
-  std::shared_ptr<const ScopeStageData> built_on;
+struct PreparedWhatIf::Impl {
+  std::shared_ptr<const ScopeStageData> scope;
+  std::shared_ptr<const CausalStageData> causal;
+  std::shared_ptr<const LearnStageData> learn;
   CompiledWhatIf q;
   /// 0/1 When mask (same byte layout EvalPredicateMask produces, so it feeds
   /// PostImage::set_active and the SIMD mask kernels without conversion).
@@ -1008,17 +997,17 @@ struct QueryStageData {
     if (!e->is_literal) {
       HYPER_ASSIGN_OR_RETURN(
           relational::CompiledExpr ce,
-          relational::CompiledExpr::Compile(*residual, built_on->scope));
+          relational::CompiledExpr::Compile(*residual, scope->scope));
       HYPER_ASSIGN_OR_RETURN(
           relational::ColumnBoundExpr be,
-          relational::ColumnBoundExpr::Bind(ce, built_on->cview));
+          relational::ColumnBoundExpr::Bind(ce, scope->cview));
       e->exact = std::move(be);
       if (holes_row_invariant) {
         // One entry serves every row: cache the pre-image qualification so
         // repeated evaluations of this plan skip the per-row re-evaluation.
         // The mask kernel only fires on trees it can prove error-free, so
         // its 0/1 output is exactly the scalar tri-state without any 2s.
-        const size_t n = built_on->cview.num_rows();
+        const size_t n = scope->cview.num_rows();
         if (e->exact->TryMaskKernel(&e->exact_vals)) {
           // done: exact_vals[r] == (EvalBool(r) ? 1 : 0) for every row.
         } else {
@@ -1038,19 +1027,13 @@ struct QueryStageData {
   }
 };
 
-struct PreparedWhatIf::Impl {
-  std::shared_ptr<const ScopeStageData> scope;
-  std::shared_ptr<const CausalStageData> causal;
-  std::shared_ptr<const LearnStageData> learn;
-  std::shared_ptr<const QueryStageData> query;
-};
-
 // ---------------------------------------------------------------------------
 // Stage builders + keys. Each builder is a pure function of its key's
-// inputs; Prepare assembles a plan by running the four builders in
-// dependency order, consulting the StageContext's stage cache when there is
-// one. Keys use the same injective length-prefixed field encoding as the
-// plan-cache key.
+// inputs; Prepare looks the QueryStage (the plan) up first and, on a miss,
+// runs the upstream builders in dependency order, consulting the
+// StageContext's stage cache when there is one. Keys length-prefix every
+// free-form field so the concatenation is injective: a string literal
+// inside a predicate can never forge a neighbouring field.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1073,14 +1056,72 @@ std::string ScopeStageKey(const std::string& data_scope,
   return key;
 }
 
-std::string QueryShapeKey(const sql::WhatIfStmt& stmt) {
-  std::string key;
+/// The backdoor plan and blocks read the data only through `causal_scope`
+/// (the shape scope where Prepare allows it), plus the update attributes,
+/// the For/Output shape and the backdoor mode.
+std::string CausalStageKey(const std::string& causal_scope,
+                           const sql::WhatIfStmt& stmt,
+                           const std::string& update_relation,
+                           const WhatIfOptions& options) {
+  std::string key = "causal";
+  key += KeyField("d", causal_scope);
+  key += KeyField("use", stmt.use.ToString());
+  key += KeyField("rel", update_relation);
   for (const sql::UpdateClause& u : stmt.updates) {
     key += KeyField("upd", u.attribute);
   }
   key += KeyField("out", stmt.output.ToString());
   key += KeyField("for",
                   stmt.for_pred != nullptr ? stmt.for_pred->ToString() : "");
+  key += StrFormat("|mode=%d|blocks=%d", static_cast<int>(options.backdoor),
+                   options.use_blocks ? 1 : 0);
+  return key;
+}
+
+/// Injective text encoding of every option that can change what estimator
+/// training produces (estimator kind, smoothing, forest hyperparameters,
+/// sample size, seed). Shared by the LearnStage and QueryStage keys.
+std::string EstimatorConfigKey(const WhatIfOptions& options) {
+  std::string key = StrFormat(
+      "|est=%d|smooth=%.17g|sample=%zu|seed=%llu",
+      static_cast<int>(options.estimator), options.frequency_smoothing,
+      options.sample_size, static_cast<unsigned long long>(options.seed));
+  const learn::ForestOptions& f = options.forest;
+  key += StrFormat(
+      "|forest=%zu,%.17g,%d,%llu,%d,%zu,%zu,%zu,%d,%zu", f.num_trees,
+      f.subsample, f.sqrt_features ? 1 : 0,
+      static_cast<unsigned long long>(f.seed), f.tree.max_depth,
+      f.tree.min_samples_leaf, f.tree.max_features, f.tree.max_thresholds,
+      f.tree.use_histograms ? 1 : 0, f.tree.max_bins);
+  return key;
+}
+
+/// Training reads the causal shape, the cells `learn_scope` fingerprints
+/// (the delta restricted to the attributes training reads) and the
+/// estimator config.
+std::string LearnStageKey(const std::string& causal_key,
+                          const std::string& learn_scope,
+                          const WhatIfOptions& options) {
+  std::string key = "learn";
+  key += KeyField("c", causal_key);
+  key += KeyField("d", learn_scope);
+  key += EstimatorConfigKey(options);
+  return key;
+}
+
+/// The plan: the causal key plus the When text over the full data snapshot
+/// and the estimator config. It determines every upstream key (the scope
+/// and learn scopes are functions of the data snapshot), so a hit needs no
+/// upstream lookup.
+std::string QueryStageKey(const std::string& causal_key,
+                          const std::string& data_scope,
+                          const sql::WhatIfStmt& stmt,
+                          const WhatIfOptions& options) {
+  std::string key = "query";
+  key += KeyField("c", causal_key);
+  key += KeyField("d", data_scope);
+  key += KeyField("when", stmt.when != nullptr ? stmt.when->ToString() : "");
+  key += EstimatorConfigKey(options);
   return key;
 }
 
@@ -1414,13 +1455,12 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   return std::shared_ptr<const LearnStageData>(std::move(stage));
 }
 
-Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
-    std::shared_ptr<const ScopeStageData> scope_stage, CompiledWhatIf q,
-    const CausalStageData& causal, const ExecGuard* guard) {
-  auto stage = std::make_shared<QueryStageData>();
-  stage->built_on = scope_stage;
+/// Builds the QueryStage payload into `stage`, whose upstream stage
+/// pointers the caller has already set.
+Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
+                       const ExecGuard* guard) {
   stage->q = std::move(q);
-  const ColumnTable& cview = scope_stage->cview;
+  const ColumnTable& cview = stage->scope->cview;
   const size_t n = cview.num_rows();
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.prepare.query"));
@@ -1439,7 +1479,7 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
     HYPER_ASSIGN_OR_RETURN(
         relational::CompiledExpr ce,
         relational::CompiledExpr::Compile(*stage->q.output_value,
-                                          scope_stage->scope));
+                                          stage->scope->scope));
     HYPER_ASSIGN_OR_RETURN(relational::ColumnBoundExpr be,
                            relational::ColumnBoundExpr::Bind(ce, cview));
     stage->out_eval = std::move(be);
@@ -1477,14 +1517,15 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
   stage->holes_row_invariant = true;
   if (stage->q.for_pred != nullptr) {
     std::unordered_set<const Expr*> random_nodes;
-    MarkRandom(*stage->q.for_pred, causal.plan.random_cols, &random_nodes);
+    MarkRandom(*stage->q.for_pred, stage->causal->plan.random_cols,
+               &random_nodes);
     CollectHoles(*stage->q.for_pred, random_nodes, &stage->hole_exprs,
                  &stage->hole_of);
     stage->hole_compiled.reserve(stage->hole_exprs.size());
     for (const Expr* h : stage->hole_exprs) {
       HYPER_ASSIGN_OR_RETURN(
           relational::CompiledExpr ce,
-          relational::CompiledExpr::Compile(*h, scope_stage->scope));
+          relational::CompiledExpr::Compile(*h, stage->scope->scope));
       stage->hole_compiled.push_back(std::move(ce));
       // A hole without column references (a constant threshold, an
       // arithmetic of literals) folds to the same value for every tuple.
@@ -1493,7 +1534,7 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
       if (!refs.empty()) stage->holes_row_invariant = false;
     }
   }
-  return std::shared_ptr<const QueryStageData>(std::move(stage));
+  return Status::OK();
 }
 
 /// GetOrBuild through the context's stage cache when Prepare has one, a
@@ -1502,7 +1543,8 @@ template <typename T, typename Factory>
 Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
                                                bool staged, StageKind kind,
                                                const std::string& key,
-                                               const Factory& factory) {
+                                               const Factory& factory,
+                                               bool* hit = nullptr) {
   if (!staged) return factory();
   HYPER_ASSIGN_OR_RETURN(
       StageProvider::StagePtr ptr,
@@ -1512,7 +1554,7 @@ Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
             HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const T> stage, factory());
             return std::static_pointer_cast<const void>(stage);
           },
-          nullptr));
+          hit));
   return std::static_pointer_cast<const T>(ptr);
 }
 
@@ -1522,11 +1564,12 @@ PreparedWhatIf::PreparedWhatIf() : impl_(std::make_unique<Impl>()) {}
 PreparedWhatIf::~PreparedWhatIf() = default;
 
 Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
-    const sql::WhatIfStmt& stmt, const StageContext* ctx) const {
+    const sql::WhatIfStmt& stmt, const StageContext* ctx,
+    bool* cache_hit) const {
+  if (cache_hit != nullptr) *cache_hit = false;
   if (stmt.updates.empty()) {
     return Status::InvalidArgument("what-if query requires an Update clause");
   }
-  Stopwatch prep_timer;
   const bool staged = ctx != nullptr && ctx->stages != nullptr;
   const std::string& update_attr0 = stmt.updates[0].attribute;
   HYPER_ASSIGN_OR_RETURN(std::string update_relation,
@@ -1541,6 +1584,45 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
           "attribute '" + update_attr0 + "'");
     }
   }
+
+  // The CausalStage is value-independent for table views without
+  // cross-tuple edges (overrides never change the data shape), so its key
+  // then carries only the shape scope and every branch of a generation
+  // shares one entry. Cross-tuple edges or select views make blocks (or the
+  // view shape itself) depend on cell values: fall back to the full data
+  // scope.
+  std::string causal_key;
+  if (staged) {
+    bool any_cross_tuple = false;
+    if (graph_ != nullptr) {
+      for (const causal::CausalEdge& e : graph_->edges()) {
+        if (e.is_cross_tuple()) {
+          any_cross_tuple = true;
+          break;
+        }
+      }
+    }
+    const bool shape_keyed =
+        stmt.use.is_table() && !any_cross_tuple && !ctx->shape_scope.empty();
+    causal_key =
+        CausalStageKey(shape_keyed ? ctx->shape_scope : ctx->data_scope, stmt,
+                       update_relation, options_);
+  }
+
+  return StagedOrFresh<PreparedWhatIf>(
+      ctx, staged, StageKind::kQuery,
+      staged ? QueryStageKey(causal_key, ctx->data_scope, stmt, options_)
+             : std::string(),
+      [&] { return BuildPlan(stmt, ctx, update_relation, causal_key); },
+      cache_hit);
+}
+
+Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
+    const sql::WhatIfStmt& stmt, const StageContext* ctx,
+    const std::string& update_relation, const std::string& causal_key) const {
+  Stopwatch prep_timer;
+  const bool staged = ctx != nullptr && ctx->stages != nullptr;
+  const std::string& update_attr0 = stmt.updates[0].attribute;
 
   // One guard for the whole prepare (pre-armed by the caller when a single
   // deadline must span more than this call). Checked before every stage and
@@ -1571,41 +1653,12 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
   }
 
   // Statement compilation against the shared view is cheap (AST clones +
-  // validation); it runs per Prepare so every stage below can consult the
+  // validation); it runs per build so every stage below can consult the
   // compiled shape.
   HYPER_ASSIGN_OR_RETURN(CompiledWhatIf q,
                          CompileWhatIfAgainst(scope_stage->view_info, stmt));
 
   // --- CausalStage: backdoor plan + ground blocks --------------------------
-  // Value-independent for table views without cross-tuple edges (overrides
-  // never change the data shape), so its key then carries only the shape
-  // scope and every branch of a generation shares one entry. Cross-tuple
-  // edges or select views make blocks (or the view shape itself) depend on
-  // cell values: fall back to the full data scope.
-  bool any_cross_tuple = false;
-  if (graph_ != nullptr) {
-    for (const causal::CausalEdge& e : graph_->edges()) {
-      if (e.is_cross_tuple()) {
-        any_cross_tuple = true;
-        break;
-      }
-    }
-  }
-  const bool shape_keyed = stmt.use.is_table() && !any_cross_tuple;
-  std::string causal_key;
-  if (staged) {
-    const std::string& causal_scope =
-        shape_keyed && !ctx->shape_scope.empty() ? ctx->shape_scope
-                                                 : ctx->data_scope;
-    causal_key = "causal";
-    causal_key += KeyField("d", causal_scope);
-    causal_key += KeyField("use", stmt.use.ToString());
-    causal_key += KeyField("rel", update_relation);
-    causal_key += QueryShapeKey(stmt);
-    causal_key += StrFormat("|mode=%d|blocks=%d",
-                            static_cast<int>(options_.backdoor),
-                            options_.use_blocks ? 1 : 0);
-  }
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.causal"));
   }
@@ -1624,18 +1677,13 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
   // estimators) outright.
   std::string learn_key;
   if (staged) {
-    std::string learn_scope;
-    if (stmt.use.is_table() && ctx->restricted != nullptr) {
-      learn_scope = ctx->restricted(
-          q.view_info->update_relation,
-          LearnDependencyColumns(q, causal_stage->plan));
-    } else {
-      learn_scope = ctx->data_scope;
-    }
-    learn_key = "learn";
-    learn_key += KeyField("c", causal_key);
-    learn_key += KeyField("d", learn_scope);
-    learn_key += EstimatorConfigKey(options_);
+    learn_key = LearnStageKey(
+        causal_key,
+        stmt.use.is_table() && ctx->restricted != nullptr
+            ? ctx->restricted(q.view_info->update_relation,
+                              LearnDependencyColumns(q, causal_stage->plan))
+            : ctx->data_scope,
+        options_);
   }
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.learn"));
@@ -1649,39 +1697,22 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
           })));
 
   // --- QueryStage: hole plan + per-row constants ---------------------------
-  std::string query_key;
-  if (staged) {
-    query_key = "query";
-    query_key += KeyField("c", causal_key);
-    query_key += KeyField("d", ctx->data_scope);
-    query_key += KeyField("when",
-                          stmt.when != nullptr ? stmt.when->ToString() : "");
-  }
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.query"));
   }
-  HYPER_ASSIGN_OR_RETURN(
-      std::shared_ptr<const QueryStageData> query_stage,
-      (StagedOrFresh<QueryStageData>(
-          ctx, staged, StageKind::kQuery, query_key, [&] {
-            return BuildQueryStage(scope_stage, std::move(q), *causal_stage,
-                                   guard.get());
-          })));
-
-  // --- assembly ------------------------------------------------------------
   std::shared_ptr<PreparedWhatIf> prepared(new PreparedWhatIf());
   PreparedWhatIf::Impl& im = *prepared->impl_;
   im.scope = std::move(scope_stage);
   im.causal = std::move(causal_stage);
   im.learn = std::move(learn_stage);
-  im.query = std::move(query_stage);
+  HYPER_RETURN_NOT_OK(BuildQueryStage(&im, std::move(q), guard.get()));
 
-  for (const UpdateSpec& u : im.query->q.updates) {
+  for (const UpdateSpec& u : im.q.updates) {
     prepared->update_attributes_.push_back(u.attribute);
   }
   prepared->backdoor_ = im.causal->plan.backdoor_causal;
   prepared->view_rows_ = n;
-  prepared->updated_rows_ = im.query->updated;
+  prepared->updated_rows_ = im.updated;
   prepared->prepare_seconds_ = prep_timer.ElapsedSeconds();
   return std::shared_ptr<const PreparedWhatIf>(std::move(prepared));
 }
@@ -1700,7 +1731,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   const ScopeStageData& sc = *im.scope;
   const CausalStageData& ca = *im.causal;
   const LearnStageData& le = *im.learn;
-  const QueryStageData& qs = *im.query;
+  const PreparedWhatIf::Impl& qs = im;  // the QueryStage
+  using Entry = PreparedWhatIf::Impl::Entry;
   const CompiledWhatIf& q = qs.q;
   const ColumnTable& cview = sc.cview;
   const size_t n = cview.num_rows();
@@ -1906,7 +1938,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // A flat uniform Pass B reads the shared entry directly, so the fast
   // Pass A can skip both the entry map and its n-slot zeroed allocation.
   std::vector<uint32_t> entry_of_row(fast_pass_a && flat_blocks ? 0 : n);
-  std::vector<const QueryStageData::Entry*> local_entries;
+  std::vector<const Entry*> local_entries;
   std::vector<const PatternEstimators*> pattern_of_entry;
   std::unordered_map<std::vector<Value>, uint32_t, ValueVectorHash,
                      ValueVectorEq>
@@ -1937,7 +1969,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     if (!flat_blocks) {
       std::fill(entry_of_row.begin(), entry_of_row.end(), uniform_id);
     }
-    const QueryStageData::Entry& e = *local_entries[uniform_id];
+    const Entry& e = *local_entries[uniform_id];
     if (!(e.is_literal && !e.literal_value)) {
       const uint32_t* gid = le.residual_gid.data();
       std::vector<uint32_t> slot_of_gid(le.residual_groups, UINT32_MAX);
@@ -2009,7 +2041,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
       }
       entry_of_row[r] = id;
-      const QueryStageData::Entry& e = *local_entries[id];
+      const Entry& e = *local_entries[id];
       if (e.is_literal && !e.literal_value) continue;  // disqualified
       if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
       if (pattern_of_entry[id] == nullptr) {
@@ -2079,7 +2111,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // a re-evaluated row fails.
   const auto add_row = [&](size_t r, uint32_t id, double* num, double* den,
                            Status* error) __attribute__((always_inline)) {
-    const QueryStageData::Entry& e = *local_entries[id];
+    const Entry& e = *local_entries[id];
     if (e.is_literal && !e.literal_value) return true;  // disqualified
     double weight = 1.0, weighted_value = 0.0;
     if (!(in_s[r] || (psic != nullptr && psic[r]))) {
@@ -2190,7 +2222,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     // -0.0). Replacing the affected/unaffected branch with a select removes
     // the data-dependent mispredictions that dominate this loop on mixed
     // selections.
-    const QueryStageData::Entry* ue = uniform ? local_entries[uniform_id]
+    const Entry* ue = uniform ? local_entries[uniform_id]
                                               : nullptr;
     const PatternEstimators* upat =
         uniform ? pattern_of_entry[uniform_id] : nullptr;

@@ -39,13 +39,17 @@ namespace hyper::whatif {
 //                adjustment set, For/Output references, psi links) — a
 //                branch whose delta touches none of them reuses the
 //                parent's LearnStage outright
-//   QueryStage   compiled residual (hole) plan + per-row constants (When
-//                mask, output values)
-//                key: + When text + the full data snapshot
+//   QueryStage   the plan itself: compiled residual (hole) plan + per-row
+//                constants (When mask, output values) + shared pointers to
+//                the Scope, Causal and Learn stages it was built from
+//                key: causal key + When text + the full data snapshot +
+//                estimator config (so it determines every upstream key)
 //
-// Stage payloads are opaque to callers (defined in engine.cc); downstream
-// stages hold shared_ptr references upstream, so evicting an upstream cache
-// entry never invalidates a live downstream stage or an assembled plan.
+// Prepare looks the QueryStage up first; only a miss walks Scope -> Causal
+// -> Learn through their own cache sections. A warm request is therefore
+// one lookup. Stage payloads are opaque to callers (defined in engine.cc);
+// downstream stages hold shared_ptr references upstream, so evicting an
+// upstream cache entry never invalidates a live downstream stage or plan.
 // ---------------------------------------------------------------------------
 
 enum class StageKind { kScope = 0, kCausal, kLearn, kQuery };
@@ -117,14 +121,6 @@ enum class BackdoorMode {
 
 const char* BackdoorModeName(BackdoorMode mode);
 
-struct WhatIfOptions;
-
-/// Injective text encoding of every option that can change what estimator
-/// training produces (estimator kind, smoothing, forest hyperparameters,
-/// sample size, seed). Shared by the plan-cache key and the LearnStage key
-/// so the two can never drift apart.
-std::string EstimatorConfigKey(const WhatIfOptions& options);
-
 struct WhatIfOptions {
   learn::EstimatorKind estimator = learn::EstimatorKind::kForest;
   learn::ForestOptions forest = {};
@@ -183,19 +179,22 @@ struct WhatIfResult {
   double prepare_seconds = 0.0;
   /// Per-intervention evaluation time (includes lazy pattern training).
   double eval_seconds = 0.0;
-  /// True when a ScenarioService / PlanCache served the prepared plan.
+  /// True when Prepare's QueryStage lookup hit: the prepared plan came
+  /// from the stage cache (or a concurrent caller's in-flight build).
   bool plan_cache_hit = false;
   /// Pattern estimators this query needed that were already trained on the
   /// shared plan (by an earlier query or batch sibling).
   size_t pattern_cache_hits = 0;
 };
 
-/// A prepared what-if plan: the relevant view (columnar image), the backdoor
-/// adjustment set, fitted encoders, the training matrix, the compiled hole
-/// plan for residual folding, and a lazily-grown cache of trained pattern
-/// estimators. Preparation is the expensive, intervention-independent part
-/// of a what-if run; `WhatIfEngine::Evaluate` answers any intervention over
-/// the same (view, update attributes, When, For, Output) shape against it.
+/// A prepared what-if plan — one QueryStage: the compiled hole plan for
+/// residual folding and the per-row constants, holding the Scope (relevant
+/// view, columnar image), Causal (backdoor adjustment set, blocks) and Learn
+/// (fitted encoders, training matrix, a lazily-grown cache of trained
+/// pattern estimators) stages it was built from. Preparation is the
+/// expensive, intervention-independent part of a what-if run;
+/// `WhatIfEngine::Evaluate` answers any intervention over the same (view,
+/// update attributes, When, For, Output) shape against it.
 ///
 /// Concurrency contract (audited for the parallel how-to scorer and the
 /// scenario service, which share one PreparedWhatIf — and, staged, whole
@@ -203,7 +202,7 @@ struct WhatIfResult {
 /// except for three lazily-grown caches — the residual-entry list and the
 /// hole-value -> entry map (QueryStage, one mutex) and the
 /// pattern-estimator map (LearnStage, its own mutex; shared by every plan
-/// assembled on that stage). The two locks are never held together.
+/// built on that stage). The two locks are never held together.
 /// Concurrent Evaluate calls are safe:
 ///   - entries are unique_ptr-owned (stable addresses across list growth)
 ///     and individually immutable once published under the lock;
@@ -231,7 +230,7 @@ class PreparedWhatIf {
   size_t updated_rows() const { return updated_rows_; }
   double prepare_seconds() const { return prepare_seconds_; }
 
-  /// Opaque internals (defined in engine.cc).
+  /// The QueryStage payload (defined in engine.cc).
   struct Impl;
 
  private:
@@ -269,15 +268,18 @@ class WhatIfEngine {
   /// attribute list matters. A view column that mixes strings with numbers
   /// has no columnar image and returns InvalidArgument.
   ///
-  /// With a StageContext that carries a stage cache, the plan is assembled
-  /// from the four-stage pipeline: each stage is looked up in the
-  /// context's stage cache under its own key and only missing stages are
-  /// built — so a plan differing from a cached one only in its When clause
-  /// rebuilds just the QueryStage, and a scenario branch whose delta touches
-  /// no training-relevant attribute reuses the parent's LearnStage (trained
-  /// estimators included). Assembled plans are bit-identical to fresh ones.
+  /// With a StageContext that carries a stage cache, the plan is the
+  /// QueryStage of the four-stage pipeline: Prepare looks it up first and
+  /// returns the cached plan on a hit. On a miss each upstream stage is
+  /// looked up under its own key and only missing stages are built — so a
+  /// plan differing from a cached one only in its When clause rebuilds just
+  /// the QueryStage, and a scenario branch whose delta touches no
+  /// training-relevant attribute reuses the parent's LearnStage (trained
+  /// estimators included). Cached plans are bit-identical to fresh ones.
+  /// `cache_hit`, when given, reports whether the QueryStage lookup hit.
   Result<std::shared_ptr<const PreparedWhatIf>> Prepare(
-      const sql::WhatIfStmt& stmt, const StageContext* context = nullptr) const;
+      const sql::WhatIfStmt& stmt, const StageContext* context = nullptr,
+      bool* cache_hit = nullptr) const;
 
   /// Evaluates one intervention against a prepared plan. `updates` must
   /// target the plan's update attributes in order; constants and update
@@ -310,6 +312,13 @@ class WhatIfEngine {
   const WhatIfOptions& options() const { return options_; }
 
  private:
+  /// Prepare's QueryStage build: every upstream stage (through its own
+  /// cache section when `context` carries a stage cache), then the plan.
+  Result<std::shared_ptr<const PreparedWhatIf>> BuildPlan(
+      const sql::WhatIfStmt& stmt, const StageContext* context,
+      const std::string& update_relation,
+      const std::string& causal_key) const;
+
   const Database* db_;
   const causal::CausalGraph* graph_;  // nullable
   WhatIfOptions options_;

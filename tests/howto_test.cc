@@ -300,14 +300,29 @@ TEST_F(HowToGermanTest, LexicographicLocksPrimary) {
                  .value();
   // The lexicographic solution achieves the same primary objective.
   EXPECT_NEAR(lex.objective_value, solo.objective_value, 1e-6);
+  // It reports its solves like Run does.
+  EXPECT_GT(lex.total_seconds, 0.0);
+  EXPECT_GT(lex.solver_nodes, 0u);
 }
 
 TEST_F(HowToGermanTest, RejectsCausallyRelatedUpdates) {
-  // Savings affects CreditAmount in the discrete German SCM.
-  auto result = Engine().RunSql(
-      "Use German HowToUpdate Savings, CreditAmount "
-      "ToMaximize Avg(Post(Credit))");
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // Savings affects CreditAmount in the discrete German SCM, so updating
+  // both is unsound (§4.1): every solve refuses the statement.
+  auto stmt = sql::ParseSql(
+                  "Use German HowToUpdate Savings, CreditAmount "
+                  "ToMaximize Avg(Post(Credit))")
+                  .value();
+  auto engine = Engine();
+  EXPECT_EQ(engine.Run(*stmt.howto).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.RunMinCost(*stmt.howto, /*objective_target=*/0.0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.RunLexicographic({stmt.howto.get(), stmt.howto.get()})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(HowToGermanTest, RejectsImmutableAttribute) {

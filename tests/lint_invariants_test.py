@@ -25,6 +25,7 @@ def main():
     fixtures = os.path.join(repo, "tests", "lint")
     cases = [
         ("fail_cache_key.h", "cache-key-governance"),
+        ("fail_key_function.cc", "cache-key-governance"),
         ("service/fail_unordered_iter.cc", "unordered-iter"),
         ("whatif/fail_steady_clock.cc", "steady-clock"),
         ("whatif/fail_raw_atomic.cc", "raw-atomic-partition"),
@@ -43,7 +44,8 @@ def main():
         else:
             print(f"ok: {rel} fires [{rule}]")
 
-    for rel in ("pass_cache_key.h", "service/pass_unordered_iter.cc",
+    for rel in ("pass_cache_key.h", "pass_key_function.cc",
+                "service/pass_unordered_iter.cc",
                 "whatif/pass_steady_clock.cc", "whatif/pass_raw_atomic.cc",
                 "pass_void_cast.cc"):
         r = run_linter(repo, os.path.join(fixtures, rel))

@@ -256,10 +256,11 @@ TEST(ServiceMetricsTest, SubmitsLandInRegistryInstruments) {
   ASSERT_TRUE(statusz.ok()) << statusz.status();
   const JsonValue* cache = statusz.value().Find("cache");
   ASSERT_NE(cache, nullptr);
-  const JsonValue* plan = cache->Find("plan");
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->GetInt("hits"), 1);
-  EXPECT_EQ(plan->GetInt("misses"), 1);
+  EXPECT_EQ(cache->Find("plan"), nullptr);  // the query section is the plan
+  const JsonValue* plans = cache->Find("query");
+  ASSERT_NE(plans, nullptr);
+  EXPECT_EQ(plans->GetInt("hits"), 1);
+  EXPECT_EQ(plans->GetInt("misses"), 1);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "golden_cases.h"
 #include "howto/engine.h"
 #include "net/query_handler.h"
-#include "service/plan_cache.h"
 #include "service/scenario_service.h"
 #include "sql/parser.h"
 #include "whatif/engine.h"
@@ -237,6 +236,59 @@ TEST_F(ServiceTest, EmptyHypotheticalKeepsCachedPlans) {
   EXPECT_TRUE(service->Submit({"main", kQuery, {}}).whatif.plan_cache_hit);
 }
 
+// --- the QueryStage is the plan ------------------------------------------
+
+// A warm what-if is one lookup: the QueryStage (the plan) hits, and no
+// upstream section is consulted.
+TEST_F(ServiceTest, WarmWhatIfIsOneQueryLookup) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ASSERT_TRUE(service->Submit({"main", kQuery, {}}).ok());
+  const PlanCacheStats cold = service->cache_stats();
+  Response warm = service->Submit({"main", kQuery, {}});
+  ASSERT_TRUE(warm.ok()) << warm.status;
+  EXPECT_TRUE(warm.whatif.plan_cache_hit);
+  const PlanCacheStats after = service->cache_stats();
+
+  EXPECT_EQ(cold.query.hits + 1, after.query.hits);
+  EXPECT_EQ(cold.query.misses, after.query.misses);
+  EXPECT_EQ(cold.query.coalesced, after.query.coalesced);
+  const std::pair<const StageStats*, const StageStats*> upstream[] = {
+      {&cold.scope, &after.scope},
+      {&cold.causal, &after.causal},
+      {&cold.learn, &after.learn}};
+  for (const auto& [before, now] : upstream) {
+    EXPECT_EQ(before->hits, now->hits);
+    EXPECT_EQ(before->misses, now->misses);
+    EXPECT_EQ(before->coalesced, now->coalesced);
+  }
+}
+
+// The estimator config is part of the plan key: two requests that differ
+// only in the estimator build two QueryStages (and two LearnStages) over
+// one ScopeStage and one CausalStage, and each answers like a fresh run.
+TEST_F(ServiceTest, EstimatorVariantsShareScopeAndCausalStages) {
+  const whatif::WhatIfOptions frequency = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  const whatif::WhatIfOptions forest = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  auto service = MakeService(frequency);
+  Response a = service->Submit({"main", kQuery, frequency});
+  ASSERT_TRUE(a.ok()) << a.status;
+  Response b = service->Submit({"main", kQuery, forest});
+  ASSERT_TRUE(b.ok()) << b.status;
+  EXPECT_FALSE(b.whatif.plan_cache_hit);
+
+  const PlanCacheStats stats = service->cache_stats();
+  EXPECT_EQ(2u, stats.query.misses);
+  EXPECT_EQ(2u, stats.query.entries);
+  EXPECT_EQ(2u, stats.learn.misses);
+  EXPECT_EQ(1u, stats.scope.misses);
+  EXPECT_EQ(1u, stats.causal.misses);
+  EXPECT_EQ(FreshRun(kQuery, frequency), a.whatif.value);
+  EXPECT_EQ(FreshRun(kQuery, forest), b.whatif.value);
+}
+
 // --- LRU eviction ---------------------------------------------------------
 
 TEST_F(ServiceTest, LruEvictionUnderSmallCapacity) {
@@ -253,8 +305,8 @@ TEST_F(ServiceTest, LruEvictionUnderSmallCapacity) {
     ASSERT_TRUE(service->Submit({"main", q, {}}).ok());
   }
   PlanCacheStats stats = service->cache_stats();
-  EXPECT_EQ(2u, stats.entries);
-  EXPECT_EQ(1u, stats.evictions);
+  EXPECT_EQ(2u, stats.query.entries);
+  EXPECT_EQ(1u, stats.query.evictions);
   EXPECT_EQ(3u, stats.misses);
 
   // The oldest entry was evicted: re-submitting it misses (and evicts the
@@ -264,7 +316,7 @@ TEST_F(ServiceTest, LruEvictionUnderSmallCapacity) {
   EXPECT_EQ(FreshRun(queries[0], options), again.whatif.value);
   stats = service->cache_stats();
   EXPECT_EQ(4u, stats.misses);
-  EXPECT_EQ(2u, stats.evictions);
+  EXPECT_EQ(2u, stats.query.evictions);
 
   // The most recent entry is still cached.
   EXPECT_TRUE(service->Submit({"main", queries[2], {}}).whatif.plan_cache_hit);
@@ -277,7 +329,7 @@ TEST_F(ServiceTest, CapacityZeroDisablesCaching) {
       /*capacity=*/0);
   EXPECT_FALSE(service->Submit({"main", kQuery, {}}).whatif.plan_cache_hit);
   EXPECT_FALSE(service->Submit({"main", kQuery, {}}).whatif.plan_cache_hit);
-  EXPECT_EQ(0u, service->cache_stats().entries);
+  EXPECT_EQ(0u, service->cache_stats().query.entries);
 }
 
 // --- concurrency ----------------------------------------------------------
@@ -331,28 +383,36 @@ TEST_F(ServiceTest, ConcurrentExplicitThreadsDeterminism) {
   for (double v : values) EXPECT_EQ(expected, v);
 }
 
-// --- plan-cache single-flight and accounting ------------------------------
+// --- stage-cache single-flight and accounting -----------------------------
 
-TEST_F(ServiceTest, GetOrPrepareSingleFlightsConcurrentMisses) {
+// The query section's entries are plans, and StageCache::GetOrBuild hands
+// out type-erased stages: AsStage turns a Prepare result into one.
+Result<StageCache::StagePtr> AsStage(
+    Result<std::shared_ptr<const whatif::PreparedWhatIf>> plan) {
+  if (!plan.ok()) return plan.status();
+  return std::static_pointer_cast<const void>(*plan);
+}
+
+TEST_F(ServiceTest, GetOrBuildSingleFlightsConcurrentMisses) {
   const whatif::WhatIfOptions options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
   whatif::WhatIfEngine engine(&db_, &graph_, options);
   auto stmt = sql::ParseSql(kQuery);
   ASSERT_TRUE(stmt.ok());
 
-  PlanCache cache(8);
+  StageCache cache(8);
   std::atomic<size_t> prepares{0};
   std::atomic<size_t> started{0};
-  auto prepare = [&]() -> Result<std::shared_ptr<const whatif::PreparedWhatIf>> {
+  auto prepare = [&]() -> Result<StageCache::StagePtr> {
     ++prepares;
     // Hold the in-flight slot open long enough that every follower arrives
     // while the leader is still preparing, even on one core.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    return engine.Prepare(*stmt->whatif);
+    return AsStage(engine.Prepare(*stmt->whatif));
   };
 
   constexpr size_t kCallers = 8;
-  std::vector<std::shared_ptr<const whatif::PreparedWhatIf>> plans(kCallers);
+  std::vector<StageCache::StagePtr> plans(kCallers);
   // char, not bool: vector<bool> packs bits, and concurrent writes to
   // adjacent bits would themselves be a data race under the TSan gate.
   std::vector<char> hits(kCallers, 0);
@@ -362,7 +422,8 @@ TEST_F(ServiceTest, GetOrPrepareSingleFlightsConcurrentMisses) {
       ++started;
       while (started.load() < kCallers) std::this_thread::yield();
       bool hit = false;
-      auto plan = cache.GetOrPrepare("key", prepare, &hit);
+      auto plan =
+          cache.GetOrBuild(whatif::StageKind::kQuery, "key", prepare, &hit);
       ASSERT_TRUE(plan.ok()) << plan.status();
       plans[t] = *plan;
       hits[t] = hit ? 1 : 0;
@@ -380,19 +441,20 @@ TEST_F(ServiceTest, GetOrPrepareSingleFlightsConcurrentMisses) {
 
   // Accounting: one miss (the preparer), everyone else coalesced or hit,
   // and the ledger reconciles with both the lookup and the prepare count.
-  PlanCacheStats stats = cache.stats();
+  StageStats stats = cache.stats().query;
   EXPECT_EQ(prepares.load(), stats.misses);
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_EQ(kCallers, stats.hits + stats.misses + stats.coalesced);
 
   // A later lookup is a plain hit.
   bool hit = false;
-  ASSERT_TRUE(cache.GetOrPrepare("key", prepare, &hit).ok());
+  ASSERT_TRUE(
+      cache.GetOrBuild(whatif::StageKind::kQuery, "key", prepare, &hit).ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(1u, prepares.load());
 }
 
-TEST_F(ServiceTest, GetOrPrepareFailurePropagatesToAllWaitersOnce) {
+TEST_F(ServiceTest, GetOrBuildFailurePropagatesToAllWaitersOnce) {
   const whatif::WhatIfOptions options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
   whatif::WhatIfEngine engine(&db_, &graph_, options);
@@ -404,11 +466,10 @@ TEST_F(ServiceTest, GetOrPrepareFailurePropagatesToAllWaitersOnce) {
   // error (exactly one factory run — the failure is not retried N times),
   // nothing is stored, and the in-flight slot is cleared so a later call
   // rebuilds from scratch.
-  PlanCache cache(8);
+  StageCache cache(8);
   std::atomic<size_t> runs{0};
   std::atomic<size_t> started{0};
-  auto failing =
-      [&]() -> Result<std::shared_ptr<const whatif::PreparedWhatIf>> {
+  auto failing = [&]() -> Result<StageCache::StagePtr> {
     ++runs;
     // Keep the in-flight slot open so every follower coalesces onto the
     // doomed build instead of racing past it.
@@ -423,7 +484,8 @@ TEST_F(ServiceTest, GetOrPrepareFailurePropagatesToAllWaitersOnce) {
     workers.emplace_back([&, t] {
       ++started;
       while (started.load() < kCallers) std::this_thread::yield();
-      auto plan = cache.GetOrPrepare("key", failing);
+      auto plan =
+          cache.GetOrBuild(whatif::StageKind::kQuery, "key", failing, nullptr);
       statuses[t] = plan.ok() ? Status::OK() : plan.status();
     });
   }
@@ -438,55 +500,24 @@ TEST_F(ServiceTest, GetOrPrepareFailurePropagatesToAllWaitersOnce) {
 
   // The failure stored nothing: no entry, and the miss ledger still
   // reconciles (1 miss for the failed leader, the rest coalesced).
-  PlanCacheStats stats = cache.stats();
+  StageStats stats = cache.stats().query;
   EXPECT_EQ(0u, stats.entries);
-  EXPECT_EQ(nullptr, cache.Get("key"));
+  EXPECT_EQ(nullptr, cache.Peek(whatif::StageKind::kQuery, "key"));
   EXPECT_EQ(1u, stats.misses);
   EXPECT_EQ(kCallers - 1, stats.coalesced);
 
   // The in-flight slot was cleared: a retry runs the factory again, and a
   // now-successful factory populates the cache normally.
-  auto rebuild =
-      [&]() -> Result<std::shared_ptr<const whatif::PreparedWhatIf>> {
+  auto rebuild = [&]() -> Result<StageCache::StagePtr> {
     ++runs;
-    return engine.Prepare(*stmt->whatif);
+    return AsStage(engine.Prepare(*stmt->whatif));
   };
   bool hit = true;
-  auto plan = cache.GetOrPrepare("key", rebuild, &hit);
+  auto plan = cache.GetOrBuild(whatif::StageKind::kQuery, "key", rebuild, &hit);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_FALSE(hit);
   EXPECT_EQ(2u, runs.load());
-  EXPECT_EQ(1u, cache.stats().entries);
-}
-
-TEST_F(ServiceTest, PutLostRaceCountsCoalesced) {
-  const whatif::WhatIfOptions options = EngineOptions(
-      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
-  whatif::WhatIfEngine engine(&db_, &graph_, options);
-  auto stmt = sql::ParseSql(kQuery);
-  ASSERT_TRUE(stmt.ok());
-
-  // Two manual Get+Prepare+Put racers: both Gets miss, both prepare, the
-  // second Put converges on the first entry. The ledger must reconcile:
-  // 2 lookups = 2 misses = 2 prepares, and the dropped duplicate prepare is
-  // visible as 1 coalesced insert.
-  PlanCache cache(8);
-  EXPECT_EQ(nullptr, cache.Get("key"));
-  EXPECT_EQ(nullptr, cache.Get("key"));
-  auto first = engine.Prepare(*stmt->whatif);
-  auto second = engine.Prepare(*stmt->whatif);
-  ASSERT_TRUE(first.ok() && second.ok());
-  auto canonical1 = cache.Put("key", *first);
-  auto canonical2 = cache.Put("key", *second);
-  EXPECT_EQ(first->get(), canonical1.get());
-  EXPECT_EQ(first->get(), canonical2.get());  // second racer lost
-
-  PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(0u, stats.hits);
-  EXPECT_EQ(2u, stats.misses);
-  EXPECT_EQ(1u, stats.coalesced);
-  EXPECT_EQ(1u, stats.entries);
-  EXPECT_EQ(2u, stats.hits + stats.misses);  // reconciles with 2 prepares
+  EXPECT_EQ(1u, cache.stats().query.entries);
 }
 
 // --- per-item statuses in batched what-if ---------------------------------
@@ -580,18 +611,24 @@ TEST_F(ServiceTest, ConcurrentMixedHowToStressBitEqualAcrossThreads) {
       "ToMinimize Avg(Post(CreditAmount))");
   ASSERT_TRUE(primary.ok() && secondary.ok());
 
-  auto engine_with = [&](PlanCache* cache, size_t threads) {
+  auto context_of = [](StageCache* cache) {
+    whatif::StageContext ctx;
+    ctx.stages = cache;
+    ctx.data_scope = "stress";
+    return ctx;
+  };
+  auto engine_with = [&](const whatif::StageContext* ctx, size_t threads) {
     howto::HowToOptions ho;
     ho.whatif = options;
     ho.whatif.num_threads = threads;
-    ho.plan_cache = cache;
-    ho.cache_scope = "stress";
+    ho.stage_context = ctx;
     return howto::HowToEngine(&db_, &graph_, ho);
   };
 
   // Single-threaded reference results (fresh cache).
-  PlanCache ref_cache(64);
-  howto::HowToEngine ref_engine = engine_with(&ref_cache, 1);
+  StageCache ref_cache(64);
+  const whatif::StageContext ref_ctx = context_of(&ref_cache);
+  howto::HowToEngine ref_engine = engine_with(&ref_ctx, 1);
   auto ref_run = ref_engine.Run(*primary->howto);
   ASSERT_TRUE(ref_run.ok()) << ref_run.status();
   const double target =
@@ -633,8 +670,9 @@ TEST_F(ServiceTest, ConcurrentMixedHowToStressBitEqualAcrossThreads) {
   };
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    PlanCache cache(64);
-    howto::HowToEngine engine = engine_with(&cache, threads);
+    StageCache cache(64);
+    const whatif::StageContext ctx = context_of(&cache);
+    howto::HowToEngine engine = engine_with(&ctx, threads);
     auto service = MakeService(options, 64, threads);
     ASSERT_TRUE(service->CreateScenario("b1", "main").ok());
     ASSERT_TRUE(service
@@ -644,7 +682,7 @@ TEST_F(ServiceTest, ConcurrentMixedHowToStressBitEqualAcrossThreads) {
                         "Output Count(*)")
                     .ok());
 
-    // `threads` workers race mixed how-to solves against one shared plan
+    // `threads` workers race mixed how-to solves against one shared stage
     // cache, interleaved with what-if submissions on both branches.
     std::vector<std::thread> workers;
     std::vector<Status> howto_status(threads);
@@ -698,13 +736,13 @@ TEST_F(ServiceTest, ConcurrentMixedHowToStressBitEqualAcrossThreads) {
     }
 
     // No duplicate Prepare+train: single-flight guarantees one miss (= one
-    // prepare) per distinct plan key, no matter how many workers raced on
-    // it. Lexicographic workers (t % 3 == 2) touch 3 extra keys for the
-    // secondary objective's baseline + per-attribute plans.
+    // prepare) per distinct plan (QueryStage) key, no matter how many
+    // workers raced on it. Lexicographic workers (t % 3 == 2) touch 3 extra
+    // keys for the secondary objective's baseline + per-attribute plans.
     const size_t distinct_keys = threads >= 3 ? 6u : 3u;
     PlanCacheStats stats = cache.stats();
     EXPECT_EQ(distinct_keys, stats.misses) << "threads=" << threads;
-    EXPECT_EQ(0u, stats.evictions);
+    EXPECT_EQ(0u, stats.query.evictions);
     // Every lookup is accounted for exactly once.
     size_t lookups = 0;
     for (size_t t = 0; t < threads; ++t) {
@@ -722,7 +760,7 @@ TEST_F(ServiceTest, ReloadDatasetInvalidatesCache) {
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
   auto service = MakeService(options);
   ASSERT_TRUE(service->Submit({"main", kQuery, {}}).ok());
-  EXPECT_EQ(1u, service->cache_stats().entries);
+  EXPECT_EQ(1u, service->cache_stats().query.entries);
 
   // Reload with different data: the old plan must not serve the new world.
   data::GermanOptions german;
@@ -731,7 +769,7 @@ TEST_F(ServiceTest, ReloadDatasetInvalidatesCache) {
   auto ds = data::MakeGermanSyn(german);
   ASSERT_TRUE(ds.ok());
   ASSERT_TRUE(service->ReloadDataset(std::move(ds->db)).ok());
-  EXPECT_EQ(0u, service->cache_stats().entries);
+  EXPECT_EQ(0u, service->cache_stats().query.entries);
 
   std::shared_ptr<const Database> reloaded =
       service->EffectiveDatabase("main").value();
@@ -837,13 +875,13 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
   ASSERT_EQ(1u, before.learn.entries);
 
   // DropScenario-style eager eviction by the trunk's scope tag removes the
-  // full-fingerprint entries (plan, scope, query); causal + learn survive
-  // because their keys use shape / restricted scopes.
+  // full-fingerprint entries (scope, query); causal + learn survive because
+  // their keys use shape / restricted scopes.
   // (Exercised through a throwaway branch so the public API drives it.)
   ASSERT_TRUE(service->CreateScenario("twin").ok());
   ASSERT_TRUE(service->DropScenario("twin").ok());  // identical delta: no-op
   PlanCacheStats after_noop = service->cache_stats();
-  EXPECT_EQ(1u, after_noop.entries);  // trunk-shared entries kept
+  EXPECT_EQ(1u, after_noop.query.entries);  // trunk-shared entries kept
 
   ASSERT_TRUE(service->CreateScenario("mut").ok());
   ASSERT_TRUE(service
@@ -858,33 +896,35 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
   ASSERT_TRUE(service->DropScenario("mut").ok());
 
   PlanCacheStats after_drop = service->cache_stats();
-  EXPECT_EQ(1u, after_drop.entries) << "branch plan not evicted";
+  EXPECT_EQ(1u, after_drop.query.entries) << "branch plan not evicted";
   EXPECT_EQ(1u, after_drop.scope.entries) << "branch scope not evicted";
   EXPECT_EQ(1u, after_drop.learn.entries) << "shared learn wrongly evicted";
   EXPECT_EQ(with_branch.scope.evictions + 1, after_drop.scope.evictions);
 
   // The ledger still reconciles after eager eviction: the three Submits
-  // above each did one plan lookup, the two plan misses each did one lookup
-  // per stage section — eviction never double-counts or loses a lookup.
+  // above each did one query (plan) lookup, the two query misses each did
+  // one lookup per upstream section — eviction never double-counts or
+  // loses a lookup.
   Response again = service->Submit({"main", kQuery, {}});
   ASSERT_TRUE(again.ok()) << again.status;
   EXPECT_EQ(expected, again.whatif.value);
   EXPECT_EQ(0.0, again.whatif.train_seconds);
   PlanCacheStats final_stats = service->cache_stats();
-  EXPECT_EQ(3u,
-            final_stats.hits + final_stats.misses + final_stats.coalesced);
+  const StageStats& q = final_stats.query;
+  EXPECT_EQ(3u, q.hits + q.misses + q.coalesced);
   for (const StageStats* s :
-       {&final_stats.scope, &final_stats.causal, &final_stats.learn,
-        &final_stats.query}) {
+       {&final_stats.scope, &final_stats.causal, &final_stats.learn}) {
     EXPECT_EQ(2u, s->hits + s->misses + s->coalesced);
   }
   EXPECT_EQ(1u, final_stats.learn.misses) << "learn stage was rebuilt";
 }
 
-// Upstream eviction, hit directly at the StageCache: evict every ScopeStage
-// entry while a plan (and its Learn/Query stages) are live, then re-prepare.
-// Only the scope rebuilds — downstream stages hold their upstream alive and
-// keep serving — and evaluations stay bit-identical throughout.
+// Upstream eviction, hit directly at the StageCache: evict the ScopeStage
+// entry while a plan (the QueryStage, holding its Learn and Causal stages)
+// is live, then re-prepare. The same statement is one query hit and builds
+// nothing; a When-variant rebuilds only Scope and Query — downstream stages
+// hold their upstream alive and keep serving — and evaluations stay
+// bit-identical throughout.
 TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
   const whatif::WhatIfOptions options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
@@ -898,34 +938,57 @@ TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
   ASSERT_TRUE(stmt.ok()) << stmt.status();
   auto first = engine.Prepare(*stmt->whatif, &ctx);
   ASSERT_TRUE(first.ok()) << first.status();
-  auto value_of = [&](const whatif::PreparedWhatIf& plan) {
-    auto r =
-        engine.Evaluate(plan, whatif::SpecsOfStatement(*stmt->whatif));
+  auto value_of = [&](const whatif::PreparedWhatIf& plan,
+                      const sql::WhatIfStmt& s) {
+    auto r = engine.Evaluate(plan, whatif::SpecsOfStatement(s));
     EXPECT_TRUE(r.ok()) << r.status();
     return r->value;
   };
-  const double expected = value_of(**first);
+  const double expected = value_of(**first, *stmt->whatif);
 
-  // Scope keys are the only ones spelled "scope|d..." (plan keys embed
-  // "|scope[...]="), so this evicts exactly the scope section's entry.
+  // Scope keys are the only ones spelled "scope|d..." (causal and query
+  // keys start "causal|" and "query|"), so this evicts exactly the scope
+  // section's entry.
   EXPECT_EQ(1u, cache.EvictTagged("scope|d"));
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(0u, stats.scope.entries);
   EXPECT_EQ(1u, stats.learn.entries);
 
   // The live plan keeps working: its stages hold the evicted scope alive.
-  EXPECT_EQ(expected, value_of(**first));
+  EXPECT_EQ(expected, value_of(**first, *stmt->whatif));
 
-  // Re-preparing rebuilds only the scope; causal/learn/query all hit, so
-  // no estimator retrains and the assembled plan answers identically.
-  auto second = engine.Prepare(*stmt->whatif, &ctx);
+  // Re-preparing the same statement is one query hit: the cached plan comes
+  // back and nothing is built.
+  bool hit = false;
+  auto second = engine.Prepare(*stmt->whatif, &ctx, &hit);
   ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(first->get(), second->get());
+  stats = cache.stats();
+  EXPECT_EQ(1u, stats.scope.misses);
+  EXPECT_EQ(1u, stats.causal.misses);
+  EXPECT_EQ(1u, stats.learn.misses);
+  EXPECT_EQ(1u, stats.query.misses);
+  EXPECT_EQ(1u, stats.query.hits);
+  EXPECT_EQ(expected, value_of(**second, *stmt->whatif));
+
+  // A When-variant rebuilds only the evicted scope and its own query;
+  // causal and learn hit, so no estimator retrains, and the answer equals
+  // a fresh run.
+  const char* kVariant =
+      "Use German When Status = 2 Update(Status) = 2 Output Count(Credit = 1)";
+  auto variant_stmt = sql::ParseSql(kVariant);
+  ASSERT_TRUE(variant_stmt.ok()) << variant_stmt.status();
+  auto variant = engine.Prepare(*variant_stmt->whatif, &ctx, &hit);
+  ASSERT_TRUE(variant.ok()) << variant.status();
+  EXPECT_FALSE(hit);
   stats = cache.stats();
   EXPECT_EQ(2u, stats.scope.misses);
   EXPECT_EQ(1u, stats.causal.misses);
   EXPECT_EQ(1u, stats.learn.misses);
-  EXPECT_EQ(1u, stats.query.misses);
-  EXPECT_EQ(expected, value_of(**second));
+  EXPECT_EQ(2u, stats.query.misses);
+  EXPECT_EQ(FreshRun(kVariant, options),
+            value_of(**variant, *variant_stmt->whatif));
 }
 
 // Staged answers over main and a branch, across When-variants, match the
