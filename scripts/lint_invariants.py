@@ -40,9 +40,9 @@ bug class this codebase has to actively defend against:
                          folds are order-nondeterministic (fatal for the
                          bit-identical merge contract when doubles are
                          involved) and serialize on the contended cache
-                         line; partial results belong in per-block partials
-                         merged in block order. The work-stealing deques in
-                         common/thread_pool.h are the sanctioned home for
+                         line; partial results belong in per-block or
+                         per-index slots merged in order. The morsel cursor
+                         in common/thread_pool.h is the sanctioned home for
                          scheduling atomics. Annotate deliberate sites
                          (e.g. monotonic counters never folded into served
                          values) with

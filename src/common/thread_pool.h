@@ -27,10 +27,12 @@ inline uint64_t DeriveStreamSeed(uint64_t base, uint64_t stream) {
   return z ^ (z >> 31);
 }
 
-/// A small fixed-size worker pool for sharding independent loops (the
-/// what-if engine's block decomposition, bench harnesses). Tasks must not
-/// throw: the library communicates failure via Status, and a task's status
-/// is the caller's to collect (see ParallelFor usage in whatif/engine.cc).
+/// A small fixed-size worker pool for sharding independent loops over
+/// coarse items (forest trees, batch interventions, how-to candidates,
+/// served requests, dirty column segments) or segment-sized kernel morsels.
+/// Tasks must not throw: the library communicates failure via Status, and a
+/// task's status is the caller's to collect (see ParallelFor usage in
+/// whatif/engine.cc).
 ///
 /// This class is the one sanctioned home for raw atomics used to partition
 /// loop iterations (see scripts/lint_invariants.py, raw-atomic-partition):
@@ -101,14 +103,12 @@ class ThreadPool {
         max_parallelism);
   }
 
-  /// Morsel-driven work-stealing loop: runs fn(begin, end) over disjoint
-  /// sub-ranges that exactly cover [0, n). The range is split into one
-  /// contiguous shard per participant; each participant pops grain-sized
-  /// morsels from the front of its own shard and, when it runs dry, steals
-  /// the back half of a victim's remaining shard (steal-half deques), so a
-  /// skewed iteration-cost distribution cannot idle workers. The calling
-  /// thread participates and the call blocks until every index has been
-  /// processed.
+  /// Morsel-driven loop: runs fn(begin, end) over disjoint sub-ranges that
+  /// exactly cover [0, n). Participants claim grain-sized morsels from one
+  /// shared cursor until it passes n, so a participant that finishes early
+  /// simply claims the next morsel. The calling thread participates and the
+  /// call blocks until every index has been processed; when the cap or n
+  /// leaves a single participant, the caller runs fn(0, n) itself.
   ///
   /// fn must be safe to call concurrently from multiple threads. The set of
   /// (begin, end) ranges fn sees is scheduling-dependent; callers must (and
@@ -121,37 +121,19 @@ class ThreadPool {
                         size_t max_parallelism = 0) {
     if (n == 0) return;
     if (grain == 0) grain = 1;
-    // The deques pack (begin, end) into one uint64; recurse over windows in
-    // the (never-hit-in-practice) >4G-iteration case.
-    constexpr size_t kMaxWindow = size_t{1} << 31;
-    if (n > kMaxWindow) {
-      for (size_t base = 0; base < n; base += kMaxWindow) {
-        const size_t len = std::min(kMaxWindow, n - base);
-        ParallelForRange(
-            len, grain,
-            [&fn, base](size_t b, size_t e) { fn(base + b, base + e); },
-            max_parallelism);
-      }
-      return;
-    }
     size_t participants = workers_.size() + 1;  // caller is one
     if (max_parallelism > 0) {
       participants = std::min(participants, max_parallelism);
     }
-    participants = std::min(participants, (n + grain - 1) / grain);
-    if (participants <= 1 || workers_.empty()) {
+    participants = std::min(participants, n / grain + (n % grain != 0));
+    if (participants <= 1) {
       fn(0, n);
       return;
     }
-    auto state = std::make_shared<RangeState>(participants);
+    auto state = std::make_shared<RangeState>();
     state->n = n;
     state->grain = grain;
     state->fn = &fn;
-    for (size_t s = 0; s < participants; ++s) {
-      state->deques[s].store(
-          RangeState::Pack(n * s / participants, n * (s + 1) / participants),
-          std::memory_order_relaxed);
-    }
     {
       MutexLock lock(&mu_);
       for (size_t d = 0; d + 1 < participants; ++d) {
@@ -164,106 +146,32 @@ class ThreadPool {
   }
 
  private:
-  /// Shared state of one ParallelForRange call. Each participant owns one
-  /// deque slot: a packed (begin << 32 | end) range it pops grain-sized
-  /// morsels from the front of; thieves CAS the back half away. Every index
-  /// in [0, n) lives in exactly one deque or one in-flight morsel at any
-  /// moment, and is executed exactly once.
+  /// Shared state of one ParallelForRange call. Each fetch_add on `next`
+  /// claims the distinct morsel [begin, begin + grain), so every index in
+  /// [0, n) is executed exactly once. A participant that claims past n
+  /// stops; since claims are contiguous, `done` reaches n only after every
+  /// claim below n was made, so a late participant never touches fn.
   struct RangeState {
-    explicit RangeState(size_t participants) : deques(participants) {}
-
-    static uint64_t Pack(size_t begin, size_t end) {
-      return (static_cast<uint64_t>(begin) << 32) | static_cast<uint64_t>(end);
-    }
-
     size_t n = 0;
     size_t grain = 1;
     const std::function<void(size_t, size_t)>* fn = nullptr;
-    std::vector<std::atomic<uint64_t>> deques;
-    std::atomic<size_t> next_slot{0};
+    std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
-    /// Guards nothing itself — done/deques are atomics — it exists so the
+    /// Guards nothing itself — next/done are atomics — it exists so the
     /// completion wakeup has a mutex to pair with done_cv.
     Mutex done_mu;
     CondVar done_cv;
 
-    void Run(size_t begin, size_t end) {
-      (*fn)(begin, end);
-      if (done.fetch_add(end - begin, std::memory_order_acq_rel) +
-              (end - begin) ==
-          n) {
-        MutexLock lock(&done_mu);
-        done_cv.NotifyAll();
-      }
-    }
-
-    /// Claims up to `grain` indices from the front of the caller's own
-    /// deque.
-    bool PopFront(size_t slot, size_t* begin, size_t* end) {
-      uint64_t cur = deques[slot].load(std::memory_order_acquire);
-      for (;;) {
-        const size_t b = static_cast<size_t>(cur >> 32);
-        const size_t e = static_cast<size_t>(cur & 0xffffffffu);
-        if (b >= e) return false;
-        const size_t take = std::min(grain, e - b);
-        if (deques[slot].compare_exchange_weak(cur, Pack(b + take, e),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-          *begin = b;
-          *end = b + take;
-          return true;
-        }
-      }
-    }
-
-    /// Claims the back half (rounded up) of the victim's remaining range.
-    /// No ABA hazard: every index is claimed exactly once, so a deque's
-    /// packed value can never recur after it changes.
-    bool StealBack(size_t victim, size_t* begin, size_t* end) {
-      uint64_t cur = deques[victim].load(std::memory_order_acquire);
-      for (;;) {
-        const size_t b = static_cast<size_t>(cur >> 32);
-        const size_t e = static_cast<size_t>(cur & 0xffffffffu);
-        if (b >= e) return false;
-        const size_t take = (e - b + 1) / 2;
-        if (deques[victim].compare_exchange_weak(cur, Pack(b, e - take),
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-          *begin = e - take;
-          *end = e;
-          return true;
-        }
-      }
-    }
-
     void Drive() {
-      const size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= deques.size()) return;
       for (;;) {
-        size_t b = 0, e = 0;
-        if (PopFront(slot, &b, &e)) {
-          Run(b, e);
-          continue;
+        const size_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const size_t len = std::min(grain, n - begin);
+        (*fn)(begin, begin + len);
+        if (done.fetch_add(len, std::memory_order_acq_rel) + len == n) {
+          MutexLock lock(&done_mu);
+          done_cv.NotifyAll();
         }
-        bool stole = false;
-        for (size_t k = 1; k < deques.size(); ++k) {
-          const size_t victim = (slot + k) % deques.size();
-          if (!StealBack(victim, &b, &e)) continue;
-          // Run the first morsel of the stolen range and park the rest in
-          // our own deque — empty right now, and only its owner stores to
-          // it, so a plain store cannot race a successful CAS.
-          const size_t take = std::min(grain, e - b);
-          if (e - b > take) {
-            deques[slot].store(Pack(b + take, e), std::memory_order_release);
-          }
-          Run(b, b + take);
-          stole = true;
-          break;
-        }
-        // A full scan found nothing to steal: remaining work (if any) is
-        // parked in deques whose owners are still driving. Exit; the done
-        // counter, not driver exit, signals completion.
-        if (!stole) break;
       }
     }
 

@@ -458,10 +458,7 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
 
   // Evaluate the surviving (attribute, candidate) pairs: one flat worklist
   // sharded across the worker pool under the whatif.num_threads budget,
-  // results merged back in worklist order. Each parallel evaluation runs
-  // its own block loop single-threaded (the pool is already busy with whole
-  // candidates); Evaluate answers are invariant to the block-thread count,
-  // so the merge is bit-identical to the sequential loop.
+  // results merged back in worklist order.
   struct WorkItem {
     size_t a = 0;
     size_t i = 0;
@@ -486,66 +483,41 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
     HYPER_ASSIGN_OR_RETURN(plans[w.a], prepare_shared(tmpl));
   }
 
-  auto eval_candidate = [&](const whatif::WhatIfEngine& eng,
-                            const WorkItem& w) -> Result<whatif::WhatIfResult> {
-    return eng.Evaluate(*plans[w.a], {candidates[w.a][w.i]});
-  };
-
-  const size_t threads = ThreadPool::ResolveBudget(options_.whatif.num_threads);
+  // The workers evaluate concurrently against the shared prepared plans;
+  // pattern estimators train exactly once under the plan's internal lock
+  // (see the PreparedWhatIf concurrency contract), and trained estimators
+  // are pure functions of the plan, so every candidate's value is
+  // bit-identical at any thread count.
   std::vector<std::optional<whatif::WhatIfResult>> results(work.size());
   std::vector<Status> statuses(work.size());
-  if (threads <= 1 || work.size() <= 1) {
-    for (size_t w = 0; w < work.size(); ++w) {
-      if (guard != nullptr) {
-        Status gs = guard->Check("howto.score");
-        if (!gs.ok()) {
-          statuses[w] = std::move(gs);
-          break;
-        }
-      }
-      auto r = eval_candidate(engine, work[w]);
-      if (!r.ok()) {
-        statuses[w] = r.status();
-        break;  // the merge below reports the first error; stop paying
-      }
-      results[w] = std::move(r).value();
-    }
-  } else {
-    // The workers evaluate concurrently against the shared prepared plans;
-    // pattern estimators train exactly once under the plan's internal lock
-    // (see the PreparedWhatIf concurrency contract), and trained estimators
-    // are pure functions of the plan, so every candidate's value is
-    // bit-identical to the sequential path.
-    whatif::WhatIfOptions worker_options = whatif_options;
-    worker_options.num_threads = 1;
-    whatif::WhatIfEngine worker_engine(db_, graph_, worker_options);
-    std::atomic<bool> failed{false};
-    ThreadPool::Shared().ParallelFor(
-        work.size(),
-        [&](size_t w) {
-          // Once any candidate has failed the run's outcome is fixed, so
-          // remaining items are skipped (status OK, result empty); the
-          // error pass below never reaches a skipped slot without first
-          // returning the genuine failure that tripped the flag.
-          if (failed.load(std::memory_order_relaxed)) return;
-          if (guard != nullptr) {
-            Status gs = guard->Check("howto.score");
-            if (!gs.ok()) {
-              statuses[w] = std::move(gs);
-              failed.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          auto r = eval_candidate(worker_engine, work[w]);
-          if (r.ok()) {
-            results[w] = std::move(r).value();
-          } else {
-            statuses[w] = r.status();
+  std::atomic<bool> failed{false};
+  ThreadPool::Shared().ParallelFor(
+      work.size(),
+      [&](size_t w) {
+        // Once any candidate has failed the run's outcome is fixed, so
+        // remaining items are skipped (status OK, result empty); the error
+        // pass below never reaches a skipped slot without first returning
+        // the genuine failure that tripped the flag.
+        if (failed.load(std::memory_order_relaxed)) return;
+        if (guard != nullptr) {
+          Status gs = guard->Check("howto.score");
+          if (!gs.ok()) {
+            statuses[w] = std::move(gs);
             failed.store(true, std::memory_order_relaxed);
+            return;
           }
-        },
-        /*max_parallelism=*/threads);
-  }
+        }
+        const WorkItem& item = work[w];
+        auto r = engine.Evaluate(*plans[item.a], {candidates[item.a][item.i]});
+        if (r.ok()) {
+          results[w] = std::move(r).value();
+        } else {
+          statuses[w] = r.status();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      },
+      /*max_parallelism=*/ThreadPool::ResolveBudget(
+          options_.whatif.num_threads));
 
   // Errors first: statuses only ever hold genuine evaluation failures
   // (early-skipped items keep an OK status and an empty result, and exist
@@ -556,9 +528,8 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
     HYPER_RETURN_NOT_OK(statuses[w]);
   }
 
-  // Ordered deterministic merge (same pattern as the what-if block loop):
-  // counters, timings and candidate fields fold in worklist order —
-  // independent of which worker finished first.
+  // Ordered deterministic merge: counters, timings and candidate fields fold
+  // in worklist order — independent of which worker finished first.
   for (size_t w = 0; w < work.size(); ++w) {
     const whatif::WhatIfResult& result = *results[w];
     record_eval(result);

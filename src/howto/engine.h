@@ -17,9 +17,10 @@ namespace hyper::howto {
 struct HowToOptions {
   /// Estimation options for the candidate what-if evaluations. Its
   /// `num_threads` is also the candidate-scoring thread budget: the
-  /// (attribute, candidate) pairs are sharded across the shared worker pool
-  /// and merged in candidate order, so scored deltas, chosen plans and every
-  /// reported candidate value are bit-for-bit identical at any thread count
+  /// (attribute, candidate) pairs are sharded across the shared worker pool,
+  /// each evaluated whole on the thread that claimed it, and merged in
+  /// candidate order, so scored deltas, chosen plans and every reported
+  /// candidate value are bit-for-bit identical at any thread count
   /// (1 = fully sequential; 0 = hardware default).
   ///
   /// Resource governance also rides here: `whatif.budget` /

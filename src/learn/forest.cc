@@ -74,33 +74,21 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
   if (options_.num_threads == 0 && n * options_.num_trees <= 65536) {
     budget = 1;
   }
-  const size_t workers = std::min<size_t>(options_.num_trees, budget);
 
-  auto fit_one = [&](size_t t) -> Status {
-    if (binned != nullptr) {
-      return trees_[t].FitBinned(*binned, y, std::move(bootstraps[t]));
-    }
-    return trees_[t].FitSubset(x, y, std::move(bootstraps[t]));
-  };
-
+  // Trees claimed one at a time over the shared pool, capped at `budget` so
+  // an explicit budget bounds concurrency even when the process-wide pool
+  // is larger. Trees are independent and every tree's result is a function
+  // of its (seed, bootstrap) alone, so scheduling never changes the forest.
   std::vector<Status> statuses(options_.num_trees);
-  if (workers <= 1) {
-    for (size_t t = 0; t < options_.num_trees; ++t) {
-      statuses[t] = fit_one(t);
-    }
-  } else {
-    // Morsel-claimed trees over the shared pool, capped at `workers` so an
-    // explicit budget bounds concurrency even when the process-wide pool is
-    // larger. Trees are independent and every tree's result is a function
-    // of its (seed, bootstrap) alone, so scheduling never changes the
-    // forest — and work stealing keeps slow trees from serializing a shard.
-    ThreadPool::Shared().ParallelForRange(
-        options_.num_trees, /*grain=*/1,
-        [&](size_t begin, size_t end) {
-          for (size_t t = begin; t < end; ++t) statuses[t] = fit_one(t);
-        },
-        /*max_parallelism=*/workers);
-  }
+  ThreadPool::Shared().ParallelFor(
+      options_.num_trees,
+      [&](size_t t) {
+        statuses[t] =
+            binned != nullptr
+                ? trees_[t].FitBinned(*binned, y, std::move(bootstraps[t]))
+                : trees_[t].FitSubset(x, y, std::move(bootstraps[t]));
+      },
+      /*max_parallelism=*/budget);
   for (const Status& status : statuses) {
     HYPER_RETURN_NOT_OK(status);
   }

@@ -1,53 +1,8 @@
 #include "prob/aggregates.h"
 
-#include "common/logging.h"
-
 namespace hyper::prob {
 
-void BlockAccumulator::BeginBlock() {
-  HYPER_DCHECK(!in_block_);
-  in_block_ = true;
-  block_numerator_ = 0.0;
-  block_denominator_ = 0.0;
-}
-
-void BlockAccumulator::Add(double weight, double weighted_value) {
-  HYPER_DCHECK(in_block_);
-  switch (agg_) {
-    case sql::AggKind::kCount:
-      block_numerator_ += weight;
-      break;
-    case sql::AggKind::kSum:
-      block_numerator_ += weighted_value;
-      break;
-    case sql::AggKind::kAvg:
-      block_numerator_ += weighted_value;
-      block_denominator_ += weight;
-      break;
-    case sql::AggKind::kNone:
-      break;
-  }
-}
-
-void BlockAccumulator::EndBlock() {
-  HYPER_DCHECK(in_block_);
-  in_block_ = false;
-  // g = Sum: fold the block partial into the global accumulators.
-  numerator_ += block_numerator_;
-  denominator_ += block_denominator_;
-  ++num_blocks_;
-}
-
-void BlockAccumulator::MergeBlockPartial(double block_numerator,
-                                         double block_denominator) {
-  HYPER_DCHECK(!in_block_);
-  numerator_ += block_numerator;
-  denominator_ += block_denominator;
-  ++num_blocks_;
-}
-
 Result<double> BlockAccumulator::Finish() const {
-  HYPER_DCHECK(!in_block_);
   switch (agg_) {
     case sql::AggKind::kCount:
     case sql::AggKind::kSum:

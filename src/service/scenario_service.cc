@@ -887,13 +887,9 @@ std::vector<Response> ScenarioService::SubmitBatch(
     Release(responses[i].status);
   };
 
-  const size_t threads = ThreadPool::ResolveBudget(options_.num_threads);
-  if (threads <= 1 || requests.size() == 1) {
-    for (size_t i = 0; i < requests.size(); ++i) run_one(i);
-  } else {
-    ThreadPool::Shared().ParallelFor(requests.size(), run_one,
-                                     /*max_parallelism=*/threads);
-  }
+  ThreadPool::Shared().ParallelFor(
+      requests.size(), run_one,
+      /*max_parallelism=*/ThreadPool::ResolveBudget(options_.num_threads));
   return responses;
 }
 

@@ -353,57 +353,6 @@ Result<WhatIfPlan> BuildWhatIfPlan(const CompiledWhatIf& q,
   return plan;
 }
 
-/// Block-independent decomposition (§3.3): view rows grouped by the
-/// ground-graph component of their base tuple (a single block when
-/// decomposition is off or unavailable).
-std::vector<std::vector<size_t>> BuildBlockRows(
-    const CompiledWhatIf& q, const Database& db,
-    const causal::CausalGraph* graph, bool use_blocks, size_t n) {
-  std::vector<std::vector<size_t>> block_rows;
-  if (use_blocks && graph != nullptr) {
-    // Without cross-tuple edges the ground graph never connects two tuples:
-    // every base tuple is its own component, so the blocks are the view
-    // rows grouped by base tid — no need to materialize the ground graph.
-    // (Partials fold with g = Sum, so any refinement of the block partition
-    // produces the same value bit for bit.)
-    bool any_cross_tuple = false;
-    for (const causal::CausalEdge& e : graph->edges()) {
-      if (e.is_cross_tuple()) {
-        any_cross_tuple = true;
-        break;
-      }
-    }
-    if (!any_cross_tuple) {
-      std::unordered_map<size_t, size_t> block_index;
-      for (size_t r = 0; r < n; ++r) {
-        const size_t tid = q.view_info->view_row_to_tid[r];
-        auto [it, inserted] = block_index.emplace(tid, block_rows.size());
-        if (inserted) block_rows.emplace_back();
-        block_rows[it->second].push_back(r);
-      }
-      return block_rows;
-    }
-    auto components = causal::TupleComponents::Build(*graph, db);
-    if (components.ok()) {
-      std::unordered_map<size_t, size_t> block_index;
-      for (size_t r = 0; r < n; ++r) {
-        auto block = components->BlockOf(causal::TupleId{
-            q.view_info->update_relation, q.view_info->view_row_to_tid[r]});
-        const size_t b = block.ok() ? *block : 0;
-        auto [it, inserted] = block_index.emplace(b, block_rows.size());
-        if (inserted) block_rows.emplace_back();
-        block_rows[it->second].push_back(r);
-      }
-    }
-  }
-  if (block_rows.empty()) {
-    block_rows.emplace_back();
-    block_rows[0].resize(n);
-    for (size_t r = 0; r < n; ++r) block_rows[0][r] = r;
-  }
-  return block_rows;
-}
-
 // ---------------------------------------------------------------------------
 // For-predicate folding (§A.2): per tuple, every subexpression whose value
 // is already determined (pre-update values, immutable attributes, the
@@ -777,12 +726,16 @@ struct ScopeStageData {
 /// block-independent decomposition.
 struct CausalStageData {
   WhatIfPlan plan;
-  std::vector<std::vector<size_t>> block_rows;
-  /// True when block b is exactly {b} — every tuple its own block, in row
-  /// order (the common single-table shape). The evaluate loop then takes a
-  /// flat row-order pass instead of per-block accumulators: since g is Sum
-  /// and partials merge in block order, the fold is bit-identical.
-  bool identity_blocks = false;
+  /// Blocks of the decomposition, numbered by first appearance in row order.
+  size_t num_blocks = 1;
+  /// The block layout, kept only when it is not a row-order fold: the view
+  /// rows block by block (each block's rows in row order), block b ending
+  /// at offset block_end[b]. Both stay empty for one block per row in row
+  /// order or one block of every row (the common shapes): since g is Sum
+  /// and partials merge in block order, a flat row-order fold is
+  /// bit-identical there, so nothing is stored per row.
+  std::vector<size_t> block_rows;
+  std::vector<size_t> block_end;
 };
 
 /// LearnStage: fitted encoders, the (binned) training matrix, psi prep, and
@@ -1191,6 +1144,61 @@ Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
   return std::shared_ptr<const ScopeStageData>(std::move(stage));
 }
 
+/// Block-independent decomposition (§3.3): view rows grouped by the
+/// ground-graph component of their base tuple. Leaves the single block of
+/// every row when the components are unavailable.
+void BuildBlocks(const CompiledWhatIf& q, const Database& db,
+                 const causal::CausalGraph& graph, size_t n,
+                 CausalStageData* stage) {
+  // Without cross-tuple edges the ground graph never connects two tuples:
+  // every base tuple is its own component, so the blocks are the view rows
+  // grouped by base tid — no need to materialize the ground graph.
+  const std::vector<size_t>& tid = q.view_info->view_row_to_tid;
+  std::vector<size_t> block_of_row(tid.begin(), tid.begin() + n);
+  const bool any_cross_tuple = std::any_of(
+      graph.edges().begin(), graph.edges().end(),
+      [](const causal::CausalEdge& e) { return e.is_cross_tuple(); });
+  if (any_cross_tuple) {
+    auto components = causal::TupleComponents::Build(graph, db);
+    if (!components.ok()) return;
+    for (size_t r = 0; r < n; ++r) {
+      auto block = components->BlockOf(
+          causal::TupleId{q.view_info->update_relation, tid[r]});
+      block_of_row[r] = block.ok() ? *block : 0;
+    }
+  }
+  // Number the blocks by first appearance in row order.
+  size_t max_key = 0;
+  for (size_t key : block_of_row) max_key = std::max(max_key, key);
+  std::vector<size_t> id_of_key(max_key + 1, SIZE_MAX);
+  size_t num_blocks = 0;
+  for (size_t& b : block_of_row) {
+    size_t& id = id_of_key[b];
+    if (id == SIZE_MAX) id = num_blocks++;
+    b = id;
+  }
+  if (num_blocks <= 1 || num_blocks == n) {
+    // One block of every row, or every row its own block in row order.
+    stage->num_blocks = std::max<size_t>(num_blocks, 1);
+    return;
+  }
+  // Counting sort: block_end[b] first counts block b's rows, then becomes
+  // its end offset; `next` walks each block's slots in row order.
+  stage->num_blocks = num_blocks;
+  stage->block_end.assign(num_blocks, 0);
+  for (size_t b : block_of_row) ++stage->block_end[b];
+  std::vector<size_t> next(num_blocks);
+  for (size_t b = 0, end = 0; b < num_blocks; ++b) {
+    next[b] = end;
+    end += stage->block_end[b];
+    stage->block_end[b] = end;
+  }
+  stage->block_rows.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    stage->block_rows[next[block_of_row[r]]++] = r;
+  }
+}
+
 Result<std::shared_ptr<const CausalStageData>> BuildCausalStage(
     const ScopeStageData& scope, const CompiledWhatIf& q, const Database& db,
     const causal::CausalGraph* graph, const WhatIfOptions& options,
@@ -1203,14 +1211,8 @@ Result<std::shared_ptr<const CausalStageData>> BuildCausalStage(
     HYPER_RETURN_NOT_OK(guard->ChargeRows(scope.cview.num_rows(),
                                           "whatif.prepare.causal"));
   }
-  stage->block_rows = BuildBlockRows(q, db, graph, options.use_blocks,
-                                     scope.cview.num_rows());
-  stage->identity_blocks =
-      stage->block_rows.size() == scope.cview.num_rows();
-  for (size_t b = 0; stage->identity_blocks && b < stage->block_rows.size();
-       ++b) {
-    stage->identity_blocks =
-        stage->block_rows[b].size() == 1 && stage->block_rows[b][0] == b;
+  if (options.use_blocks && graph != nullptr) {
+    BuildBlocks(q, db, *graph, scope.cview.num_rows(), stage.get());
   }
   return std::shared_ptr<const CausalStageData>(std::move(stage));
 }
@@ -1719,12 +1721,10 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
 
 namespace {
 
-/// The per-intervention fifth of a what-if run, against a prepared plan.
-/// `block_threads` shards the block loop (1 inside batch fan-out to avoid
-/// oversubscription); the answer is identical for every setting.
+/// The per-intervention fifth of a what-if run, against a prepared plan,
+/// on the calling thread.
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      size_t block_threads,
                                       const ExecGuard* guard) {
   Stopwatch eval_timer;
   WhatIfResult result;
@@ -1744,7 +1744,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
   result.view_rows = n;
   result.updated_rows = updated;
-  result.num_blocks = ca.block_rows.size();
+  result.num_blocks = ca.num_blocks;
   result.backdoor = ca.plan.backdoor_causal;
 
   if (guard != nullptr) {
@@ -1894,7 +1894,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // intervention) share one prediction slot, since estimators are pure
   // functions of the point. One PredictBatch per estimator then covers the
   // distinct points (PredictBatch returns exactly what Predict returns per
-  // point); the block loop just reads its row's slot.
+  // point); Pass B just reads its row's slot.
   struct EntryBatch {
     std::vector<double> feat;  // row-major distinct points, dims wide
     uint32_t count = 0;        // distinct points
@@ -1922,11 +1922,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     }
     return true;
   }();
-  // Identity singleton blocks on a single-threaded budget take a flat
-  // row-order pass in Pass B below — the per-block merge in block order IS
-  // a row-order fold there, so the per-block partial and status arrays are
-  // pure overhead (one pair + Status per tuple).
-  const bool flat_blocks = ca.identity_blocks && block_threads <= 1;
   // Fast Pass A for the common serving shape — row-invariant holes, Set
   // updates only, no psi features: every affected row's post-update point
   // is (constant set features) ++ (its non-update feature bytes), so the
@@ -1935,9 +1930,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // points, and their order are identical to the hashing loop in the else
   // branch below (first appearance in row order, byte equality).
   const bool fast_pass_a = uniform && all_set && psi_specs.empty();
-  // A flat uniform Pass B reads the shared entry directly, so the fast
-  // Pass A can skip both the entry map and its n-slot zeroed allocation.
-  std::vector<uint32_t> entry_of_row(fast_pass_a && flat_blocks ? 0 : n);
+  // Uniform Pass B loops read the shared entry directly, so the fast Pass A
+  // can skip both the entry map and its n-slot zeroed allocation.
+  std::vector<uint32_t> entry_of_row(fast_pass_a ? 0 : n);
   std::vector<const Entry*> local_entries;
   std::vector<const PatternEstimators*> pattern_of_entry;
   std::unordered_map<std::vector<Value>, uint32_t, ValueVectorHash,
@@ -1966,9 +1961,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   }
 
   if (fast_pass_a) {
-    if (!flat_blocks) {
-      std::fill(entry_of_row.begin(), entry_of_row.end(), uniform_id);
-    }
     const Entry& e = *local_entries[uniform_id];
     if (!(e.is_literal && !e.literal_value)) {
       const uint32_t* gid = le.residual_gid.data();
@@ -2103,12 +2095,11 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   }
 
   // Pass B: the row body every loop below runs. It folds tuple r (resolved
-  // to entry `id`) into (*num, *den) exactly as BlockAccumulator::Add folds
-  // (weight, weighted value). An unchanged tuple is exact — weight 1 and its
-  // observed output, read from the stage-level caches; a tri-state error
-  // mark re-evaluates the row, reproducing its per-row error. An affected
-  // tuple reads its pattern's batch slot. Returns false with *error set when
-  // a re-evaluated row fails.
+  // to entry `id`) into (*num, *den) with prob::AddTuple. An unchanged
+  // tuple is exact — weight 1 and its observed output, read from the
+  // stage-level caches; a tri-state error mark re-evaluates the row,
+  // reproducing its per-row error. An affected tuple reads its pattern's
+  // batch slot. Returns false with *error set when a re-evaluated row fails.
   const auto add_row = [&](size_t r, uint32_t id, double* num, double* den,
                            Status* error) __attribute__((always_inline)) {
     const Entry& e = *local_entries[id];
@@ -2156,61 +2147,19 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         weighted_value = batches[id].values[slot_of_row[r]];
       }
     }
-    switch (q.output_agg) {
-      case sql::AggKind::kCount:
-        *num += weight;
-        break;
-      case sql::AggKind::kSum:
-        *num += weighted_value;
-        break;
-      case sql::AggKind::kAvg:
-        *num += weighted_value;
-        *den += weight;
-        break;
-      default:
-        break;
-    }
+    prob::AddTuple(q.output_agg, weight, weighted_value, num, den);
     return true;
   };
 
-  // Pass B (parallel): blocks are independent (§3.3), so each one is
-  // evaluated on its own partial — estimators and batch slots are read-only
-  // here — and the partials merge in block order, bit-identical to a
-  // sequential fold.
-  const std::vector<std::vector<size_t>>& block_rows = ca.block_rows;
-  std::vector<std::pair<double, double>> partials(
-      flat_blocks ? 0 : block_rows.size(), {0.0, 0.0});
-  std::vector<Status> block_status(flat_blocks ? 0 : block_rows.size());
-  auto eval_block = [&](size_t b) -> Status {
-    // Aborts are sticky and monotone, so once any shard trips the guard
-    // every later checking block returns the same typed status; the
-    // block-ordered merge below then surfaces it deterministically. The
-    // entry check is amortized over the block index: ground blocks can be
-    // single rows (one block per tuple), and a full checkpoint per block
-    // would dominate the warm path. Every 64th block keeps the response
-    // latency of a 1-row-block decomposition at ~64 rows while the per-row
-    // LoopCheck below covers the few-large-blocks shape.
-    if (guard != nullptr && (b & 63) == 0) {
-      HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-    }
-    LoopCheck block_check(guard);
-    double num = 0.0, den = 0.0;
-    Status error;
-    for (size_t r : block_rows[b]) {
-      if (block_check.Due()) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      if (!add_row(r, entry_of_row[r], &num, &den, &error)) return error;
-    }
-    partials[b] = {num, den};
-    return Status::OK();
-  };
-
+  // Pass B folds every row into (num, den) on the calling thread, block by
+  // block: each block's partial starts at +0.0 and merges into the
+  // accumulator in block order as soon as the block ends.
   prob::BlockAccumulator acc(q.output_agg);
-  if (flat_blocks) {
-    // Same row body as eval_block, same += sequence as the block-ordered
-    // merge (starting from +0.0 the partial can never be -0.0, so one merge
-    // of the flat totals is bit-identical to n singleton merges). Errors
+  if (ca.block_rows.empty()) {
+    // Row-order fold: one block per row in row order, or one block of every
+    // row. Same row body and same += sequence as the block-ordered merge
+    // (starting from +0.0 the partial can never be -0.0, so one merge of
+    // the flat totals is bit-identical to n singleton merges). Errors
     // surface as the first failing row, which is the first failing block.
     double num = 0.0, den = 0.0;
     // Branchless specialization for the dominant serving shape: one shared
@@ -2222,8 +2171,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     // -0.0). Replacing the affected/unaffected branch with a select removes
     // the data-dependent mispredictions that dominate this loop on mixed
     // selections.
-    const Entry* ue = uniform ? local_entries[uniform_id]
-                                              : nullptr;
+    const Entry* ue = uniform ? local_entries[uniform_id] : nullptr;
     const PatternEstimators* upat =
         uniform ? pattern_of_entry[uniform_id] : nullptr;
     const bool table_disqualified =
@@ -2276,31 +2224,23 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       }
     }
     acc.MergeBlockPartial(num, den);
-  } else if (block_threads <= 1 || block_rows.size() <= 1) {
-    for (size_t b = 0; b < block_rows.size(); ++b) {
-      block_status[b] = eval_block(b);
-    }
   } else {
-    // Any parallel setting shares the process-wide hardware-sized pool:
-    // spawning threads per query would dominate small queries, and the
-    // block merge is order-fixed, so the answer never depends on the
-    // worker count anyway. Blocks are claimed morsel-wise (64 at a time;
-    // single-tuple blocks dominate, so per-block claiming would be all
-    // contention) and the work-stealing deques rebalance skewed block
-    // sizes; partials land at fixed indices either way.
-    ThreadPool::Shared().ParallelForRange(
-        block_rows.size(), /*grain=*/64,
-        [&](size_t begin, size_t end) {
-          for (size_t b = begin; b < end; ++b) block_status[b] = eval_block(b);
-        },
-        /*max_parallelism=*/block_threads);
-  }
-  for (const Status& s : block_status) {
-    HYPER_RETURN_NOT_OK(s);
-  }
-
-  for (const auto& [num, den] : partials) {
-    acc.MergeBlockPartial(num, den);
+    // Multi-row blocks: the first failing block returns its status, as the
+    // first failing row of the block-ordered scan.
+    Status error;
+    size_t k = 0;
+    for (size_t b = 0; b < ca.num_blocks; ++b) {
+      double num = 0.0, den = 0.0;
+      for (; k < ca.block_end[b]; ++k) {
+        if (guard != nullptr && (k & 63) == 0) {
+          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
+        }
+        const size_t r = ca.block_rows[k];
+        const uint32_t id = uniform ? uniform_id : entry_of_row[r];
+        if (!add_row(r, id, &num, &den, &error)) return error;
+      }
+      acc.MergeBlockPartial(num, den);
+    }
   }
 
   result.num_patterns = used_patterns.size();
@@ -2316,9 +2256,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
 Result<WhatIfResult> WhatIfEngine::Evaluate(
     const PreparedWhatIf& plan, const std::vector<UpdateSpec>& updates) const {
-  const size_t threads = ThreadPool::ResolveBudget(options_.num_threads);
   const ExecGuardPtr guard = GuardFor(options_);
-  return EvaluatePrepared(*plan.impl_, updates, threads, guard.get());
+  return EvaluatePrepared(*plan.impl_, updates, guard.get());
 }
 
 Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
@@ -2326,45 +2265,32 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
     const std::vector<std::vector<UpdateSpec>>& interventions,
     std::vector<Status>* statuses) const {
   std::vector<WhatIfResult> results(interventions.size());
-  if (statuses != nullptr) {
-    statuses->assign(interventions.size(), Status::OK());
-  }
-  if (interventions.empty()) return results;
-  const size_t threads = ThreadPool::ResolveBudget(options_.num_threads);
   // One guard spans the whole batch; a per-item pre-check keeps governance
   // failures per-item when the caller collects statuses, and the sticky
   // abort means every item after the trip reports the same typed status.
   const ExecGuardPtr guard = GuardFor(options_);
   std::vector<Status> item_status(interventions.size());
-  auto eval_item = [&](size_t i, size_t item_threads) {
-    if (guard != nullptr) {
-      Status gs = guard->Check("whatif.eval.batch");
-      if (!gs.ok()) {
-        item_status[i] = std::move(gs);
-        return;
-      }
-    }
-    auto r = EvaluatePrepared(*plan.impl_, interventions[i], item_threads,
-                              guard.get());
-    if (!r.ok()) {
-      item_status[i] = r.status();
-    } else {
-      results[i] = std::move(r).value();
-    }
-  };
-  if (threads <= 1 || interventions.size() == 1) {
-    for (size_t i = 0; i < interventions.size(); ++i) {
-      eval_item(i, threads);
-    }
-  } else {
-    // Shard across interventions; each evaluation runs its block loop
-    // single-threaded to keep the pool busy with whole interventions.
-    // Every evaluation is deterministic on its own, so results[i] is
-    // bit-for-bit identical to a sequential Evaluate(interventions[i]).
-    ThreadPool::Shared().ParallelFor(
-        interventions.size(), [&](size_t i) { eval_item(i, 1); },
-        /*max_parallelism=*/threads);
-  }
+  // Shard across interventions under the thread budget. Every evaluation is
+  // deterministic on its own, so results[i] is bit-for-bit identical to a
+  // sequential Evaluate(interventions[i]).
+  ThreadPool::Shared().ParallelFor(
+      interventions.size(),
+      [&](size_t i) {
+        if (guard != nullptr) {
+          Status gs = guard->Check("whatif.eval.batch");
+          if (!gs.ok()) {
+            item_status[i] = std::move(gs);
+            return;
+          }
+        }
+        auto r = EvaluatePrepared(*plan.impl_, interventions[i], guard.get());
+        if (!r.ok()) {
+          item_status[i] = r.status();
+        } else {
+          results[i] = std::move(r).value();
+        }
+      },
+      /*max_parallelism=*/ThreadPool::ResolveBudget(options_.num_threads));
   if (statuses != nullptr) {
     *statuses = std::move(item_status);
     return results;

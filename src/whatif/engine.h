@@ -136,12 +136,11 @@ struct WhatIfOptions {
   /// switches to a single block — same value, used by the ablation bench.
   bool use_blocks = true;
   uint64_t seed = 7;
-  /// Worker threads for the independent-block loop: 1 = single-threaded,
-  /// anything else = the process-wide hardware-sized pool (0 is the
-  /// default). Blocks are evaluated on separate accumulators and merged in
-  /// block order, so the answer is bit-for-bit identical for every setting.
-  /// Also the forest trainer's thread budget (unless forest.num_threads
-  /// overrides it).
+  /// Thread budget on the process-wide pool (0 = hardware default): the
+  /// forest trainer's (unless forest.num_threads overrides it), and how
+  /// many interventions EvaluateBatch and how-to candidate scoring evaluate
+  /// at once. One evaluation always runs on its calling thread. The answer
+  /// is bit-for-bit identical for every setting.
   size_t num_threads = 0;
   // --- resource governance (per-request; never part of any cache key) ---
   /// Wall-clock / row / byte limits for each engine call. The default
@@ -281,16 +280,17 @@ class WhatIfEngine {
       const sql::WhatIfStmt& stmt, const StageContext* context = nullptr,
       bool* cache_hit = nullptr) const;
 
-  /// Evaluates one intervention against a prepared plan. `updates` must
-  /// target the plan's update attributes in order; constants and update
-  /// functions are free. Thread-safe; answers are bit-for-bit identical to
-  /// a fresh Run of the corresponding statement.
+  /// Evaluates one intervention against a prepared plan, on the calling
+  /// thread. `updates` must target the plan's update attributes in order;
+  /// constants and update functions are free. Thread-safe; answers are
+  /// bit-for-bit identical to a fresh Run of the corresponding statement.
   Result<WhatIfResult> Evaluate(const PreparedWhatIf& plan,
                                 const std::vector<UpdateSpec>& updates) const;
 
   /// Evaluates N interventions against one prepared plan in a single sharded
-  /// pass over the worker pool. results[i] corresponds to interventions[i]
-  /// and is identical to Evaluate(plan, interventions[i]).
+  /// pass over the worker pool, at most `num_threads` at once. results[i]
+  /// corresponds to interventions[i] and is identical to
+  /// Evaluate(plan, interventions[i]).
   ///
   /// Error handling: with `statuses == nullptr` the first failing
   /// intervention (in index order) fails the whole call. With a non-null

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "golden_cases.h"
 #include "howto/engine.h"
@@ -66,6 +68,61 @@ const data::Dataset& Amazon200() {
   return *ds;
 }
 
+/// A cross-tuple market (the integration suite's CrossTupleFixture data):
+/// 40 markets x 12 products, ratings respond to the market mean price, and
+/// the graph links Price -> Rating through Category, so the §3.3 blocks are
+/// the 40 markets. Rows are appended product-major (row r is market r % 40),
+/// so every block is 12 rows spread across the whole table.
+const data::Dataset& Market480() {
+  static const data::Dataset* ds = [] {
+    constexpr int kMarkets = 40;
+    constexpr int kProductsPerMarket = 12;
+    struct Product {
+      int pid, market, price, rating;
+    };
+    std::vector<Product> products;
+    Rng rng(3);
+    int pid = 0;
+    for (int m = 0; m < kMarkets; ++m) {
+      const double level = 0.1 + 0.8 * m / (kMarkets - 1);
+      std::vector<int> prices;
+      double mean = 0;
+      for (int i = 0; i < kProductsPerMarket; ++i) {
+        prices.push_back(rng.Bernoulli(level) ? 1 : 0);
+        mean += prices.back();
+      }
+      mean /= kProductsPerMarket;
+      for (int i = 0; i < kProductsPerMarket; ++i) {
+        const int rating = rng.Bernoulli(0.85 - 0.55 * mean) ? 1 : 0;
+        products.push_back({pid++, m, prices[i], rating});
+      }
+    }
+    Table table(Schema(
+        "Product",
+        {{"PID", ValueType::kInt, Mutability::kImmutable},
+         {"Category", ValueType::kString, Mutability::kImmutable},
+         {"Brand", ValueType::kString, Mutability::kImmutable},
+         {"Price", ValueType::kInt, Mutability::kMutable},
+         {"Rating", ValueType::kInt, Mutability::kMutable}},
+        {"PID"}));
+    for (int i = 0; i < kProductsPerMarket; ++i) {
+      for (int m = 0; m < kMarkets; ++m) {
+        const Product& p = products[m * kProductsPerMarket + i];
+        table.AppendUnchecked({Value::Int(p.pid),
+                               Value::String("M" + std::to_string(p.market)),
+                               Value::String(i % 2 ? "Asus" : "Vaio"),
+                               Value::Int(p.price), Value::Int(p.rating)});
+      }
+    }
+    auto* market = new data::Dataset();
+    market->name = "market480";
+    HYPER_CHECK(market->db.AddTable(std::move(table)).ok());
+    market->graph.AddEdge("Price", "Rating", "Category");
+    return market;
+  }();
+  return *ds;
+}
+
 struct WhatIfCase {
   std::string id;
   const data::Dataset* ds;
@@ -117,8 +174,8 @@ std::vector<WhatIfCase> WhatIfCases() {
     c.options.forest.num_trees = 6;
     cases.push_back(std::move(c));
   }
-  // A joined, aggregated view (blocks span several tuples) under every
-  // backdoor mode.
+  // A joined, aggregated view (one row and one block per product) under
+  // every backdoor mode.
   for (whatif::BackdoorMode mode :
        {whatif::BackdoorMode::kGraph, whatif::BackdoorMode::kAllAttributes,
         whatif::BackdoorMode::kUpdateOnly}) {
@@ -136,6 +193,29 @@ std::vector<WhatIfCase> WhatIfCases() {
     c.options.forest.num_trees = 4;
     c.options.backdoor = mode;
     cases.push_back(std::move(c));
+  }
+  // Multi-row, non-contiguous blocks, both estimators: Pass B folds each
+  // market's rows into a block partial and merges the partials in block
+  // order, which differs from a row-order fold in the last bits.
+  const std::pair<const char*, const char*> market_queries[] = {
+      {"count", "Use Product When Brand = 'Asus' Update(Price) = 1 "
+                "Output Count(Rating = 1)"},
+      {"avg-for", "Use Product When Brand = 'Asus' Update(Price) = 1 "
+                  "Output Avg(Post(Rating)) For Pre(Brand) = 'Vaio'"},
+      {"sum", "Use Product Update(Price) = 0 Output Sum(Post(Rating))"},
+  };
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
+    for (const auto& [name, sql] : market_queries) {
+      WhatIfCase c;
+      c.id = std::string("whatif.market480.") +
+             learn::EstimatorKindName(estimator) + "." + name;
+      c.ds = &Market480();
+      c.sql = sql;
+      c.options.estimator = estimator;
+      c.options.forest.num_trees = 8;
+      cases.push_back(std::move(c));
+    }
   }
   return cases;
 }

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -20,9 +23,8 @@ const std::vector<size_t>& PoolSizes() {
 
 // ---------------------------------------------------------------------------
 // Coverage: ParallelForRange must hand every index to fn exactly once —
-// morsels popped from a participant's own shard and ranges stolen from a
-// victim's back half must tile [0, n) with no gap and no overlap, at every
-// pool size and grain.
+// the morsels participants claim from the shared cursor must tile [0, n)
+// with no gap and no overlap, at every pool size and grain.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, RangeCoversEveryIndexExactlyOnce) {
@@ -64,10 +66,10 @@ TEST(MorselTest, ParallelForCoversEveryIndexOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Work stealing under skew: one contiguous run of indices is orders of
-// magnitude more expensive than the rest. Per-index outputs land in fixed
-// slots, so any thread count must produce the byte-identical result vector
-// — the determinism contract the engine's ordered block merge builds on.
+// Skewed work: one contiguous run of indices is orders of magnitude more
+// expensive than the rest. Per-index outputs land in fixed slots, so any
+// thread count must produce the byte-identical result vector — the
+// determinism contract every index-ordered merge builds on.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, SkewedWorkIsDeterministicAcrossThreadCounts) {
@@ -91,6 +93,31 @@ TEST(MorselTest, SkewedWorkIsDeterministicAcrossThreadCounts) {
     ASSERT_EQ(std::memcmp(out.data(), reference.data(), n * sizeof(uint64_t)),
               0)
         << "threads=" << threads;
+  }
+}
+
+TEST(MorselTest, SingleParticipantRunsWholeRangeOnCaller) {
+  // A budget of 1 (or a range of one morsel) never touches a worker: the
+  // caller runs fn(0, n) itself, so a budget-1 loop is the plain sequential
+  // loop, in index order.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [n, grain, cap] :
+       {std::tuple<size_t, size_t, size_t>{1000, 16, 1},
+        std::tuple<size_t, size_t, size_t>{1000, 1000, 0},
+        std::tuple<size_t, size_t, size_t>{7, 64, 0}}) {
+    std::vector<std::pair<size_t, size_t>> calls;
+    bool on_caller = true;
+    pool.ParallelForRange(
+        n, grain,
+        [&](size_t begin, size_t end) {
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+          calls.emplace_back(begin, end);
+        },
+        cap);
+    ASSERT_EQ(calls.size(), 1u) << "n=" << n << " grain=" << grain;
+    EXPECT_EQ(calls[0], std::make_pair(size_t{0}, n));
+    EXPECT_TRUE(on_caller);
   }
 }
 
@@ -119,10 +146,9 @@ TEST(MorselTest, MaxParallelismCapsParticipants) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: a what-if evaluation over skewed ground blocks must be
-// bit-for-bit identical at every thread budget (ordered block merge). german-syn's blocks are singletons — the
-// skew here comes from the morsel grain interacting with uneven per-row
-// work — which is exactly the production shape of the block loop.
+// End to end: a what-if on german-syn (one block per row) must be bit-for-bit
+// identical at every thread budget. The budget only reaches forest training
+// and batch fan-out; one evaluation always folds on its calling thread.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "prob/aggregates.h"
 
@@ -9,67 +11,8 @@ namespace {
 using sql::AggKind;
 
 // ---------------------------------------------------------------------------
-// BlockAccumulator semantics
-// ---------------------------------------------------------------------------
-
-TEST(BlockAccumulatorTest, CountSumsWeights) {
-  BlockAccumulator acc(AggKind::kCount);
-  acc.BeginBlock();
-  acc.Add(1.0, 0.0);
-  acc.Add(0.25, 0.0);
-  acc.EndBlock();
-  acc.BeginBlock();
-  acc.Add(0.75, 0.0);
-  acc.EndBlock();
-  EXPECT_DOUBLE_EQ(acc.Finish().value(), 2.0);
-  EXPECT_EQ(acc.num_blocks(), 2u);
-}
-
-TEST(BlockAccumulatorTest, SumUsesWeightedValues) {
-  BlockAccumulator acc(AggKind::kSum);
-  acc.BeginBlock();
-  acc.Add(1.0, 5.0);   // E[Y * 1{for}] = 5
-  acc.Add(0.5, 1.25);  // joint expectation already weighted
-  acc.EndBlock();
-  EXPECT_DOUBLE_EQ(acc.Finish().value(), 6.25);
-}
-
-TEST(BlockAccumulatorTest, AvgIsRatioOfExpectations) {
-  BlockAccumulator acc(AggKind::kAvg);
-  acc.BeginBlock();
-  acc.Add(1.0, 4.0);
-  acc.Add(1.0, 2.0);
-  acc.EndBlock();
-  acc.BeginBlock();
-  acc.Add(0.5, 3.0);
-  acc.EndBlock();
-  // (4 + 2 + 3) / (1 + 1 + 0.5)
-  EXPECT_DOUBLE_EQ(acc.Finish().value(), 9.0 / 2.5);
-}
-
-TEST(BlockAccumulatorTest, AvgOverNothingIsError) {
-  BlockAccumulator acc(AggKind::kAvg);
-  acc.BeginBlock();
-  acc.EndBlock();
-  EXPECT_FALSE(acc.Finish().ok());
-}
-
-TEST(BlockAccumulatorTest, EmptyBlocksContributeNothing) {
-  BlockAccumulator acc(AggKind::kSum);
-  for (int i = 0; i < 5; ++i) {
-    acc.BeginBlock();
-    acc.EndBlock();
-  }
-  acc.BeginBlock();
-  acc.Add(1.0, 7.0);
-  acc.EndBlock();
-  EXPECT_DOUBLE_EQ(acc.Finish().value(), 7.0);
-  EXPECT_EQ(acc.num_blocks(), 6u);
-}
-
-// ---------------------------------------------------------------------------
-// Definition 6 properties: block partition invariance = decomposability,
-// alpha-homogeneity and additivity of the combiner g.
+// Aggregate semantics: tuples fold into block partials with AddTuple, and
+// the partials merge into a BlockAccumulator in block order.
 // ---------------------------------------------------------------------------
 
 struct Contribution {
@@ -77,16 +20,69 @@ struct Contribution {
   double weighted_value;
 };
 
-double Accumulate(AggKind agg, const std::vector<std::vector<Contribution>>&
-                                   blocks) {
+using Blocks = std::vector<std::vector<Contribution>>;
+
+Result<double> Fold(AggKind agg, const Blocks& blocks) {
   BlockAccumulator acc(agg);
   for (const auto& block : blocks) {
-    acc.BeginBlock();
-    for (const Contribution& c : block) acc.Add(c.weight, c.weighted_value);
-    acc.EndBlock();
+    double num = 0.0, den = 0.0;
+    for (const Contribution& c : block) {
+      AddTuple(agg, c.weight, c.weighted_value, &num, &den);
+    }
+    acc.MergeBlockPartial(num, den);
   }
-  return acc.Finish().value();
+  return acc.Finish();
 }
+
+double Accumulate(AggKind agg, const Blocks& blocks) {
+  return Fold(agg, blocks).value();
+}
+
+TEST(BlockAccumulatorTest, CountSumsWeights) {
+  EXPECT_DOUBLE_EQ(
+      Accumulate(AggKind::kCount, {{{1.0, 0.0}, {0.25, 0.0}}, {{0.75, 0.0}}}),
+      2.0);
+}
+
+TEST(BlockAccumulatorTest, SumUsesWeightedValues) {
+  // E[Y * 1{for}] = 5, then a joint expectation already weighted.
+  EXPECT_DOUBLE_EQ(Accumulate(AggKind::kSum, {{{1.0, 5.0}, {0.5, 1.25}}}),
+                   6.25);
+}
+
+TEST(BlockAccumulatorTest, AvgIsRatioOfExpectations) {
+  // (4 + 2 + 3) / (1 + 1 + 0.5)
+  EXPECT_DOUBLE_EQ(
+      Accumulate(AggKind::kAvg, {{{1.0, 4.0}, {1.0, 2.0}}, {{0.5, 3.0}}}),
+      9.0 / 2.5);
+}
+
+TEST(BlockAccumulatorTest, AvgOverNothingIsError) {
+  EXPECT_FALSE(Fold(AggKind::kAvg, {{}}).ok());
+}
+
+TEST(BlockAccumulatorTest, EmptyBlocksContributeNothing) {
+  Blocks blocks(5);
+  blocks.push_back({{1.0, 7.0}});
+  EXPECT_DOUBLE_EQ(Accumulate(AggKind::kSum, blocks), 7.0);
+}
+
+TEST(BlockAccumulatorTest, MergesPartialsInBlockOrder) {
+  // Each partial starts at +0.0 and merges as one addition, so the value
+  // depends on the block partition: 1 + 1e-16 + 1e-16 rounds back to 1 when
+  // the tuples fold in row order, but their block partial 2e-16 survives.
+  const Contribution big{1.0, 1.0}, tiny{1e-16, 1e-16};
+  const double row_order = Accumulate(AggKind::kSum, {{big, tiny, tiny}});
+  const double blocked = Accumulate(AggKind::kSum, {{big}, {tiny, tiny}});
+  EXPECT_EQ(row_order, 1.0);
+  EXPECT_EQ(blocked, 1.0 + 2e-16);
+  EXPECT_NE(row_order, blocked);
+}
+
+// ---------------------------------------------------------------------------
+// Definition 6 properties: block partition invariance = decomposability,
+// alpha-homogeneity and additivity of the combiner g.
+// ---------------------------------------------------------------------------
 
 class DecomposabilitySweep : public ::testing::TestWithParam<AggKind> {};
 
