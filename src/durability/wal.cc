@@ -165,17 +165,6 @@ std::string FrameBytes(uint64_t lsn, WalRecordType type,
 
 }  // namespace
 
-const char* WalRecordTypeName(WalRecordType type) {
-  switch (type) {
-    case WalRecordType::kHeader: return "header";
-    case WalRecordType::kCreate: return "create";
-    case WalRecordType::kApply: return "apply";
-    case WalRecordType::kDrop: return "drop";
-    case WalRecordType::kReload: return "reload";
-  }
-  return "unknown";
-}
-
 const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kAlways: return "always";

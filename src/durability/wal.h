@@ -44,8 +44,6 @@ enum class WalRecordType : uint32_t {
   kReload = 5,    // dataset reload: generation bump + new base fingerprint
 };
 
-const char* WalRecordTypeName(WalRecordType type);
-
 constexpr uint32_t kWalFormatVersion = 1;
 /// Frame header: crc (4) + lsn (8) + type (4) + len (4).
 constexpr size_t kWalFrameHeaderBytes = 20;

@@ -56,17 +56,6 @@ const char* UpdateFuncKindName(UpdateFuncKind kind) {
   return "?";
 }
 
-const char* LimitKindName(LimitKind kind) {
-  switch (kind) {
-    case LimitKind::kAbsRange: return "range";
-    case LimitKind::kRelShift: return "rel-shift";
-    case LimitKind::kRelScale: return "rel-scale";
-    case LimitKind::kL1: return "L1";
-    case LimitKind::kInSet: return "in-set";
-  }
-  return "?";
-}
-
 std::unique_ptr<Expr> Expr::Clone() const {
   auto out = std::make_unique<Expr>();
   out->kind = kind;

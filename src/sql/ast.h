@@ -177,8 +177,6 @@ enum class LimitKind {
   kInSet,      // Post(A) In (v1, v2, ...)
 };
 
-const char* LimitKindName(LimitKind kind);
-
 struct LimitItem {
   LimitKind kind = LimitKind::kAbsRange;
   std::string attribute;

@@ -149,14 +149,6 @@ Result<Statement> Parser::ParseStatement() {
   return stmt;
 }
 
-Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectOnly() {
-  HYPER_ASSIGN_OR_RETURN(auto select, ParseSelect());
-  if (!Check(TokenKind::kEnd)) {
-    return ErrorHere("unexpected trailing input after select");
-  }
-  return select;
-}
-
 Result<ExprPtr> Parser::ParseExprOnly() {
   HYPER_ASSIGN_OR_RETURN(auto expr, ParseExpr());
   if (!Check(TokenKind::kEnd)) {

@@ -33,7 +33,6 @@ class Parser {
   Result<Statement> ParseStatement();
 
   // Entry points used directly by tests and programmatic callers.
-  Result<std::unique_ptr<SelectStmt>> ParseSelectOnly();
   Result<ExprPtr> ParseExprOnly();
 
  private:

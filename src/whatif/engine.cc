@@ -44,16 +44,6 @@ const char* BackdoorModeName(BackdoorMode mode) {
   return "?";
 }
 
-const char* StageKindName(StageKind kind) {
-  switch (kind) {
-    case StageKind::kScope: return "scope";
-    case StageKind::kCausal: return "causal";
-    case StageKind::kLearn: return "learn";
-    case StageKind::kQuery: return "query";
-  }
-  return "?";
-}
-
 namespace {
 
 using governance::ExecGuard;
@@ -872,11 +862,11 @@ struct LearnStageData {
 
 /// QueryStage — the plan: the per-query leaves (compiled statement ASTs,
 /// the When mask, per-row output constants and the compiled residual (hole)
-/// plan, plus the lazily-grown residual-entry cache) and shared pointers to
-/// the Scope, Causal and Learn stages it was built from. A PreparedWhatIf
-/// owns exactly one, and the query section of a stage cache stores that
-/// PreparedWhatIf. The cheapest stage to rebuild, and the only one a
-/// When-variant pays for.
+/// plan, plus the residual-entry cache and, for holes that read no post
+/// image, each row's entry id) and shared pointers to the Scope, Causal and
+/// Learn stages it was built from. A PreparedWhatIf owns exactly one, and
+/// the query section of a stage cache stores that PreparedWhatIf. The
+/// cheapest stage to rebuild, and the only one a When-variant pays for.
 struct PreparedWhatIf::Impl {
   std::shared_ptr<const ScopeStageData> scope;
   std::shared_ptr<const CausalStageData> causal;
@@ -901,16 +891,26 @@ struct PreparedWhatIf::Impl {
   std::unordered_map<const Expr*, size_t> hole_of;
   std::vector<relational::CompiledExpr> hole_compiled;
   /// True when every hole is row-invariant (no column references — e.g.
-  /// constant thresholds): all rows then share one residual entry per
-  /// intervention, the per-row hole evaluation disappears, and entries
-  /// cache their exact qualification mask across evaluations.
+  /// constant thresholds): all rows then share one residual entry, resolved
+  /// on the first evaluation, and that entry caches its exact qualification
+  /// mask across evaluations. Holes that vary by row resolve per row once
+  /// per plan (row_entry) unless they read a post image.
   bool holes_row_invariant = false;
+  /// Each view row's residual entry id, resolved once by BuildQueryStage
+  /// when the holes vary by row but none reads a post image: their values
+  /// are then the same under every intervention. Empty otherwise (and when
+  /// some row's hole evaluation or entry resolution fails), so Evaluate
+  /// evaluates the holes per row against the intervention's post image.
+  std::vector<uint32_t> row_entry;
 
   /// One folded residual per distinct hole-value vector. Entries are
   /// append-only and individually immutable once published, so evaluations
-  /// snapshot raw pointers and read them lock-free afterwards. (Trained
-  /// pattern estimators live on the LearnStage — a QueryStage can be shared
-  /// by plans with different estimator configs.)
+  /// snapshot raw pointers and read them lock-free afterwards. A plan with
+  /// `row_entry` holds every entry it will ever use from Prepare on; the
+  /// list grows lazily only for row-invariant holes (the one shared entry)
+  /// and on the per-row path. (Trained pattern estimators live on the
+  /// LearnStage — a QueryStage can be shared by plans with different
+  /// estimator configs.)
   struct Entry {
     bool is_literal = false;
     bool literal_value = false;
@@ -1457,6 +1457,45 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   return std::shared_ptr<const LearnStageData>(std::move(stage));
 }
 
+/// Fills stage->row_entry for holes that read no post image: evaluates them
+/// once per row over the pre image and resolves each distinct hole vector
+/// to its entry, in row order. If any row's hole evaluation or entry
+/// resolution fails, no ids are stored and the plan still builds: Evaluate
+/// then takes the per-row path, which reports that error at that row. Only
+/// a governance abort fails the build.
+Status ResolveRowEntries(PreparedWhatIf::Impl* stage, const ExecGuard* guard) {
+  const ColumnTable& cview = stage->scope->cview;
+  const size_t n = cview.num_rows();
+  std::vector<relational::ColumnBoundExpr> hole_eval;
+  hole_eval.reserve(stage->hole_compiled.size());
+  for (const relational::CompiledExpr& ce : stage->hole_compiled) {
+    auto be = relational::ColumnBoundExpr::Bind(ce, cview);
+    if (!be.ok()) return Status::OK();
+    hole_eval.push_back(std::move(be).value());
+  }
+  std::vector<uint32_t> row_entry(n);
+  std::vector<Value> holes;
+  LoopCheck gov_loop(guard);
+  // The stage is not published yet, so the entry lock is uncontended.
+  MutexLock lock(&stage->mu);
+  for (size_t r = 0; r < n; ++r) {
+    if (gov_loop.Due()) {
+      HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.query"));
+    }
+    holes.clear();
+    for (const relational::ColumnBoundExpr& he : hole_eval) {
+      auto s = he.Eval(r);
+      if (!s.ok()) return Status::OK();
+      holes.push_back(s->ToValue());
+    }
+    auto id = stage->ResolveEntryLocked(holes);
+    if (!id.ok()) return Status::OK();
+    row_entry[r] = *id;
+  }
+  stage->row_entry = std::move(row_entry);
+  return Status::OK();
+}
+
 /// Builds the QueryStage payload into `stage`, whose upstream stage
 /// pointers the caller has already set.
 Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
@@ -1535,6 +1574,12 @@ Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
       sql::CollectColumnRefs(*h, &refs);
       if (!refs.empty()) stage->holes_row_invariant = false;
     }
+  }
+  const bool reads_post = std::any_of(
+      stage->hole_compiled.begin(), stage->hole_compiled.end(),
+      [](const relational::CompiledExpr& ce) { return ce.references_post(); });
+  if (!stage->holes_row_invariant && !reads_post) {
+    HYPER_RETURN_NOT_OK(ResolveRowEntries(stage, guard));
   }
   return Status::OK();
 }
@@ -1916,23 +1961,18 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // every row folds to the same residual, so resolve the shared entry once
   // and skip the per-row hole evaluation + cache lookup entirely.
   const bool uniform = qs.holes_row_invariant;
+  // Holes that read no post image: Prepare resolved every row's entry, so
+  // a row's entry is one array read and the plan's entry list is complete.
+  const bool resolved = !qs.row_entry.empty();
   const bool all_set = [&] {
     for (const UpdatePost& u : upost) {
       if (!u.is_set) return false;
     }
     return true;
   }();
-  // Fast Pass A for the common serving shape — row-invariant holes, Set
-  // updates only, no psi features: every affected row's post-update point
-  // is (constant set features) ++ (its non-update feature bytes), so the
-  // LearnStage's precomputed residual grouping IS the dedup. Affected rows
-  // map to batch slots with one array read; the slots, the gathered feature
-  // points, and their order are identical to the hashing loop in the else
-  // branch below (first appearance in row order, byte equality).
-  const bool fast_pass_a = uniform && all_set && psi_specs.empty();
-  // Uniform Pass B loops read the shared entry directly, so the fast Pass A
-  // can skip both the entry map and its n-slot zeroed allocation.
-  std::vector<uint32_t> entry_of_row(fast_pass_a ? 0 : n);
+  // Only the per-row path (holes over a post image) needs a row -> entry
+  // map of its own; the others read uniform_id or qs.row_entry.
+  std::vector<uint32_t> entry_of_row(uniform || resolved ? 0 : n);
   std::vector<const Entry*> local_entries;
   std::vector<const PatternEstimators*> pattern_of_entry;
   std::unordered_map<std::vector<Value>, uint32_t, ValueVectorHash,
@@ -1958,20 +1998,62 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     HYPER_ASSIGN_OR_RETURN(uniform_id, qs.ResolveEntryLocked(scratch));
     grow_local(uniform_id);
     local_entries[uniform_id] = qs.entries[uniform_id].get();
+  } else if (resolved) {
+    MutexLock lock(&qs.mu);
+    for (const auto& e : qs.entries) local_entries.push_back(e.get());
+    pattern_of_entry.resize(local_entries.size(), nullptr);
   }
+  const uint32_t* row_entry =
+      resolved ? qs.row_entry.data() : entry_of_row.data();
+  const size_t num_entries = local_entries.size();
 
-  if (fast_pass_a) {
-    const Entry& e = *local_entries[uniform_id];
-    if (!(e.is_literal && !e.literal_value)) {
-      const uint32_t* gid = le.residual_gid.data();
-      std::vector<uint32_t> slot_of_gid(le.residual_groups, UINT32_MAX);
+  // Trains (or fetches) the pattern estimators of entry `id` on the
+  // LearnStage. Entries are immutable once published, so the residual
+  // evaluates outside the entry lock.
+  auto ensure_pattern = [&](uint32_t id) -> Result<const PatternEstimators*> {
+    const Entry& e = *local_entries[id];
+    bool was_cached = false;
+    HYPER_ASSIGN_OR_RETURN(
+        const PatternEstimators* pat,
+        le.EnsurePattern(e.key, e.is_literal, e.literal_value,
+                         e.exact.has_value() ? &*e.exact : nullptr,
+                         &was_cached, &train_seconds, guard));
+    pattern_of_entry[id] = pat;
+    if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
+    return pat;
+  };
+
+  // Grouped Pass A — entries known per row (row-invariant or resolved
+  // holes), Set updates only, no psi features: every affected row's
+  // post-update point is (constant set features) ++ (its non-update feature
+  // bytes), so within one entry the LearnStage's residual grouping IS the
+  // dedup. Affected rows map to batch slots with one array read per entry
+  // and group; per entry, the slots, the gathered feature points and their
+  // order are identical to the hashing loop in the else branch below (first
+  // appearance in row order, byte equality). The per-entry slot tables are
+  // used while they total at most one slot per view row, so a plan with
+  // very many entries keeps O(n) scratch by hashing instead.
+  const size_t groups = le.residual_groups;
+  const bool grouped = all_set && psi_specs.empty() &&
+                       (uniform || (resolved && num_entries * groups <= n));
+  if (grouped) {
+    // Sized before the loop: references into it stay valid.
+    batches.resize(num_entries);
+    std::vector<uint32_t> slot_of_gid(num_entries * groups, UINT32_MAX);
+    const uint32_t* gid = le.residual_gid.data();
+    // Guard checkpoints per stride instead of per row: the body is a few
+    // loads, so a stride keeps cancellation latency in the microseconds
+    // while removing the per-row counter from the hot loops.
+    constexpr size_t kGuardStride = 4096;
+    if (uniform) {
+      // One shared entry, in a loop of its own so that its pattern, batch
+      // and slot table stay in registers (one loop shared with resolved
+      // entries measured slower on the shapes without For).
+      const Entry& e = *local_entries[uniform_id];
+      uint32_t* slots = slot_of_gid.data() + uniform_id * groups;
       const PatternEstimators* pat = nullptr;
       EntryBatch* eb = nullptr;
-      // Guard checkpoints per stride instead of per row: the body is a few
-      // loads, so a stride keeps cancellation latency in the microseconds
-      // while removing the per-row counter from the hot loop.
-      constexpr size_t kGuardStride = 4096;
-      bool done = false;
+      bool done = e.is_literal && !e.literal_value;  // disqualified
       for (size_t base = 0; base < n && !done; base += kGuardStride) {
         if (guard != nullptr) {
           HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
@@ -1980,33 +2062,72 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         for (size_t r = base; r < lim; ++r) {
           if (!in_s[r]) continue;  // psi_changed is all-zero with no psi
           if (pat == nullptr) {
-            bool was_cached = false;
-            HYPER_ASSIGN_OR_RETURN(
-                pat, le.EnsurePattern(e.key, e.is_literal, e.literal_value,
-                                      e.exact.has_value() ? &*e.exact : nullptr,
-                                      &was_cached, &train_seconds, guard));
-            pattern_of_entry[uniform_id] = pat;
-            if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
+            HYPER_ASSIGN_OR_RETURN(pat, ensure_pattern(uniform_id));
             if (pat->weight == nullptr && pat->value == nullptr) {
-              done = true;  // literal pattern: nothing to batch, training done
+              done = true;  // literal pattern: nothing to batch
               break;
             }
-            if (uniform_id >= batches.size()) batches.resize(uniform_id + 1);
             eb = &batches[uniform_id];
           }
           const uint32_t g = gid[r];
-          uint32_t slot = slot_of_gid[g];
+          uint32_t slot = slots[g];
           if (slot == UINT32_MAX) {
             slot = eb->count++;
-            slot_of_gid[g] = slot;
+            slots[g] = slot;
             emit_features(r, point.data());
             eb->feat.insert(eb->feat.end(), point.begin(), point.end());
           }
           slot_of_row[r] = slot;
         }
       }
+    } else {
+      // Resolved entries. Per entry: not yet met on an affected row,
+      // gathering, or nothing to batch (disqualified, or a literal pattern
+      // without an estimator).
+      enum : uint8_t { kUnseen, kGather, kSkip };
+      std::vector<uint8_t> state(num_entries, kUnseen);
+      size_t live = num_entries;
+      for (size_t id = 0; id < num_entries; ++id) {
+        const Entry& e = *local_entries[id];
+        if (e.is_literal && !e.literal_value) {
+          state[id] = kSkip;
+          --live;
+        }
+      }
+      for (size_t base = 0; base < n && live > 0; base += kGuardStride) {
+        if (guard != nullptr) {
+          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
+        }
+        const size_t lim = std::min(n, base + kGuardStride);
+        for (size_t r = base; r < lim; ++r) {
+          if (!in_s[r]) continue;
+          const uint32_t id = row_entry[r];
+          if (state[id] != kGather) {
+            if (state[id] == kSkip) continue;
+            HYPER_ASSIGN_OR_RETURN(const PatternEstimators* pat,
+                                   ensure_pattern(id));
+            if (pat->weight == nullptr && pat->value == nullptr) {
+              state[id] = kSkip;
+              if (--live == 0) break;
+              continue;
+            }
+            state[id] = kGather;
+          }
+          uint32_t& slot = slot_of_gid[id * groups + gid[r]];
+          if (slot == UINT32_MAX) {
+            EntryBatch& eb = batches[id];
+            slot = eb.count++;
+            emit_features(r, point.data());
+            eb.feat.insert(eb.feat.end(), point.begin(), point.end());
+          }
+          slot_of_row[r] = slot;
+        }
+      }
     }
   } else {
+    // Scale/shift updates or psi features (the feature point varies within
+    // a residual group), holes over a post image, or too many entries for
+    // the slot tables: hash each affected row's feature point.
     LoopCheck pass_a_check(guard);
     for (size_t r = 0; r < n; ++r) {
       if (pass_a_check.Due()) {
@@ -2015,6 +2136,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       uint32_t id;
       if (uniform) {
         id = uniform_id;
+      } else if (resolved) {
+        id = row_entry[r];
       } else {
         scratch.clear();
         for (const relational::ColumnBoundExpr& he : hole_eval) {
@@ -2031,24 +2154,15 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           local_entries[id] = qs.entries[id].get();
           local_cache.emplace(scratch, id);
         }
+        entry_of_row[r] = id;
       }
-      entry_of_row[r] = id;
       const Entry& e = *local_entries[id];
       if (e.is_literal && !e.literal_value) continue;  // disqualified
       if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
-      if (pattern_of_entry[id] == nullptr) {
-        // Train (or fetch) on the LearnStage — entries are immutable once
-        // published, so the residual evaluates outside the entry lock.
-        bool was_cached = false;
-        const PatternEstimators* pat = nullptr;
-        HYPER_ASSIGN_OR_RETURN(
-            pat, le.EnsurePattern(e.key, e.is_literal, e.literal_value,
-                                  e.exact.has_value() ? &*e.exact : nullptr,
-                                  &was_cached, &train_seconds, guard));
-        pattern_of_entry[id] = pat;
-        if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
-      }
       const PatternEstimators* pat = pattern_of_entry[id];
+      if (pat == nullptr) {
+        HYPER_ASSIGN_OR_RETURN(pat, ensure_pattern(id));
+      }
       if (pat->weight == nullptr && pat->value == nullptr) continue;
       if (id >= batches.size()) batches.resize(id + 1);
       EntryBatch& eb = batches[id];
@@ -2219,7 +2333,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         if (guard != nullptr && (r & 63) == 0) {
           HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
         }
-        const uint32_t id = uniform ? uniform_id : entry_of_row[r];
+        const uint32_t id = uniform ? uniform_id : row_entry[r];
         if (!add_row(r, id, &num, &den, &error)) return error;
       }
     }
@@ -2236,7 +2350,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
         }
         const size_t r = ca.block_rows[k];
-        const uint32_t id = uniform ? uniform_id : entry_of_row[r];
+        const uint32_t id = uniform ? uniform_id : row_entry[r];
         if (!add_row(r, id, &num, &den, &error)) return error;
       }
       acc.MergeBlockPartial(num, den);

@@ -54,8 +54,6 @@ namespace hyper::whatif {
 
 enum class StageKind { kScope = 0, kCausal, kLearn, kQuery };
 
-const char* StageKindName(StageKind kind);
-
 /// Per-stage cache consulted by the staged Prepare pipeline. Implemented by
 /// service::StageCache (LRU + single-flight per stage); the engine only
 /// needs get-or-build and a non-building peek (for delta patching).
@@ -201,7 +199,11 @@ struct WhatIfResult {
 /// except for three lazily-grown caches — the residual-entry list and the
 /// hole-value -> entry map (QueryStage, one mutex) and the
 /// pattern-estimator map (LearnStage, its own mutex; shared by every plan
-/// built on that stage). The two locks are never held together.
+/// built on that stage). The two locks are never held together. The entry
+/// caches grow only for row-invariant holes (one shared entry) and for
+/// holes that read a post image (evaluated per row, per intervention);
+/// when the holes read no post image, Prepare resolves every row's entry
+/// once, and evaluations read those ids without a lock.
 /// Concurrent Evaluate calls are safe:
 ///   - entries are unique_ptr-owned (stable addresses across list growth)
 ///     and individually immutable once published under the lock;

@@ -133,7 +133,11 @@ struct WhatIfCase {
 std::vector<WhatIfCase> WhatIfCases() {
   std::vector<WhatIfCase> cases;
   // german-syn, both estimators, across the query shapes: Count with and
-  // without For, Avg with For, Sum over a When selection, a second When.
+  // without For, Avg with For, Sum over a When selection, a second When
+  // (a Set update despite its id), and the For shapes whose holes vary by
+  // row: a disjunction that folds to true on some rows, a hole with one
+  // value per Housing level, a hole over the update attribute's post image,
+  // and a scale update under a row-varying hole.
   const std::pair<const char*, const char*> german_queries[] = {
       {"count-for", "Use German Update(Status) = 3 Output Count(Credit = 1) "
                     "For Pre(Age) = 1"},
@@ -145,6 +149,15 @@ std::vector<WhatIfCase> WhatIfCases() {
                    "Output Sum(Credit)"},
       {"scale", "Use German When Sex = 1 Update(Status) = 2 "
                 "Output Count(Credit = 1)"},
+      {"or-for", "Use German Update(Status) = 3 Output Avg(Post(Credit)) "
+                 "For Post(Credit) = 1 Or Pre(Age) = 1"},
+      {"atom-for", "Use German Update(Status) = 3 Output Count(Credit = 1) "
+                   "For Post(Credit) = Pre(Housing)"},
+      {"post-hole", "Use German When Sex = 1 Update(Status) = 3 "
+                    "Output Count(Credit = 1) "
+                    "For Post(Status) = 3 And Pre(Age) = 1"},
+      {"scale-for", "Use German When Sex = 1 Update(Status) = 2 * Pre(Status) "
+                    "Output Sum(Post(Credit)) For Pre(Age) = 1"},
   };
   for (learn::EstimatorKind estimator :
        {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {

@@ -117,11 +117,6 @@ TEST_F(ServiceTest, EvaluateBatchMatchesFreshRuns) {
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
   whatif::WhatIfEngine engine(&db_, &graph_, options);
 
-  auto stmt = sql::ParseSql(kQuery);
-  ASSERT_TRUE(stmt.ok());
-  auto plan = engine.Prepare(*stmt->whatif);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
   std::vector<std::vector<whatif::UpdateSpec>> interventions;
   for (int v = 0; v <= 3; ++v) {
     whatif::UpdateSpec spec;
@@ -130,16 +125,27 @@ TEST_F(ServiceTest, EvaluateBatchMatchesFreshRuns) {
     spec.constant = Value::Int(v);
     interventions.push_back({spec});
   }
-  auto batch = engine.EvaluateBatch(**plan, interventions);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(4u, batch->size());
+  // Without a For clause, and with one whose hole reads only the pre image:
+  // that plan resolves each row's residual entry once, and the four
+  // interventions read those entries concurrently.
+  for (const std::string for_clause : {"", " For Pre(Age) = 1"}) {
+    auto stmt = sql::ParseSql(std::string(kQuery) + for_clause);
+    ASSERT_TRUE(stmt.ok());
+    auto plan = engine.Prepare(*stmt->whatif);
+    ASSERT_TRUE(plan.ok()) << plan.status();
 
-  for (int v = 0; v <= 3; ++v) {
-    const double expected = FreshRun(
-        "Use German When Status = 1 Update(Status) = " + std::to_string(v) +
-            " Output Count(Credit = 1)",
-        options);
-    EXPECT_EQ(expected, (*batch)[v].value) << "Status <- " << v;
+    auto batch = engine.EvaluateBatch(**plan, interventions);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(4u, batch->size());
+
+    for (int v = 0; v <= 3; ++v) {
+      const double expected = FreshRun(
+          "Use German When Status = 1 Update(Status) = " + std::to_string(v) +
+              " Output Count(Credit = 1)" + for_clause,
+          options);
+      EXPECT_EQ(expected, (*batch)[v].value)
+          << "Status <- " << v << for_clause;
+    }
   }
 }
 
@@ -341,11 +347,13 @@ TEST_F(ServiceTest, ConcurrentSubmitDeterminism) {
   // Reference values from fresh single-query runs.
   std::vector<std::string> queries;
   std::vector<double> expected;
-  for (int v = 0; v <= 3; ++v) {
-    queries.push_back(
-        "Use German When Status = 1 Update(Status) = " + std::to_string(v) +
-        " Output Count(Credit = 1)");
-    expected.push_back(FreshRun(queries.back(), options));
+  for (const std::string for_clause : {"", " For Pre(Age) = 1"}) {
+    for (int v = 0; v <= 3; ++v) {
+      queries.push_back("Use German When Status = 1 Update(Status) = " +
+                        std::to_string(v) + " Output Count(Credit = 1)" +
+                        for_clause);
+      expected.push_back(FreshRun(queries.back(), options));
+    }
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {

@@ -370,6 +370,132 @@ TEST(WhatIfEngineTest, RejectsPostInWhen) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST(WhatIfEngineTest, ForHoleErrorFailsEveryEvaluate) {
+  // The hole Pre(Age) / (Pre(Housing) - 1) divides by zero on the rows with
+  // Housing = 1. Prepare succeeds, every Evaluate on the plan reports the
+  // error (nothing half-built is kept between calls), and so does Run.
+  data::GermanOptions opt;
+  opt.rows = 800;
+  auto ds = data::MakeGermanSyn(opt);
+  ASSERT_TRUE(ds.ok());
+  WhatIfOptions options;
+  options.estimator = learn::EstimatorKind::kFrequency;
+  WhatIfEngine engine(&ds->db, &ds->graph, options);
+  const char* query =
+      "Use German Update(Status) = 3 Output Count(Credit = 1) "
+      "For Pre(Age) / (Pre(Housing) - 1) = 1";
+  auto stmt = sql::ParseSql(query);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ASSERT_NE(stmt->whatif, nullptr);
+  auto plan = engine.Prepare(*stmt->whatif);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::vector<UpdateSpec> updates = SpecsOfStatement(*stmt->whatif);
+  for (int i = 0; i < 2; ++i) {
+    auto result = engine.Evaluate(**plan, updates);
+    ASSERT_FALSE(result.ok()) << "evaluation " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(), "division by zero");
+  }
+  auto run = engine.RunSql(query);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(run.status().message(), "division by zero");
+}
+
+TEST(WhatIfEngineTest, PreImageHolesMatchPostImageHoles) {
+  // Post(A) of an attribute no update touches reads its pre image, so each
+  // pair below asks the same question. The Pre form's holes read no post
+  // image: Prepare resolves every row's entry once. The Post form's holes
+  // are evaluated per row against the intervention. Both must answer bit
+  // for bit alike: under Set updates, whose batch slots come from the
+  // residual groups (or from hashing once the per-entry slot tables would
+  // exceed one slot per row: the forest on a continuous confounder, whose
+  // every row is its own group), under scale updates, and with the Amazon
+  // view's cross-tuple features. A hole over the key column Id is no
+  // feature, so its two gathering entries share residual groups.
+  Table t(Schema("R",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"X", ValueType::kDouble, Mutability::kMutable},
+                  {"B", ValueType::kInt, Mutability::kMutable},
+                  {"Y", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  for (int i = 0; i < 300; ++i) {
+    const int b = (i * 13) % 7 < 3 ? 1 : 0;
+    t.AppendUnchecked({Value::Int(i), Value::Double((i * 37 % 300) / 300.0),
+                       Value::Int(b),
+                       Value::Int((i * 11) % 5 < 2 + b ? 1 : 0)});
+  }
+  data::Dataset continuous;
+  ASSERT_TRUE(continuous.db.AddTable(std::move(t)).ok());
+  continuous.graph.AddEdge("X", "B");
+  continuous.graph.AddEdge("X", "Y");
+  continuous.graph.AddEdge("B", "Y");
+  data::GermanOptions german_opt;
+  german_opt.rows = 800;
+  auto german = data::MakeGermanSyn(german_opt);
+  ASSERT_TRUE(german.ok());
+  data::AmazonOptions amazon_opt;
+  amazon_opt.products = 150;
+  amazon_opt.reviews_per_product = 3;
+  auto amazon = data::MakeAmazonSyn(amazon_opt);
+  ASSERT_TRUE(amazon.ok());
+  const std::string amazon_view =
+      "Use V As (Select T1.PID, T1.Category, T1.Brand, T1.Price, "
+      "T1.Quality, Avg(T2.Rating) As Rtng From Product As T1, Review As T2 "
+      "Where T1.PID = T2.PID Group By T1.PID, T1.Category, T1.Brand, "
+      "T1.Price, T1.Quality) ";
+  struct Case {
+    const data::Dataset* ds;
+    std::string pre, post;
+  };
+  const Case cases[] = {
+      {&continuous,
+       "Use R Update(B) = 1 Output Count(Y = 1) For Pre(X) > 0.5",
+       "Use R Update(B) = 1 Output Count(Y = 1) For Post(X) > 0.5"},
+      {&*german,
+       "Use German Update(Status) = 3 Output Count(Credit = 1) "
+       "For Post(Credit) = 1 And Pre(Age) = 1",
+       "Use German Update(Status) = 3 Output Count(Credit = 1) "
+       "For Post(Credit) = 1 And Post(Age) = 1"},
+      {&*german,
+       "Use German Update(Status) = 3 Output Avg(Post(Credit)) "
+       "For Post(Credit) = 1 Or Pre(Id) < 400",
+       "Use German Update(Status) = 3 Output Avg(Post(Credit)) "
+       "For Post(Credit) = 1 Or Post(Id) < 400"},
+      {&*german,
+       "Use German When Sex = 1 Update(Status) = 2 Output Avg(Post(Credit)) "
+       "For Post(Credit) = Pre(Housing)",
+       "Use German When Sex = 1 Update(Status) = 2 Output Avg(Post(Credit)) "
+       "For Post(Credit) = Post(Housing)"},
+      {&*german,
+       "Use German When Sex = 1 Update(Status) = 2 * Pre(Status) "
+       "Output Sum(Post(Credit)) For Pre(Age) = 1",
+       "Use German When Sex = 1 Update(Status) = 2 * Pre(Status) "
+       "Output Sum(Post(Credit)) For Post(Age) = 1"},
+      {&*amazon,
+       amazon_view + "Update(Price) = 500 Output Avg(Rtng) "
+                     "For Pre(Category) = 'Laptop'",
+       amazon_view + "Update(Price) = 500 Output Avg(Rtng) "
+                     "For Post(Category) = 'Laptop'"},
+  };
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
+    for (const Case& c : cases) {
+      WhatIfOptions options;
+      options.estimator = estimator;
+      options.forest.num_trees = 4;
+      WhatIfEngine engine(&c.ds->db, &c.ds->graph, options);
+      auto pre = engine.RunSql(c.pre);
+      ASSERT_TRUE(pre.ok()) << c.pre << ": " << pre.status();
+      auto post = engine.RunSql(c.post);
+      ASSERT_TRUE(post.ok()) << c.post << ": " << post.status();
+      EXPECT_EQ(pre->value, post->value) << c.pre;
+      EXPECT_EQ(pre->num_patterns, post->num_patterns) << c.pre;
+      EXPECT_EQ(pre->updated_rows, post->updated_rows) << c.pre;
+    }
+  }
+}
+
 TEST(WhatIfEngineTest, NullGraphFallsBackToNb) {
   Scm scm = ConfounderScm();
   Database db = SampleDb(scm, 8000, 21);
