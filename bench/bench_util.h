@@ -84,45 +84,6 @@ inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-/// Appends one machine-readable benchmark record as a single JSON object per
-/// line (the `BENCH_*.json` convention: one file per bench binary, one line
-/// per measurement, numeric metrics only). The line is also echoed to stdout
-/// so logs stay self-contained.
-class JsonLines {
- public:
-  /// Truncates `path` on construction: each bench run owns its file.
-  explicit JsonLines(const std::string& path) : path_(path) {
-    if (FILE* f = std::fopen(path_.c_str(), "w")) std::fclose(f);
-  }
-
-  void Record(const std::string& bench,
-              const std::vector<std::pair<std::string, double>>& metrics) {
-    std::string line = "{\"bench\":\"" + bench + "\"";
-    for (const auto& [key, value] : metrics) {
-      line += StrFormat(",\"%s\":%.6g", key.c_str(), value);
-    }
-    line += "}";
-    std::printf("%s\n", line.c_str());
-    if (FILE* f = std::fopen(path_.c_str(), "a")) {
-      std::fprintf(f, "%s\n", line.c_str());
-      std::fclose(f);
-    }
-  }
-
- private:
-  std::string path_;
-};
-
-/// Times `fn` over `reps` repetitions and returns seconds per repetition.
-/// Callers must fold some observable result of each repetition into a
-/// variable that outlives the call, or the compiler may delete the work.
-template <typename Fn>
-double TimePerRep(size_t reps, Fn&& fn) {
-  Stopwatch timer;
-  for (size_t i = 0; i < reps; ++i) fn();
-  return timer.ElapsedSeconds() / static_cast<double>(reps);
-}
-
 /// Aborts the bench with a message when a Result/Status is an error: bench
 /// harnesses have no meaningful recovery path.
 template <typename T>

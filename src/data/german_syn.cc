@@ -163,8 +163,11 @@ Result<Dataset> MakeGermanSyn(const GermanOptions& options) {
     table.AppendUnchecked({Value::Int(static_cast<int64_t>(i)), a[ia], a[is],
                            a[ist], a[isv], a[ih], a[ich], a[ica], a[ic]});
   }
-  HYPER_RETURN_NOT_OK(ds.db.AddTable(table));
-  HYPER_RETURN_NOT_OK(ds.flat.AddTable(std::move(table)));
+  // One table serves as both the relation and its flat image; a write
+  // through either database copies it first.
+  auto shared = std::make_shared<Table>(std::move(table));
+  HYPER_RETURN_NOT_OK(ds.db.PutTable(shared));
+  HYPER_RETURN_NOT_OK(ds.flat.PutTable(std::move(shared)));
   return ds;
 }
 

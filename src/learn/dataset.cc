@@ -1,32 +1,6 @@
 #include "learn/dataset.h"
 
-#include "common/strings.h"
-
 namespace hyper::learn {
-
-Result<FeatureEncoder> FeatureEncoder::Fit(
-    const Table& table, const std::vector<std::string>& columns) {
-  FeatureEncoder enc;
-  enc.columns_ = columns;
-  for (const std::string& col : columns) {
-    HYPER_ASSIGN_OR_RETURN(size_t idx, table.schema().IndexOf(col));
-    enc.column_indices_.push_back(idx);
-    enc.is_categorical_.push_back(table.schema().attribute(idx).type ==
-                                  ValueType::kString);
-    enc.codes_.emplace_back();
-  }
-  // Label-encode string columns in first-seen order.
-  for (size_t t = 0; t < table.num_rows(); ++t) {
-    for (size_t f = 0; f < enc.columns_.size(); ++f) {
-      if (!enc.is_categorical_[f]) continue;
-      const Value& v = table.At(t, enc.column_indices_[f]);
-      if (v.is_null()) continue;
-      auto& codes = enc.codes_[f];
-      codes.emplace(v.string_value(), static_cast<double>(codes.size()));
-    }
-  }
-  return enc;
-}
 
 Result<FeatureEncoder> FeatureEncoder::Fit(
     const ColumnTable& table, const std::vector<std::string>& columns) {
@@ -41,8 +15,8 @@ Result<FeatureEncoder> FeatureEncoder::Fit(
                                   ValueType::kString);
     enc.codes_.emplace_back();
   }
-  // Label-encode string columns in first-seen row order — the same labels
-  // the row-store Fit assigns, derived from dictionary codes.
+  // Label-encode string columns in first-seen row order, derived from
+  // dictionary codes.
   for (size_t f = 0; f < enc.columns_.size(); ++f) {
     if (!enc.is_categorical_[f]) continue;
     const Column& col = table.col(enc.column_indices_[f]);
@@ -146,59 +120,6 @@ Result<double> FeatureEncoder::EncodeValue(size_t i, const Value& v) const {
     return it->second;
   }
   return v.AsDouble();
-}
-
-Result<std::vector<double>> FeatureEncoder::EncodeRow(const Table& table,
-                                                      size_t tid) const {
-  std::vector<double> out(columns_.size());
-  for (size_t f = 0; f < columns_.size(); ++f) {
-    HYPER_ASSIGN_OR_RETURN(out[f],
-                           EncodeValue(f, table.At(tid, column_indices_[f])));
-  }
-  return out;
-}
-
-Result<FeatureMatrix> FeatureEncoder::EncodeAll(const Table& table) const {
-  FeatureMatrix out(table.num_rows(), columns_.size());
-  for (size_t t = 0; t < table.num_rows(); ++t) {
-    double* row = out.mutable_row(t);
-    for (size_t f = 0; f < columns_.size(); ++f) {
-      HYPER_ASSIGN_OR_RETURN(row[f],
-                             EncodeValue(f, table.At(t, column_indices_[f])));
-    }
-  }
-  return out;
-}
-
-Result<FeatureMatrix> FeatureEncoder::EncodeSubset(
-    const Table& table, const std::vector<size_t>& tids) const {
-  FeatureMatrix out(tids.size(), columns_.size());
-  for (size_t i = 0; i < tids.size(); ++i) {
-    double* row = out.mutable_row(i);
-    for (size_t f = 0; f < columns_.size(); ++f) {
-      HYPER_ASSIGN_OR_RETURN(
-          row[f], EncodeValue(f, table.At(tids[i], column_indices_[f])));
-    }
-  }
-  return out;
-}
-
-Result<std::vector<double>> ExtractTarget(const Table& table,
-                                          const std::string& column) {
-  HYPER_ASSIGN_OR_RETURN(size_t idx, table.schema().IndexOf(column));
-  std::vector<double> out;
-  out.reserve(table.num_rows());
-  for (size_t t = 0; t < table.num_rows(); ++t) {
-    const Value& v = table.At(t, idx);
-    if (v.is_null()) {
-      return Status::InvalidArgument(
-          StrFormat("NULL target in column '%s' at row %zu", column.c_str(),
-                    t));
-    }
-    HYPER_ASSIGN_OR_RETURN(double d, v.AsDouble());
-    out.push_back(d);
-  }
-  return out;
 }
 
 }  // namespace hyper::learn

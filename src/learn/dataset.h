@@ -1,14 +1,13 @@
 #ifndef HYPER_LEARN_DATASET_H_
 #define HYPER_LEARN_DATASET_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "learn/feature_matrix.h"
 #include "storage/column.h"
-#include "storage/table.h"
 
 namespace hyper::learn {
 
@@ -19,14 +18,10 @@ namespace hyper::learn {
 /// fitted range, which regression trees treat as "none of the known ones".
 class FeatureEncoder {
  public:
-  /// Fits an encoder over `columns` of `table`.
-  static Result<FeatureEncoder> Fit(const Table& table,
-                                    const std::vector<std::string>& columns);
-
-  /// Columnar fit: identical label assignment (per-column first-seen order)
-  /// but string labels are derived from dictionary codes without hashing a
-  /// single string. The encoder remembers the dictionary so EncodeValue and
-  /// EncodeColumn can translate codes directly.
+  /// Fits an encoder over `columns` of `table`. String labels follow each
+  /// column's first-seen row order and are derived from dictionary codes
+  /// without hashing a single string. The encoder remembers the dictionary
+  /// so EncodeValue and EncodeColumn can translate codes directly.
   static Result<FeatureEncoder> Fit(const ColumnTable& table,
                                     const std::vector<std::string>& columns);
 
@@ -42,30 +37,16 @@ class FeatureEncoder {
   /// Encodes a single value for feature `i`.
   Result<double> EncodeValue(size_t i, const Value& v) const;
 
-  /// Encodes one table row (by the fitted column set).
-  Result<std::vector<double>> EncodeRow(const Table& table, size_t tid) const;
-
-  /// Encodes every row of `table` (or of the subset `tids`) into a flat
-  /// row-major matrix.
-  Result<FeatureMatrix> EncodeAll(const Table& table) const;
-  Result<FeatureMatrix> EncodeSubset(const Table& table,
-                                     const std::vector<size_t>& tids) const;
-
  private:
   std::vector<std::string> columns_;
   std::vector<size_t> column_indices_;              // into the fitted schema
   std::vector<bool> is_categorical_;                // per feature
   std::vector<std::unordered_map<std::string, double>> codes_;  // per feature
-  /// Columnar-fit extras: dictionary-code -> label per feature (empty when
-  /// fitted on a row store or for non-categorical features).
+  /// Dictionary-code -> label per feature (empty for non-categorical
+  /// features).
   std::shared_ptr<Dictionary> dict_;
   std::vector<std::vector<double>> label_of_code_;  // -1 = unseen
 };
-
-/// Extracts a numeric target column; booleans map to 0/1 and NULLs are
-/// rejected.
-Result<std::vector<double>> ExtractTarget(const Table& table,
-                                          const std::string& column);
 
 }  // namespace hyper::learn
 

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "learn/dataset.h"
+#include "learn/feature_matrix.h"
 
 namespace hyper::learn {
 

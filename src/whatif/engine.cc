@@ -1155,10 +1155,7 @@ void BuildBlocks(const CompiledWhatIf& q, const Database& db,
   // grouped by base tid — no need to materialize the ground graph.
   const std::vector<size_t>& tid = q.view_info->view_row_to_tid;
   std::vector<size_t> block_of_row(tid.begin(), tid.begin() + n);
-  const bool any_cross_tuple = std::any_of(
-      graph.edges().begin(), graph.edges().end(),
-      [](const causal::CausalEdge& e) { return e.is_cross_tuple(); });
-  if (any_cross_tuple) {
+  if (graph.HasCrossTupleEdges()) {
     auto components = causal::TupleComponents::Build(graph, db);
     if (!components.ok()) return;
     for (size_t r = 0; r < n; ++r) {
@@ -1640,15 +1637,8 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
   // scope.
   std::string causal_key;
   if (staged) {
-    bool any_cross_tuple = false;
-    if (graph_ != nullptr) {
-      for (const causal::CausalEdge& e : graph_->edges()) {
-        if (e.is_cross_tuple()) {
-          any_cross_tuple = true;
-          break;
-        }
-      }
-    }
+    const bool any_cross_tuple =
+        graph_ != nullptr && graph_->HasCrossTupleEdges();
     const bool shape_keyed =
         stmt.use.is_table() && !any_cross_tuple && !ctx->shape_scope.empty();
     causal_key =

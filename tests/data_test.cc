@@ -262,6 +262,39 @@ TEST(StudentSynTest, AttendanceHasLargestTotalEffectOnGrade) {
 }
 
 // ---------------------------------------------------------------------------
+// Single-table datasets hold their rows once: `db` and `flat` share one
+// table, and a write through either copies it first (copy-on-write).
+// ---------------------------------------------------------------------------
+
+void ExpectOneTableCopyOnWrite(Dataset& ds, const std::string& relation) {
+  ASSERT_EQ(ds.db.GetTable(relation).value(),
+            ds.flat.GetTable(relation).value());
+  const Value first = ds.db.GetTable(relation).value()->At(0, 1);
+
+  ds.db.GetMutableTable(relation).value()->SetValue(0, 1, Value::Int(99));
+  EXPECT_EQ(Value::Int(99), ds.db.GetTable(relation).value()->At(0, 1));
+  EXPECT_EQ(first, ds.flat.GetTable(relation).value()->At(0, 1));
+
+  ds.flat.GetMutableTable(relation).value()->SetValue(1, 1, Value::Int(98));
+  EXPECT_EQ(Value::Int(98), ds.flat.GetTable(relation).value()->At(1, 1));
+  EXPECT_NE(Value::Int(98), ds.db.GetTable(relation).value()->At(1, 1));
+}
+
+TEST(SharedFlatTableTest, GermanWritesDoNotLeakBetweenDbAndFlat) {
+  GermanOptions opt;
+  opt.rows = 50;
+  auto ds = MakeGermanSyn(opt).value();
+  ExpectOneTableCopyOnWrite(ds, "German");
+}
+
+TEST(SharedFlatTableTest, AdultWritesDoNotLeakBetweenDbAndFlat) {
+  AdultOptions opt;
+  opt.rows = 50;
+  auto ds = MakeAdultSyn(opt).value();
+  ExpectOneTableCopyOnWrite(ds, "Adult");
+}
+
+// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 

@@ -322,6 +322,19 @@ TEST_F(GovernanceTest, GenerousBudgetAnswersBitEqualToUngoverned) {
   auto result = engine.RunSql(kQuery);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(expected, result->value);  // bit-equal, not NEAR
+
+  // Through the service: budgets and tokens never enter a cache key, so a
+  // governed request hits the plan an ungoverned one warmed.
+  auto service = MakeService();
+  service::Response warm = service->Submit({"main", kQuery, {}});
+  ASSERT_TRUE(warm.ok()) << warm.status;
+  service::Request governed{"main", kQuery, {}};
+  governed.budget = options.budget;
+  governed.cancel_token = CancelToken::Make();
+  service::Response served = service->Submit(governed);
+  ASSERT_TRUE(served.ok()) << served.status;
+  EXPECT_TRUE(served.whatif.plan_cache_hit);
+  EXPECT_EQ(expected, served.whatif.value);
 }
 
 // --- service-level aborts and counters ------------------------------------

@@ -8,6 +8,7 @@
 #include "learn/forest.h"
 #include "learn/frequency.h"
 #include "learn/tree.h"
+#include "storage/column.h"
 #include "storage/table.h"
 
 namespace hyper::learn {
@@ -29,56 +30,47 @@ Table MixedTable() {
   return t;
 }
 
+// The encoder fits on the columnar image, as the engine's LearnStage does.
+ColumnTable MixedColumns() {
+  return ColumnTable::FromTable(MixedTable()).value();
+}
+
 TEST(FeatureEncoderTest, NumericPassThrough) {
-  Table t = MixedTable();
+  ColumnTable t = MixedColumns();
   auto enc = FeatureEncoder::Fit(t, {"Price"}).value();
-  auto row = enc.EncodeRow(t, 1).value();
-  ASSERT_EQ(row.size(), 1u);
-  EXPECT_DOUBLE_EQ(row[0], 20.0);
+  auto column = enc.EncodeColumn(t, 0).value();
+  ASSERT_EQ(column.size(), 3u);
+  EXPECT_DOUBLE_EQ(column[1], 20.0);
+  EXPECT_DOUBLE_EQ(enc.EncodeValue(0, Value::Double(12.5)).value(), 12.5);
 }
 
 TEST(FeatureEncoderTest, CategoricalLabelEncoding) {
-  Table t = MixedTable();
+  ColumnTable t = MixedColumns();
   auto enc = FeatureEncoder::Fit(t, {"Color"}).value();
-  EXPECT_DOUBLE_EQ(enc.EncodeRow(t, 0).value()[0], 0.0);  // Red first seen
-  EXPECT_DOUBLE_EQ(enc.EncodeRow(t, 1).value()[0], 1.0);  // Blue second
-  EXPECT_DOUBLE_EQ(enc.EncodeRow(t, 2).value()[0], 0.0);  // Red again
+  auto column = enc.EncodeColumn(t, 0).value();
+  EXPECT_DOUBLE_EQ(column[0], 0.0);  // Red first seen
+  EXPECT_DOUBLE_EQ(column[1], 1.0);  // Blue second
+  EXPECT_DOUBLE_EQ(column[2], 0.0);  // Red again
+  EXPECT_DOUBLE_EQ(enc.EncodeValue(0, Value::String("Blue")).value(), 1.0);
 }
 
 TEST(FeatureEncoderTest, UnseenCategoryGetsFreshCode) {
-  Table t = MixedTable();
+  ColumnTable t = MixedColumns();
   auto enc = FeatureEncoder::Fit(t, {"Color"}).value();
   EXPECT_DOUBLE_EQ(enc.EncodeValue(0, Value::String("Green")).value(), 2.0);
 }
 
-TEST(FeatureEncoderTest, EncodeAllShape) {
-  Table t = MixedTable();
-  auto enc = FeatureEncoder::Fit(t, {"Color", "Price"}).value();
-  FeatureMatrix m = enc.EncodeAll(t).value();
-  ASSERT_EQ(m.num_rows(), 3u);
-  ASSERT_EQ(m.num_cols(), 2u);
-}
-
-TEST(FeatureEncoderTest, EncodeSubset) {
-  Table t = MixedTable();
-  auto enc = FeatureEncoder::Fit(t, {"Price"}).value();
-  FeatureMatrix m = enc.EncodeSubset(t, {2, 0}).value();
-  ASSERT_EQ(m.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 30.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 0), 10.0);
-}
-
 TEST(FeatureEncoderTest, UnknownColumnFails) {
-  Table t = MixedTable();
-  EXPECT_FALSE(FeatureEncoder::Fit(t, {"Nope"}).ok());
+  EXPECT_FALSE(FeatureEncoder::Fit(MixedColumns(), {"Nope"}).ok());
 }
 
-TEST(ExtractTargetTest, BasicAndErrors) {
-  Table t = MixedTable();
-  auto y = ExtractTarget(t, "Price").value();
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[1], 20.0);
-  EXPECT_FALSE(ExtractTarget(t, "Color").ok());  // string target rejected
+TEST(FeatureEncoderTest, EncodeColumnChecksIndexAndTable) {
+  ColumnTable t = MixedColumns();
+  auto enc = FeatureEncoder::Fit(t, {"Color", "Price"}).value();
+  EXPECT_EQ(enc.EncodeColumn(t, 1).value().size(), 3u);
+  EXPECT_FALSE(enc.EncodeColumn(t, 2).ok());
+  // Another image of the same rows has its own dictionary.
+  EXPECT_FALSE(enc.EncodeColumn(MixedColumns(), 0).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ namespace hyper {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 100k-row perf-smoke gates. These are the scaled-down ctest mirror of the
-// bench_micro scale sweep: they run the same 100k configuration check.sh
-// times, but assert only the bit-equality contracts (timing assertions would
-// flake under sanitizers and loaded CI hosts). 100k rows spans two 64k
-// column segments, so the kernel paths cross a segment boundary and the
-// what-if paths exercise the segment-partitioned override/patch machinery.
+// 100k-row perf-smoke gates: bit-equality contracts only, no timing
+// assertions (timings would flake under sanitizers and loaded CI hosts).
+// 100k rows spans two 64k column segments, so the kernel paths cross a
+// segment boundary and the what-if paths exercise the segment-partitioned
+// override/patch machinery; the kernel gate also runs on a 10k-row,
+// one-segment table.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kRows = 100000;
@@ -36,9 +36,9 @@ class ScopedForceScalar {
   bool saved_;
 };
 
-data::Dataset MakeGerman() {
+data::Dataset MakeGerman(size_t rows = kRows) {
   data::GermanOptions gopt;
-  gopt.rows = kRows;
+  gopt.rows = rows;
   auto ds = data::MakeGermanSyn(gopt);
   EXPECT_TRUE(ds.ok()) << ds.status();
   return std::move(ds).value();
@@ -77,15 +77,17 @@ TEST(ScalePerfTest, WhatIfScalarVsSimdBitEqualAt100k) {
 }
 
 // Kernel-vs-per-row equality for the two expression kernels the engine leans
-// on (When-mask and double projection), across a >1-segment table.
-TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
+// on (When-mask and double projection): the per-row evaluator, the kernel
+// forced to its scalar mirror and the SIMD kernel must agree byte for byte
+// on a `rows`-row table of `segments` column segments.
+void ExpectExpressionKernelsMatchPerRow(size_t rows, size_t segments) {
   ScopedForceScalar restore;
-  auto ds = MakeGerman();
+  auto ds = MakeGerman(rows);
   const Table& t = *ds.db.GetTable("German").value();
   auto ct_or = ColumnTable::FromTable(t);
   ASSERT_TRUE(ct_or.ok()) << ct_or.status();
   const ColumnTable& ct = *ct_or;
-  ASSERT_GT(ct.num_segments(), 1u);
+  ASSERT_EQ(ct.num_segments(), segments);
 
   const Schema& schema = t.schema();
   const std::vector<relational::ScopedTuple> scope{
@@ -103,8 +105,8 @@ TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
     auto bound = relational::ColumnBoundExpr::Bind(*compiled, ct);
     ASSERT_TRUE(bound.ok()) << bound.status();
 
-    std::vector<uint8_t> per_row(kRows);
-    for (size_t r = 0; r < kRows; ++r) {
+    std::vector<uint8_t> per_row(rows);
+    for (size_t r = 0; r < rows; ++r) {
       auto b = bound->EvalBool(r);
       ASSERT_TRUE(b.ok()) << b.status();
       per_row[r] = *b ? 1 : 0;
@@ -113,8 +115,8 @@ TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
       simd::SetForceScalar(force);
       std::vector<uint8_t> mask;
       ASSERT_TRUE(bound->TryMaskKernel(&mask)) << "force=" << force;
-      ASSERT_EQ(mask.size(), kRows);
-      ASSERT_EQ(std::memcmp(mask.data(), per_row.data(), kRows), 0)
+      ASSERT_EQ(mask.size(), rows);
+      ASSERT_EQ(std::memcmp(mask.data(), per_row.data(), rows), 0)
           << "force=" << force;
     }
   }
@@ -129,8 +131,8 @@ TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
     auto bound = relational::ColumnBoundExpr::Bind(*compiled, ct);
     ASSERT_TRUE(bound.ok()) << bound.status();
 
-    std::vector<double> per_row(kRows);
-    for (size_t r = 0; r < kRows; ++r) {
+    std::vector<double> per_row(rows);
+    for (size_t r = 0; r < rows; ++r) {
       auto v = bound->Eval(r);
       ASSERT_TRUE(v.ok()) << v.status();
       auto d = v->AsDouble();
@@ -142,14 +144,22 @@ TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
       std::vector<double> vals;
       std::vector<uint8_t> err;
       ASSERT_TRUE(bound->TryEvalDoubleKernel(&vals, &err)) << "force=" << force;
-      ASSERT_EQ(vals.size(), kRows);
-      for (size_t r = 0; r < kRows; ++r) ASSERT_EQ(err[r], 0) << r;
+      ASSERT_EQ(vals.size(), rows);
+      for (size_t r = 0; r < rows; ++r) ASSERT_EQ(err[r], 0) << r;
       ASSERT_EQ(std::memcmp(vals.data(), per_row.data(),
-                            kRows * sizeof(double)),
+                            rows * sizeof(double)),
                 0)
           << "force=" << force;
     }
   }
+}
+
+TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt100k) {
+  ExpectExpressionKernelsMatchPerRow(kRows, /*segments=*/2);
+}
+
+TEST(ScalePerfTest, ExpressionKernelsMatchPerRowAt10k) {
+  ExpectExpressionKernelsMatchPerRow(10000, /*segments=*/1);
 }
 
 }  // namespace

@@ -790,11 +790,13 @@ TEST_F(ServiceTest, ReloadDatasetInvalidatesCache) {
 
 // --- staged prepare pipeline ----------------------------------------------
 
-// A branch whose 1-cell delta touches only an attribute outside the plan's
-// features / adjustment set / For-Output references reuses the trunk's
-// CausalStage and LearnStage (trained estimators included): per-stage miss
-// counters prove only Scope and Query rebuilt — and the answer is still
-// bit-identical to a fresh engine run over the branch's effective world.
+// Branch fan-out: a chain of branches, each branched from the one before
+// and each one cell away from its parent on an attribute outside the plan's
+// features / adjustment set / For-Output references. Every branch reuses
+// the trunk's CausalStage and LearnStage (trained estimators included):
+// per-stage miss counters prove only Scope and Query rebuilt per branch —
+// and every answer is still bit-identical to a fresh engine run over the
+// branch's effective world.
 TEST_F(ServiceTest, BranchDeltaOutsideTrainingSetReusesLearnStage) {
   const whatif::WhatIfOptions options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
@@ -809,27 +811,34 @@ TEST_F(ServiceTest, BranchDeltaOutsideTrainingSetReusesLearnStage) {
   // Savings is not in this query's adjustment set ({Age, Housing} for
   // Status -> Credit), not an update attribute, and not referenced by
   // For/Output — so the LearnStage never reads it.
-  ASSERT_TRUE(service->CreateScenario("savings").ok());
-  auto updated = service->ApplyHypotheticalSql(
-      "savings", "Use German When Id = 3 Update(Savings) = 2 Output Count(*)");
-  ASSERT_TRUE(updated.ok()) << updated.status();
-  ASSERT_EQ(1u, *updated);
+  std::string parent = "main";
+  for (size_t n = 1; n <= 3; ++n) {
+    const std::string name = "savings" + std::to_string(n);
+    ASSERT_TRUE(service->CreateScenario(name, parent).ok());
+    auto updated = service->ApplyHypotheticalSql(
+        name, "Use German When Id = " + std::to_string(n + 2) +
+                  " Update(Savings) = 2 Output Count(*)");
+    ASSERT_TRUE(updated.ok()) << updated.status();
+    ASSERT_EQ(1u, *updated);
 
-  Response branch = service->Submit({"savings", kQuery, {}});
-  ASSERT_TRUE(branch.ok()) << branch.status;
-  stats = service->cache_stats();
-  EXPECT_EQ(2u, stats.scope.misses);   // branch image rebuilt (patched)
-  EXPECT_EQ(1u, stats.causal.misses);  // shape-keyed: shared with trunk
-  EXPECT_EQ(1u, stats.learn.misses);   // delta misses the training set
-  EXPECT_EQ(2u, stats.query.misses);   // per-row constants rebound
-  EXPECT_GT(branch.whatif.pattern_cache_hits, 0u);
-  EXPECT_EQ(0.0, branch.whatif.train_seconds);
+    Response branch = service->Submit({name, kQuery, {}});
+    ASSERT_TRUE(branch.ok()) << branch.status;
+    stats = service->cache_stats();
+    EXPECT_EQ(n + 1, stats.misses);        // one plan per world
+    EXPECT_EQ(n + 1, stats.scope.misses);  // branch image rebuilt (patched)
+    EXPECT_EQ(1u, stats.causal.misses);    // shape-keyed: shared with trunk
+    EXPECT_EQ(1u, stats.learn.misses);     // deltas miss the training set
+    EXPECT_EQ(n + 1, stats.query.misses);  // per-row constants rebound
+    EXPECT_GT(branch.whatif.pattern_cache_hits, 0u);
+    EXPECT_EQ(0.0, branch.whatif.train_seconds);
 
-  // Bit-identical to a fresh (monolithic) engine over the effective world.
-  std::shared_ptr<const Database> world =
-      service->EffectiveDatabase("savings").value();
-  whatif::WhatIfEngine fresh(world.get(), &graph_, options);
-  EXPECT_EQ(fresh.RunSql(kQuery)->value, branch.whatif.value);
+    // Bit-identical to a fresh (monolithic) engine over the effective world.
+    std::shared_ptr<const Database> world =
+        service->EffectiveDatabase(name).value();
+    whatif::WhatIfEngine fresh(world.get(), &graph_, options);
+    EXPECT_EQ(fresh.RunSql(kQuery)->value, branch.whatif.value) << name;
+    parent = name;
+  }
 }
 
 // A Housing delta under kAllAttributes — where Housing joins the
