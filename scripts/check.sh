@@ -5,6 +5,9 @@
 #
 # Exits non-zero on the first failure. The ctest leg includes golden_test,
 # which pins the engine's answers bit for bit (tests/golden/answers.txt).
+# The static-analysis leg runs the invariant linter over src/ and its
+# `unreferenced` rule over the build: every out-of-line library function
+# has a caller outside tests/, or an annotation saying why it stays.
 # The perf gate (`ctest -L perf`) runs histogram_test (histogram training
 # and PredictBatch against their exact and per-row references),
 # scale_perf_test (SIMD kernels at 10k and 100k rows and what-ifs at 100k
@@ -30,7 +33,11 @@ echo "== static analysis (invariant linter + thread-safety + clang-tidy) =="
 # Three legs, mirroring the sanitizer probe-then-skip pattern:
 #   1. scripts/lint_invariants.py — plain python3, always runs: governance
 #      state out of cache keys, no unordered iteration on serving paths, no
-#      naked clocks in hot loops, no unjustified (void)-dropped Status.
+#      naked clocks in hot loops, no unjustified (void)-dropped Status; then
+#      its `unreferenced` rule over $BUILD_DIR's objects: no library
+#      function that only tests call, unless annotated as an oracle, a test
+#      hook, a paper formulation or a durability path (skipped without
+#      nm/readelf/c++filt).
 #   2. Clang Thread Safety Analysis — builds src/ under clang with
 #      -Werror=thread-safety (HYPER_THREAD_SAFETY=ON) and runs the
 #      negative-compile test proving the gate rejects unlocked guarded
@@ -39,7 +46,15 @@ echo "== static analysis (invariant linter + thread-safety + clang-tidy) =="
 #      no clang-tidy is on PATH.
 python3 scripts/lint_invariants.py src
 python3 tests/lint_invariants_test.py .
-echo "lint summary: invariant linter clean (src/ + rule self-tests)"
+UNREFERENCED=0
+python3 scripts/lint_invariants.py --unreferenced "$BUILD_DIR" || UNREFERENCED=$?
+if [ "$UNREFERENCED" = 77 ]; then
+  echo "lint summary: invariant linter clean (src/ + rule self-tests); unreferenced rule SKIPPED (no nm/readelf/c++filt)"
+elif [ "$UNREFERENCED" != 0 ]; then
+  exit "$UNREFERENCED"
+else
+  echo "lint summary: invariant linter clean (src/ + rule self-tests + no callerless library functions)"
+fi
 
 if command -v clang++ >/dev/null 2>&1; then
   # Full src/ under -Werror=thread-safety, then the negative-compile test

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Project-specific invariant linters for the HypeR serving layer.
 
-Five rules, each encoding a contract the type system cannot express and a
-bug class this codebase has to actively defend against:
+Six rules, each encoding a contract the type system cannot express and a
+bug class this codebase has to actively defend against. The first five
+read source files; `unreferenced` reads a built tree.
 
   cache-key-governance   Cache keys must not carry governance state. The
                          rule scans every struct/class whose name ends in
@@ -54,12 +55,60 @@ bug class this codebase has to actively defend against:
                          a comment on the same line or within the two lines
                          above saying why dropping the result is correct.
 
+  unreferenced           Every out-of-line function of the core library
+                         (hyper_core) has a caller outside tests/. Run with
+                         --unreferenced <build-dir> after a full build.
+                         Candidates are the global text (`T`) symbols of
+                         the library's objects that no other library object
+                         and no example or bench object lists as undefined
+                         (`nm -u`), and that their own object does not
+                         reference through a relocation (an out-of-line
+                         call or a vtable slot; debug and unwind sections
+                         and a function's call to itself do not count).
+                         Each candidate is then confirmed in the sources,
+                         comments and literals blanked: a call `name(`
+                         anywhere under src/ examples/ bench/ perfbench/,
+                         other than the function's declarations and its own
+                         body, is a use. That covers calls inlined at -O2
+                         and perfbench, which the main build does not
+                         compile. Calls in tests/ never count. Constructors,
+                         destructors and operators are out of scope. A
+                         callerless function is deleted, or its declaration
+                         carries
+                           // lint:allow(unreferenced): <kind> — why
+                         where <kind> is one of
+                           oracle      a reference implementation that
+                                       tests compare against;
+                           test-hook   an entry point only tests drive;
+                           paper       a paper formulation with no serving
+                                       caller;
+                           durability  a durability path kept without a
+                                       caller today.
+                         An annotation over a function the rule does not
+                         flag also fails, so stale annotations cannot pile
+                         up. Deleting a function can strand its callees:
+                         re-run until clean. Blind spots: a call written
+                         without a qualifier (`x.name(`, `name(`) counts
+                         for every function of that name (ToString, count,
+                         sql::Lexer::Advance for net::HttpParser::Advance,
+                         overloads of one name), and one annotation covers
+                         every flagged function of its name; header-inline
+                         functions have no out-of-line symbol and are never
+                         candidates. Without nm, readelf or c++filt on the
+                         host the rule exits 77 (a ctest SKIP); a missing or
+                         stale object is an error, never a pass.
+
 Usage: lint_invariants.py [paths...]   (default: src/)
-Exit 0 when clean, 1 when any rule fired, 2 on usage errors.
+       lint_invariants.py --unreferenced <build-dir>
+Exit 0 when clean, 1 when any rule fired, 2 on usage errors, 77 when the
+unreferenced rule's tools are missing.
 """
 
+import bisect
 import os
 import re
+import shutil
+import subprocess
 import sys
 
 GOVERNANCE = re.compile(
@@ -242,6 +291,330 @@ def lint_file(path, findings):
                  "lines above)"))
 
 
+# --- unreferenced (over a built tree) ---
+
+UNREFERENCED_KINDS = ("oracle", "test-hook", "paper", "durability")
+ALLOW_UNREFERENCED = re.compile(
+    r"lint:allow\(unreferenced\):\s*([\w-]*)\s*(?:—|--|-)?\s*(.*)")
+NAME_CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+QUALIFIER_CHAIN = re.compile(r"((?:[A-Za-z_]\w*\s*::\s*)*)$")
+# What may follow the parameter list of a declaration: qualifiers,
+# attribute macros (EXCLUDES(mu_)) and __attribute__((...)), a pure or
+# defaulted body, then `;` or the opening brace of a definition.
+DECL_TAIL = re.compile(
+    r"(?:\s|\bconst\b|\bnoexcept\b|\boverride\b|\bfinal\b|&|"
+    r"\b[A-Z][A-Z_]*\b(?:\([^()]*\))?|"
+    r"\b__attribute__\s*\(\((?:[^()]|\([^()]*\))*\)\))*"
+    r"(?:=\s*(?:0|default|delete)\s*)?([;{])")
+CALLER_DIRS = ("src", "examples", "bench", "perfbench")
+SKIP = 77
+
+
+def run_tool(args, stdin=None):
+    return subprocess.run(args, input=stdin, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def function_symbols(objects):
+    """{object: [(name, class, section, start, end)]} of every function the
+    object defines (`nm -f sysv`); class `T` is a global text symbol."""
+    out = {obj: [] for obj in objects}
+    for line in run_tool(["nm", "-A", "-f", "sysv", "--defined-only",
+                          *objects]).splitlines():
+        path, _, rest = line.partition(":")
+        fields = [f.strip() for f in rest.split("|")]
+        if path not in out or len(fields) < 7 or fields[3] != "FUNC":
+            continue
+        start = int(fields[1], 16)
+        out[path].append((fields[0], fields[2], fields[6], start,
+                          start + int(fields[4] or "0", 16)))
+    return out
+
+
+def undefined_symbols(objects):
+    """Every symbol some object in `objects` lists as undefined."""
+    names = set()
+    for line in run_tool(["nm", "-A", "-P", "-u", *objects]).splitlines():
+        fields = line.partition(": ")[2].split()
+        if fields:
+            names.add(fields[0])
+    return names
+
+
+def relocated_symbols(objects, functions):
+    """{object: symbols its code or data references through a relocation}.
+    Debug and unwind sections do not count: they describe a function, they
+    do not call it. Nor does a function's call to itself, from its body or
+    from a clone of it (`name.cold`, `name.part.0`)."""
+    spans = {}  # (object, section) -> sorted [(start, end, function)]
+    for obj, funcs in functions.items():
+        for name, _cls, section, start, end in funcs:
+            spans.setdefault((obj, section), []).append((start, end, name))
+    for span in spans.values():
+        span.sort()
+
+    def enclosing(obj, section, offset):
+        span = spans.get((obj, section), [])
+        k = bisect.bisect_right(span, (offset, float("inf"))) - 1
+        if k >= 0 and span[k][0] <= offset < span[k][1]:
+            return span[k][2].split(".")[0]
+        return None
+
+    out = {obj: set() for obj in objects}
+    current = objects[0] if len(objects) == 1 else None
+    section = None
+    for line in run_tool(["readelf", "-rW", *objects]).splitlines():
+        if line.startswith("File: "):
+            current = line[len("File: "):].strip()
+        elif line.startswith("Relocation section '"):
+            name = line.split("'")[1]
+            section = (None if name.startswith((".rela.debug", ".rel.debug",
+                                                 ".rela.eh_frame"))
+                       else name[len(".rela"):])
+        elif section is not None and current is not None:
+            fields = line.split()
+            if len(fields) >= 5 and re.fullmatch(r"[0-9a-f]+", fields[0]):
+                symbol = fields[4]
+                if enclosing(current, section, int(fields[0], 16)) != symbol:
+                    out[current].add(symbol)
+    return out
+
+
+def split_function_name(demangled):
+    """(qualifiers, name) of a demangled function, or None when it is out
+    of the rule's scope: constructors, destructors, operators, thunks and
+    local functions."""
+    if (demangled.startswith(("non-virtual thunk", "virtual thunk",
+                              "covariant return thunk"))
+            or "(anonymous namespace)" in demangled or "{lambda" in demangled
+            or re.search(r"(?:^|::)operator\W", demangled)):
+        return None
+    depth = 0
+    for i, ch in enumerate(demangled):
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            depth -= 1
+        elif ch == "(" and depth == 0:
+            break
+    else:
+        return None
+    qualified = re.sub(r"\[abi:\w+\]", "", demangled[:i])
+    while "<" in qualified:
+        stripped = re.sub(r"<[^<>]*>", "", qualified)
+        if stripped == qualified:
+            return None
+        qualified = stripped
+    parts = qualified.split("::")
+    name = parts[-1]
+    if name.startswith("~") or (len(parts) > 1 and parts[-2] == name):
+        return None
+    return parts[:-1], name
+
+
+def classify_site(code, start, open_paren):
+    """(kind, qualifiers, body) of the `name(` at `start`: kind is "call",
+    "decl" or "def", qualifiers the `a::b::` chain written before the name,
+    and body the (open, close) braces of a definition. A declaration names
+    a type right before the (qualified) name — a word, or `>`, `*` or `&`
+    attached to one — and its parameter list ends in `;` or a body."""
+    chain = QUALIFIER_CHAIN.search(code, max(0, start - 300), start)
+    qualifiers = [q.strip() for q in chain.group(1).split("::") if q.strip()]
+    call = ("call", qualifiers, None)
+    before = code[max(0, chain.start(1) - 200):chain.start(1)].rstrip()
+    if not before or before.endswith((".", "->", "&&")):
+        return call
+    ptr = re.search(r"(\S?)([*&>]+)$", before)
+    if ptr:
+        if not ptr.group(1) or ptr.group(1).isspace():
+            return call  # a binary operator, not a type
+        if ptr.group(2)[0] in "*&":
+            before = before[:ptr.start(2)]
+    word = re.search(r"(\w+)$", before)
+    if not (ptr and ptr.group(2).endswith(">")):
+        if (not word or word.group(1)[0].isdigit()
+                or word.group(1) in NOT_A_RETURN_TYPE):
+            return call
+    close = matching(code, open_paren, "(", ")")
+    tail = DECL_TAIL.match(code, close + 1) if close != -1 else None
+    if not tail:
+        return call
+    if tail.group(1) == ";":
+        return "decl", qualifiers, None
+    body_open = tail.end() - 1
+    return "def", qualifiers, (body_open,
+                               matching(code, body_open, "{", "}"))
+
+
+def source_sites(dirs):
+    """{name: [(path, line, offset, kind, qualifiers, body)]} for every
+    `name(` in the C++ sources under `dirs`, comments and literals blanked
+    (see classify_site)."""
+    sites = {}
+    for path in collect_files(dirs):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            code = blank_comments_and_literals(f.read())
+        for m in NAME_CALL.finditer(code):
+            kind, qualifiers, body = classify_site(code, m.start(1),
+                                                   m.end() - 1)
+            line = code.count("\n", 0, m.start(1)) + 1
+            sites.setdefault(m.group(1), []).append(
+                (path, line, m.start(1), kind, qualifiers, body))
+    return sites
+
+
+def unreferenced_annotations(dirs):
+    """[(path, line, name, kind, reason)] for every
+    `// lint:allow(unreferenced): <kind> — why`. The annotation covers the
+    function named by the first `name(` after it: on its own line when code
+    precedes the comment, else on the next lines of code."""
+    out = []
+    for path in collect_files(dirs):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            text = f.read()
+        raw = text.split("\n")
+        code = blank_comments_and_literals(text).split("\n")
+        for i, line in enumerate(raw):
+            if "//" not in line:
+                continue
+            am = ALLOW_UNREFERENCED.search(line, line.index("//"))
+            if not am:
+                continue
+            target = NAME_CALL.search(code[i])
+            k = i + 1
+            while not target and k < min(len(code), i + 8):
+                target = NAME_CALL.search(code[k])
+                k += 1
+            out.append((path, i + 1, target.group(1) if target else None,
+                        am.group(1), am.group(2).strip()))
+    return out
+
+
+def find_unreferenced(lib_objects, caller_objects, caller_dirs,
+                      annotation_dirs):
+    """Findings of the `unreferenced` rule: callerless library functions
+    without an annotation, annotations on functions with a caller, and
+    annotations without a valid kind or a reason."""
+    functions = function_symbols(lib_objects)
+    referenced = undefined_symbols(lib_objects + caller_objects)
+    relocated = relocated_symbols(lib_objects, functions)
+    candidates = [(obj, sym) for obj in lib_objects
+                  for sym, cls, _, _, _ in functions[obj]
+                  if cls == "T" and sym not in referenced
+                  and sym not in relocated[obj]]
+    demangled = run_tool(["c++filt"],
+                         "\n".join(sym for _, sym in candidates) + "\n")
+    sites = source_sites(caller_dirs)
+
+    flagged = {}  # name -> [(path:line, qualified name)]
+    for (obj, _sym), pretty in zip(candidates, demangled.splitlines()):
+        split = split_function_name(pretty)
+        if split is None:
+            continue
+        scope, name = split
+        # A site written with qualifiers (`Foo::name(`, `ns::name(`) names
+        # this function only when they end its scope.
+        mine = [(path, line, pos, kind, body)
+                for path, line, pos, kind, qualifiers, body
+                in sites.get(name, [])
+                if qualifiers == scope[len(scope) - len(qualifiers):]]
+        own_bodies = [(path, body) for path, _, _, kind, body in mine
+                      if kind == "def"]
+        where = next((f"{path}:{line}" for path, line, _, kind, _ in mine
+                      if kind == "def"), f"{obj}:0")
+        used = any(kind == "call" and not any(
+            path == p and lo < pos < hi for p, (lo, hi) in own_bodies)
+            for path, _, pos, kind, _ in mine)
+        if not used:
+            flagged.setdefault(name, []).append(
+                (where, "::".join(scope + [name])))
+
+    findings = []
+    annotated = set()
+    for path, line, name, kind, reason in unreferenced_annotations(
+            annotation_dirs):
+        if kind not in UNREFERENCED_KINDS or not reason:
+            findings.append(
+                (path, line, "unreferenced",
+                 "annotation needs a kind and a reason: // lint:allow("
+                 f"unreferenced): <{'|'.join(UNREFERENCED_KINDS)}> — why"))
+        elif name not in flagged:
+            findings.append(
+                (path, line, "unreferenced",
+                 f"stale annotation: '{name}' is not a callerless library "
+                 "function (something outside tests/ calls it); drop the "
+                 "annotation"))
+        annotated.add(name)
+    for name in flagged:
+        if name in annotated:
+            continue
+        for where, qualified in flagged[name]:
+            path, _, line = where.rpartition(":")
+            findings.append(
+                (path, int(line), "unreferenced",
+                 f"{qualified} has no caller outside tests/; delete it, or "
+                 "annotate its declaration with // lint:allow(unreferenced): "
+                 f"<{'|'.join(UNREFERENCED_KINDS)}> — why"))
+    return sorted(findings)
+
+
+def built_objects(build_dir, root, rel_dir, target):
+    """(objects, problems) for every .cc under `rel_dir`, as CMake lays
+    them out: the library's objects under one target, each example or
+    bench its own target named after its file (`target` None)."""
+    objects, problems = [], []
+    base = os.path.join(root, rel_dir)
+    if target:
+        sources = [os.path.relpath(p, root) for p in collect_files([base])
+                   if p.endswith(".cc")]
+    else:
+        sources = [os.path.join(rel_dir, n) for n in sorted(os.listdir(base))
+                   if n.endswith(".cc")]
+    for rel in sources:
+        owner = target or os.path.splitext(os.path.basename(rel))[0]
+        obj = os.path.join(build_dir, "CMakeFiles", f"{owner}.dir",
+                           rel + ".o")
+        if not os.path.isfile(obj):
+            problems.append(f"missing object {obj} (build every target)")
+        elif os.path.getmtime(obj) < os.path.getmtime(
+                os.path.join(root, rel)):
+            problems.append(f"stale object {obj} (rebuild)")
+        else:
+            objects.append(obj)
+    return objects, problems
+
+
+def lint_unreferenced(build_dir):
+    missing = [t for t in ("nm", "readelf", "c++filt") if not shutil.which(t)]
+    if missing:
+        print(f"lint_invariants: unreferenced SKIPPED (no {', '.join(missing)}"
+              " on PATH)")
+        return SKIP
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    lib, problems = built_objects(build_dir, root, "src", "hyper_core")
+    callers = []
+    for rel_dir in ("examples", "bench"):
+        objs, more = built_objects(build_dir, root, rel_dir, None)
+        callers += objs
+        problems += more
+    if problems or not lib:
+        for problem in problems or ["no library objects"]:
+            print(f"lint_invariants: unreferenced: {problem}")
+        return 1
+    findings = find_unreferenced(
+        lib, callers, [os.path.join(root, d) for d in CALLER_DIRS],
+        [os.path.join(root, "src")])
+    for path, line, rule, msg in findings:
+        print(f"{os.path.relpath(path, root)}:{line}: [{rule}] {msg}")
+    if findings:
+        print(f"lint_invariants: {len(findings)} unreferenced finding(s) over "
+              f"{len(lib)} library object(s)")
+        return 1
+    print(f"lint_invariants: unreferenced clean ({len(lib)} library and "
+          f"{len(callers)} example/bench object(s))")
+    return 0
+
+
 def collect_files(paths):
     exts = (".h", ".cc", ".cpp", ".hpp")
     out = []
@@ -260,6 +633,12 @@ def collect_files(paths):
 
 
 def main(argv):
+    if len(argv) > 1 and argv[1] == "--unreferenced":
+        if len(argv) != 3 or not os.path.isdir(argv[2]):
+            print("usage: lint_invariants.py --unreferenced <build-dir>",
+                  file=sys.stderr)
+            return 2
+        return lint_unreferenced(argv[2])
     paths = argv[1:] or ["src"]
     findings = []
     files = collect_files(paths)

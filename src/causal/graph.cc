@@ -31,24 +31,6 @@ size_t CausalGraph::IndexOf(const std::string& attribute) const {
   return it->second;
 }
 
-std::vector<std::string> CausalGraph::Parents(
-    const std::string& attribute) const {
-  std::vector<std::string> out;
-  auto it = index_.find(attribute);
-  if (it == index_.end()) return out;
-  for (size_t p : parents_[it->second]) out.push_back(nodes_[p]);
-  return out;
-}
-
-std::vector<std::string> CausalGraph::Children(
-    const std::string& attribute) const {
-  std::vector<std::string> out;
-  auto it = index_.find(attribute);
-  if (it == index_.end()) return out;
-  for (size_t c : children_[it->second]) out.push_back(nodes_[c]);
-  return out;
-}
-
 namespace {
 
 void Reach(const std::vector<std::vector<size_t>>& adjacency, size_t start,
@@ -75,19 +57,6 @@ std::unordered_set<std::string> CausalGraph::Descendants(
   if (it == index_.end()) return out;
   std::vector<bool> seen(nodes_.size(), false);
   Reach(children_, it->second, &seen);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (seen[i] && i != it->second) out.insert(nodes_[i]);
-  }
-  return out;
-}
-
-std::unordered_set<std::string> CausalGraph::Ancestors(
-    const std::string& attr) const {
-  std::unordered_set<std::string> out;
-  auto it = index_.find(attr);
-  if (it == index_.end()) return out;
-  std::vector<bool> seen(nodes_.size(), false);
-  Reach(parents_, it->second, &seen);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (seen[i] && i != it->second) out.insert(nodes_[i]);
   }

@@ -50,13 +50,8 @@ class CausalGraph {
   const std::vector<std::string>& nodes() const { return nodes_; }
   const std::vector<CausalEdge>& edges() const { return edges_; }
 
-  /// Direct parents / children of an attribute (empty when unknown).
-  std::vector<std::string> Parents(const std::string& attribute) const;
-  std::vector<std::string> Children(const std::string& attribute) const;
-
-  /// Transitive closures; the start node is not included.
+  /// Transitive closure over children; the start node is not included.
   std::unordered_set<std::string> Descendants(const std::string& attr) const;
-  std::unordered_set<std::string> Ancestors(const std::string& attr) const;
 
   /// Checks acyclicity. All public algorithms assume Validate() passed.
   Status Validate() const;
@@ -90,6 +85,8 @@ class CausalGraph {
 /// d-separation test: is `x` d-separated from `y` given conditioning set `z`
 /// in `graph`? Implemented with the reachability ("Bayes ball") algorithm;
 /// runs in O(V + E).
+// lint:allow(unreferenced): test-hook — causal_test's entry to the
+// d-separation core that SatisfiesBackdoor runs.
 bool DSeparated(const CausalGraph& graph, const std::string& x,
                 const std::string& y,
                 const std::unordered_set<std::string>& z);

@@ -1,7 +1,5 @@
 #include "causal/ground.h"
 
-#include <deque>
-
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -120,31 +118,6 @@ Result<GroundCausalGraph> GroundCausalGraph::Build(const CausalGraph& graph,
     }
   }
 
-  // Undirected connected components for tuple-independence queries.
-  out.component_.assign(out.nodes_.size(), SIZE_MAX);
-  size_t next_component = 0;
-  for (size_t start = 0; start < out.nodes_.size(); ++start) {
-    if (out.component_[start] != SIZE_MAX) continue;
-    std::deque<size_t> frontier{start};
-    out.component_[start] = next_component;
-    while (!frontier.empty()) {
-      size_t node = frontier.front();
-      frontier.pop_front();
-      for (size_t next : out.children_[node]) {
-        if (out.component_[next] == SIZE_MAX) {
-          out.component_[next] = next_component;
-          frontier.push_back(next);
-        }
-      }
-      for (size_t next : out.parents_[node]) {
-        if (out.component_[next] == SIZE_MAX) {
-          out.component_[next] = next_component;
-          frontier.push_back(next);
-        }
-      }
-    }
-    ++next_component;
-  }
   return out;
 }
 
@@ -156,18 +129,6 @@ Result<size_t> GroundCausalGraph::NodeIndex(const TupleId& tuple,
                             std::to_string(tuple.tid) + "]." + attr);
   }
   return it->second;
-}
-
-bool GroundCausalGraph::TuplesIndependent(const TupleId& a,
-                                          const TupleId& b) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!(nodes_[i].tuple == a)) continue;
-    for (size_t j = 0; j < nodes_.size(); ++j) {
-      if (!(nodes_[j].tuple == b)) continue;
-      if (component_[i] == component_[j]) return false;
-    }
-  }
-  return true;
 }
 
 Result<TupleComponents> TupleComponents::Build(const CausalGraph& graph,

@@ -66,19 +66,12 @@ class GroundCausalGraph {
     return children_[node];
   }
 
-  /// True when no path connects any attribute of `a` to any attribute of `b`
-  /// in either direction (the paper's tuple-independence, §3.3).
-  bool TuplesIndependent(const TupleId& a, const TupleId& b) const;
-
  private:
   std::vector<GroundNode> nodes_;
   std::vector<std::pair<size_t, size_t>> edges_;
   std::vector<std::vector<size_t>> parents_;
   std::vector<std::vector<size_t>> children_;
   std::unordered_map<std::string, size_t> node_index_;  // "rel#tid#attr"
-  // Undirected connected component id per node (paths ignore direction for
-  // tuple independence).
-  std::vector<size_t> component_;
 };
 
 /// Scalable block decomposition (paper §3.3): assigns every tuple of `db` to

@@ -126,9 +126,6 @@ class Scm {
                       std::unique_ptr<Mechanism> mechanism);
 
   const std::vector<std::string>& attributes() const { return order_; }
-  bool HasAttribute(const std::string& name) const {
-    return nodes_.count(name) > 0;
-  }
   const std::vector<ParentRef>& ParentsOf(const std::string& name) const;
   const Mechanism& MechanismOf(const std::string& name) const;
 
@@ -156,6 +153,8 @@ class Scm {
   /// Monte-Carlo version of InterventionalWorlds for continuous mechanisms:
   /// returns the expected value of `target` after the intervention,
   /// averaging `samples` draws.
+  // lint:allow(unreferenced): oracle — the Monte-Carlo do() expectation
+  // for continuous mechanisms, which InterventionalWorlds cannot enumerate.
   Result<double> InterventionalMean(const Assignment& observed,
                                     const Assignment& interventions,
                                     const std::string& target, size_t samples,
@@ -236,8 +235,6 @@ class GroundScm {
   /// jointly re-randomized per the mechanisms in topological order.
   Result<std::vector<PossibleWorld>> PostUpdateWorlds(
       const std::vector<GroundIntervention>& interventions) const;
-
-  const GroundCausalGraph& ground_graph() const { return ground_; }
 
  private:
   const Scm* scm_ = nullptr;

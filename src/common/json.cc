@@ -292,59 +292,6 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void DumpTo(const JsonValue& value, std::string* out);
-
-void DumpString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  out->append(JsonEscape(s));
-  out->push_back('"');
-}
-
-void DumpTo(const JsonValue& value, std::string* out) {
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      out->append("null");
-      break;
-    case JsonValue::Kind::kBool:
-      out->append(value.bool_value() ? "true" : "false");
-      break;
-    case JsonValue::Kind::kNumber:
-      if (value.is_integer()) {
-        out->append(std::to_string(value.int_value()));
-      } else {
-        out->append(JsonDouble(value.number_value()));
-      }
-      break;
-    case JsonValue::Kind::kString:
-      DumpString(value.string_value(), out);
-      break;
-    case JsonValue::Kind::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const JsonValue& v : value.array()) {
-        if (!first) out->push_back(',');
-        first = false;
-        DumpTo(v, out);
-      }
-      out->push_back(']');
-      break;
-    }
-    case JsonValue::Kind::kObject: {
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [key, v] : value.members()) {
-        if (!first) out->push_back(',');
-        first = false;
-        DumpString(key, out);
-        out->push_back(':');
-        DumpTo(v, out);
-      }
-      out->push_back('}');
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -372,19 +319,8 @@ int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {
   return (v != nullptr && v->is_number()) ? v->int_value() : fallback;
 }
 
-bool JsonValue::GetBool(std::string_view key, bool fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
-}
-
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).Run();
-}
-
-std::string JsonValue::Dump() const {
-  std::string out;
-  DumpTo(*this, &out);
-  return out;
 }
 
 std::string JsonEscape(std::string_view text) {

@@ -102,14 +102,10 @@ class JsonValue {
                         std::string fallback = "") const;
   double GetNumber(std::string_view key, double fallback = 0.0) const;
   int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
-  bool GetBool(std::string_view key, bool fallback = false) const;
 
   /// Strict parse of a complete JSON document (trailing whitespace only).
   /// Depth-capped; malformed input returns ParseError with an offset.
   static Result<JsonValue> Parse(std::string_view text);
-
-  /// Compact, deterministic serialization (member order preserved).
-  std::string Dump() const;
 
  private:
   Kind kind_;

@@ -194,14 +194,6 @@ HYPER_TARGET_AVX2 void MaskNotAvx2(const uint8_t* a, size_t n, uint8_t* out) {
 
 }  // namespace
 
-const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar: return "scalar";
-    case Level::kAVX2: return "avx2";
-  }
-  return "?";
-}
-
 Level DetectedLevel() {
   static const Level level = [] {
     if (EnvForcesScalar()) return Level::kScalar;

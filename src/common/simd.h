@@ -29,8 +29,6 @@ enum class Level : uint8_t {
   kAVX2 = 1,
 };
 
-const char* LevelName(Level level);
-
 /// Highest level the CPU supports (cached after the first call).
 Level DetectedLevel();
 
@@ -40,7 +38,10 @@ Level ActiveLevel();
 
 /// Forces every kernel onto the scalar reference path (A/B bit-equality
 /// harnesses). Thread-safe; affects subsequent kernel calls process-wide.
+// lint:allow(unreferenced): test-hook — simd_test, golden_test and
+// scale_perf_test run each kernel and answer on both paths with it.
 void SetForceScalar(bool force);
+// lint:allow(unreferenced): test-hook — tests save and restore the setting.
 bool ForceScalar();
 
 /// Comparison operator for the mask kernels; semantics are exactly the C

@@ -40,12 +40,6 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
-std::string ToUpper(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -64,16 +58,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -15,17 +15,12 @@ std::string_view Trim(std::string_view text);
 
 /// ASCII lower-casing (the SQL dialect is case-insensitive on keywords).
 std::string ToLower(std::string_view text);
-std::string ToUpper(std::string_view text);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// True if `text` begins with / ends with the given affix.
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

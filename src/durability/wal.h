@@ -146,6 +146,7 @@ class WalWriter {
   uint64_t appended_bytes() const { return appended_bytes_; }
   uint64_t fsyncs() const { return fsyncs_; }
   double last_fsync_seconds() const { return last_fsync_seconds_; }
+  /// Bytes in the open segment; durability_test finds frame offsets by it.
   uint64_t current_segment_bytes() const { return current_segment_bytes_; }
   size_t segment_count() const;
   const std::string& wal_dir() const { return wal_dir_; }

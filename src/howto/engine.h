@@ -136,6 +136,8 @@ class HowToEngine {
   /// total normalized-L1 update cost subject to the objective reaching at
   /// least `objective_target` (for ToMaximize statements; at most, for
   /// ToMinimize). Infeasible targets surface as FailedPrecondition.
+  // lint:allow(unreferenced): paper — §4.3's min-cost formulation; no
+  // serving route asks for it.
   Result<HowToResult> RunMinCost(const sql::HowToStmt& stmt,
                                  double objective_target) const;
 

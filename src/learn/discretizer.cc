@@ -17,27 +17,10 @@ Result<EquiWidthDiscretizer> EquiWidthDiscretizer::Create(double lo, double hi,
   }
   EquiWidthDiscretizer d;
   d.lo_ = lo;
-  d.hi_ = hi;
   d.num_buckets_ = num_buckets;
   d.width_ = (hi - lo) / static_cast<double>(num_buckets);
   if (d.width_ <= 0.0) d.width_ = 1.0;  // degenerate range: one cell
   return d;
-}
-
-Result<EquiWidthDiscretizer> EquiWidthDiscretizer::FitToData(
-    const std::vector<double>& values, size_t num_buckets) {
-  if (values.empty()) {
-    return Status::InvalidArgument("cannot fit discretizer to empty data");
-  }
-  auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
-  return Create(*lo_it, *hi_it, num_buckets);
-}
-
-size_t EquiWidthDiscretizer::BucketOf(double v) const {
-  if (v <= lo_) return 0;
-  if (v >= hi_) return num_buckets_ - 1;
-  size_t b = static_cast<size_t>((v - lo_) / width_);
-  return std::min(b, num_buckets_ - 1);
 }
 
 double EquiWidthDiscretizer::Representative(size_t b) const {
@@ -52,11 +35,6 @@ std::vector<double> EquiWidthDiscretizer::Representatives() const {
   return out;
 }
 
-std::pair<double, double> EquiWidthDiscretizer::Bounds(size_t b) const {
-  b = std::min(b, num_buckets_ - 1);
-  return {lo_ + static_cast<double>(b) * width_,
-          lo_ + static_cast<double>(b + 1) * width_};
-}
 
 Result<QuantileDiscretizer> QuantileDiscretizer::FitToData(
     std::vector<double> values, size_t num_buckets) {

@@ -18,17 +18,6 @@ class EquiWidthDiscretizer {
   static Result<EquiWidthDiscretizer> Create(double lo, double hi,
                                              size_t num_buckets);
 
-  /// Fits the range from data.
-  static Result<EquiWidthDiscretizer> FitToData(
-      const std::vector<double>& values, size_t num_buckets);
-
-  size_t num_buckets() const { return num_buckets_; }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
-  /// Bucket index of `v`, clamped to [0, num_buckets).
-  size_t BucketOf(double v) const;
-
   /// Midpoint representative of bucket `b` (the candidate value the how-to
   /// engine substitutes for the whole cell).
   double Representative(size_t b) const;
@@ -36,12 +25,8 @@ class EquiWidthDiscretizer {
   /// All bucket representatives, ascending.
   std::vector<double> Representatives() const;
 
-  /// [lower, upper) bounds of bucket `b` (upper inclusive for the last).
-  std::pair<double, double> Bounds(size_t b) const;
-
  private:
   double lo_ = 0.0;
-  double hi_ = 1.0;
   double width_ = 1.0;
   size_t num_buckets_ = 1;
 };

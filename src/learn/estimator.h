@@ -43,15 +43,6 @@ class ConditionalMeanEstimator {
       out[r] = Predict(row);
     }
   }
-
-  /// DEPRECATED: allocating batch-prediction convenience; prefer
-  /// PredictBatch with a caller-owned buffer. Kept for API compatibility;
-  /// now reserves up front by delegating to PredictBatch.
-  std::vector<double> PredictAll(const FeatureMatrix& x) const {
-    std::vector<double> out(x.num_rows());
-    PredictBatch(x, out);
-    return out;
-  }
 };
 
 /// Which estimator backs probability computation (engine option; the paper's

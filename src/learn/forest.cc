@@ -56,8 +56,7 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
   // forest is deterministic regardless of how training is scheduled.
   Rng rng(options_.seed);
   const size_t n = x.num_rows();
-  const size_t sample_size = std::max<size_t>(
-      1, static_cast<size_t>(options_.subsample * static_cast<double>(n)));
+  const size_t sample_size = std::max<size_t>(1, n);  // bootstrap of n
   std::vector<std::vector<size_t>> bootstraps(options_.num_trees);
   for (size_t t = 0; t < options_.num_trees; ++t) {
     bootstraps[t].resize(sample_size);

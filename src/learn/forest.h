@@ -12,8 +12,6 @@ namespace hyper::learn {
 struct ForestOptions {
   size_t num_trees = 16;
   TreeOptions tree = {};
-  /// Bootstrap sample fraction per tree.
-  double subsample = 1.0;
   /// When true and tree.max_features == 0, each tree considers
   /// ceil(sqrt(#features)) features per split (standard RF default).
   bool sqrt_features = true;

@@ -43,7 +43,8 @@ class FrequencyEstimator : public ConditionalMeanEstimator {
   void PredictBatch(const FeatureMatrix& x,
                     std::span<double> out) const override;
 
-  /// Number of distinct feature vectors with support (index size).
+  /// Number of distinct feature vectors with support (index size); only
+  /// learn_test reads it, to check the §A.4 bound (support, not domain).
   size_t support_size() const {
     return tables_.empty() ? 0 : tables_.back().size();
   }

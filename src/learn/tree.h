@@ -79,6 +79,7 @@ class DecisionTreeRegressor : public ConditionalMeanEstimator {
   /// Pre-order structural fingerprint ("feature:threshold" per split,
   /// "=value" per leaf) — lets tests assert two trees are identical without
   /// exposing the node layout.
+  // lint:allow(unreferenced): test-hook — histogram_test's tree equality.
   std::string StructureDigest() const;
 
  private:

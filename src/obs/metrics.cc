@@ -57,12 +57,6 @@ std::vector<uint64_t> Histogram::bucket_counts() const {
   return counts;
 }
 
-uint64_t Histogram::count() const {
-  uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
 std::vector<double> LatencyBuckets() {
   return {0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
           0.1,     0.25,   0.5,   1.0,    2.5,   5.0,  10.0};

@@ -61,7 +61,6 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; size bounds()+1, last is +Inf.
   std::vector<uint64_t> bucket_counts() const;
-  uint64_t count() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:

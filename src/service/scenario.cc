@@ -24,11 +24,6 @@ ScenarioBranch::RelationOverrides ScenarioBranch::OverridesFor(
 }
 
 uint64_t ScenarioBranch::FingerprintRestricted(
-    const std::string& relation, const std::vector<size_t>& attrs) const {
-  return FingerprintRestricted(overrides_, relation, attrs);
-}
-
-uint64_t ScenarioBranch::FingerprintRestricted(
     const OverrideMap& overrides, const std::string& relation,
     const std::vector<size_t>& attrs) {
   Fnv1a fnv;
@@ -59,12 +54,6 @@ void ScenarioBranch::Override(
     fnv_.Mix(value.Hash());
   }
   ++version_;
-}
-
-uint64_t ScenarioBranch::PreviewFingerprint(
-    const std::string& relation, size_t attr,
-    const std::vector<std::pair<size_t, Value>>& cells) const {
-  return PreviewFingerprint(fnv_.hash(), relation, attr, cells);
 }
 
 uint64_t ScenarioBranch::PreviewFingerprint(

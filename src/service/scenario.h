@@ -90,19 +90,15 @@ class ScenarioBranch {
   /// needing a lock-free snapshot copy it (O(cells)).
   const OverrideMap& overrides() const { return overrides_; }
 
-  /// Deterministic fingerprint of the delta restricted to `attrs` (indices
-  /// into `relation`'s base schema): FNV over the current override cells of
-  /// those attributes, in map order. Unlike delta_fingerprint() — which
-  /// mixes in Override() call order — this is a pure function of the
+  /// Deterministic fingerprint of a delta snapshot (the service hashes
+  /// lock-free against a World's override copy) restricted to `attrs`
+  /// (indices into `relation`'s base schema): FNV over the current override
+  /// cells of those attributes, in map order. Unlike delta_fingerprint() —
+  /// which mixes in Override() call order — this is a pure function of the
   /// current cell state, so two branches that reached the same restricted
   /// state through different update sequences fingerprint identically.
-  /// A branch whose delta misses `attrs` entirely fingerprints like an
-  /// untouched branch — the LearnStage-reuse contract.
-  uint64_t FingerprintRestricted(const std::string& relation,
-                                 const std::vector<size_t>& attrs) const;
-
-  /// FingerprintRestricted over an arbitrary snapshot (the service hashes
-  /// lock-free against a World's override copy).
+  /// A delta that misses `attrs` entirely fingerprints like an untouched
+  /// branch — the LearnStage-reuse contract.
   static uint64_t FingerprintRestricted(const OverrideMap& overrides,
                                         const std::string& relation,
                                         const std::vector<size_t>& attrs);
@@ -114,16 +110,11 @@ class ScenarioBranch {
   void Override(const std::string& relation, size_t attr,
                 const std::vector<std::pair<size_t, Value>>& cells);
 
-  /// What delta_fingerprint() would become after Override(relation, attr,
-  /// cells) — without mutating. The durability layer journals this
-  /// post-image so replay can verify each record landed on the exact
-  /// fingerprint the live run produced.
-  uint64_t PreviewFingerprint(
-      const std::string& relation, size_t attr,
-      const std::vector<std::pair<size_t, Value>>& cells) const;
-
-  /// Same simulation from an explicit FNV state — chain it across the
-  /// batches of one hypothetical (the state IS the fingerprint).
+  /// What a delta_fingerprint() of `fnv_state` would become after
+  /// Override(relation, attr, cells) — without mutating. Chain it across
+  /// the batches of one hypothetical (the state IS the fingerprint). The
+  /// durability layer journals this post-image so replay can verify each
+  /// record landed on the exact fingerprint the live run produced.
   static uint64_t PreviewFingerprint(
       uint64_t fnv_state, const std::string& relation, size_t attr,
       const std::vector<std::pair<size_t, Value>>& cells);

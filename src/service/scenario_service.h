@@ -200,6 +200,8 @@ class ScenarioService {
   /// Runs every request (possibly concurrently over the worker pool);
   /// results[i] corresponds to requests[i] and is identical to a sequential
   /// Submit of the same request.
+  // lint:allow(unreferenced): test-hook — golden_test and service_test drive
+  // answers through it.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests);
 
   /// Evaluates N interventions against ONE prepared plan in a single
@@ -239,6 +241,8 @@ class ScenarioService {
   /// journaled and immediately followed by a fresh snapshot (the base data
   /// itself is not journaled — recovery verifies the operator reloaded the
   /// same dataset via its content fingerprint).
+  // lint:allow(unreferenced): durability — the writer of the WAL's reload
+  // record; dropping it would change the log format.
   Status ReloadDataset(Database base);
 
   // --- durability ----------------------------------------------------------
@@ -260,6 +264,7 @@ class ScenarioService {
   Status SnapshotNow();
 
   /// Forces an fdatasync of the open WAL segment. No-op when off.
+  // lint:allow(unreferenced): durability — the service's WAL flush.
   Status SyncWal();
 
   bool durable() const { return durable_ != nullptr; }

@@ -170,15 +170,6 @@ ExprPtr MakeFuncCall(std::string name, std::vector<ExprPtr> args) {
   return e;
 }
 
-ExprPtr MakeConjunction(std::vector<ExprPtr> terms) {
-  if (terms.empty()) return nullptr;
-  ExprPtr acc = std::move(terms[0]);
-  for (size_t i = 1; i < terms.size(); ++i) {
-    acc = MakeBinary(BinaryOp::kAnd, std::move(acc), std::move(terms[i]));
-  }
-  return acc;
-}
-
 std::string SelectStmt::ToString() const {
   std::vector<std::string> item_strs;
   for (const auto& item : items) {
@@ -315,32 +306,11 @@ bool ContainsPost(const Expr& expr) {
   return false;
 }
 
-bool ContainsPre(const Expr& expr) {
-  if (expr.kind == ExprKind::kPre) return true;
-  for (const auto& child : expr.children) {
-    if (ContainsPre(*child)) return true;
-  }
-  return false;
-}
-
 std::vector<ExprPtr> SplitConjunction(const Expr& expr) {
   std::vector<ExprPtr> out;
   if (expr.kind == ExprKind::kBinary && expr.op == BinaryOp::kAnd) {
     auto lhs = SplitConjunction(*expr.children[0]);
     auto rhs = SplitConjunction(*expr.children[1]);
-    for (auto& e : lhs) out.push_back(std::move(e));
-    for (auto& e : rhs) out.push_back(std::move(e));
-    return out;
-  }
-  out.push_back(expr.Clone());
-  return out;
-}
-
-std::vector<ExprPtr> SplitDisjunction(const Expr& expr) {
-  std::vector<ExprPtr> out;
-  if (expr.kind == ExprKind::kBinary && expr.op == BinaryOp::kOr) {
-    auto lhs = SplitDisjunction(*expr.children[0]);
-    auto rhs = SplitDisjunction(*expr.children[1]);
     for (auto& e : lhs) out.push_back(std::move(e));
     for (auto& e : rhs) out.push_back(std::move(e));
     return out;

@@ -78,9 +78,6 @@ ExprPtr MakeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 ExprPtr MakeInList(ExprPtr needle, std::vector<ExprPtr> items);
 ExprPtr MakeFuncCall(std::string name, std::vector<ExprPtr> args);
 
-/// Conjunction of all of `terms` (nullptr when empty).
-ExprPtr MakeConjunction(std::vector<ExprPtr> terms);
-
 // ---------------------------------------------------------------------------
 // SELECT (the SQL subset allowed inside Use)
 // ---------------------------------------------------------------------------
@@ -225,14 +222,8 @@ void CollectColumnRefs(const Expr& expr, std::vector<std::string>* out);
 /// True if any node under `expr` is Post(...).
 bool ContainsPost(const Expr& expr);
 
-/// True if any node under `expr` is Pre(...).
-bool ContainsPre(const Expr& expr);
-
 /// Splits a conjunction into its top-level AND terms (each term cloned).
 std::vector<ExprPtr> SplitConjunction(const Expr& expr);
-
-/// Splits a disjunction into its top-level OR terms (each term cloned).
-std::vector<ExprPtr> SplitDisjunction(const Expr& expr);
 
 }  // namespace hyper::sql
 

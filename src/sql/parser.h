@@ -78,6 +78,7 @@ class Parser {
 Result<Statement> ParseSql(const std::string& text);
 
 /// Parses a standalone expression (tests, predicate construction).
+// lint:allow(unreferenced): test-hook — tests build predicates from text.
 Result<ExprPtr> ParseSqlExpr(const std::string& text);
 
 }  // namespace hyper::sql

@@ -1,7 +1,6 @@
 #include "storage/column.h"
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace hyper {
 
@@ -27,16 +26,6 @@ const char* ColumnKindName(ColumnKind kind) {
     case ColumnKind::kCode: return "code";
   }
   return "?";
-}
-
-size_t Column::num_rows() const {
-  switch (kind) {
-    case ColumnKind::kInt64: return i64.size();
-    case ColumnKind::kDouble: return f64.size();
-    case ColumnKind::kBool: return b8.size();
-    case ColumnKind::kCode: return codes.size();
-  }
-  return 0;
 }
 
 namespace {
@@ -140,65 +129,13 @@ Value ColumnTable::GetValue(size_t row, size_t attr) const {
   return Value::Null();
 }
 
-Result<std::vector<double>> ColumnTable::ColumnAsDoubles(size_t attr) const {
-  const Column& col = columns_[attr];
-  if (col.kind == ColumnKind::kCode) {
-    return Status::InvalidArgument(
-        "cannot coerce string column '" + schema_.attribute(attr).name +
-        "' to numbers");
-  }
-  if (col.has_nulls()) {
-    return Status::InvalidArgument(
-        "cannot coerce NULL to a number (column '" +
-        schema_.attribute(attr).name + "')");
-  }
-  std::vector<double> out(num_rows_);
-  switch (col.kind) {
-    case ColumnKind::kInt64:
-      for (size_t r = 0; r < num_rows_; ++r) {
-        out[r] = static_cast<double>(col.i64[r]);
-      }
-      break;
-    case ColumnKind::kDouble:
-      out = col.f64;
-      break;
-    case ColumnKind::kBool:
-      for (size_t r = 0; r < num_rows_; ++r) {
-        out[r] = col.b8[r] != 0 ? 1.0 : 0.0;
-      }
-      break;
-    case ColumnKind::kCode:
-      break;  // handled above
-  }
-  return out;
-}
-
-std::vector<size_t> ColumnTable::DirtySegments(
-    const TableCellOverrides& overrides) const {
-  std::vector<uint8_t> dirty(num_segments(), 0);
-  for (const auto& [attr, cells] : overrides) {
-    if (attr >= columns_.size()) continue;
-    for (const auto& [row, value] : cells) {
-      (void)value;
-      if (row >= num_rows_) continue;
-      dirty[row / kSegmentRows] = 1;
-    }
-  }
-  std::vector<size_t> out;
-  for (size_t s = 0; s < dirty.size(); ++s) {
-    if (dirty[s]) out.push_back(s);
-  }
-  return out;
-}
-
 Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
-  // Pass 1 (sequential): validate every in-shape cell and intern unseen
-  // strings before anything is written, so a kind mismatch rejects the whole
-  // patch with the image untouched. The dictionary is detached at most once:
-  // the first unseen string pays one deep copy (so the patch source, which
-  // shares dict_, is never mutated), every later one interns into the
-  // already-private copy. After this pass the dictionary is read-only, so
-  // the patch pass may Find() from any thread.
+  // Pass 1: validate every in-shape cell and intern unseen strings before
+  // anything is written, so a kind mismatch rejects the whole patch with the
+  // image untouched. The dictionary is detached at most once: the first
+  // unseen string pays one deep copy (so the patch source, which shares
+  // dict_, is never mutated), every later one interns into the
+  // already-private copy.
   struct PatchCell {
     size_t attr;
     size_t row;
@@ -259,10 +196,8 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
     if (needs_nulls[a]) columns_[a].nulls.resize(num_rows_, 0);
   }
 
-  // Pass 2: patch. Cells in different segments touch disjoint rows, so large
-  // patches shard per dirty segment — the written image is identical at any
-  // thread count (each cell is written exactly once, by exactly one shard).
-  const auto patch_one = [this](const PatchCell& cell) {
+  // Pass 2: patch.
+  for (const PatchCell& cell : cells_flat) {
     Column& col = columns_[cell.attr];
     const Value& value = *cell.value;
     if (value.is_null()) {
@@ -275,7 +210,7 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
           col.codes[cell.row] = Dictionary::kNullCode;
           break;
       }
-      return;
+      continue;
     }
     switch (col.kind) {
       case ColumnKind::kInt64: col.i64[cell.row] = value.int_value(); break;
@@ -288,38 +223,9 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
       case ColumnKind::kCode: col.codes[cell.row] = cell.code; break;
     }
     if (!col.nulls.empty()) col.nulls[cell.row] = 0;
-  };
-
-  constexpr size_t kParallelPatchThreshold = 8192;
-  if (cells_flat.size() < kParallelPatchThreshold || num_segments() <= 1) {
-    for (const PatchCell& cell : cells_flat) patch_one(cell);
-    return Status::OK();
   }
-  std::vector<std::vector<PatchCell>> per_seg(num_segments());
-  for (const PatchCell& cell : cells_flat) {
-    per_seg[cell.row / kSegmentRows].push_back(cell);
-  }
-  std::vector<size_t> dirty;
-  for (size_t s = 0; s < per_seg.size(); ++s) {
-    if (!per_seg[s].empty()) dirty.push_back(s);
-  }
-  ThreadPool::Shared().ParallelFor(dirty.size(), [&](size_t d) {
-    for (const PatchCell& cell : per_seg[dirty[d]]) patch_one(cell);
-  });
   return Status::OK();
 }
 
-Table ColumnTable::ToTable() const {
-  Table out(schema_);
-  for (size_t r = 0; r < num_rows_; ++r) {
-    Row row;
-    row.reserve(columns_.size());
-    for (size_t a = 0; a < columns_.size(); ++a) {
-      row.push_back(GetValue(r, a));
-    }
-    out.AppendUnchecked(std::move(row));
-  }
-  return out;
-}
 
 }  // namespace hyper

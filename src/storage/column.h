@@ -1,13 +1,11 @@
 #ifndef HYPER_STORAGE_COLUMN_H_
 #define HYPER_STORAGE_COLUMN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -69,7 +67,6 @@ struct Column {
 
   bool has_nulls() const { return !nulls.empty(); }
   bool is_null(size_t row) const { return !nulls.empty() && nulls[row] != 0; }
-  size_t num_rows() const;
 };
 
 /// Column-major image of a Table: typed vectors per attribute with string
@@ -101,14 +98,6 @@ class ColumnTable {
   /// back as kDouble (Equals-compatible with the original ints).
   Value GetValue(size_t row, size_t attr) const;
 
-  /// Numeric image of a column: bool -> 0/1, int -> double. Errors on kCode
-  /// columns and on NULLs (same contract as Value::AsDouble).
-  Result<std::vector<double>> ColumnAsDoubles(size_t attr) const;
-
-  /// Materializes a row store with the same schema and Equals-equal values
-  /// (used by tests and by callers that need the row API back).
-  Table ToTable() const;
-
   /// Patches this image in place from sparse cell overrides (attribute ->
   /// row -> value), the delta-aware alternative to re-encoding a whole
   /// patched table through FromTable. Cells beyond the table shape are
@@ -130,32 +119,20 @@ class ColumnTable {
   /// the dictionary before interning, so images sharing the original
   /// dictionary (the patch source) are never mutated under concurrent reads.
   ///
-  /// Overrides are validated (and strings interned) in one sequential pass
-  /// before any cell is written, so FailedPrecondition now leaves the image
-  /// untouched; large patches are then applied in parallel per segment
-  /// (disjoint row ranges, so the result is independent of thread count).
+  /// Overrides are validated (and strings interned) in one pass before any
+  /// cell is written, so FailedPrecondition leaves the image untouched; a
+  /// second pass then writes the cells. A branch's scope image is a full
+  /// copy of its base image with the branch delta patched in.
   Status ApplyOverrides(const TableCellOverrides& overrides);
 
-  /// Fixed segment size for parallel kernels: ApplyOverrides, When-mask
-  /// evaluation, and batch evaluation shard per segment, and a branch delta
-  /// touches only its dirty segments.
+  /// Fixed segment size of the parallel expression kernels: the When-mask
+  /// and double-projection kernels shard a view of two or more segments.
   static constexpr size_t kSegmentRows = 65536;
 
   /// Number of kSegmentRows-sized segments covering the rows (0 when empty).
   size_t num_segments() const {
     return (num_rows_ + kSegmentRows - 1) / kSegmentRows;
   }
-
-  /// Row range [begin, end) of segment `seg`.
-  std::pair<size_t, size_t> SegmentBounds(size_t seg) const {
-    const size_t begin = seg * kSegmentRows;
-    return {begin, std::min(begin + kSegmentRows, num_rows_)};
-  }
-
-  /// Sorted ids of the segments containing at least one in-shape override
-  /// cell (stale cells beyond the table shape are ignored, matching
-  /// ApplyOverrides).
-  std::vector<size_t> DirtySegments(const TableCellOverrides& overrides) const;
 
  private:
   Schema schema_;

@@ -183,69 +183,4 @@ Result<Table> ReadCsvFile(const std::string& path,
   return ReadCsv(in, relation, options);
 }
 
-namespace {
-
-std::string EscapeCsvField(const std::string& text, char delimiter) {
-  bool needs_quotes = false;
-  for (char c : text) {
-    if (c == delimiter || c == '"' || c == '\n' || c == '\r') {
-      needs_quotes = true;
-      break;
-    }
-  }
-  if (!needs_quotes) return text;
-  std::string out = "\"";
-  for (char c : text) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-Status WriteCsv(const Table& table, std::ostream& out, char delimiter) {
-  const Schema& schema = table.schema();
-  for (size_t c = 0; c < schema.num_attributes(); ++c) {
-    if (c > 0) out << delimiter;
-    out << EscapeCsvField(schema.attribute(c).name, delimiter);
-  }
-  out << "\n";
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < schema.num_attributes(); ++c) {
-      if (c > 0) out << delimiter;
-      const Value& v = table.At(r, c);
-      switch (v.type()) {
-        case ValueType::kNull:
-          break;  // empty field
-        case ValueType::kString:
-          out << EscapeCsvField(v.string_value(), delimiter);
-          break;
-        case ValueType::kBool:
-          out << (v.bool_value() ? "1" : "0");
-          break;
-        case ValueType::kInt:
-          out << v.int_value();
-          break;
-        case ValueType::kDouble:
-          out << StrFormat("%.17g", v.double_value());
-          break;
-      }
-    }
-    out << "\n";
-  }
-  if (!out.good()) return Status::Internal("CSV write failed");
-  return Status::OK();
-}
-
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::InvalidArgument("cannot open '" + path + "' for writing");
-  }
-  return WriteCsv(table, out, delimiter);
-}
-
 }  // namespace hyper

@@ -2,7 +2,6 @@
 #define HYPER_STORAGE_CSV_H_
 
 #include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,12 +36,6 @@ Result<Table> ReadCsv(std::istream& in, const std::string& relation,
 Result<Table> ReadCsvFile(const std::string& path,
                           const std::string& relation,
                           const CsvReadOptions& options = {});
-
-/// Writes a table as CSV (header + rows). Strings are quoted when they
-/// contain the delimiter, quotes, or newlines; NULL writes as empty.
-Status WriteCsv(const Table& table, std::ostream& out, char delimiter = ',');
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter = ',');
 
 }  // namespace hyper
 

@@ -60,14 +60,8 @@ class Database {
   /// pointer is invalidated by any subsequent copy/detach of this relation.
   Result<Table*> GetMutableTable(const std::string& name);
 
-  bool HasTable(const std::string& name) const {
-    return tables_.count(name) > 0;
-  }
-
   /// Relation names in deterministic (sorted) order.
   std::vector<std::string> TableNames() const;
-
-  size_t num_tables() const { return tables_.size(); }
 
   /// Total number of tuples across all relations.
   size_t TotalRows() const;

@@ -43,14 +43,6 @@ bool Schema::IsKeyAttribute(size_t index) const {
   return false;
 }
 
-std::vector<size_t> Schema::MutableIndices() const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i].mutability == Mutability::kMutable) out.push_back(i);
-  }
-  return out;
-}
-
 std::string Schema::ToString() const {
   std::vector<std::string> cols;
   cols.reserve(attributes_.size());

@@ -47,9 +47,6 @@ class Schema {
   const std::vector<size_t>& key_indices() const { return key_indices_; }
   bool IsKeyAttribute(size_t index) const;
 
-  /// All mutable attribute indices.
-  std::vector<size_t> MutableIndices() const;
-
   std::string ToString() const;
 
  private:

@@ -40,21 +40,6 @@ Status Table::Append(Row row) {
   return Status::OK();
 }
 
-Result<std::vector<Value>> Table::Column(const std::string& name) const {
-  HYPER_ASSIGN_OR_RETURN(size_t idx, schema_.IndexOf(name));
-  std::vector<Value> out;
-  out.reserve(rows_.size());
-  for (const Row& r : rows_) out.push_back(r[idx]);
-  return out;
-}
-
-Row Table::KeyOf(size_t tid) const {
-  Row key;
-  key.reserve(schema_.key_indices().size());
-  for (size_t k : schema_.key_indices()) key.push_back(rows_[tid][k]);
-  return key;
-}
-
 std::string Table::ToString(size_t max_rows) const {
   std::ostringstream os;
   os << schema_.ToString() << " [" << num_rows() << " rows]\n";

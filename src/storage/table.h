@@ -46,12 +46,6 @@ class Table {
     rows_[tid][attr] = std::move(v);
   }
 
-  /// Column values by attribute name; errors if the attribute is unknown.
-  Result<std::vector<Value>> Column(const std::string& name) const;
-
-  /// The key of a row, as the ordered vector of key-attribute values.
-  Row KeyOf(size_t tid) const;
-
   /// Renders at most `max_rows` rows for debugging.
   std::string ToString(size_t max_rows = 20) const;
 

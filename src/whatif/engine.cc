@@ -1039,12 +1039,13 @@ std::string EstimatorConfigKey(const WhatIfOptions& options) {
       "|est=%d|smooth=%.17g|sample=%zu|seed=%llu",
       static_cast<int>(options.estimator), options.frequency_smoothing,
       options.sample_size, static_cast<unsigned long long>(options.seed));
+  // No forest.seed: MakeEstimator derives every forest's seed from
+  // options.seed, so requests that differ only there train the same bits.
   const learn::ForestOptions& f = options.forest;
   key += StrFormat(
-      "|forest=%zu,%.17g,%d,%llu,%d,%zu,%zu,%zu,%d,%zu", f.num_trees,
-      f.subsample, f.sqrt_features ? 1 : 0,
-      static_cast<unsigned long long>(f.seed), f.tree.max_depth,
-      f.tree.min_samples_leaf, f.tree.max_features, f.tree.max_thresholds,
+      "|forest=%zu,%d,%d,%zu,%zu,%zu,%d,%zu", f.num_trees,
+      f.sqrt_features ? 1 : 0, f.tree.max_depth, f.tree.min_samples_leaf,
+      f.tree.max_features, f.tree.max_thresholds,
       f.tree.use_histograms ? 1 : 0, f.tree.max_bins);
   return key;
 }

@@ -21,6 +21,7 @@ namespace hyper::whatif {
 ///
 /// Avg over a world with an empty qualifying set contributes 0 for that
 /// world (and its probability is excluded from the normalization).
+// lint:allow(unreferenced): oracle — whatif_test compares the engine with it.
 Result<double> NaiveWhatIf(const Database& db, const causal::Scm& scm,
                            const sql::WhatIfStmt& stmt);
 

@@ -231,12 +231,6 @@ TEST(PredictBatchTest, ForestMatchesPerRowBitForBit) {
     ASSERT_EQ(std::memcmp(&expect, &batch[r], sizeof(double)), 0)
         << "row " << r << ": " << expect << " vs " << batch[r];
   }
-  // The deprecated allocating wrapper routes through PredictBatch.
-  std::vector<double> all = forest.PredictAll(x);
-  ASSERT_EQ(all.size(), batch.size());
-  EXPECT_EQ(std::memcmp(all.data(), batch.data(),
-                        all.size() * sizeof(double)),
-            0);
 }
 
 TEST(PredictBatchTest, FrequencyMatchesPerRowBitForBit) {

@@ -77,47 +77,27 @@ TEST(FeatureEncoderTest, EncodeColumnChecksIndexAndTable) {
 // Discretizer
 // ---------------------------------------------------------------------------
 
-TEST(DiscretizerTest, BucketsAndRepresentatives) {
+TEST(DiscretizerTest, Representatives) {
   auto d = EquiWidthDiscretizer::Create(0, 100, 4).value();
-  EXPECT_EQ(d.BucketOf(10), 0u);
-  EXPECT_EQ(d.BucketOf(30), 1u);
-  EXPECT_EQ(d.BucketOf(99.9), 3u);
   EXPECT_DOUBLE_EQ(d.Representative(0), 12.5);
   EXPECT_DOUBLE_EQ(d.Representative(3), 87.5);
   EXPECT_EQ(d.Representatives().size(), 4u);
 }
 
-TEST(DiscretizerTest, ClampsOutOfRange) {
-  auto d = EquiWidthDiscretizer::Create(0, 10, 2).value();
-  EXPECT_EQ(d.BucketOf(-5), 0u);
-  EXPECT_EQ(d.BucketOf(50), 1u);
-}
-
-TEST(DiscretizerTest, BoundsPartitionRange) {
+TEST(DiscretizerTest, RepresentativesAreCellMidpoints) {
   auto d = EquiWidthDiscretizer::Create(0, 12, 3).value();
-  auto [lo0, hi0] = d.Bounds(0);
-  auto [lo2, hi2] = d.Bounds(2);
-  EXPECT_DOUBLE_EQ(lo0, 0);
-  EXPECT_DOUBLE_EQ(hi0, 4);
-  EXPECT_DOUBLE_EQ(lo2, 8);
-  EXPECT_DOUBLE_EQ(hi2, 12);
-}
-
-TEST(DiscretizerTest, FitToData) {
-  auto d = EquiWidthDiscretizer::FitToData({3, 9, 5, 1}, 2).value();
-  EXPECT_DOUBLE_EQ(d.lo(), 1);
-  EXPECT_DOUBLE_EQ(d.hi(), 9);
+  EXPECT_EQ(d.Representatives(), (std::vector<double>{2, 6, 10}));
 }
 
 TEST(DiscretizerTest, DegenerateRange) {
-  auto d = EquiWidthDiscretizer::Create(5, 5, 3).value();
-  EXPECT_EQ(d.BucketOf(5), 0u);  // everything lands in bucket 0 (clamped)
+  auto d = EquiWidthDiscretizer::Create(5, 5, 3);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->Representatives().size(), 3u);
 }
 
 TEST(DiscretizerTest, Errors) {
   EXPECT_FALSE(EquiWidthDiscretizer::Create(0, 10, 0).ok());
   EXPECT_FALSE(EquiWidthDiscretizer::Create(10, 0, 3).ok());
-  EXPECT_FALSE(EquiWidthDiscretizer::FitToData({}, 2).ok());
 }
 
 // ---------------------------------------------------------------------------

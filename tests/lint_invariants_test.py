@@ -2,15 +2,19 @@
 """Unit tests for scripts/lint_invariants.py.
 
 Runs the linter over pass/fail fixtures (tests/lint/) and asserts that every
-fail fixture fires exactly its rule and every pass fixture is clean. Finally
+fail fixture fires exactly its rule and every pass fixture is clean. Then
+compiles the `unreferenced` fixtures (tests/lint/unreferenced/) with the
+system compiler into a temp dir and checks that rule against them. Finally
 asserts the real src/ tree is clean — the same gate scripts/check.sh runs.
 
 Usage: lint_invariants_test.py <repo_root>
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 
 def run_linter(repo, *paths):
@@ -18,6 +22,64 @@ def run_linter(repo, *paths):
         [sys.executable, os.path.join(repo, "scripts", "lint_invariants.py"),
          *paths],
         capture_output=True, text=True, cwd=repo)
+
+
+def check_unreferenced(repo, failures):
+    """The `unreferenced` rule over a library object defining Used and
+    Unused and a caller object calling Used: it flags Unused alone, passes
+    once Unused is annotated, and fails on an annotation over Used."""
+    sys.dont_write_bytecode = True  # no __pycache__ in the source tree
+    sys.path.insert(0, os.path.join(repo, "scripts"))
+    import lint_invariants  # noqa: E402
+
+    cxx = os.environ.get("CXX") or shutil.which("c++")
+    tools = ("nm", "readelf", "c++filt")
+    if not cxx or not all(shutil.which(t) for t in tools):
+        print("skip: unreferenced cases (no c++, nm, readelf or c++filt)")
+        return
+    fixtures = os.path.join(repo, "tests", "lint", "unreferenced")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(fixtures, src)
+        objects = {}
+        for name in ("lib", "caller"):
+            objects[name] = os.path.join(tmp, name + ".o")
+            # -O0 keeps Unused's call to itself a relocation in lib.o.
+            subprocess.run([cxx, "-std=c++17", "-O0", "-c",
+                            os.path.join(src, name + ".cc"), "-o",
+                            objects[name]], check=True)
+        header = os.path.join(src, "lib.h")
+        with open(header, encoding="utf-8") as f:
+            original = f.read()
+
+        def run(annotate):
+            text = original
+            for name in annotate:
+                text = text.replace(
+                    f"int {name}(int x);",
+                    "// lint:allow(unreferenced): test-hook — fixture\n"
+                    f"int {name}(int x);")
+            with open(header, "w", encoding="utf-8") as f:
+                f.write(text)
+            return [msg for _, _, _, msg in lint_invariants.find_unreferenced(
+                [objects["lib"]], [objects["caller"]], [src], [src])]
+
+        cases = [
+            ((), lambda m: len(m) == 1 and m[0].startswith("fixture::Unused ")
+             and "no caller outside tests" in m[0],
+             "flag Unused alone"),
+            (("Unused",), lambda m: m == [], "pass once Unused is annotated"),
+            (("Unused", "Used"),
+             lambda m: len(m) == 1 and "stale annotation: 'Used'" in m[0],
+             "fail on an annotation over Used"),
+        ]
+        for annotate, ok, what in cases:
+            messages = run(annotate)
+            if ok(messages):
+                print(f"ok: unreferenced: {what}")
+            else:
+                failures.append(f"unreferenced: expected to {what}; got "
+                                f"{messages}")
 
 
 def main():
@@ -54,6 +116,8 @@ def main():
                             f"{r.returncode}:\n{r.stdout}{r.stderr}")
         else:
             print(f"ok: {rel} clean")
+
+    check_unreferenced(repo, failures)
 
     r = run_linter(repo, os.path.join(repo, "src"))
     if r.returncode != 0:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "data/datasets.h"
@@ -99,6 +100,27 @@ TEST_F(ServiceTest, CachedAnswersBitEqualAcrossModesAndEstimators) {
       EXPECT_EQ(0.0, warm.whatif.train_seconds);
     }
   }
+}
+
+TEST_F(ServiceTest, ForestSeedFieldSharesThePlan) {
+  // The engine derives every forest's seed from WhatIfOptions::seed, so a
+  // request that differs only in forest.seed trains the same estimators and
+  // must hit the first request's plan.
+  whatif::WhatIfOptions first_options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  whatif::WhatIfOptions second_options = first_options;
+  second_options.forest.seed = first_options.forest.seed + 1;
+  auto service = MakeService(first_options);
+  Response first = service->Submit({"main", kAvgQuery, first_options});
+  ASSERT_TRUE(first.ok()) << first.status;
+  Response second = service->Submit({"main", kAvgQuery, second_options});
+  ASSERT_TRUE(second.ok()) << second.status;
+  EXPECT_FALSE(first.whatif.plan_cache_hit);
+  EXPECT_TRUE(second.whatif.plan_cache_hit);
+  uint64_t first_bits = 0, second_bits = 0;
+  std::memcpy(&first_bits, &first.whatif.value, sizeof(first_bits));
+  std::memcpy(&second_bits, &second.whatif.value, sizeof(second_bits));
+  EXPECT_EQ(first_bits, second_bits);
 }
 
 TEST_F(ServiceTest, AvgOutputCachedBitEqual) {

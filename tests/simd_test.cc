@@ -39,7 +39,7 @@ void ExpectBitEqual(size_t n, const Fn& fn) {
   // Empty vectors may hand out a null data(), which memcmp must not get.
   if (n == 0) return;
   ASSERT_EQ(std::memcmp(scalar_out.data(), simd_out.data(), n * sizeof(T)), 0)
-      << "n=" << n << " active=" << LevelName(ActiveLevel());
+      << "n=" << n << " active=" << static_cast<int>(ActiveLevel());
 }
 
 /// Doubles with the edge cases the IEEE predicates care about: NaN, ±inf,
@@ -68,7 +68,6 @@ TEST(SimdTest, LevelPlumbing) {
   // HYPER_SIMD may cap the active level below the detected one, so only the
   // ordering is portable across environments.
   EXPECT_LE(static_cast<int>(ActiveLevel()), static_cast<int>(DetectedLevel()));
-  EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
 }
 
 TEST(SimdTest, MirrorFlipsOrderedOps) {

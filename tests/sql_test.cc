@@ -241,7 +241,7 @@ TEST(ParserTest, WhatIfFigure4) {
   EXPECT_EQ(w.output.agg, AggKind::kAvg);
   ASSERT_NE(w.for_pred, nullptr);
   EXPECT_TRUE(ContainsPost(*w.for_pred));
-  EXPECT_TRUE(ContainsPre(*w.for_pred));
+  EXPECT_NE(w.for_pred->ToString().find("Pre(Category)"), std::string::npos);
 }
 
 TEST(ParserTest, WhatIfBareTableUse) {
@@ -408,12 +408,6 @@ TEST(AstTest, SplitConjunctionDoesNotCrossOr) {
   ASSERT_EQ(terms.size(), 2u);
 }
 
-TEST(AstTest, SplitDisjunction) {
-  auto e = ParseSqlExpr("a = 1 Or b = 2 Or c = 3").value();
-  auto terms = SplitDisjunction(*e);
-  ASSERT_EQ(terms.size(), 3u);
-}
-
 TEST(AstTest, CollectColumnRefsDedup) {
   auto e = ParseSqlExpr("Price > 10 And Price < 20 And Brand = 'A'").value();
   std::vector<std::string> cols;
@@ -428,19 +422,6 @@ TEST(AstTest, CloneIsDeep) {
   auto e2 = e1->Clone();
   e1->children[0]->name = "zzz";
   EXPECT_EQ(e2->children[0]->name, "a");
-}
-
-TEST(AstTest, MakeConjunction) {
-  std::vector<ExprPtr> terms;
-  EXPECT_EQ(MakeConjunction(std::move(terms)), nullptr);
-  std::vector<ExprPtr> one;
-  one.push_back(ParseSqlExpr("a = 1").value());
-  EXPECT_EQ(MakeConjunction(std::move(one))->ToString(), "a = 1");
-  std::vector<ExprPtr> two;
-  two.push_back(ParseSqlExpr("a = 1").value());
-  two.push_back(ParseSqlExpr("b = 2").value());
-  auto conj = MakeConjunction(std::move(two));
-  EXPECT_EQ(conj->op, BinaryOp::kAnd);
 }
 
 }  // namespace

@@ -113,14 +113,6 @@ TEST(SchemaTest, KeysForcedImmutable) {
   EXPECT_EQ(s.attribute(1).mutability, Mutability::kMutable);
 }
 
-TEST(SchemaTest, MutableIndices) {
-  Schema s = ProductSchema();
-  auto idx = s.MutableIndices();
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx[0], 2u);  // Price
-  EXPECT_EQ(idx[1], 4u);  // Quality
-}
-
 TEST(SchemaTest, CompositeKey) {
   Schema s("Review",
            {{"PID", ValueType::kInt, Mutability::kImmutable},
@@ -182,31 +174,6 @@ TEST(TableTest, SetValueMutates) {
   EXPECT_DOUBLE_EQ(t.At(0, 2).double_value(), 1099);
 }
 
-TEST(TableTest, ColumnExtraction) {
-  Table t(ProductSchema());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(t.Append({Value::Int(i), Value::String("C"),
-                          Value::Double(i * 10.0), Value::String("B"),
-                          Value::Double(0.5)})
-                    .ok());
-  }
-  auto col = t.Column("Price");
-  ASSERT_TRUE(col.ok());
-  EXPECT_DOUBLE_EQ((*col)[2].double_value(), 20.0);
-  EXPECT_FALSE(t.Column("Missing").ok());
-}
-
-TEST(TableTest, KeyOf) {
-  Table t(ProductSchema());
-  ASSERT_TRUE(t.Append({Value::Int(42), Value::String("C"),
-                        Value::Double(1), Value::String("B"),
-                        Value::Double(0.5)})
-                  .ok());
-  Row key = t.KeyOf(0);
-  ASSERT_EQ(key.size(), 1u);
-  EXPECT_TRUE(key[0].Equals(Value::Int(42)));
-}
-
 // ---------------------------------------------------------------------------
 // Database
 // ---------------------------------------------------------------------------
@@ -214,10 +181,9 @@ TEST(TableTest, KeyOf) {
 TEST(DatabaseTest, AddAndGet) {
   Database db;
   ASSERT_TRUE(db.AddTable(ProductSchema()).ok());
-  EXPECT_TRUE(db.HasTable("Product"));
   EXPECT_TRUE(db.GetTable("Product").ok());
   EXPECT_FALSE(db.GetTable("Review").ok());
-  EXPECT_EQ(db.num_tables(), 1u);
+  EXPECT_EQ(db.TableNames(), std::vector<std::string>{"Product"});
 }
 
 TEST(DatabaseTest, DuplicateRejected) {
