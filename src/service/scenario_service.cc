@@ -5,7 +5,6 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "relational/compiled.h"
 #include "relational/select.h"
 #include "service/service_metrics.h"
 #include "sql/parser.h"
@@ -481,8 +480,11 @@ struct HypotheticalDelta {
   size_t updated_rows = 0;
 };
 
+/// `engine` runs over `eff`; `ctx` is the world's stage context, through
+/// which S comes from the world's cached columnar image.
 Result<HypotheticalDelta> ComputeHypotheticalDelta(
-    const Database& eff, const sql::WhatIfStmt& stmt) {
+    const Database& eff, const sql::WhatIfStmt& stmt,
+    const whatif::WhatIfEngine& engine, const whatif::StageContext& ctx) {
   HypotheticalDelta delta;
   // All update attributes must live in one relation (the engine's relevant
   // view has the same contract).
@@ -505,23 +507,10 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
   }
 
   // S from the When predicate, over the *branch-effective* relation so
-  // chained updates compose.
-  std::vector<size_t> s_rows;
-  if (stmt.when == nullptr) {
-    s_rows.resize(table->num_rows());
-    for (size_t r = 0; r < table->num_rows(); ++r) s_rows[r] = r;
-  } else {
-    const std::vector<relational::ScopedTuple> scope{
-        relational::ScopedTuple{delta.relation, &schema}};
-    HYPER_ASSIGN_OR_RETURN(
-        relational::CompiledExpr compiled,
-        relational::CompiledExpr::Compile(*stmt.when, scope));
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      const relational::BoundRow frame{&table->row(r), nullptr};
-      HYPER_ASSIGN_OR_RETURN(bool sel, compiled.EvalRowBool(&frame));
-      if (sel) s_rows.push_back(r);
-    }
-  }
+  // chained updates compose: the same mask kernel a query's When runs, over
+  // the world's ScopeStage image.
+  HYPER_ASSIGN_OR_RETURN(std::vector<size_t> s_rows,
+                         engine.SelectUpdateRows(stmt, &ctx));
   delta.updated_rows = s_rows.size();
 
   // Deterministic post image f(pre), all updates from the same pre state.
@@ -578,16 +567,21 @@ Result<size_t> ScenarioService::ApplyHypothetical(
         "Post(...) is not allowed");
   }
 
-  // Optimistic concurrency: the O(rows) When scan and post-image build run
-  // outside the service lock against an immutable snapshot, so concurrent
-  // Submits never stall behind a branch mutation. If another update lands
-  // on this branch meanwhile — the (id, version) pair moved; the id guards
-  // against a drop-and-recreate under the same name — recompute from the
-  // new world.
+  // Optimistic concurrency: the When mask and post-image build run outside
+  // the service lock against an immutable snapshot, so concurrent Submits
+  // never stall behind a branch mutation. If another update lands on this
+  // branch meanwhile — the (id, version) pair moved; the id guards against
+  // a drop-and-recreate under the same name — recompute from the new world.
   for (int attempt = 0; attempt < 8; ++attempt) {
     HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
-    HYPER_ASSIGN_OR_RETURN(HypotheticalDelta delta,
-                           ComputeHypotheticalDelta(*world.db, stmt));
+    const whatif::StageContext stage_context = StageContextFor(world);
+    // Default options: S reads only the scope stage, and a branch update is
+    // not a governed request.
+    const whatif::WhatIfEngine engine(world.db.get(), graph(),
+                                      whatif::WhatIfOptions{});
+    HYPER_ASSIGN_OR_RETURN(
+        HypotheticalDelta delta,
+        ComputeHypotheticalDelta(*world.db, stmt, engine, stage_context));
     if (delta.updated_rows == 0) return size_t{0};  // nothing to record
 
     MutexLock lock(&mu_);

@@ -74,10 +74,11 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table,
                               : std::make_shared<Dictionary>();
   const size_t n = table.num_rows();
   const size_t num_attrs = table.schema().num_attributes();
-  out.columns_.resize(num_attrs);
+  out.columns_.reserve(num_attrs);
 
   for (size_t a = 0; a < num_attrs; ++a) {
-    Column& col = out.columns_[a];
+    auto built = std::make_shared<Column>();
+    Column& col = *built;
     HYPER_ASSIGN_OR_RETURN(col.kind, InferKind(table, a));
     switch (col.kind) {
       case ColumnKind::kInt64: col.i64.resize(n); break;
@@ -113,12 +114,13 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table,
           break;
       }
     }
+    out.columns_.push_back(std::move(built));
   }
   return out;
 }
 
 Value ColumnTable::GetValue(size_t row, size_t attr) const {
-  const Column& col = columns_[attr];
+  const Column& col = *columns_[attr];
   if (col.is_null(row)) return Value::Null();
   switch (col.kind) {
     case ColumnKind::kInt64: return Value::Int(col.i64[row]);
@@ -143,17 +145,14 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
     int32_t code;  // resolved dictionary code for kCode cells
   };
   std::vector<PatchCell> cells_flat;
-  std::vector<uint8_t> needs_nulls(columns_.size(), 0);
   bool dict_private = false;
   for (const auto& [attr, cells] : overrides) {
     if (attr >= columns_.size()) continue;  // stale override beyond the shape
-    Column& col = columns_[attr];
+    const Column& col = *columns_[attr];
     for (const auto& [row, value] : cells) {
       if (row >= num_rows_) continue;  // stale override beyond the shape
       int32_t code = Dictionary::kNullCode;
-      if (value.is_null()) {
-        if (col.nulls.empty()) needs_nulls[attr] = 1;
-      } else {
+      if (!value.is_null()) {
         bool fits = false;
         switch (col.kind) {
           case ColumnKind::kInt64:
@@ -192,15 +191,19 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
       cells_flat.push_back(PatchCell{attr, row, &value, code});
     }
   }
-  for (size_t a = 0; a < columns_.size(); ++a) {
-    if (needs_nulls[a]) columns_[a].nulls.resize(num_rows_, 0);
-  }
 
-  // Pass 2: patch.
+  // Pass 2: copy each touched column once (images sharing it keep the
+  // original), then patch the copy.
+  std::vector<std::shared_ptr<Column>> written(columns_.size());
   for (const PatchCell& cell : cells_flat) {
-    Column& col = columns_[cell.attr];
+    std::shared_ptr<Column>& owned = written[cell.attr];
+    if (owned == nullptr) {
+      owned = std::make_shared<Column>(*columns_[cell.attr]);
+    }
+    Column& col = *owned;
     const Value& value = *cell.value;
     if (value.is_null()) {
+      if (col.nulls.empty()) col.nulls.resize(num_rows_, 0);
       col.nulls[cell.row] = 1;
       switch (col.kind) {
         case ColumnKind::kInt64: col.i64[cell.row] = 0; break;
@@ -224,8 +227,10 @@ Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
     }
     if (!col.nulls.empty()) col.nulls[cell.row] = 0;
   }
+  for (size_t a = 0; a < columns_.size(); ++a) {
+    if (written[a] != nullptr) columns_[a] = std::move(written[a]);
+  }
   return Status::OK();
 }
-
 
 }  // namespace hyper

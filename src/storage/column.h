@@ -78,6 +78,10 @@ struct Column {
 /// stored values (the row store is loosely typed); a column mixing ints and
 /// doubles is promoted to kDouble, which preserves Equals/Compare/Hash
 /// semantics for every value the generators produce (|int| < 2^53).
+///
+/// Columns are immutable once built and held through shared pointers: a
+/// copy of a ColumnTable shares every column with its source (O(columns),
+/// not O(cells)), and ApplyOverrides replaces only the columns it writes.
 class ColumnTable {
  public:
   /// Builds the columnar image of `table`. `dict` may be shared across
@@ -90,7 +94,7 @@ class ColumnTable {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
 
-  const Column& col(size_t attr) const { return columns_[attr]; }
+  const Column& col(size_t attr) const { return *columns_[attr]; }
   const Dictionary& dict() const { return *dict_; }
   const std::shared_ptr<Dictionary>& shared_dict() const { return dict_; }
 
@@ -98,10 +102,13 @@ class ColumnTable {
   /// back as kDouble (Equals-compatible with the original ints).
   Value GetValue(size_t row, size_t attr) const;
 
-  /// Patches this image in place from sparse cell overrides (attribute ->
-  /// row -> value), the delta-aware alternative to re-encoding a whole
-  /// patched table through FromTable. Cells beyond the table shape are
-  /// skipped (matching the scenario service's stale-override semantics).
+  /// Patches this image from sparse cell overrides (attribute -> row ->
+  /// value), the delta-aware alternative to re-encoding a whole patched
+  /// table through FromTable. Copy-on-write: each column holding at least
+  /// one in-shape cell is copied once and patched; every other column stays
+  /// shared with the images this one was copied from, which never see the
+  /// patch. Cells beyond the table shape are skipped (matching the scenario
+  /// service's stale-override semantics).
   ///
   /// Every patched cell must fit the column's physical kind as inferred at
   /// build time — int into kInt64/kDouble, double into kDouble, bool into
@@ -121,8 +128,9 @@ class ColumnTable {
   ///
   /// Overrides are validated (and strings interned) in one pass before any
   /// cell is written, so FailedPrecondition leaves the image untouched; a
-  /// second pass then writes the cells. A branch's scope image is a full
-  /// copy of its base image with the branch delta patched in.
+  /// second pass then copies the touched columns and writes the cells. A
+  /// branch's scope image is its base image with the branch delta patched
+  /// in: it owns the columns the delta writes and shares the rest.
   Status ApplyOverrides(const TableCellOverrides& overrides);
 
   /// Fixed segment size of the parallel expression kernels: the When-mask
@@ -137,7 +145,7 @@ class ColumnTable {
  private:
   Schema schema_;
   size_t num_rows_ = 0;
-  std::vector<Column> columns_;
+  std::vector<std::shared_ptr<const Column>> columns_;
   std::shared_ptr<Dictionary> dict_;
 };
 

@@ -700,9 +700,11 @@ void WidenColumn(const Column& col, size_t n, double* out) {
 
 /// ScopeStage: the materialized relevant view and its columnar image. For a
 /// scenario branch this is the only stage that must re-materialize data —
-/// and when the base world's ScopeStage is cached, it is built by patching
-/// the base image in place from the branch's sparse override cells
-/// (ColumnTable::ApplyOverrides) instead of re-encoding the whole table.
+/// and when the base world's ScopeStage is cached, it is the base image with
+/// the branch's sparse override cells patched in
+/// (ColumnTable::ApplyOverrides): it shares every column the branch does not
+/// write with the base image and owns a patched copy of the rest, instead of
+/// re-encoding the whole table.
 struct ScopeStageData {
   std::shared_ptr<const ViewInfo> view_info;
   ColumnTable cview;
@@ -733,10 +735,6 @@ struct CausalStageData {
 /// fingerprint restricted to the attributes training reads, so branches
 /// whose deltas miss that set share one LearnStage — estimators included.
 struct LearnStageData {
-  /// The scope this stage was built against. May differ from the scope a
-  /// sharing plan evaluates over (a branch delta on a non-training
-  /// attribute); training only reads attributes both scopes agree on.
-  std::shared_ptr<const ScopeStageData> built_on;
   WhatIfOptions options;  // estimator-relevant engine options at build time
   bool has_output = false;
 
@@ -1081,17 +1079,17 @@ std::string QueryStageKey(const std::string& causal_key,
 
 /// Builds the ScopeStage: relevant view + columnar image. When the context
 /// carries override cells and the base world's ScopeStage is cached, the
-/// image is the base image patched in place (ApplyOverrides) — bit-identical
-/// to re-encoding, at O(copy + cells) instead of O(cells scanned * typed
-/// dispatch). Falls back to a full build whenever patching is not possible
-/// (select views, a missing base stage, a kind-changing override).
+/// image is the base image patched copy-on-write (ApplyOverrides) —
+/// value-for-value what re-encoding gives, at O(columns + the written
+/// columns' rows) instead of O(cells * typed dispatch). Falls back to a
+/// full build whenever patching is not possible (select views, a missing
+/// base stage, a kind-changing override).
 Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     const Database& db, const sql::UseClause& use,
     const std::string& update_attr0, const StageContext* ctx,
     const ExecGuard* guard) {
   HYPER_ASSIGN_OR_RETURN(ViewInfo info,
                          BuildRelevantView(db, use, update_attr0));
-  const std::string& update_relation = info.update_relation;
   auto stage = std::make_shared<ScopeStageData>();
   stage->view_info = std::make_shared<const ViewInfo>(std::move(info));
   const ViewInfo& vi = *stage->view_info;
@@ -1116,12 +1114,12 @@ Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     // the base image directly.
     auto base_ptr = ctx->stages->Peek(
         StageKind::kScope,
-        ScopeStageKey(ctx->base_scope, use, update_relation));
+        ScopeStageKey(ctx->base_scope, use, vi.update_relation));
     if (base_ptr != nullptr) {
       auto base = std::static_pointer_cast<const ScopeStageData>(base_ptr);
       if (base->cview.num_rows() == vi.view->num_rows() &&
           base->cview.num_columns() == vi.view->schema().num_attributes()) {
-        ColumnTable image = base->cview;  // typed vector copy, shared dict
+        ColumnTable image = base->cview;  // shares every column and the dict
         auto it = ctx->overrides->find(vi.update_relation);
         Status applied = it != ctx->overrides->end()
                              ? image.ApplyOverrides(it->second)
@@ -1238,15 +1236,15 @@ std::vector<std::string> LearnDependencyColumns(const CompiledWhatIf& q,
   return std::vector<std::string>(cols.begin(), cols.end());
 }
 
+/// Reads `scope` only while it builds: the stage keeps no reference to it,
+/// so a cached LearnStage never pins a (branch) columnar image.
 Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
-    std::shared_ptr<const ScopeStageData> scope_stage,
-    const CausalStageData& causal, const CompiledWhatIf& q,
-    const WhatIfOptions& options, const ExecGuard* guard) {
+    const ScopeStageData& scope, const CausalStageData& causal,
+    const CompiledWhatIf& q, const WhatIfOptions& options,
+    const ExecGuard* guard) {
   auto stage = std::make_shared<LearnStageData>();
-  stage->built_on = scope_stage;
   stage->options = options;
   stage->has_output = q.output_value != nullptr;
-  const ScopeStageData& scope = *scope_stage;
   const ColumnTable& cview = scope.cview;
   const Schema& vschema = q.view_info->view->schema();
   const size_t n = cview.num_rows();
@@ -1603,6 +1601,20 @@ Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
   return std::static_pointer_cast<const T>(ptr);
 }
 
+/// The ScopeStage of (`use`, update relation) for the context's data
+/// snapshot, through its scope section when there is a stage cache.
+Result<std::shared_ptr<const ScopeStageData>> ScopeStageFor(
+    const Database& db, const sql::UseClause& use,
+    const std::string& update_attr0, const std::string& update_relation,
+    const StageContext* ctx, const ExecGuard* guard) {
+  const bool staged = ctx != nullptr && ctx->stages != nullptr;
+  return StagedOrFresh<ScopeStageData>(
+      ctx, staged, StageKind::kScope,
+      staged ? ScopeStageKey(ctx->data_scope, use, update_relation)
+             : std::string(),
+      [&] { return BuildScopeStage(db, use, update_attr0, ctx, guard); });
+}
+
 }  // namespace
 
 PreparedWhatIf::PreparedWhatIf() : impl_(std::make_unique<Impl>()) {}
@@ -1674,17 +1686,10 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.scope"));
   }
-  const std::string scope_key =
-      staged ? ScopeStageKey(ctx->data_scope, stmt.use, update_relation)
-             : std::string();
   HYPER_ASSIGN_OR_RETURN(
       std::shared_ptr<const ScopeStageData> scope_stage,
-      (StagedOrFresh<ScopeStageData>(ctx, staged, StageKind::kScope, scope_key,
-                                     [&] {
-                                       return BuildScopeStage(
-                                           *db_, stmt.use, update_attr0, ctx,
-                                           guard.get());
-                                     })));
+      ScopeStageFor(*db_, stmt.use, update_attr0, update_relation, ctx,
+                    guard.get()));
   const size_t n = scope_stage->cview.num_rows();
   if (n == 0) {
     return Status::InvalidArgument("relevant view is empty");
@@ -1730,7 +1735,7 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
       std::shared_ptr<const LearnStageData> learn_stage,
       (StagedOrFresh<LearnStageData>(
           ctx, staged, StageKind::kLearn, learn_key, [&] {
-            return BuildLearnStage(scope_stage, *causal_stage, q, options_,
+            return BuildLearnStage(*scope_stage, *causal_stage, q, options_,
                                    guard.get());
           })));
 
@@ -1753,6 +1758,33 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
   prepared->updated_rows_ = im.updated;
   prepared->prepare_seconds_ = prep_timer.ElapsedSeconds();
   return std::shared_ptr<const PreparedWhatIf>(std::move(prepared));
+}
+
+Result<std::vector<size_t>> WhatIfEngine::SelectUpdateRows(
+    const sql::WhatIfStmt& stmt, const StageContext* ctx) const {
+  if (stmt.updates.empty()) {
+    return Status::InvalidArgument("what-if query requires an Update clause");
+  }
+  const std::string& update_attr0 = stmt.updates[0].attribute;
+  HYPER_ASSIGN_OR_RETURN(std::string update_relation,
+                         db_->RelationOfAttribute(update_attr0));
+  sql::UseClause use;
+  use.table = update_relation;
+  const ExecGuardPtr guard = GuardFor(options_);
+  HYPER_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ScopeStageData> scope_stage,
+      ScopeStageFor(*db_, use, update_attr0, update_relation, ctx,
+                    guard.get()));
+  HYPER_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> in_s,
+      relational::EvalPredicateMask(stmt.when.get(), scope_stage->cview));
+  // A table view's row r is tid r.
+  std::vector<size_t> rows;
+  rows.reserve(simd::MaskCount(in_s.data(), in_s.size()));
+  for (size_t r = 0; r < in_s.size(); ++r) {
+    if (in_s[r] != 0) rows.push_back(r);
+  }
+  return rows;
 }
 
 namespace {

@@ -282,6 +282,18 @@ class WhatIfEngine {
       const sql::WhatIfStmt& stmt, const StageContext* context = nullptr,
       bool* cache_hit = nullptr) const;
 
+  /// S of §3.1 for a deterministic branch update: the tids of the update
+  /// relation R whose pre-update tuple satisfies `stmt`'s When (every tid
+  /// when it has none), ascending. When reads R whatever the Use clause
+  /// says. The mask kernel runs over the columnar image of `Use R`, got or
+  /// built through the context's scope section under the key Prepare uses,
+  /// so a branch whose image a query already built pays no re-encode. Fails
+  /// like Prepare when R has no columnar image (a column mixing strings with
+  /// numbers), and with the first row's error in row order when When fails
+  /// to evaluate.
+  Result<std::vector<size_t>> SelectUpdateRows(
+      const sql::WhatIfStmt& stmt, const StageContext* context) const;
+
   /// Evaluates one intervention against a prepared plan, on the calling
   /// thread. `updates` must target the plan's update attributes in order;
   /// constants and update functions are free. Thread-safe; answers are

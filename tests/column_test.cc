@@ -154,19 +154,21 @@ TEST(ColumnTableTest, ApplyOverridesMatchesRebuild) {
                  {{"I", ValueType::kInt, Mutability::kMutable},
                   {"D", ValueType::kDouble, Mutability::kMutable},
                   {"B", ValueType::kBool, Mutability::kMutable},
-                  {"S", ValueType::kString, Mutability::kMutable}},
+                  {"S", ValueType::kString, Mutability::kMutable},
+                  {"U", ValueType::kInt, Mutability::kMutable}},
                  {}));
   t.AppendUnchecked({Value::Int(1), Value::Double(1.5), Value::Bool(true),
-                     Value::String("a")});
+                     Value::String("a"), Value::Int(10)});
   t.AppendUnchecked({Value::Int(2), Value::Double(2.5), Value::Bool(false),
-                     Value::String("b")});
+                     Value::String("b"), Value::Int(20)});
   t.AppendUnchecked({Value::Null(), Value::Int(3), Value::Bool(true),
-                     Value::Null()});
+                     Value::Null(), Value::Int(30)});
   auto base = ColumnTable::FromTable(t);
   ASSERT_TRUE(base.ok());
 
   // Overrides touching every kind, including NULL-in, NULL-out, a new
-  // dictionary string, and an int into a promoted double column.
+  // dictionary string, and an int into a promoted double column. Column U
+  // gets only a stale cell.
   TableCellOverrides overrides;
   overrides[0][0] = Value::Int(7);           // int -> kInt64
   overrides[0][2] = Value::Int(9);           // fills the NULL
@@ -177,9 +179,27 @@ TEST(ColumnTableTest, ApplyOverridesMatchesRebuild) {
   overrides[3][0] = Value::String("b");      // existing category
   overrides[9][0] = Value::Int(1);           // stale attr: skipped
   overrides[0][99] = Value::Int(1);          // stale row: skipped
+  overrides[4][99] = Value::Int(1);          // stale row: skipped
 
-  ColumnTable patched = *base;  // shares the dictionary with `base`
+  ColumnTable patched = *base;  // shares every column and the dictionary
+  for (size_t a = 0; a < base->num_columns(); ++a) {
+    EXPECT_EQ(&base->col(a), &patched.col(a)) << "a copy shares column " << a;
+  }
   ASSERT_TRUE(patched.ApplyOverrides(overrides).ok());
+
+  // Copy-on-write: the written columns are the patched image's own, the
+  // untouched column (U, only a stale cell) still aliases the source, and
+  // the source keeps every original value.
+  for (size_t a = 0; a < 4; ++a) {
+    EXPECT_NE(&base->col(a), &patched.col(a)) << "column " << a;
+  }
+  EXPECT_EQ(&base->col(4), &patched.col(4));
+  for (size_t a = 0; a < t.schema().num_attributes(); ++a) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      EXPECT_TRUE(base->GetValue(r, a).Equals(t.At(r, a)))
+          << "source cell (" << r << ", " << a << ")";
+    }
+  }
 
   // Reference: patch the row table, re-encode from scratch.
   Table patched_rows = t;

@@ -679,9 +679,59 @@ TEST_F(DurableServiceTest, LegacyMismatchedWriteReplaysAndQueriesFailTyped) {
       << response.status;
   EXPECT_NE(std::string::npos, response.status.message().find("Savings"))
       << response.status;
+  // An apply selects its rows on the branch's columnar image, which the
+  // mixed column rules out: a further apply fails the same typed way, and
+  // the branch does not move.
+  auto version_of_legacy = [&] {
+    for (const service::ScenarioInfo& info : recovered->ListScenarios()) {
+      if (info.name == "legacy") return info.version;
+    }
+    ADD_FAILURE() << "no scenario legacy";
+    return uint64_t{0};
+  };
+  const uint64_t version = version_of_legacy();
+  auto applied = recovered->ApplyHypotheticalSql("legacy", kApplySql);
+  EXPECT_EQ(StatusCode::kInvalidArgument, applied.status().code())
+      << applied.status();
+  EXPECT_NE(std::string::npos, applied.status().message().find("Savings"))
+      << applied.status();
+  EXPECT_EQ(version, version_of_legacy());
   // main never saw the record and still answers.
   request.scenario = "main";
   EXPECT_TRUE(recovered->Submit(request).ok());
+}
+
+// A When that divides by zero fails the apply with the evaluator's typed
+// error before anything is journaled: the WAL gains no record and the
+// branch keeps its version.
+TEST_F(DurableServiceTest, DivideByZeroWhenFailsTypedAndJournalsNothing) {
+  TempDir dir;
+  auto service = MakeService(dir.path());
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  ASSERT_TRUE(service->ApplyHypotheticalSql("b", kApplySql).ok());
+  auto version_of_b = [&] {
+    for (const service::ScenarioInfo& info : service->ListScenarios()) {
+      if (info.name == "b") return info.version;
+    }
+    ADD_FAILURE() << "no scenario b";
+    return uint64_t{0};
+  };
+  const uint64_t version = version_of_b();
+  const uint64_t appends = service->wal_stats().appends;
+  const uint64_t last_lsn = service->wal_stats().last_lsn;
+
+  auto applied = service->ApplyHypotheticalSql(
+      "b",
+      "Use German When Savings / (Age - Age) = 1 Update(Status) = 2 "
+      "Output Count(*)");
+  EXPECT_EQ(StatusCode::kInvalidArgument, applied.status().code())
+      << applied.status();
+  EXPECT_NE(std::string::npos,
+            applied.status().message().find("division by zero"))
+      << applied.status();
+  EXPECT_EQ(appends, service->wal_stats().appends);
+  EXPECT_EQ(last_lsn, service->wal_stats().last_lsn);
+  EXPECT_EQ(version, version_of_b());
 }
 
 TEST_F(DurableServiceTest, WalMetricsAreRegisteredAndCounted) {

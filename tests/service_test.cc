@@ -10,6 +10,7 @@
 #include "golden_cases.h"
 #include "howto/engine.h"
 #include "net/query_handler.h"
+#include "relational/eval.h"
 #include "service/scenario_service.h"
 #include "sql/parser.h"
 #include "whatif/engine.h"
@@ -900,8 +901,9 @@ TEST_F(ServiceTest, BranchDeltaOnAdjustmentAttributeInvalidatesLearnStage) {
 }
 
 // Evicting an upstream stage must not invalidate live downstream stages: a
-// LearnStage holds its ScopeStage alive through a shared_ptr, keeps serving
-// trained estimators, and a later prepare rebuilds only the evicted pieces.
+// plan (QueryStage) holds its Scope, Causal and Learn stages alive through
+// shared_ptrs, a LearnStage keeps serving trained estimators without its
+// ScopeStage, and a later prepare rebuilds only the evicted pieces.
 TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
   const whatif::WhatIfOptions options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
@@ -942,8 +944,9 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
 
   // The ledger still reconciles after eager eviction: the three Submits
   // above each did one query (plan) lookup, the two query misses each did
-  // one lookup per upstream section — eviction never double-counts or
-  // loses a lookup.
+  // one lookup per upstream section, and the apply did one scope lookup
+  // (its When mask reads the world's image) — eviction never double-counts
+  // or loses a lookup.
   Response again = service->Submit({"main", kQuery, {}});
   ASSERT_TRUE(again.ok()) << again.status;
   EXPECT_EQ(expected, again.whatif.value);
@@ -951,8 +954,10 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
   PlanCacheStats final_stats = service->cache_stats();
   const StageStats& q = final_stats.query;
   EXPECT_EQ(3u, q.hits + q.misses + q.coalesced);
-  for (const StageStats* s :
-       {&final_stats.scope, &final_stats.causal, &final_stats.learn}) {
+  const StageStats& sc = final_stats.scope;
+  EXPECT_EQ(3u, sc.hits + sc.misses + sc.coalesced);
+  EXPECT_EQ(2u, sc.misses) << "the apply re-encoded the trunk image";
+  for (const StageStats* s : {&final_stats.causal, &final_stats.learn}) {
     EXPECT_EQ(2u, s->hits + s->misses + s->coalesced);
   }
   EXPECT_EQ(1u, final_stats.learn.misses) << "learn stage was rebuilt";
@@ -1028,6 +1033,306 @@ TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
   EXPECT_EQ(2u, stats.query.misses);
   EXPECT_EQ(FreshRun(kVariant, options),
             value_of(**variant, *variant_stmt->whatif));
+}
+
+// --- the branch scope patch path ------------------------------------------
+
+// A StageProvider that forwards every call to a StageCache and records each
+// Peek (the patch path's base-image lookup) with whether it found a stage.
+class RecordingStages : public whatif::StageProvider {
+ public:
+  struct PeekRecord {
+    whatif::StageKind kind;
+    std::string key;
+    bool found;
+  };
+
+  explicit RecordingStages(StageCache* cache) : cache_(cache) {}
+
+  Result<StagePtr> GetOrBuild(whatif::StageKind kind, const std::string& key,
+                              const StageFactory& build, bool* hit) override {
+    return cache_->GetOrBuild(kind, key, build, hit);
+  }
+  StagePtr Peek(whatif::StageKind kind, const std::string& key) override {
+    StagePtr found = cache_->Peek(kind, key);
+    peeks.push_back({kind, key, found != nullptr});
+    return found;
+  }
+
+  std::vector<PeekRecord> peeks;
+
+ private:
+  StageCache* cache_;
+};
+
+// A one-cell branch world: `db` with (row, attr) of `relation` set to
+// `value`, plus the base-relative override map the service would hand the
+// engine for it.
+struct OneCellBranch {
+  Database db;
+  std::map<std::string, TableCellOverrides> overrides;
+};
+
+OneCellBranch MakeOneCellBranch(const Database& base,
+                                const std::string& relation, size_t row,
+                                const std::string& attribute, Value value) {
+  OneCellBranch branch{base.ShallowCopy(), {}};
+  Table* table = branch.db.GetMutableTable(relation).value();
+  const size_t attr = table->schema().IndexOf(attribute).value();
+  table->SetValue(row, attr, value);
+  branch.overrides[relation][attr][row] = std::move(value);
+  return branch;
+}
+
+whatif::StageContext BranchContext(whatif::StageProvider* stages,
+                                   const std::string& data_scope,
+                                   const OneCellBranch* branch) {
+  whatif::StageContext ctx;
+  ctx.stages = stages;
+  ctx.data_scope = data_scope;
+  ctx.shape_scope = "g";
+  ctx.base_scope = "base";
+  ctx.overrides = branch != nullptr ? &branch->overrides : nullptr;
+  return ctx;
+}
+
+// Prepares `query` on the base world, then on a one-cell branch of it: the
+// branch's scope build must Peek the cached base image and find it (the
+// patch path), and its answer must equal a fresh engine over the patched
+// database. Returns the branch plan's |S|.
+size_t ExpectBranchPatchesBaseImage(const Database& base,
+                                    const causal::CausalGraph& graph,
+                                    const whatif::WhatIfOptions& options,
+                                    const std::string& query,
+                                    const OneCellBranch& branch) {
+  auto stmt = sql::ParseSql(query);
+  EXPECT_TRUE(stmt.ok()) << stmt.status();
+  if (!stmt.ok()) return 0;
+  const std::vector<whatif::UpdateSpec> specs =
+      whatif::SpecsOfStatement(*stmt->whatif);
+  StageCache cache(64);
+  RecordingStages stages(&cache);
+
+  const whatif::StageContext base_ctx = BranchContext(&stages, "base", nullptr);
+  whatif::WhatIfEngine base_engine(&base, &graph, options);
+  auto base_plan = base_engine.Prepare(*stmt->whatif, &base_ctx);
+  EXPECT_TRUE(base_plan.ok()) << base_plan.status();
+  EXPECT_TRUE(stages.peeks.empty()) << "the base world has nothing to patch";
+
+  const whatif::StageContext ctx = BranchContext(&stages, "branch", &branch);
+  whatif::WhatIfEngine engine(&branch.db, &graph, options);
+  auto plan = engine.Prepare(*stmt->whatif, &ctx);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return 0;
+  EXPECT_EQ(2u, cache.stats().scope.misses);  // base, then the patched branch
+  EXPECT_EQ(1u, stages.peeks.size());
+  for (const RecordingStages::PeekRecord& peek : stages.peeks) {
+    EXPECT_EQ(whatif::StageKind::kScope, peek.kind);
+    EXPECT_NE(std::string::npos, peek.key.find("|d[4]=base|")) << peek.key;
+    EXPECT_NE(std::string::npos, peek.key.find("|rel[6]=German")) << peek.key;
+    EXPECT_TRUE(peek.found) << "the base image was not found: " << peek.key;
+  }
+
+  auto served = engine.Evaluate(**plan, specs);
+  EXPECT_TRUE(served.ok()) << served.status();
+  whatif::WhatIfEngine fresh(&branch.db, &graph, options);
+  auto expected = fresh.Run(*stmt->whatif);
+  EXPECT_TRUE(expected.ok()) << expected.status();
+  if (served.ok() && expected.ok()) {
+    EXPECT_EQ(expected->value, served->value) << query;
+    EXPECT_EQ(expected->updated_rows, served->updated_rows) << query;
+  }
+  return (*plan)->updated_rows();
+}
+
+TEST_F(ServiceTest, BranchScopeBuildPatchesTheCachedBaseImage) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  // One Savings cell moves row 5 into (or out of) the When set.
+  const Table& german = *db_.GetTable("German").value();
+  const size_t savings = german.schema().IndexOf("Savings").value();
+  const bool was_two = german.At(5, savings).Equals(Value::Int(2));
+  const std::string query =
+      "Use German When Savings = 2 Update(Status) = 2 Output Count(Credit = 1)";
+  const OneCellBranch branch = MakeOneCellBranch(
+      db_, "German", 5, "Savings", Value::Int(was_two ? 0 : 2));
+  whatif::WhatIfEngine base_engine(&db_, &graph_, options);
+  const size_t base_s = base_engine.RunSql(query)->updated_rows;
+  const size_t branch_s =
+      ExpectBranchPatchesBaseImage(db_, graph_, options, query, branch);
+  EXPECT_EQ(was_two ? base_s - 1 : base_s + 1, branch_s);
+}
+
+// An int written into a kDouble column widens in place: the patch keeps the
+// column's kind, and the answer still equals a fresh run over the patched
+// rows.
+TEST_F(ServiceTest, BranchScopePatchWidensAnIntIntoADoubleColumn) {
+  data::GermanOptions german_options;
+  german_options.rows = 800;
+  german_options.seed = 11;
+  german_options.continuous_amount = true;
+  auto ds = data::MakeGermanSyn(german_options);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  const Table& german = *ds->db.GetTable("German").value();
+  const size_t amount = german.schema().IndexOf("CreditAmount").value();
+  ASSERT_EQ(ValueType::kDouble, german.At(9, amount).type());
+  const bool above = german.At(9, amount).AsDouble().value() > 4000.0;
+  const OneCellBranch branch = MakeOneCellBranch(
+      ds->db, "German", 9, "CreditAmount", Value::Int(above ? 100 : 9000));
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  const std::string query =
+      "Use German When CreditAmount > 4000 Update(Status) = 2 "
+      "Output Count(Credit = 1)";
+  whatif::WhatIfEngine base_engine(&ds->db, &ds->graph, options);
+  const size_t base_s = base_engine.RunSql(query)->updated_rows;
+  const size_t branch_s =
+      ExpectBranchPatchesBaseImage(ds->db, ds->graph, options, query, branch);
+  EXPECT_EQ(above ? base_s - 1 : base_s + 1, branch_s);
+}
+
+// A patched branch image shares every column it does not write with the
+// base image. Evict the base image and drop every other holder of it while
+// the branch plan is live: the branch plan keeps the shared columns alive
+// and answers bit-identically (asan and tsan run this through check.sh).
+TEST_F(ServiceTest, EvictedBaseImageLeavesPatchedBranchPlanServing) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  const Table& german = *db_.GetTable("German").value();
+  const size_t savings = german.schema().IndexOf("Savings").value();
+  const bool was_two = german.At(3, savings).Equals(Value::Int(2));
+  const OneCellBranch branch = MakeOneCellBranch(
+      db_, "German", 3, "Savings", Value::Int(was_two ? 0 : 2));
+  auto stmt = sql::ParseSql(kAvgQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  const std::vector<whatif::UpdateSpec> specs =
+      whatif::SpecsOfStatement(*stmt->whatif);
+  StageCache cache(64);
+  RecordingStages stages(&cache);
+
+  const whatif::StageContext base_ctx = BranchContext(&stages, "base", nullptr);
+  whatif::WhatIfEngine base_engine(&db_, &graph_, options);
+  auto base_plan = base_engine.Prepare(*stmt->whatif, &base_ctx);
+  ASSERT_TRUE(base_plan.ok()) << base_plan.status();
+
+  const whatif::StageContext ctx = BranchContext(&stages, "branch", &branch);
+  whatif::WhatIfEngine engine(&branch.db, &graph_, options);
+  auto plan = engine.Prepare(*stmt->whatif, &ctx);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(1u, stages.peeks.size());
+  ASSERT_TRUE(stages.peeks[0].found) << "the branch image was not patched";
+  auto before = engine.Evaluate(**plan, specs);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  // Every entry keyed by the base scope goes (scope, learn, query); the
+  // branch's keys say "d[6]=branch" and stay.
+  std::weak_ptr<const void> base_image =
+      cache.Peek(whatif::StageKind::kScope, stages.peeks[0].key);
+  ASSERT_FALSE(base_image.expired());
+  EXPECT_EQ(3u, cache.EvictTagged("|d[4]=base"));
+  base_plan->reset();
+  EXPECT_TRUE(base_image.expired()) << "something else holds the base image";
+
+  auto after = engine.Evaluate(**plan, specs);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(before->value, after->value);
+  whatif::WhatIfEngine fresh(&branch.db, &graph_, options);
+  EXPECT_EQ(fresh.RunSql(kAvgQuery)->value, after->value);
+}
+
+// --- the apply path's When ------------------------------------------------
+
+// |S| of the apply statement's When over `relation` of the scenario's
+// effective world, counted row by row with the interpreting evaluator.
+size_t RowByRowWhenCount(ScenarioService& service, const std::string& scenario,
+                         const std::string& relation,
+                         const std::string& apply_sql) {
+  auto world = service.EffectiveDatabase(scenario);
+  auto parsed = sql::ParseSql(apply_sql);
+  EXPECT_TRUE(world.ok()) << world.status();
+  EXPECT_TRUE(parsed.ok() && parsed->whatif != nullptr &&
+              parsed->whatif->when != nullptr);
+  if (!world.ok() || !parsed.ok()) return 0;
+  const Table& table = *(*world)->GetTable(relation).value();
+  size_t count = 0;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    relational::Env env;
+    env.Bind(relation, &table.schema(), &table.row(r));
+    auto selected = relational::EvalPredicate(*parsed->whatif->when, env);
+    EXPECT_TRUE(selected.ok()) << selected.status();
+    if (selected.ok() && *selected) ++count;
+  }
+  return count;
+}
+
+TEST_F(ServiceTest, ApplyWhenOverStringAndNullColumnsMatchesRowByRowCount) {
+  Database db;
+  Table t(Schema("Shop",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"Color", ValueType::kString, Mutability::kMutable},
+                  {"Sales", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  const char* colors[] = {"red", "blue", "green"};
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(t.Append({Value::Int(i),
+                          i % 5 == 4 ? Value::Null()
+                                     : Value::String(colors[i % 3]),
+                          i % 4 == 1 ? Value::Null() : Value::Int(i % 6)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  ScenarioService service(db, causal::CausalGraph(), ServiceOptions{});
+  ASSERT_TRUE(service.CreateScenario("b").ok());
+
+  const char* applies[] = {
+      // String column: equality (the code kernel) and an ordered compare
+      // (strings, row by row).
+      "Use Shop When Color = 'red' Update(Sales) = 7 Output Count(*)",
+      "Use Shop When Color > 'blue' Update(Sales) = 8 Output Count(*)",
+      // NULL cells: NULL sorts first and equals nothing.
+      "Use Shop When Sales > 2 Update(Color) = 'pink' Output Count(*)",
+      "Use Shop When Sales < 3 Update(Color) = 'teal' Output Count(*)",
+      "Use Shop When Color <> 'teal' Update(Sales) = 9 Output Count(*)",
+  };
+  for (const char* apply : applies) {
+    const size_t expected = RowByRowWhenCount(service, "b", "Shop", apply);
+    auto updated = service.ApplyHypotheticalSql("b", apply);
+    ASSERT_TRUE(updated.ok()) << apply << ": " << updated.status();
+    EXPECT_EQ(expected, *updated) << apply;
+    EXPECT_GT(*updated, 0u) << apply;
+  }
+}
+
+// The When of an apply on a chained branch reads the cells an earlier apply
+// (on its parent) overrode.
+TEST_F(ServiceTest, ApplyWhenReadsCellsAnEarlierChainedApplyOverrode) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ASSERT_TRUE(service->CreateScenario("b1").ok());
+  auto first = service->ApplyHypotheticalSql(
+      "b1", "Use German When Id = 3 Update(Savings) = 7 Output Count(*)");
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(1u, *first);
+  ASSERT_TRUE(service->CreateScenario("b2", "b1").ok());
+
+  const std::string chained =
+      "Use German When Savings = 7 Or Savings = 1 Update(Housing) = 2 "
+      "Output Count(*)";
+  const size_t expected = RowByRowWhenCount(*service, "b2", "German", chained);
+  auto updated = service->ApplyHypotheticalSql("b2", chained);
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  EXPECT_EQ(expected, *updated);
+  // Only b1's override gives a row Savings 7.
+  const std::string only_override =
+      "Use German When Savings = 7 Update(Status) = 0 Output Count(*)";
+  EXPECT_EQ(1u, RowByRowWhenCount(*service, "b2", "German", only_override));
+  auto single = service->ApplyHypotheticalSql("b2", only_override);
+  ASSERT_TRUE(single.ok()) << single.status();
+  EXPECT_EQ(1u, *single);
+  // main never saw it.
+  auto on_main = service->ApplyHypotheticalSql("main", only_override);
+  ASSERT_TRUE(on_main.ok()) << on_main.status();
+  EXPECT_EQ(0u, *on_main);
 }
 
 // Staged answers over main and a branch, across When-variants, match the
