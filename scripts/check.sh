@@ -90,11 +90,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 # the governance suite with its fault-injection matrix and admission
 # tests, and the morsel scheduler suite), plus golden_test (every pinned
 # answer at 1 and 4 threads through the pool), simd_test (each kernel
-# against its scalar mirror), and column_test and storage_test (columnar
+# against its scalar mirror), column_test and storage_test (columnar
 # images whose columns are shared between copies and replaced
-# copy-on-write by a branch patch): TSan catches data races on the shared
-# stage caches, the admission/cancellation state, and the pool's morsel
-# cursor under skewed load, ASan catches lifetime bugs in abort unwinding
+# copy-on-write by a branch patch), and howto_test and edge_cases_test
+# (how-to enumeration and L1 costs index the raw column arrays of a
+# ScopeStage image that the parallel candidate scorer shares): TSan
+# catches data races on the shared stage caches, the
+# admission/cancellation state, and the pool's morsel cursor under skewed
+# load, ASan catches lifetime bugs in abort unwinding
 # (an aborted request must not leave a stage half-built but referenced)
 # and a shared column outliving the image it came from, UBSan catches
 # undefined behavior in the hot loops, kernels and meter arithmetic. Each
@@ -104,7 +107,7 @@ run_sanitizer_leg() {
   local SAN="$1"         # thread | address | undefined
   local FLAG="-fsanitize=$SAN"
   local SAN_BUILD_DIR="${BUILD_DIR}-${2}"   # build dir suffix: tsan | asan | ubsan
-  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test) =="
+  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test) =="
   local PROBE
   PROBE="$(mktemp -d)"
   printf 'int main(){return 0;}\n' > "$PROBE/probe.cc"
@@ -112,9 +115,9 @@ run_sanitizer_leg() {
       && "$PROBE/probe"; then
     rm -rf "$PROBE"
     cmake -B "$SAN_BUILD_DIR" -S . -DHYPER_SANITIZE="$SAN" >/dev/null
-    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test
+    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -L service
-    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test)$'
+    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test)$'
   else
     rm -rf "$PROBE"
     echo "${SAN}Sanitizer unavailable in this toolchain; skipping ${2} smoke"

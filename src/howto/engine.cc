@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <optional>
-#include <set>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -14,14 +12,10 @@
 #include "learn/discretizer.h"
 #include "opt/mck.h"
 #include "opt/milp.h"
-#include "relational/compiled.h"
-#include "relational/eval.h"
 #include "sql/parser.h"
 
 namespace hyper::howto {
 
-using relational::Env;
-using relational::EvalPredicate;
 using sql::LimitItem;
 using sql::LimitKind;
 using whatif::UpdateSpec;
@@ -98,26 +92,343 @@ sql::WhatIfStmt MakeBaselineWhatIf(const sql::HowToStmt& howto,
   return stmt;
 }
 
-/// Rows of the view selected by `when` (all rows when null), evaluated with
-/// a compiled predicate: column references resolve once, not per row.
-Result<std::vector<size_t>> SelectWhenRows(const Table& view,
-                                           const sql::Expr* when) {
-  std::vector<size_t> rows;
-  if (when == nullptr) {
-    rows.resize(view.num_rows());
-    for (size_t r = 0; r < view.num_rows(); ++r) rows[r] = r;
-    return rows;
+/// One HowToUpdate attribute's column of the ScopeStage image.
+struct AttributeScan {
+  size_t col = 0;
+  /// Declared string attributes take string candidates; every other
+  /// attribute is numeric.
+  bool is_string = false;
+  /// A numeric attribute's pre-update values over S, in row order.
+  std::vector<double> pre;
+};
+
+/// The candidate space of a how-to statement, read from the ScopeStage
+/// image of its Use clause: S, each attribute's column and pre-update
+/// values, and its candidate Set updates.
+struct CandidateSpace {
+  whatif::ScopeSelection scope;
+  std::vector<AttributeScan> attributes;
+  std::vector<std::vector<UpdateSpec>> candidates;
+};
+
+/// A numeric attribute's pre-update values over the rows S, in row order.
+/// Fails as Value::AsDouble does on S's first NULL or string cell.
+Status ReadNumericPre(const ColumnTable& image, size_t col,
+                      const std::vector<size_t>& s, std::vector<double>* pre) {
+  const Column& c = image.col(col);
+  if (c.kind == ColumnKind::kCode) {
+    // Every cell of a code column is NULL or a string, and S is not empty.
+    return image.GetValue(s[0], col).AsDouble().status();
   }
-  const std::vector<relational::ScopedTuple> scope{relational::ScopedTuple{
-      view.schema().relation_name(), &view.schema()}};
-  HYPER_ASSIGN_OR_RETURN(relational::CompiledExpr compiled,
-                         relational::CompiledExpr::Compile(*when, scope));
-  for (size_t r = 0; r < view.num_rows(); ++r) {
-    const relational::BoundRow frame{&view.row(r), nullptr};
-    HYPER_ASSIGN_OR_RETURN(bool sel, compiled.EvalRowBool(&frame));
-    if (sel) rows.push_back(r);
+  if (c.has_nulls()) {
+    for (size_t r : s) {
+      if (c.nulls[r] != 0) return Value::Null().AsDouble().status();
+    }
   }
-  return rows;
+  pre->resize(s.size());
+  double* out = pre->data();
+  switch (c.kind) {
+    case ColumnKind::kInt64:
+      for (size_t k = 0; k < s.size(); ++k) {
+        out[k] = static_cast<double>(c.i64[s[k]]);
+      }
+      break;
+    case ColumnKind::kDouble:
+      for (size_t k = 0; k < s.size(); ++k) out[k] = c.f64[s[k]];
+      break;
+    case ColumnKind::kBool:
+      for (size_t k = 0; k < s.size(); ++k) {
+        out[k] = c.b8[s[k]] != 0 ? 1.0 : 0.0;
+      }
+      break;
+    case ColumnKind::kCode:
+      break;
+  }
+  return Status::OK();
+}
+
+/// The distinct integers std::llround(v) over the non-NULL values v of the
+/// whole view with lo <= v <= hi, ascending. llround is monotone, so every
+/// one lies in [llround(lo), llround(hi)]: a byte per integer of that span
+/// marks them when it is no longer than the view, else they are sorted.
+std::vector<int64_t> DistinctIntsInRange(const ColumnTable& image, size_t col,
+                                         double lo, double hi) {
+  const Column& c = image.col(col);
+  const size_t n = image.num_rows();
+  const bool marked = lo >= -0x1p62 && hi <= 0x1p62 &&
+                      hi - lo <= static_cast<double>(n);
+  const int64_t first = marked ? std::llround(lo) : 0;
+  std::vector<uint8_t> seen;
+  if (marked) {
+    seen.assign(static_cast<size_t>(std::llround(hi) - first) + 1, 0);
+  }
+  std::vector<int64_t> keys;
+  const auto add = [&](int64_t key) {
+    if (marked) {
+      seen[static_cast<size_t>(key - first)] = 1;
+    } else {
+      keys.push_back(key);
+    }
+  };
+  const uint8_t* nulls = c.has_nulls() ? c.nulls.data() : nullptr;
+  switch (c.kind) {
+    case ColumnKind::kInt64: {
+      // A double holds every integer of magnitude up to 2^53 exactly, so
+      // llround is the identity there.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      for (size_t r = 0; r < n; ++r) {
+        if (nulls != nullptr && nulls[r] != 0) continue;
+        const int64_t v = c.i64[r];
+        const double d = static_cast<double>(v);
+        if (d >= lo && d <= hi) {
+          add(v >= -kExact && v <= kExact ? v : std::llround(d));
+        }
+      }
+      break;
+    }
+    case ColumnKind::kDouble:
+      for (size_t r = 0; r < n; ++r) {
+        if (nulls != nullptr && nulls[r] != 0) continue;
+        const double d = c.f64[r];
+        if (d >= lo && d <= hi) add(std::llround(d));
+      }
+      break;
+    case ColumnKind::kBool:
+      for (size_t r = 0; r < n; ++r) {
+        if (nulls != nullptr && nulls[r] != 0) continue;
+        const int64_t b = c.b8[r] != 0 ? 1 : 0;
+        const double d = static_cast<double>(b);
+        if (d >= lo && d <= hi) add(b);
+      }
+      break;
+    case ColumnKind::kCode:
+      break;  // ReadNumericPre refused the column
+  }
+  if (!marked) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+  }
+  for (size_t k = 0; k < seen.size(); ++k) {
+    if (seen[k] != 0) keys.push_back(first + static_cast<int64_t>(k));
+  }
+  return keys;
+}
+
+/// The first `cap` distinct non-NULL strings of a string column in row
+/// order, sorted. (The dictionary is shared by every column and numbers
+/// strings in first-intern order, so its code order is neither.)
+std::vector<std::string> FirstDistinctStrings(const ColumnTable& image,
+                                              size_t col, size_t cap) {
+  const Column& c = image.col(col);
+  const Dictionary& dict = image.dict();
+  std::vector<uint64_t> seen(dict.size() / 64 + 1, 0);
+  std::vector<std::string> out;
+  for (size_t r = 0; r < image.num_rows() && out.size() < cap; ++r) {
+    const int32_t code = c.codes[r];
+    if (code == Dictionary::kNullCode) continue;
+    const auto u = static_cast<uint32_t>(code);
+    if ((seen[u >> 6] >> (u & 63) & 1) != 0) continue;
+    seen[u >> 6] |= uint64_t{1} << (u & 63);
+    out.push_back(dict.at(code));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Candidate post-update values of one attribute before the Limit filter:
+/// an In set's values; else a string attribute's first 64 distinct values;
+/// else an integer attribute's distinct values in range (evenly subsampled
+/// to `num_buckets`), or equi-width bucket representatives of the range.
+Result<std::vector<Value>> RawCandidates(
+    const AttributeScan& scan, const ColumnTable& image,
+    const std::vector<const LimitItem*>& limits, size_t num_buckets) {
+  const LimitItem* in_set = nullptr;
+  for (const LimitItem* item : limits) {
+    if (item->kind == LimitKind::kInSet) in_set = item;
+  }
+  if (in_set != nullptr) return in_set->values;
+  std::vector<Value> raw;
+  if (scan.is_string) {
+    for (std::string& s : FirstDistinctStrings(image, scan.col, 64)) {
+      raw.push_back(Value::String(std::move(s)));
+    }
+    return raw;
+  }
+  // std::min_element/max_element's choices (strict comparisons, so the
+  // first of equal values and no NaN ever replaces a value), in one pass.
+  double lo = scan.pre[0];
+  double hi = scan.pre[0];
+  for (double v : scan.pre) {
+    lo = v < lo ? v : lo;
+    hi = hi < v ? v : hi;
+  }
+  for (const LimitItem* item : limits) {
+    if (item->kind != LimitKind::kAbsRange) continue;
+    if (item->lo.has_value()) lo = std::max(lo, *item->lo);
+    if (item->hi.has_value()) hi = std::min(hi, *item->hi);
+  }
+  if (!(lo <= hi)) return raw;
+  if (image.schema().attribute(scan.col).type == ValueType::kInt) {
+    std::vector<int64_t> values = DistinctIntsInRange(image, scan.col, lo, hi);
+    if (values.size() > num_buckets && num_buckets > 0) {
+      std::vector<int64_t> sampled;
+      const double stride = static_cast<double>(values.size()) /
+                            static_cast<double>(num_buckets);
+      for (size_t k = 0; k < num_buckets; ++k) {
+        sampled.push_back(values[static_cast<size_t>(k * stride)]);
+      }
+      values = std::move(sampled);
+    }
+    for (int64_t v : values) raw.push_back(Value::Int(v));
+    return raw;
+  }
+  HYPER_ASSIGN_OR_RETURN(
+      learn::EquiWidthDiscretizer disc,
+      learn::EquiWidthDiscretizer::Create(lo, hi, num_buckets));
+  for (double rep : disc.Representatives()) raw.push_back(Value::Double(rep));
+  return raw;
+}
+
+/// Whether a candidate passes the relative and L1 limits (for a
+/// Set-update, a per-tuple bound must hold for every tuple of S).
+bool Feasible(const Value& candidate,
+              const std::vector<const LimitItem*>& limits,
+              const std::vector<double>& pre_values) {
+  if (!candidate.is_numeric()) return true;
+  const double cand_num = candidate.AsDouble().value();
+  for (const LimitItem* item : limits) {
+    switch (item->kind) {
+      case LimitKind::kAbsRange:
+        if (item->lo.has_value() && cand_num < *item->lo) return false;
+        if (item->hi.has_value() && cand_num > *item->hi) return false;
+        break;
+      case LimitKind::kRelShift:
+      case LimitKind::kRelScale:
+        for (double pre : pre_values) {
+          const double bound = item->kind == LimitKind::kRelShift
+                                   ? pre + item->hi.value_or(0)
+                                   : pre * item->hi.value_or(1);
+          if (item->upper_is_bound ? cand_num > bound : cand_num < bound) {
+            return false;
+          }
+        }
+        break;
+      case LimitKind::kL1: {
+        double total = 0.0;
+        for (double pre : pre_values) total += std::fabs(cand_num - pre);
+        if (total / static_cast<double>(pre_values.size()) >
+            item->hi.value_or(0)) {
+          return false;
+        }
+        break;
+      }
+      case LimitKind::kInSet:
+        break;  // candidate came from the set
+    }
+  }
+  return true;
+}
+
+/// Enumerates the candidate space over `engine`'s ScopeStage image of the
+/// statement's Use clause (through `ctx`'s scope section when it has one).
+Result<CandidateSpace> Enumerate(const whatif::WhatIfEngine& engine,
+                                 const sql::HowToStmt& stmt,
+                                 const whatif::StageContext* ctx,
+                                 size_t num_buckets) {
+  if (stmt.update_attributes.empty()) {
+    return Status::InvalidArgument("HowToUpdate needs at least one attribute");
+  }
+  CandidateSpace space;
+  HYPER_ASSIGN_OR_RETURN(
+      space.scope, engine.SelectScope(stmt.use, stmt.update_attributes[0],
+                                      stmt.when.get(), ctx));
+  if (space.scope.rows.empty()) {
+    return Status::InvalidArgument("When selects no tuples to update");
+  }
+  const ColumnTable& image = *space.scope.image;
+  const Schema& vschema = image.schema();
+
+  for (const std::string& attr : stmt.update_attributes) {
+    AttributeScan scan;
+    HYPER_ASSIGN_OR_RETURN(scan.col, vschema.IndexOf(attr));
+    const AttributeDef& def = vschema.attribute(scan.col);
+    if (def.mutability == Mutability::kImmutable) {
+      return Status::InvalidArgument("HowToUpdate attribute '" + attr +
+                                     "' is immutable");
+    }
+    scan.is_string = def.type == ValueType::kString;
+    if (!scan.is_string) {
+      HYPER_RETURN_NOT_OK(
+          ReadNumericPre(image, scan.col, space.scope.rows, &scan.pre));
+    } else if (image.col(scan.col).kind != ColumnKind::kCode) {
+      return Status::InvalidArgument("HowToUpdate attribute '" + attr +
+                                     "' is declared a string but holds "
+                                     "numbers");
+    }
+
+    std::vector<const LimitItem*> limits;
+    for (const LimitItem& item : stmt.limits) {
+      if (EqualsIgnoreCase(item.attribute, attr)) limits.push_back(&item);
+    }
+    HYPER_ASSIGN_OR_RETURN(
+        std::vector<Value> raw,
+        RawCandidates(scan, image, limits, num_buckets));
+    std::vector<UpdateSpec> specs;
+    for (Value& candidate : raw) {
+      if (!Feasible(candidate, limits, scan.pre)) continue;
+      UpdateSpec spec;
+      spec.attribute = attr;
+      spec.func = sql::UpdateFuncKind::kSet;
+      spec.constant = std::move(candidate);
+      specs.push_back(std::move(spec));
+    }
+    space.attributes.push_back(std::move(scan));
+    space.candidates.push_back(std::move(specs));
+  }
+  return space;
+}
+
+/// The normalized L1 cost over S of setting one attribute to each of its
+/// candidates (the fraction changed for non-numeric values): per tuple
+/// |candidate - pre| when both are numeric, else 1 unless they are equal,
+/// summed in row order.
+std::vector<double> CandidateCosts(const std::vector<UpdateSpec>& candidates,
+                                   const AttributeScan& scan,
+                                   const ColumnTable& image,
+                                   const std::vector<size_t>& s) {
+  const double size = static_cast<double>(s.size());
+  std::vector<double> costs(candidates.size(), 1.0);
+  if (!scan.is_string) {
+    // Every pre-value of S is a number; a non-numeric candidate changes
+    // every tuple.
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (!candidates[i].constant.is_numeric()) continue;
+      const double cand = candidates[i].constant.AsDouble().value();
+      double total = 0.0;
+      for (double pre : scan.pre) total += std::fabs(cand - pre);
+      costs[i] = total / size;
+    }
+    return costs;
+  }
+  // A string attribute's S holds strings and NULLs (a code column): a
+  // number equals neither, a string its own code, NULL only NULL.
+  // Whole-number sums are exact, so counting matches adding 1.0 per
+  // changed tuple.
+  const Column& c = image.col(scan.col);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Value& candidate = candidates[i].constant;
+    if (candidate.is_numeric()) continue;
+    int32_t same = Dictionary::kNullCode;
+    if (!candidate.is_null()) {
+      same = image.dict().Find(candidate.string_value());
+      if (same == Dictionary::kNullCode) continue;
+    }
+    size_t changed = 0;
+    for (size_t r : s) changed += c.codes[r] != same ? 1 : 0;
+    costs[i] = static_cast<double>(changed) / size;
+  }
+  return costs;
 }
 
 }  // namespace
@@ -150,170 +461,11 @@ Result<HowToResult> HowToEngine::RunSql(const std::string& text) const {
 
 Result<std::vector<std::vector<UpdateSpec>>> HowToEngine::EnumerateCandidates(
     const sql::HowToStmt& stmt) const {
-  if (stmt.update_attributes.empty()) {
-    return Status::InvalidArgument("HowToUpdate needs at least one attribute");
-  }
-  // Materialize the view once to evaluate When and collect data ranges.
-  HYPER_ASSIGN_OR_RETURN(
-      whatif::ViewInfo view_info,
-      whatif::BuildRelevantView(*db_, stmt.use, stmt.update_attributes[0]));
-  const Table& view = *view_info.view;
-  const Schema& vschema = view.schema();
-
-  HYPER_ASSIGN_OR_RETURN(std::vector<size_t> s_rows,
-                         SelectWhenRows(view, stmt.when.get()));
-  if (s_rows.empty()) {
-    return Status::InvalidArgument("When selects no tuples to update");
-  }
-
-  std::vector<std::vector<UpdateSpec>> out;
-  for (const std::string& attr : stmt.update_attributes) {
-    HYPER_ASSIGN_OR_RETURN(size_t col, vschema.IndexOf(attr));
-    if (vschema.attribute(col).mutability == Mutability::kImmutable) {
-      return Status::InvalidArgument("HowToUpdate attribute '" + attr +
-                                     "' is immutable");
-    }
-    const bool is_string = vschema.attribute(col).type == ValueType::kString;
-
-    // Collect this attribute's Limit items.
-    std::vector<const LimitItem*> limits;
-    for (const LimitItem& item : stmt.limits) {
-      if (EqualsIgnoreCase(item.attribute, attr)) limits.push_back(&item);
-    }
-
-    // Pre-update values over S (range defaults and relative bounds).
-    std::vector<double> pre_values;
-    std::set<std::string> distinct_strings;
-    for (size_t r : s_rows) {
-      const Value& v = view.At(r, col);
-      if (is_string) {
-        if (!v.is_null()) distinct_strings.insert(v.string_value());
-      } else {
-        HYPER_ASSIGN_OR_RETURN(double d, v.AsDouble());
-        pre_values.push_back(d);
-      }
-    }
-
-    // Candidate post-update values.
-    std::vector<Value> raw_candidates;
-    const LimitItem* in_set = nullptr;
-    for (const LimitItem* item : limits) {
-      if (item->kind == LimitKind::kInSet) in_set = item;
-    }
-    if (in_set != nullptr) {
-      raw_candidates = in_set->values;
-    } else if (is_string) {
-      // No explicit set: all observed values of the whole view (capped).
-      std::set<std::string> all;
-      for (size_t r = 0; r < view.num_rows(); ++r) {
-        const Value& v = view.At(r, col);
-        if (!v.is_null()) all.insert(v.string_value());
-        if (all.size() >= 64) break;
-      }
-      for (const std::string& s : all) {
-        raw_candidates.push_back(Value::String(s));
-      }
-    } else {
-      double lo = *std::min_element(pre_values.begin(), pre_values.end());
-      double hi = *std::max_element(pre_values.begin(), pre_values.end());
-      for (const LimitItem* item : limits) {
-        if (item->kind != LimitKind::kAbsRange) continue;
-        if (item->lo.has_value()) lo = std::max(lo, *item->lo);
-        if (item->hi.has_value()) hi = std::min(hi, *item->hi);
-      }
-      if (lo <= hi &&
-          vschema.attribute(col).type == ValueType::kInt) {
-        // Integer attribute: candidates are the distinct observed values in
-        // range (evenly subsampled when there are more than num_buckets).
-        std::set<int64_t> distinct;
-        for (size_t r = 0; r < view.num_rows(); ++r) {
-          const Value& v = view.At(r, col);
-          if (v.is_null()) continue;
-          HYPER_ASSIGN_OR_RETURN(double d, v.AsDouble());
-          if (d >= lo && d <= hi) {
-            distinct.insert(static_cast<int64_t>(std::llround(d)));
-          }
-        }
-        std::vector<int64_t> values(distinct.begin(), distinct.end());
-        if (values.size() > options_.num_buckets &&
-            options_.num_buckets > 0) {
-          std::vector<int64_t> sampled;
-          const double stride = static_cast<double>(values.size()) /
-                                static_cast<double>(options_.num_buckets);
-          for (size_t k = 0; k < options_.num_buckets; ++k) {
-            sampled.push_back(values[static_cast<size_t>(k * stride)]);
-          }
-          values = std::move(sampled);
-        }
-        for (int64_t v : values) raw_candidates.push_back(Value::Int(v));
-      } else if (lo <= hi) {
-        HYPER_ASSIGN_OR_RETURN(
-            learn::EquiWidthDiscretizer disc,
-            learn::EquiWidthDiscretizer::Create(lo, hi,
-                                                options_.num_buckets));
-        for (double rep : disc.Representatives()) {
-          raw_candidates.push_back(Value::Double(rep));
-        }
-      }
-    }
-
-    // Filter by relative and L1 limits (for a Set-update, a per-tuple bound
-    // must hold for every tuple of S).
-    std::vector<UpdateSpec> specs;
-    for (const Value& candidate : raw_candidates) {
-      bool feasible = true;
-      double cand_num = 0.0;
-      const bool numeric = candidate.is_numeric();
-      if (numeric) cand_num = candidate.AsDouble().value();
-
-      for (const LimitItem* item : limits) {
-        switch (item->kind) {
-          case LimitKind::kAbsRange:
-            if (!numeric) break;
-            if (item->lo.has_value() && cand_num < *item->lo) feasible = false;
-            if (item->hi.has_value() && cand_num > *item->hi) feasible = false;
-            break;
-          case LimitKind::kRelShift:
-          case LimitKind::kRelScale: {
-            if (!numeric) break;
-            for (double pre : pre_values) {
-              const double bound = item->kind == LimitKind::kRelShift
-                                       ? pre + item->hi.value_or(0)
-                                       : pre * item->hi.value_or(1);
-              if (item->upper_is_bound ? cand_num > bound
-                                       : cand_num < bound) {
-                feasible = false;
-                break;
-              }
-            }
-            break;
-          }
-          case LimitKind::kL1: {
-            if (!numeric) break;
-            double total = 0.0;
-            for (double pre : pre_values) total += std::fabs(cand_num - pre);
-            if (total / static_cast<double>(pre_values.size()) >
-                item->hi.value_or(0)) {
-              feasible = false;
-            }
-            break;
-          }
-          case LimitKind::kInSet:
-            break;  // candidate came from the set
-        }
-        if (!feasible) break;
-      }
-      if (!feasible) continue;
-
-      UpdateSpec spec;
-      spec.attribute = attr;
-      spec.func = sql::UpdateFuncKind::kSet;
-      spec.constant = candidate;
-      specs.push_back(std::move(spec));
-    }
-    out.push_back(std::move(specs));
-  }
-  return out;
+  const whatif::WhatIfEngine engine(db_, graph_, options_.whatif);
+  HYPER_ASSIGN_OR_RETURN(CandidateSpace space,
+                         Enumerate(engine, stmt, options_.stage_context,
+                                   options_.num_buckets));
+  return std::move(space.candidates);
 }
 
 Result<HowToResult> HowToEngine::ScoreCandidates(
@@ -333,14 +485,11 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
     }
   }
 
-  HowToResult scored;
-  HYPER_ASSIGN_OR_RETURN(std::vector<std::vector<UpdateSpec>> candidates,
-                         EnumerateCandidates(stmt));
-
   // Governance rides in the what-if options: arm one guard here (unless the
-  // caller pre-armed one) and inject it, so the baseline, every plan prepare
-  // and every candidate evaluation of this run share a single deadline and
-  // one pair of meters instead of each arming their own.
+  // caller pre-armed one) and inject it, so enumeration's scope lookup, the
+  // baseline, every plan prepare and every candidate evaluation of this run
+  // share a single deadline and one pair of meters instead of each arming
+  // their own.
   whatif::WhatIfOptions whatif_options = options_.whatif;
   const governance::ExecGuardPtr guard =
       whatif_options.exec_guard != nullptr
@@ -350,6 +499,16 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
   whatif_options.exec_guard = guard;
 
   whatif::WhatIfEngine engine(db_, graph_, whatif_options);
+
+  // Candidates, S and the pre-update values come from the ScopeStage image
+  // the plans below share (one scope lookup), not from the row store.
+  HowToResult scored;
+  Stopwatch phase;
+  HYPER_ASSIGN_OR_RETURN(
+      const CandidateSpace space,
+      Enumerate(engine, stmt, options_.stage_context, options_.num_buckets));
+  const std::vector<std::vector<UpdateSpec>>& candidates = space.candidates;
+  scored.enumerate_seconds = phase.ElapsedSeconds();
 
   // Prepared-plan sharing: one plan serves the baseline, and one plan per
   // HowToUpdate attribute serves every candidate of that attribute — the
@@ -392,54 +551,18 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
     record_eval(result);
   }
 
-  // Per-tuple pre values for L1 costs.
-  HYPER_ASSIGN_OR_RETURN(
-      whatif::ViewInfo view_info,
-      whatif::BuildRelevantView(*db_, stmt.use, stmt.update_attributes[0]));
-  const Table& view = *view_info.view;
-  const Schema& vschema = view.schema();
-  HYPER_ASSIGN_OR_RETURN(std::vector<size_t> s_rows,
-                         SelectWhenRows(view, stmt.when.get()));
-
-  // Per-candidate L1 cost over S, with the per-row pre-value pass hoisted
-  // out of the candidate loop: the O(|S|) view.At + AsDouble work runs once
-  // per attribute, not once per (attribute, candidate). The per-candidate
-  // summation still walks S in row order, so costs are bit-identical to the
-  // un-hoisted loop.
-  struct PreValue {
-    bool numeric = false;
-    double dbl = 0.0;
-    const Value* value = nullptr;
-  };
+  // Per-candidate L1 cost over S, from the pre-values enumeration read.
+  phase.Restart();
   scored.candidates.resize(candidates.size());
   for (size_t a = 0; a < candidates.size(); ++a) {
-    HYPER_ASSIGN_OR_RETURN(
-        size_t col, vschema.IndexOf(stmt.update_attributes[a]));
-    std::vector<PreValue> pre(s_rows.size());
-    for (size_t k = 0; k < s_rows.size(); ++k) {
-      const Value& v = view.At(s_rows[k], col);
-      pre[k].value = &v;
-      pre[k].numeric = v.is_numeric();
-      if (pre[k].numeric) pre[k].dbl = v.AsDouble().value();
-    }
+    const std::vector<double> costs = CandidateCosts(
+        candidates[a], space.attributes[a], *space.scope.image,
+        space.scope.rows);
     scored.candidates[a].reserve(candidates[a].size());
-    for (const UpdateSpec& spec : candidates[a]) {
+    for (size_t i = 0; i < candidates[a].size(); ++i) {
       CandidateUpdate cu;
-      cu.spec = spec;
-      const bool cand_numeric = spec.constant.is_numeric();
-      const double cand_dbl =
-          cand_numeric ? spec.constant.AsDouble().value() : 0.0;
-      // Normalized L1 cost over S (fraction-changed for categoricals).
-      double total = 0.0;
-      for (const PreValue& p : pre) {
-        if (cand_numeric && p.numeric) {
-          total += std::fabs(cand_dbl - p.dbl);
-        } else if (!spec.constant.Equals(*p.value)) {
-          total += 1.0;
-        }
-      }
-      cu.cost = s_rows.empty() ? 0.0
-                               : total / static_cast<double>(s_rows.size());
+      cu.spec = candidates[a][i];
+      cu.cost = costs[i];
       // Cost-infeasibility pruning (the admissible-bound idea of SolveMck's
       // suffix_best, applied before evaluation): costs are nonnegative, so
       // a candidate whose own cost exceeds the global L1 budget can never
@@ -455,6 +578,7 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
       scored.candidates[a].push_back(std::move(cu));
     }
   }
+  scored.cost_seconds = phase.ElapsedSeconds();
 
   // Evaluate the surviving (attribute, candidate) pairs: one flat worklist
   // sharded across the worker pool under the whatif.num_threads budget,
@@ -639,8 +763,10 @@ Result<HowToResult> HowToEngine::Run(const sql::HowToStmt& stmt) const {
         groups[a].costs.push_back(cu.cost);
       }
     }
+    Stopwatch solve_timer;
     HYPER_ASSIGN_OR_RETURN(opt::MckSolution sol,
                            opt::SolveMck(groups, options_.global_l1_budget));
+    scored.solve_seconds = solve_timer.ElapsedSeconds();
     scored.used_mck = true;
     return Assemble(stmt, std::move(scored), sol.choice, sol.nodes_explored,
                     timer);
@@ -651,7 +777,9 @@ Result<HowToResult> HowToEngine::Run(const sql::HowToStmt& stmt) const {
       RowOf(scored.candidates,
             [&](const CandidateUpdate& cu) { return sign * cu.delta; }),
       options_.global_l1_budget);
+  Stopwatch solve_timer;
   HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
+  scored.solve_seconds = solve_timer.ElapsedSeconds();
   if (!sol.feasible) {
     return Status::Internal("how-to IP infeasible (unexpected)");
   }
@@ -681,7 +809,9 @@ Result<HowToResult> HowToEngine::RunMinCost(const sql::HowToStmt& stmt,
   ip.AddRow(RowOf(scored.candidates,
                   [&](const CandidateUpdate& cu) { return -sign * cu.delta; }),
             -required);
+  Stopwatch solve_timer;
   HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
+  scored.solve_seconds = solve_timer.ElapsedSeconds();
   if (!sol.feasible) {
     return Status::FailedPrecondition(
         "no feasible plan reaches the objective target " +
@@ -756,6 +886,7 @@ Result<HowToResult> HowToEngine::RunLexicographic(
   std::vector<double> locked_values;  // achieved signed deltas per objective
   std::vector<int> final_x;
   size_t solver_nodes = 0;
+  double solve_seconds = 0.0;
   for (size_t k = 0; k < stmts.size(); ++k) {
     opt::LpProblem ip = ChoiceIp(scored[k].candidates, signed_deltas[k],
                                  options_.global_l1_budget);
@@ -768,7 +899,9 @@ Result<HowToResult> HowToEngine::RunLexicographic(
       ip.AddRow(signed_deltas[j], locked_values[j] + eps);
       ip.AddRow(std::move(neg), -(locked_values[j] - eps));
     }
+    Stopwatch solve_timer;
     HYPER_ASSIGN_OR_RETURN(opt::MilpSolution sol, opt::SolveBinaryMilp(ip));
+    solve_seconds += solve_timer.ElapsedSeconds();
     if (!sol.feasible) {
       return Status::Internal("lexicographic IP infeasible");
     }
@@ -788,7 +921,10 @@ Result<HowToResult> HowToEngine::RunLexicographic(
     result.prepare_seconds += scored[k].prepare_seconds;
     result.eval_seconds += scored[k].eval_seconds;
     result.train_seconds += scored[k].train_seconds;
+    result.enumerate_seconds += scored[k].enumerate_seconds;
+    result.cost_seconds += scored[k].cost_seconds;
   }
+  result.solve_seconds = solve_seconds;
   const std::vector<int> choice = ChoiceOf(result.candidates, final_x);
   return Assemble(*stmts[0], std::move(result), choice, solver_nodes, timer);
 }

@@ -26,8 +26,9 @@ struct HowToOptions {
   /// Resource governance also rides here: `whatif.budget` /
   /// `whatif.cancel_token` (or a pre-armed `whatif.exec_guard`) bound a
   /// whole how-to run — the engine arms one guard per candidate-scoring
-  /// pass, shared by the baseline, every plan prepare and every candidate
-  /// evaluation, and additionally checks it before each candidate
+  /// pass, shared by enumeration's scope lookup (which charges a scope
+  /// build like a prepare does), the baseline, every plan prepare and every
+  /// candidate evaluation, and additionally checks it before each candidate
   /// ("howto.score"). Aborts surface as kDeadlineExceeded /
   /// kResourceExhausted / kCancelled and never leave partial cache entries.
   whatif::WhatIfOptions whatif = {};
@@ -106,6 +107,16 @@ struct HowToResult {
   double eval_seconds = 0.0;
   /// Estimator training actually incurred by this run.
   double train_seconds = 0.0;
+  /// Candidate enumeration: the ScopeStage lookup, S and the candidate
+  /// lists with their Limit filters.
+  double enumerate_seconds = 0.0;
+  /// L1 costs and budget pruning.
+  double cost_seconds = 0.0;
+  /// The MCK or IP solve alone (summed over RunLexicographic's solves).
+  /// The phases above, prepare_seconds and eval_seconds are disjoint parts
+  /// of total_seconds; at a one-thread scoring budget they sum to at most
+  /// it.
+  double solve_seconds = 0.0;
   /// Full candidate sets, per HowToUpdate attribute (for benches/debugging).
   std::vector<std::vector<CandidateUpdate>> candidates;
 
@@ -143,7 +154,9 @@ class HowToEngine {
 
   /// Generates the candidate update set for each HowToUpdate attribute of
   /// `stmt` without scoring them (exposed for the Opt-HowTo baseline, which
-  /// must search the same space).
+  /// must search the same space). Reads S, the pre-update values and the
+  /// observed values from the ScopeStage image of the statement's Use
+  /// clause (through `stage_context` when set), never the row store.
   Result<std::vector<std::vector<whatif::UpdateSpec>>> EnumerateCandidates(
       const sql::HowToStmt& stmt) const;
 

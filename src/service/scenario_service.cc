@@ -508,9 +508,15 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
 
   // S from the When predicate, over the *branch-effective* relation so
   // chained updates compose: the same mask kernel a query's When runs, over
-  // the world's ScopeStage image.
-  HYPER_ASSIGN_OR_RETURN(std::vector<size_t> s_rows,
-                         engine.SelectUpdateRows(stmt, &ctx));
+  // the world's ScopeStage image of `Use R` (When reads R whatever the
+  // statement's Use clause says; a table view's row r is tid r).
+  sql::UseClause use;
+  use.table = delta.relation;
+  HYPER_ASSIGN_OR_RETURN(
+      whatif::ScopeSelection scope,
+      engine.SelectScope(use, stmt.updates[0].attribute, stmt.when.get(),
+                         &ctx));
+  const std::vector<size_t>& s_rows = scope.rows;
   delta.updated_rows = s_rows.size();
 
   // Deterministic post image f(pre), all updates from the same pre state.

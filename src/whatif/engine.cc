@@ -1601,6 +1601,25 @@ Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
   return std::static_pointer_cast<const T>(ptr);
 }
 
+/// The relation holding `update_attr0`, with BuildRelevantView's
+/// cross-relation check mirrored: it is the one attr0-specific validation a
+/// relation-keyed ScopeStage hit would skip.
+Result<std::string> UpdateRelationOf(const Database& db,
+                                     const sql::UseClause& use,
+                                     const std::string& update_attr0) {
+  HYPER_ASSIGN_OR_RETURN(std::string update_relation,
+                         db.RelationOfAttribute(update_attr0));
+  if (use.is_table() && use.table != update_relation) {
+    HYPER_ASSIGN_OR_RETURN(const Table* named, db.GetTable(use.table));
+    if (!named->schema().Contains(update_attr0)) {
+      return Status::InvalidArgument(
+          "Use relation '" + use.table + "' does not contain the update "
+          "attribute '" + update_attr0 + "'");
+    }
+  }
+  return update_relation;
+}
+
 /// The ScopeStage of (`use`, update relation) for the context's data
 /// snapshot, through its scope section when there is a stage cache.
 Result<std::shared_ptr<const ScopeStageData>> ScopeStageFor(
@@ -1630,17 +1649,7 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
   const bool staged = ctx != nullptr && ctx->stages != nullptr;
   const std::string& update_attr0 = stmt.updates[0].attribute;
   HYPER_ASSIGN_OR_RETURN(std::string update_relation,
-                         db_->RelationOfAttribute(update_attr0));
-  if (stmt.use.is_table() && stmt.use.table != update_relation) {
-    // Mirror BuildRelevantView's cross-relation check here: it is the one
-    // attr0-specific validation a relation-keyed ScopeStage hit would skip.
-    HYPER_ASSIGN_OR_RETURN(const Table* named, db_->GetTable(stmt.use.table));
-    if (!named->schema().Contains(update_attr0)) {
-      return Status::InvalidArgument(
-          "Use relation '" + stmt.use.table + "' does not contain the update "
-          "attribute '" + update_attr0 + "'");
-    }
-  }
+                         UpdateRelationOf(*db_, stmt.use, update_attr0));
 
   // The CausalStage is value-independent for table views without
   // cross-tuple edges (overrides never change the data shape), so its key
@@ -1760,31 +1769,25 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
   return std::shared_ptr<const PreparedWhatIf>(std::move(prepared));
 }
 
-Result<std::vector<size_t>> WhatIfEngine::SelectUpdateRows(
-    const sql::WhatIfStmt& stmt, const StageContext* ctx) const {
-  if (stmt.updates.empty()) {
-    return Status::InvalidArgument("what-if query requires an Update clause");
-  }
-  const std::string& update_attr0 = stmt.updates[0].attribute;
+Result<ScopeSelection> WhatIfEngine::SelectScope(
+    const sql::UseClause& use, const std::string& update_attr0,
+    const sql::Expr* when, const StageContext* ctx) const {
   HYPER_ASSIGN_OR_RETURN(std::string update_relation,
-                         db_->RelationOfAttribute(update_attr0));
-  sql::UseClause use;
-  use.table = update_relation;
+                         UpdateRelationOf(*db_, use, update_attr0));
   const ExecGuardPtr guard = GuardFor(options_);
   HYPER_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ScopeStageData> scope_stage,
+      std::shared_ptr<const ScopeStageData> stage,
       ScopeStageFor(*db_, use, update_attr0, update_relation, ctx,
                     guard.get()));
-  HYPER_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> in_s,
-      relational::EvalPredicateMask(stmt.when.get(), scope_stage->cview));
-  // A table view's row r is tid r.
-  std::vector<size_t> rows;
-  rows.reserve(simd::MaskCount(in_s.data(), in_s.size()));
+  HYPER_ASSIGN_OR_RETURN(std::vector<uint8_t> in_s,
+                         relational::EvalPredicateMask(when, stage->cview));
+  ScopeSelection out;
+  out.rows.reserve(simd::MaskCount(in_s.data(), in_s.size()));
   for (size_t r = 0; r < in_s.size(); ++r) {
-    if (in_s[r] != 0) rows.push_back(r);
+    if (in_s[r] != 0) out.rows.push_back(r);
   }
-  return rows;
+  out.image = std::shared_ptr<const ColumnTable>(stage, &stage->cview);
+  return out;
 }
 
 namespace {

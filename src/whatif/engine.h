@@ -184,6 +184,16 @@ struct WhatIfResult {
   size_t pattern_cache_hits = 0;
 };
 
+/// A Use clause's relevant view and its When selection, as
+/// WhatIfEngine::SelectScope returns them.
+struct ScopeSelection {
+  /// The ScopeStage's columnar image of the view (the pointer keeps the
+  /// stage alive).
+  std::shared_ptr<const ColumnTable> image;
+  /// S: the view rows When selects, ascending.
+  std::vector<size_t> rows;
+};
+
 /// A prepared what-if plan — one QueryStage: the compiled hole plan for
 /// residual folding and the per-row constants, holding the Scope (relevant
 /// view, columnar image), Causal (backdoor adjustment set, blocks) and Learn
@@ -282,17 +292,22 @@ class WhatIfEngine {
       const sql::WhatIfStmt& stmt, const StageContext* context = nullptr,
       bool* cache_hit = nullptr) const;
 
-  /// S of §3.1 for a deterministic branch update: the tids of the update
-  /// relation R whose pre-update tuple satisfies `stmt`'s When (every tid
-  /// when it has none), ascending. When reads R whatever the Use clause
-  /// says. The mask kernel runs over the columnar image of `Use R`, got or
-  /// built through the context's scope section under the key Prepare uses,
-  /// so a branch whose image a query already built pays no re-encode. Fails
-  /// like Prepare when R has no columnar image (a column mixing strings with
-  /// numbers), and with the first row's error in row order when When fails
-  /// to evaluate.
-  Result<std::vector<size_t>> SelectUpdateRows(
-      const sql::WhatIfStmt& stmt, const StageContext* context) const;
+  /// The relevant view of `use` for an update of `update_attr0` as its
+  /// ScopeStage holds it, and S of §3.1 over it: the view rows whose
+  /// pre-update values satisfy `when` (every row when null), from the When
+  /// mask kernel a query runs. The
+  /// stage is got or built through the context's scope section under the
+  /// key Prepare uses, so a request whose plans are warm pays one scope
+  /// lookup and no re-encode. Validates the Use clause against the update
+  /// relation as Prepare does; fails like Prepare when the view has no
+  /// columnar image (a column mixing strings with numbers), and with the
+  /// first row's error in row order when When fails to evaluate. The branch
+  /// apply takes S from it, and how-to enumerates candidates and their L1
+  /// costs over it.
+  Result<ScopeSelection> SelectScope(const sql::UseClause& use,
+                                     const std::string& update_attr0,
+                                     const sql::Expr* when,
+                                     const StageContext* context) const;
 
   /// Evaluates one intervention against a prepared plan, on the calling
   /// thread. `updates` must target the plan's update attributes in order;

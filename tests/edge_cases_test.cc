@@ -233,6 +233,170 @@ TEST(HowToEdgeCases, LexicographicMismatchedAttributesFails) {
   EXPECT_FALSE(result.ok());
 }
 
+// NULLs in how-to update attributes. Row 3 holds a NULL A and rows 1 and 4
+// a NULL C; the Ys are complete, so only the update columns carry NULLs.
+Database NullsDb() {
+  Database db;
+  Table t(Schema("R",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"A", ValueType::kInt, Mutability::kMutable},
+                  {"C", ValueType::kString, Mutability::kMutable},
+                  {"Y", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  const Value a[] = {Value::Int(1), Value::Int(5), Value::Int(2), Value::Null(),
+                     Value::Int(7), Value::Int(2)};
+  const Value c[] = {Value::String("x"), Value::Null(), Value::String("y"),
+                     Value::String("x"), Value::Null(), Value::String("w")};
+  for (int i = 0; i < 6; ++i) {
+    t.AppendUnchecked({Value::Int(i), a[i], c[i], Value::Int(i % 2)});
+  }
+  HYPER_CHECK(db.AddTable(std::move(t)).ok());
+  return db;
+}
+
+howto::HowToEngine NullsEngine(const Database& db) {
+  howto::HowToOptions options;
+  options.whatif.estimator = learn::EstimatorKind::kFrequency;
+  options.whatif.backdoor = whatif::BackdoorMode::kUpdateOnly;
+  return howto::HowToEngine(&db, nullptr, options);
+}
+
+std::vector<std::string> ConstantsOf(
+    const std::vector<whatif::UpdateSpec>& specs) {
+  std::vector<std::string> out;
+  for (const whatif::UpdateSpec& s : specs) {
+    out.push_back(s.constant.ToString());
+  }
+  return out;
+}
+
+TEST(HowToEdgeCases, NullNumericPreValueInSFails) {
+  const Database db = NullsDb();
+  auto result = NullsEngine(db).RunSql(
+      "Use R HowToUpdate A ToMaximize Avg(Post(Y))");
+  EXPECT_EQ(StatusCode::kInvalidArgument, result.status().code());
+  EXPECT_EQ("cannot coerce NULL to a number", result.status().message());
+}
+
+TEST(HowToEdgeCases, NumericDistinctValuesSkipNullsOutsideS) {
+  // S = {0, 2, 5}: A ranges over [1, 2], and the distinct pass reads the
+  // whole view, so row 3's NULL is skipped rather than coerced.
+  const Database db = NullsDb();
+  const howto::HowToEngine engine = NullsEngine(db);
+  auto stmt = sql::ParseSql(
+                  "Use R When Id = 0 Or Id = 2 Or Id = 5 HowToUpdate A "
+                  "ToMaximize Avg(Post(Y))")
+                  .value();
+  auto candidates = engine.EnumerateCandidates(*stmt.howto);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  EXPECT_EQ((std::vector<std::string>{"1", "2"}),
+            ConstantsOf((*candidates)[0]));
+  auto result = engine.Run(*stmt.howto);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(2u, result->candidates[0].size());
+  EXPECT_EQ(2.0 / 3.0, result->candidates[0][0].cost);  // |1-2| twice over 3
+  EXPECT_EQ(1.0 / 3.0, result->candidates[0][1].cost);  // |2-1| once
+}
+
+TEST(HowToEdgeCases, StringNullsAreNeverCandidatesAndCountAsChanged) {
+  const Database db = NullsDb();
+  const howto::HowToEngine engine = NullsEngine(db);
+  auto result = engine.RunSql("Use R HowToUpdate C ToMaximize Avg(Post(Y))");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(3u, result->candidates[0].size());
+  const std::vector<howto::CandidateUpdate>& got = result->candidates[0];
+  // Sorted strings; the two NULL rows differ from every candidate.
+  EXPECT_EQ("'w'", got[0].spec.constant.ToString());
+  EXPECT_EQ("'x'", got[1].spec.constant.ToString());
+  EXPECT_EQ("'y'", got[2].spec.constant.ToString());
+  EXPECT_EQ(5.0 / 6.0, got[0].cost);
+  EXPECT_EQ(4.0 / 6.0, got[1].cost);
+  EXPECT_EQ(5.0 / 6.0, got[2].cost);
+}
+
+// Integer update attributes whose values span more integers than the view
+// has rows, or lie beyond 2^53, where a double no longer holds every
+// integer: candidates are llround of each value read as a double.
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+constexpr int64_t kTwo62 = int64_t{1} << 62;
+
+Database WideIntsDb() {
+  Database db;
+  Table t(Schema("W",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"X", ValueType::kInt, Mutability::kMutable},
+                  {"Big", ValueType::kInt, Mutability::kMutable},
+                  {"Wide", ValueType::kInt, Mutability::kMutable},
+                  {"Huge", ValueType::kInt, Mutability::kMutable},
+                  {"Y", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  // Read as doubles, Big is {2^53, 2^53 + 4, 2^53 + 4, 2^53 + 4} and Wide
+  // {-2^53, 2^53, 0, 0}.
+  const int64_t x[] = {1, 1000, 7000, 1000};
+  const int64_t big[] = {kTwo53 + 1, kTwo53 + 3, kTwo53 + 5, kTwo53 + 3};
+  const int64_t wide[] = {-(kTwo53 + 1), kTwo53 + 1, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    t.AppendUnchecked({Value::Int(i), Value::Int(x[i]), Value::Int(big[i]),
+                       Value::Int(wide[i]), Value::Int(kTwo62 + 2048),
+                       Value::Int(i % 2)});
+  }
+  HYPER_CHECK(db.AddTable(std::move(t)).ok());
+  return db;
+}
+
+std::vector<std::string> WideIntCandidates(const std::string& sql,
+                                           size_t num_buckets) {
+  const Database db = WideIntsDb();
+  howto::HowToOptions options;
+  options.num_buckets = num_buckets;
+  options.whatif.estimator = learn::EstimatorKind::kFrequency;
+  options.whatif.backdoor = whatif::BackdoorMode::kUpdateOnly;
+  const howto::HowToEngine engine(&db, nullptr, options);
+  auto stmt = sql::ParseSql(sql).value();
+  auto candidates = engine.EnumerateCandidates(*stmt.howto);
+  HYPER_CHECK(candidates.ok());
+  return ConstantsOf((*candidates)[0]);
+}
+
+TEST(HowToEdgeCases, IntegerSpanWiderThanTheViewKeepsDistinctValues) {
+  const std::string update = "Use W HowToUpdate X ToMaximize Avg(Post(Y))";
+  EXPECT_EQ((std::vector<std::string>{"1", "1000", "7000"}),
+            WideIntCandidates(update, 8));
+  // Three distinct values over two buckets: stride 1.5 keeps indices 0, 1.
+  EXPECT_EQ((std::vector<std::string>{"1", "1000"}),
+            WideIntCandidates(update, 2));
+  EXPECT_EQ((std::vector<std::string>{"1000", "7000"}),
+            WideIntCandidates(
+                "Use W When Id >= 1 HowToUpdate X ToMaximize Avg(Post(Y))",
+                8));
+  EXPECT_EQ((std::vector<std::string>{"1", "1000"}),
+            WideIntCandidates("Use W HowToUpdate X Limit Post(X) <= 5000 "
+                              "ToMaximize Avg(Post(Y))",
+                              8));
+}
+
+TEST(HowToEdgeCases, IntegersBeyondTwoTo53RoundThroughTheirDoubles) {
+  const std::string two53 = std::to_string(kTwo53);
+  const std::string two53_4 = std::to_string(kTwo53 + 4);
+  // Big's double span is 4 integers over 4 rows; Wide's spans 2^54.
+  EXPECT_EQ((std::vector<std::string>{two53, two53_4}),
+            WideIntCandidates(
+                "Use W HowToUpdate Big ToMaximize Avg(Post(Y))", 8));
+  EXPECT_EQ((std::vector<std::string>{two53}),
+            WideIntCandidates(
+                "Use W HowToUpdate Big ToMaximize Avg(Post(Y))", 1));
+  EXPECT_EQ((std::vector<std::string>{"-" + two53, "0", two53}),
+            WideIntCandidates(
+                "Use W HowToUpdate Wide ToMaximize Avg(Post(Y))", 8));
+  EXPECT_EQ((std::vector<std::string>{"-" + two53, "0"}),
+            WideIntCandidates(
+                "Use W HowToUpdate Wide ToMaximize Avg(Post(Y))", 2));
+  // One value, above 2^62.
+  EXPECT_EQ((std::vector<std::string>{std::to_string(kTwo62 + 2048)}),
+            WideIntCandidates(
+                "Use W HowToUpdate Huge ToMaximize Avg(Post(Y))", 8));
+}
+
 // ---------------------------------------------------------------------------
 // Oracle edge cases
 // ---------------------------------------------------------------------------

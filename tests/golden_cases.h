@@ -57,6 +57,34 @@ inline std::string HowToLine(const std::string& id,
          " plan=" + r.PlanToString();
 }
 
+/// A candidate constant: doubles in %a, other values as Value::ToString.
+inline std::string ConstantText(const Value& v) {
+  return v.type() == ValueType::kDouble ? Hex(v.double_value())
+                                        : v.ToString();
+}
+
+/// The enumerated candidate space of a how-to run: per HowToUpdate
+/// attribute (separated by ';'), each candidate as
+/// constant/cost/objective/pruned, then the baseline, objective and plan.
+inline std::string HowToEnumLine(const std::string& id,
+                                 const howto::HowToResult& r) {
+  std::vector<std::string> per_attribute;
+  for (const auto& candidates : r.candidates) {
+    std::vector<std::string> items;
+    for (const howto::CandidateUpdate& c : candidates) {
+      items.push_back(ConstantText(c.spec.constant) + "/" + Hex(c.cost) + "/" +
+                      Hex(c.objective_value) + "/" + (c.pruned ? "1" : "0"));
+    }
+    per_attribute.push_back(
+        (candidates.empty() ? std::string("-") : candidates[0].spec.attribute) +
+        ":" + Join(items, ","));
+  }
+  return id + " baseline=" + Hex(r.baseline_value) +
+         " objective=" + Hex(r.objective_value) +
+         " candidates=" + Join(per_attribute, ";") +
+         " plan=" + r.PlanToString();
+}
+
 /// The id of a golden line: everything before the first space.
 inline std::string IdOf(const std::string& line) {
   return line.substr(0, line.find(' '));

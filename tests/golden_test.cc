@@ -255,6 +255,93 @@ std::vector<HowToCase> HowToCases() {
   return cases;
 }
 
+const data::Dataset& GermanContinuous20k() {
+  static const data::Dataset* ds = [] {
+    data::GermanOptions options;
+    options.rows = 20000;
+    options.continuous_amount = true;
+    return new data::Dataset(std::move(data::MakeGermanSyn(options).value()));
+  }();
+  return *ds;
+}
+
+struct HowToEnumCase {
+  std::string id;
+  const data::Dataset* ds;
+  std::string sql;
+  howto::HowToOptions options;
+};
+
+/// The candidate space itself: each candidate's constant, L1 cost and
+/// pruned flag, across the enumeration paths — a When selection, every
+/// Limit kind, integer subsampling, equi-width doubles, strings (first 64
+/// distinct values, sorted; an In set with an unseen string), a joined
+/// view, and budget pruning.
+std::vector<HowToEnumCase> HowToEnumCases() {
+  std::vector<HowToEnumCase> cases;
+  auto add = [&](const std::string& id, const data::Dataset& ds,
+                 const std::string& sql, howto::HowToOptions options) {
+    cases.push_back({"howto.enum." + id, &ds, sql, std::move(options)});
+  };
+  howto::HowToOptions german;
+  german.whatif.estimator = learn::EstimatorKind::kFrequency;
+  const std::string objective = " ToMaximize Count(Credit = 1)";
+  add("german800.when-two-attrs", German800(),
+      "Use German When Age = 0 HowToUpdate Status, Savings" + objective,
+      german);
+  howto::HowToOptions budgeted = german;
+  budgeted.global_l1_budget = 0.75;
+  add("german800.when-two-attrs-budget", German800(),
+      "Use German When Age = 0 HowToUpdate Status, Savings" + objective,
+      budgeted);
+  add("german800.abs-range", German800(),
+      "Use German HowToUpdate Status Limit 1 <= Post(Status) <= 2" + objective,
+      german);
+  add("german800.rel-shift", German800(),
+      "Use German HowToUpdate Savings "
+      "Limit Post(Savings) <= Pre(Savings) + 1" + objective,
+      german);
+  add("german800.rel-scale", German800(),
+      "Use German HowToUpdate Savings "
+      "Limit Post(Savings) >= Pre(Savings) * 0.5" + objective,
+      german);
+  add("german800.l1", German800(),
+      "Use German HowToUpdate Status "
+      "Limit L1(Pre(Status), Post(Status)) <= 0.9" + objective,
+      german);
+  add("german800.in-set", German800(),
+      "Use German HowToUpdate Status Limit Post(Status) In (1, 3)" + objective,
+      german);
+  howto::HowToOptions three_buckets = german;
+  three_buckets.num_buckets = 3;  // four distinct CreditAmount levels
+  add("german800.credit-amount-subsampled", German800(),
+      "Use German HowToUpdate CreditAmount" + objective, three_buckets);
+  add("german20k-continuous.credit-amount", GermanContinuous20k(),
+      "Use German HowToUpdate CreditAmount" + objective, german);
+
+  howto::HowToOptions amazon;
+  amazon.whatif.estimator = learn::EstimatorKind::kForest;
+  amazon.whatif.forest.num_trees = 4;
+  amazon.whatif.backdoor = whatif::BackdoorMode::kAllAttributes;
+  add("amazon200.when-color-price", Amazon200(),
+      "Use Product When Brand = 'Asus' HowToUpdate Color, Price "
+      "ToMaximize Avg(Post(Quality))",
+      amazon);
+  add("amazon200.color-in-set", Amazon200(),
+      "Use Product HowToUpdate Color Limit Post(Color) In ('Red', 'Zzz') "
+      "ToMaximize Avg(Post(Price))",
+      amazon);
+  add("amazon200.view", Amazon200(),
+      "Use V As (Select T1.PID, T1.Category, T1.Brand, T1.Color, T1.Price, "
+      "T1.Quality, Avg(T2.Rating) As Rtng From Product As T1, Review As T2 "
+      "Where T1.PID = T2.PID Group By T1.PID, T1.Category, T1.Brand, "
+      "T1.Color, T1.Price, T1.Quality) "
+      "When Category = 'Laptop' HowToUpdate Price, Color "
+      "ToMaximize Count(Rtng >= 4)",
+      amazon);
+  return cases;
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -267,6 +354,7 @@ TEST(GoldenTest, FileHoldsExactlyOneLinePerCase) {
   std::set<std::string> expected;
   for (const WhatIfCase& c : WhatIfCases()) expected.insert(c.id);
   for (const HowToCase& c : HowToCases()) expected.insert(c.id);
+  for (const HowToEnumCase& c : HowToEnumCases()) expected.insert(c.id);
   for (const std::string& id : ServiceCaseIds()) expected.insert(id);
   for (const std::string& id : expected) {
     EXPECT_TRUE(file.line_of.count(id) > 0) << "missing golden line: " << id;
@@ -315,6 +403,21 @@ TEST(GoldenTest, HowToAnswersMatch) {
       auto result = engine.RunSql(c.sql);
       ASSERT_TRUE(result.ok()) << c.id << ": " << result.status();
       ExpectGolden(file, HowToLine(c.id, *result), config.Name());
+    }
+  }
+}
+
+TEST(GoldenTest, HowToCandidateSpacesMatch) {
+  const GoldenFile file = LoadGoldens();
+  for (const Config& config : kConfigs) {
+    ScopedConfig scoped(config);
+    for (const HowToEnumCase& c : HowToEnumCases()) {
+      howto::HowToOptions options = c.options;
+      options.whatif.num_threads = config.threads;
+      howto::HowToEngine engine(&c.ds->db, &c.ds->graph, options);
+      auto result = engine.RunSql(c.sql);
+      ASSERT_TRUE(result.ok()) << c.id << ": " << result.status();
+      ExpectGolden(file, HowToEnumLine(c.id, *result), config.Name());
     }
   }
 }

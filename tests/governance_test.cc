@@ -311,6 +311,32 @@ TEST_F(GovernanceTest, HowToBudgetAbortIsTyped) {
       << result.status();
 }
 
+TEST_F(GovernanceTest, HowToEnumerationMetersOneViewBuild) {
+  // Enumeration reads the view's ScopeStage image. Without a stage context
+  // it builds that image itself and charges the scan and the image to the
+  // run's guard, so a direct run meters one view build more than its
+  // baseline and per-attribute prepares charge; a service run's warm
+  // enumeration is a scope-section hit and charges nothing.
+  QueryBudget generous;
+  generous.max_rows_touched = 1u << 30;
+  generous.max_bytes_materialized = size_t{1} << 40;
+  const governance::ExecGuardPtr guard =
+      governance::ExecGuard::Arm(generous, {});
+  howto::HowToOptions options;
+  options.whatif = EngineOptions();
+  options.whatif.exec_guard = guard;
+  const howto::HowToEngine engine(&db_, &graph_, options);
+  auto stmt = sql::ParseSql(kHowToQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  auto candidates = engine.EnumerateCandidates(*stmt->howto);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const Table* german = db_.GetTable("German").value();
+  EXPECT_EQ(german->num_rows(), guard->rows_touched());
+  EXPECT_EQ(german->num_rows() * german->schema().num_attributes() *
+                sizeof(double),
+            guard->bytes_materialized());
+}
+
 TEST_F(GovernanceTest, GenerousBudgetAnswersBitEqualToUngoverned) {
   const double expected = FreshRun(kQuery);
   whatif::WhatIfOptions options = EngineOptions();

@@ -335,6 +335,88 @@ TEST_F(HowToGermanTest, RejectsNonHowToSql) {
   EXPECT_FALSE(Engine().RunSql("Select Id From German").ok());
 }
 
+// Which error a faulty statement reports, code and message. The soundness
+// check runs first, then enumeration (the first update attribute's
+// relation, the Use clause, When, then each attribute in turn), and only
+// then the baseline prepare, which compiles the objective.
+TEST_F(HowToGermanTest, ErrorStatusesKeepTheirPrecedence) {
+  struct Case {
+    const char* sql;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"Use German HowToUpdate Age ToMaximize Count(Credit = 1)",
+       StatusCode::kInvalidArgument,
+       "HowToUpdate attribute 'Age' is immutable"},
+      {"Use German HowToUpdate Age ToMaximize Avg(Post(Zzz))",
+       StatusCode::kInvalidArgument,
+       "HowToUpdate attribute 'Age' is immutable"},
+      {"Use German HowToUpdate Zzz ToMaximize Count(Credit = 1)",
+       StatusCode::kNotFound, "attribute 'Zzz' not in any relation"},
+      {"Use German HowToUpdate Status, Zzz ToMaximize Count(Credit = 1)",
+       StatusCode::kNotFound, "attribute 'Zzz' not in relation 'German'"},
+      {"Use German When Age = 99 HowToUpdate Status "
+       "ToMaximize Avg(Post(Zzz))",
+       StatusCode::kInvalidArgument, "When selects no tuples to update"},
+      {"Use German When Zzz = 1 HowToUpdate Age ToMaximize Count(Credit = 1)",
+       StatusCode::kNotFound, "unresolved column reference 'Zzz'"},
+      {"Use German When Status / 0 = 1 HowToUpdate Status "
+       "ToMaximize Count(Credit = 1)",
+       StatusCode::kInvalidArgument, "division by zero"},
+      {"Use German HowToUpdate Status ToMaximize Avg(Post(Zzz))",
+       StatusCode::kInvalidArgument,
+       "attribute 'Zzz' not in the relevant view"},
+      {"Use Zzz HowToUpdate Status ToMaximize Count(Credit = 1)",
+       StatusCode::kNotFound, "relation 'Zzz' does not exist"},
+      {"Use German HowToUpdate Status, Age ToMaximize Count(Credit = 1)",
+       StatusCode::kInvalidArgument,
+       "HowToUpdate attributes must be causally unrelated: 'Age' affects "
+       "'Status'"},
+  };
+  const HowToEngine engine = Engine();
+  for (const Case& c : cases) {
+    auto result = engine.RunSql(c.sql);
+    ASSERT_FALSE(result.ok()) << c.sql;
+    EXPECT_EQ(c.code, result.status().code())
+        << c.sql << ": " << result.status();
+    EXPECT_EQ(c.message, result.status().message()) << c.sql;
+  }
+}
+
+// The phase timers: enumerate, cost and solve are measured apart from the
+// prepares and evaluations. At one scoring thread the phases run one after
+// another inside the run, so their sum is at most its wall time.
+TEST_F(HowToGermanTest, PhaseTimersAreDisjointPartsOfTheRun) {
+  HowToOptions serial = options_;
+  serial.whatif.num_threads = 1;
+  const HowToEngine engine(&ds_->db, &ds_->graph, serial);
+  auto primary = sql::ParseSql(
+                     "Use German HowToUpdate Status, Savings "
+                     "ToMaximize Avg(Post(Credit))")
+                     .value();
+  auto secondary = sql::ParseSql(
+                       "Use German HowToUpdate Status, Savings "
+                       "ToMinimize Avg(Post(CreditAmount))")
+                       .value();
+  const HowToResult run = engine.Run(*primary.howto).value();
+  const HowToResult min_cost =
+      engine.RunMinCost(*primary.howto, run.baseline_value).value();
+  const HowToResult lex =
+      engine.RunLexicographic({primary.howto.get(), secondary.howto.get()})
+          .value();
+  for (const HowToResult* r : {&run, &min_cost, &lex}) {
+    EXPECT_GE(r->enumerate_seconds, 0.0);
+    EXPECT_GE(r->cost_seconds, 0.0);
+    EXPECT_GE(r->solve_seconds, 0.0);
+    EXPECT_GE(r->prepare_seconds, 0.0);
+    EXPECT_GE(r->eval_seconds, 0.0);
+    EXPECT_LE(r->prepare_seconds + r->eval_seconds + r->enumerate_seconds +
+                  r->cost_seconds + r->solve_seconds,
+              r->total_seconds);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Continuous attribute bucketization (Figure 9 machinery)
 // ---------------------------------------------------------------------------

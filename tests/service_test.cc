@@ -629,6 +629,140 @@ TEST_F(ServiceTest, HowToThroughServiceReusesCacheAcrossRuns) {
   EXPECT_EQ(0.0, second.howto.train_seconds);
 }
 
+// A warm how-to request is one scope-section hit (enumeration and L1 costs
+// read the ScopeStage image) plus one plan hit for the baseline and one per
+// HowToUpdate attribute; it builds no stage.
+TEST_F(ServiceTest, WarmHowToIsOneScopeHitPlusItsPlanHits) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  const std::string stmt_text =
+      "Use German HowToUpdate Status, Savings ToMaximize Count(Credit = 1)";
+  Response first = service->Submit({"main", stmt_text, {}});
+  ASSERT_TRUE(first.ok()) << first.status;
+  const PlanCacheStats before = service->cache_stats();
+  Response second = service->Submit({"main", stmt_text, {}});
+  ASSERT_TRUE(second.ok()) << second.status;
+  const PlanCacheStats after = service->cache_stats();
+  EXPECT_EQ(3u, second.howto.plan_cache_hits);
+  EXPECT_EQ(before.scope.hits + 1, after.scope.hits);
+  EXPECT_EQ(before.scope.misses, after.scope.misses);
+  EXPECT_EQ(before.query.hits + 3, after.query.hits);
+  EXPECT_EQ(before.query.misses, after.query.misses);
+  for (const auto& [b, a] :
+       {std::pair{&before.causal, &after.causal},
+        std::pair{&before.learn, &after.learn}}) {
+    EXPECT_EQ(b->hits + b->misses, a->hits + a->misses);
+  }
+}
+
+// A how-to answered through the service on `scenario` equals a fresh
+// HowToEngine over the branch's effective database: every candidate
+// (constant, cost, objective, pruned flag), the baseline, the objective and
+// the plan.
+void ExpectHowToMatchesFreshEngine(ScenarioService& service,
+                                   const causal::CausalGraph& graph,
+                                   const ServiceOptions& options,
+                                   const std::string& scenario,
+                                   const std::string& sql) {
+  SCOPED_TRACE(scenario + ": " + sql);
+  Response served = service.Submit({scenario, sql, {}});
+  ASSERT_TRUE(served.ok()) << served.status;
+  auto world = service.EffectiveDatabase(scenario);
+  ASSERT_TRUE(world.ok()) << world.status();
+  howto::HowToOptions ho;
+  ho.whatif = options.whatif;
+  ho.num_buckets = options.howto_num_buckets;
+  ho.global_l1_budget = options.howto_global_l1_budget;
+  ho.prefer_mck = options.howto_prefer_mck;
+  auto expected = howto::HowToEngine(world->get(), &graph, ho).RunSql(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  const howto::HowToResult& got = served.howto;
+  EXPECT_EQ(expected->baseline_value, got.baseline_value);
+  EXPECT_EQ(expected->objective_value, got.objective_value);
+  EXPECT_EQ(expected->PlanToString(), got.PlanToString());
+  EXPECT_EQ(expected->candidates_pruned, got.candidates_pruned);
+  ASSERT_EQ(expected->candidates.size(), got.candidates.size());
+  for (size_t a = 0; a < got.candidates.size(); ++a) {
+    ASSERT_EQ(expected->candidates[a].size(), got.candidates[a].size()) << a;
+    for (size_t i = 0; i < got.candidates[a].size(); ++i) {
+      const howto::CandidateUpdate& want = expected->candidates[a][i];
+      const howto::CandidateUpdate& have = got.candidates[a][i];
+      EXPECT_EQ(want.spec.constant.type(), have.spec.constant.type());
+      EXPECT_TRUE(want.spec.constant.Equals(have.spec.constant))
+          << want.spec.constant << " vs " << have.spec.constant;
+      EXPECT_EQ(want.cost, have.cost) << have.spec.constant;
+      EXPECT_EQ(want.objective_value, have.objective_value);
+      EXPECT_EQ(want.delta, have.delta);
+      EXPECT_EQ(want.pruned, have.pruned);
+    }
+  }
+}
+
+// Enumeration and costs read the branch's ScopeStage image. A branch whose
+// apply wrote 2.5 into the int Status column holds a kDouble image of it
+// (the int column cannot take the patch, so the image is rebuilt wider),
+// whose values the integer candidates round. On "wider", 7.5 rounds to a
+// candidate (8) above the range's top value.
+TEST_F(ServiceTest, HowToOnAWidenedBranchMatchesAFreshEngine) {
+  ServiceOptions options;
+  options.whatif = EngineOptions(whatif::BackdoorMode::kGraph,
+                                 learn::EstimatorKind::kFrequency);
+  options.plan_cache_capacity = 64;
+  options.num_threads = 1;
+  ScenarioService service(db_, graph_, options);
+  for (const auto& [scenario, value] :
+       {std::pair{"wide", "2.5"}, std::pair{"wider", "7.5"}}) {
+    ASSERT_TRUE(service.CreateScenario(scenario).ok());
+    auto applied = service.ApplyHypotheticalSql(
+        scenario, std::string("Use German When Age = 1 Update(Status) = ") +
+                      value + " Output Count(*)");
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    ASSERT_GT(*applied, 0u);
+  }
+  for (const char* sql :
+       {"Use German HowToUpdate Status ToMaximize Count(Credit = 1)",
+        "Use German HowToUpdate Status "
+        "Limit L1(Pre(Status), Post(Status)) <= 0.9 "
+        "ToMaximize Count(Credit = 1)"}) {
+    for (const char* scenario : {"main", "wide", "wider"}) {
+      ExpectHowToMatchesFreshEngine(service, graph_, options, scenario, sql);
+    }
+  }
+}
+
+// A string written by a branch apply ('Teal' is new to the dictionary, so
+// the branch image, patched from the base image that main's query cached,
+// interns it into a private copy) selects S and becomes a string candidate
+// on that branch.
+TEST_F(ServiceTest, HowToOnAnAmazonBranchMatchesAFreshEngine) {
+  data::AmazonOptions amazon_options;
+  amazon_options.products = 200;
+  amazon_options.reviews_per_product = 4;
+  auto amazon = data::MakeAmazonSyn(amazon_options);
+  ASSERT_TRUE(amazon.ok()) << amazon.status();
+  ServiceOptions options;
+  options.whatif = EngineOptions(whatif::BackdoorMode::kAllAttributes,
+                                 learn::EstimatorKind::kForest);
+  options.plan_cache_capacity = 64;
+  options.num_threads = 1;
+  ScenarioService service(amazon->db, amazon->graph, options);
+  ASSERT_TRUE(service.CreateScenario("teal").ok());
+  auto applied = service.ApplyHypotheticalSql(
+      "teal",
+      "Use Product When Brand = 'Asus' Update(Color) = 'Teal' Output Count(*)");
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  ASSERT_GT(*applied, 0u);
+  for (const char* scenario : {"main", "teal"}) {
+    ExpectHowToMatchesFreshEngine(
+        service, amazon->graph, options, scenario,
+        "Use Product HowToUpdate Color ToMaximize Avg(Post(Price))");
+  }
+  ExpectHowToMatchesFreshEngine(
+      service, amazon->graph, options, "teal",
+      "Use Product When Color = 'Teal' HowToUpdate Price "
+      "ToMaximize Avg(Post(Quality))");
+}
+
 // --- concurrent how-to stress ---------------------------------------------
 
 TEST_F(ServiceTest, ConcurrentMixedHowToStressBitEqualAcrossThreads) {
