@@ -94,20 +94,21 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 # images whose columns are shared between copies and replaced
 # copy-on-write by a branch patch), and howto_test and edge_cases_test
 # (how-to enumeration and L1 costs index the raw column arrays of a
-# ScopeStage image that the parallel candidate scorer shares): TSan
-# catches data races on the shared stage caches, the
-# admission/cancellation state, and the pool's morsel cursor under skewed
-# load, ASan catches lifetime bugs in abort unwinding
-# (an aborted request must not leave a stage half-built but referenced)
-# and a shared column outliving the image it came from, UBSan catches
-# undefined behavior in the hot loops, kernels and meter arithmetic. Each
-# leg probes the toolchain first and is skipped only when its runtime is
-# unusable.
+# ScopeStage image that the parallel candidate scorer shares), and
+# relational_test and whatif_test (the select executor's row-frame reader
+# and the column reader share one evaluation walk, and Explain reads a
+# freshly prepared plan): TSan catches data races on the shared stage
+# caches, the admission/cancellation state, and the pool's morsel cursor
+# under skewed load, ASan catches lifetime bugs in abort unwinding (an
+# aborted request must not leave a stage half-built but referenced) and a
+# shared column outliving the image it came from, UBSan catches undefined
+# behavior in the hot loops, kernels and meter arithmetic. Each leg probes
+# the toolchain first and is skipped only when its runtime is unusable.
 run_sanitizer_leg() {
   local SAN="$1"         # thread | address | undefined
   local FLAG="-fsanitize=$SAN"
   local SAN_BUILD_DIR="${BUILD_DIR}-${2}"   # build dir suffix: tsan | asan | ubsan
-  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test) =="
+  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test) =="
   local PROBE
   PROBE="$(mktemp -d)"
   printf 'int main(){return 0;}\n' > "$PROBE/probe.cc"
@@ -115,9 +116,9 @@ run_sanitizer_leg() {
       && "$PROBE/probe"; then
     rm -rf "$PROBE"
     cmake -B "$SAN_BUILD_DIR" -S . -DHYPER_SANITIZE="$SAN" >/dev/null
-    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test
+    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -L service
-    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test)$'
+    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test)$'
   else
     rm -rf "$PROBE"
     echo "${SAN}Sanitizer unavailable in this toolchain; skipping ${2} smoke"

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Project-specific invariant linters for the HypeR serving layer.
 
-Six rules, each encoding a contract the type system cannot express and a
-bug class this codebase has to actively defend against. The first five
+Seven rules, each encoding a contract the type system cannot express and a
+bug class this codebase has to actively defend against. The first six
 read source files; `unreferenced` reads a built tree.
 
   cache-key-governance   Cache keys must not carry governance state. The
@@ -54,6 +54,13 @@ read source files; `unreferenced` reads a built tree.
                          is an error swallowed without an argument; require
                          a comment on the same line or within the two lines
                          above saying why dropping the result is correct.
+
+  ast-interpreter        The AST interpreter (relational/eval.h) is the
+                         oracles' independent reference: only
+                         relational/eval.cc, whatif/naive.cc and files under
+                         baselines/ may include it. An engine path on the
+                         interpreter would check the engine against itself;
+                         engine code evaluates through relational/compiled.h.
 
   unreferenced           Every out-of-line function of the core library
                          (hyper_core) has a caller outside tests/. Run with
@@ -129,6 +136,7 @@ UNORDERED_DECL_CONT = re.compile(r"^\s*(\w+)\s*(?:;|=|\{|\bGUARDED_BY)")
 RANGE_FOR = re.compile(r"for\s*\([^;)]*?:\s*(\w+)\s*\)")
 STEADY_CLOCK = re.compile(r"steady_clock::now\s*\(")
 VOID_CAST = re.compile(r"^\s*\(void\)\s*[\w.\->:]+\s*\(")
+EVAL_INCLUDE = re.compile(r'^\s*#\s*include\s*"relational/eval\.h"')
 RAW_ATOMIC = re.compile(
     r"(?:\.|->)\s*(fetch_add|fetch_sub|compare_exchange_weak|"
     r"compare_exchange_strong)\s*\(")
@@ -137,6 +145,9 @@ ALLOW = "lint:allow"
 SERVING_DIRS = ("whatif", "howto", "service", "net", "relational", "prob")
 HOT_DIRS = ("whatif", "howto")
 PARTITION_DIRS = ("whatif", "howto", "learn", "relational", "storage")
+# The AST interpreter itself and the oracles that use it as a reference.
+INTERPRETER_FILES = (("relational", "eval.cc"), ("whatif", "naive.cc"))
+INTERPRETER_DIRS = ("baselines",)
 
 
 def has_comment_justification(lines, idx):
@@ -280,6 +291,17 @@ def lint_file(path, findings):
                  "(order-deterministic, contention-free), or annotate "
                  "// lint:allow(raw-atomic-partition): <why the fold order "
                  "cannot reach a served value>"))
+
+    # --- ast-interpreter ---
+    if not (tuple(parts[-2:]) in INTERPRETER_FILES
+            or any(d in parts for d in INTERPRETER_DIRS)):
+        for i, line in enumerate(lines):
+            if EVAL_INCLUDE.match(line):
+                findings.append(
+                    (path, i + 1, "ast-interpreter",
+                     "relational/eval.h is the oracles' reference "
+                     "interpreter; engine code evaluates through "
+                     "relational/compiled.h"))
 
     # --- void-cast ---
     for i, line in enumerate(lines):

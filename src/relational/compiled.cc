@@ -120,15 +120,6 @@ Result<int> Scalar::Compare(const Scalar& other) const {
 // Compilation
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct ResolvedRef {
-  uint16_t slot = 0;
-  uint32_t attr = 0;
-};
-
-/// Mirrors Env::Lookup resolution: qualified references match aliases
-/// case-insensitively; unqualified references must be unique in the scope.
 Result<ResolvedRef> ResolveRef(const std::vector<ScopedTuple>& scope,
                                const std::string& qualifier,
                                const std::string& name) {
@@ -154,8 +145,6 @@ Result<ResolvedRef> ResolveRef(const std::vector<ScopedTuple>& scope,
   }
   return out;
 }
-
-}  // namespace
 
 namespace {
 
@@ -271,13 +260,12 @@ Result<uint32_t> CompileNode(const Expr& expr,
 
 }  // namespace
 
-Result<CompiledExpr> CompiledExpr::Compile(const Expr& expr,
-                                           const std::vector<ScopedTuple>& scope,
-                                           bool post_mode) {
+Result<CompiledExpr> CompiledExpr::Compile(
+    const Expr& expr, const std::vector<ScopedTuple>& scope) {
   CompiledExpr out;
-  HYPER_ASSIGN_OR_RETURN(
-      uint32_t root,
-      CompileNode(expr, scope, post_mode, &out.nodes_, &out.references_post_));
+  HYPER_ASSIGN_OR_RETURN(uint32_t root,
+                         CompileNode(expr, scope, /*post_mode=*/false,
+                                     &out.nodes_, &out.references_post_));
   if (root != 0) {
     return Status::Internal("compiled expression root is not node 0");
   }
@@ -285,45 +273,53 @@ Result<CompiledExpr> CompiledExpr::Compile(const Expr& expr,
 }
 
 // ---------------------------------------------------------------------------
-// Row-mode evaluation (mirrors relational::EvalExpr exactly)
+// Evaluation: one walk over the compiled nodes (mirrors relational::EvalExpr
+// exactly), two cell readers for its leaves.
 // ---------------------------------------------------------------------------
 
-Result<Scalar> CompiledExpr::EvalNode(uint32_t idx,
-                                      const BoundRow* frame) const {
-  const Node& n = nodes_[idx];
+namespace {
+
+/// Evaluates node `idx`. `cells` reads the leaves: `Literal(idx, n)` and
+/// `Column(idx, n)` return node idx's Scalar (a row frame's pre or post Row,
+/// or a bound column read through its post image).
+template <typename Cells>
+Result<Scalar> EvalTree(const std::vector<CompiledExpr::Node>& nodes,
+                        uint32_t idx, const Cells& cells) {
+  using Op = CompiledExpr::Node::Op;
+  const CompiledExpr::Node& n = nodes[idx];
   switch (n.op) {
-    case Node::Op::kLiteral:
-      return Scalar::FromValue(n.literal);
-    case Node::Op::kColumnRef: {
-      const BoundRow& br = frame[n.slot];
-      const Row* src = n.post ? (br.post != nullptr ? br.post : br.pre)
-                              : br.pre;
-      return Scalar::FromValue((*src)[n.attr]);
-    }
-    case Node::Op::kNot: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], frame));
+    case Op::kLiteral:
+      return cells.Literal(idx, n);
+    case Op::kColumnRef:
+      return cells.Column(idx, n);
+    case Op::kNot: {
+      HYPER_ASSIGN_OR_RETURN(Scalar inner,
+                             EvalTree(nodes, n.children[0], cells));
       HYPER_ASSIGN_OR_RETURN(bool b, inner.AsBool());
       return Scalar::Bool(!b);
     }
-    case Node::Op::kNeg: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], frame));
+    case Op::kNeg: {
+      HYPER_ASSIGN_OR_RETURN(Scalar inner,
+                             EvalTree(nodes, n.children[0], cells));
       if (inner.kind == Scalar::K::kInt) return Scalar::Int(-inner.i);
       HYPER_ASSIGN_OR_RETURN(double d, inner.AsDouble());
       return Scalar::Double(-d);
     }
-    case Node::Op::kAnd:
-    case Node::Op::kOr: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs_val, EvalNode(n.children[0], frame));
+    case Op::kAnd:
+    case Op::kOr: {
+      HYPER_ASSIGN_OR_RETURN(Scalar lhs_val,
+                             EvalTree(nodes, n.children[0], cells));
       HYPER_ASSIGN_OR_RETURN(bool lhs, lhs_val.AsBool());
-      if (n.op == Node::Op::kAnd && !lhs) return Scalar::Bool(false);
-      if (n.op == Node::Op::kOr && lhs) return Scalar::Bool(true);
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs_val, EvalNode(n.children[1], frame));
+      if (n.op == Op::kAnd && !lhs) return Scalar::Bool(false);
+      if (n.op == Op::kOr && lhs) return Scalar::Bool(true);
+      HYPER_ASSIGN_OR_RETURN(Scalar rhs_val,
+                             EvalTree(nodes, n.children[1], cells));
       HYPER_ASSIGN_OR_RETURN(bool rhs, rhs_val.AsBool());
       return Scalar::Bool(rhs);
     }
-    case Node::Op::kCompare: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalNode(n.children[0], frame));
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalNode(n.children[1], frame));
+    case Op::kCompare: {
+      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalTree(nodes, n.children[0], cells));
+      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalTree(nodes, n.children[1], cells));
       if (n.cmp == BinaryOp::kEq) return Scalar::Bool(lhs.Equals(rhs));
       if (n.cmp == BinaryOp::kNe) return Scalar::Bool(!lhs.Equals(rhs));
       HYPER_ASSIGN_OR_RETURN(int cmp, lhs.Compare(rhs));
@@ -335,9 +331,9 @@ Result<Scalar> CompiledExpr::EvalNode(uint32_t idx,
         default: return Status::Internal("unhandled comparison");
       }
     }
-    case Node::Op::kArith: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalNode(n.children[0], frame));
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalNode(n.children[1], frame));
+    case Op::kArith: {
+      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalTree(nodes, n.children[0], cells));
+      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalTree(nodes, n.children[1], cells));
       HYPER_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
       HYPER_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
       const bool both_int =
@@ -358,28 +354,52 @@ Result<Scalar> CompiledExpr::EvalNode(uint32_t idx,
           return Status::Internal("unhandled binary operator");
       }
     }
-    case Node::Op::kInList: {
-      HYPER_ASSIGN_OR_RETURN(Scalar needle, EvalNode(n.children[0], frame));
+    case Op::kInList: {
+      HYPER_ASSIGN_OR_RETURN(Scalar needle,
+                             EvalTree(nodes, n.children[0], cells));
       for (size_t c = 1; c < n.children.size(); ++c) {
-        HYPER_ASSIGN_OR_RETURN(Scalar item, EvalNode(n.children[c], frame));
+        HYPER_ASSIGN_OR_RETURN(Scalar item,
+                               EvalTree(nodes, n.children[c], cells));
         if (needle.Equals(item)) return Scalar::Bool(true);
       }
       return Scalar::Bool(false);
     }
-    case Node::Op::kAbs: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], frame));
+    case Op::kAbs: {
+      HYPER_ASSIGN_OR_RETURN(Scalar inner,
+                             EvalTree(nodes, n.children[0], cells));
       HYPER_ASSIGN_OR_RETURN(double d, inner.AsDouble());
       return Scalar::Double(std::fabs(d));
     }
-    case Node::Op::kL1: {
-      HYPER_ASSIGN_OR_RETURN(Scalar a, EvalNode(n.children[0], frame));
-      HYPER_ASSIGN_OR_RETURN(Scalar b, EvalNode(n.children[1], frame));
+    case Op::kL1: {
+      HYPER_ASSIGN_OR_RETURN(Scalar a, EvalTree(nodes, n.children[0], cells));
+      HYPER_ASSIGN_OR_RETURN(Scalar b, EvalTree(nodes, n.children[1], cells));
       HYPER_ASSIGN_OR_RETURN(double da, a.AsDouble());
       HYPER_ASSIGN_OR_RETURN(double db, b.AsDouble());
       return Scalar::Double(std::fabs(da - db));
     }
   }
   return Status::Internal("unhandled compiled node");
+}
+
+}  // namespace
+
+/// A row frame's cells: each slot's pre Row, or its post Row under Post(...)
+/// when the frame has one.
+struct CompiledExpr::Cells {
+  const BoundRow* frame;
+  Scalar Literal(uint32_t, const Node& n) const {
+    return Scalar::FromValue(n.literal);
+  }
+  Scalar Column(uint32_t, const Node& n) const {
+    const BoundRow& br = frame[n.slot];
+    const Row* src =
+        n.post ? (br.post != nullptr ? br.post : br.pre) : br.pre;
+    return Scalar::FromValue((*src)[n.attr]);
+  }
+};
+
+Result<Scalar> CompiledExpr::EvalRow(const BoundRow* frame) const {
+  return EvalTree(nodes_, 0, Cells{frame});
 }
 
 Result<bool> CompiledExpr::EvalRowBool(const BoundRow* frame) const {
@@ -478,97 +498,23 @@ Result<Scalar> ColumnBoundExpr::ReadColumn(uint32_t idx, size_t row) const {
   return Status::Internal("unhandled column kind");
 }
 
-Result<Scalar> ColumnBoundExpr::EvalNode(uint32_t idx, size_t row) const {
-  const CompiledExpr::Node& n = nodes_[idx];
-  using Node = CompiledExpr::Node;
-  switch (n.op) {
-    case Node::Op::kLiteral: {
-      Scalar v = Scalar::FromValue(n.literal);
-      if (v.kind == Scalar::K::kStr) v.code = bound_[idx].literal_code;
-      return v;
-    }
-    case Node::Op::kColumnRef:
-      return ReadColumn(idx, row);
-    case Node::Op::kNot: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(bool b, inner.AsBool());
-      return Scalar::Bool(!b);
-    }
-    case Node::Op::kNeg: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], row));
-      if (inner.kind == Scalar::K::kInt) return Scalar::Int(-inner.i);
-      HYPER_ASSIGN_OR_RETURN(double d, inner.AsDouble());
-      return Scalar::Double(-d);
-    }
-    case Node::Op::kAnd:
-    case Node::Op::kOr: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs_val, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(bool lhs, lhs_val.AsBool());
-      if (n.op == Node::Op::kAnd && !lhs) return Scalar::Bool(false);
-      if (n.op == Node::Op::kOr && lhs) return Scalar::Bool(true);
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs_val, EvalNode(n.children[1], row));
-      HYPER_ASSIGN_OR_RETURN(bool rhs, rhs_val.AsBool());
-      return Scalar::Bool(rhs);
-    }
-    case Node::Op::kCompare: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalNode(n.children[1], row));
-      if (n.cmp == BinaryOp::kEq) return Scalar::Bool(lhs.Equals(rhs));
-      if (n.cmp == BinaryOp::kNe) return Scalar::Bool(!lhs.Equals(rhs));
-      HYPER_ASSIGN_OR_RETURN(int cmp, lhs.Compare(rhs));
-      switch (n.cmp) {
-        case BinaryOp::kLt: return Scalar::Bool(cmp < 0);
-        case BinaryOp::kLe: return Scalar::Bool(cmp <= 0);
-        case BinaryOp::kGt: return Scalar::Bool(cmp > 0);
-        case BinaryOp::kGe: return Scalar::Bool(cmp >= 0);
-        default: return Status::Internal("unhandled comparison");
-      }
-    }
-    case Node::Op::kArith: {
-      HYPER_ASSIGN_OR_RETURN(Scalar lhs, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(Scalar rhs, EvalNode(n.children[1], row));
-      HYPER_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
-      HYPER_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
-      const bool both_int =
-          lhs.kind == Scalar::K::kInt && rhs.kind == Scalar::K::kInt;
-      switch (n.cmp) {
-        case BinaryOp::kAdd:
-          return both_int ? Scalar::Int(lhs.i + rhs.i) : Scalar::Double(a + b);
-        case BinaryOp::kSub:
-          return both_int ? Scalar::Int(lhs.i - rhs.i) : Scalar::Double(a - b);
-        case BinaryOp::kMul:
-          return both_int ? Scalar::Int(lhs.i * rhs.i) : Scalar::Double(a * b);
-        case BinaryOp::kDiv:
-          if (b == 0.0) {
-            return Status::InvalidArgument("division by zero");
-          }
-          return Scalar::Double(a / b);
-        default:
-          return Status::Internal("unhandled binary operator");
-      }
-    }
-    case Node::Op::kInList: {
-      HYPER_ASSIGN_OR_RETURN(Scalar needle, EvalNode(n.children[0], row));
-      for (size_t c = 1; c < n.children.size(); ++c) {
-        HYPER_ASSIGN_OR_RETURN(Scalar item, EvalNode(n.children[c], row));
-        if (needle.Equals(item)) return Scalar::Bool(true);
-      }
-      return Scalar::Bool(false);
-    }
-    case Node::Op::kAbs: {
-      HYPER_ASSIGN_OR_RETURN(Scalar inner, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(double d, inner.AsDouble());
-      return Scalar::Double(std::fabs(d));
-    }
-    case Node::Op::kL1: {
-      HYPER_ASSIGN_OR_RETURN(Scalar a, EvalNode(n.children[0], row));
-      HYPER_ASSIGN_OR_RETURN(Scalar b, EvalNode(n.children[1], row));
-      HYPER_ASSIGN_OR_RETURN(double da, a.AsDouble());
-      HYPER_ASSIGN_OR_RETURN(double db, b.AsDouble());
-      return Scalar::Double(std::fabs(da - db));
-    }
+/// One row of a bound table: string literals carry their dictionary code,
+/// column references read through the post image.
+struct ColumnBoundExpr::Cells {
+  const ColumnBoundExpr* expr;
+  size_t row;
+  Scalar Literal(uint32_t idx, const CompiledExpr::Node& n) const {
+    Scalar v = Scalar::FromValue(n.literal);
+    if (v.kind == Scalar::K::kStr) v.code = expr->bound_[idx].literal_code;
+    return v;
   }
-  return Status::Internal("unhandled compiled node");
+  Result<Scalar> Column(uint32_t idx, const CompiledExpr::Node&) const {
+    return expr->ReadColumn(idx, row);
+  }
+};
+
+Result<Scalar> ColumnBoundExpr::Eval(size_t row) const {
+  return EvalTree(nodes_, 0, Cells{this, row});
 }
 
 Result<bool> ColumnBoundExpr::EvalBool(size_t row) const {
@@ -593,15 +539,16 @@ namespace {
 /// double scratch stays in L1/L2.
 constexpr size_t kNumChunk = 4096;
 
-bool SimdCmpOf(BinaryOp op, simd::Cmp* out) {
+/// The kernel comparison of a comparison operator (kCompare nodes hold
+/// nothing else).
+simd::Cmp SimdCmpOf(BinaryOp op) {
   switch (op) {
-    case BinaryOp::kEq: *out = simd::Cmp::kEq; return true;
-    case BinaryOp::kNe: *out = simd::Cmp::kNe; return true;
-    case BinaryOp::kLt: *out = simd::Cmp::kLt; return true;
-    case BinaryOp::kLe: *out = simd::Cmp::kLe; return true;
-    case BinaryOp::kGt: *out = simd::Cmp::kGt; return true;
-    case BinaryOp::kGe: *out = simd::Cmp::kGe; return true;
-    default: return false;
+    case BinaryOp::kNe: return simd::Cmp::kNe;
+    case BinaryOp::kLt: return simd::Cmp::kLt;
+    case BinaryOp::kLe: return simd::Cmp::kLe;
+    case BinaryOp::kGt: return simd::Cmp::kGt;
+    case BinaryOp::kGe: return simd::Cmp::kGe;
+    default: return simd::Cmp::kEq;
   }
 }
 
@@ -765,8 +712,7 @@ void ColumnBoundExpr::MaskRun(uint32_t idx, size_t begin, size_t end,
                            n.cmp == BinaryOp::kEq, out);
           return;
         }
-        simd::Cmp op;
-        SimdCmpOf(n.cmp, &op);
+        const simd::Cmp op = SimdCmpOf(n.cmp);
         if (lcol->kind == ColumnKind::kDouble &&
             rcol->kind == ColumnKind::kDouble) {
           simd::CmpF64Cols(lcol->f64.data() + begin, rcol->f64.data() + begin,
@@ -804,8 +750,7 @@ void ColumnBoundExpr::MaskRun(uint32_t idx, size_t begin, size_t end,
         std::memset(out, n.cmp == BinaryOp::kNe ? 1 : 0, len);
         return;
       }
-      simd::Cmp op;
-      SimdCmpOf(n.cmp, &op);
+      simd::Cmp op = SimdCmpOf(n.cmp);
       if (!col_is_lhs) op = simd::Mirror(op);  // lit OP col == col ROP lit
       CmpNumericConst(*col, begin, len, lv.AsDouble().value(), op, out);
       return;

@@ -63,6 +63,19 @@ struct ScopedTuple {
   const Schema* schema = nullptr;
 };
 
+/// A column reference resolved against a scope: tuple slot and attribute.
+struct ResolvedRef {
+  uint16_t slot = 0;
+  uint32_t attr = 0;
+};
+
+/// Resolves `qualifier.name` (or an unqualified `name`) the way Env::Lookup
+/// does: qualified references match aliases case-insensitively, unqualified
+/// references must be unique across the scope.
+Result<ResolvedRef> ResolveRef(const std::vector<ScopedTuple>& scope,
+                               const std::string& qualifier,
+                               const std::string& name);
+
 /// Row-mode evaluation frame entry for one tuple slot: pre image and
 /// (optionally) the post-update image. A null `post` makes Post(...) read
 /// the pre image — the observational evaluation mode of training harvests.
@@ -99,16 +112,15 @@ class CompiledExpr {
     std::vector<uint32_t> children;
   };
 
-  /// Compiles `expr` against the ordered tuple scope. Resolution follows
-  /// Env::Lookup: qualified references match aliases case-insensitively,
-  /// unqualified references must be unique across the scope. Aggregates and
-  /// '*' are compile errors (they are not per-row expressions).
+  /// Compiles `expr` against the ordered tuple scope; references resolve as
+  /// ResolveRef does. Bare references read the pre image, references
+  /// inside Post(...) the post image. Aggregates and '*' are compile errors
+  /// (they are not per-row expressions).
   static Result<CompiledExpr> Compile(const sql::Expr& expr,
-                                      const std::vector<ScopedTuple>& scope,
-                                      bool post_mode = false);
+                                      const std::vector<ScopedTuple>& scope);
 
   /// Row-mode evaluation; `frame[slot]` supplies each tuple's images.
-  Result<Scalar> EvalRow(const BoundRow* frame) const { return EvalNode(0, frame); }
+  Result<Scalar> EvalRow(const BoundRow* frame) const;
   Result<bool> EvalRowBool(const BoundRow* frame) const;
   Result<Value> EvalRowValue(const BoundRow* frame) const;
 
@@ -116,8 +128,7 @@ class CompiledExpr {
   bool references_post() const { return references_post_; }
 
  private:
-  friend class ColumnBoundExpr;
-  Result<Scalar> EvalNode(uint32_t idx, const BoundRow* frame) const;
+  struct Cells;  // a row frame's cell reader for the evaluation walk
 
   std::vector<Node> nodes_;  // nodes_[0] is the root
   bool references_post_ = false;
@@ -173,7 +184,7 @@ class ColumnBoundExpr {
                                       const ColumnTable& table,
                                       const PostImage* post = nullptr);
 
-  Result<Scalar> Eval(size_t row) const { return EvalNode(0, row); }
+  Result<Scalar> Eval(size_t row) const;
   Result<bool> EvalBool(size_t row) const;
 
   /// Batch predicate evaluation over every row of the bound table. Uses
@@ -214,7 +225,8 @@ class ColumnBoundExpr {
   /// trees, where every row of a node yields the same Scalar kind.
   enum class NumType : uint8_t { kInt, kDouble, kBool };
 
-  Result<Scalar> EvalNode(uint32_t idx, size_t row) const;
+  struct Cells;  // one row's cell reader for the evaluation walk
+
   Result<Scalar> ReadColumn(uint32_t idx, size_t row) const;
   /// Row-independent eligibility for the boolean mask kernel.
   bool MaskEligible(uint32_t idx) const;

@@ -45,8 +45,8 @@ class Env {
 
 /// Evaluates a scalar expression. `post_mode` is the ambient Pre/Post state:
 /// bare column references read the pre image by default; inside `Post(...)`
-/// they read the post image. Aggregate calls are not valid here (they are
-/// handled by the select executor / what-if engine); hitting one is an error.
+/// they read the post image. Aggregate calls are not per-row expressions;
+/// hitting one is an error.
 Result<Value> EvalExpr(const sql::Expr& expr, const Env& env,
                        bool post_mode = false);
 

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "relational/compiled.h"
-#include "relational/eval.h"
 
 namespace hyper::relational {
 
@@ -25,41 +24,10 @@ struct Source {
 /// A joined tuple: row index per source (aligned with the sources vector).
 using JoinedTuple = std::vector<size_t>;
 
-struct ResolvedColumn {
-  size_t source = 0;
-  size_t attr = 0;
-};
-
-Result<ResolvedColumn> ResolveColumn(const std::vector<Source>& sources,
-                                     const std::string& qualifier,
-                                     const std::string& name) {
-  const Source* found_source = nullptr;
-  ResolvedColumn out;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    if (!qualifier.empty() && !EqualsIgnoreCase(sources[s].alias, qualifier)) {
-      continue;
-    }
-    const Schema& schema = sources[s].table->schema();
-    if (!schema.Contains(name)) continue;
-    if (found_source != nullptr) {
-      return Status::InvalidArgument("ambiguous column '" + name + "'");
-    }
-    found_source = &sources[s];
-    out.source = s;
-    out.attr = schema.IndexOf(name).value();
-  }
-  if (found_source == nullptr) {
-    return Status::NotFound(
-        "unresolved column '" +
-        (qualifier.empty() ? name : qualifier + "." + name) + "'");
-  }
-  return out;
-}
-
 /// An equi-join conjunct `a.X = b.Y` between two distinct sources.
 struct JoinCondition {
-  ResolvedColumn lhs;
-  ResolvedColumn rhs;
+  ResolvedRef lhs;
+  ResolvedRef rhs;
 };
 
 std::vector<ScopedTuple> MakeScope(const std::vector<Source>& sources) {
@@ -145,35 +113,29 @@ struct AggAccumulator {
   }
 };
 
-ValueType OutputTypeFor(const sql::SelectItem& item,
-                        const std::vector<Source>& sources) {
-  if (item.agg == AggKind::kCount) return ValueType::kInt;
-  if (item.agg != AggKind::kNone) return ValueType::kDouble;
-  if (item.expr->kind == ExprKind::kColumnRef) {
-    auto resolved = ResolveColumn(sources, item.expr->qualifier, item.expr->name);
-    if (resolved.ok()) {
-      return sources[resolved->source]
-          .table->schema()
-          .attribute(resolved->attr)
-          .type;
-    }
+/// The attribute a plain column-reference item reads, or null for any other
+/// item (and for a reference the scope does not resolve).
+const AttributeDef* ItemAttribute(const sql::SelectItem& item,
+                                  const std::vector<ScopedTuple>& scope) {
+  if (item.agg != AggKind::kNone || item.expr->kind != ExprKind::kColumnRef) {
+    return nullptr;
   }
-  return ValueType::kDouble;
+  auto ref = ResolveRef(scope, item.expr->qualifier, item.expr->name);
+  if (!ref.ok()) return nullptr;
+  return &scope[ref->slot].schema->attribute(ref->attr);
+}
+
+ValueType OutputTypeFor(const sql::SelectItem& item,
+                        const std::vector<ScopedTuple>& scope) {
+  if (item.agg == AggKind::kCount) return ValueType::kInt;
+  const AttributeDef* attr = ItemAttribute(item, scope);
+  return attr != nullptr ? attr->type : ValueType::kDouble;
 }
 
 Mutability OutputMutabilityFor(const sql::SelectItem& item,
-                               const std::vector<Source>& sources) {
-  if (item.agg != AggKind::kNone) return Mutability::kMutable;
-  if (item.expr->kind == ExprKind::kColumnRef) {
-    auto resolved = ResolveColumn(sources, item.expr->qualifier, item.expr->name);
-    if (resolved.ok()) {
-      return sources[resolved->source]
-          .table->schema()
-          .attribute(resolved->attr)
-          .mutability;
-    }
-  }
-  return Mutability::kMutable;
+                               const std::vector<ScopedTuple>& scope) {
+  const AttributeDef* attr = ItemAttribute(item, scope);
+  return attr != nullptr ? attr->mutability : Mutability::kMutable;
 }
 
 }  // namespace
@@ -192,6 +154,9 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
         Source{ref.alias.empty() ? ref.table : ref.alias, table});
   }
 
+  // Every expression below resolves its references against this scope.
+  const std::vector<ScopedTuple> scope = MakeScope(sources);
+
   // Classify where-conjuncts into hash-joinable equi-joins and residuals.
   std::vector<JoinCondition> join_conditions;
   std::vector<sql::ExprPtr> residual;
@@ -201,11 +166,11 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
       if (term->kind == ExprKind::kBinary && term->op == BinaryOp::kEq &&
           term->children[0]->kind == ExprKind::kColumnRef &&
           term->children[1]->kind == ExprKind::kColumnRef) {
-        auto lhs = ResolveColumn(sources, term->children[0]->qualifier,
-                                 term->children[0]->name);
-        auto rhs = ResolveColumn(sources, term->children[1]->qualifier,
-                                 term->children[1]->name);
-        if (lhs.ok() && rhs.ok() && lhs->source != rhs->source) {
+        auto lhs = ResolveRef(scope, term->children[0]->qualifier,
+                              term->children[0]->name);
+        auto rhs = ResolveRef(scope, term->children[1]->qualifier,
+                              term->children[1]->name);
+        if (lhs.ok() && rhs.ok() && lhs->slot != rhs->slot) {
           join_conditions.push_back(JoinCondition{*lhs, *rhs});
           is_join = true;
         }
@@ -229,8 +194,8 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
       if (condition_used[c]) continue;
       const JoinCondition& jc = join_conditions[c];
       const bool connects =
-          (jc.lhs.source == next && jc.rhs.source < next) ||
-          (jc.rhs.source == next && jc.lhs.source < next);
+          (jc.lhs.slot == next && jc.rhs.slot < next) ||
+          (jc.rhs.slot == next && jc.lhs.slot < next);
       if (connects) {
         use_idx = static_cast<int>(c);
         break;
@@ -242,10 +207,8 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
     if (use_idx >= 0) {
       condition_used[use_idx] = true;
       const JoinCondition& jc = join_conditions[use_idx];
-      const ResolvedColumn& probe_col =
-          jc.lhs.source == next ? jc.rhs : jc.lhs;
-      const ResolvedColumn& build_col =
-          jc.lhs.source == next ? jc.lhs : jc.rhs;
+      const ResolvedRef& probe_col = jc.lhs.slot == next ? jc.rhs : jc.lhs;
+      const ResolvedRef& build_col = jc.lhs.slot == next ? jc.lhs : jc.rhs;
       // Build a hash table on the new source.
       std::unordered_multimap<size_t, size_t> hash;
       hash.reserve(next_table.num_rows());
@@ -253,9 +216,8 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
         hash.emplace(next_table.At(r, build_col.attr).Hash(), r);
       }
       for (const JoinedTuple& tuple : current) {
-        const Value& probe =
-            sources[probe_col.source].table->At(tuple[probe_col.source],
-                                                probe_col.attr);
+        const Value& probe = sources[probe_col.slot].table->At(
+            tuple[probe_col.slot], probe_col.attr);
         auto [begin, end] = hash.equal_range(probe.Hash());
         for (auto it = begin; it != end; ++it) {
           if (!next_table.At(it->second, build_col.attr).Equals(probe)) {
@@ -287,9 +249,9 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
     std::vector<JoinedTuple> kept;
     for (JoinedTuple& tuple : current) {
       const Value& a =
-          sources[jc.lhs.source].table->At(tuple[jc.lhs.source], jc.lhs.attr);
+          sources[jc.lhs.slot].table->At(tuple[jc.lhs.slot], jc.lhs.attr);
       const Value& b =
-          sources[jc.rhs.source].table->At(tuple[jc.rhs.source], jc.rhs.attr);
+          sources[jc.rhs.slot].table->At(tuple[jc.rhs.slot], jc.rhs.attr);
       if (a.Equals(b)) kept.push_back(std::move(tuple));
     }
     current = std::move(kept);
@@ -297,7 +259,6 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
 
   // Residual predicates, compiled once: references resolve to (slot, attr)
   // here instead of by name per row.
-  const std::vector<ScopedTuple> scope = MakeScope(sources);
   std::vector<BoundRow> frame(sources.size());
   for (const sql::ExprPtr& pred : residual) {
     HYPER_ASSIGN_OR_RETURN(CompiledExpr compiled,
@@ -320,8 +281,8 @@ Result<Table> ExecuteSelect(const Database& db, const SelectStmt& stmt,
     if (name_counts[def.name]++ > 0) {
       def.name += StrFormat("_%zu", i);
     }
-    def.type = OutputTypeFor(stmt.items[i], sources);
-    def.mutability = OutputMutabilityFor(stmt.items[i], sources);
+    def.type = OutputTypeFor(stmt.items[i], scope);
+    def.mutability = OutputMutabilityFor(stmt.items[i], scope);
     out_attrs.push_back(std::move(def));
   }
   Table out(Schema(view_name, std::move(out_attrs), /*key=*/{}));

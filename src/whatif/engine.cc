@@ -22,14 +22,11 @@
 #include "learn/frequency.h"
 #include "prob/aggregates.h"
 #include "relational/compiled.h"
-#include "relational/eval.h"
 #include "sql/parser.h"
 #include "storage/column.h"
 
 namespace hyper::whatif {
 
-using relational::Env;
-using relational::EvalPredicate;
 using sql::AggKind;
 using sql::Expr;
 using sql::ExprKind;
@@ -535,95 +532,6 @@ Result<WhatIfResult> WhatIfEngine::RunSql(const std::string& text) const {
     return Status::InvalidArgument("expected a what-if statement");
   }
   return Run(*stmt.whatif);
-}
-
-Result<std::string> WhatIfEngine::ExplainSql(const std::string& text) const {
-  HYPER_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseSql(text));
-  if (stmt.whatif == nullptr) {
-    return Status::InvalidArgument("expected a what-if statement");
-  }
-  return Explain(*stmt.whatif);
-}
-
-Result<std::string> WhatIfEngine::Explain(const sql::WhatIfStmt& stmt) const {
-  HYPER_ASSIGN_OR_RETURN(CompiledWhatIf q, CompileWhatIf(*db_, stmt));
-  const Table& view = *q.view_info->view;
-  const Schema& vschema = view.schema();
-  const BackdoorMode mode =
-      graph_ == nullptr ? BackdoorMode::kAllAttributes : options_.backdoor;
-
-  std::string out;
-  out += StrFormat("relevant view: %s over relation '%s' (%zu rows, %zu "
-                   "attributes)\n",
-                   vschema.relation_name().c_str(),
-                   q.view_info->update_relation.c_str(), view.num_rows(),
-                   vschema.num_attributes());
-
-  size_t selected = view.num_rows();
-  if (q.when != nullptr) {
-    selected = 0;
-    for (size_t r = 0; r < view.num_rows(); ++r) {
-      Env env;
-      env.Bind(vschema.relation_name(), &vschema, &view.row(r));
-      HYPER_ASSIGN_OR_RETURN(bool sel, EvalPredicate(*q.when, env));
-      if (sel) ++selected;
-    }
-    out += "when: " + q.when->ToString() +
-           StrFormat("  -> S has %zu tuple(s)\n", selected);
-  } else {
-    out += StrFormat("when: (absent) -> S = all %zu tuples\n", selected);
-  }
-  for (const UpdateSpec& u : q.updates) {
-    out += StrFormat("update: %s <- %s(%s)\n", u.attribute.c_str(),
-                     sql::UpdateFuncKindName(u.func),
-                     u.constant.ToString().c_str());
-  }
-  out += std::string("output: ") + sql::AggKindName(q.output_agg);
-  if (q.output_value != nullptr) {
-    out += " of " + q.output_value->ToString();
-  }
-  out += "\n";
-  if (q.for_pred != nullptr) {
-    out += "for: " + q.for_pred->ToString() + "\n";
-  }
-
-  out += std::string("backdoor mode: ") + BackdoorModeName(mode) + "\n";
-  if (mode == BackdoorMode::kGraph) {
-    std::vector<std::string> targets;
-    if (q.for_pred != nullptr) CollectPostColumnRefs(*q.for_pred, &targets);
-    if (q.output_value != nullptr) {
-      sql::CollectColumnRefs(*q.output_value, &targets);
-    }
-    for (const UpdateSpec& u : q.updates) {
-      auto it = q.view_info->causal_of_column.find(u.attribute);
-      const std::string b =
-          it != q.view_info->causal_of_column.end() ? it->second : u.attribute;
-      if (!graph_->HasNode(b)) continue;
-      for (const std::string& target : targets) {
-        auto jt = q.view_info->causal_of_column.find(target);
-        const std::string y =
-            jt != q.view_info->causal_of_column.end() ? jt->second : target;
-        if (!graph_->HasNode(y)) continue;
-        auto set = causal::MinimalBackdoorSet(*graph_, b, y);
-        if (!set.ok()) continue;
-        out += "  adjust (" + b + " -> " + y + "): {";
-        bool first = true;
-        for (const std::string& c : *set) {
-          if (!first) out += ", ";
-          out += c;
-          first = false;
-        }
-        out += "}\n";
-      }
-    }
-  }
-  out += std::string("estimator: ") +
-         learn::EstimatorKindName(options_.estimator);
-  if (options_.sample_size > 0) {
-    out += StrFormat(" (training sample %zu)", options_.sample_size);
-  }
-  out += "\n";
-  return out;
 }
 
 Result<WhatIfResult> WhatIfEngine::Run(const sql::WhatIfStmt& stmt) const {
@@ -1787,6 +1695,64 @@ Result<ScopeSelection> WhatIfEngine::SelectScope(
     if (in_s[r] != 0) out.rows.push_back(r);
   }
   out.image = std::shared_ptr<const ColumnTable>(stage, &stage->cview);
+  return out;
+}
+
+Result<std::string> WhatIfEngine::ExplainSql(const std::string& text) const {
+  HYPER_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseSql(text));
+  if (stmt.whatif == nullptr) {
+    return Status::InvalidArgument("expected a what-if statement");
+  }
+  return Explain(*stmt.whatif);
+}
+
+Result<std::string> WhatIfEngine::Explain(const sql::WhatIfStmt& stmt) const {
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedWhatIf> prepared,
+                         Prepare(stmt));
+  const PreparedWhatIf::Impl& im = *prepared->impl_;
+  const WhatIfPlan& plan = im.causal->plan;
+  const Schema& vschema = im.scope->cview.schema();
+
+  std::string out;
+  out += StrFormat("relevant view: %s over relation '%s' (%zu rows, %zu "
+                   "attributes)\n",
+                   vschema.relation_name().c_str(),
+                   im.q.view_info->update_relation.c_str(),
+                   prepared->view_rows(), vschema.num_attributes());
+  if (im.q.when != nullptr) {
+    out += "when: " + im.q.when->ToString() +
+           StrFormat("  -> S has %zu tuple(s)\n", prepared->updated_rows());
+  } else {
+    out += StrFormat("when: (absent) -> S = all %zu tuples\n",
+                     prepared->updated_rows());
+  }
+  // The plan ignores update constants; the statement carries them.
+  for (const UpdateSpec& u : SpecsOfStatement(stmt)) {
+    out += StrFormat("update: %s <- %s(%s)\n", u.attribute.c_str(),
+                     sql::UpdateFuncKindName(u.func),
+                     u.constant.ToString().c_str());
+  }
+  out += std::string("output: ") + sql::AggKindName(im.q.output_agg);
+  if (im.q.output_value != nullptr) {
+    out += " of " + im.q.output_value->ToString();
+  }
+  out += "\n";
+  if (im.q.for_pred != nullptr) {
+    out += "for: " + im.q.for_pred->ToString() + "\n";
+  }
+
+  out += std::string("backdoor mode: ") + BackdoorModeName(plan.mode) + "\n";
+  const std::vector<std::string> targets(plan.target_cols.begin(),
+                                         plan.target_cols.end());
+  out += "  adjust (" + Join(prepared->update_attributes(), ", ") + " -> " +
+         (targets.empty() ? std::string("(none)") : Join(targets, ", ")) +
+         "): {" + Join(prepared->backdoor(), ", ") + "}\n";
+  out += std::string("estimator: ") +
+         learn::EstimatorKindName(options_.estimator);
+  if (options_.sample_size > 0) {
+    out += StrFormat(" (training sample %zu)", options_.sample_size);
+  }
+  out += "\n";
   return out;
 }
 

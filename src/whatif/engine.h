@@ -332,9 +332,12 @@ class WhatIfEngine {
       const std::vector<std::vector<UpdateSpec>>& interventions,
       std::vector<Status>* statuses = nullptr) const;
 
-  /// Human-readable execution plan: relevant-view shape, When selectivity,
-  /// update interpretation, target attributes and the adjustment set the
-  /// configured backdoor mode would use. No estimators are trained.
+  /// Human-readable execution plan, read off the plan Run executes:
+  /// Prepare(stmt) with no stage context (it encodes and builds the training
+  /// matrix but trains no estimator), then the view's shape and |S| from
+  /// its ScopeStage and QueryStage, the backdoor mode, update and target
+  /// columns and adjustment set (backdoor()) from its CausalStage, and the
+  /// statement's own update clauses. Fails wherever Prepare fails.
   Result<std::string> Explain(const sql::WhatIfStmt& stmt) const;
   Result<std::string> ExplainSql(const std::string& text) const;
 

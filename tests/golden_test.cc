@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -376,6 +377,46 @@ TEST(GoldenTest, WhatIfEngineAnswersMatch) {
       ASSERT_TRUE(result.ok()) << c.id << ": " << result.status();
       ExpectGolden(file, WhatIfLine(c.id, *result), config.Name());
     }
+  }
+}
+
+/// The |S| of an Explain text's When line ("S has N tuple(s)" or "S = all N
+/// tuples"), or -1 when the text has neither.
+long long ExplainedS(const std::string& plan) {
+  for (const char* marker : {"S has ", "S = all "}) {
+    const size_t at = plan.find(marker);
+    if (at != std::string::npos) {
+      return std::stoll(plan.substr(at + std::strlen(marker)));
+    }
+  }
+  return -1;
+}
+
+/// The adjustment sets of an Explain text: the "{...}" of every
+/// "adjust (...)" line, in order.
+std::vector<std::string> ExplainedAdjustSets(const std::string& plan) {
+  std::vector<std::string> sets;
+  for (size_t at = plan.find("adjust ("); at != std::string::npos;
+       at = plan.find("adjust (", at + 1)) {
+    const size_t open = plan.find('{', at);
+    const size_t close = plan.find('}', open);
+    sets.push_back(plan.substr(open + 1, close - open - 1));
+  }
+  return sets;
+}
+
+TEST(GoldenTest, ExplainReportsThePlanRunUses) {
+  for (const WhatIfCase& c : WhatIfCases()) {
+    whatif::WhatIfEngine engine(&c.ds->db, &c.ds->graph, c.options);
+    auto run = engine.RunSql(c.sql);
+    ASSERT_TRUE(run.ok()) << c.id << ": " << run.status();
+    auto plan = engine.ExplainSql(c.sql);
+    ASSERT_TRUE(plan.ok()) << c.id << ": " << plan.status();
+    EXPECT_EQ(ExplainedS(*plan), static_cast<long long>(run->updated_rows))
+        << c.id << "\n" << *plan;
+    EXPECT_EQ(ExplainedAdjustSets(*plan),
+              std::vector<std::string>{Join(run->backdoor, ", ")})
+        << c.id << "\n" << *plan;
   }
 }
 

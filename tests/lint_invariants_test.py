@@ -92,6 +92,7 @@ def main():
         ("whatif/fail_steady_clock.cc", "steady-clock"),
         ("whatif/fail_raw_atomic.cc", "raw-atomic-partition"),
         ("fail_void_cast.cc", "void-cast"),
+        ("whatif/fail_ast_interpreter.cc", "ast-interpreter"),
     ]
     failures = []
 
@@ -109,7 +110,8 @@ def main():
     for rel in ("pass_cache_key.h", "pass_key_function.cc",
                 "service/pass_unordered_iter.cc",
                 "whatif/pass_steady_clock.cc", "whatif/pass_raw_atomic.cc",
-                "pass_void_cast.cc"):
+                "pass_void_cast.cc", "whatif/pass_ast_interpreter.cc",
+                "whatif/naive.cc"):
         r = run_linter(repo, os.path.join(fixtures, rel))
         if r.returncode != 0:
             failures.append(f"{rel}: expected clean, got exit "

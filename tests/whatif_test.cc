@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "causal/scm.h"
+#include "common/strings.h"
 #include "data/datasets.h"
 #include "sql/parser.h"
 #include "whatif/compile.h"
@@ -527,6 +528,56 @@ TEST(ExplainTest, ReportsPlanFacts) {
   EXPECT_NE(plan->find("update: B <- set(1)"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("adjust (B -> Y): {C}"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("estimator: frequency"), std::string::npos);
+}
+
+TEST(ExplainTest, FailsExactlyWhenRunFails) {
+  // Explain reports the plan Run executes: where Run fails, Explain fails
+  // with the same status; where Run answers, Explain's one adjust line is
+  // Run's adjustment set.
+  data::GermanOptions german_opt;
+  german_opt.rows = 800;
+  auto german = data::MakeGermanSyn(german_opt);
+  ASSERT_TRUE(german.ok());
+  data::AmazonOptions amazon_opt;
+  amazon_opt.products = 150;
+  amazon_opt.reviews_per_product = 3;
+  auto amazon = data::MakeAmazonSyn(amazon_opt);
+  ASSERT_TRUE(amazon.ok());
+  struct Probe {
+    const data::Dataset* ds;
+    const char* sql;
+  };
+  const Probe probes[] = {
+      // Savings is no descendant of Status: the plan has no target and
+      // adjusts for nothing.
+      {&*german, "Use German Update(Status) = 3 Output Avg(Post(Savings))"},
+      // Color reaches Sentiment across tuples (through PID), so the plan
+      // needs the psi feature of a string update.
+      {&*amazon, "Use Product Update(Color) = 'Red' Output Count(*)"},
+  };
+  for (const Probe& p : probes) {
+    WhatIfOptions options;
+    options.estimator = learn::EstimatorKind::kFrequency;
+    options.backdoor = BackdoorMode::kGraph;
+    WhatIfEngine engine(&p.ds->db, &p.ds->graph, options);
+    auto run = engine.RunSql(p.sql);
+    auto plan = engine.ExplainSql(p.sql);
+    ASSERT_EQ(plan.ok(), run.ok())
+        << p.sql << "\n  run: "
+        << (run.ok() ? std::string("ok") : run.status().ToString())
+        << "\n  explain: " << (plan.ok() ? *plan : plan.status().ToString());
+    if (!run.ok()) {
+      EXPECT_EQ(plan.status().code(), run.status().code()) << p.sql;
+      EXPECT_EQ(plan.status().message(), run.status().message()) << p.sql;
+      continue;
+    }
+    const size_t adjust = plan->find("adjust (");
+    ASSERT_NE(adjust, std::string::npos) << *plan;
+    EXPECT_EQ(plan->find("adjust (", adjust + 1), std::string::npos) << *plan;
+    EXPECT_NE(plan->find("): {" + Join(run->backdoor, ", ") + "}\n", adjust),
+              std::string::npos)
+        << *plan;
+  }
 }
 
 TEST(ExplainTest, RejectsNonWhatIf) {
