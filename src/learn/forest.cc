@@ -11,8 +11,7 @@ namespace hyper::learn {
 Status RandomForestRegressor::Fit(const FeatureMatrix& x,
                                   const std::vector<double>& y) {
   if (options_.tree.use_histograms && !x.empty()) {
-    HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned,
-                           BinnedMatrix::Build(x, options_.tree.max_bins));
+    HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned, BinnedMatrix::Build(x));
     return FitImpl(x, &binned, y);
   }
   return FitImpl(x, /*binned=*/nullptr, y);

@@ -20,8 +20,7 @@ Status DecisionTreeRegressor::Fit(const FeatureMatrix& x,
     if (rows.empty()) {
       return Status::InvalidArgument("cannot fit a tree on zero rows");
     }
-    HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned,
-                           BinnedMatrix::Build(x, options_.max_bins));
+    HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned, BinnedMatrix::Build(x));
     return FitBinned(binned, y, std::move(rows));
   }
   return FitSubset(x, y, std::move(rows));

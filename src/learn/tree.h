@@ -21,15 +21,13 @@ struct TreeOptions {
   /// Cap on candidate thresholds per feature per node; larger = finer splits
   /// but slower training.
   size_t max_thresholds = 64;
-  /// Histogram training (default): features are pre-binned to <= max_bins
+  /// Histogram training (default): features are pre-binned to <= 256
   /// uint8_t codes and each node scans per-feature (count, sum_y, sum_y^2)
   /// histograms — O(n*f) per node with the sibling-subtraction trick —
   /// instead of re-sorting (value, target) pairs per feature per node.
   /// Off = the exact sort-based splitter, kept for A/B benchmarking; with
   /// bins >= distinct values the two produce identical trees.
   bool use_histograms = true;
-  /// Bin budget per feature for histogram training (clamped to 256).
-  size_t max_bins = 256;
 };
 
 /// CART regression tree: axis-aligned splits chosen by variance reduction,

@@ -10,37 +10,6 @@ size_t ScenarioBranch::overridden_cells() const {
   return total;
 }
 
-std::vector<std::string> ScenarioBranch::TouchedRelations() const {
-  std::vector<std::string> out;
-  out.reserve(overrides_.size());
-  for (const auto& [relation, _] : overrides_) out.push_back(relation);
-  return out;
-}
-
-ScenarioBranch::RelationOverrides ScenarioBranch::OverridesFor(
-    const std::string& relation) const {
-  auto it = overrides_.find(relation);
-  return it == overrides_.end() ? RelationOverrides{} : it->second;
-}
-
-uint64_t ScenarioBranch::FingerprintRestricted(
-    const OverrideMap& overrides, const std::string& relation,
-    const std::vector<size_t>& attrs) {
-  Fnv1a fnv;
-  auto rit = overrides.find(relation);
-  if (rit == overrides.end()) return fnv.hash();
-  for (size_t attr : attrs) {
-    auto ait = rit->second.find(attr);
-    if (ait == rit->second.end()) continue;
-    fnv.Mix(attr);
-    for (const auto& [tid, value] : ait->second) {
-      fnv.Mix(tid);
-      fnv.Mix(value.Hash());
-    }
-  }
-  return fnv.hash();
-}
-
 void ScenarioBranch::Override(
     const std::string& relation, size_t attr,
     const std::vector<std::pair<size_t, Value>>& cells) {

@@ -20,9 +20,10 @@ namespace hyper::service {
 /// cell, later writes winning.
 ///
 /// Overrides are relative to the *base* database. The ScenarioService
-/// materializes a touched relation by patching a copy of the base table
-/// (once per branch version, outside its lock, cached in its BranchState);
-/// untouched relations are shared with the base via Database::ShallowCopy.
+/// snapshots them into one World per branch version, which patches a copy
+/// of each touched base table once, on first demand, outside the service
+/// lock; untouched relations are shared with the base via
+/// Database::ShallowCopy.
 class ScenarioBranch {
  public:
   /// tid -> value overrides of one attribute. Aliases the storage-layer
@@ -76,32 +77,10 @@ class ScenarioBranch {
 
   size_t updates_applied() const { return updates_applied_; }
   size_t overridden_cells() const;
-  bool touches(const std::string& relation) const {
-    return overrides_.count(relation) > 0;
-  }
-  std::vector<std::string> TouchedRelations() const;
-
-  /// Snapshot of one relation's overrides (empty when untouched). The copy
-  /// is O(overridden cells), so callers can patch tables outside any lock
-  /// guarding the branch.
-  RelationOverrides OverridesFor(const std::string& relation) const;
 
   /// The branch's whole delta (base-relative), by const reference — callers
   /// needing a lock-free snapshot copy it (O(cells)).
   const OverrideMap& overrides() const { return overrides_; }
-
-  /// Deterministic fingerprint of a delta snapshot (the service hashes
-  /// lock-free against a World's override copy) restricted to `attrs`
-  /// (indices into `relation`'s base schema): FNV over the current override
-  /// cells of those attributes, in map order. Unlike delta_fingerprint() —
-  /// which mixes in Override() call order — this is a pure function of the
-  /// current cell state, so two branches that reached the same restricted
-  /// state through different update sequences fingerprint identically.
-  /// A delta that misses `attrs` entirely fingerprints like an untouched
-  /// branch — the LearnStage-reuse contract.
-  static uint64_t FingerprintRestricted(const OverrideMap& overrides,
-                                        const std::string& relation,
-                                        const std::vector<size_t>& attrs);
 
   /// Merges one batch of cell overrides for (relation, attr index). Cells
   /// overwrite earlier values at the same coordinates. An empty batch is a

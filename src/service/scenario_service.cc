@@ -11,27 +11,94 @@
 
 namespace hyper::service {
 
-ScenarioService::ScenarioService(Database base, ServiceOptions options)
-    : base_(std::move(base)),
-      options_(options),
-      cache_(options.plan_cache_capacity) {
-  branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
-                                        next_branch_id_++, ~0ULL, nullptr});
-  if (options_.metrics != nullptr) {
-    instruments_ = std::make_unique<ServiceInstruments>(options_.metrics);
-  }
-  InitDurability();
+namespace {
+
+/// The stage-cache scope of a data snapshot: the generation and the delta
+/// fingerprint of the branch.
+std::string DataScope(uint64_t generation, uint64_t delta_fingerprint) {
+  return StrFormat("g%llu|d%016llx",
+                   static_cast<unsigned long long>(generation),
+                   static_cast<unsigned long long>(delta_fingerprint));
 }
 
-ScenarioService::ScenarioService(Database base, causal::CausalGraph graph,
+}  // namespace
+
+/// One branch version: the hypothetical world D' (§3, Definition 5) that the
+/// branch's applied updates make of the base. The base relations (shared
+/// through Database::ShallowCopy), the branch's override cells and the
+/// stage context are fixed at construction, under the service lock. The
+/// patched rows are built at most once, by the first caller of Rows, under
+/// the World's own lock, never the service's.
+class ScenarioService::World {
+ public:
+  World(Database base, const ScenarioBranch& branch, uint64_t branch_id,
+        uint64_t generation, whatif::StageProvider* stages)
+      : base_(std::move(base)),
+        overrides_(branch.overrides()),
+        branch_id_(branch_id),
+        branch_version_(branch.version()) {
+    context_.stages = stages;
+    context_.data_scope = DataScope(generation, branch.delta_fingerprint());
+    // Cell overrides never add or remove rows, so the generation alone
+    // scopes the shape-keyed stages every branch shares.
+    context_.shape_scope =
+        StrFormat("g%llu", static_cast<unsigned long long>(generation));
+    // Overrides are base-relative: any branch's columnar image is the
+    // untouched trunk's image plus its own cells.
+    context_.base_scope = DataScope(generation, Fnv1a().hash());
+    context_.overrides = &overrides_;
+  }
+
+  uint64_t branch_id() const { return branch_id_; }
+  uint64_t branch_version() const { return branch_version_; }
+  const whatif::StageContext& stage_context() const { return context_; }
+
+  /// The base with each touched relation replaced by a patched copy;
+  /// untouched relations share the base storage.
+  Result<std::shared_ptr<const Database>> Rows() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    if (rows_ != nullptr) return rows_;
+    auto rows = std::make_shared<Database>(base_.ShallowCopy());
+    for (const auto& [relation, attrs] : overrides_) {
+      HYPER_ASSIGN_OR_RETURN(const Table* base_table,
+                             rows->GetTable(relation));
+      auto patched = std::make_shared<Table>(*base_table);
+      for (const auto& [attr, cells] : attrs) {
+        for (const auto& [tid, value] : cells) {
+          if (tid >= patched->num_rows() ||
+              attr >= patched->schema().num_attributes()) {
+            continue;  // stale override beyond the base shape
+          }
+          patched->SetValue(tid, attr, value);
+        }
+      }
+      HYPER_RETURN_NOT_OK(rows->PutTable(std::move(patched)));
+    }
+    rows_ = std::move(rows);
+    return rows_;
+  }
+
+ private:
+  const Database base_;
+  const ScenarioBranch::OverrideMap overrides_;
+  const uint64_t branch_id_;
+  const uint64_t branch_version_;
+  whatif::StageContext context_;
+  mutable Mutex mu_;
+  mutable std::shared_ptr<const Database> rows_ GUARDED_BY(mu_);
+};
+
+ScenarioService::ScenarioService(Database base, ServiceOptions options)
+    : ScenarioService(std::move(base), std::nullopt, std::move(options)) {}
+
+ScenarioService::ScenarioService(Database base,
+                                 std::optional<causal::CausalGraph> graph,
                                  ServiceOptions options)
     : base_(std::move(base)),
       graph_(std::move(graph)),
-      has_graph_(true),
       options_(options),
       cache_(options.plan_cache_capacity) {
-  branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
-                                        next_branch_id_++, ~0ULL, nullptr});
+  branches_.try_emplace("main", ScenarioBranch("main", ""), next_branch_id_++);
   if (options_.metrics != nullptr) {
     instruments_ = std::make_unique<ServiceInstruments>(options_.metrics);
   }
@@ -76,9 +143,8 @@ Status ScenarioService::ReplayDurable(durability::Manager::OpenResult* opened) {
           std::move(image.name), std::move(image.parent),
           std::move(image.overrides), image.updates_applied, image.version,
           image.fnv_state);
-      branches_.emplace(std::move(name),
-                        BranchState{std::move(branch), next_branch_id_++,
-                                    ~0ULL, nullptr});
+      branches_.try_emplace(std::move(name), std::move(branch),
+                            next_branch_id_++);
     }
     if (branches_.count("main") == 0) {
       return Status::DataLoss("snapshot " + opened->snapshot.path +
@@ -112,9 +178,7 @@ Status ScenarioService::ReplayDurable(durability::Manager::OpenResult* opened) {
               "replay divergence: created scenario '" + r.name +
               "' fingerprints differently than journaled" + at);
         }
-        branches_.emplace(r.name,
-                          BranchState{std::move(branch), next_branch_id_++,
-                                      ~0ULL, nullptr});
+        branches_.try_emplace(r.name, std::move(branch), next_branch_id_++);
         break;
       }
       case durability::WalRecordType::kApply: {
@@ -167,9 +231,8 @@ Status ScenarioService::ReplayDurable(durability::Manager::OpenResult* opened) {
         auto& r = std::get<durability::ReloadRecord>(op.op);
         generation_ = r.generation;
         branches_.clear();
-        branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
-                                              next_branch_id_++, ~0ULL,
-                                              nullptr});
+        branches_.try_emplace("main", ScenarioBranch("main", ""),
+                              next_branch_id_++);
         break;
       }
       case durability::WalRecordType::kHeader:
@@ -251,8 +314,7 @@ Status ScenarioService::CreateScenario(const std::string& name,
     record.post_fingerprint = branch.delta_fingerprint();
     HYPER_RETURN_NOT_OK(durable_->AppendCreate(record));
   }
-  branches_.emplace(name, BranchState{std::move(branch), next_branch_id_++,
-                                      ~0ULL, nullptr});
+  branches_.try_emplace(name, std::move(branch), next_branch_id_++);
   if (durable_ != nullptr && durable_->ShouldSnapshot()) {
     // Cadence only: a failed snapshot just leaves more WAL to replay.
     (void)SnapshotLocked();
@@ -279,13 +341,13 @@ Status ScenarioService::DropScenario(const std::string& name) {
       record.name = name;
       HYPER_RETURN_NOT_OK(durable_->AppendDrop(record));
     }
-    // The branch's materialization and override snapshot die with the
-    // BranchState; its data-scope fingerprint tags the cache entries to
-    // evict. Skip the eviction when the delta fingerprints like the trunk's
-    // (an untouched branch shares every entry with it).
-    if (it->second.branch.delta_fingerprint() !=
-        branches_.at("main").branch.delta_fingerprint()) {
-      scope_tag = ScopeLocked(it->second);
+    // The branch's World dies with the BranchState; its data scope tags
+    // the cache entries to evict. Skip the eviction when the delta
+    // fingerprints like the trunk's (an untouched branch shares every entry
+    // with it).
+    const uint64_t fingerprint = it->second.branch.delta_fingerprint();
+    if (fingerprint != branches_.at("main").branch.delta_fingerprint()) {
+      scope_tag = DataScope(generation_, fingerprint);
     }
     branches_.erase(it);
     if (durable_ != nullptr && durable_->ShouldSnapshot()) {
@@ -331,131 +393,24 @@ Result<ScenarioService::BranchState*> ScenarioService::FindBranchLocked(
   return &it->second;
 }
 
-std::string ScenarioService::ScopeLocked(const BranchState& state) const {
-  return StrFormat("g%llu|d%016llx",
-                   static_cast<unsigned long long>(generation_),
-                   static_cast<unsigned long long>(
-                       state.branch.delta_fingerprint()));
-}
-
-whatif::StageContext ScenarioService::StageContextFor(const World& world) {
-  whatif::StageContext ctx;
-  ctx.stages = &cache_;
-  ctx.data_scope = world.scope;
-  // Shape scope: stable across value-only deltas of one generation (cell
-  // overrides never add or remove rows), so shape-keyed stages (CausalStage
-  // on table views without cross-tuple edges) are shared by every branch.
-  ctx.shape_scope = StrFormat(
-      "g%llu", static_cast<unsigned long long>(world.generation));
-  // Patch base: the untouched-trunk scope of this generation. Branch
-  // overrides are base-relative, so any branch's columnar image is the base
-  // image plus its own cells.
-  ctx.base_scope = StrFormat(
-      "g%llu|d%016llx", static_cast<unsigned long long>(world.generation),
-      static_cast<unsigned long long>(Fnv1a().hash()));
-  ctx.overrides = world.overrides.get();
-  // Restricted delta fingerprint: hashes only the override cells of the
-  // attributes a LearnStage actually reads, against this request's
-  // immutable snapshot — branches whose deltas miss that set produce the
-  // trunk's fingerprint and share its LearnStage.
-  ctx.restricted = [db = world.db, overrides = world.overrides,
-                    generation = world.generation](
-                       const std::string& relation,
-                       const std::vector<std::string>& attrs) -> std::string {
-    std::vector<size_t> indices;
-    auto table = db->GetTable(relation);
-    if (table.ok()) {
-      indices.reserve(attrs.size());
-      for (const std::string& attr : attrs) {
-        auto idx = (*table)->schema().IndexOf(attr);
-        if (idx.ok()) indices.push_back(*idx);
-      }
-    }
-    return StrFormat(
-        "g%llu|r%016llx", static_cast<unsigned long long>(generation),
-        static_cast<unsigned long long>(ScenarioBranch::FingerprintRestricted(
-            *overrides, relation, indices)));
-  };
-  return ctx;
-}
-
-Result<ScenarioService::World> ScenarioService::SnapshotWorld(
-    const std::string& scenario) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    World world;
-    Database base_shallow;
-    std::vector<std::pair<std::string, ScenarioBranch::RelationOverrides>>
-        touched;
-    {
-      MutexLock lock(&mu_);
-      HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
-      world.scope = ScopeLocked(*state);
-      world.branch_id = state->id;
-      world.branch_version = state->branch.version();
-      world.generation = generation_;
-      // Override snapshot for the staged pipeline (O(cells) copy, cached
-      // per branch version like the materialization).
-      if (state->overrides == nullptr ||
-          state->overrides_version != state->branch.version()) {
-        state->overrides = std::make_shared<const ScenarioBranch::OverrideMap>(
-            state->branch.overrides());
-        state->overrides_version = state->branch.version();
-      }
-      world.overrides = state->overrides;
-      if (state->effective != nullptr &&
-          state->effective_version == state->branch.version()) {
-        world.db = state->effective;
-        return world;
-      }
-      // Snapshot what the rebuild needs: shared base handles (O(#relations))
-      // and the override cells (O(cells)) — never O(rows) under the lock.
-      base_shallow = base_.ShallowCopy();
-      for (const std::string& relation : state->branch.TouchedRelations()) {
-        touched.emplace_back(relation, state->branch.OverridesFor(relation));
-      }
-    }
-
-    // Copy-on-write materialization at relation granularity, outside the
-    // lock: touched relations are patched copies, everything else shares
-    // the base storage.
-    auto effective = std::make_shared<Database>(std::move(base_shallow));
-    for (const auto& [relation, overrides] : touched) {
-      HYPER_ASSIGN_OR_RETURN(const Table* base_table,
-                             effective->GetTable(relation));
-      auto patched = std::make_shared<Table>(*base_table);
-      for (const auto& [attr, cells] : overrides) {
-        for (const auto& [tid, value] : cells) {
-          if (tid >= patched->num_rows() ||
-              attr >= patched->schema().num_attributes()) {
-            continue;  // stale override beyond the base shape
-          }
-          patched->SetValue(tid, attr, value);
-        }
-      }
-      HYPER_RETURN_NOT_OK(effective->PutTable(std::move(patched)));
-    }
-
-    MutexLock lock(&mu_);
-    HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
-    if (state->id != world.branch_id ||
-        state->branch.version() != world.branch_version) {
-      continue;  // the branch moved (or was recreated) meanwhile; retry
-    }
-    state->effective = effective;
-    state->effective_version = world.branch_version;
-    world.db = std::move(effective);
-    return world;
+Result<std::shared_ptr<const ScenarioService::World>>
+ScenarioService::SnapshotWorld(const std::string& scenario) {
+  MutexLock lock(&mu_);
+  HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
+  if (state->world == nullptr ||
+      state->world->branch_version() != state->branch.version()) {
+    state->world = std::make_shared<const World>(
+        base_.ShallowCopy(), state->branch, state->id, generation_, &cache_);
   }
-  return Status::FailedPrecondition(
-      "scenario '" + scenario +
-      "' is being updated concurrently; retry the request");
+  return state->world;
 }
 
 Result<std::shared_ptr<const Database>> ScenarioService::EffectiveDatabase(
     const std::string& scenario) {
   HYPER_RETURN_NOT_OK(recovery_status_);
-  HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
-  return world.db;
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
+                         SnapshotWorld(scenario));
+  return world->Rows();
 }
 
 Result<size_t> ScenarioService::ApplyHypotheticalSql(
@@ -579,21 +534,22 @@ Result<size_t> ScenarioService::ApplyHypothetical(
   // branch meanwhile — the (id, version) pair moved; the id guards against
   // a drop-and-recreate under the same name — recompute from the new world.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
-    const whatif::StageContext stage_context = StageContextFor(world);
+    HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
+                           SnapshotWorld(scenario));
+    HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const Database> db, world->Rows());
     // Default options: S reads only the scope stage, and a branch update is
     // not a governed request.
-    const whatif::WhatIfEngine engine(world.db.get(), graph(),
+    const whatif::WhatIfEngine engine(db.get(), graph(),
                                       whatif::WhatIfOptions{});
-    HYPER_ASSIGN_OR_RETURN(
-        HypotheticalDelta delta,
-        ComputeHypotheticalDelta(*world.db, stmt, engine, stage_context));
+    HYPER_ASSIGN_OR_RETURN(HypotheticalDelta delta,
+                           ComputeHypotheticalDelta(*db, stmt, engine,
+                                                    world->stage_context()));
     if (delta.updated_rows == 0) return size_t{0};  // nothing to record
 
     MutexLock lock(&mu_);
     HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
-    if (state->id != world.branch_id ||
-        state->branch.version() != world.branch_version) {
+    if (state->id != world->branch_id() ||
+        state->branch.version() != world->branch_version()) {
       continue;  // world moved; retry against the new state
     }
     if (durable_ != nullptr) {
@@ -637,8 +593,8 @@ Result<size_t> ScenarioService::ApplyHypothetical(
       "' is being updated concurrently; retry the hypothetical");
 }
 
-Response ScenarioService::Dispatch(const Request& request,
-                                   const World& world) {
+Response ScenarioService::Dispatch(const Request& request, const Database& db,
+                                   const whatif::StageContext& stage_context) {
   Response response;
   Stopwatch timer;
 
@@ -652,11 +608,9 @@ Response ScenarioService::Dispatch(const Request& request,
       request.whatif_options.has_value() ? *request.whatif_options
                                          : options_.whatif;
 
-  whatif::StageContext stage_context = StageContextFor(world);
-
   if (parsed->whatif != nullptr) {
     response.kind = Response::Kind::kWhatIf;
-    whatif::WhatIfEngine engine(world.db.get(), graph(), opts);
+    whatif::WhatIfEngine engine(&db, graph(), opts);
     bool hit = false;
     auto plan = engine.Prepare(*parsed->whatif, &stage_context, &hit);
     if (plan.ok()) {
@@ -685,7 +639,7 @@ Response ScenarioService::Dispatch(const Request& request,
     ho.global_l1_budget = options_.howto_global_l1_budget;
     ho.prefer_mck = options_.howto_prefer_mck;
     ho.stage_context = &stage_context;
-    howto::HowToEngine engine(world.db.get(), graph(), ho);
+    howto::HowToEngine engine(&db, graph(), ho);
     auto result = engine.Run(*parsed->howto);
     if (!result.ok()) {
       response.status = result.status();
@@ -694,7 +648,7 @@ Response ScenarioService::Dispatch(const Request& request,
     response.howto = std::move(result).value();
   } else if (parsed->select != nullptr) {
     response.kind = Response::Kind::kSelect;
-    auto result = relational::ExecuteSelect(*world.db, *parsed->select);
+    auto result = relational::ExecuteSelect(db, *parsed->select);
     if (!result.ok()) {
       response.status = result.status();
       return response;
@@ -800,12 +754,18 @@ GovernanceStats ScenarioService::governance_stats() const {
 
 Response ScenarioService::GovernedDispatch(const Request& request,
                                            const World& world) {
+  Response response;
+  // The version's first request builds its rows, before the guard arms.
+  auto db = world.Rows();
+  if (!db.ok()) {
+    response.status = db.status();
+    return response;
+  }
   governance::ExecGuardPtr guard =
       governance::ExecGuard::Arm(request.budget, request.cancel_token);
   Stopwatch timer;
-  Response response;
   if (guard == nullptr) {
-    response = Dispatch(request, world);
+    response = Dispatch(request, **db, world.stage_context());
   } else {
     // Inject the armed guard through the per-request what-if options: the
     // what-if engine and the how-to engine's scoring pass both pick it up
@@ -821,7 +781,7 @@ Response ScenarioService::GovernedDispatch(const Request& request,
     opts.cancel_token = request.cancel_token;
     opts.exec_guard = guard;
     governed.whatif_options = std::move(opts);
-    response = Dispatch(governed, world);
+    response = Dispatch(governed, **db, world.stage_context());
   }
   if (instruments_ != nullptr) {
     instruments_->RecordRequest(response, guard.get(),
@@ -847,7 +807,7 @@ Response ScenarioService::Submit(const Request& request) {
   if (!world.ok()) {
     response.status = world.status();
   } else {
-    response = GovernedDispatch(request, *world);
+    response = GovernedDispatch(request, **world);
   }
   Release(response.status);
   return response;
@@ -864,7 +824,7 @@ std::vector<Response> ScenarioService::SubmitBatch(
 
   // Snapshot every request's world up front: the whole batch runs against
   // one consistent state per scenario.
-  std::vector<Result<World>> worlds;
+  std::vector<Result<std::shared_ptr<const World>>> worlds;
   worlds.reserve(requests.size());
   for (const Request& request : requests) {
     worlds.push_back(SnapshotWorld(request.scenario));
@@ -882,7 +842,7 @@ std::vector<Response> ScenarioService::SubmitBatch(
     if (!worlds[i].ok()) {
       responses[i].status = worlds[i].status();
     } else {
-      responses[i] = GovernedDispatch(requests[i], *worlds[i]);
+      responses[i] = GovernedDispatch(requests[i], **worlds[i]);
     }
     Release(responses[i].status);
   };
@@ -913,7 +873,9 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::SubmitWhatIfBatch(
 Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
     const std::string& scenario, const std::string& base_whatif_sql,
     const std::vector<std::vector<whatif::UpdateSpec>>& interventions) {
-  HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
+                         SnapshotWorld(scenario));
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const Database> db, world->Rows());
   HYPER_ASSIGN_OR_RETURN(sql::Statement parsed,
                          sql::ParseSql(base_whatif_sql));
   if (parsed.whatif == nullptr) {
@@ -929,10 +891,9 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
     engine_options.exec_guard = governance::ExecGuard::Arm(
         engine_options.budget, engine_options.cancel_token);
   }
-  whatif::WhatIfEngine engine(world.db.get(), graph(), engine_options);
-  whatif::StageContext stage_context = StageContextFor(world);
+  whatif::WhatIfEngine engine(db.get(), graph(), engine_options);
   bool hit = false;
-  auto plan = engine.Prepare(*parsed.whatif, &stage_context, &hit);
+  auto plan = engine.Prepare(*parsed.whatif, &world->stage_context(), &hit);
   if (!plan.ok()) return plan.status();
 
   std::vector<Status> statuses;
@@ -975,8 +936,7 @@ Status ScenarioService::ReloadDataset(Database base) {
   base_ = std::move(base);
   ++generation_;
   branches_.clear();
-  branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
-                                        next_branch_id_++, ~0ULL, nullptr});
+  branches_.try_emplace("main", ScenarioBranch("main", ""), next_branch_id_++);
   cache_.Clear();
   if (durable_ != nullptr) {
     HYPER_RETURN_NOT_OK(SnapshotLocked());

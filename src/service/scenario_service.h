@@ -160,7 +160,8 @@ struct WhatIfBatchItem {
 class ScenarioService {
  public:
   explicit ScenarioService(Database base, ServiceOptions options = {});
-  ScenarioService(Database base, causal::CausalGraph graph,
+  /// An empty `graph` is a service without one (graph() returns null).
+  ScenarioService(Database base, std::optional<causal::CausalGraph> graph,
                   ServiceOptions options = {});
   ~ScenarioService();  // out-of-line: ServiceInstruments is incomplete here
 
@@ -171,8 +172,8 @@ class ScenarioService {
   Status CreateScenario(const std::string& name,
                         const std::string& parent = "main");
 
-  /// Drops the branch and eagerly evicts its cached state: the materialized
-  /// world and override snapshot go with the BranchState, and every plan /
+  /// Drops the branch and eagerly evicts its cached state: the branch's
+  /// World (override snapshot and rows) goes with it, and every plan /
   /// stage cache entry scoped to the branch's delta fingerprint is evicted
   /// immediately instead of aging out under LRU pressure. Stage entries
   /// keyed by restricted or shape scopes survive — they are shared with
@@ -270,37 +271,40 @@ class ScenarioService {
   bool durable() const { return durable_ != nullptr; }
   durability::WalStats wal_stats() const;
 
-  /// The branch's current world: base relations shared structurally,
-  /// touched relations patched (built lazily, cached per branch version).
-  /// The returned snapshot stays valid while queries hold it, even across
-  /// later branch mutations.
+  /// The rows of the branch's current World: base relations shared
+  /// structurally, touched relations patched. They are built once per
+  /// branch version, by the first caller that asks, and every caller of
+  /// that version gets the same Database. The snapshot stays valid while
+  /// queries hold it, even across later branch mutations.
   Result<std::shared_ptr<const Database>> EffectiveDatabase(
       const std::string& scenario);
 
   const causal::CausalGraph* graph() const {
-    return has_graph_ ? &graph_ : nullptr;
+    return graph_.has_value() ? &*graph_ : nullptr;
   }
   const ServiceOptions& options() const { return options_; }
 
  private:
+  /// One branch version: the base, the override snapshot, the stage
+  /// context and the rows built on first demand (scenario_service.cc).
+  class World;
+
   struct BranchState {
+    BranchState(ScenarioBranch branch, uint64_t id)
+        : branch(std::move(branch)), id(id) {}
+
     ScenarioBranch branch;
     /// Unique across the service lifetime: a dropped-and-recreated branch
     /// under the same name gets a fresh id, so optimistic version checks
     /// cannot ABA onto an unrelated branch.
     uint64_t id = 0;
-    /// Cached effective world; rebuilt when branch.version() moves on.
-    uint64_t effective_version = ~0ULL;
-    std::shared_ptr<const Database> effective;
-    /// Cached override snapshot handed to requests (stage keys, delta
-    /// patching); refreshed alongside effective.
-    uint64_t overrides_version = ~0ULL;
-    std::shared_ptr<const ScenarioBranch::OverrideMap> overrides;
+    /// The World of branch.version(), made by the first SnapshotWorld of
+    /// that version (null before it, or stale after a mutation).
+    std::shared_ptr<const World> world;
   };
 
   Result<BranchState*> FindBranchLocked(const std::string& name)
       REQUIRES(mu_);
-  std::string ScopeLocked(const BranchState& state) const REQUIRES(mu_);
 
   /// Opens the data dir, rehydrates branches from snapshot + WAL tail, and
   /// verifies every replayed record lands on its journaled fingerprint.
@@ -316,26 +320,15 @@ class ScenarioService {
       REQUIRES(mu_);
   Status SnapshotLocked() REQUIRES(mu_);
 
-  /// Snapshot of everything a request needs. (branch_id, branch_version)
-  /// identify the exact world, for optimistic writers.
-  struct World {
-    std::shared_ptr<const Database> db;
-    std::string scope;
-    uint64_t branch_id = 0;
-    uint64_t branch_version = 0;
-    uint64_t generation = 0;
-    /// The branch's delta, base-relative (shared, immutable snapshot): the
-    /// staged pipeline keys LearnStage reuse and patches columnar images
-    /// from it.
-    std::shared_ptr<const ScenarioBranch::OverrideMap> overrides;
-  };
+  /// The branch's World for its current version: made under mu_ in
+  /// O(override cells) on the first call of a version, then shared. It
+  /// builds no rows; World::Rows does, outside mu_.
+  Result<std::shared_ptr<const World>> SnapshotWorld(
+      const std::string& scenario) EXCLUDES(mu_);
 
-  /// Returns the branch's current world, materializing touched relations
-  /// outside the service lock (O(rows) copies never block other requests);
-  /// the result is cached per branch version.
-  Result<World> SnapshotWorld(const std::string& scenario) EXCLUDES(mu_);
-
-  Response Dispatch(const Request& request, const World& world);
+  /// Runs the request over `db` with the World's stage context.
+  Response Dispatch(const Request& request, const Database& db,
+                    const whatif::StageContext& stage_context);
 
   /// Dispatch with the request's budget/token armed into one ExecGuard and
   /// injected through the per-request what-if options, so every engine the
@@ -354,19 +347,12 @@ class ScenarioService {
       const std::string& scenario, const std::string& base_whatif_sql,
       const std::vector<std::vector<whatif::UpdateSpec>>& interventions);
 
-  /// Stage-pipeline wiring for one request: stage cache, full / shape /
-  /// base scopes, the override snapshot, and the restricted-delta
-  /// fingerprint callback (see whatif::StageContext). The context borrows
-  /// from `world` and must not outlive it.
-  whatif::StageContext StageContextFor(const World& world);
-
   mutable Mutex mu_;
   Database base_ GUARDED_BY(mu_);
-  /// graph_ / has_graph_ / options_ / cache_ / instruments_ are set in the
-  /// constructor and immutable afterwards (cache_ is internally locked), so
-  /// they are intentionally unguarded.
-  causal::CausalGraph graph_;
-  bool has_graph_ = false;
+  /// graph_ / options_ / cache_ / instruments_ are set in the constructor
+  /// and immutable afterwards (cache_ is internally locked), so they are
+  /// intentionally unguarded.
+  std::optional<causal::CausalGraph> graph_;
   /// Bumped by ReloadDataset; prefixes every stage-cache scope.
   uint64_t generation_ GUARDED_BY(mu_) = 1;
   uint64_t next_branch_id_ GUARDED_BY(mu_) = 1;

@@ -949,10 +949,10 @@ std::string EstimatorConfigKey(const WhatIfOptions& options) {
   // options.seed, so requests that differ only there train the same bits.
   const learn::ForestOptions& f = options.forest;
   key += StrFormat(
-      "|forest=%zu,%d,%d,%zu,%zu,%zu,%d,%zu", f.num_trees,
+      "|forest=%zu,%d,%d,%zu,%zu,%zu,%d", f.num_trees,
       f.sqrt_features ? 1 : 0, f.tree.max_depth, f.tree.min_samples_leaf,
       f.tree.max_features, f.tree.max_thresholds,
-      f.tree.use_histograms ? 1 : 0, f.tree.max_bins);
+      f.tree.use_histograms ? 1 : 0);
   return key;
 }
 
@@ -1144,6 +1144,35 @@ std::vector<std::string> LearnDependencyColumns(const CompiledWhatIf& q,
   return std::vector<std::string>(cols.begin(), cols.end());
 }
 
+/// The LearnStage's data scope on a table view: the shape scope and an FNV
+/// over the context's override cells of `attrs` (resolved in `relation`'s
+/// schema, hashed in the order given). It is a function of the current
+/// cells alone, not of the order the updates wrote them in, and a delta
+/// that misses `attrs` scopes like an untouched branch: it shares the
+/// trunk's LearnStage.
+std::string RestrictedDeltaScope(const Database& db, const StageContext& ctx,
+                                 const std::string& relation,
+                                 const std::vector<std::string>& attrs) {
+  Fnv1a fnv;
+  auto table = db.GetTable(relation);
+  auto relation_cells = ctx.overrides->find(relation);
+  if (table.ok() && relation_cells != ctx.overrides->end()) {
+    for (const std::string& attr : attrs) {
+      auto idx = (*table)->schema().IndexOf(attr);
+      if (!idx.ok()) continue;
+      auto cells = relation_cells->second.find(*idx);
+      if (cells == relation_cells->second.end()) continue;
+      fnv.Mix(*idx);
+      for (const auto& [tid, value] : cells->second) {
+        fnv.Mix(tid);
+        fnv.Mix(value.Hash());
+      }
+    }
+  }
+  return StrFormat("%s|r%016llx", ctx.shape_scope.c_str(),
+                   static_cast<unsigned long long>(fnv.hash()));
+}
+
 /// Reads `scope` only while it builds: the stage keeps no reference to it,
 /// so a cached LearnStage never pins a (branch) columnar image.
 Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
@@ -1312,10 +1341,8 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   // binned image are bit-identical to independently trained ones.)
   if (options.estimator == learn::EstimatorKind::kForest &&
       options.forest.tree.use_histograms) {
-    HYPER_ASSIGN_OR_RETURN(
-        learn::BinnedMatrix binned,
-        learn::BinnedMatrix::Build(stage->train_x,
-                                   options.forest.tree.max_bins));
+    HYPER_ASSIGN_OR_RETURN(learn::BinnedMatrix binned,
+                           learn::BinnedMatrix::Build(stage->train_x));
     stage->train_binned = std::move(binned);
   }
 
@@ -1631,18 +1658,20 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
           })));
 
   // --- LearnStage: encoders + training matrix + estimator cache -----------
-  // Keyed by the delta fingerprint restricted to the attributes training
-  // reads: a branch whose delta misses the adjustment set / features /
-  // For-Output references reuses the parent's LearnStage (and its trained
-  // estimators) outright.
+  // Keyed by the delta restricted to the attributes training reads: a
+  // branch whose delta misses the adjustment set / features / For-Output
+  // references reuses the parent's LearnStage (and its trained estimators)
+  // outright.
   std::string learn_key;
   if (staged) {
+    const bool restricted = stmt.use.is_table() && ctx->overrides != nullptr &&
+                            !ctx->shape_scope.empty();
     learn_key = LearnStageKey(
         causal_key,
-        stmt.use.is_table() && ctx->restricted != nullptr
-            ? ctx->restricted(q.view_info->update_relation,
-                              LearnDependencyColumns(q, causal_stage->plan))
-            : ctx->data_scope,
+        restricted ? RestrictedDeltaScope(
+                         *db_, *ctx, q.view_info->update_relation,
+                         LearnDependencyColumns(q, causal_stage->plan))
+                   : ctx->data_scope,
         options_);
   }
   if (guard != nullptr) {

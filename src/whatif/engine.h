@@ -34,11 +34,12 @@ namespace hyper::whatif {
 //                edges: value-only deltas reuse it across branches)
 //   LearnStage   encoders + binned training matrix + the trained
 //                pattern-estimator cache
-//                key: + estimator config + the delta fingerprint restricted
-//                to the attributes training actually reads (features,
-//                adjustment set, For/Output references, psi links) — a
-//                branch whose delta touches none of them reuses the
-//                parent's LearnStage outright
+//                key: + estimator config + the fingerprint of the
+//                context's override cells restricted to the attributes
+//                training actually reads (features, adjustment set,
+//                For/Output references, psi links) — a branch whose delta
+//                touches none of them reuses the parent's LearnStage
+//                outright
 //   QueryStage   the plan itself: compiled residual (hole) plan + per-row
 //                constants (When mask, output values) + shared pointers to
 //                the Scope, Causal and Learn stages it was built from
@@ -76,8 +77,10 @@ class StageProvider {
 };
 
 /// Everything the staged pipeline needs to know about the data snapshot it
-/// is preparing against. Supplied by the scenario service; standalone
-/// callers may leave it out (Prepare then builds every stage fresh).
+/// is preparing against: plain data, no callbacks. The scenario service
+/// builds one per branch version, with that version's World, and every
+/// request on the version shares it; standalone callers may leave it out
+/// (Prepare then builds every stage fresh).
 struct StageContext {
   /// Stage cache; null disables stage caching (fresh builds).
   StageProvider* stages = nullptr;
@@ -93,14 +96,12 @@ struct StageContext {
   std::string base_scope;
   /// Sparse cell overrides of this snapshot vs base_scope, per relation
   /// (base-table coordinates). Not owned; must outlive the Prepare call.
+  /// With a shape_scope, the engine keys a table view's LearnStage by the
+  /// shape scope and a fingerprint of these cells on the attributes
+  /// training reads, so snapshots whose deltas miss those attributes share
+  /// one LearnStage. Null = no delta: no image patching, and the LearnStage
+  /// is keyed by data_scope.
   const std::map<std::string, TableCellOverrides>* overrides = nullptr;
-  /// Returns a scope id for the delta restricted to `attrs` of `relation`
-  /// (same format contract as data_scope: equal ids => equal cell values on
-  /// those attributes). Null = fall back to data_scope, which disables
-  /// cross-branch LearnStage reuse but stays correct.
-  std::function<std::string(const std::string& relation,
-                            const std::vector<std::string>& attrs)>
-      restricted;
 };
 
 /// How the engine picks the adjustment set C of Equation (1).

@@ -414,6 +414,75 @@ TEST_F(ServiceTest, ConcurrentExplicitThreadsDeterminism) {
   for (double v : values) EXPECT_EQ(expected, v);
 }
 
+// One World per branch version: its rows are built once, by the first
+// caller, so eight first readers of a fresh version share one Database.
+TEST_F(ServiceTest, FirstReadersOfABranchVersionShareOneDatabase) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  auto updated = service->ApplyHypotheticalSql(
+      "b", "Use German When Savings = 0 Update(Credit) = 0 Output Count(*)");
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  ASSERT_GT(*updated, 0u);
+
+  std::vector<std::shared_ptr<const Database>> seen(8);
+  std::atomic<size_t> started{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    workers.emplace_back([&, t] {
+      ++started;
+      while (started.load() < seen.size()) std::this_thread::yield();
+      auto db = service->EffectiveDatabase("b");
+      EXPECT_TRUE(db.ok()) << db.status();
+      if (db.ok()) seen[t] = *db;
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  ASSERT_NE(nullptr, seen[0]);
+  for (size_t t = 1; t < seen.size(); ++t) {
+    EXPECT_EQ(seen[0].get(), seen[t].get()) << "thread " << t;
+  }
+}
+
+// Submits on a branch that another thread keeps applying to never fail:
+// each request runs on the World of the version it found. Afterwards the
+// branch answers like a fresh engine over its rows.
+TEST_F(ServiceTest, SubmitsRacingAppliesOnOneBranchAllSucceed) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  auto service = MakeService(options);
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+
+  std::atomic<bool> applying{true};
+  std::vector<size_t> submits(4, 0);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < submits.size(); ++t) {
+    readers.emplace_back([&, t] {
+      do {
+        Response response = service->Submit({"b", kQuery, {}});
+        EXPECT_TRUE(response.ok()) << response.status;
+        ++submits[t];
+      } while (applying.load());
+    });
+  }
+  for (int id = 1; id <= 24; ++id) {
+    auto updated = service->ApplyHypotheticalSql(
+        "b", "Use German When Id = " + std::to_string(id) +
+                 " Update(Credit) = 0 Output Count(*)");
+    EXPECT_TRUE(updated.ok()) << updated.status();
+  }
+  applying = false;
+  for (std::thread& r : readers) r.join();
+  for (size_t n : submits) EXPECT_GT(n, 0u);
+
+  Response after = service->Submit({"b", kQuery, {}});
+  ASSERT_TRUE(after.ok()) << after.status;
+  std::shared_ptr<const Database> world =
+      service->EffectiveDatabase("b").value();
+  whatif::WhatIfEngine fresh(world.get(), &graph_, options);
+  EXPECT_EQ(fresh.RunSql(kQuery)->value, after.whatif.value);
+}
+
 // --- stage-cache single-flight and accounting -----------------------------
 
 // The query section's entries are plans, and StageCache::GetOrBuild hands
@@ -1372,6 +1441,44 @@ TEST_F(ServiceTest, EvictedBaseImageLeavesPatchedBranchPlanServing) {
   EXPECT_EQ(before->value, after->value);
   whatif::WhatIfEngine fresh(&branch.db, &graph_, options);
   EXPECT_EQ(fresh.RunSql(kAvgQuery)->value, after->value);
+}
+
+// The engine fingerprints a table view's restricted delta from the
+// context's override cells behind its shape scope; no caller computes it.
+// A one-cell delta outside kQuery's training attributes (Savings: the
+// adjustment set is {Age, Housing}) shares the trunk's LearnStage, and one
+// inside them (Housing) builds its own.
+TEST_F(ServiceTest, EngineFingerprintsTheRestrictedDeltaFromOverrides) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  auto stmt = sql::ParseSql(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  const Table& german = *db_.GetTable("German").value();
+  const std::map<std::string, TableCellOverrides> no_overrides;
+  for (const std::string attribute : {"Savings", "Housing"}) {
+    StageCache cache(64);
+    whatif::StageContext trunk_ctx = BranchContext(&cache, "base", nullptr);
+    trunk_ctx.overrides = &no_overrides;
+    whatif::WhatIfEngine trunk(&db_, &graph_, options);
+    ASSERT_TRUE(trunk.Prepare(*stmt->whatif, &trunk_ctx).ok());
+
+    const size_t attr = german.schema().IndexOf(attribute).value();
+    const bool was_two = german.At(3, attr).Equals(Value::Int(2));
+    const OneCellBranch branch = MakeOneCellBranch(
+        db_, "German", 3, attribute, Value::Int(was_two ? 0 : 2));
+    const whatif::StageContext ctx = BranchContext(&cache, "branch", &branch);
+    whatif::WhatIfEngine engine(&branch.db, &graph_, options);
+    auto plan = engine.Prepare(*stmt->whatif, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(attribute == "Savings" ? 1u : 2u, cache.stats().learn.misses)
+        << attribute;
+
+    auto served =
+        engine.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
+    ASSERT_TRUE(served.ok()) << served.status();
+    whatif::WhatIfEngine fresh(&branch.db, &graph_, options);
+    EXPECT_EQ(fresh.RunSql(kQuery)->value, served->value) << attribute;
+  }
 }
 
 // --- the apply path's When ------------------------------------------------
