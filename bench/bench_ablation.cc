@@ -1,4 +1,4 @@
-// Ablations called out in DESIGN.md §6 (not in the paper):
+// Ablations listed in FIDELITY.md §6 (not in the paper):
 //   1. estimator kind (frequency vs forest) — quality and time on discrete
 //      data, against exact ground truth;
 //   2. block decomposition on vs off — same value, time comparison;

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   bench::Banner(
       "§5.5: For conditions on adjustment attributes (paper: reduces "
-      "runtime; here within noise — see EXPERIMENTS.md)");
+      "runtime; here within noise — see FIDELITY.md §4)");
   bench::TablePrinter for_table({"query", "time(s)"});
   for_table.PrintHeader();
   {

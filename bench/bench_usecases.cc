@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
         "expected shape: every gain >= 0 (price cuts help ratings). Note: "
         "the paper names Apple first; in our synthetic catalog premium "
         "brands sit near the 5-star ceiling, so budget brands gain more — "
-        "a documented generator deviation (see EXPERIMENTS.md)\n");
+        "a documented generator deviation (see FIDELITY.md §3)\n");
   }
   return 0;
 }

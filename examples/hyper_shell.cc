@@ -80,6 +80,7 @@ void RunStatement(ShellState& state, const std::string& text) {
     case service::Response::Kind::kSelect:
       std::printf("%s", response.table.ToString(20).c_str());
       break;
+    case service::Response::Kind::kWhatIfBatch:  // the shell sends no sweeps
     case service::Response::Kind::kNone:
       break;
   }

@@ -200,10 +200,21 @@ printf '%s\n' "$METRICS" \
 printf '%s\n' "$METRICS" | grep -q 'hyper_request_seconds_bucket{' \
   || smoke_fail "latency histogram missing from /metrics"
 
-# Governance over the wire: an exhausted row budget is a 429.
+# Governance over the wire: an exhausted row budget is a 429, on a single
+# what-if and on a sweep alike.
 GOV_CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/v1/whatif" \
   -d "{\"max_rows\":1,\"sql\":\"$SMOKE_Q\"}")"
 [ "$GOV_CODE" = "429" ] || smoke_fail "row-budget abort served as $GOV_CODE, want 429"
+GOV_CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/v1/whatif/batch" \
+  -d "{\"max_rows\":1,\"sql\":\"$SMOKE_Q\",\"interventions\":[[{\"attribute\":\"Status\",\"value\":2}]]}")"
+[ "$GOV_CODE" = "429" ] || smoke_fail "sweep row-budget abort served as $GOV_CODE, want 429"
+
+# A route given another statement kind answers 400 wrong_statement_kind.
+KIND_JSON="$(curl -s -w '\n%{http_code}' -X POST "$URL/v1/howto" -d "$BODY")"
+printf '%s' "$KIND_JSON" | tail -n1 | grep -qx '400' \
+  || smoke_fail "what-if on /v1/howto not answered 400: $KIND_JSON"
+printf '%s' "$KIND_JSON" | grep -q '"code":"wrong_statement_kind"' \
+  || smoke_fail "what-if on /v1/howto not wrong_statement_kind: $KIND_JSON"
 
 # Graceful drain: park a slow forest request in flight, SIGTERM, then a new
 # request must bounce with 503 while the in-flight one still answers 200.

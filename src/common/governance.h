@@ -120,11 +120,16 @@ class ExecGuard {
 
   ExecGuard(const QueryBudget& budget, CancelToken cancel)
       : budget_(budget), cancel_(std::move(cancel)) {
+    using Clock = std::chrono::steady_clock;
     if (budget_.deadline_seconds > 0.0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(budget_.deadline_seconds));
-      has_deadline_ = true;
+      const std::chrono::duration<double> limit(budget_.deadline_seconds);
+      const Clock::time_point now = Clock::now();
+      // A deadline past the clock's range (or infinite) can never expire:
+      // it is no deadline, and casting it to clock ticks would overflow.
+      if (limit < Clock::time_point::max() - now) {
+        deadline_ = now + std::chrono::duration_cast<Clock::duration>(limit);
+        has_deadline_ = true;
+      }
     }
   }
 

@@ -314,11 +314,6 @@ double JsonValue::GetNumber(std::string_view key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->number_value() : fallback;
 }
 
-int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->int_value() : fallback;
-}
-
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).Run();
 }

@@ -71,7 +71,7 @@ class JsonValue {
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
-  /// True for numbers parsed from an integral lexeme (fits int64).
+  /// True for numbers parsed from an integral lexeme that fits int64.
   bool is_integer() const { return kind_ == Kind::kNumber && is_integer_; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
@@ -79,9 +79,9 @@ class JsonValue {
 
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
-  int64_t int_value() const {
-    return is_integer_ ? int_ : static_cast<int64_t>(number_);
-  }
+  /// The integer of an is_integer() value; 0 for any other value (a
+  /// non-integral or out-of-range number is never truncated or cast).
+  int64_t int_value() const { return int_; }
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array() const { return array_; }
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
@@ -101,7 +101,6 @@ class JsonValue {
   std::string GetString(std::string_view key,
                         std::string fallback = "") const;
   double GetNumber(std::string_view key, double fallback = 0.0) const;
-  int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
 
   /// Strict parse of a complete JSON document (trailing whitespace only).
   /// Depth-capped; malformed input returns ParseError with an offset.

@@ -18,7 +18,7 @@ namespace hyper::data {
 ///
 /// All five paper datasets (§5.1) are generated from SCMs that follow the
 /// causal graphs the paper cites (Chiappa 2019 for Adult/German; the paper's
-/// own Figure 2 for Amazon); see DESIGN.md §2 for the substitution rationale.
+/// own Figure 2 for Amazon); see FIDELITY.md §1 for the substitution rationale.
 struct Dataset {
   std::string name;
   /// Relational form: what the engine queries (may be multi-relation).

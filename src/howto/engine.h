@@ -103,7 +103,8 @@ struct HowToResult {
   /// Plan construction (view + encode + training matrix) charged to this
   /// run; ~0 when every plan came from the cache.
   double prepare_seconds = 0.0;
-  /// Candidate evaluation time (includes lazy estimator training).
+  /// Candidate evaluation time, without the estimator training it
+  /// triggered (train_seconds).
   double eval_seconds = 0.0;
   /// Estimator training actually incurred by this run.
   double train_seconds = 0.0;
@@ -113,9 +114,9 @@ struct HowToResult {
   /// L1 costs and budget pruning.
   double cost_seconds = 0.0;
   /// The MCK or IP solve alone (summed over RunLexicographic's solves).
-  /// The phases above, prepare_seconds and eval_seconds are disjoint parts
-  /// of total_seconds; at a one-thread scoring budget they sum to at most
-  /// it.
+  /// The phases above, prepare_seconds, eval_seconds and train_seconds are
+  /// disjoint parts of total_seconds; at a one-thread scoring budget they
+  /// sum to at most it.
   double solve_seconds = 0.0;
   /// Full candidate sets, per HowToUpdate attribute (for benches/debugging).
   std::vector<std::vector<CandidateUpdate>> candidates;

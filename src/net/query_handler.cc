@@ -6,8 +6,6 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "service/service_metrics.h"
-#include "sql/lexer.h"
-#include "sql/parser.h"
 
 namespace hyper {
 namespace net {
@@ -110,6 +108,26 @@ std::string RenderResponse(const Response& response) {
       w.Key("kind").String("whatif");
       WriteWhatIfFields(&w, response.whatif);
       break;
+    case Response::Kind::kWhatIfBatch:
+      w.Key("kind").String("whatif_batch");
+      w.Key("items").BeginArray();
+      for (const service::WhatIfBatchItem& item : response.items) {
+        w.BeginObject();
+        if (item.ok()) {
+          w.Key("status").String("ok");
+          WriteWhatIfFields(&w, item.result);
+        } else {
+          w.Key("status").String(StatusCodeName(item.status.code()));
+          w.Key("error").BeginObject()
+              .Key("code").String(StatusCodeName(item.status.code()))
+              .Key("http_status").Int(HttpStatusOf(item.status))
+              .Key("message").String(item.status.message())
+              .EndObject();
+        }
+        w.EndObject();
+      }
+      w.EndArray();
+      break;
     case Response::Kind::kHowTo: {
       const howto::HowToResult& r = response.howto;
       w.Key("kind").String("howto")
@@ -159,32 +177,24 @@ std::string RenderResponse(const Response& response) {
       w.Key("kind").String("none");
       break;
   }
-  w.Key("seconds").Double(response.seconds);
+  // A sweep's items carry their own timing; its body has no "seconds".
+  if (response.kind != Response::Kind::kWhatIfBatch) {
+    w.Key("seconds").Double(response.seconds);
+  }
   w.EndObject();
   return w.Take();
 }
 
-/// Parses the statement text just far enough to name its kind, without
-/// executing anything. Returns kNone on parse failure (the service will
-/// produce the authoritative parse error).
-Result<Response::Kind> StatementKind(const std::string& sql) {
-  auto tokens = sql::Lexer(sql).Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  auto stmt = sql::Parser(std::move(tokens).value()).ParseStatement();
-  if (!stmt.ok()) return stmt.status();
-  if (stmt.value().whatif != nullptr) return Response::Kind::kWhatIf;
-  if (stmt.value().howto != nullptr) return Response::Kind::kHowTo;
-  return Response::Kind::kSelect;
-}
-
-const char* KindName(Response::Kind kind) {
-  switch (kind) {
-    case Response::Kind::kWhatIf: return "what-if";
-    case Response::Kind::kHowTo: return "how-to";
-    case Response::Kind::kSelect: return "select";
-    case Response::Kind::kNone: return "none";
+/// A budget field of the body: 0 (unlimited) when absent, else a
+/// non-negative JSON integer.
+Result<int64_t> BudgetField(const JsonValue& body, const char* name) {
+  const JsonValue* field = body.Find(name);
+  if (field == nullptr) return int64_t{0};
+  if (!field->is_integer() || field->int_value() < 0) {
+    return Status::InvalidArgument(
+        StrFormat("\"%s\" must be a non-negative integer", name));
   }
-  return "?";
+  return field->int_value();
 }
 
 /// Unpacks the shared request-body fields (scenario, budget, estimator
@@ -199,12 +209,11 @@ Status UnpackRequest(const JsonValue& body,
   }
   out->sql = sql->string_value();
 
-  const int64_t deadline_ms = body.GetInt("deadline_ms", 0);
-  const int64_t max_rows = body.GetInt("max_rows", 0);
-  const int64_t max_bytes = body.GetInt("max_bytes", 0);
-  if (deadline_ms < 0 || max_rows < 0 || max_bytes < 0) {
-    return Status::InvalidArgument("budget fields must be non-negative");
-  }
+  HYPER_ASSIGN_OR_RETURN(const int64_t deadline_ms,
+                         BudgetField(body, "deadline_ms"));
+  HYPER_ASSIGN_OR_RETURN(const int64_t max_rows, BudgetField(body, "max_rows"));
+  HYPER_ASSIGN_OR_RETURN(const int64_t max_bytes,
+                         BudgetField(body, "max_bytes"));
   out->budget.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
   out->budget.max_rows_touched = static_cast<size_t>(max_rows);
   out->budget.max_bytes_materialized = static_cast<size_t>(max_bytes);
@@ -232,6 +241,60 @@ Status UnpackRequest(const JsonValue& body,
       opts.forest.num_trees = static_cast<size_t>(trees->int_value());
     }
     out->whatif_options = std::move(opts);
+  }
+  return Status::OK();
+}
+
+/// Unpacks a sweep body's "interventions": an array of interventions, each
+/// an array of {"attribute", "func" (set | scale | shift, default set),
+/// "value"} updates.
+Status UnpackInterventions(
+    const JsonValue& body,
+    std::vector<std::vector<whatif::UpdateSpec>>* out) {
+  const JsonValue* interventions = body.Find("interventions");
+  if (interventions == nullptr || !interventions->is_array()) {
+    return Status::InvalidArgument(
+        "missing required array field \"interventions\"");
+  }
+  out->reserve(interventions->array().size());
+  for (const JsonValue& group : interventions->array()) {
+    if (!group.is_array()) {
+      return Status::InvalidArgument(
+          "each intervention must be an array of updates");
+    }
+    std::vector<whatif::UpdateSpec> updates;
+    updates.reserve(group.array().size());
+    for (const JsonValue& u : group.array()) {
+      if (!u.is_object()) {
+        return Status::InvalidArgument(
+            "each update must be an object with \"attribute\" and "
+            "\"value\"");
+      }
+      whatif::UpdateSpec spec;
+      spec.attribute = u.GetString("attribute");
+      if (spec.attribute.empty()) {
+        return Status::InvalidArgument(
+            "update is missing string field \"attribute\"");
+      }
+      const std::string func = u.GetString("func", "set");
+      if (func == "set") {
+        spec.func = sql::UpdateFuncKind::kSet;
+      } else if (func == "scale") {
+        spec.func = sql::UpdateFuncKind::kScale;
+      } else if (func == "shift") {
+        spec.func = sql::UpdateFuncKind::kShift;
+      } else {
+        return Status::InvalidArgument(
+            "\"func\" must be \"set\", \"scale\" or \"shift\"");
+      }
+      const JsonValue* value = u.Find("value");
+      if (value == nullptr) {
+        return Status::InvalidArgument("update is missing field \"value\"");
+      }
+      HYPER_ASSIGN_OR_RETURN(spec.constant, JsonToValue(*value));
+      updates.push_back(std::move(spec));
+    }
+    out->push_back(std::move(updates));
   }
   return Status::OK();
 }
@@ -300,7 +363,7 @@ void QueryHandler::Handle(const HttpRequest& request, HttpResponse* response) {
   } else if (path == "/v1/query" && is_post) {
     *response = RunQuery(request.body, Response::Kind::kNone);
   } else if (path == "/v1/whatif/batch" && is_post) {
-    *response = RunBatch(request.body);
+    *response = RunQuery(request.body, Response::Kind::kWhatIfBatch);
   } else if (path == "/v1/scenario" && is_post) {
     *response = RunScenarioAction(request.body);
   } else if (path == "/v1/scenario" && is_get) {
@@ -331,123 +394,35 @@ HttpResponse QueryHandler::RunQuery(const std::string& body,
   }
 
   service::Request request;
+  request.expected_kind = require_kind;
   const Status unpack =
       UnpackRequest(parsed.value(), service_->options(), &request);
   if (!unpack.ok()) return MakeError(unpack);
+  if (require_kind == Response::Kind::kWhatIfBatch) {
+    const Status sweep =
+        UnpackInterventions(parsed.value(), &request.interventions);
+    if (!sweep.ok()) return MakeError(400, "bad_request", sweep.message());
+  }
 
-  if (require_kind != Response::Kind::kNone) {
-    // Reject wrong-kind statements before spending any execution budget.
-    auto kind = StatementKind(request.sql);
-    if (kind.ok() && kind.value() != require_kind) {
+  const Response response = service_->Submit(request);
+  if (!response.ok()) {
+    // The service names the kind of a statement that parsed; one this
+    // route does not serve failed before it touched any rows or cache.
+    if (require_kind != Response::Kind::kNone &&
+        response.kind != Response::Kind::kNone &&
+        response.kind != require_kind) {
       return MakeError(
           400, "wrong_statement_kind",
           StrFormat("this endpoint serves %s statements, got a %s "
                     "statement (use /v1/query for any kind)",
-                    KindName(require_kind), KindName(kind.value())));
+                    service::KindName(require_kind),
+                    service::KindName(response.kind)));
     }
-    // Parse failures fall through: Submit produces the authoritative error.
+    return MakeError(response.status);
   }
-
-  const Response response = service_->Submit(request);
-  if (!response.ok()) return MakeError(response.status);
 
   HttpResponse http;
   http.body = RenderResponse(response);
-  return http;
-}
-
-HttpResponse QueryHandler::RunBatch(const std::string& body) {
-  auto parsed = JsonValue::Parse(body);
-  if (!parsed.ok()) {
-    return MakeError(400, "bad_json", parsed.status().message());
-  }
-  const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return MakeError(400, "bad_json", "request body must be a JSON object");
-  }
-  const std::string scenario = root.GetString("scenario", "main");
-  const JsonValue* sql = root.Find("sql");
-  if (sql == nullptr || !sql->is_string()) {
-    return MakeError(400, "bad_request",
-                     "missing required string field \"sql\"");
-  }
-  const JsonValue* interventions = root.Find("interventions");
-  if (interventions == nullptr || !interventions->is_array()) {
-    return MakeError(400, "bad_request",
-                     "missing required array field \"interventions\"");
-  }
-
-  std::vector<std::vector<whatif::UpdateSpec>> specs;
-  specs.reserve(interventions->array().size());
-  for (const JsonValue& group : interventions->array()) {
-    if (!group.is_array()) {
-      return MakeError(400, "bad_request",
-                       "each intervention must be an array of updates");
-    }
-    std::vector<whatif::UpdateSpec> updates;
-    updates.reserve(group.array().size());
-    for (const JsonValue& u : group.array()) {
-      if (!u.is_object()) {
-        return MakeError(400, "bad_request",
-                         "each update must be an object with \"attribute\" "
-                         "and \"value\"");
-      }
-      whatif::UpdateSpec spec;
-      spec.attribute = u.GetString("attribute");
-      if (spec.attribute.empty()) {
-        return MakeError(400, "bad_request",
-                         "update is missing string field \"attribute\"");
-      }
-      const std::string func = u.GetString("func", "set");
-      if (func == "set") {
-        spec.func = sql::UpdateFuncKind::kSet;
-      } else if (func == "scale") {
-        spec.func = sql::UpdateFuncKind::kScale;
-      } else if (func == "shift") {
-        spec.func = sql::UpdateFuncKind::kShift;
-      } else {
-        return MakeError(400, "bad_request",
-                         "\"func\" must be \"set\", \"scale\" or \"shift\"");
-      }
-      const JsonValue* value = u.Find("value");
-      if (value == nullptr) {
-        return MakeError(400, "bad_request",
-                         "update is missing field \"value\"");
-      }
-      auto converted = JsonToValue(*value);
-      if (!converted.ok()) return MakeError(converted.status());
-      spec.constant = std::move(converted).value();
-      updates.push_back(std::move(spec));
-    }
-    specs.push_back(std::move(updates));
-  }
-
-  auto result =
-      service_->SubmitWhatIfBatch(scenario, sql->string_value(), specs);
-  if (!result.ok()) return MakeError(result.status());
-
-  JsonWriter w;
-  w.BeginObject().Key("kind").String("whatif_batch");
-  w.Key("items").BeginArray();
-  for (const service::WhatIfBatchItem& item : result.value()) {
-    w.BeginObject();
-    if (item.ok()) {
-      w.Key("status").String("ok");
-      WriteWhatIfFields(&w, item.result);
-    } else {
-      w.Key("status").String(StatusCodeName(item.status.code()));
-      w.Key("error").BeginObject()
-          .Key("code").String(StatusCodeName(item.status.code()))
-          .Key("http_status").Int(HttpStatusOf(item.status))
-          .Key("message").String(item.status.message())
-          .EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndArray().EndObject();
-
-  HttpResponse http;
-  http.body = w.Take();
   return http;
 }
 

@@ -33,9 +33,15 @@ int HttpStatusOf(const Status& status);
 ///   GET  /healthz           liveness + drain state
 ///   GET  /statusz           JSON status snapshot (admission, caches, metrics)
 ///
-/// Request bodies accept "scenario" (default "main"), "sql", budget fields
-/// "deadline_ms" / "max_rows" / "max_bytes" (zero = unlimited), and the
-/// estimator overrides "estimator" ("frequency" | "forest") and "trees".
+/// The four query routes are one ScenarioService::Submit each, differing
+/// only in the kind they expect (Request::expected_kind). Their bodies
+/// accept "scenario" (default "main"), "sql", the budget fields
+/// "deadline_ms" / "max_rows" / "max_bytes" (non-negative JSON integers,
+/// zero or absent = unlimited), and the estimator overrides "estimator"
+/// ("frequency" | "forest") and "trees"; the batch route also takes
+/// "interventions", an array of arrays of {"attribute", "func" (set |
+/// scale | shift), "value"}. A statement of another kind than the route
+/// serves answers 400 wrong_statement_kind.
 class QueryHandler {
  public:
   /// Neither pointer is owned. `registry` may be null (metrics routes then
@@ -55,9 +61,10 @@ class QueryHandler {
   std::string HandleLine(const std::string& scenario, const std::string& sql);
 
  private:
+  /// Serves one POST body on a route expecting `require_kind` (kNone on
+  /// /v1/query and the stdin path, kWhatIfBatch on /v1/whatif/batch).
   HttpResponse RunQuery(const std::string& body,
                         service::Response::Kind require_kind);
-  HttpResponse RunBatch(const std::string& body);
   HttpResponse RunScenarioAction(const std::string& body);
   HttpResponse ListScenarios();
   HttpResponse Metrics();

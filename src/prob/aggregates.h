@@ -46,7 +46,7 @@ inline void AddTuple(sql::AggKind agg, double weight, double weighted_value,
 ///          the denominator is the deterministic count of qualifying tuples
 ///          (the paper's 1/|D| decomposition in Example 8); with post-update
 ///          conditions it is the expected qualifying count, making Avg a
-///          ratio of expectations (documented deviation, DESIGN.md §5).
+///          ratio of expectations (documented deviation, FIDELITY.md §2).
 ///
 /// The combination properties of Definition 6 (alpha-homogeneity and
 /// additivity of g) hold because g is Sum; tests exercise them directly.

@@ -1,6 +1,7 @@
 #include "service/scenario_service.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -21,7 +22,35 @@ std::string DataScope(uint64_t generation, uint64_t delta_fingerprint) {
                    static_cast<unsigned long long>(delta_fingerprint));
 }
 
+/// The kind of answer `statement` gets under a request expecting `expected`.
+Response::Kind KindOf(const sql::Statement& statement,
+                      Response::Kind expected) {
+  if (statement.whatif != nullptr) {
+    return expected == Response::Kind::kWhatIfBatch
+               ? Response::Kind::kWhatIfBatch
+               : Response::Kind::kWhatIf;
+  }
+  if (statement.howto != nullptr) return Response::Kind::kHowTo;
+  if (statement.select != nullptr) return Response::Kind::kSelect;
+  return Response::Kind::kNone;
+}
+
 }  // namespace
+
+const char* KindName(Response::Kind kind) {
+  switch (kind) {
+    case Response::Kind::kWhatIf:
+    case Response::Kind::kWhatIfBatch:
+      return "what-if";
+    case Response::Kind::kHowTo:
+      return "how-to";
+    case Response::Kind::kSelect:
+      return "select";
+    case Response::Kind::kNone:
+      break;
+  }
+  return "none";
+}
 
 /// One branch version: the hypothetical world D' (§3, Definition 5) that the
 /// branch's applied updates make of the base. The base relations (shared
@@ -593,75 +622,85 @@ Result<size_t> ScenarioService::ApplyHypothetical(
       "' is being updated concurrently; retry the hypothetical");
 }
 
-Response ScenarioService::Dispatch(const Request& request, const Database& db,
-                                   const whatif::StageContext& stage_context) {
-  Response response;
-  Stopwatch timer;
-
-  auto parsed = sql::ParseSql(request.sql);
-  if (!parsed.ok()) {
-    response.status = parsed.status();
-    return response;
-  }
-
-  const whatif::WhatIfOptions opts =
-      request.whatif_options.has_value() ? *request.whatif_options
-                                         : options_.whatif;
-
-  if (parsed->whatif != nullptr) {
-    response.kind = Response::Kind::kWhatIf;
-    whatif::WhatIfEngine engine(&db, graph(), opts);
-    bool hit = false;
-    auto plan = engine.Prepare(*parsed->whatif, &stage_context, &hit);
-    if (plan.ok()) {
-      auto result =
-          engine.Evaluate(**plan, whatif::SpecsOfStatement(*parsed->whatif));
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
+Status ScenarioService::Dispatch(const Request& request,
+                                 const sql::Statement& statement,
+                                 const whatif::WhatIfOptions& options,
+                                 const Database& db,
+                                 const whatif::StageContext& stage_context,
+                                 Response* response) {
+  switch (response->kind) {
+    case Response::Kind::kWhatIf:
+    case Response::Kind::kWhatIfBatch: {
+      // One plan, then the interventions; a single statement is a sweep of
+      // its own update constants.
+      const whatif::WhatIfEngine engine(&db, graph(), options);
+      bool hit = false;
+      HYPER_ASSIGN_OR_RETURN(
+          std::shared_ptr<const whatif::PreparedWhatIf> plan,
+          engine.Prepare(*statement.whatif, &stage_context, &hit));
+      const bool sweep = response->kind == Response::Kind::kWhatIfBatch;
+      std::vector<std::vector<whatif::UpdateSpec>> own;
+      if (!sweep) own.push_back(whatif::SpecsOfStatement(*statement.whatif));
+      std::vector<Status> statuses;
+      HYPER_ASSIGN_OR_RETURN(
+          std::vector<whatif::WhatIfResult> results,
+          engine.EvaluateBatch(*plan, sweep ? request.interventions : own,
+                               &statuses));
+      std::vector<WhatIfBatchItem>& items = response->items;
+      items.resize(results.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        items[i].status = std::move(statuses[i]);
+        items[i].result = std::move(results[i]);
+        items[i].result.plan_cache_hit = hit;
       }
-      response.whatif = std::move(result).value();
-      response.whatif.plan_cache_hit = hit;
       if (!hit) {
-        response.whatif.prepare_seconds = (*plan)->prepare_seconds();
+        // Plan construction is charged to the first answered item, so the
+        // totals stay meaningful (a failed item's result is not read).
+        for (WhatIfBatchItem& item : items) {
+          if (!item.ok()) continue;
+          item.result.prepare_seconds = plan->prepare_seconds();
+          item.result.total_seconds += item.result.prepare_seconds;
+          break;
+        }
       }
-      response.whatif.total_seconds =
-          response.whatif.prepare_seconds + response.whatif.eval_seconds;
-    } else {
-      response.status = plan.status();
-      return response;
+      if (sweep) {
+        // The request's guard bounds the whole sweep: an intervention it
+        // cut short fails the request with its typed abort, as it fails a
+        // single what-if. Items keep only their own failures.
+        for (const WhatIfBatchItem& item : items) {
+          if (!governance::IsGovernanceAbort(item.status)) continue;
+          Status abort = item.status;
+          items.clear();
+          return abort;
+        }
+        return Status::OK();
+      }
+      response->whatif = std::move(items.front().result);
+      Status status = std::move(items.front().status);
+      items.clear();
+      return status;
     }
-  } else if (parsed->howto != nullptr) {
-    response.kind = Response::Kind::kHowTo;
-    howto::HowToOptions ho;
-    ho.whatif = opts;
-    ho.num_buckets = options_.howto_num_buckets;
-    ho.global_l1_budget = options_.howto_global_l1_budget;
-    ho.prefer_mck = options_.howto_prefer_mck;
-    ho.stage_context = &stage_context;
-    howto::HowToEngine engine(&db, graph(), ho);
-    auto result = engine.Run(*parsed->howto);
-    if (!result.ok()) {
-      response.status = result.status();
-      return response;
+    case Response::Kind::kHowTo: {
+      howto::HowToOptions ho;
+      ho.whatif = options;
+      ho.num_buckets = options_.howto_num_buckets;
+      ho.global_l1_budget = options_.howto_global_l1_budget;
+      ho.prefer_mck = options_.howto_prefer_mck;
+      ho.stage_context = &stage_context;
+      const howto::HowToEngine engine(&db, graph(), ho);
+      HYPER_ASSIGN_OR_RETURN(response->howto, engine.Run(*statement.howto));
+      return Status::OK();
     }
-    response.howto = std::move(result).value();
-  } else if (parsed->select != nullptr) {
-    response.kind = Response::Kind::kSelect;
-    auto result = relational::ExecuteSelect(db, *parsed->select);
-    if (!result.ok()) {
-      response.status = result.status();
-      return response;
+    case Response::Kind::kSelect: {
+      HYPER_ASSIGN_OR_RETURN(response->table,
+                             relational::ExecuteSelect(db, *statement.select));
+      return Status::OK();
     }
-    response.table = std::move(result).value();
-  } else {
-    response.status =
-        Status::InvalidArgument("statement is neither what-if, how-to nor "
-                                "select");
-    return response;
+    case Response::Kind::kNone:
+      break;
   }
-  response.seconds = timer.ElapsedSeconds();
-  return response;
+  return Status::InvalidArgument(
+      "statement is neither what-if, how-to nor select");
 }
 
 Status ScenarioService::Admit() {
@@ -752,40 +791,54 @@ GovernanceStats ScenarioService::governance_stats() const {
   return stats;
 }
 
-Response ScenarioService::GovernedDispatch(const Request& request,
-                                           const World& world) {
+Response ScenarioService::GovernedDispatch(
+    const Request& request, const Result<std::shared_ptr<const World>>& world) {
   Response response;
-  // The version's first request builds its rows, before the guard arms.
-  auto db = world.Rows();
-  if (!db.ok()) {
-    response.status = db.status();
-    return response;
-  }
-  governance::ExecGuardPtr guard =
-      governance::ExecGuard::Arm(request.budget, request.cancel_token);
+  governance::ExecGuardPtr guard;
+  // The request's time is its parse, then arming and dispatch; a version's
+  // first request builds the World's rows in between, outside that time.
   Stopwatch timer;
-  if (guard == nullptr) {
-    response = Dispatch(request, **db, world.stage_context());
-  } else {
-    // Inject the armed guard through the per-request what-if options: the
-    // what-if engine and the how-to engine's scoring pass both pick it up
-    // instead of arming their own, so one deadline spans the whole request.
-    // Stage-cache keys are built from named option fields and never include
-    // governance state, so a governed request hits exactly the entries an
-    // ungoverned one would.
-    Request governed = request;
-    whatif::WhatIfOptions opts = request.whatif_options.has_value()
-                                     ? *request.whatif_options
-                                     : options_.whatif;
-    opts.budget = request.budget;
-    opts.cancel_token = request.cancel_token;
-    opts.exec_guard = guard;
-    governed.whatif_options = std::move(opts);
-    response = Dispatch(governed, **db, world.stage_context());
-  }
+  Stopwatch::Clock::duration elapsed{};
+  response.status = [&]() -> Status {
+    HYPER_RETURN_NOT_OK(world.status());
+    HYPER_ASSIGN_OR_RETURN(const sql::Statement statement,
+                           sql::ParseSql(request.sql));
+    response.kind = KindOf(statement, request.expected_kind);
+    if (request.expected_kind != Response::Kind::kNone &&
+        response.kind != request.expected_kind) {
+      return Status::InvalidArgument(
+          StrFormat("expected a %s statement, got a %s statement",
+                    KindName(request.expected_kind), KindName(response.kind)));
+    }
+    elapsed = timer.Elapsed();
+    const Result<std::shared_ptr<const Database>> db = (*world)->Rows();
+    timer.Restart();
+    HYPER_RETURN_NOT_OK(db.status());
+    // One guard for the request, injected through its what-if options: the
+    // what-if engine and the how-to engine's scoring pass both use it
+    // instead of arming their own, so one deadline and one pair of meters
+    // span prepare and every evaluation. Stage-cache keys are built from
+    // named option fields and never include governance state, so a governed
+    // request hits exactly the entries an ungoverned one would.
+    whatif::WhatIfOptions options =
+        request.whatif_options.value_or(options_.whatif);
+    if (!request.budget.Unlimited() || request.cancel_token.attached()) {
+      options.budget = request.budget;
+      options.cancel_token = request.cancel_token;
+      options.exec_guard = nullptr;
+    }
+    if (options.exec_guard == nullptr) {
+      options.exec_guard =
+          governance::ExecGuard::Arm(options.budget, options.cancel_token);
+    }
+    guard = options.exec_guard;
+    return Dispatch(request, statement, options, **db,
+                    (*world)->stage_context(), &response);
+  }();
+  elapsed += timer.Elapsed();
+  response.seconds = std::chrono::duration<double>(elapsed).count();
   if (instruments_ != nullptr) {
-    instruments_->RecordRequest(response, guard.get(),
-                                timer.ElapsedSeconds());
+    instruments_->RecordRequest(response, guard.get(), response.seconds);
   }
   return response;
 }
@@ -803,12 +856,7 @@ Response ScenarioService::Submit(const Request& request) {
     response.status = std::move(admitted);
     return response;
   }
-  auto world = SnapshotWorld(request.scenario);
-  if (!world.ok()) {
-    response.status = world.status();
-  } else {
-    response = GovernedDispatch(request, **world);
-  }
+  response = GovernedDispatch(request, SnapshotWorld(request.scenario));
   Release(response.status);
   return response;
 }
@@ -839,11 +887,7 @@ std::vector<Response> ScenarioService::SubmitBatch(
       responses[i].status = std::move(admitted);
       return;
     }
-    if (!worlds[i].ok()) {
-      responses[i].status = worlds[i].status();
-    } else {
-      responses[i] = GovernedDispatch(requests[i], **worlds[i]);
-    }
+    responses[i] = GovernedDispatch(requests[i], worlds[i]);
     Release(responses[i].status);
   };
 
@@ -851,73 +895,6 @@ std::vector<Response> ScenarioService::SubmitBatch(
       requests.size(), run_one,
       /*max_parallelism=*/ThreadPool::ResolveBudget(options_.num_threads));
   return responses;
-}
-
-Result<std::vector<WhatIfBatchItem>> ScenarioService::SubmitWhatIfBatch(
-    const std::string& scenario, const std::string& base_whatif_sql,
-    const std::vector<std::vector<whatif::UpdateSpec>>& interventions) {
-  HYPER_RETURN_NOT_OK(recovery_status_);
-  // The whole sweep is one admitted request: it shares a plan and runs as
-  // one unit of service work, however many interventions it carries.
-  HYPER_RETURN_NOT_OK(Admit());
-  Stopwatch timer;
-  auto result = DoSubmitWhatIfBatch(scenario, base_whatif_sql, interventions);
-  Release(result.ok() ? Status::OK() : result.status());
-  if (instruments_ != nullptr) {
-    instruments_->RecordBatch(result.ok() ? Status::OK() : result.status(),
-                              interventions.size(), timer.ElapsedSeconds());
-  }
-  return result;
-}
-
-Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
-    const std::string& scenario, const std::string& base_whatif_sql,
-    const std::vector<std::vector<whatif::UpdateSpec>>& interventions) {
-  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
-                         SnapshotWorld(scenario));
-  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const Database> db, world->Rows());
-  HYPER_ASSIGN_OR_RETURN(sql::Statement parsed,
-                         sql::ParseSql(base_whatif_sql));
-  if (parsed.whatif == nullptr) {
-    return Status::InvalidArgument("SubmitWhatIfBatch expects a what-if "
-                                   "statement");
-  }
-
-  // One guard for the whole sweep (when the service defaults carry a budget
-  // or token): Prepare and every intervention draw down the same deadline
-  // and meters. Governance state never enters a stage-cache key.
-  whatif::WhatIfOptions engine_options = options_.whatif;
-  if (engine_options.exec_guard == nullptr) {
-    engine_options.exec_guard = governance::ExecGuard::Arm(
-        engine_options.budget, engine_options.cancel_token);
-  }
-  whatif::WhatIfEngine engine(db.get(), graph(), engine_options);
-  bool hit = false;
-  auto plan = engine.Prepare(*parsed.whatif, &world->stage_context(), &hit);
-  if (!plan.ok()) return plan.status();
-
-  std::vector<Status> statuses;
-  HYPER_ASSIGN_OR_RETURN(
-      std::vector<whatif::WhatIfResult> results,
-      engine.EvaluateBatch(**plan, interventions, &statuses));
-  std::vector<WhatIfBatchItem> items(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    items[i].status = statuses[i];
-    items[i].result = std::move(results[i]);
-    items[i].result.plan_cache_hit = hit;
-  }
-  if (!hit) {
-    // Charge plan construction to the batch's first successful result so
-    // the totals stay meaningful (a failed item's result is not consumed).
-    for (WhatIfBatchItem& item : items) {
-      if (!item.ok()) continue;
-      item.result.prepare_seconds = (*plan)->prepare_seconds();
-      item.result.total_seconds =
-          item.result.prepare_seconds + item.result.eval_seconds;
-      break;
-    }
-  }
-  return items;
 }
 
 Status ScenarioService::ReloadDataset(Database base) {

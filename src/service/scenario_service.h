@@ -47,8 +47,9 @@ struct ServiceOptions {
   /// are ordered by request index and identical for every setting.
   size_t num_threads = 0;
   /// Admission control: at most this many requests execute concurrently
-  /// (0 = unlimited, admission control off). Applies to Submit, each
-  /// SubmitBatch item, and SubmitWhatIfBatch as a whole.
+  /// (0 = unlimited, admission control off). Applies to Submit (a what-if
+  /// sweep takes one slot, however many interventions it carries) and to
+  /// each SubmitBatch item.
   size_t max_concurrent_requests = 0;
   /// With admission control on, at most this many requests wait for a slot;
   /// arrivals beyond that are shed immediately with kUnavailable (0 = no
@@ -73,21 +74,67 @@ struct ServiceOptions {
   uint64_t snapshot_every_records = 256;
 };
 
+/// One intervention's outcome within a what-if sweep. `result` is
+/// meaningful iff `status.ok()`: a single failing intervention (e.g. an Avg
+/// whose qualifying set has zero probability under that intervention) is
+/// reported here per item instead of aborting the rest of the sweep.
+struct WhatIfBatchItem {
+  Status status = Status::OK();
+  whatif::WhatIfResult result;
+
+  bool ok() const { return status.ok(); }
+};
+
+struct Response {
+  Status status = Status::OK();
+  /// The statement's kind: kNone when the request failed before its
+  /// statement parsed, kWhatIfBatch for a what-if swept over
+  /// Request::interventions. When the request expected another kind, the
+  /// status is kInvalidArgument and `kind` still names the statement's.
+  enum class Kind { kNone, kWhatIf, kHowTo, kSelect, kWhatIfBatch } kind =
+      Kind::kNone;
+  whatif::WhatIfResult whatif;
+  /// kWhatIfBatch: items[i] answers Request::interventions[i].
+  std::vector<WhatIfBatchItem> items;
+  howto::HowToResult howto;
+  Table table;  // select results
+  double seconds = 0.0;
+
+  bool ok() const { return status.ok(); }
+};
+
+/// The statement kind `kind` answers, as error messages name it:
+/// "what-if" (kWhatIf and kWhatIfBatch), "how-to", "select" or "none".
+const char* KindName(Response::Kind kind);
+
 /// One request against a scenario branch. The statement kind (what-if /
-/// how-to / select) is detected from the parse.
+/// how-to / select) is detected from its one parse.
 struct Request {
   std::string scenario = "main";
   std::string sql;
   /// Per-request estimation override (defaults to the service options).
   std::optional<whatif::WhatIfOptions> whatif_options;
   /// Per-request resource limits (zero-valued fields are unlimited). One
-  /// guard spans parse + prepare + evaluate; aborts surface as
-  /// kDeadlineExceeded / kResourceExhausted in the response status and
-  /// never leave partial stage-cache entries.
+  /// guard spans prepare + evaluate, every intervention of a sweep
+  /// included; aborts surface as kDeadlineExceeded / kResourceExhausted in
+  /// the response status and never leave partial stage-cache entries. A
+  /// request with neither a budget nor a token here is bounded by the
+  /// budget and token of its effective what-if options instead.
   QueryBudget budget;
   /// Cooperative cancellation (detached by default). Trip it from any
   /// thread; the request unwinds with kCancelled at its next checkpoint.
   CancelToken cancel_token;
+  /// The kind of statement the caller expects. kNone serves any kind;
+  /// kWhatIf, kHowTo and kSelect fail another kind with kInvalidArgument
+  /// before the request reads the branch's rows or a cache. kWhatIfBatch
+  /// expects a what-if and sweeps `interventions` over its one plan.
+  Response::Kind expected_kind = Response::Kind::kNone;
+  /// The sweep of a kWhatIfBatch request: the statement fixes the
+  /// Use/When/For/Output shape and the update attributes, interventions[i]
+  /// the i-th constants. items[i] is bit-for-bit the answer of the
+  /// corresponding single statement. An empty sweep still prepares the
+  /// plan and answers zero items.
+  std::vector<std::vector<whatif::UpdateSpec>> interventions;
 };
 
 /// Admission-control and governed-outcome counters (monotone over the
@@ -106,17 +153,6 @@ struct GovernanceStats {
   bool draining = false;           // gauge: BeginDrain was called
 };
 
-struct Response {
-  Status status = Status::OK();
-  enum class Kind { kNone, kWhatIf, kHowTo, kSelect } kind = Kind::kNone;
-  whatif::WhatIfResult whatif;
-  howto::HowToResult howto;
-  Table table;  // select results
-  double seconds = 0.0;
-
-  bool ok() const { return status.ok(); }
-};
-
 struct ScenarioInfo {
   std::string name;
   std::string parent;
@@ -129,21 +165,11 @@ struct ScenarioInfo {
   uint64_t delta_fingerprint = 0;
 };
 
-/// One intervention's outcome within a SubmitWhatIfBatch sweep. `result` is
-/// meaningful iff `status.ok()`: a single failing intervention (e.g. an Avg
-/// whose qualifying set has zero probability under that intervention) is
-/// reported here per item instead of aborting the rest of the sweep.
-struct WhatIfBatchItem {
-  Status status = Status::OK();
-  whatif::WhatIfResult result;
-
-  bool ok() const { return status.ok(); }
-};
-
 /// The HypeR serving layer: owns a base database, a causal graph, named
 /// scenario branches (chained hypothetical updates as copy-on-write deltas,
 /// see ScenarioBranch) and a shared stage cache (plans and estimators), and
-/// serves what-if / how-to / select requests against any branch.
+/// serves what-if / how-to / select requests and what-if sweeps against any
+/// branch.
 ///
 /// Sharing model: a prepared what-if plan (relevant view, adjustment set,
 /// trained estimators) is keyed by (data scope, query shape, estimator
@@ -196,6 +222,14 @@ class ScenarioService {
 
   // --- serving -----------------------------------------------------------
 
+  /// Answers one request. A what-if sweep (Request::expected_kind
+  /// kWhatIfBatch) is one request: one admission slot, one plan prepared,
+  /// its interventions evaluated in one sharded pass under one guard. A
+  /// sweep-level failure (unknown scenario, unparsable or wrong-kind
+  /// statement, a hard Prepare error, a governance abort anywhere in the
+  /// sweep) fails the response and leaves no items; any other
+  /// per-intervention failure lands in its item and the rest of the sweep
+  /// still answers.
   Response Submit(const Request& request);
 
   /// Runs every request (possibly concurrently over the worker pool);
@@ -204,18 +238,6 @@ class ScenarioService {
   // lint:allow(unreferenced): test-hook — golden_test and service_test drive
   // answers through it.
   std::vector<Response> SubmitBatch(const std::vector<Request>& requests);
-
-  /// Evaluates N interventions against ONE prepared plan in a single
-  /// sharded pass: `base_whatif_sql` fixes the Use/When/For/Output shape and
-  /// the update attributes; interventions[i] supplies the i-th constants.
-  /// results[i].result is bit-for-bit identical to submitting the
-  /// corresponding single statement. Batch-level failures (unknown scenario,
-  /// unparsable base statement, a hard Prepare error) fail the call;
-  /// per-intervention failures land in results[i].status and the rest of
-  /// the sweep still answers.
-  Result<std::vector<WhatIfBatchItem>> SubmitWhatIfBatch(
-      const std::string& scenario, const std::string& base_whatif_sql,
-      const std::vector<std::vector<whatif::UpdateSpec>>& interventions);
 
   // --- admission control & drain ------------------------------------------
 
@@ -326,14 +348,23 @@ class ScenarioService {
   Result<std::shared_ptr<const World>> SnapshotWorld(
       const std::string& scenario) EXCLUDES(mu_);
 
-  /// Runs the request over `db` with the World's stage context.
-  Response Dispatch(const Request& request, const Database& db,
-                    const whatif::StageContext& stage_context);
+  /// Answers the parsed statement of `request` (its kind already in
+  /// response->kind) over `db` with the World's stage context and the
+  /// request's effective what-if options; returns the response's status.
+  Status Dispatch(const Request& request, const sql::Statement& statement,
+                  const whatif::WhatIfOptions& options, const Database& db,
+                  const whatif::StageContext& stage_context,
+                  Response* response);
 
-  /// Dispatch with the request's budget/token armed into one ExecGuard and
-  /// injected through the per-request what-if options, so every engine the
-  /// request touches shares a single deadline and one pair of meters.
-  Response GovernedDispatch(const Request& request, const World& world);
+  /// The one request path, given the request's World (or the error that
+  /// found none): parses the statement once and fails a kind mismatch
+  /// before the World's rows are asked for, then arms at most one
+  /// ExecGuard (from the request's budget and token, else from its
+  /// effective what-if options) and injects it through those options, so
+  /// every engine call of the request shares one deadline and one pair of
+  /// meters. Records every request it is given in the metrics, once.
+  Response GovernedDispatch(const Request& request,
+                            const Result<std::shared_ptr<const World>>& world);
 
   /// Blocks until the request may execute (or rejects it): kUnavailable
   /// when the service is draining or the wait queue is full. Every Admit()
@@ -342,10 +373,6 @@ class ScenarioService {
   /// Releases the execution slot and folds the request's outcome into the
   /// governance counters.
   void Release(const Status& status) EXCLUDES(admission_mu_);
-
-  Result<std::vector<WhatIfBatchItem>> DoSubmitWhatIfBatch(
-      const std::string& scenario, const std::string& base_whatif_sql,
-      const std::vector<std::vector<whatif::UpdateSpec>>& interventions);
 
   mutable Mutex mu_;
   Database base_ GUARDED_BY(mu_);

@@ -104,6 +104,9 @@ ServiceInstruments::ServiceInstruments(obs::MetricsRegistry* registry)
       "What-if requests answered from a cached prepared plan");
   plan_cache_miss_requests = registry->GetCounter(
       "hyper_plan_cache_requests_total", "result=\"miss\"", "");
+  batch_items = registry->GetCounter(
+      "hyper_batch_items_total", "",
+      "Interventions answered by what-if sweeps");
 }
 
 void ServiceInstruments::RecordRequest(const Response& response,
@@ -134,25 +137,13 @@ void ServiceInstruments::RecordRequest(const Response& response,
   } else if (response.kind == Response::Kind::kSelect) {
     rows_touched->Increment(guard != nullptr ? guard->rows_touched()
                                              : response.table.num_rows());
+  } else if (response.kind == Response::Kind::kWhatIfBatch) {
+    batch_items->Increment(response.items.size());
+    if (guard != nullptr) rows_touched->Increment(guard->rows_touched());
   }
   if (guard != nullptr) {
     bytes_materialized->Increment(guard->bytes_materialized());
   }
-}
-
-void ServiceInstruments::RecordBatch(const Status& status, size_t num_items,
-                                     double seconds) {
-  request_latency[4]->Observe(seconds);
-  registry
-      ->GetCounter("hyper_requests_total",
-                   StrFormat("kind=\"batch\",outcome=\"%s\"",
-                             OutcomeLabel(status.code())),
-                   "Dispatched requests by kind and outcome")
-      ->Increment();
-  registry
-      ->GetCounter("hyper_batch_items_total", "",
-                   "Interventions swept by SubmitWhatIfBatch calls")
-      ->Increment(num_items);
 }
 
 void AppendServiceSeries(const ScenarioService& service,

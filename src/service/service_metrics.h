@@ -18,18 +18,16 @@ struct ServiceInstruments {
   explicit ServiceInstruments(obs::MetricsRegistry* registry);
 
   /// Folds one dispatched request into the instruments: a latency
-  /// observation, an outcome counter, and — for successful what-if /
-  /// how-to answers — prepare/eval latencies, plan-cache hit/miss, and the
+  /// observation, an outcome counter, and — for successful answers — the
   /// rows/bytes the request touched (metered exactly by the guard when the
-  /// request was governed, approximated by view_rows otherwise).
+  /// request was governed, approximated by view_rows otherwise), plus
+  /// prepare/eval latencies and plan-cache hit/miss for what-if / how-to
+  /// answers and the item count of a what-if sweep.
   void RecordRequest(const Response& response,
                      const governance::ExecGuard* guard, double seconds);
 
-  /// Folds one SubmitWhatIfBatch sweep (admitted as a single request).
-  void RecordBatch(const Status& status, size_t num_items, double seconds);
-
   obs::MetricsRegistry* registry = nullptr;
-  /// Indexed by Response::Kind (kNone..kSelect) plus a final "batch" slot.
+  /// Indexed by Response::Kind (kNone..kWhatIfBatch).
   obs::Histogram* request_latency[5] = {};
   obs::Histogram* prepare_latency = nullptr;
   obs::Histogram* eval_latency = nullptr;
@@ -37,6 +35,7 @@ struct ServiceInstruments {
   obs::Counter* bytes_materialized = nullptr;
   obs::Counter* plan_cache_hit_requests = nullptr;
   obs::Counter* plan_cache_miss_requests = nullptr;
+  obs::Counter* batch_items = nullptr;
 };
 
 /// Appends the service's own counters — admission outcomes, governed-abort

@@ -1,6 +1,7 @@
 #include "whatif/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -694,13 +695,14 @@ struct LearnStageData {
   /// `exact` is the caller's compiled residual (bound to the caller's own
   /// cview — identical indicator values on every scope sharing this stage,
   /// by the stage key's restricted-fingerprint contract). `was_cached`
-  /// reports whether training was skipped; `train_seconds` accrues the cost
+  /// reports whether training was skipped; `train_time` accrues the cost
   /// actually incurred by this call. Thread-safe; a pattern is trained by
   /// exactly the first caller that needs it.
   Result<const PatternEstimators*> EnsurePattern(
       const std::string& key, bool is_literal, bool literal_value,
       const relational::ColumnBoundExpr* exact, bool* was_cached,
-      double* train_seconds, const governance::ExecGuard* guard) const
+      Stopwatch::Clock::duration* train_time,
+      const governance::ExecGuard* guard) const
       EXCLUDES(mu) {
     MutexLock lock(&mu);
     auto it = patterns.find(key);
@@ -759,7 +761,7 @@ struct LearnStageData {
       HYPER_RETURN_NOT_OK(FitPatternEstimator(pat.value.get(), options,
                                               train_x, binned, value_target));
     }
-    *train_seconds += train_timer.ElapsedSeconds();
+    *train_time += train_timer.Elapsed();
     auto [ins, inserted] = patterns.emplace(key, std::move(pat));
     (void)inserted;
     return &ins->second;
@@ -1977,7 +1979,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // QueryStage, the pattern-estimator cache on the LearnStage (shared
   // across every plan assembled on it); evaluations snapshot raw pointers
   // so Pass B runs lock-free.
-  double train_seconds = 0.0;
+  Stopwatch::Clock::duration train_time{};
   // Row-invariant holes (constant thresholds, or no For predicate at all):
   // every row folds to the same residual, so resolve the shared entry once
   // and skip the per-row hole evaluation + cache lookup entirely.
@@ -2038,7 +2040,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         const PatternEstimators* pat,
         le.EnsurePattern(e.key, e.is_literal, e.literal_value,
                          e.exact.has_value() ? &*e.exact : nullptr,
-                         &was_cached, &train_seconds, guard));
+                         &was_cached, &train_time, guard));
     pattern_of_entry[id] = pat;
     if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
     return pat;
@@ -2380,10 +2382,14 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
   result.num_patterns = used_patterns.size();
   result.pattern_cache_hits = pattern_hits;
-  result.train_seconds = train_seconds;
   HYPER_ASSIGN_OR_RETURN(result.value, acc.Finish());
-  result.eval_seconds = eval_timer.ElapsedSeconds();
-  result.total_seconds = result.eval_seconds;
+  // Training ran inside this call; it is reported apart from evaluation.
+  // Ticks, not seconds, are subtracted, so each figure converts exactly.
+  const Stopwatch::Clock::duration wall = eval_timer.Elapsed();
+  result.total_seconds = std::chrono::duration<double>(wall).count();
+  result.train_seconds = std::chrono::duration<double>(train_time).count();
+  result.eval_seconds =
+      std::chrono::duration<double>(wall - train_time).count();
   return result;
 }
 

@@ -175,7 +175,9 @@ struct WhatIfResult {
   /// Plan construction (view + backdoor + encode + training matrix) charged
   /// to this call; ~0 when the plan came from a cache.
   double prepare_seconds = 0.0;
-  /// Per-intervention evaluation time (includes lazy pattern training).
+  /// Per-intervention evaluation time, without the pattern training it
+  /// triggered (train_seconds). Prepare, eval and train are disjoint parts
+  /// of total_seconds.
   double eval_seconds = 0.0;
   /// True when Prepare's QueryStage lookup hit: the prepared plan came
   /// from the stage cache (or a concurrent caller's in-flight build).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <set>
@@ -231,6 +232,23 @@ TEST(ExecGuardTest, TypedAbortsAndStickiness) {
             guard->ChargeBytes(1, "t.bytes").code());
 }
 
+TEST(ExecGuardTest, DeadlinesPastTheClockRangeAreUnlimited) {
+  // 1e10 s is past steady_clock's range in nanoseconds (about 292 years);
+  // such a deadline, and an infinite one, can never expire.
+  for (double seconds : {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    QueryBudget far;
+    far.deadline_seconds = seconds;
+    const governance::ExecGuard guard(far, {});
+    EXPECT_TRUE(guard.Check("t.far").ok()) << seconds;
+  }
+  // A deadline inside the range still expires.
+  QueryBudget near;
+  near.deadline_seconds = 1e-9;
+  const governance::ExecGuard guard(near, {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(StatusCode::kDeadlineExceeded, guard.Check("t.near").code());
+}
+
 TEST(ExecGuardTest, LoopCheckStride) {
   governance::LoopCheck ungoverned(nullptr);
   for (int i = 0; i < 5000; ++i) EXPECT_FALSE(ungoverned.Due());
@@ -389,6 +407,88 @@ TEST_F(GovernanceTest, ServiceBudgetedSubmitAbortsTypedAndRetryIsBitEqual) {
   EXPECT_EQ(0u, stats.in_flight);
 }
 
+TEST_F(GovernanceTest, ServiceSweepUnderDeadlineAbortsTypedAndRetryIsBitEqual) {
+  auto service = MakeService();
+  service::Request sweep{"main", kQuery, {}};
+  sweep.expected_kind = service::Response::Kind::kWhatIfBatch;
+  for (int status = 0; status <= 3; ++status) {
+    whatif::UpdateSpec spec;
+    spec.attribute = "Status";
+    spec.func = sql::UpdateFuncKind::kSet;
+    spec.constant = Value::Int(status);
+    sweep.interventions.push_back({spec});
+  }
+
+  service::Request bounded = sweep;
+  bounded.budget.deadline_seconds = 1e-9;
+  service::Response aborted = service->Submit(bounded);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(StatusCode::kDeadlineExceeded, aborted.status.code())
+      << aborted.status;
+
+  // The abort cached nothing partial: the ungoverned retry answers every
+  // intervention bit-equal to a fresh single run.
+  service::Response retry = service->Submit(sweep);
+  ASSERT_TRUE(retry.ok()) << retry.status;
+  EXPECT_EQ(service::Response::Kind::kWhatIfBatch, retry.kind);
+  ASSERT_EQ(4u, retry.items.size());
+  for (int status = 0; status <= 3; ++status) {
+    ASSERT_TRUE(retry.items[status].ok()) << retry.items[status].status;
+    EXPECT_EQ(FreshRun("Use German When Status = 1 Update(Status) = " +
+                       std::to_string(status) + " Output Count(Credit = 1)"),
+              retry.items[status].result.value)
+        << "Status <- " << status;
+  }
+
+  // One admission slot per sweep.
+  service::GovernanceStats stats = service->governance_stats();
+  EXPECT_EQ(2u, stats.admitted);
+  EXPECT_EQ(2u, stats.completed);
+  EXPECT_EQ(1u, stats.deadline_exceeded);
+}
+
+TEST_F(GovernanceTest, ServiceDefaultRowBudgetBoundsPrepareAndEvaluateTogether) {
+  // The rows a cold prepare of kQuery and its evaluation each charge, each
+  // on a guard of its own.
+  QueryBudget generous;
+  generous.max_rows_touched = 1u << 30;
+  auto stmt = sql::ParseSql(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  whatif::WhatIfOptions metered = EngineOptions();
+  metered.exec_guard = governance::ExecGuard::Arm(generous, {});
+  const whatif::WhatIfEngine preparer(&db_, &graph_, metered);
+  auto plan = preparer.Prepare(*stmt->whatif);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const size_t prepare_rows = metered.exec_guard->rows_touched();
+  metered.exec_guard = governance::ExecGuard::Arm(generous, {});
+  const whatif::WhatIfEngine evaluator(&db_, &graph_, metered);
+  auto answer =
+      evaluator.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  const size_t eval_rows = metered.exec_guard->rows_touched();
+  ASSERT_GT(prepare_rows, 0u);
+  ASSERT_GT(eval_rows, 0u);
+
+  // A service default that covers either part alone but not both: one
+  // guard spans the request, so the request aborts typed.
+  service::ServiceOptions options;
+  options.whatif = EngineOptions();
+  options.whatif.num_threads = 1;
+  options.num_threads = 1;
+  options.whatif.budget.max_rows_touched = prepare_rows + eval_rows - 1;
+  service::ScenarioService bounded(db_, graph_, options);
+  service::Response over = bounded.Submit({"main", kQuery, {}});
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(StatusCode::kResourceExhausted, over.status.code()) << over.status;
+
+  // Covering both parts, the request answers bit-equal to a fresh run.
+  options.whatif.budget.max_rows_touched = prepare_rows + eval_rows;
+  service::ScenarioService enough(db_, graph_, options);
+  service::Response within = enough.Submit({"main", kQuery, {}});
+  ASSERT_TRUE(within.ok()) << within.status;
+  EXPECT_EQ(FreshRun(kQuery), within.whatif.value);
+}
+
 TEST_F(GovernanceTest, ServiceCancellationCountsOutcome) {
   auto service = MakeService();
   service::Request request{"main", kQuery, {}};
@@ -517,26 +617,25 @@ std::vector<service::Response> RunWorkload(service::ScenarioService& service) {
   responses.push_back(service.Submit({"main", kAvgQuery, {}}));
   responses.push_back(service.Submit({"main", kHowToQuery, {}}));
 
-  std::vector<std::vector<whatif::UpdateSpec>> interventions;
+  service::Request sweep{"main", kQuery, {}};
+  sweep.expected_kind = service::Response::Kind::kWhatIfBatch;
   for (int status = 2; status <= 3; ++status) {
     whatif::UpdateSpec spec;
     spec.attribute = "Status";
     spec.func = sql::UpdateFuncKind::kSet;
     spec.constant = Value::Int(status);
-    interventions.push_back({spec});
+    sweep.interventions.push_back({spec});
   }
-  auto batch = service.SubmitWhatIfBatch("main", kQuery, interventions);
-  if (batch.ok()) {
-    for (const service::WhatIfBatchItem& item : *batch) {
-      service::Response r;
-      r.status = item.status;
-      r.kind = service::Response::Kind::kWhatIf;
-      r.whatif = item.result;
-      responses.push_back(r);
-    }
-  } else {
+  service::Response batch = service.Submit(sweep);
+  if (!batch.ok()) {
+    responses.push_back(std::move(batch));
+    return responses;
+  }
+  for (const service::WhatIfBatchItem& item : batch.items) {
     service::Response r;
-    r.status = batch.status();
+    r.status = item.status;
+    r.kind = service::Response::Kind::kWhatIf;
+    r.whatif = item.result;
     responses.push_back(r);
   }
   return responses;

@@ -15,6 +15,7 @@
 
 #include "common/governance.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "data/datasets.h"
 #include "net/http.h"
 #include "net/listener.h"
@@ -167,11 +168,19 @@ TEST(HttpResponseTest, SerializeEmitsFramingHeaders) {
 // --- JSON wire format -------------------------------------------------------
 
 TEST(JsonTest, IntegralLexemesStayIntegral) {
-  auto parsed = JsonValue::Parse("{\"a\":2,\"b\":2.0,\"c\":-7}");
+  auto parsed = JsonValue::Parse(
+      "{\"a\":2,\"b\":2.0,\"c\":-7,\"d\":1.5,\"e\":1e300,"
+      "\"f\":99999999999999999999}");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed->Find("a")->is_integer());
   EXPECT_FALSE(parsed->Find("b")->is_integer());
-  EXPECT_EQ(parsed->GetInt("c"), -7);
+  EXPECT_EQ(parsed->Find("c")->int_value(), -7);
+  // A non-integral or out-of-int64 number is not an integer: int_value
+  // reads 0 instead of truncating it or casting it out of range.
+  for (const char* key : {"b", "d", "e", "f"}) {
+    EXPECT_FALSE(parsed->Find(key)->is_integer()) << key;
+    EXPECT_EQ(parsed->Find(key)->int_value(), 0) << key;
+  }
 }
 
 TEST(JsonTest, DoublesRoundTripBitExactly) {
@@ -322,7 +331,7 @@ TEST_F(QueryHandlerTest, ServedWhatIfBitEqualsInProcessSubmit) {
   const JsonValue* hit = parsed->Find("plan_cache_hit");
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->is_bool() && hit->bool_value());
-  EXPECT_GT(parsed->GetInt("view_rows"), 0);
+  EXPECT_GT(parsed->GetNumber("view_rows"), 0);
 
   // The stdin line protocol shares the handler, so it serves the identical
   // value through the identical JSON shape.
@@ -335,16 +344,18 @@ TEST_F(QueryHandlerTest, BatchItemsBitEqualInProcessBatch) {
   auto service = MakeService();
   QueryHandler handler(service.get(), &registry_);
 
-  std::vector<std::vector<whatif::UpdateSpec>> interventions;
+  service::Request sweep{"main", kQuery, {}};
+  sweep.expected_kind = service::Response::Kind::kWhatIfBatch;
   for (int v = 0; v <= 2; ++v) {
     whatif::UpdateSpec spec;
     spec.attribute = "Status";
     spec.func = sql::UpdateFuncKind::kSet;
     spec.constant = Value::Int(v);
-    interventions.push_back({spec});
+    sweep.interventions.push_back({spec});
   }
-  auto reference = service->SubmitWhatIfBatch("main", kQuery, interventions);
-  ASSERT_TRUE(reference.ok()) << reference.status();
+  const service::Response reference = service->Submit(sweep);
+  ASSERT_TRUE(reference.ok()) << reference.status;
+  ASSERT_EQ(reference.items.size(), 3u);
 
   const std::string body =
       std::string("{\"scenario\":\"main\",\"sql\":\"") + kQuery +
@@ -362,8 +373,8 @@ TEST_F(QueryHandlerTest, BatchItemsBitEqualInProcessBatch) {
   for (int v = 0; v <= 2; ++v) {
     const JsonValue& item = items->array()[v];
     ASSERT_EQ(item.GetString("status"), "ok") << response.body;
-    ASSERT_TRUE((*reference)[v].ok());
-    EXPECT_EQ(item.GetNumber("value"), (*reference)[v].result.value)
+    ASSERT_TRUE(reference.items[v].ok());
+    EXPECT_EQ(item.GetNumber("value"), reference.items[v].result.value)
         << "Status <- " << v;
   }
 }
@@ -437,7 +448,7 @@ TEST_F(QueryHandlerTest, ClientMistakesMapInto4xx) {
   ASSERT_TRUE(parsed.ok());
   const JsonValue* error = parsed->Find("error");
   ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->GetInt("http_status"), 404);
+  EXPECT_EQ(error->GetNumber("http_status"), 404);
 }
 
 TEST_F(QueryHandlerTest, ResourceBudgetAbortIs429WithRetryAfter) {
@@ -448,6 +459,126 @@ TEST_F(QueryHandlerTest, ResourceBudgetAbortIs429WithRetryAfter) {
            std::string("{\"max_rows\":1,\"sql\":\"") + kQuery + "\"}");
   EXPECT_EQ(response.status, 429) << response.body;
   EXPECT_EQ(HeaderValue(response, "Retry-After"), "1");
+}
+
+// Every counter of every stage-cache section.
+std::vector<size_t> StageCounters(const service::ScenarioService& service) {
+  const service::PlanCacheStats stats = service.cache_stats();
+  std::vector<size_t> out;
+  for (const service::StageStats* s :
+       {&stats.scope, &stats.causal, &stats.learn, &stats.query}) {
+    out.insert(out.end(),
+               {s->hits, s->misses, s->coalesced, s->evictions, s->entries});
+  }
+  return out;
+}
+
+std::string ErrorCode(const HttpResponse& response) {
+  auto parsed = JsonValue::Parse(response.body);
+  if (!parsed.ok()) return "";
+  const JsonValue* error = parsed->Find("error");
+  return error == nullptr ? "" : error->GetString("code");
+}
+
+std::string ErrorMessage(const HttpResponse& response) {
+  auto parsed = JsonValue::Parse(response.body);
+  if (!parsed.ok()) return "";
+  const JsonValue* error = parsed->Find("error");
+  return error == nullptr ? "" : error->GetString("message");
+}
+
+constexpr const char* kHowToQuery =
+    "Use German HowToUpdate Status ToMaximize Count(Credit = 1)";
+
+TEST_F(QueryHandlerTest, WrongStatementKindIs400AndBuildsNoStage) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  const std::vector<size_t> before = StageCounters(*service);
+
+  const HttpResponse howto_on_whatif =
+      Call(handler, "POST", "/v1/whatif",
+           std::string("{\"sql\":\"") + kHowToQuery + "\"}");
+  EXPECT_EQ(howto_on_whatif.status, 400) << howto_on_whatif.body;
+  EXPECT_EQ(ErrorCode(howto_on_whatif), "wrong_statement_kind");
+  EXPECT_EQ(ErrorMessage(howto_on_whatif),
+            "this endpoint serves what-if statements, got a how-to "
+            "statement (use /v1/query for any kind)");
+
+  const HttpResponse whatif_on_howto =
+      Call(handler, "POST", "/v1/howto",
+           std::string("{\"sql\":\"") + kQuery + "\"}");
+  EXPECT_EQ(whatif_on_howto.status, 400) << whatif_on_howto.body;
+  EXPECT_EQ(ErrorCode(whatif_on_howto), "wrong_statement_kind");
+  EXPECT_EQ(ErrorMessage(whatif_on_howto),
+            "this endpoint serves how-to statements, got a what-if "
+            "statement (use /v1/query for any kind)");
+
+  // The kind is known from the parse, before any stage is looked up.
+  EXPECT_EQ(before, StageCounters(*service));
+}
+
+TEST_F(QueryHandlerTest, BatchRouteAnswersWrongKindForAHowTo) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  const std::vector<size_t> before = StageCounters(*service);
+  const HttpResponse response = Call(
+      handler, "POST", "/v1/whatif/batch",
+      std::string("{\"sql\":\"") + kHowToQuery +
+          "\",\"interventions\":[[{\"attribute\":\"Status\",\"value\":0}]]}");
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_EQ(ErrorCode(response), "wrong_statement_kind") << response.body;
+  EXPECT_EQ(before, StageCounters(*service));
+}
+
+TEST_F(QueryHandlerTest, BatchBodiesTakeBudgetsAndEstimatorFields) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  const std::string sweep =
+      std::string("\"sql\":\"") + kQuery +
+      "\",\"interventions\":[[{\"attribute\":\"Status\",\"value\":0}],"
+      "[{\"attribute\":\"Status\",\"value\":1}]]";
+
+  // The sweep's row budget bounds its prepare and every intervention.
+  const HttpResponse bounded = Call(handler, "POST", "/v1/whatif/batch",
+                                    "{\"max_rows\":1," + sweep + "}");
+  EXPECT_EQ(bounded.status, 429) << bounded.body;
+  EXPECT_EQ(HeaderValue(bounded, "Retry-After"), "1");
+
+  // The estimator fields are read as on every other route.
+  const HttpResponse bad_estimator =
+      Call(handler, "POST", "/v1/whatif/batch",
+           "{\"estimator\":\"oracle\"," + sweep + "}");
+  EXPECT_EQ(bad_estimator.status, 400) << bad_estimator.body;
+
+  const HttpResponse unbounded =
+      Call(handler, "POST", "/v1/whatif/batch", "{" + sweep + "}");
+  EXPECT_EQ(unbounded.status, 200) << unbounded.body;
+
+  // On the warm plan the budget trips in the interventions: the sweep
+  // still fails as a whole.
+  const HttpResponse warm_bounded = Call(handler, "POST", "/v1/whatif/batch",
+                                         "{\"max_rows\":1," + sweep + "}");
+  EXPECT_EQ(warm_bounded.status, 429) << warm_bounded.body;
+}
+
+TEST_F(QueryHandlerTest, BudgetFieldsMustBeNonNegativeIntegers) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  for (const char* field : {"deadline_ms", "max_rows", "max_bytes"}) {
+    for (const char* value :
+         {"1.5", "-1", "1e300", "99999999999999999999", "\"5\""}) {
+      const HttpResponse response =
+          Call(handler, "POST", "/v1/whatif",
+               StrFormat("{\"%s\":%s,\"sql\":\"%s\"}", field, value, kQuery));
+      EXPECT_EQ(response.status, 400)
+          << field << "=" << value << ": " << response.body;
+    }
+  }
+  // A deadline beyond the clock's range is no deadline at all.
+  const HttpResponse far = Call(
+      handler, "POST", "/v1/whatif",
+      StrFormat("{\"deadline_ms\":10000000000000,\"sql\":\"%s\"}", kQuery));
+  EXPECT_EQ(far.status, 200) << far.body;
 }
 
 TEST_F(QueryHandlerTest, ExpiredDeadlineIs504) {

@@ -200,7 +200,7 @@ TEST(RenderTest, JsonSnapshotParsesAndCarriesQuantiles) {
   const JsonValue* counters = root.Find("counters");
   ASSERT_NE(counters, nullptr);
   ASSERT_EQ(counters->array().size(), 1u);
-  EXPECT_EQ(counters->array()[0].GetInt("value"), 7);
+  EXPECT_EQ(counters->array()[0].GetNumber("value"), 7);
   const JsonValue* histograms = root.Find("histograms");
   ASSERT_NE(histograms, nullptr);
   ASSERT_EQ(histograms->array().size(), 1u);
@@ -265,8 +265,8 @@ TEST(ServiceMetricsTest, SubmitsLandInRegistryInstruments) {
   EXPECT_EQ(cache->Find("plan"), nullptr);  // the query section is the plan
   const JsonValue* plans = cache->Find("query");
   ASSERT_NE(plans, nullptr);
-  EXPECT_EQ(plans->GetInt("hits"), 1);
-  EXPECT_EQ(plans->GetInt("misses"), 1);
+  EXPECT_EQ(plans->GetNumber("hits"), 1);
+  EXPECT_EQ(plans->GetNumber("misses"), 1);
 }
 
 }  // namespace

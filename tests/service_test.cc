@@ -177,24 +177,34 @@ TEST_F(ServiceTest, SubmitWhatIfBatchMatchesSingles) {
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
   auto service = MakeService(options);
 
-  std::vector<std::vector<whatif::UpdateSpec>> interventions;
+  Request sweep{"main", kQuery, {}};
+  sweep.expected_kind = Response::Kind::kWhatIfBatch;
+
+  // An empty sweep still prepares the plan and answers zero items.
+  const Response empty = service->Submit(sweep);
+  ASSERT_TRUE(empty.ok()) << empty.status;
+  EXPECT_TRUE(empty.items.empty());
+  EXPECT_EQ(1u, service->cache_stats().misses);
+
   for (int v = 0; v <= 3; ++v) {
     whatif::UpdateSpec spec;
     spec.attribute = "Status";
     spec.func = sql::UpdateFuncKind::kSet;
     spec.constant = Value::Int(v);
-    interventions.push_back({spec});
+    sweep.interventions.push_back({spec});
   }
-  auto batch = service->SubmitWhatIfBatch("main", kQuery, interventions);
-  ASSERT_TRUE(batch.ok()) << batch.status();
+  const Response batch = service->Submit(sweep);
+  ASSERT_TRUE(batch.ok()) << batch.status;
+  EXPECT_EQ(Response::Kind::kWhatIfBatch, batch.kind);
+  ASSERT_EQ(4u, batch.items.size());
 
   for (int v = 0; v <= 3; ++v) {
     const double expected = FreshRun(
         "Use German When Status = 1 Update(Status) = " + std::to_string(v) +
             " Output Count(Credit = 1)",
         options);
-    ASSERT_TRUE((*batch)[v].ok()) << (*batch)[v].status;
-    EXPECT_EQ(expected, (*batch)[v].result.value) << "Status <- " << v;
+    ASSERT_TRUE(batch.items[v].ok()) << batch.items[v].status;
+    EXPECT_EQ(expected, batch.items[v].result.value) << "Status <- " << v;
   }
 }
 
@@ -631,32 +641,33 @@ TEST_F(ServiceTest, SubmitWhatIfBatchReportsPerItemFailures) {
   // post value is deterministic, so v != 0 disqualifies every updated tuple
   // and the Avg's qualifying set has zero probability — that intervention
   // must fail alone, without aborting its sweep siblings.
-  const std::string base =
-      "Use German Update(Status) = 0 Output Avg(Post(Credit)) "
-      "For Post(Status) = 0";
-  std::vector<std::vector<whatif::UpdateSpec>> interventions;
+  Request sweep{"main",
+                "Use German Update(Status) = 0 Output Avg(Post(Credit)) "
+                "For Post(Status) = 0",
+                {}};
+  sweep.expected_kind = Response::Kind::kWhatIfBatch;
   for (int v : {0, 1}) {
     whatif::UpdateSpec spec;
     spec.attribute = "Status";
     spec.func = sql::UpdateFuncKind::kSet;
     spec.constant = Value::Int(v);
-    interventions.push_back({spec});
+    sweep.interventions.push_back({spec});
   }
 
-  auto batch = service->SubmitWhatIfBatch("main", base, interventions);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(2u, batch->size());
+  const Response batch = service->Submit(sweep);
+  ASSERT_TRUE(batch.ok()) << batch.status;
+  ASSERT_EQ(2u, batch.items.size());
 
   // Item 0 answers, bit-identical to a fresh single run.
-  ASSERT_TRUE((*batch)[0].ok()) << (*batch)[0].status;
+  ASSERT_TRUE(batch.items[0].ok()) << batch.items[0].status;
   EXPECT_EQ(FreshRun("Use German Update(Status) = 0 "
                      "Output Avg(Post(Credit)) For Post(Status) = 0",
                      options),
-            (*batch)[0].result.value);
+            batch.items[0].result.value);
 
   // Item 1 carries its own error.
-  EXPECT_FALSE((*batch)[1].ok());
-  EXPECT_EQ(StatusCode::kInvalidArgument, (*batch)[1].status.code());
+  EXPECT_FALSE(batch.items[1].ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, batch.items[1].status.code());
 }
 
 // --- how-to through shared plans ------------------------------------------

@@ -350,6 +350,35 @@ TEST(WhatIfEngineTest, ResultDiagnosticsPopulated) {
   EXPECT_GE(result->total_seconds, 0.0);
 }
 
+// The reported parts of a run are disjoint: estimator training is timed
+// apart from the evaluation that triggers it, so prepare, eval and train
+// sum to at most the run's wall time.
+TEST(WhatIfEngineTest, TimersAreDisjointPartsOfTheRun) {
+  data::GermanOptions opt;
+  opt.rows = 4000;
+  opt.seed = 41;
+  auto ds = data::MakeGermanSyn(opt);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  WhatIfOptions options;
+  options.estimator = learn::EstimatorKind::kForest;
+  options.num_threads = 1;
+  const WhatIfEngine engine(&ds->db, &ds->graph, options);
+  for (const char* query :
+       {"Use German When Status = 1 Update(Status) = 2 Output Count(Credit = 1)",
+        "Use German Update(Savings) = 2 Output Avg(Post(Credit))",
+        "Use German When Age = 1 Update(Housing) = 0 "
+        "Output Sum(Post(Credit)) For Pre(Status) = 1"}) {
+    auto result = engine.RunSql(query);  // cold: no stage context
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    EXPECT_GT(result->train_seconds, 0.0) << query;
+    EXPECT_GE(result->eval_seconds, 0.0) << query;
+    EXPECT_LE(result->prepare_seconds + result->eval_seconds +
+                  result->train_seconds,
+              result->total_seconds)
+        << query;
+  }
+}
+
 TEST(WhatIfEngineTest, RejectsNonWhatIfSql) {
   Database db = EngineeredDb();
   WhatIfEngine engine(&db, nullptr, {});
