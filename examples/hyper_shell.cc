@@ -22,18 +22,24 @@
 //   \scenario apply <what-if>      apply the statement's deterministic update
 //                                  to the current scenario (chained updates)
 //   \budget deadline <sec> | rows <n> | bytes <n> | off | show
-//                         per-request resource budget (0 = unlimited)
+//                         per-request resource budget (0 = unlimited); <n>
+//                         is a non-negative integer, <sec> a finite
+//                         non-negative number, anything else leaves the
+//                         budget as it was
 //   \cache stats|clear    stage cache (scope/causal/learn/query sections;
-//                         the query section holds the plans) + admission
-//                         counters
+//                         the query section holds the plans), admission
+//                         counters and the branches' row builds
 //   \metrics              full metrics snapshot (the server's /statusz JSON)
 //   \wal stats            durability state (needs --data-dir <dir>)
 //   \quit
 // Anything else is parsed as a HypeR statement (end with ';' or newline).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/strings.h"
@@ -58,6 +64,28 @@ struct ShellState {
   whatif::WhatIfOptions options;  // per-request override, tweakable live
   QueryBudget budget;             // per-request resource budget (\budget)
 };
+
+/// All of `text` as a non-negative decimal integer that fits a size_t,
+/// else nothing (a sign, a fraction, trailing text, an overflow).
+std::optional<size_t> ParseCount(const std::string& text) {
+  size_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last) return std::nullopt;
+  return value;
+}
+
+/// All of `text` as a finite non-negative number of seconds, else nothing.
+std::optional<double> ParseSeconds(const std::string& text) {
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last || !std::isfinite(value) ||
+      std::signbit(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 void RunStatement(ShellState& state, const std::string& text) {
   service::Request request;
@@ -192,23 +220,30 @@ void RunCommand(ShellState& state, const std::string& line) {
     }
     std::printf("mode: %s\n", BackdoorModeName(state.options.backdoor));
   } else if (cmd == "\\sample" && parts.size() > 1) {
-    state.options.sample_size =
-        static_cast<size_t>(std::strtoull(parts[1].c_str(), nullptr, 10));
+    const std::optional<size_t> sample = ParseCount(parts[1]);
+    if (!sample.has_value()) {
+      std::printf("usage: \\sample <n> (a non-negative integer; 0 = off)\n");
+      return;
+    }
+    state.options.sample_size = *sample;
     std::printf("sample: %zu\n", state.options.sample_size);
   } else if (cmd == "\\scenario") {
     RunScenarioCommand(state, parts, line);
   } else if (cmd == "\\budget") {
     const std::string sub = parts.size() > 1 ? parts[1] : "show";
+    const std::string arg = parts.size() > 2 ? parts[2] : "";
+    const std::optional<double> seconds =
+        sub == "deadline" ? ParseSeconds(arg) : std::nullopt;
+    const std::optional<size_t> count =
+        sub == "rows" || sub == "bytes" ? ParseCount(arg) : std::nullopt;
     if (sub == "off") {
       state.budget = QueryBudget{};
-    } else if (sub == "deadline" && parts.size() > 2) {
-      state.budget.deadline_seconds = std::strtod(parts[2].c_str(), nullptr);
-    } else if (sub == "rows" && parts.size() > 2) {
-      state.budget.max_rows_touched =
-          static_cast<size_t>(std::strtoull(parts[2].c_str(), nullptr, 10));
-    } else if (sub == "bytes" && parts.size() > 2) {
-      state.budget.max_bytes_materialized =
-          static_cast<size_t>(std::strtoull(parts[2].c_str(), nullptr, 10));
+    } else if (seconds.has_value()) {
+      state.budget.deadline_seconds = *seconds;
+    } else if (count.has_value() && sub == "rows") {
+      state.budget.max_rows_touched = *count;
+    } else if (count.has_value()) {
+      state.budget.max_bytes_materialized = *count;
     } else if (sub != "show") {
       std::printf("usage: \\budget deadline <sec> | rows <n> | bytes <n> | "
                   "off | show\n");
@@ -227,6 +262,9 @@ void RunCommand(ShellState& state, const std::string& line) {
     } else {
       examples::PrintCacheStats(state.service->cache_stats());
       examples::PrintGovernanceStats(state.service->governance_stats());
+      std::printf("worlds: %llu row build(s)\n",
+                  static_cast<unsigned long long>(
+                      state.service->world_row_builds()));
     }
   } else if (cmd == "\\metrics") {
     // The same JSON document the server exposes on /statusz, so in-process
@@ -335,12 +373,10 @@ int main(int argc, char** argv) {
       std::printf("%s\n", ds.status().ToString().c_str());
       return 1;
     }
+    std::printf("loaded %s: %zu rows\n", dataset.c_str(),
+                ds->db.TotalRows());
     state.service = std::make_unique<service::ScenarioService>(
         std::move(ds->db), std::move(ds->graph), service_options);
-    std::printf("loaded %s: %zu rows\n", dataset.c_str(),
-                state.service->EffectiveDatabase("main")
-                    .value()
-                    ->TotalRows());
   } else {
     state.service = std::make_unique<service::ScenarioService>(
         std::move(csv_db), service_options);

@@ -136,6 +136,19 @@ echo "== deadline-stress smoke (randomized tight deadlines) =="
 "$BUILD_DIR"/governance_test \
   --gtest_filter='GovernanceTest.RandomTightDeadlinesNeverHangOrCorrupt'
 
+echo "== shell smoke (number arguments) =="
+# The shell's budget counts take only a whole non-negative integer: `-5`
+# (which strtoull wrapped to 18446744073709551611) and `abc` (which read as
+# 0, unlimited) print the usage line and leave the budget as it was.
+SHELL_OUT="$(printf '%s\n' '\budget rows -5' '\budget rows abc' \
+  '\budget rows 7' '\quit' | "$BUILD_DIR"/hyper_shell german 2>&1)"
+[ "$(printf '%s\n' "$SHELL_OUT" | grep -c 'usage: \\budget')" = "2" ] \
+  || { echo "shell smoke: bad budget counts not refused: $SHELL_OUT"; exit 1; }
+[ "$(printf '%s\n' "$SHELL_OUT" | grep -o 'budget: .*')" \
+    = "budget: deadline 0s, rows 7, bytes 0 (0 = unlimited)" ] \
+  || { echo "shell smoke: budgets not as set: $SHELL_OUT"; exit 1; }
+echo "shell smoke passed: only 'rows 7' moved the budget"
+
 echo "== server smoke (HTTP serving vs in-process reference) =="
 # End-to-end over a real socket: the served what-if must carry the same
 # value bits as the in-process reference (the stdin transport shares the
@@ -189,6 +202,32 @@ curl -sf -X POST "$URL/v1/scenario" \
   || smoke_fail "scenario create failed"
 curl -sf "$URL/v1/scenario" | grep -q '"smoke"' \
   || smoke_fail "created scenario missing from the list"
+
+# A one-cell branch: a what-if on `smoke` bit-equals the sweep item for the
+# same intervention, and both read the base relations and the branch's cell
+# without building the branch's rows; a select on the branch is the first
+# request that builds them.
+BRANCH_Q='Use German When Savings = 2 Update(Status) = 2 Output Count(Credit = 1)'
+row_builds() {
+  curl -sf "$URL/statusz" | grep -o '"row_builds":[0-9]*' | cut -d: -f2
+}
+curl -sf -X POST "$URL/v1/scenario" \
+  -d '{"action":"apply","scenario":"smoke","sql":"Use German When Id = 3 Update(Savings) = 2 Output Count(*)"}' \
+  >/dev/null || smoke_fail "apply to scenario smoke failed"
+BRANCH_VALUE="$(curl -sf -X POST "$URL/v1/whatif" \
+  -d "{\"scenario\":\"smoke\",\"sql\":\"$BRANCH_Q\"}" | grep -o '"value":[^,}]*')"
+[ -n "$BRANCH_VALUE" ] || smoke_fail "no value from the what-if on smoke"
+curl -sf -X POST "$URL/v1/whatif/batch" \
+  -d "{\"scenario\":\"smoke\",\"sql\":\"$BRANCH_Q\",\"interventions\":[[{\"attribute\":\"Status\",\"value\":2}]]}" \
+  | grep -qF "$BRANCH_VALUE" \
+  || smoke_fail "sweep item on smoke diverged from its what-if ($BRANCH_VALUE)"
+[ "$(row_builds)" = "0" ] \
+  || smoke_fail "table-view requests on smoke built rows: row_builds $(row_builds)"
+curl -sf -X POST "$URL/v1/query" \
+  -d '{"scenario":"smoke","sql":"Select Id From German Where Savings = 2"}' \
+  >/dev/null || smoke_fail "select on smoke failed"
+[ "$(row_builds)" = "1" ] \
+  || smoke_fail "the select on smoke did not build its rows once: row_builds $(row_builds)"
 
 METRICS="$(curl -sf "$URL/metrics")"
 printf '%s\n' "$METRICS" \

@@ -59,8 +59,10 @@ Result<StageCache::StagePtr> StageCache::GetOrBuild(whatif::StageKind kind,
   }
 
   if (hit != nullptr) *hit = false;
-  // The factory runs outside the cache lock (it is the expensive part, and
-  // it may re-enter other sections — never this one).
+  // The factory runs outside the cache lock: it is the expensive part, and
+  // it may look up other keys, of other sections or of this one (a branch's
+  // scope build gets its base image), each of which waits on no build that
+  // waits on it.
   Result<StagePtr> entry = build();
   {
     MutexLock lock(&section.mu);
@@ -87,14 +89,6 @@ Result<StageCache::StagePtr> StageCache::GetOrBuild(whatif::StageKind kind,
   // later caller finds either the stored entry or a fresh miss.
   flight->promise.set_value(entry);
   return entry;
-}
-
-StageCache::StagePtr StageCache::Peek(whatif::StageKind kind,
-                                      const std::string& key) {
-  Section& section = stages_[static_cast<size_t>(kind)];
-  MutexLock lock(&section.mu);
-  auto it = section.map.find(key);
-  return it == section.map.end() ? nullptr : it->second.entry;
 }
 
 size_t StageCache::EvictTagged(const std::string& tag) {

@@ -70,11 +70,6 @@ class StageCache : public whatif::StageProvider {
   Result<StagePtr> GetOrBuild(whatif::StageKind kind, const std::string& key,
                               const StageFactory& build, bool* hit) override;
 
-  /// Returns the cached stage or nullptr without building. Does not touch
-  /// recency or the hit/miss counters (it locates delta-patch bases, it
-  /// does not serve queries).
-  StagePtr Peek(whatif::StageKind kind, const std::string& key) override;
-
   /// Eagerly evicts, from every section, the entries whose key contains
   /// `tag` (e.g. a dropped branch's data-scope fingerprint). Returns the
   /// number of entries evicted; the eviction counters absorb them, so the

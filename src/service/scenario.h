@@ -20,10 +20,12 @@ namespace hyper::service {
 /// cell, later writes winning.
 ///
 /// Overrides are relative to the *base* database. The ScenarioService
-/// snapshots them into one World per branch version, which patches a copy
-/// of each touched base table once, on first demand, outside the service
-/// lock; untouched relations are shared with the base via
-/// Database::ShallowCopy.
+/// snapshots them into one World per branch version. Its requests run over
+/// the base relations and the base's columnar images patched with these
+/// cells; only the few reads that need the branch's rows make the World
+/// patch a copy of each touched base table, once, outside the service
+/// lock (untouched relations are shared with the base via
+/// Database::ShallowCopy).
 class ScenarioBranch {
  public:
   /// tid -> value overrides of one attribute. Aliases the storage-layer

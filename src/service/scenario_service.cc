@@ -1,7 +1,6 @@
 #include "service/scenario_service.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -55,17 +54,22 @@ const char* KindName(Response::Kind kind) {
 /// One branch version: the hypothetical world D' (§3, Definition 5) that the
 /// branch's applied updates make of the base. The base relations (shared
 /// through Database::ShallowCopy), the branch's override cells and the
-/// stage context are fixed at construction, under the service lock. The
-/// patched rows are built at most once, by the first caller of Rows, under
-/// the World's own lock, never the service's.
-class ScenarioService::World {
+/// stage context are fixed at construction, under the service lock.
+/// Requests run their engines over the base with the stage context, whose
+/// table-view images are the base images patched with the override cells;
+/// the context hands the engine this World as its row source for the reads
+/// that need the patched rows. Those rows are built at most once, by the
+/// first caller of Rows, under the World's own lock, never the service's.
+class ScenarioService::World : public whatif::RowSource {
  public:
   World(Database base, const ScenarioBranch& branch, uint64_t branch_id,
-        uint64_t generation, whatif::StageProvider* stages)
+        uint64_t generation, whatif::StageProvider* stages,
+        std::atomic<uint64_t>* row_builds)
       : base_(std::move(base)),
         overrides_(branch.overrides()),
         branch_id_(branch_id),
-        branch_version_(branch.version()) {
+        branch_version_(branch.version()),
+        row_builds_(row_builds) {
     context_.stages = stages;
     context_.data_scope = DataScope(generation, branch.delta_fingerprint());
     // Cell overrides never add or remove rows, so the generation alone
@@ -76,15 +80,21 @@ class ScenarioService::World {
     // untouched trunk's image plus its own cells.
     context_.base_scope = DataScope(generation, Fnv1a().hash());
     context_.overrides = &overrides_;
+    // Without cells the base is the snapshot, and the engine reads it.
+    context_.rows = overrides_.empty() ? nullptr : this;
   }
 
   uint64_t branch_id() const { return branch_id_; }
   uint64_t branch_version() const { return branch_version_; }
   const whatif::StageContext& stage_context() const { return context_; }
+  /// The base relations the World's engines run over.
+  const Database& base() const { return base_; }
 
   /// The base with each touched relation replaced by a patched copy;
-  /// untouched relations share the base storage.
-  Result<std::shared_ptr<const Database>> Rows() const EXCLUDES(mu_) {
+  /// untouched relations share the base storage. Each build counts in the
+  /// service's row-build counter.
+  Result<std::shared_ptr<const Database>> Rows() const override
+      EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     if (rows_ != nullptr) return rows_;
     auto rows = std::make_shared<Database>(base_.ShallowCopy());
@@ -103,6 +113,7 @@ class ScenarioService::World {
       }
       HYPER_RETURN_NOT_OK(rows->PutTable(std::move(patched)));
     }
+    row_builds_->fetch_add(1, std::memory_order_relaxed);
     rows_ = std::move(rows);
     return rows_;
   }
@@ -112,6 +123,7 @@ class ScenarioService::World {
   const ScenarioBranch::OverrideMap overrides_;
   const uint64_t branch_id_;
   const uint64_t branch_version_;
+  std::atomic<uint64_t>* const row_builds_;
   whatif::StageContext context_;
   mutable Mutex mu_;
   mutable std::shared_ptr<const Database> rows_ GUARDED_BY(mu_);
@@ -429,7 +441,8 @@ ScenarioService::SnapshotWorld(const std::string& scenario) {
   if (state->world == nullptr ||
       state->world->branch_version() != state->branch.version()) {
     state->world = std::make_shared<const World>(
-        base_.ShallowCopy(), state->branch, state->id, generation_, &cache_);
+        base_.ShallowCopy(), state->branch, state->id, generation_, &cache_,
+        &world_row_builds_);
   }
   return state->world;
 }
@@ -464,17 +477,19 @@ struct HypotheticalDelta {
   size_t updated_rows = 0;
 };
 
-/// `engine` runs over `eff`; `ctx` is the world's stage context, through
-/// which S comes from the world's cached columnar image.
+/// `engine` runs over the world's `base`; `ctx` is the world's stage
+/// context, through which S and the pre-update values come from the
+/// world's columnar image: the base image patched with the world's cells.
 Result<HypotheticalDelta> ComputeHypotheticalDelta(
-    const Database& eff, const sql::WhatIfStmt& stmt,
+    const Database& base, const sql::WhatIfStmt& stmt,
     const whatif::WhatIfEngine& engine, const whatif::StageContext& ctx) {
   HypotheticalDelta delta;
   // All update attributes must live in one relation (the engine's relevant
   // view has the same contract).
   HYPER_ASSIGN_OR_RETURN(delta.relation,
-                         eff.RelationOfAttribute(stmt.updates[0].attribute));
-  HYPER_ASSIGN_OR_RETURN(const Table* table, eff.GetTable(delta.relation));
+                         base.RelationOfAttribute(stmt.updates[0].attribute));
+  HYPER_ASSIGN_OR_RETURN(const Table* table, base.GetTable(delta.relation));
+  // Only the schema: the base holds none of the branch's cells.
   const Schema& schema = table->schema();
   for (const sql::UpdateClause& u : stmt.updates) {
     if (!schema.Contains(u.attribute)) {
@@ -501,6 +516,7 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
       engine.SelectScope(use, stmt.updates[0].attribute, stmt.when.get(),
                          &ctx));
   const std::vector<size_t>& s_rows = scope.rows;
+  const ColumnTable& image = *scope.image;
   delta.updated_rows = s_rows.size();
 
   // Deterministic post image f(pre), all updates from the same pre state.
@@ -534,7 +550,7 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
     delta.cells[j].reserve(s_rows.size());
     for (size_t r : s_rows) {
       HYPER_ASSIGN_OR_RETURN(
-          Value post, spec.Apply(table->At(r, delta.attr_of_update[j])));
+          Value post, spec.Apply(image.GetValue(r, delta.attr_of_update[j])));
       HYPER_RETURN_NOT_OK(check_kind(post));
       delta.cells[j].emplace_back(r, std::move(post));
     }
@@ -565,14 +581,14 @@ Result<size_t> ScenarioService::ApplyHypothetical(
   for (int attempt = 0; attempt < 8; ++attempt) {
     HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
                            SnapshotWorld(scenario));
-    HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const Database> db, world->Rows());
-    // Default options: S reads only the scope stage, and a branch update is
-    // not a governed request.
-    const whatif::WhatIfEngine engine(db.get(), graph(),
+    // Default options: S and the pre-values read only the scope stage, and
+    // a branch update is not a governed request.
+    const whatif::WhatIfEngine engine(&world->base(), graph(),
                                       whatif::WhatIfOptions{});
-    HYPER_ASSIGN_OR_RETURN(HypotheticalDelta delta,
-                           ComputeHypotheticalDelta(*db, stmt, engine,
-                                                    world->stage_context()));
+    HYPER_ASSIGN_OR_RETURN(
+        HypotheticalDelta delta,
+        ComputeHypotheticalDelta(world->base(), stmt, engine,
+                                 world->stage_context()));
     if (delta.updated_rows == 0) return size_t{0};  // nothing to record
 
     MutexLock lock(&mu_);
@@ -625,15 +641,14 @@ Result<size_t> ScenarioService::ApplyHypothetical(
 Status ScenarioService::Dispatch(const Request& request,
                                  const sql::Statement& statement,
                                  const whatif::WhatIfOptions& options,
-                                 const Database& db,
-                                 const whatif::StageContext& stage_context,
-                                 Response* response) {
+                                 const World& world, Response* response) {
+  const whatif::StageContext& stage_context = world.stage_context();
   switch (response->kind) {
     case Response::Kind::kWhatIf:
     case Response::Kind::kWhatIfBatch: {
       // One plan, then the interventions; a single statement is a sweep of
       // its own update constants.
-      const whatif::WhatIfEngine engine(&db, graph(), options);
+      const whatif::WhatIfEngine engine(&world.base(), graph(), options);
       bool hit = false;
       HYPER_ASSIGN_OR_RETURN(
           std::shared_ptr<const whatif::PreparedWhatIf> plan,
@@ -687,13 +702,16 @@ Status ScenarioService::Dispatch(const Request& request,
       ho.global_l1_budget = options_.howto_global_l1_budget;
       ho.prefer_mck = options_.howto_prefer_mck;
       ho.stage_context = &stage_context;
-      const howto::HowToEngine engine(&db, graph(), ho);
+      const howto::HowToEngine engine(&world.base(), graph(), ho);
       HYPER_ASSIGN_OR_RETURN(response->howto, engine.Run(*statement.howto));
       return Status::OK();
     }
     case Response::Kind::kSelect: {
-      HYPER_ASSIGN_OR_RETURN(response->table,
-                             relational::ExecuteSelect(db, *statement.select));
+      // A select may read any cell of any relation: it runs over the rows.
+      HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const Database> rows,
+                             world.Rows());
+      HYPER_ASSIGN_OR_RETURN(
+          response->table, relational::ExecuteSelect(*rows, *statement.select));
       return Status::OK();
     }
     case Response::Kind::kNone:
@@ -795,10 +813,10 @@ Response ScenarioService::GovernedDispatch(
     const Request& request, const Result<std::shared_ptr<const World>>& world) {
   Response response;
   governance::ExecGuardPtr guard;
-  // The request's time is its parse, then arming and dispatch; a version's
-  // first request builds the World's rows in between, outside that time.
+  // The request's time: its parse, arming and dispatch, including the
+  // World's row build when the request is the first of its version to need
+  // the rows.
   Stopwatch timer;
-  Stopwatch::Clock::duration elapsed{};
   response.status = [&]() -> Status {
     HYPER_RETURN_NOT_OK(world.status());
     HYPER_ASSIGN_OR_RETURN(const sql::Statement statement,
@@ -810,10 +828,6 @@ Response ScenarioService::GovernedDispatch(
           StrFormat("expected a %s statement, got a %s statement",
                     KindName(request.expected_kind), KindName(response.kind)));
     }
-    elapsed = timer.Elapsed();
-    const Result<std::shared_ptr<const Database>> db = (*world)->Rows();
-    timer.Restart();
-    HYPER_RETURN_NOT_OK(db.status());
     // One guard for the request, injected through its what-if options: the
     // what-if engine and the how-to engine's scoring pass both use it
     // instead of arming their own, so one deadline and one pair of meters
@@ -832,11 +846,9 @@ Response ScenarioService::GovernedDispatch(
           governance::ExecGuard::Arm(options.budget, options.cancel_token);
     }
     guard = options.exec_guard;
-    return Dispatch(request, statement, options, **db,
-                    (*world)->stage_context(), &response);
+    return Dispatch(request, statement, options, **world, &response);
   }();
-  elapsed += timer.Elapsed();
-  response.seconds = std::chrono::duration<double>(elapsed).count();
+  response.seconds = timer.ElapsedSeconds();
   if (instruments_ != nullptr) {
     instruments_->RecordRequest(response, guard.get(), response.seconds);
   }

@@ -1,6 +1,7 @@
 #ifndef HYPER_SERVICE_SCENARIO_SERVICE_H_
 #define HYPER_SERVICE_SCENARIO_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -98,6 +99,10 @@ struct Response {
   std::vector<WhatIfBatchItem> items;
   howto::HowToResult howto;
   Table table;  // select results
+  /// Wall time of the request: its parse, guard arming and dispatch. A
+  /// request that is the first of its branch version to read the branch's
+  /// rows (a select, an embedded-select view, cross-tuple blocks or a
+  /// kind-changing override's rebuild) includes their build.
   double seconds = 0.0;
 
   bool ok() const { return status.ok(); }
@@ -126,7 +131,7 @@ struct Request {
   CancelToken cancel_token;
   /// The kind of statement the caller expects. kNone serves any kind;
   /// kWhatIf, kHowTo and kSelect fail another kind with kInvalidArgument
-  /// before the request reads the branch's rows or a cache. kWhatIfBatch
+  /// before the request reads a cache or the branch's data. kWhatIfBatch
   /// expects a what-if and sweeps `interventions` over its one plan.
   Response::Kind expected_kind = Response::Kind::kNone;
   /// The sweep of a kWhatIfBatch request: the statement fixes the
@@ -258,6 +263,13 @@ class ScenarioService {
   PlanCacheStats cache_stats() const { return cache_.stats(); }
   void ClearCache() { cache_.Clear(); }
 
+  /// How many times a branch version's World built its rows (at most once
+  /// per version; see EffectiveDatabase). Requests that read only a table
+  /// view's cells build none.
+  uint64_t world_row_builds() const {
+    return world_row_builds_.load(std::memory_order_relaxed);
+  }
+
   /// Replaces the base database: every branch is dropped back to a clean
   /// trunk and the stage cache scope rolls over (cached plans for the old
   /// data can never serve the new data). With durability on, the reload is
@@ -297,7 +309,12 @@ class ScenarioService {
   /// structurally, touched relations patched. They are built once per
   /// branch version, by the first caller that asks, and every caller of
   /// that version gets the same Database. The snapshot stays valid while
-  /// queries hold it, even across later branch mutations.
+  /// queries hold it, even across later branch mutations. Requests never
+  /// need them for a table view's what-if, how-to or apply, which read the
+  /// base and the branch's override cells; only selects, embedded-select
+  /// views, cross-tuple blocks and a kind-changing override's image
+  /// rebuild ask for them. Oracles and tests call this to get the branch's
+  /// rows.
   Result<std::shared_ptr<const Database>> EffectiveDatabase(
       const std::string& scenario);
 
@@ -308,7 +325,8 @@ class ScenarioService {
 
  private:
   /// One branch version: the base, the override snapshot, the stage
-  /// context and the rows built on first demand (scenario_service.cc).
+  /// context, and the rows built on first demand (scenario_service.cc).
+  /// It is its stage context's row source.
   class World;
 
   struct BranchState {
@@ -349,16 +367,16 @@ class ScenarioService {
       const std::string& scenario) EXCLUDES(mu_);
 
   /// Answers the parsed statement of `request` (its kind already in
-  /// response->kind) over `db` with the World's stage context and the
-  /// request's effective what-if options; returns the response's status.
+  /// response->kind) with the request's effective what-if options: a
+  /// what-if or how-to over the World's base with its stage context, a
+  /// select over its rows. Returns the response's status.
   Status Dispatch(const Request& request, const sql::Statement& statement,
-                  const whatif::WhatIfOptions& options, const Database& db,
-                  const whatif::StageContext& stage_context,
+                  const whatif::WhatIfOptions& options, const World& world,
                   Response* response);
 
   /// The one request path, given the request's World (or the error that
   /// found none): parses the statement once and fails a kind mismatch
-  /// before the World's rows are asked for, then arms at most one
+  /// before any cache or data is read, then arms at most one
   /// ExecGuard (from the request's budget and token, else from its
   /// effective what-if options) and injects it through those options, so
   /// every engine call of the request shares one deadline and one pair of
@@ -388,6 +406,8 @@ class ScenarioService {
   StageCache cache_;
   /// Metrics handles, present iff options_.metrics was set.
   std::unique_ptr<ServiceInstruments> instruments_;
+  /// Row builds of every World this service made (world_row_builds()).
+  std::atomic<uint64_t> world_row_builds_{0};
   /// Durability manager, present iff options_.data_dir was set AND recovery
   /// succeeded. The pointer itself is written only during construction
   /// (safe to test without mu_; Manager is internally locked) — but appends

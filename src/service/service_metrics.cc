@@ -241,6 +241,9 @@ std::string StatuszJson(const ScenarioService& service,
   w.Key("query");
   WriteStageStats(&w, cache.query);
   w.EndObject();
+  w.Key("worlds").BeginObject()
+      .Key("row_builds").UInt(service.world_row_builds())
+      .EndObject();
 
   const durability::WalStats wal = service.wal_stats();
   w.Key("durability").BeginObject();

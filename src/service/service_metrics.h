@@ -46,8 +46,9 @@ void AppendServiceSeries(const ScenarioService& service,
                          obs::MetricsSnapshot* snapshot);
 
 /// The /statusz document: drain state, admission counters, cache sections,
-/// and (when a registry is wired) the full metrics snapshot with latency
-/// quantiles. Also serves `\metrics` in hyper_shell.
+/// the branch worlds' row builds, and (when a registry is wired) the full
+/// metrics snapshot with latency quantiles. Also serves `\metrics` in
+/// hyper_shell.
 std::string StatuszJson(const ScenarioService& service,
                         const obs::MetricsRegistry* registry);
 

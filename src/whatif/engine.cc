@@ -608,12 +608,10 @@ void WidenColumn(const Column& col, size_t n, double* out) {
 }  // namespace
 
 /// ScopeStage: the materialized relevant view and its columnar image. For a
-/// scenario branch this is the only stage that must re-materialize data —
-/// and when the base world's ScopeStage is cached, it is the base image with
-/// the branch's sparse override cells patched in
-/// (ColumnTable::ApplyOverrides): it shares every column the branch does not
-/// write with the base image and owns a patched copy of the rest, instead of
-/// re-encoding the whole table.
+/// scenario branch's table view it is the base world's stage with the
+/// branch's sparse override cells patched in (ColumnTable::ApplyOverrides):
+/// it shares the base's view and every column the branch does not write,
+/// and owns a patched copy of the rest, instead of re-encoding the table.
 struct ScopeStageData {
   std::shared_ptr<const ViewInfo> view_info;
   ColumnTable cview;
@@ -987,86 +985,117 @@ std::string QueryStageKey(const std::string& causal_key,
   return key;
 }
 
-/// Builds the ScopeStage: relevant view + columnar image. When the context
-/// carries override cells and the base world's ScopeStage is cached, the
-/// image is the base image patched copy-on-write (ApplyOverrides) —
-/// value-for-value what re-encoding gives, at O(columns + the written
-/// columns' rows) instead of O(cells * typed dispatch). Falls back to a
-/// full build whenever patching is not possible (select views, a missing
-/// base stage, a kind-changing override).
+/// The rows of the context's data snapshot: its row source's when it has
+/// one, else `db`, which then is the snapshot. `hold` keeps the row
+/// source's Database alive while the caller reads it.
+Result<const Database*> SnapshotRows(const Database& db,
+                                     const StageContext* ctx,
+                                     std::shared_ptr<const Database>* hold) {
+  if (ctx == nullptr || ctx->rows == nullptr) return &db;
+  HYPER_ASSIGN_OR_RETURN(*hold, ctx->rows->Rows());
+  return hold->get();
+}
+
+Result<std::shared_ptr<const ScopeStageData>> ScopeStageFor(
+    const Database& db, const sql::UseClause& use,
+    const std::string& update_attr0, const std::string& update_relation,
+    const StageContext* ctx, const ExecGuard* guard);
+
+/// Builds the ScopeStage: relevant view + columnar image.
+///
+/// A table view whose context carries override cells is the base world's
+/// ScopeStage (got or built through the scope section under base_scope,
+/// from `db`, the base) with the cells patched in copy-on-write
+/// (ApplyOverrides): it shares the base's view and every column the cells
+/// do not write, and is value-for-value what re-encoding the snapshot's
+/// rows gives, at O(columns + the written columns' rows). Only a
+/// kind-changing override, which the base image cannot take, re-encodes
+/// the relation, from the snapshot's rows.
+///
+/// Any other view is built whole: a table view over `db` (the snapshot
+/// itself when the context carries no cells), an embedded select by
+/// executing it over the snapshot's rows.
 Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     const Database& db, const sql::UseClause& use,
-    const std::string& update_attr0, const StageContext* ctx,
-    const ExecGuard* guard) {
-  HYPER_ASSIGN_OR_RETURN(ViewInfo info,
-                         BuildRelevantView(db, use, update_attr0));
+    const std::string& update_attr0, const std::string& update_relation,
+    const StageContext* ctx, const ExecGuard* guard) {
+  // Charges the view scan and (approximately) the columnar image before it
+  // is materialized, so an over-budget request aborts without paying the
+  // allocation. Meters charge work actually done: a stage-cache hit skips
+  // the builder and charges nothing.
+  const auto charge = [guard](size_t rows, size_t columns) -> Status {
+    if (guard == nullptr) return Status::OK();
+    HYPER_RETURN_NOT_OK(guard->ChargeRows(rows, "whatif.prepare.scope"));
+    return guard->ChargeBytes(rows * columns * sizeof(double),
+                              "whatif.prepare.scope");
+  };
   auto stage = std::make_shared<ScopeStageData>();
-  stage->view_info = std::make_shared<const ViewInfo>(std::move(info));
-  const ViewInfo& vi = *stage->view_info;
-  if (guard != nullptr) {
-    // Charge the view scan and (approximately) the columnar image before
-    // materializing it, so an over-budget request aborts without paying the
-    // allocation. Meters charge work actually done: a stage-cache hit skips
-    // the builder and charges nothing.
-    const size_t vrows = vi.view->num_rows();
-    HYPER_RETURN_NOT_OK(guard->ChargeRows(vrows, "whatif.prepare.scope"));
-    HYPER_RETURN_NOT_OK(guard->ChargeBytes(
-        vrows * vi.view->schema().num_attributes() * sizeof(double),
-        "whatif.prepare.scope"));
-  }
-
-  bool patched = false;
-  if (use.is_table() && ctx != nullptr && ctx->stages != nullptr &&
-      !ctx->base_scope.empty() && ctx->overrides != nullptr &&
-      ctx->base_scope != ctx->data_scope) {
+  if (use.is_table() && ctx != nullptr && ctx->overrides != nullptr &&
+      !ctx->base_scope.empty() && ctx->base_scope != ctx->data_scope) {
     // The table view is the relation image itself (row == tid, same
-    // attribute order), so branch overrides in base-table coordinates patch
-    // the base image directly.
-    auto base_ptr = ctx->stages->Peek(
-        StageKind::kScope,
-        ScopeStageKey(ctx->base_scope, use, vi.update_relation));
-    if (base_ptr != nullptr) {
-      auto base = std::static_pointer_cast<const ScopeStageData>(base_ptr);
-      if (base->cview.num_rows() == vi.view->num_rows() &&
-          base->cview.num_columns() == vi.view->schema().num_attributes()) {
-        ColumnTable image = base->cview;  // shares every column and the dict
-        auto it = ctx->overrides->find(vi.update_relation);
-        Status applied = it != ctx->overrides->end()
-                             ? image.ApplyOverrides(it->second)
-                             : Status::OK();
-        if (applied.ok()) {
-          stage->cview = std::move(image);
-          patched = true;
-        }
-        // A kind-changing override: fall through to the full rebuild, which
-        // re-infers column kinds from the patched values.
-      }
+    // attribute order), so overrides in base-table coordinates patch the
+    // base image directly. The base build carries no cells, so it never
+    // re-enters this branch: a scope build waits on at most one other.
+    StageContext base_ctx;
+    base_ctx.stages = ctx->stages;
+    base_ctx.data_scope = ctx->base_scope;
+    HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const ScopeStageData> base,
+                           ScopeStageFor(db, use, update_attr0,
+                                         update_relation, &base_ctx, guard));
+    HYPER_RETURN_NOT_OK(
+        charge(base->cview.num_rows(), base->cview.num_columns()));
+    stage->view_info = base->view_info;
+    stage->cview = base->cview;  // shares every column and the dict
+    auto cells = ctx->overrides->find(update_relation);
+    if (cells != ctx->overrides->end() &&
+        !stage->cview.ApplyOverrides(cells->second).ok()) {
+      // A kind-changing override: re-encode the snapshot's relation, which
+      // re-infers column kinds from the patched values. A column mixing
+      // strings with numbers has no image: FromTable's InvalidArgument
+      // names it.
+      std::shared_ptr<const Database> hold;
+      HYPER_ASSIGN_OR_RETURN(const Database* rows,
+                             SnapshotRows(db, ctx, &hold));
+      HYPER_ASSIGN_OR_RETURN(const Table* table,
+                             rows->GetTable(update_relation));
+      HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(*table));
     }
+  } else {
+    std::shared_ptr<const Database> hold;
+    const Database* source = &db;
+    if (!use.is_table()) {
+      HYPER_ASSIGN_OR_RETURN(source, SnapshotRows(db, ctx, &hold));
+    }
+    HYPER_ASSIGN_OR_RETURN(ViewInfo info,
+                           BuildRelevantView(*source, use, update_attr0));
+    stage->view_info = std::make_shared<const ViewInfo>(std::move(info));
+    const Table& view = *stage->view_info->view;
+    HYPER_RETURN_NOT_OK(
+        charge(view.num_rows(), view.schema().num_attributes()));
+    HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(view));
   }
-  if (!patched) {
-    // Columnar image of the view. A column mixing strings with numbers has
-    // none: FromTable's InvalidArgument names it.
-    HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(*vi.view));
-  }
-  const Schema& vschema = vi.view->schema();
+  const Schema& vschema = stage->view_info->view->schema();
   stage->scope = {relational::ScopedTuple{vschema.relation_name(), &vschema}};
   return std::shared_ptr<const ScopeStageData>(std::move(stage));
 }
 
 /// Block-independent decomposition (§3.3): view rows grouped by the
-/// ground-graph component of their base tuple. Leaves the single block of
-/// every row when the components are unavailable.
-void BuildBlocks(const CompiledWhatIf& q, const Database& db,
-                 const causal::CausalGraph& graph, size_t n,
-                 CausalStageData* stage) {
+/// ground-graph component of their base tuple, which cross-tuple edges
+/// read from the snapshot's rows. Leaves the single block of every row
+/// when the components are unavailable.
+Status BuildBlocks(const CompiledWhatIf& q, const Database& db,
+                   const StageContext* ctx, const causal::CausalGraph& graph,
+                   size_t n, CausalStageData* stage) {
   // Without cross-tuple edges the ground graph never connects two tuples:
   // every base tuple is its own component, so the blocks are the view rows
   // grouped by base tid — no need to materialize the ground graph.
   const std::vector<size_t>& tid = q.view_info->view_row_to_tid;
   std::vector<size_t> block_of_row(tid.begin(), tid.begin() + n);
   if (graph.HasCrossTupleEdges()) {
-    auto components = causal::TupleComponents::Build(graph, db);
-    if (!components.ok()) return;
+    std::shared_ptr<const Database> hold;
+    HYPER_ASSIGN_OR_RETURN(const Database* rows, SnapshotRows(db, ctx, &hold));
+    auto components = causal::TupleComponents::Build(graph, *rows);
+    if (!components.ok()) return Status::OK();
     for (size_t r = 0; r < n; ++r) {
       auto block = components->BlockOf(
           causal::TupleId{q.view_info->update_relation, tid[r]});
@@ -1086,7 +1115,7 @@ void BuildBlocks(const CompiledWhatIf& q, const Database& db,
   if (num_blocks <= 1 || num_blocks == n) {
     // One block of every row, or every row its own block in row order.
     stage->num_blocks = std::max<size_t>(num_blocks, 1);
-    return;
+    return Status::OK();
   }
   // Counting sort: block_end[b] first counts block b's rows, then becomes
   // its end offset; `next` walks each block's slots in row order.
@@ -1103,12 +1132,13 @@ void BuildBlocks(const CompiledWhatIf& q, const Database& db,
   for (size_t r = 0; r < n; ++r) {
     stage->block_rows[next[block_of_row[r]]++] = r;
   }
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const CausalStageData>> BuildCausalStage(
     const ScopeStageData& scope, const CompiledWhatIf& q, const Database& db,
-    const causal::CausalGraph* graph, const WhatIfOptions& options,
-    const ExecGuard* guard) {
+    const StageContext* ctx, const causal::CausalGraph* graph,
+    const WhatIfOptions& options, const ExecGuard* guard) {
   auto stage = std::make_shared<CausalStageData>();
   HYPER_ASSIGN_OR_RETURN(stage->plan,
                          BuildWhatIfPlan(q, graph, options.backdoor));
@@ -1118,7 +1148,8 @@ Result<std::shared_ptr<const CausalStageData>> BuildCausalStage(
                                           "whatif.prepare.causal"));
   }
   if (options.use_blocks && graph != nullptr) {
-    BuildBlocks(q, db, *graph, scope.cview.num_rows(), stage.get());
+    HYPER_RETURN_NOT_OK(BuildBlocks(q, db, ctx, *graph,
+                                    scope.cview.num_rows(), stage.get()));
   }
   return std::shared_ptr<const CausalStageData>(std::move(stage));
 }
@@ -1568,7 +1599,10 @@ Result<std::shared_ptr<const ScopeStageData>> ScopeStageFor(
       ctx, staged, StageKind::kScope,
       staged ? ScopeStageKey(ctx->data_scope, use, update_relation)
              : std::string(),
-      [&] { return BuildScopeStage(db, use, update_attr0, ctx, guard); });
+      [&] {
+        return BuildScopeStage(db, use, update_attr0, update_relation, ctx,
+                               guard);
+      });
 }
 
 }  // namespace
@@ -1655,8 +1689,8 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
       std::shared_ptr<const CausalStageData> causal_stage,
       (StagedOrFresh<CausalStageData>(
           ctx, staged, StageKind::kCausal, causal_key, [&] {
-            return BuildCausalStage(*scope_stage, q, *db_, graph_, options_,
-                                    guard.get());
+            return BuildCausalStage(*scope_stage, q, *db_, ctx, graph_,
+                                    options_, guard.get());
           })));
 
   // --- LearnStage: encoders + training matrix + estimator cache -----------

@@ -56,8 +56,7 @@ namespace hyper::whatif {
 enum class StageKind { kScope = 0, kCausal, kLearn, kQuery };
 
 /// Per-stage cache consulted by the staged Prepare pipeline. Implemented by
-/// service::StageCache (LRU + single-flight per stage); the engine only
-/// needs get-or-build and a non-building peek (for delta patching).
+/// service::StageCache (LRU + single-flight per stage).
 class StageProvider {
  public:
   using StagePtr = std::shared_ptr<const void>;
@@ -70,17 +69,33 @@ class StageProvider {
   virtual Result<StagePtr> GetOrBuild(StageKind kind, const std::string& key,
                                       const StageFactory& build,
                                       bool* hit) = 0;
+};
 
-  /// Returns the cached stage or nullptr. Never builds, never counts
-  /// hit/miss stats (used to locate a patch base, not to serve a query).
-  virtual StagePtr Peek(StageKind kind, const std::string& key) = 0;
+/// The rows of a data snapshot whose engine runs over the snapshot's base:
+/// the scenario service's World of one branch version. The engine asks for
+/// them only where it reads cells that neither the base relations nor the
+/// base image patched with the override cells can give: an embedded-select
+/// view, the ground-graph blocks of cross-tuple edges, and a scope image
+/// that a kind-changing override keeps from being patched.
+class RowSource {
+ public:
+  virtual ~RowSource() = default;
+
+  /// The snapshot's rows: the base with every touched relation patched.
+  /// Built at most once per snapshot; every caller gets the same Database.
+  virtual Result<std::shared_ptr<const Database>> Rows() const = 0;
 };
 
 /// Everything the staged pipeline needs to know about the data snapshot it
-/// is preparing against: plain data, no callbacks. The scenario service
-/// builds one per branch version, with that version's World, and every
-/// request on the version shares it; standalone callers may leave it out
-/// (Prepare then builds every stage fresh).
+/// is preparing against. The scenario service builds one per branch
+/// version, with that version's World, and every request on the version
+/// shares it; standalone callers may leave it out (Prepare then builds
+/// every stage fresh).
+///
+/// With override cells (a `base_scope` other than `data_scope`), the
+/// engine's Database is the base the cells are relative to, not the
+/// snapshot: a table view's image is the base image patched with the
+/// cells, and `rows` serves the reads that need the snapshot's rows.
 struct StageContext {
   /// Stage cache; null disables stage caching (fresh builds).
   StageProvider* stages = nullptr;
@@ -92,7 +107,9 @@ struct StageContext {
   /// Empty = fall back to data_scope.
   std::string shape_scope;
   /// data_scope of the unpatched base world this snapshot's overrides are
-  /// relative to; empty disables delta patching of the columnar image.
+  /// relative to; empty disables delta patching of the columnar image. A
+  /// table view's patched image starts from the base world's ScopeStage,
+  /// got or built through the scope section under this scope.
   std::string base_scope;
   /// Sparse cell overrides of this snapshot vs base_scope, per relation
   /// (base-table coordinates). Not owned; must outlive the Prepare call.
@@ -102,6 +119,11 @@ struct StageContext {
   /// one LearnStage. Null = no delta: no image patching, and the LearnStage
   /// is keyed by data_scope.
   const std::map<std::string, TableCellOverrides>* overrides = nullptr;
+  /// The snapshot's rows when the engine's Database is its base (a branch
+  /// version with override cells). Null when the engine's Database already
+  /// is the snapshot: the trunk, tests and oracles. Not owned; never part
+  /// of a cache key.
+  const RowSource* rows = nullptr;
 };
 
 /// How the engine picks the adjustment set C of Equation (1).

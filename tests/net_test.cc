@@ -423,6 +423,45 @@ TEST_F(QueryHandlerTest, ScenarioLifecycleOverHttp) {
             409);
 }
 
+// /statusz counts the branches' row builds: a what-if on a one-cell branch
+// reads the base relations and the branch's override cells and builds
+// none, a select on the branch builds its rows once, and a second select
+// on the same version shares them.
+TEST_F(QueryHandlerTest, StatuszCountsBranchRowBuilds) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  auto row_builds = [&]() -> double {
+    auto statusz = JsonValue::Parse(Call(handler, "GET", "/statusz", "").body);
+    EXPECT_TRUE(statusz.ok()) << statusz.status();
+    if (!statusz.ok()) return -1;
+    const JsonValue* worlds = statusz->Find("worlds");
+    EXPECT_NE(worlds, nullptr);
+    return worlds != nullptr ? worlds->GetNumber("row_builds", -1) : -1;
+  };
+  EXPECT_EQ(row_builds(), 0);
+  ASSERT_EQ(Call(handler, "POST", "/v1/scenario",
+                 "{\"action\":\"create\",\"name\":\"b1\"}")
+                .status,
+            200);
+  ASSERT_EQ(Call(handler, "POST", "/v1/scenario",
+                 "{\"action\":\"apply\",\"scenario\":\"b1\",\"sql\":"
+                 "\"Use German When Id = 3 Update(Savings) = 2 "
+                 "Output Count(*)\"}")
+                .status,
+            200);
+  const std::string whatif =
+      std::string("{\"scenario\":\"b1\",\"sql\":\"") + kQuery + "\"}";
+  EXPECT_EQ(Call(handler, "POST", "/v1/whatif", whatif).status, 200);
+  EXPECT_EQ(row_builds(), 0);
+  const std::string select =
+      "{\"scenario\":\"b1\",\"sql\":\"Select Id From German Where Savings = "
+      "2\"}";
+  EXPECT_EQ(Call(handler, "POST", "/v1/query", select).status, 200);
+  EXPECT_EQ(row_builds(), 1);
+  EXPECT_EQ(Call(handler, "POST", "/v1/query", select).status, 200);
+  EXPECT_EQ(row_builds(), 1);
+}
+
 TEST_F(QueryHandlerTest, ClientMistakesMapInto4xx) {
   auto service = MakeService();
   QueryHandler handler(service.get(), &registry_);

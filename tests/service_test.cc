@@ -612,7 +612,6 @@ TEST_F(ServiceTest, GetOrBuildFailurePropagatesToAllWaitersOnce) {
   // reconciles (1 miss for the failed leader, the rest coalesced).
   StageStats stats = cache.stats().query;
   EXPECT_EQ(0u, stats.entries);
-  EXPECT_EQ(nullptr, cache.Peek(whatif::StageKind::kQuery, "key"));
   EXPECT_EQ(1u, stats.misses);
   EXPECT_EQ(kCallers - 1, stats.coalesced);
 
@@ -735,28 +734,21 @@ TEST_F(ServiceTest, WarmHowToIsOneScopeHitPlusItsPlanHits) {
   }
 }
 
-// A how-to answered through the service on `scenario` equals a fresh
-// HowToEngine over the branch's effective database: every candidate
-// (constant, cost, objective, pruned flag), the baseline, the objective and
-// the plan.
-void ExpectHowToMatchesFreshEngine(ScenarioService& service,
-                                   const causal::CausalGraph& graph,
-                                   const ServiceOptions& options,
-                                   const std::string& scenario,
-                                   const std::string& sql) {
-  SCOPED_TRACE(scenario + ": " + sql);
-  Response served = service.Submit({scenario, sql, {}});
-  ASSERT_TRUE(served.ok()) << served.status;
-  auto world = service.EffectiveDatabase(scenario);
-  ASSERT_TRUE(world.ok()) << world.status();
+// A how-to answered through the service (`got`) equals a fresh HowToEngine
+// over `rows`: every candidate (constant, cost, objective, pruned flag), the
+// baseline, the objective and the plan.
+void ExpectHowToMatchesFreshEngineOver(const howto::HowToResult& got,
+                                       const Database& rows,
+                                       const causal::CausalGraph& graph,
+                                       const ServiceOptions& options,
+                                       const std::string& sql) {
   howto::HowToOptions ho;
   ho.whatif = options.whatif;
   ho.num_buckets = options.howto_num_buckets;
   ho.global_l1_budget = options.howto_global_l1_budget;
   ho.prefer_mck = options.howto_prefer_mck;
-  auto expected = howto::HowToEngine(world->get(), &graph, ho).RunSql(sql);
+  auto expected = howto::HowToEngine(&rows, &graph, ho).RunSql(sql);
   ASSERT_TRUE(expected.ok()) << expected.status();
-  const howto::HowToResult& got = served.howto;
   EXPECT_EQ(expected->baseline_value, got.baseline_value);
   EXPECT_EQ(expected->objective_value, got.objective_value);
   EXPECT_EQ(expected->PlanToString(), got.PlanToString());
@@ -776,6 +768,22 @@ void ExpectHowToMatchesFreshEngine(ScenarioService& service,
       EXPECT_EQ(want.pruned, have.pruned);
     }
   }
+}
+
+// A how-to answered through the service on `scenario` equals a fresh
+// HowToEngine over the branch's effective database.
+void ExpectHowToMatchesFreshEngine(ScenarioService& service,
+                                   const causal::CausalGraph& graph,
+                                   const ServiceOptions& options,
+                                   const std::string& scenario,
+                                   const std::string& sql) {
+  SCOPED_TRACE(scenario + ": " + sql);
+  Response served = service.Submit({scenario, sql, {}});
+  ASSERT_TRUE(served.ok()) << served.status;
+  auto world = service.EffectiveDatabase(scenario);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ExpectHowToMatchesFreshEngineOver(served.howto, **world, graph, options,
+                                    sql);
 }
 
 // Enumeration and costs read the branch's ScopeStage image. A branch whose
@@ -841,6 +849,205 @@ TEST_F(ServiceTest, HowToOnAnAmazonBranchMatchesAFreshEngine) {
       service, amazon->graph, options, "teal",
       "Use Product When Color = 'Teal' HowToUpdate Price "
       "ToMaximize Avg(Post(Quality))");
+}
+
+// --- branch requests run over the base ------------------------------------
+
+// A what-if answered through the service (`served`) equals a fresh engine
+// over `rows`.
+void ExpectWhatIfMatchesFreshEngineOver(const Response& served,
+                                        const Database& rows,
+                                        const causal::CausalGraph& graph,
+                                        const whatif::WhatIfOptions& options,
+                                        const std::string& sql) {
+  SCOPED_TRACE(sql);
+  ASSERT_TRUE(served.ok()) << served.status;
+  auto expected = whatif::WhatIfEngine(&rows, &graph, options).RunSql(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected->value, served.whatif.value);
+  EXPECT_EQ(expected->updated_rows, served.whatif.updated_rows);
+}
+
+constexpr const char* kSetSavingsOfId5 =
+    "Use German When Id = 5 Update(Savings) = 2 Output Count(*)";
+constexpr const char* kSavingsWhatIf =
+    "Use German When Savings = 2 Update(Status) = 2 Output Count(Credit = 1)";
+
+// On a one-cell Savings branch, a table-view what-if, a one-intervention
+// sweep, a how-to and a second apply (whose Scale reads the branch's cell)
+// run over the base relations and the base image patched with that cell:
+// none of them builds the branch's rows. With `clear_cache` the stage cache
+// is emptied between the first apply and the what-if, whose scope lookup
+// then builds twice: the base image from the base table, then the patched
+// image. Every answer equals a fresh engine over the rows of the version it
+// ran on ("v1" is a copy of the branch at its first apply).
+void ExpectTableViewRequestsBuildNoRows(ScenarioService& service,
+                                        const causal::CausalGraph& graph,
+                                        bool clear_cache) {
+  ASSERT_TRUE(service.CreateScenario("b").ok());
+  auto first = service.ApplyHypotheticalSql("b", kSetSavingsOfId5);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(1u, *first);
+  ASSERT_TRUE(service.CreateScenario("v1", "b").ok());
+  if (clear_cache) service.ClearCache();
+
+  const PlanCacheStats before = service.cache_stats();
+  const Response whatif = service.Submit({"b", kSavingsWhatIf, {}});
+  ASSERT_TRUE(whatif.ok()) << whatif.status;
+  EXPECT_EQ(before.scope.misses + (clear_cache ? 2u : 1u),
+            service.cache_stats().scope.misses);
+  Request sweep;
+  sweep.scenario = "b";
+  sweep.sql = kSavingsWhatIf;
+  sweep.expected_kind = Response::Kind::kWhatIfBatch;
+  sweep.interventions = {
+      {whatif::UpdateSpec{"Status", sql::UpdateFuncKind::kSet, Value::Int(1)}}};
+  const Response swept = service.Submit(sweep);
+  ASSERT_TRUE(swept.ok()) << swept.status;
+  ASSERT_EQ(1u, swept.items.size());
+  const std::string howto_sql =
+      "Use German When Savings = 2 HowToUpdate Status "
+      "ToMaximize Count(Credit = 1)";
+  const Response howto = service.Submit({"b", howto_sql, {}});
+  ASSERT_TRUE(howto.ok()) << howto.status;
+  auto scaled = service.ApplyHypotheticalSql(
+      "b", "Use German When Id = 5 Update(Savings) = 3 * Pre(Savings) "
+           "Output Count(*)");
+  ASSERT_TRUE(scaled.ok()) << scaled.status();
+  EXPECT_EQ(1u, *scaled);
+  EXPECT_EQ(0u, service.world_row_builds());
+
+  auto v1 = service.EffectiveDatabase("v1");
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  const whatif::WhatIfOptions& options = service.options().whatif;
+  ExpectWhatIfMatchesFreshEngineOver(whatif, **v1, graph, options,
+                                     kSavingsWhatIf);
+  auto item = whatif::WhatIfEngine(v1->get(), &graph, options)
+                  .RunSql("Use German When Savings = 2 Update(Status) = 1 "
+                          "Output Count(Credit = 1)");
+  ASSERT_TRUE(item.ok()) << item.status();
+  ASSERT_TRUE(swept.items[0].ok()) << swept.items[0].status;
+  EXPECT_EQ(item->value, swept.items[0].result.value);
+  ExpectHowToMatchesFreshEngineOver(howto.howto, **v1, graph, service.options(),
+                                    howto_sql);
+
+  // The Scale read the cell the first apply wrote (2): only that row moved.
+  auto b = service.EffectiveDatabase("b");
+  ASSERT_TRUE(b.ok()) << b.status();
+  const Table& before_scale = *(*v1)->GetTable("German").value();
+  const Table& after_scale = *(*b)->GetTable("German").value();
+  const size_t id = after_scale.schema().IndexOf("Id").value();
+  const size_t savings = after_scale.schema().IndexOf("Savings").value();
+  for (size_t r = 0; r < after_scale.num_rows(); ++r) {
+    if (after_scale.At(r, id).Equals(Value::Int(5))) {
+      EXPECT_TRUE(before_scale.At(r, savings).Equals(Value::Int(2)));
+      EXPECT_EQ(ValueType::kDouble, after_scale.At(r, savings).type());
+      EXPECT_EQ(6.0, after_scale.At(r, savings).double_value());
+    } else {
+      EXPECT_TRUE(
+          after_scale.At(r, savings).Equals(before_scale.At(r, savings)))
+          << r;
+    }
+  }
+}
+
+TEST_F(ServiceTest, TableViewRequestsOnABranchBuildNoRows) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ExpectTableViewRequestsBuildNoRows(*service, graph_, /*clear_cache=*/false);
+}
+
+TEST_F(ServiceTest, BranchScopeMissBuildsTheBaseImageNotTheRows) {
+  auto service = MakeService(EngineOptions(whatif::BackdoorMode::kGraph,
+                                           learn::EstimatorKind::kFrequency));
+  ExpectTableViewRequestsBuildNoRows(*service, graph_, /*clear_cache=*/true);
+}
+
+// `2 * Pre(Status)` writes doubles into the int column Status, which the
+// base image cannot take as a patch: the branch's next query rebuilds its
+// image from the branch's rows. They are built once for the version (the
+// apply itself read the base image), and a second statement and
+// EffectiveDatabase share that build.
+TEST_F(ServiceTest, KindChangingApplyBuildsTheBranchRowsOnce) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  auto service = MakeService(options);
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  auto doubled = service->ApplyHypotheticalSql(
+      "b", "Use German When Age = 1 Update(Status) = 2 * Pre(Status) "
+           "Output Count(*)");
+  ASSERT_TRUE(doubled.ok()) << doubled.status();
+  ASSERT_GT(*doubled, 0u);
+  EXPECT_EQ(0u, service->world_row_builds());
+
+  const Response first = service->Submit({"b", kQuery, {}});
+  EXPECT_EQ(1u, service->world_row_builds());
+  const Response second = service->Submit({"b", kAvgQuery, {}});
+  auto rows = service->EffectiveDatabase("b");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(1u, service->world_row_builds());
+  ExpectWhatIfMatchesFreshEngineOver(first, **rows, graph_, options, kQuery);
+  ExpectWhatIfMatchesFreshEngineOver(second, **rows, graph_, options,
+                                     kAvgQuery);
+}
+
+// An embedded select reads the branch's cells, and the cross-tuple blocks
+// of Amazon's graph read its link columns: both ask for the branch's rows.
+// Two different statements on one version share one row build, and each
+// answers like a fresh engine over those rows.
+TEST_F(ServiceTest, SelectViewAndCrossTupleQueriesShareOneRowBuild) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  auto service = MakeService(options);
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  ASSERT_TRUE(service->ApplyHypotheticalSql("b", kSetSavingsOfId5).ok());
+  const std::string view =
+      "Use V As (Select Id, Age, Sex, Status, Savings, Housing, Credit "
+      "From German) ";
+  const std::string selects[] = {
+      view + "When Savings = 2 Update(Status) = 2 Output Count(Credit = 1)",
+      view + "When Age = 1 Update(Savings) = 1 Output Avg(Post(Credit))"};
+  const Response first = service->Submit({"b", selects[0], {}});
+  const Response second = service->Submit({"b", selects[1], {}});
+  EXPECT_EQ(1u, service->world_row_builds());
+  auto rows = service->EffectiveDatabase("b");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(1u, service->world_row_builds());
+  ExpectWhatIfMatchesFreshEngineOver(first, **rows, graph_, options,
+                                     selects[0]);
+  ExpectWhatIfMatchesFreshEngineOver(second, **rows, graph_, options,
+                                     selects[1]);
+
+  data::AmazonOptions amazon_options;
+  amazon_options.products = 200;
+  amazon_options.reviews_per_product = 4;
+  auto amazon = data::MakeAmazonSyn(amazon_options);
+  ASSERT_TRUE(amazon.ok()) << amazon.status();
+  ServiceOptions service_options;
+  service_options.whatif = options;
+  ScenarioService market(amazon->db, amazon->graph, service_options);
+  ASSERT_TRUE(market.CreateScenario("p").ok());
+  auto priced = market.ApplyHypotheticalSql(
+      "p", "Use Product When Brand = 'Asus' Update(Price) = 1.1 * Pre(Price) "
+           "Output Count(*)");
+  ASSERT_TRUE(priced.ok()) << priced.status();
+  ASSERT_GT(*priced, 0u);
+  EXPECT_EQ(0u, market.world_row_builds());
+  const std::string tables[] = {
+      "Use Product When Price > 600 Update(Quality) = 3 "
+      "Output Avg(Post(Price))",
+      "Use Product When Brand = 'Asus' Update(Price) = 500 Output Count(*) "
+      "For Pre(Category) = 'Laptop'"};
+  const Response quality = market.Submit({"p", tables[0], {}});
+  const Response price = market.Submit({"p", tables[1], {}});
+  EXPECT_EQ(1u, market.world_row_builds());
+  auto market_rows = market.EffectiveDatabase("p");
+  ASSERT_TRUE(market_rows.ok()) << market_rows.status();
+  EXPECT_EQ(1u, market.world_row_builds());
+  ExpectWhatIfMatchesFreshEngineOver(quality, **market_rows, amazon->graph,
+                                     options, tables[0]);
+  ExpectWhatIfMatchesFreshEngineOver(price, **market_rows, amazon->graph,
+                                     options, tables[1]);
 }
 
 // --- concurrent how-to stress ---------------------------------------------
@@ -1158,9 +1365,10 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
 
   // The ledger still reconciles after eager eviction: the three Submits
   // above each did one query (plan) lookup, the two query misses each did
-  // one lookup per upstream section, and the apply did one scope lookup
-  // (its When mask reads the world's image) — eviction never double-counts
-  // or loses a lookup.
+  // one lookup per upstream section, the apply did one scope lookup (its
+  // When mask reads the world's image), and the branch's scope build one
+  // more, of the base image it patches — eviction never double-counts or
+  // loses a lookup.
   Response again = service->Submit({"main", kQuery, {}});
   ASSERT_TRUE(again.ok()) << again.status;
   EXPECT_EQ(expected, again.whatif.value);
@@ -1169,7 +1377,7 @@ TEST_F(ServiceTest, UpstreamEvictionKeepsDownstreamStagesAlive) {
   const StageStats& q = final_stats.query;
   EXPECT_EQ(3u, q.hits + q.misses + q.coalesced);
   const StageStats& sc = final_stats.scope;
-  EXPECT_EQ(3u, sc.hits + sc.misses + sc.coalesced);
+  EXPECT_EQ(4u, sc.hits + sc.misses + sc.coalesced);
   EXPECT_EQ(2u, sc.misses) << "the apply re-encoded the trunk image";
   for (const StageStats* s : {&final_stats.causal, &final_stats.learn}) {
     EXPECT_EQ(2u, s->hits + s->misses + s->coalesced);
@@ -1252,48 +1460,60 @@ TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
 // --- the branch scope patch path ------------------------------------------
 
 // A StageProvider that forwards every call to a StageCache and records each
-// Peek (the patch path's base-image lookup) with whether it found a stage.
+// scope-section lookup: its key, whether it hit, and the stage it returned
+// (held weakly, so the record keeps no stage alive).
 class RecordingStages : public whatif::StageProvider {
  public:
-  struct PeekRecord {
-    whatif::StageKind kind;
+  struct ScopeLookup {
     std::string key;
-    bool found;
+    bool hit;
+    std::weak_ptr<const void> stage;
   };
 
   explicit RecordingStages(StageCache* cache) : cache_(cache) {}
 
   Result<StagePtr> GetOrBuild(whatif::StageKind kind, const std::string& key,
                               const StageFactory& build, bool* hit) override {
-    return cache_->GetOrBuild(kind, key, build, hit);
-  }
-  StagePtr Peek(whatif::StageKind kind, const std::string& key) override {
-    StagePtr found = cache_->Peek(kind, key);
-    peeks.push_back({kind, key, found != nullptr});
-    return found;
+    bool was_hit = false;
+    Result<StagePtr> stage = cache_->GetOrBuild(kind, key, build, &was_hit);
+    if (hit != nullptr) *hit = was_hit;
+    if (kind == whatif::StageKind::kScope) {
+      scope_lookups.push_back(
+          {key, was_hit, stage.ok() ? *stage : StagePtr()});
+    }
+    return stage;
   }
 
-  std::vector<PeekRecord> peeks;
+  std::vector<ScopeLookup> scope_lookups;
 
  private:
   StageCache* cache_;
 };
 
-// A one-cell branch world: `db` with (row, attr) of `relation` set to
-// `value`, plus the base-relative override map the service would hand the
-// engine for it.
-struct OneCellBranch {
-  Database db;
+// A one-cell branch world: the base with (row, attr) of `relation` set to
+// `value`, the base-relative override map the service would hand the
+// engine for it, and the row source of its context, which counts how often
+// the engine asks for the rows.
+struct OneCellBranch : whatif::RowSource {
+  std::shared_ptr<const Database> rows;
   std::map<std::string, TableCellOverrides> overrides;
+  mutable size_t row_reads = 0;
+
+  Result<std::shared_ptr<const Database>> Rows() const override {
+    ++row_reads;
+    return rows;
+  }
 };
 
 OneCellBranch MakeOneCellBranch(const Database& base,
                                 const std::string& relation, size_t row,
                                 const std::string& attribute, Value value) {
-  OneCellBranch branch{base.ShallowCopy(), {}};
-  Table* table = branch.db.GetMutableTable(relation).value();
+  auto rows = std::make_shared<Database>(base.ShallowCopy());
+  Table* table = rows->GetMutableTable(relation).value();
   const size_t attr = table->schema().IndexOf(attribute).value();
   table->SetValue(row, attr, value);
+  OneCellBranch branch;
+  branch.rows = std::move(rows);
   branch.overrides[relation][attr][row] = std::move(value);
   return branch;
 }
@@ -1307,13 +1527,15 @@ whatif::StageContext BranchContext(whatif::StageProvider* stages,
   ctx.shape_scope = "g";
   ctx.base_scope = "base";
   ctx.overrides = branch != nullptr ? &branch->overrides : nullptr;
+  ctx.rows = branch;
   return ctx;
 }
 
-// Prepares `query` on the base world, then on a one-cell branch of it: the
-// branch's scope build must Peek the cached base image and find it (the
-// patch path), and its answer must equal a fresh engine over the patched
-// database. Returns the branch plan's |S|.
+// Prepares `query` on the base world, then on a one-cell branch of it with
+// an engine over the base: the branch's scope build must look the base
+// image up and hit it (the patch path), it must not ask for the branch's
+// rows, and its answer must equal a fresh engine over the branch's rows.
+// Returns the branch plan's |S|.
 size_t ExpectBranchPatchesBaseImage(const Database& base,
                                     const causal::CausalGraph& graph,
                                     const whatif::WhatIfOptions& options,
@@ -1328,28 +1550,36 @@ size_t ExpectBranchPatchesBaseImage(const Database& base,
   RecordingStages stages(&cache);
 
   const whatif::StageContext base_ctx = BranchContext(&stages, "base", nullptr);
-  whatif::WhatIfEngine base_engine(&base, &graph, options);
-  auto base_plan = base_engine.Prepare(*stmt->whatif, &base_ctx);
+  whatif::WhatIfEngine engine(&base, &graph, options);
+  auto base_plan = engine.Prepare(*stmt->whatif, &base_ctx);
   EXPECT_TRUE(base_plan.ok()) << base_plan.status();
-  EXPECT_TRUE(stages.peeks.empty()) << "the base world has nothing to patch";
+  EXPECT_EQ(1u, stages.scope_lookups.size()) << "the base world's own build";
 
   const whatif::StageContext ctx = BranchContext(&stages, "branch", &branch);
-  whatif::WhatIfEngine engine(&branch.db, &graph, options);
   auto plan = engine.Prepare(*stmt->whatif, &ctx);
   EXPECT_TRUE(plan.ok()) << plan.status();
   if (!plan.ok()) return 0;
   EXPECT_EQ(2u, cache.stats().scope.misses);  // base, then the patched branch
-  EXPECT_EQ(1u, stages.peeks.size());
-  for (const RecordingStages::PeekRecord& peek : stages.peeks) {
-    EXPECT_EQ(whatif::StageKind::kScope, peek.kind);
-    EXPECT_NE(std::string::npos, peek.key.find("|d[4]=base|")) << peek.key;
-    EXPECT_NE(std::string::npos, peek.key.find("|rel[6]=German")) << peek.key;
-    EXPECT_TRUE(peek.found) << "the base image was not found: " << peek.key;
+  EXPECT_EQ(0u, branch.row_reads);
+  // The branch's lookup misses and its build looks the base image up,
+  // which hits; the nested lookup returns first.
+  EXPECT_EQ(3u, stages.scope_lookups.size());
+  if (stages.scope_lookups.size() == 3) {
+    const RecordingStages::ScopeLookup& base_lookup = stages.scope_lookups[1];
+    EXPECT_NE(std::string::npos, base_lookup.key.find("|d[4]=base|"))
+        << base_lookup.key;
+    EXPECT_NE(std::string::npos, base_lookup.key.find("|rel[6]=German"))
+        << base_lookup.key;
+    EXPECT_TRUE(base_lookup.hit) << "the base image was not found";
+    const RecordingStages::ScopeLookup& branch_lookup = stages.scope_lookups[2];
+    EXPECT_NE(std::string::npos, branch_lookup.key.find("|d[6]=branch|"))
+        << branch_lookup.key;
+    EXPECT_FALSE(branch_lookup.hit);
   }
 
   auto served = engine.Evaluate(**plan, specs);
   EXPECT_TRUE(served.ok()) << served.status();
-  whatif::WhatIfEngine fresh(&branch.db, &graph, options);
+  whatif::WhatIfEngine fresh(branch.rows.get(), &graph, options);
   auto expected = fresh.Run(*stmt->whatif);
   EXPECT_TRUE(expected.ok()) << expected.status();
   if (served.ok() && expected.ok()) {
@@ -1425,23 +1655,23 @@ TEST_F(ServiceTest, EvictedBaseImageLeavesPatchedBranchPlanServing) {
   RecordingStages stages(&cache);
 
   const whatif::StageContext base_ctx = BranchContext(&stages, "base", nullptr);
-  whatif::WhatIfEngine base_engine(&db_, &graph_, options);
-  auto base_plan = base_engine.Prepare(*stmt->whatif, &base_ctx);
+  whatif::WhatIfEngine engine(&db_, &graph_, options);
+  auto base_plan = engine.Prepare(*stmt->whatif, &base_ctx);
   ASSERT_TRUE(base_plan.ok()) << base_plan.status();
 
   const whatif::StageContext ctx = BranchContext(&stages, "branch", &branch);
-  whatif::WhatIfEngine engine(&branch.db, &graph_, options);
   auto plan = engine.Prepare(*stmt->whatif, &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(1u, stages.peeks.size());
-  ASSERT_TRUE(stages.peeks[0].found) << "the branch image was not patched";
+  // The base build, then the branch build's base lookup and its own.
+  ASSERT_EQ(3u, stages.scope_lookups.size());
+  ASSERT_TRUE(stages.scope_lookups[1].hit)
+      << "the branch image was not patched";
   auto before = engine.Evaluate(**plan, specs);
   ASSERT_TRUE(before.ok()) << before.status();
 
   // Every entry keyed by the base scope goes (scope, learn, query); the
   // branch's keys say "d[6]=branch" and stay.
-  std::weak_ptr<const void> base_image =
-      cache.Peek(whatif::StageKind::kScope, stages.peeks[0].key);
+  std::weak_ptr<const void> base_image = stages.scope_lookups[1].stage;
   ASSERT_FALSE(base_image.expired());
   EXPECT_EQ(3u, cache.EvictTagged("|d[4]=base"));
   base_plan->reset();
@@ -1450,7 +1680,7 @@ TEST_F(ServiceTest, EvictedBaseImageLeavesPatchedBranchPlanServing) {
   auto after = engine.Evaluate(**plan, specs);
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(before->value, after->value);
-  whatif::WhatIfEngine fresh(&branch.db, &graph_, options);
+  whatif::WhatIfEngine fresh(branch.rows.get(), &graph_, options);
   EXPECT_EQ(fresh.RunSql(kAvgQuery)->value, after->value);
 }
 
@@ -1478,16 +1708,15 @@ TEST_F(ServiceTest, EngineFingerprintsTheRestrictedDeltaFromOverrides) {
     const OneCellBranch branch = MakeOneCellBranch(
         db_, "German", 3, attribute, Value::Int(was_two ? 0 : 2));
     const whatif::StageContext ctx = BranchContext(&cache, "branch", &branch);
-    whatif::WhatIfEngine engine(&branch.db, &graph_, options);
-    auto plan = engine.Prepare(*stmt->whatif, &ctx);
+    auto plan = trunk.Prepare(*stmt->whatif, &ctx);
     ASSERT_TRUE(plan.ok()) << plan.status();
     EXPECT_EQ(attribute == "Savings" ? 1u : 2u, cache.stats().learn.misses)
         << attribute;
 
     auto served =
-        engine.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
+        trunk.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
     ASSERT_TRUE(served.ok()) << served.status();
-    whatif::WhatIfEngine fresh(&branch.db, &graph_, options);
+    whatif::WhatIfEngine fresh(branch.rows.get(), &graph_, options);
     EXPECT_EQ(fresh.RunSql(kQuery)->value, served->value) << attribute;
   }
 }
