@@ -65,16 +65,6 @@ struct ShellState {
   QueryBudget budget;             // per-request resource budget (\budget)
 };
 
-/// All of `text` as a non-negative decimal integer that fits a size_t,
-/// else nothing (a sign, a fraction, trailing text, an overflow).
-std::optional<size_t> ParseCount(const std::string& text) {
-  size_t value = 0;
-  const char* last = text.data() + text.size();
-  const auto [end, error] = std::from_chars(text.data(), last, value);
-  if (error != std::errc() || end != last) return std::nullopt;
-  return value;
-}
-
 /// All of `text` as a finite non-negative number of seconds, else nothing.
 std::optional<double> ParseSeconds(const std::string& text) {
   double value = 0.0;
@@ -220,7 +210,7 @@ void RunCommand(ShellState& state, const std::string& line) {
     }
     std::printf("mode: %s\n", BackdoorModeName(state.options.backdoor));
   } else if (cmd == "\\sample" && parts.size() > 1) {
-    const std::optional<size_t> sample = ParseCount(parts[1]);
+    const std::optional<size_t> sample = examples::ParseCount(parts[1]);
     if (!sample.has_value()) {
       std::printf("usage: \\sample <n> (a non-negative integer; 0 = off)\n");
       return;
@@ -234,8 +224,9 @@ void RunCommand(ShellState& state, const std::string& line) {
     const std::string arg = parts.size() > 2 ? parts[2] : "";
     const std::optional<double> seconds =
         sub == "deadline" ? ParseSeconds(arg) : std::nullopt;
-    const std::optional<size_t> count =
-        sub == "rows" || sub == "bytes" ? ParseCount(arg) : std::nullopt;
+    const std::optional<size_t> count = sub == "rows" || sub == "bytes"
+                                            ? examples::ParseCount(arg)
+                                            : std::nullopt;
     if (sub == "off") {
       state.budget = QueryBudget{};
     } else if (seconds.has_value()) {
@@ -353,7 +344,15 @@ int main(int argc, char** argv) {
       if (!csv_db.AddTable(std::move(table).value()).ok()) return 1;
       loaded_csv = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      const std::optional<size_t> count = examples::ParseCount(argv[++i]);
+      if (!count.has_value()) {
+        std::fprintf(stderr,
+                     "usage: hyper_shell [dataset] [--threads <n>] "
+                     "[--csv <path>[=<relation>]] [--data-dir <dir>] (<n> "
+                     "a non-negative integer; 0 = hardware default)\n");
+        return 1;
+      }
+      threads = *count;
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (argv[i][0] != '-') {

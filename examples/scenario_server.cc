@@ -30,6 +30,7 @@
 #include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "durability/manager.h"
+#include "examples/shell_common.h"
 #include "net/listener.h"
 #include "net/query_handler.h"
 #include "obs/metrics.h"
@@ -229,26 +230,32 @@ int main(int argc, char** argv) {
   size_t threads = 0;
   size_t max_concurrent = 0;
   size_t max_queued = 0;
-  long port = 8080;
+  size_t port = 8080;
   size_t http_threads = 4;
   bool use_stdin = false;
   bool use_demo = false;
   std::string data_dir;
   durability::FsyncPolicy fsync = durability::FsyncPolicy::kInterval;
-  uint64_t snapshot_every = 256;
-  for (int i = 1; i < argc; ++i) {
+  size_t snapshot_every = 256;
+  // A count flag takes a whole non-negative integer; anything else (a
+  // sign, a fraction, trailing text) is refused before anything starts.
+  const auto count_flag = [&](int* i, size_t* out) {
+    const std::optional<size_t> count = examples::ParseCount(argv[++*i]);
+    if (count.has_value()) *out = *count;
+    return count.has_value();
+  };
+  bool flags_ok = true;
+  for (int i = 1; i < argc && flags_ok; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      flags_ok = count_flag(&i, &threads);
     } else if (std::strcmp(argv[i], "--max-concurrent") == 0 && i + 1 < argc) {
-      max_concurrent =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      flags_ok = count_flag(&i, &max_concurrent);
     } else if (std::strcmp(argv[i], "--max-queued") == 0 && i + 1 < argc) {
-      max_queued = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      flags_ok = count_flag(&i, &max_queued);
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::strtol(argv[++i], nullptr, 10);
+      flags_ok = count_flag(&i, &port) && port <= 65535;
     } else if (std::strcmp(argv[i], "--http-threads") == 0 && i + 1 < argc) {
-      http_threads =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      flags_ok = count_flag(&i, &http_threads);
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--fsync") == 0 && i + 1 < argc) {
@@ -259,7 +266,7 @@ int main(int argc, char** argv) {
       }
       fsync = parsed.value();
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      snapshot_every = std::strtoull(argv[++i], nullptr, 10);
+      flags_ok = count_flag(&i, &snapshot_every);
     } else if (std::strcmp(argv[i], "--stdin") == 0) {
       use_stdin = true;
     } else if (std::strcmp(argv[i], "--demo") == 0) {
@@ -268,8 +275,13 @@ int main(int argc, char** argv) {
       dataset = argv[i];
     }
   }
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [0, 65535]\n");
+  if (!flags_ok) {
+    std::fprintf(stderr,
+                 "usage: scenario_server [dataset] [--port <0-65535>] "
+                 "[--threads <n>] [--http-threads <n>] [--max-concurrent <n>] "
+                 "[--max-queued <n>] [--snapshot-every <n>] [--data-dir "
+                 "<dir>] [--fsync <policy>] [--stdin | --demo] (<n> a "
+                 "non-negative integer)\n");
     return 1;
   }
 

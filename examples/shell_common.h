@@ -1,10 +1,16 @@
 #ifndef HYPER_EXAMPLES_SHELL_COMMON_H_
 #define HYPER_EXAMPLES_SHELL_COMMON_H_
 
-// Result printers shared by the interactive shell (hyper_shell.cc) and the
-// scenario server demo (scenario_server.cc).
+// Helpers shared by the interactive shell (hyper_shell.cc) and the scenario
+// server (scenario_server.cc): a strict count parser for their numeric
+// arguments, and result printers.
 
+#include <charconv>
+#include <cstddef>
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "howto/engine.h"
@@ -13,6 +19,16 @@
 #include "whatif/engine.h"
 
 namespace hyper::examples {
+
+/// All of `text` as a non-negative decimal integer that fits a size_t,
+/// else nothing (a sign, a fraction, trailing text, an overflow).
+inline std::optional<size_t> ParseCount(const std::string& text) {
+  size_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last) return std::nullopt;
+  return value;
+}
 
 inline void PrintWhatIf(const whatif::WhatIfResult& result) {
   std::printf("value: %.6g\n", result.value);

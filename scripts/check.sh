@@ -149,6 +149,24 @@ SHELL_OUT="$(printf '%s\n' '\budget rows -5' '\budget rows abc' \
   || { echo "shell smoke: budgets not as set: $SHELL_OUT"; exit 1; }
 echo "shell smoke passed: only 'rows 7' moved the budget"
 
+echo "== server flag smoke (refused numbers) =="
+# The server's count flags take only a whole non-negative integer, and
+# --port one in [0, 65535]: `--port abc` (which strtol read as 0, an
+# ephemeral port) and `--max-concurrent -1` (which strtoull wrapped) print
+# the usage line and exit non-zero before the server listens.
+for FLAGS in "--port abc" "--port 0 --max-concurrent -1"; do
+  # shellcheck disable=SC2086  # FLAGS is a word list
+  FLAG_OUT="$(timeout 60 "$BUILD_DIR"/scenario_server $FLAGS 2>&1)" \
+    && FLAG_CODE=0 || FLAG_CODE=$?
+  if [ "$FLAG_CODE" = 0 ] || [ "$FLAG_CODE" = 124 ] \
+      || ! printf '%s\n' "$FLAG_OUT" | grep -q '^usage: scenario_server' \
+      || printf '%s\n' "$FLAG_OUT" | grep -q 'listening on'; then
+    echo "server flag smoke: '$FLAGS' not refused (exit $FLAG_CODE): $FLAG_OUT"
+    exit 1
+  fi
+done
+echo "server flag smoke passed: both refused before listening"
+
 echo "== server smoke (HTTP serving vs in-process reference) =="
 # End-to-end over a real socket: the served what-if must carry the same
 # value bits as the in-process reference (the stdin transport shares the

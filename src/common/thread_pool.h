@@ -62,10 +62,14 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Hardware concurrency with a floor of 1.
+  /// Hardware concurrency with a floor of 1, read once: the query costs
+  /// system calls, and engines resolve a budget of 0 through it per call.
   static size_t DefaultThreads() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
+    static const size_t threads = [] {
+      const unsigned hw = std::thread::hardware_concurrency();
+      return hw == 0 ? size_t{1} : static_cast<size_t>(hw);
+    }();
+    return threads;
   }
 
   /// The engines' shared thread-budget convention: 0 means "hardware

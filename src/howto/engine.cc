@@ -611,7 +611,12 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
   // pattern estimators train exactly once under the plan's internal lock
   // (see the PreparedWhatIf concurrency contract), and trained estimators
   // are pure functions of the plan, so every candidate's value is
-  // bit-identical at any thread count.
+  // bit-identical at any thread count. The budget is spent once: across
+  // the candidates when there are several, else on the one candidate's
+  // segments.
+  whatif::WhatIfOptions item_options = whatif_options;
+  if (work.size() > 1) item_options.num_threads = 1;
+  const whatif::WhatIfEngine scorer(db_, graph_, item_options);
   std::vector<std::optional<whatif::WhatIfResult>> results(work.size());
   std::vector<Status> statuses(work.size());
   std::atomic<bool> failed{false};
@@ -632,7 +637,7 @@ Result<HowToResult> HowToEngine::ScoreCandidates(
           }
         }
         const WorkItem& item = work[w];
-        auto r = engine.Evaluate(*plans[item.a], {candidates[item.a][item.i]});
+        auto r = scorer.Evaluate(*plans[item.a], {candidates[item.a][item.i]});
         if (r.ok()) {
           results[w] = std::move(r).value();
         } else {

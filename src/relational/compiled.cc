@@ -784,7 +784,8 @@ void ColumnBoundExpr::MaskRun(uint32_t idx, size_t begin, size_t end,
   }
 }
 
-bool ColumnBoundExpr::TryMaskKernel(std::vector<uint8_t>* mask) const {
+bool ColumnBoundExpr::TryMaskKernel(std::vector<uint8_t>* mask,
+                                    size_t max_threads) const {
   if (!MaskEligible(0)) return false;
   const size_t n = table_->num_rows();
   mask->assign(n, 0);
@@ -794,16 +795,18 @@ bool ColumnBoundExpr::TryMaskKernel(std::vector<uint8_t>* mask) const {
         n, ColumnTable::kSegmentRows,
         [this, data](size_t begin, size_t end) {
           MaskRun(0, begin, end, data + begin);
-        });
+        },
+        max_threads);
   } else {
     MaskRun(0, 0, n, mask->data());
   }
   return true;
 }
 
-Result<std::vector<uint8_t>> ColumnBoundExpr::EvalMask() const {
+Result<std::vector<uint8_t>> ColumnBoundExpr::EvalMask(
+    size_t max_threads) const {
   std::vector<uint8_t> mask;
-  if (TryMaskKernel(&mask)) return mask;
+  if (TryMaskKernel(&mask, max_threads)) return mask;
   const size_t n = table_->num_rows();
   mask.assign(n, 0);
   for (size_t r = 0; r < n; ++r) {
@@ -1036,7 +1039,8 @@ void ColumnBoundExpr::EvalNumChunk(uint32_t idx, size_t begin, size_t len,
 }
 
 bool ColumnBoundExpr::TryEvalDoubleKernel(std::vector<double>* out,
-                                          std::vector<uint8_t>* err) const {
+                                          std::vector<uint8_t>* err,
+                                          size_t max_threads) const {
   if (!NumEligible(0)) return false;
   const size_t n = table_->num_rows();
   out->assign(n, 0.0);
@@ -1067,7 +1071,8 @@ bool ColumnBoundExpr::TryEvalDoubleKernel(std::vector<double>* out,
     }
   };
   if (n >= 2 * ColumnTable::kSegmentRows) {
-    ThreadPool::Shared().ParallelForRange(n, ColumnTable::kSegmentRows, run);
+    ThreadPool::Shared().ParallelForRange(n, ColumnTable::kSegmentRows, run,
+                                          max_threads);
   } else {
     run(0, n);
   }
@@ -1075,7 +1080,8 @@ bool ColumnBoundExpr::TryEvalDoubleKernel(std::vector<double>* out,
 }
 
 Result<std::vector<uint8_t>> EvalPredicateMask(const sql::Expr* pred,
-                                               const ColumnTable& table) {
+                                               const ColumnTable& table,
+                                               size_t max_threads) {
   if (pred == nullptr) {
     return std::vector<uint8_t>(table.num_rows(), 1);
   }
@@ -1085,7 +1091,7 @@ Result<std::vector<uint8_t>> EvalPredicateMask(const sql::Expr* pred,
                          CompiledExpr::Compile(*pred, scope));
   HYPER_ASSIGN_OR_RETURN(ColumnBoundExpr bound,
                          ColumnBoundExpr::Bind(compiled, table));
-  return bound.EvalMask();
+  return bound.EvalMask(max_threads);
 }
 
 }  // namespace hyper::relational

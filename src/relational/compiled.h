@@ -190,18 +190,20 @@ class ColumnBoundExpr {
   /// Batch predicate evaluation over every row of the bound table. Uses
   /// SIMD-dispatched typed kernels (common/simd.h) for comparisons / logical
   /// connectives over null-free, non-overridden columns — sharded per
-  /// ColumnTable segment on large tables — and falls back to per-row
-  /// EvalBool for anything else; the produced mask is identical either way
-  /// (the kernels are element-wise, so the mask is bit-identical at any
-  /// thread count and SIMD level).
-  Result<std::vector<uint8_t>> EvalMask() const;
+  /// ColumnTable segment on large tables, on at most `max_threads` threads
+  /// including the caller (the request's thread budget; 0 = the whole
+  /// pool) — and falls back to per-row EvalBool for anything else; the
+  /// produced mask is identical either way (the kernels are element-wise,
+  /// so the mask is bit-identical at any thread count and SIMD level).
+  Result<std::vector<uint8_t>> EvalMask(size_t max_threads) const;
 
   /// Vectorized boolean evaluation when the whole tree is kernel-eligible:
   /// resizes `mask` and fills mask[r] == (EvalBool(r) ? 1 : 0), returning
   /// true. Returns false (mask unspecified) when any part of the tree needs
   /// the per-row path. Eligibility is row-independent, so a true return
-  /// also guarantees EvalBool succeeds on every row.
-  bool TryMaskKernel(std::vector<uint8_t>* mask) const;
+  /// also guarantees EvalBool succeeds on every row. Segments shard as in
+  /// EvalMask, on at most `max_threads` threads.
+  bool TryMaskKernel(std::vector<uint8_t>* mask, size_t max_threads) const;
 
   /// Vectorized numeric evaluation when the whole tree is numeric-kernel
   /// eligible: resizes the outputs and fills out[r] with exactly
@@ -209,9 +211,9 @@ class ColumnBoundExpr {
   /// and err[r] = 1 where Eval(r) errors — on an eligible tree the only
   /// reachable error is division by zero; out[r] is 0.0 on errored rows.
   /// Returns false (outputs unspecified) when the tree needs the per-row
-  /// path.
-  bool TryEvalDoubleKernel(std::vector<double>* out,
-                           std::vector<uint8_t>* err) const;
+  /// path. Segments shard as in EvalMask, on at most `max_threads` threads.
+  bool TryEvalDoubleKernel(std::vector<double>* out, std::vector<uint8_t>* err,
+                           size_t max_threads) const;
 
  private:
   struct BoundNode {
@@ -246,10 +248,11 @@ class ColumnBoundExpr {
 };
 
 /// Convenience: compiles `pred` against `table` (single tuple named after
-/// the table's relation) and returns the selection mask; a null `pred`
-/// selects every row.
+/// the table's relation) and returns the selection mask (EvalMask on at
+/// most `max_threads` threads); a null `pred` selects every row.
 Result<std::vector<uint8_t>> EvalPredicateMask(const sql::Expr* pred,
-                                               const ColumnTable& table);
+                                               const ColumnTable& table,
+                                               size_t max_threads);
 
 }  // namespace hyper::relational
 

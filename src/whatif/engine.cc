@@ -694,13 +694,14 @@ struct LearnStageData {
   /// cview — identical indicator values on every scope sharing this stage,
   /// by the stage key's restricted-fingerprint contract). `was_cached`
   /// reports whether training was skipped; `train_time` accrues the cost
-  /// actually incurred by this call. Thread-safe; a pattern is trained by
-  /// exactly the first caller that needs it.
+  /// actually incurred by this call; the residual's mask kernel runs on at
+  /// most `threads` threads. Thread-safe; a pattern is trained by exactly
+  /// the first caller that needs it.
   Result<const PatternEstimators*> EnsurePattern(
       const std::string& key, bool is_literal, bool literal_value,
       const relational::ColumnBoundExpr* exact, bool* was_cached,
       Stopwatch::Clock::duration* train_time,
-      const governance::ExecGuard* guard) const
+      const governance::ExecGuard* guard, size_t threads) const
       EXCLUDES(mu) {
     MutexLock lock(&mu);
     auto it = patterns.find(key);
@@ -730,7 +731,7 @@ struct LearnStageData {
       // the sampled ones; on ineligible trees the per-row loop (which can
       // also surface evaluation errors) runs instead.
       std::vector<uint8_t> ind_mask;
-      if (exact->TryMaskKernel(&ind_mask)) {
+      if (exact->TryMaskKernel(&ind_mask, threads)) {
         for (size_t i = 0; i < train_rows.size(); ++i) {
           ind[i] = ind_mask[train_rows[i]] != 0 ? 1.0 : 0.0;
         }
@@ -838,11 +839,12 @@ struct PreparedWhatIf::Impl {
                              ValueVectorEq>
       entry_cache GUARDED_BY(mu);
 
-  /// Resolves (or creates) the entry for one hole-value vector. Caller holds
-  /// `mu`. An empty For predicate resolves to the literal-true entry via the
-  /// empty hole vector.
-  Result<uint32_t> ResolveEntryLocked(const std::vector<Value>& holes) const
-      REQUIRES(mu) {
+  /// Resolves (or creates) the entry for one hole-value vector; a new
+  /// entry's qualification mask runs on at most `threads` threads. Caller
+  /// holds `mu`. An empty For predicate resolves to the literal-true entry
+  /// via the empty hole vector.
+  Result<uint32_t> ResolveEntryLocked(const std::vector<Value>& holes,
+                                      size_t threads) const REQUIRES(mu) {
     auto it = entry_cache.find(holes);
     if (it != entry_cache.end()) return it->second;
     ExprPtr residual = q.for_pred == nullptr
@@ -867,7 +869,7 @@ struct PreparedWhatIf::Impl {
         // The mask kernel only fires on trees it can prove error-free, so
         // its 0/1 output is exactly the scalar tri-state without any 2s.
         const size_t n = scope->cview.num_rows();
-        if (e->exact->TryMaskKernel(&e->exact_vals)) {
+        if (e->exact->TryMaskKernel(&e->exact_vals, threads)) {
           // done: exact_vals[r] == (EvalBool(r) ? 1 : 0) for every row.
         } else {
           e->exact_vals.resize(n);
@@ -1396,7 +1398,8 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     bool done = false;
     std::vector<double> all;
     std::vector<uint8_t> err;
-    if (be.TryEvalDoubleKernel(&all, &err)) {
+    if (be.TryEvalDoubleKernel(&all, &err,
+                               ThreadPool::ResolveBudget(options.num_threads))) {
       bool any_err = false;
       for (size_t r : stage->train_rows) any_err |= err[r] != 0;
       if (!any_err) {
@@ -1427,7 +1430,8 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
 /// resolution fails, no ids are stored and the plan still builds: Evaluate
 /// then takes the per-row path, which reports that error at that row. Only
 /// a governance abort fails the build.
-Status ResolveRowEntries(PreparedWhatIf::Impl* stage, const ExecGuard* guard) {
+Status ResolveRowEntries(PreparedWhatIf::Impl* stage, const ExecGuard* guard,
+                         size_t threads) {
   const ColumnTable& cview = stage->scope->cview;
   const size_t n = cview.num_rows();
   std::vector<relational::ColumnBoundExpr> hole_eval;
@@ -1452,7 +1456,7 @@ Status ResolveRowEntries(PreparedWhatIf::Impl* stage, const ExecGuard* guard) {
       if (!s.ok()) return Status::OK();
       holes.push_back(s->ToValue());
     }
-    auto id = stage->ResolveEntryLocked(holes);
+    auto id = stage->ResolveEntryLocked(holes, threads);
     if (!id.ok()) return Status::OK();
     row_entry[r] = *id;
   }
@@ -1461,9 +1465,10 @@ Status ResolveRowEntries(PreparedWhatIf::Impl* stage, const ExecGuard* guard) {
 }
 
 /// Builds the QueryStage payload into `stage`, whose upstream stage
-/// pointers the caller has already set.
+/// pointers the caller has already set; its segment kernels run on at most
+/// `threads` threads.
 Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
-                       const ExecGuard* guard) {
+                       const ExecGuard* guard, size_t threads) {
   stage->q = std::move(q);
   const ColumnTable& cview = stage->scope->cview;
   const size_t n = cview.num_rows();
@@ -1475,7 +1480,8 @@ Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
   // The mask is kept in its 0/1-byte form: it feeds PostImage::set_active
   // and the branch-free per-row loops directly.
   HYPER_ASSIGN_OR_RETURN(
-      stage->in_s, relational::EvalPredicateMask(stage->q.when.get(), cview));
+      stage->in_s,
+      relational::EvalPredicateMask(stage->q.when.get(), cview, threads));
   stage->updated = simd::MaskCount(stage->in_s.data(), n);
 
   // Observed output values (Sum/Avg only), via the compiled output
@@ -1495,7 +1501,7 @@ Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
     // zero, and it reports exactly those rows in out_err; ineligible trees
     // fill the same (out_all, out_err) pair row by row.
     if (!stage->out_eval->TryEvalDoubleKernel(&stage->out_all,
-                                              &stage->out_err)) {
+                                              &stage->out_err, threads)) {
       stage->out_all.assign(n, 0.0);
       stage->out_err.assign(n, 0);
       LoopCheck gov_loop(guard);
@@ -1543,7 +1549,7 @@ Status BuildQueryStage(PreparedWhatIf::Impl* stage, CompiledWhatIf q,
       stage->hole_compiled.begin(), stage->hole_compiled.end(),
       [](const relational::CompiledExpr& ce) { return ce.references_post(); });
   if (!stage->holes_row_invariant && !reads_post) {
-    HYPER_RETURN_NOT_OK(ResolveRowEntries(stage, guard));
+    HYPER_RETURN_NOT_OK(ResolveRowEntries(stage, guard, threads));
   }
   return Status::OK();
 }
@@ -1730,7 +1736,9 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::BuildPlan(
   im.scope = std::move(scope_stage);
   im.causal = std::move(causal_stage);
   im.learn = std::move(learn_stage);
-  HYPER_RETURN_NOT_OK(BuildQueryStage(&im, std::move(q), guard.get()));
+  HYPER_RETURN_NOT_OK(
+      BuildQueryStage(&im, std::move(q), guard.get(),
+                      ThreadPool::ResolveBudget(options_.num_threads)));
 
   for (const UpdateSpec& u : im.q.updates) {
     prepared->update_attributes_.push_back(u.attribute);
@@ -1752,8 +1760,10 @@ Result<ScopeSelection> WhatIfEngine::SelectScope(
       std::shared_ptr<const ScopeStageData> stage,
       ScopeStageFor(*db_, use, update_attr0, update_relation, ctx,
                     guard.get()));
-  HYPER_ASSIGN_OR_RETURN(std::vector<uint8_t> in_s,
-                         relational::EvalPredicateMask(when, stage->cview));
+  HYPER_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> in_s,
+      relational::EvalPredicateMask(
+          when, stage->cview, ThreadPool::ResolveBudget(options_.num_threads)));
   ScopeSelection out;
   out.rows.reserve(simd::MaskCount(in_s.data(), in_s.size()));
   for (size_t r = 0; r < in_s.size(); ++r) {
@@ -1823,11 +1833,12 @@ Result<std::string> WhatIfEngine::Explain(const sql::WhatIfStmt& stmt) const {
 
 namespace {
 
-/// The per-intervention fifth of a what-if run, against a prepared plan,
-/// on the calling thread.
+/// The per-intervention fifth of a what-if run, against a prepared plan.
+/// Its row-order passes fold per ColumnTable::kSegmentRows segment on at
+/// most `threads` threads, the calling thread included.
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      const ExecGuard* guard) {
+                                      const ExecGuard* guard, size_t threads) {
   Stopwatch eval_timer;
   WhatIfResult result;
   const ScopeStageData& sc = *im.scope;
@@ -2005,11 +2016,37 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     std::vector<double> weights, values;  // per slot
   };
   std::vector<EntryBatch> batches;
-  std::vector<uint32_t> slot_of_row(n);
 
-  // Pass A (sequential): resolve each row to its residual entry, make sure
-  // the pattern estimators needed by affected rows are trained, and gather
-  // the deduplicated feature points. The entry cache lives on the
+  // The row-order passes run per fixed segment of kSegmentRows rows (a
+  // union of whole blocks in the row-order layouts). A view of one segment
+  // runs each pass as one loop on the calling thread; a larger view runs
+  // its segments on the pool, at most `threads` at once, and merges their
+  // results in segment order. Segment bounds depend on n alone, so no
+  // result depends on the budget.
+  constexpr size_t kSegmentRows = ColumnTable::kSegmentRows;
+  const size_t num_segments = (n + kSegmentRows - 1) / kSegmentRows;
+  const auto for_each_segment = [&](const auto& pass) {
+    const auto run = [&](size_t first, size_t last) {
+      for (size_t s = first; s < last; ++s) {
+        pass(s, s * kSegmentRows, std::min(n, (s + 1) * kSegmentRows));
+      }
+    };
+    if (num_segments <= 1 || threads <= 1) {
+      run(0, num_segments);
+    } else {
+      ThreadPool::Shared().ParallelForRange(num_segments, /*grain=*/1, run,
+                                            threads);
+    }
+  };
+  // Guard checkpoints per stride instead of per row in the hot loops: the
+  // bodies are a few loads, so a stride keeps cancellation latency in the
+  // microseconds while removing the per-row counter. Segments start on a
+  // stride boundary.
+  constexpr size_t kGuardStride = 4096;
+
+  // Pass A: resolve each row to its residual entry, make sure the pattern
+  // estimators needed by affected rows are trained, and gather the
+  // deduplicated feature points. The entry cache lives on the
   // QueryStage, the pattern-estimator cache on the LearnStage (shared
   // across every plan assembled on it); evaluations snapshot raw pointers
   // so Pass B runs lock-free.
@@ -2052,7 +2089,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       scratch.push_back(s.ToValue());
     }
     MutexLock lock(&qs.mu);
-    HYPER_ASSIGN_OR_RETURN(uniform_id, qs.ResolveEntryLocked(scratch));
+    HYPER_ASSIGN_OR_RETURN(uniform_id,
+                           qs.ResolveEntryLocked(scratch, threads));
     grow_local(uniform_id);
     local_entries[uniform_id] = qs.entries[uniform_id].get();
   } else if (resolved) {
@@ -2074,7 +2112,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         const PatternEstimators* pat,
         le.EnsurePattern(e.key, e.is_literal, e.literal_value,
                          e.exact.has_value() ? &*e.exact : nullptr,
-                         &was_cached, &train_time, guard));
+                         &was_cached, &train_time, guard, threads));
     pattern_of_entry[id] = pat;
     if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
     return pat;
@@ -2084,107 +2122,131 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // holes), Set updates only, no psi features: every affected row's
   // post-update point is (constant set features) ++ (its non-update feature
   // bytes), so within one entry the LearnStage's residual grouping IS the
-  // dedup. Affected rows map to batch slots with one array read per entry
-  // and group; per entry, the slots, the gathered feature points and their
-  // order are identical to the hashing loop in the else branch below (first
-  // appearance in row order, byte equality). The per-entry slot tables are
-  // used while they total at most one slot per view row, so a plan with
+  // dedup, and a row's batch slot is its (entry, residual group) key's.
+  // Each segment lists, in row order, the affected rows that first meet a
+  // key within it; one sequential merge over the segments in order then
+  // meets every key at its first affected row in the view, so per entry
+  // the patterns trained, the slots, the gathered feature points and their
+  // order are identical to the hashing loop in the else branch below
+  // (first appearance in row order, byte equality). The key tables are
+  // used while they total at most one key per view row, so a plan with
   // very many entries keeps O(n) scratch by hashing instead.
   const size_t groups = le.residual_groups;
+  const uint32_t* gid = le.residual_gid.data();
   const bool grouped = all_set && psi_specs.empty() &&
                        (uniform || (resolved && num_entries * groups <= n));
+  // A key is entry * key_stride + group: the group alone for the shared
+  // entry, entry * groups + group for resolved entries.
+  const size_t key_stride = uniform ? 0 : groups;
+  // The batch slot of each key on the grouped path.
+  std::vector<uint32_t> slot_of_key;
+  // The batch slot of each affected row on the hashing path.
+  std::vector<uint32_t> slot_of_row;
   if (grouped) {
-    // Sized before the loop: references into it stay valid.
+    // Sized before the merge: references into it stay valid.
     batches.resize(num_entries);
-    std::vector<uint32_t> slot_of_gid(num_entries * groups, UINT32_MAX);
-    const uint32_t* gid = le.residual_gid.data();
-    // Guard checkpoints per stride instead of per row: the body is a few
-    // loads, so a stride keeps cancellation latency in the microseconds
-    // while removing the per-row counter from the hot loops.
-    constexpr size_t kGuardStride = 4096;
-    if (uniform) {
-      // One shared entry, in a loop of its own so that its pattern, batch
-      // and slot table stay in registers (one loop shared with resolved
-      // entries measured slower on the shapes without For).
-      const Entry& e = *local_entries[uniform_id];
-      uint32_t* slots = slot_of_gid.data() + uniform_id * groups;
-      const PatternEstimators* pat = nullptr;
-      EntryBatch* eb = nullptr;
-      bool done = e.is_literal && !e.literal_value;  // disqualified
-      for (size_t base = 0; base < n && !done; base += kGuardStride) {
-        if (guard != nullptr) {
-          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
+    slot_of_key.assign(uniform ? groups : num_entries * groups, UINT32_MAX);
+    // Per entry: not yet met on an affected row, gathering, or nothing to
+    // batch (disqualified, or a literal pattern without an estimator).
+    enum : uint8_t { kUnseen, kGather, kSkip };
+    std::vector<uint8_t> state(num_entries, kSkip);
+    bool any_live = false;
+    for (size_t id = 0; id < num_entries; ++id) {
+      const Entry* e = local_entries[id];
+      if (e != nullptr && !(e->is_literal && !e->literal_value)) {
+        state[id] = kUnseen;
+        any_live = true;
+      }
+    }
+    if (uniform && any_live) {
+      // Without psi the shared entry meets an affected row iff S is not
+      // empty; its pattern is fetched up front, as its first affected row
+      // would fetch it, and a pattern without an estimator skips the scan.
+      any_live = updated > 0;
+      if (any_live) {
+        HYPER_ASSIGN_OR_RETURN(const PatternEstimators* pat,
+                               ensure_pattern(uniform_id));
+        any_live = pat->weight != nullptr || pat->value != nullptr;
+        state[uniform_id] = any_live ? kGather : kSkip;
+      }
+    }
+    std::vector<std::vector<size_t>> firsts(num_segments);
+    std::vector<Status> failed(num_segments);
+    // Lists segment s's affected rows that first meet a key in [begin,
+    // end); key_of(r) is a row's key, or kNoKey when its entry is skipped.
+    // The loop reads local copies only (see Pass B's row body).
+    constexpr size_t kNoKey = SIZE_MAX;
+    const auto scan = [&](size_t s, size_t begin, size_t end, auto key_of) {
+      const uint8_t* affected = in_s.data();
+      const ExecGuard* const check = guard;
+      std::vector<uint8_t> met(slot_of_key.size(), 0);
+      uint8_t* const seen = met.data();
+      std::vector<size_t> out;
+      for (size_t base = begin; base < end; base += kGuardStride) {
+        if (check != nullptr) {
+          Status st = check->Check("whatif.eval.rows");
+          if (!st.ok()) {
+            failed[s] = std::move(st);
+            return;
+          }
         }
-        const size_t lim = std::min(n, base + kGuardStride);
+        const size_t lim = std::min(end, base + kGuardStride);
         for (size_t r = base; r < lim; ++r) {
-          if (!in_s[r]) continue;  // psi_changed is all-zero with no psi
-          if (pat == nullptr) {
-            HYPER_ASSIGN_OR_RETURN(pat, ensure_pattern(uniform_id));
-            if (pat->weight == nullptr && pat->value == nullptr) {
-              done = true;  // literal pattern: nothing to batch
-              break;
-            }
-            eb = &batches[uniform_id];
-          }
-          const uint32_t g = gid[r];
-          uint32_t slot = slots[g];
-          if (slot == UINT32_MAX) {
-            slot = eb->count++;
-            slots[g] = slot;
-            emit_features(r, point.data());
-            eb->feat.insert(eb->feat.end(), point.begin(), point.end());
-          }
-          slot_of_row[r] = slot;
+          if (!affected[r]) continue;  // psi_changed is all-zero with no psi
+          const size_t key = key_of(r);
+          if (key == kNoKey || seen[key] != 0) continue;
+          seen[key] = 1;
+          out.push_back(r);
         }
       }
+      firsts[s] = std::move(out);
+    };
+    if (!any_live) {
+      // No affected row can batch: nothing to scan.
+    } else if (uniform) {
+      // One shared entry, in a scan of its own so that the key is the
+      // row's group alone.
+      for_each_segment([&](size_t s, size_t begin, size_t end) {
+        scan(s, begin, end, [gid](size_t r) -> size_t { return gid[r]; });
+      });
     } else {
-      // Resolved entries. Per entry: not yet met on an affected row,
-      // gathering, or nothing to batch (disqualified, or a literal pattern
-      // without an estimator).
-      enum : uint8_t { kUnseen, kGather, kSkip };
-      std::vector<uint8_t> state(num_entries, kUnseen);
-      size_t live = num_entries;
-      for (size_t id = 0; id < num_entries; ++id) {
-        const Entry& e = *local_entries[id];
-        if (e.is_literal && !e.literal_value) {
-          state[id] = kSkip;
-          --live;
+      const uint8_t* entry_state = state.data();
+      for_each_segment([&](size_t s, size_t begin, size_t end) {
+        scan(s, begin, end,
+             [row_entry, entry_state, key_stride, gid](size_t r) -> size_t {
+               const uint32_t id = row_entry[r];
+               return entry_state[id] == kSkip
+                          ? kNoKey
+                          : size_t{id} * key_stride + gid[r];
+             });
+      });
+    }
+    for (const Status& st : failed) HYPER_RETURN_NOT_OK(st);
+    for (const std::vector<size_t>& rows : firsts) {
+      for (const size_t r : rows) {
+        const uint32_t id = uniform ? uniform_id : row_entry[r];
+        uint32_t& slot = slot_of_key[size_t{id} * key_stride + gid[r]];
+        if (slot != UINT32_MAX) continue;  // met in an earlier segment
+        if (state[id] == kUnseen) {
+          HYPER_ASSIGN_OR_RETURN(const PatternEstimators* pat,
+                                 ensure_pattern(id));
+          state[id] = pat->weight == nullptr && pat->value == nullptr
+                          ? kSkip
+                          : kGather;
         }
-      }
-      for (size_t base = 0; base < n && live > 0; base += kGuardStride) {
-        if (guard != nullptr) {
-          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
-        }
-        const size_t lim = std::min(n, base + kGuardStride);
-        for (size_t r = base; r < lim; ++r) {
-          if (!in_s[r]) continue;
-          const uint32_t id = row_entry[r];
-          if (state[id] != kGather) {
-            if (state[id] == kSkip) continue;
-            HYPER_ASSIGN_OR_RETURN(const PatternEstimators* pat,
-                                   ensure_pattern(id));
-            if (pat->weight == nullptr && pat->value == nullptr) {
-              state[id] = kSkip;
-              if (--live == 0) break;
-              continue;
-            }
-            state[id] = kGather;
-          }
-          uint32_t& slot = slot_of_gid[id * groups + gid[r]];
-          if (slot == UINT32_MAX) {
-            EntryBatch& eb = batches[id];
-            slot = eb.count++;
-            emit_features(r, point.data());
-            eb.feat.insert(eb.feat.end(), point.begin(), point.end());
-          }
-          slot_of_row[r] = slot;
-        }
+        if (state[id] == kSkip) continue;
+        EntryBatch& eb = batches[id];
+        slot = eb.count++;
+        emit_features(r, point.data());
+        eb.feat.insert(eb.feat.end(), point.begin(), point.end());
       }
     }
   } else {
     // Scale/shift updates or psi features (the feature point varies within
     // a residual group), holes over a post image, or too many entries for
-    // the slot tables: hash each affected row's feature point.
+    // the key tables: hash each affected row's feature point, one row at a
+    // time on the calling thread.
+    slot_of_row.assign(n, 0);
     LoopCheck pass_a_check(guard);
     for (size_t r = 0; r < n; ++r) {
       if (pass_a_check.Due()) {
@@ -2206,7 +2268,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           id = it->second;
         } else {
           MutexLock lock(&qs.mu);
-          HYPER_ASSIGN_OR_RETURN(id, qs.ResolveEntryLocked(scratch));
+          HYPER_ASSIGN_OR_RETURN(id, qs.ResolveEntryLocked(scratch, threads));
           grow_local(id);
           local_entries[id] = qs.entries[id].get();
           local_cache.emplace(scratch, id);
@@ -2270,13 +2332,37 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // tuple is exact — weight 1 and its observed output, read from the
   // stage-level caches; a tri-state error mark re-evaluates the row,
   // reproducing its per-row error. An affected tuple reads its pattern's
-  // batch slot. Returns false with *error set when a re-evaluated row fails.
-  const auto add_row = [&](size_t r, uint32_t id, double* num, double* den,
-                           Status* error) __attribute__((always_inline)) {
-    const Entry& e = *local_entries[id];
+  // batch slot: its key's on the grouped path, its own on the hashing
+  // path. Returns false with *error set when a re-evaluated row fails.
+  //
+  // The body captures plain pointers and scalars by value, and each fold
+  // runs a local copy of it: the segment closures handed to the pool make
+  // every local they capture by reference escape, and a value read through
+  // such a capture would be re-read on every row.
+  const Entry* const* entry_at = local_entries.data();
+  const PatternEstimators* const* pattern_at = pattern_of_entry.data();
+  const EntryBatch* batch_at = batches.data();
+  const uint8_t* affected = in_s.data();
+  const relational::ColumnBoundExpr* out_eval =
+      qs.out_eval.has_value() ? &*qs.out_eval : nullptr;
+  const uint8_t* out_err = qs.out_err.data();
+  const double* out_all = qs.out_all.data();
+  const uint32_t* key_slot = grouped ? slot_of_key.data() : nullptr;
+  const uint32_t* row_slot = slot_of_row.data();
+  const sql::AggKind agg = q.output_agg;
+  const auto add_row = [entry_at, pattern_at, batch_at, affected, psic,
+                        out_eval, out_err, out_all, key_stride, key_slot, gid,
+                        row_slot, agg](size_t r, uint32_t id, double* num,
+                                       double* den, Status* error)
+      __attribute__((always_inline)) {
+    const auto slot = [&] {
+      return key_slot != nullptr ? key_slot[size_t{id} * key_stride + gid[r]]
+                                 : row_slot[r];
+    };
+    const Entry& e = *entry_at[id];
     if (e.is_literal && !e.literal_value) return true;  // disqualified
     double weight = 1.0, weighted_value = 0.0;
-    if (!(in_s[r] || (psic != nullptr && psic[r]))) {
+    if (!(affected[r] || (psic != nullptr && psic[r]))) {
       bool qualifies = e.literal_value;
       if (!e.is_literal) {
         const uint8_t v = e.exact_vals.empty() ? 2 : e.exact_vals[r];
@@ -2292,9 +2378,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
       }
       if (!qualifies) return true;
-      if (qs.out_eval.has_value()) {
-        if (qs.out_err[r]) {
-          auto vr = qs.out_eval->Eval(r);
+      if (out_eval != nullptr) {
+        if (out_err[r]) {
+          auto vr = out_eval->Eval(r);
           if (!vr.ok()) {
             *error = vr.status();
             return false;
@@ -2306,33 +2392,38 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           }
           weighted_value = *dr;
         } else {
-          weighted_value = qs.out_all[r];
+          weighted_value = out_all[r];
         }
       }
     } else {
-      const PatternEstimators* pat = pattern_of_entry[id];
+      const PatternEstimators* pat = pattern_at[id];
       weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                            : Clamp01(batches[id].weights[slot_of_row[r]]);
+                            : Clamp01(batch_at[id].weights[slot()]);
       if (weight <= 0.0) return true;
       if (pat->value != nullptr) {
-        weighted_value = batches[id].values[slot_of_row[r]];
+        weighted_value = batch_at[id].values[slot()];
       }
     }
-    prob::AddTuple(q.output_agg, weight, weighted_value, num, den);
+    prob::AddTuple(agg, weight, weighted_value, num, den);
     return true;
   };
 
-  // Pass B folds every row into (num, den) on the calling thread, block by
-  // block: each block's partial starts at +0.0 and merges into the
-  // accumulator in block order as soon as the block ends.
   prob::BlockAccumulator acc(q.output_agg);
   if (ca.block_rows.empty()) {
     // Row-order fold: one block per row in row order, or one block of every
-    // row. Same row body and same += sequence as the block-ordered merge
-    // (starting from +0.0 the partial can never be -0.0, so one merge of
-    // the flat totals is bit-identical to n singleton merges). Errors
-    // surface as the first failing row, which is the first failing block.
-    double num = 0.0, den = 0.0;
+    // row, folded per segment. A segment's partial starts at +0.0, takes
+    // its rows in row order with the same row body and the same += sequence
+    // as the block-ordered merge (starting from +0.0 the partial can never
+    // be -0.0, so one merge of the segment's flat totals is bit-identical to
+    // its singleton merges), and merges into the accumulator in segment
+    // order: a view of one segment is one loop and one merge. Errors
+    // surface as the first failing row, which is the first failing
+    // segment's first failing row.
+    struct Partial {
+      double num = 0.0, den = 0.0;
+      Status status;
+    };
+    std::vector<Partial> partials(num_segments);
     // Branchless specialization for the dominant serving shape: one shared
     // entry, Count with a trained weight estimator and a cached
     // qualification mask. Every row adds exactly what the generic body
@@ -2355,49 +2446,101 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         !batches[uniform_id].weights.empty() && !qs.out_eval.has_value();
     if (table_disqualified) {
       // Every tuple resolves to a disqualified literal entry: the fold is
-      // empty and the zero partial below is all that remains.
+      // empty and the zero partials below are all that remains.
     } else if (turbo_count) {
       const uint8_t* qual = ue->exact_vals.data();
       const uint8_t* aff = in_s.data();
-      const double* w = batches[uniform_id].weights.data();
-      const uint32_t* slots = slot_of_row.data();
-      // Stride-level guard checkpoints (see Pass A): microsecond-scale
-      // cancellation latency without a per-row counter or branch.
-      constexpr size_t kGuardStride = 4096;
-      for (size_t base = 0; base < n; base += kGuardStride) {
-        if (guard != nullptr) {
-          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-        }
-        const size_t lim = std::min(n, base + kGuardStride);
-        for (size_t r = base; r < lim; ++r) {
-          const bool affd = aff[r] != 0;
-          const uint8_t v = qual[r];
-          if (v == 2 && !affd) {  // cache miss: per-row evaluator decides
-            HYPER_ASSIGN_OR_RETURN(const bool qb, ue->exact->EvalBool(r));
-            num += qb ? 1.0 : 0.0;
-            continue;
+      // The clamped weight of each key (grouped) or slot (hashing), read
+      // per row through index[r]. An unaffected row reads an entry
+      // harmlessly — its group's, or slot 0's (weights is non-empty) — and
+      // the select keeps only the arm the generic body would take.
+      const std::vector<double>& w = batches[uniform_id].weights;
+      std::vector<double> clamped;
+      const uint32_t* index = nullptr;
+      if (grouped) {
+        clamped.assign(slot_of_key.size(), 0.0);
+        for (size_t g = 0; g < slot_of_key.size(); ++g) {
+          if (slot_of_key[g] != UINT32_MAX) {
+            clamped[g] = Clamp01(w[slot_of_key[g]]);
           }
-          // Unaffected slots read w[0] harmlessly (weights is non-empty);
-          // the select keeps only the arm the generic body would take.
-          const double unw = v != 0 ? 1.0 : 0.0;
-          const double wa = Clamp01(w[slots[r]]);
-          num += affd ? wa : unw;
         }
+        index = gid;
+      } else {
+        clamped.resize(w.size());
+        for (size_t i = 0; i < w.size(); ++i) clamped[i] = Clamp01(w[i]);
+        index = slot_of_row.data();
       }
+      const double* clamped_at = clamped.data();
+      for_each_segment([&](size_t s, size_t begin, size_t end) {
+        // Local copies only (see the row body).
+        const uint8_t* const qual_at = qual;
+        const uint8_t* const aff_at = aff;
+        const double* const cw = clamped_at;
+        const uint32_t* const index_at = index;
+        const relational::ColumnBoundExpr* const exact = &*ue->exact;
+        const ExecGuard* const check = guard;
+        Partial& p = partials[s];
+        double num = 0.0;
+        for (size_t base = begin; base < end; base += kGuardStride) {
+          if (check != nullptr) {
+            Status st = check->Check("whatif.eval.blocks");
+            if (!st.ok()) {
+              p.status = std::move(st);
+              return;
+            }
+          }
+          const size_t lim = std::min(end, base + kGuardStride);
+          for (size_t r = base; r < lim; ++r) {
+            const bool affd = aff_at[r] != 0;
+            const uint8_t v = qual_at[r];
+            if (v == 2 && !affd) {  // cache miss: per-row evaluator decides
+              Result<bool> qb = exact->EvalBool(r);
+              if (!qb.ok()) {
+                p.status = qb.status();
+                return;
+              }
+              num += *qb ? 1.0 : 0.0;
+              continue;
+            }
+            const double unw = v != 0 ? 1.0 : 0.0;
+            num += affd ? cw[index_at[r]] : unw;
+          }
+        }
+        p.num = num;
+      });
     } else {
-      Status error;
-      for (size_t r = 0; r < n; ++r) {
-        if (guard != nullptr && (r & 63) == 0) {
-          HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
+      for_each_segment([&](size_t s, size_t begin, size_t end) {
+        // Local copies only (see the row body).
+        const auto row = add_row;
+        const uint32_t* const entry_of = uniform ? nullptr : row_entry;
+        const uint32_t shared = uniform_id;
+        const ExecGuard* const check = guard;
+        Partial& p = partials[s];
+        double num = 0.0, den = 0.0;
+        for (size_t r = begin; r < end; ++r) {
+          if (check != nullptr && (r & 63) == 0) {
+            Status st = check->Check("whatif.eval.blocks");
+            if (!st.ok()) {
+              p.status = std::move(st);
+              return;
+            }
+          }
+          const uint32_t id = entry_of == nullptr ? shared : entry_of[r];
+          if (!row(r, id, &num, &den, &p.status)) return;
         }
-        const uint32_t id = uniform ? uniform_id : row_entry[r];
-        if (!add_row(r, id, &num, &den, &error)) return error;
-      }
+        p.num = num;
+        p.den = den;
+      });
     }
-    acc.MergeBlockPartial(num, den);
+    for (const Partial& p : partials) {
+      HYPER_RETURN_NOT_OK(p.status);
+      acc.MergeBlockPartial(p.num, p.den);
+    }
   } else {
-    // Multi-row blocks: the first failing block returns its status, as the
-    // first failing row of the block-ordered scan.
+    // Multi-row blocks, on the calling thread: the first failing block
+    // returns its status, as the first failing row of the block-ordered
+    // scan.
+    const auto row = add_row;
     Status error;
     size_t k = 0;
     for (size_t b = 0; b < ca.num_blocks; ++b) {
@@ -2408,7 +2551,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
         const size_t r = ca.block_rows[k];
         const uint32_t id = uniform ? uniform_id : row_entry[r];
-        if (!add_row(r, id, &num, &den, &error)) return error;
+        if (!row(r, id, &num, &den, &error)) return error;
       }
       acc.MergeBlockPartial(num, den);
     }
@@ -2432,7 +2575,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 Result<WhatIfResult> WhatIfEngine::Evaluate(
     const PreparedWhatIf& plan, const std::vector<UpdateSpec>& updates) const {
   const ExecGuardPtr guard = GuardFor(options_);
-  return EvaluatePrepared(*plan.impl_, updates, guard.get());
+  return EvaluatePrepared(*plan.impl_, updates, guard.get(),
+                          ThreadPool::ResolveBudget(options_.num_threads));
 }
 
 Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
@@ -2445,9 +2589,12 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
   // abort means every item after the trip reports the same typed status.
   const ExecGuardPtr guard = GuardFor(options_);
   std::vector<Status> item_status(interventions.size());
-  // Shard across interventions under the thread budget. Every evaluation is
-  // deterministic on its own, so results[i] is bit-for-bit identical to a
-  // sequential Evaluate(interventions[i]).
+  // The budget is spent once: across the interventions when there are
+  // several, else on the one intervention's segments. Every evaluation is
+  // deterministic at any budget, so results[i] is bit-for-bit identical to
+  // Evaluate(interventions[i]).
+  const size_t budget = ThreadPool::ResolveBudget(options_.num_threads);
+  const size_t item_threads = interventions.size() > 1 ? 1 : budget;
   ThreadPool::Shared().ParallelFor(
       interventions.size(),
       [&](size_t i) {
@@ -2458,14 +2605,15 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
             return;
           }
         }
-        auto r = EvaluatePrepared(*plan.impl_, interventions[i], guard.get());
+        auto r = EvaluatePrepared(*plan.impl_, interventions[i], guard.get(),
+                                  item_threads);
         if (!r.ok()) {
           item_status[i] = r.status();
         } else {
           results[i] = std::move(r).value();
         }
       },
-      /*max_parallelism=*/ThreadPool::ResolveBudget(options_.num_threads));
+      /*max_parallelism=*/budget);
   if (statuses != nullptr) {
     *statuses = std::move(item_status);
     return results;

@@ -158,10 +158,16 @@ struct WhatIfOptions {
   bool use_blocks = true;
   uint64_t seed = 7;
   /// Thread budget on the process-wide pool (0 = hardware default): the
-  /// forest trainer's (unless forest.num_threads overrides it), and how
-  /// many interventions EvaluateBatch and how-to candidate scoring evaluate
-  /// at once. One evaluation always runs on its calling thread. The answer
-  /// is bit-for-bit identical for every setting.
+  /// forest trainer's (unless forest.num_threads overrides it), the segment
+  /// kernels' (When masks, output columns), and one evaluation's. An
+  /// evaluation folds per ColumnTable::kSegmentRows segment and merges the
+  /// segment partials in segment order, so a view of more than one segment
+  /// folds its segments on up to this many threads; the hashing Pass A
+  /// (Scale/Shift updates, psi features, holes over a post image) and the
+  /// multi-row block layouts stay on the calling thread. EvaluateBatch and
+  /// how-to scoring spend the budget once: across their items when there
+  /// are several, else on the one item's segments. The answer's bits
+  /// depend on the data and kSegmentRows, never on this setting.
   size_t num_threads = 0;
   // --- resource governance (per-request; never part of any cache key) ---
   /// Wall-clock / row / byte limits for each engine call. The default
@@ -334,17 +340,20 @@ class WhatIfEngine {
                                      const sql::Expr* when,
                                      const StageContext* context) const;
 
-  /// Evaluates one intervention against a prepared plan, on the calling
-  /// thread. `updates` must target the plan's update attributes in order;
-  /// constants and update functions are free. Thread-safe; answers are
-  /// bit-for-bit identical to a fresh Run of the corresponding statement.
+  /// Evaluates one intervention against a prepared plan, folding the view's
+  /// segments on up to `num_threads` threads (a view of one segment folds
+  /// on the calling thread). `updates` must target the plan's update
+  /// attributes in order; constants and update functions are free.
+  /// Thread-safe; answers are bit-for-bit identical to a fresh Run of the
+  /// corresponding statement, at any budget.
   Result<WhatIfResult> Evaluate(const PreparedWhatIf& plan,
                                 const std::vector<UpdateSpec>& updates) const;
 
   /// Evaluates N interventions against one prepared plan in a single sharded
-  /// pass over the worker pool, at most `num_threads` at once. results[i]
-  /// corresponds to interventions[i] and is identical to
-  /// Evaluate(plan, interventions[i]).
+  /// pass over the worker pool, at most `num_threads` at once, each folding
+  /// its segments on its own thread; a batch of one spends the whole budget
+  /// on its segments, as Evaluate does. results[i] corresponds to
+  /// interventions[i] and is identical to Evaluate(plan, interventions[i]).
   ///
   /// Error handling: with `statuses == nullptr` the first failing
   /// intervention (in index order) fails the whole call. With a non-null

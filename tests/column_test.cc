@@ -371,7 +371,7 @@ TEST(CompiledExprTest, AgreesWithInterpreterOnAmazonProducts) {
     ASSERT_TRUE(compiled.ok()) << pred->ToString();
     auto bound = ColumnBoundExpr::Bind(*compiled, *ct);
     ASSERT_TRUE(bound.ok());
-    auto mask = bound->EvalMask();
+    auto mask = bound->EvalMask(/*max_threads=*/0);
     ASSERT_TRUE(mask.ok());
 
     for (size_t r = 0; r < products.num_rows(); ++r) {
@@ -442,7 +442,7 @@ TEST(CompiledExprTest, MaskFallbackHandlesNullColumns) {
   // X > 2: NULL sorts before everything (no error), so row 1 is false.
   auto pred = sql::MakeBinary(sql::BinaryOp::kGt, sql::MakeColumnRef("", "X"),
                               sql::MakeLiteral(Value::Double(2.0)));
-  auto mask = EvalPredicateMask(pred.get(), *ct);
+  auto mask = EvalPredicateMask(pred.get(), *ct, /*max_threads=*/0);
   ASSERT_TRUE(mask.ok());
   EXPECT_EQ((*mask)[0], 0);
   EXPECT_EQ((*mask)[1], 0);

@@ -3,14 +3,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/governance.h"
 #include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "sql/parser.h"
+#include "storage/column.h"
 #include "whatif/engine.h"
 
 namespace hyper {
@@ -147,39 +153,130 @@ TEST(MorselTest, MaxParallelismCapsParticipants) {
 
 // ---------------------------------------------------------------------------
 // End to end: a what-if on german-syn (one block per row) must be bit-for-bit
-// identical at every thread budget. The budget only reaches forest training
-// and batch fan-out; one evaluation always folds on its calling thread.
+// identical at every thread budget. One evaluation folds per 64k-row segment
+// and merges the segment partials in segment order, so a view of three
+// segments runs its segments on 1 to 4 threads and must still give one
+// answer. The shapes cover the fold's paths: Count on the shared entry (the
+// branchless loop), Avg and Sum (the row body), a For on a pre-value
+// (entries resolved per row), a Scale update (the hashing Pass A), and a
+// When that ends inside the second segment.
 // ---------------------------------------------------------------------------
 
-TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
-  data::GermanOptions gopt;
-  gopt.rows = 20000;
-  auto ds = data::MakeGermanSyn(gopt);
-  ASSERT_TRUE(ds.ok()) << ds.status();
-  auto stmt = sql::ParseSql(
-      "Use German When Status = 1 Update(Status) = 2 Output Count(Credit = 1)");
-  ASSERT_TRUE(stmt.ok()) << stmt.status();
-  ASSERT_NE(stmt->whatif, nullptr);
+constexpr size_t kThreeSegments = 150000;
 
-  double reference = 0.0;
-  bool have_reference = false;
-  for (size_t threads : PoolSizes()) {
-    whatif::WhatIfOptions options;
-    options.estimator = learn::EstimatorKind::kFrequency;
-    options.num_threads = threads;
-    whatif::WhatIfEngine engine(&ds->db, &ds->graph, options);
-    auto result = engine.Run(*stmt->whatif);
-    ASSERT_TRUE(result.ok()) << result.status();
-    if (!have_reference) {
-      reference = result->value;
-      have_reference = true;
-      continue;
+/// German-Syn over three segments, generated once for the tests below (an
+/// empty dataset if generation fails, which their row check reports).
+const data::Dataset& ThreeSegmentGerman() {
+  static const data::Dataset kData = [] {
+    data::GermanOptions gopt;
+    gopt.rows = kThreeSegments;
+    auto ds = data::MakeGermanSyn(gopt);
+    return ds.ok() ? std::move(ds).value() : data::Dataset{};
+  }();
+  return kData;
+}
+
+TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
+  const data::Dataset& ds = ThreeSegmentGerman();
+  ASSERT_GT(ds.db.TotalRows(), 2 * ColumnTable::kSegmentRows);
+  for (const char* text :
+       {"Use German When Status = 1 Update(Status) = 2 Output Count(Credit = "
+        "1)",
+        "Use German Update(Status) = 2 Output Avg(Post(Credit))",
+        "Use German Update(Status) = 2 Output Sum(Post(Credit))",
+        "Use German Update(Status) = 2 Output Avg(Post(Credit)) For Pre(Age) "
+        "= 1",
+        "Use German Update(Status) = 1.5 * Pre(Status) Output Count(Credit = "
+        "1)",
+        "Use German When Id < 100000 Update(Status) = 2 Output Count(Credit = "
+        "1)"}) {
+    auto stmt = sql::ParseSql(text);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    ASSERT_NE(stmt->whatif, nullptr);
+    double reference = 0.0;
+    bool have_reference = false;
+    for (size_t threads : PoolSizes()) {
+      whatif::WhatIfOptions options;
+      options.estimator = learn::EstimatorKind::kFrequency;
+      options.num_threads = threads;
+      whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
+      auto result = engine.Run(*stmt->whatif);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.status();
+      if (!have_reference) {
+        reference = result->value;
+        have_reference = true;
+        continue;
+      }
+      uint64_t got = 0, want = 0;
+      std::memcpy(&got, &result->value, sizeof(got));
+      std::memcpy(&want, &reference, sizeof(want));
+      ASSERT_EQ(got, want) << text << " threads=" << threads;
     }
-    uint64_t got = 0, want = 0;
-    std::memcpy(&got, &result->value, sizeof(got));
-    std::memcpy(&want, &reference, sizeof(want));
-    ASSERT_EQ(got, want) << "threads=" << threads;
   }
+}
+
+// ---------------------------------------------------------------------------
+// A budget of 1 keeps every evaluation checkpoint on the calling thread,
+// even on a view of three segments: the segments then fold one after
+// another on the caller, and no pool worker joins.
+// ---------------------------------------------------------------------------
+
+std::mutex g_checkpoint_mu;
+std::vector<std::pair<std::string, std::thread::id>> g_checkpoints;
+
+Status RecordThreadHook(const char* checkpoint) {
+  std::lock_guard<std::mutex> lock(g_checkpoint_mu);
+  g_checkpoints.emplace_back(checkpoint, std::this_thread::get_id());
+  return Status::OK();
+}
+
+TEST(MorselTest, BudgetOneEvaluatesOnTheCallingThread) {
+  const data::Dataset& ds = ThreeSegmentGerman();
+  ASSERT_GT(ds.db.TotalRows(), 2 * ColumnTable::kSegmentRows);
+  {
+    std::lock_guard<std::mutex> lock(g_checkpoint_mu);
+    g_checkpoints.clear();
+  }
+  whatif::WhatIfOptions options;
+  options.estimator = learn::EstimatorKind::kFrequency;
+  options.num_threads = 1;
+  whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
+  // Prepared (and their patterns trained) before the hook goes in, so the
+  // hook sees the evaluations alone.
+  std::vector<std::shared_ptr<const whatif::PreparedWhatIf>> plans;
+  std::vector<std::vector<whatif::UpdateSpec>> specs;
+  for (const char* text :
+       {"Use German Update(Status) = 2 Output Count(Credit = 1)",
+        "Use German Update(Status) = 2 Output Avg(Post(Credit)) For Pre(Age) "
+        "= 1"}) {
+    auto stmt = sql::ParseSql(text);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto plan = engine.Prepare(*stmt->whatif);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    specs.push_back(whatif::SpecsOfStatement(*stmt->whatif));
+    ASSERT_TRUE(engine.Evaluate(**plan, specs.back()).ok());
+    plans.push_back(*plan);
+  }
+
+  const std::thread::id caller = std::this_thread::get_id();
+  governance::SetFaultHook(&RecordThreadHook);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_TRUE(engine.Evaluate(*plans[i], specs[i]).ok());
+    // A batch of several spends the budget on its items: one at a time.
+    EXPECT_TRUE(engine.EvaluateBatch(*plans[i], {specs[i], specs[i]}).ok());
+  }
+  governance::SetFaultHook(nullptr);
+
+  std::lock_guard<std::mutex> lock(g_checkpoint_mu);
+  std::set<std::string> seen;
+  for (const auto& [checkpoint, thread] : g_checkpoints) {
+    if (checkpoint.rfind("whatif.eval.", 0) != 0) continue;
+    seen.insert(checkpoint);
+    EXPECT_EQ(thread, caller) << checkpoint << " ran off the calling thread";
+  }
+  EXPECT_EQ(seen, (std::set<std::string>{"whatif.eval.batch",
+                                          "whatif.eval.blocks",
+                                          "whatif.eval.rows"}));
 }
 
 }  // namespace

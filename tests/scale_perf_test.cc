@@ -114,7 +114,7 @@ void ExpectExpressionKernelsMatchPerRow(size_t rows, size_t segments) {
     for (bool force : {true, false}) {
       simd::SetForceScalar(force);
       std::vector<uint8_t> mask;
-      ASSERT_TRUE(bound->TryMaskKernel(&mask)) << "force=" << force;
+      ASSERT_TRUE(bound->TryMaskKernel(&mask, /*max_threads=*/0)) << "force=" << force;
       ASSERT_EQ(mask.size(), rows);
       ASSERT_EQ(std::memcmp(mask.data(), per_row.data(), rows), 0)
           << "force=" << force;
@@ -143,7 +143,8 @@ void ExpectExpressionKernelsMatchPerRow(size_t rows, size_t segments) {
       simd::SetForceScalar(force);
       std::vector<double> vals;
       std::vector<uint8_t> err;
-      ASSERT_TRUE(bound->TryEvalDoubleKernel(&vals, &err)) << "force=" << force;
+      ASSERT_TRUE(bound->TryEvalDoubleKernel(&vals, &err, /*max_threads=*/0))
+          << "force=" << force;
       ASSERT_EQ(vals.size(), rows);
       for (size_t r = 0; r < rows; ++r) ASSERT_EQ(err[r], 0) << r;
       ASSERT_EQ(std::memcmp(vals.data(), per_row.data(),
