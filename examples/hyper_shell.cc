@@ -9,7 +9,8 @@
 //                                --csv reviews.csv=Review   (repeatable)
 //
 // Shell commands:
-//   \tables               list relations (of the current scenario)
+//   \tables               list relations and row counts (a scenario
+//                         overrides only cells, so these read the base)
 //   \schema <relation>    show a schema
 //   \graph                show the causal graph (when available)
 //   \estimator f|t        frequency / forest (tree) estimator
@@ -165,7 +166,7 @@ void RunCommand(ShellState& state, const std::string& line) {
   const std::vector<std::string> parts = Split(line, ' ');
   const std::string& cmd = parts[0];
   if (cmd == "\\tables") {
-    auto db = state.service->EffectiveDatabase(state.scenario);
+    auto db = state.service->BaseDatabase(state.scenario);
     if (!db.ok()) {
       std::printf("error: %s\n", db.status().ToString().c_str());
       return;
@@ -175,7 +176,7 @@ void RunCommand(ShellState& state, const std::string& line) {
                   (*db)->GetTable(name).value()->num_rows());
     }
   } else if (cmd == "\\schema" && parts.size() > 1) {
-    auto db = state.service->EffectiveDatabase(state.scenario);
+    auto db = state.service->BaseDatabase(state.scenario);
     if (!db.ok()) {
       std::printf("error: %s\n", db.status().ToString().c_str());
       return;

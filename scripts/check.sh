@@ -97,18 +97,21 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 # ScopeStage image that the parallel candidate scorer shares), and
 # relational_test and whatif_test (the select executor's row-frame reader
 # and the column reader share one evaluation walk, and Explain reads a
-# freshly prepared plan): TSan catches data races on the shared stage
-# caches, the admission/cancellation state, and the pool's morsel cursor
-# under skewed load, ASan catches lifetime bugs in abort unwinding (an
-# aborted request must not leave a stage half-built but referenced) and a
-# shared column outliving the image it came from, UBSan catches undefined
-# behavior in the hot loops, kernels and meter arithmetic. Each leg probes
+# freshly prepared plan), and histogram_test and learn_test (histogram
+# training indexes flattened bins by the byte codes of rows and of grouped
+# code rows, and a forest fans its trees out on the pool): TSan catches
+# data races on the shared stage caches, the admission/cancellation state,
+# and the pool's morsel cursor under skewed load, ASan catches lifetime
+# bugs in abort unwinding (an aborted request must not leave a stage
+# half-built but referenced) and a shared column outliving the image it
+# came from, UBSan catches undefined behavior in the hot loops, kernels
+# and meter arithmetic. Each leg probes
 # the toolchain first and is skipped only when its runtime is unusable.
 run_sanitizer_leg() {
   local SAN="$1"         # thread | address | undefined
   local FLAG="-fsanitize=$SAN"
   local SAN_BUILD_DIR="${BUILD_DIR}-${2}"   # build dir suffix: tsan | asan | ubsan
-  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test) =="
+  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test, histogram_test, learn_test) =="
   local PROBE
   PROBE="$(mktemp -d)"
   printf 'int main(){return 0;}\n' > "$PROBE/probe.cc"
@@ -116,9 +119,9 @@ run_sanitizer_leg() {
       && "$PROBE/probe"; then
     rm -rf "$PROBE"
     cmake -B "$SAN_BUILD_DIR" -S . -DHYPER_SANITIZE="$SAN" >/dev/null
-    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test
+    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test histogram_test learn_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -L service
-    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test)$'
+    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test|histogram_test|learn_test)$'
   else
     rm -rf "$PROBE"
     echo "${SAN}Sanitizer unavailable in this toolchain; skipping ${2} smoke"
@@ -148,6 +151,24 @@ SHELL_OUT="$(printf '%s\n' '\budget rows -5' '\budget rows abc' \
     = "budget: deadline 0s, rows 7, bytes 0 (0 = unlimited)" ] \
   || { echo "shell smoke: budgets not as set: $SHELL_OUT"; exit 1; }
 echo "shell smoke passed: only 'rows 7' moved the budget"
+
+echo "== shell smoke (branch metadata builds no rows) =="
+# A branch overrides only cells, so \tables and \schema read relation names,
+# row counts and schemas from the base: after a one-cell apply on a new
+# branch they print the base's relations and build none of its rows.
+SHELL_OUT="$(printf '%s\n' '\scenario new b' \
+  '\scenario apply Use German When Id = 3 Update(Savings) = 2 Output Count(*)' \
+  '\tables' '\schema German' '\cache stats' '\quit' \
+  | "$BUILD_DIR"/hyper_shell german 2>&1)"
+printf '%s\n' "$SHELL_OUT" | grep -q "applied to 'b': 1 row(s) updated" \
+  || { echo "shell smoke: one-cell apply on b failed: $SHELL_OUT"; exit 1; }
+printf '%s\n' "$SHELL_OUT" | grep -q '> German ([1-9][0-9]* rows)$' \
+  || { echo "shell smoke: \\tables did not list German: $SHELL_OUT"; exit 1; }
+printf '%s\n' "$SHELL_OUT" | grep -q '> German(Id INT KEY, .*Savings INT' \
+  || { echo "shell smoke: \\schema German printed no schema: $SHELL_OUT"; exit 1; }
+printf '%s\n' "$SHELL_OUT" | grep -q '^worlds: 0 row build(s)$' \
+  || { echo "shell smoke: branch metadata built rows: $SHELL_OUT"; exit 1; }
+echo "shell smoke passed: \\tables and \\schema on b built no rows"
 
 echo "== server flag smoke (refused numbers) =="
 # The server's count flags take only a whole non-negative integer, and
@@ -275,8 +296,10 @@ printf '%s' "$KIND_JSON" | grep -q '"code":"wrong_statement_kind"' \
 
 # Graceful drain: park a slow forest request in flight, SIGTERM, then a new
 # request must bounce with 503 while the in-flight one still answers 200.
+# The request must outlast the 0.8 s before that probe: 32768 trees take
+# about 2.5 s on 4 vCPUs.
 curl -s -X POST "$URL/v1/whatif" \
-  -d "{\"estimator\":\"forest\",\"trees\":8192,\"sql\":\"$SMOKE_Q\"}" \
+  -d "{\"estimator\":\"forest\",\"trees\":32768,\"sql\":\"$SMOKE_Q\"}" \
   -o "$SMOKE_TMP/slow.json" -w '%{http_code}' > "$SMOKE_TMP/slow.code" &
 CURL_PID=$!
 sleep 0.5

@@ -2,8 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace hyper::learn {
+
+namespace {
+
+/// Hash of one code row stored as `words` zero-padded 8-byte words.
+uint64_t HashCodeRow(const uint8_t* codes, size_t words) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word;
+    std::memcpy(&word, codes + 8 * w, 8);
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+bool SameCodeRow(const uint8_t* a, const uint8_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t wa, wb;
+    std::memcpy(&wa, a + 8 * w, 8);
+    std::memcpy(&wb, b + 8 * w, 8);
+    if (wa != wb) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
                                          size_t max_bins) {
@@ -12,13 +40,19 @@ Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
   }
   max_bins = std::min<size_t>(max_bins, 256);  // codes are uint8_t
 
+  const size_t n = x.num_rows();
+  if (n >= std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("too many rows to bin");
+  }
   BinnedMatrix out;
-  out.num_rows_ = x.num_rows();
   out.num_features_ = x.num_cols();
   out.offsets_.assign(out.num_features_ + 1, 0);
-  out.codes_.assign(out.num_rows_ * out.num_features_, 0);
+  // Code rows are zero-padded to whole 8-byte words, so grouping hashes and
+  // compares words.
+  const size_t words = (out.num_features_ + 7) / 8;
+  out.stride_ = 8 * words;
+  std::vector<uint8_t> codes(n * out.stride_);  // row-major until grouped
 
-  const size_t n = out.num_rows_;
   std::vector<double> sorted(n);
   for (size_t f = 0; f < out.num_features_; ++f) {
     for (size_t r = 0; r < n; ++r) {
@@ -76,11 +110,47 @@ Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
       const double v = x.At(r, f);
       const size_t b =
           std::lower_bound(bmax, bmax + bins, v) - bmax;
-      out.codes_[r * out.num_features_ + f] =
+      codes[r * out.stride_ + f] =
           static_cast<uint8_t>(b < bins ? b : bins - 1);
     }
   }
   out.offsets_[out.num_features_] = out.bin_min_.size();
+
+  // Group rows by code row, numbering groups in order of first appearance.
+  // The open-addressing table holds group ids; a group's code row, stored
+  // once, is its key. The table doubles when half full.
+  out.group_of_.assign(n, 0);
+  if (words == 0) {
+    out.num_groups_ = n > 0 ? 1 : 0;  // every row has the empty code row
+    return out;
+  }
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slots(64, kEmpty);
+  for (size_t r = 0; r < n; ++r) {
+    const uint8_t* row = codes.data() + r * out.stride_;
+    size_t mask = slots.size() - 1;
+    size_t s = HashCodeRow(row, words) & mask;
+    uint32_t g;
+    while ((g = slots[s]) != kEmpty &&
+           !SameCodeRow(out.group_codes(g), row, words)) {
+      s = (s + 1) & mask;
+    }
+    if (g == kEmpty) {
+      g = static_cast<uint32_t>(out.num_groups_++);
+      out.group_codes_.insert(out.group_codes_.end(), row, row + out.stride_);
+      slots[s] = g;
+      if (2 * out.num_groups_ > slots.size()) {
+        slots.assign(2 * slots.size(), kEmpty);
+        mask = slots.size() - 1;
+        for (uint32_t other = 0; other < out.num_groups_; ++other) {
+          size_t t = HashCodeRow(out.group_codes(other), words) & mask;
+          while (slots[t] != kEmpty) t = (t + 1) & mask;
+          slots[t] = other;
+        }
+      }
+    }
+    out.group_of_[r] = g;
+  }
   return out;
 }
 

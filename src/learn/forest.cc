@@ -1,6 +1,7 @@
 #include "learn/forest.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -52,16 +53,33 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
   }
 
   // Draw every bootstrap sample up front from one sequential stream so the
-  // forest is deterministic regardless of how training is scheduled.
+  // forest is deterministic regardless of how training is scheduled. When
+  // the targets sum exactly, each tree's draws fold into its group items as
+  // they are drawn, so no tree ever holds n draws; otherwise (fractional
+  // targets, or the exact splitter) each tree keeps its draws as rows.
   Rng rng(options_.seed);
   const size_t n = x.num_rows();
   const size_t sample_size = std::max<size_t>(1, n);  // bootstrap of n
-  std::vector<std::vector<size_t>> bootstraps(options_.num_trees);
+  const bool grouped =
+      binned != nullptr && TargetsSumExactly(y, sample_size);
+  std::vector<std::vector<GroupItem>> items(grouped ? options_.num_trees : 0);
+  std::vector<std::vector<size_t>> bootstraps(grouped ? 0
+                                                      : options_.num_trees);
+  std::optional<GroupFold> fold;
+  if (grouped) fold.emplace(*binned, y);
   for (size_t t = 0; t < options_.num_trees; ++t) {
-    bootstraps[t].resize(sample_size);
-    for (size_t i = 0; i < sample_size; ++i) {
-      bootstraps[t][i] = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+    if (grouped) {
+      for (size_t i = 0; i < sample_size; ++i) {
+        fold->Draw(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1)));
+      }
+      items[t] = fold->Take();
+    } else {
+      bootstraps[t].resize(sample_size);
+      for (size_t i = 0; i < sample_size; ++i) {
+        bootstraps[t][i] = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      }
     }
     trees_.emplace_back(tree_options, /*seed=*/options_.seed + 7919 * (t + 1));
   }
@@ -81,10 +99,14 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
   ThreadPool::Shared().ParallelFor(
       options_.num_trees,
       [&](size_t t) {
-        statuses[t] =
-            binned != nullptr
-                ? trees_[t].FitBinned(*binned, y, std::move(bootstraps[t]))
-                : trees_[t].FitSubset(x, y, std::move(bootstraps[t]));
+        if (grouped) {
+          statuses[t] = trees_[t].FitGroups(*binned, std::move(items[t]));
+        } else if (binned != nullptr) {
+          statuses[t] =
+              trees_[t].FitBinned(*binned, y, std::move(bootstraps[t]));
+        } else {
+          statuses[t] = trees_[t].FitSubset(x, y, std::move(bootstraps[t]));
+        }
       },
       /*max_parallelism=*/budget);
   for (const Status& status : statuses) {

@@ -9,20 +9,55 @@
 
 namespace hyper::learn {
 
+bool TargetsSumExactly(const std::vector<double>& y, size_t draws) {
+  double max_abs = 0.0;
+  for (double t : y) {
+    if (!std::isfinite(t) || std::floor(t) != t) return false;
+    max_abs = std::max(max_abs, std::fabs(t));
+  }
+  return static_cast<double>(draws) * max_abs <= 67108864.0;  // 2^26
+}
+
+GroupFold::GroupFold(const BinnedMatrix& binned, const std::vector<double>& y)
+    : binned_(binned), y_(y), acc_(binned.num_groups()) {
+  for (size_t g = 0; g < acc_.size(); ++g) {
+    acc_[g].group = static_cast<uint32_t>(g);
+  }
+}
+
+std::vector<GroupItem> GroupFold::Take() {
+  size_t drawn = 0;
+  for (const GroupItem& item : acc_) drawn += item.count > 0 ? 1 : 0;
+  std::vector<GroupItem> items;
+  items.reserve(drawn);
+  for (GroupItem& item : acc_) {
+    if (item.count > 0) items.push_back(item);
+    item = GroupItem{item.group};
+  }
+  return items;
+}
+
 Status DecisionTreeRegressor::Fit(const FeatureMatrix& x,
                                   const std::vector<double>& y) {
-  std::vector<size_t> rows(x.num_rows());
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   if (options_.use_histograms) {
     if (x.num_rows() != y.size()) {
       return Status::InvalidArgument("feature/target row counts differ");
     }
-    if (rows.empty()) {
+    if (y.empty()) {
       return Status::InvalidArgument("cannot fit a tree on zero rows");
     }
     HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned, BinnedMatrix::Build(x));
+    if (TargetsSumExactly(y, y.size())) {
+      GroupFold fold(binned, y);
+      for (size_t r = 0; r < y.size(); ++r) fold.Draw(r);
+      return FitGroups(binned, fold.Take());
+    }
+    std::vector<size_t> rows(y.size());
+    for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
     return FitBinned(binned, y, std::move(rows));
   }
+  std::vector<size_t> rows(x.num_rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   return FitSubset(x, y, std::move(rows));
 }
 
@@ -42,27 +77,7 @@ Status DecisionTreeRegressor::FitSubset(const FeatureMatrix& x,
   depth_ = 0;
   order_ = std::move(rows);
   BuildNode(x, y, 0, order_.size(), 0);
-  return Status::OK();
-}
-
-Status DecisionTreeRegressor::FitBinned(const BinnedMatrix& binned,
-                                        const std::vector<double>& y,
-                                        std::vector<size_t> rows) {
-  if (binned.num_rows() != y.size()) {
-    return Status::InvalidArgument("feature/target row counts differ");
-  }
-  if (rows.empty()) {
-    return Status::InvalidArgument("cannot fit a tree on zero rows");
-  }
-  for (size_t r : rows) {
-    if (r >= binned.num_rows()) {
-      return Status::OutOfRange("row index out of range");
-    }
-  }
-  nodes_.clear();
-  depth_ = 0;
-  order_ = std::move(rows);
-  BuildNodeHist(binned, y, 0, order_.size(), 0, Hist{});
+  order_ = std::vector<size_t>();  // a fitted tree keeps no per-row state
   return Status::OK();
 }
 
@@ -210,13 +225,86 @@ DecisionTreeRegressor::Split DecisionTreeRegressor::FindBestSplit(
 // leaf conditions, same partition loop, same candidate ordering and
 // strictly-greater gain acceptance) so that with one bin per distinct value
 // the two paths emit identical trees; only the per-node split search
-// changes, from sort-per-feature to one O(n*F) histogram accumulation —
+// changes, from sort-per-feature to one O(items*F) histogram accumulation —
 // and a child histogram comes from subtracting the smaller sibling's.
+//
+// One BuildNodeHist serves two item sources. Each item carries a code row
+// and a (count, sum, sum of squares) of targets:
+//   - RowItems: one item per draw, in draw order. BuildNodeHist's
+//     arithmetic over them is row-at-a-time arithmetic, bit for bit.
+//   - GroupItems: one item per group drawn (GroupFold), for targets whose
+//     sums are exact (TargetsSumExactly). Every sum BuildNodeHist forms is
+//     then exact whatever the order of its addends, so the tree equals the
+//     RowItems tree over the same draws, at O(groups) per node.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+struct RowItems {
+  /// One draw: its row, and the row's group (whose codes it reads).
+  struct Draw {
+    uint32_t row;
+    uint32_t group;
+  };
+
+  const BinnedMatrix& binned;
+  const std::vector<double>& y;
+  std::vector<Draw> draws;
+
+  size_t size() const { return draws.size(); }
+  const uint8_t* codes(size_t i) const {
+    return binned.group_codes(draws[i].group);
+  }
+  uint32_t count(size_t) const { return 1; }
+  double sum(size_t i) const { return y[draws[i].row]; }
+  double sum_sq(size_t i) const {
+    const double t = y[draws[i].row];
+    return t * t;
+  }
+  void Swap(size_t i, size_t j) { std::swap(draws[i], draws[j]); }
+
+  /// The exact splitter's two-pass purity test (the centered form differs
+  /// from total_sq - n*mean^2 in the last ulp, and parity needs identical
+  /// bits).
+  bool Pure(size_t begin, size_t end, size_t /*n*/, double mean,
+            double /*total_sum*/, double /*total_sq*/) const {
+    double sq = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      const double d = y[draws[i].row] - mean;
+      sq += d * d;
+    }
+    return sq <= 1e-12;
+  }
+};
+
+struct GroupItems {
+  const BinnedMatrix& binned;
+  std::vector<GroupItem> items;
+
+  size_t size() const { return items.size(); }
+  const uint8_t* codes(size_t i) const {
+    return binned.group_codes(items[i].group);
+  }
+  uint32_t count(size_t i) const { return items[i].count; }
+  double sum(size_t i) const { return items[i].sum; }
+  double sum_sq(size_t i) const { return items[i].sum_sq; }
+  void Swap(size_t i, size_t j) { std::swap(items[i], items[j]); }
+
+  /// On integer targets the two-pass test decides "all targets are equal"
+  /// (an unequal pair leaves a centered square of at least ~1/4), and so
+  /// does n * sum_sq == sum^2 (Cauchy-Schwarz), whose two sides are exact.
+  bool Pure(size_t /*begin*/, size_t /*end*/, size_t n, double /*mean*/,
+            double total_sum, double total_sq) const {
+    return static_cast<double>(n) * total_sq == total_sum * total_sum;
+  }
+};
+
+}  // namespace
+
+template <typename Items>
 DecisionTreeRegressor::Hist DecisionTreeRegressor::AccumulateHist(
-    const BinnedMatrix& binned, const std::vector<double>& y, size_t begin,
-    size_t end) const {
+    const BinnedMatrix& binned, const Items& items, size_t begin,
+    size_t end) {
   Hist h;
   h.Reset(binned.total_bins());
   const size_t num_features = binned.num_features();
@@ -224,34 +312,35 @@ DecisionTreeRegressor::Hist DecisionTreeRegressor::AccumulateHist(
   double* sqs = h.sum_sq.data();
   uint32_t* counts = h.count.data();
   for (size_t i = begin; i < end; ++i) {
-    const size_t row = order_[i];
-    const uint8_t* codes = binned.row_codes(row);
-    const double t = y[row];
-    const double tt = t * t;
+    const uint8_t* codes = items.codes(i);
+    const double t = items.sum(i);
+    const double tt = items.sum_sq(i);
+    const uint32_t c = items.count(i);
     for (size_t f = 0; f < num_features; ++f) {
       const size_t b = binned.bin_offset(f) + codes[f];
       sums[b] += t;
       sqs[b] += tt;
-      ++counts[b];
+      counts[b] += c;
     }
   }
   return h;
 }
 
+template <typename Items>
 int DecisionTreeRegressor::BuildNodeHist(const BinnedMatrix& binned,
-                                         const std::vector<double>& y,
-                                         size_t begin, size_t end, int depth,
-                                         Hist hist) {
+                                         Items& items, size_t begin,
+                                         size_t end, int depth, Hist hist) {
   depth_ = std::max(depth_, depth);
-  const size_t n = end - begin;
 
-  // Node totals with the exact splitter's accumulation order (row order),
-  // so the mean and the split gains agree bit-for-bit on parity fixtures.
+  // Node totals in item order: over row items that is the exact splitter's
+  // row order, so the mean and the split gains agree bit-for-bit on parity
+  // fixtures.
+  size_t n = 0;
   double total_sum = 0.0, total_sq = 0.0;
   for (size_t i = begin; i < end; ++i) {
-    const double t = y[order_[i]];
-    total_sum += t;
-    total_sq += t * t;
+    n += items.count(i);
+    total_sum += items.sum(i);
+    total_sq += items.sum_sq(i);
   }
   const double mean = total_sum / static_cast<double>(n);
 
@@ -262,31 +351,24 @@ int DecisionTreeRegressor::BuildNodeHist(const BinnedMatrix& binned,
   if (depth >= options_.max_depth || n < 2 * options_.min_samples_leaf) {
     return node_index;
   }
+  if (items.Pure(begin, end, n, mean, total_sum, total_sq)) return node_index;
 
-  // Same two-pass purity check as BuildNode (the centered form differs from
-  // total_sq - n*mean^2 in the last ulp, and parity needs identical bits).
-  double sq = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    const double d = y[order_[i]] - mean;
-    sq += d * d;
-  }
-  if (sq <= 1e-12) return node_index;
-
-  if (hist.empty()) hist = AccumulateHist(binned, y, begin, end);
-  Split split = FindBestSplitHist(binned, begin, end, hist, total_sum,
-                                  total_sq);
+  if (hist.empty()) hist = AccumulateHist(binned, items, begin, end);
+  Split split = FindBestSplitHist(binned, n, hist, total_sum, total_sq);
   if (split.feature < 0) {
     return node_index;
   }
 
-  // Partition order_[begin, end) by bin code — the same permutation the
-  // exact path produces, since the threshold separates exactly the codes
-  // <= split.bin.
+  // Partition items [begin, end) by bin code — over row items the same
+  // permutation the exact path produces, since the threshold separates
+  // exactly the codes <= split.bin.
+  const uint8_t split_bin = static_cast<uint8_t>(split.bin);
   size_t mid = begin;
+  size_t left_n = 0;
   for (size_t i = begin; i < end; ++i) {
-    if (binned.code(order_[i], split.feature) <=
-        static_cast<uint8_t>(split.bin)) {
-      std::swap(order_[i], order_[mid]);
+    if (items.codes(i)[split.feature] <= split_bin) {
+      left_n += items.count(i);
+      items.Swap(i, mid);
       ++mid;
     }
   }
@@ -297,22 +379,21 @@ int DecisionTreeRegressor::BuildNodeHist(const BinnedMatrix& binned,
   nodes_[node_index].feature = split.feature;
   nodes_[node_index].threshold = split.threshold;
 
-  // Child histograms: accumulate the smaller side, subtract for the larger
-  // (half the accumulation work per level). Skip children that cannot split
-  // anyway — they never read their histogram.
-  const size_t left_n = mid - begin;
-  const size_t right_n = end - mid;
+  // Child histograms: accumulate the side with fewer items, subtract for
+  // the other (half the accumulation work per level). Skip children that
+  // cannot split anyway — they never read their histogram.
+  const size_t right_n = n - left_n;
   const bool need_left = depth + 1 < options_.max_depth &&
                          left_n >= 2 * options_.min_samples_leaf;
   const bool need_right = depth + 1 < options_.max_depth &&
                           right_n >= 2 * options_.min_samples_leaf;
   Hist left_hist, right_hist;
-  const bool left_is_small = left_n <= right_n;
+  const bool left_is_small = mid - begin <= end - mid;
   const bool need_small = left_is_small ? need_left : need_right;
   const bool need_large = left_is_small ? need_right : need_left;
   if (need_small || need_large) {
-    Hist small = left_is_small ? AccumulateHist(binned, y, begin, mid)
-                               : AccumulateHist(binned, y, mid, end);
+    Hist small = left_is_small ? AccumulateHist(binned, items, begin, mid)
+                               : AccumulateHist(binned, items, mid, end);
     if (need_large) {
       // Sibling subtraction over the SoA spans: three independent
       // contiguous loops the compiler turns into packed subtracts.
@@ -328,19 +409,60 @@ int DecisionTreeRegressor::BuildNodeHist(const BinnedMatrix& binned,
     }
   }
 
-  const int left =
-      BuildNodeHist(binned, y, begin, mid, depth + 1, std::move(left_hist));
-  const int right =
-      BuildNodeHist(binned, y, mid, end, depth + 1, std::move(right_hist));
+  const int left = BuildNodeHist(binned, items, begin, mid, depth + 1,
+                                 std::move(left_hist));
+  const int right = BuildNodeHist(binned, items, mid, end, depth + 1,
+                                  std::move(right_hist));
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;
 }
 
+Status DecisionTreeRegressor::FitBinned(const BinnedMatrix& binned,
+                                        const std::vector<double>& y,
+                                        std::vector<size_t> rows) {
+  if (binned.num_rows() != y.size()) {
+    return Status::InvalidArgument("feature/target row counts differ");
+  }
+  if (rows.empty()) {
+    return Status::InvalidArgument("cannot fit a tree on zero rows");
+  }
+  for (size_t r : rows) {
+    if (r >= binned.num_rows()) {
+      return Status::OutOfRange("row index out of range");
+    }
+  }
+  nodes_.clear();
+  depth_ = 0;
+  RowItems items{binned, y, std::vector<RowItems::Draw>(rows.size())};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    items.draws[i] = {static_cast<uint32_t>(rows[i]), binned.group(rows[i])};
+  }
+  rows = std::vector<size_t>();  // the draws replace the rows
+  BuildNodeHist(binned, items, 0, items.size(), 0, Hist{});
+  return Status::OK();
+}
+
+Status DecisionTreeRegressor::FitGroups(const BinnedMatrix& binned,
+                                        std::vector<GroupItem> items) {
+  if (items.empty()) {
+    return Status::InvalidArgument("cannot fit a tree on zero rows");
+  }
+  for (const GroupItem& item : items) {
+    if (item.group >= binned.num_groups() || item.count == 0) {
+      return Status::OutOfRange("group item out of range");
+    }
+  }
+  nodes_.clear();
+  depth_ = 0;
+  GroupItems source{binned, std::move(items)};
+  BuildNodeHist(binned, source, 0, source.size(), 0, Hist{});
+  return Status::OK();
+}
+
 DecisionTreeRegressor::Split DecisionTreeRegressor::FindBestSplitHist(
-    const BinnedMatrix& binned, size_t begin, size_t end, const Hist& hist,
-    double total_sum, double total_sq) {
-  const size_t n = end - begin;
+    const BinnedMatrix& binned, size_t n, const Hist& hist, double total_sum,
+    double total_sq) {
   const size_t num_features = binned.num_features();
 
   std::vector<size_t> features;

@@ -23,11 +23,51 @@ struct TreeOptions {
   size_t max_thresholds = 64;
   /// Histogram training (default): features are pre-binned to <= 256
   /// uint8_t codes and each node scans per-feature (count, sum_y, sum_y^2)
-  /// histograms — O(n*f) per node with the sibling-subtraction trick —
+  /// histograms — O(items*f) per node with the sibling-subtraction trick —
   /// instead of re-sorting (value, target) pairs per feature per node.
-  /// Off = the exact sort-based splitter, kept for A/B benchmarking; with
-  /// bins >= distinct values the two produce identical trees.
+  /// Off = the exact sort-based splitter, the reference histogram_test
+  /// checks histogram trees against; with bins >= distinct values and
+  /// targets whose sums are exact the two produce identical trees.
   bool use_histograms = true;
+};
+
+/// The draws of one histogram tree that landed on one group (distinct code
+/// row) of a BinnedMatrix, folded into their count and target sums.
+struct GroupItem {
+  uint32_t group = 0;
+  uint32_t count = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+};
+
+/// True when every target is an integer and draws * max|y| <= 2^26. Every
+/// count, sum and sum of squares over at most `draws` draws of these targets
+/// is then an exact double, as are the products n * sum_sq and sum^2, so a
+/// histogram tree grown over group items equals the tree grown over the
+/// same draws one row at a time.
+bool TargetsSumExactly(const std::vector<double>& y, size_t draws);
+
+/// Folds row draws into group items: Draw each row, then Take the items.
+class GroupFold {
+ public:
+  GroupFold(const BinnedMatrix& binned, const std::vector<double>& y);
+
+  void Draw(size_t row) {
+    GroupItem& item = acc_[binned_.group(row)];
+    const double t = y_[row];
+    ++item.count;
+    item.sum += t;
+    item.sum_sq += t * t;
+  }
+
+  /// The groups drawn at least once, in group order; the fold restarts
+  /// empty.
+  std::vector<GroupItem> Take();
+
+ private:
+  const BinnedMatrix& binned_;
+  const std::vector<double>& y_;
+  std::vector<GroupItem> acc_;  // one per group
 };
 
 /// CART regression tree: axis-aligned splits chosen by variance reduction,
@@ -47,10 +87,16 @@ class DecisionTreeRegressor : public ConditionalMeanEstimator {
                    std::vector<size_t> rows);
 
   /// Histogram training against a pre-binned matrix (built once by the
-  /// caller and shared across trees/estimators). Only the codes and bin
-  /// metadata are read — the raw matrix is not needed.
+  /// caller and shared across trees/estimators), one item per entry of
+  /// `rows` in order. Only the codes and bin metadata are read — the raw
+  /// matrix is not needed.
   Status FitBinned(const BinnedMatrix& binned, const std::vector<double>& y,
                    std::vector<size_t> rows);
+
+  /// Histogram training over group items (GroupFold). With targets for
+  /// which TargetsSumExactly holds, the tree equals FitBinned's over the
+  /// draws the items fold.
+  Status FitGroups(const BinnedMatrix& binned, std::vector<GroupItem> items);
 
   double Predict(const std::vector<double>& x) const override;
 
@@ -113,10 +159,12 @@ class DecisionTreeRegressor : public ConditionalMeanEstimator {
   int BuildNode(const FeatureMatrix& x, const std::vector<double>& y,
                 size_t begin, size_t end, int depth);
 
-  /// Histogram twin of BuildNode. `hist` is this node's histogram when the
-  /// parent already derived it (sibling subtraction), empty otherwise.
-  int BuildNodeHist(const BinnedMatrix& binned, const std::vector<double>& y,
-                    size_t begin, size_t end, int depth, Hist hist);
+  /// Histogram twin of BuildNode over items [begin, end) of `items`, a row
+  /// or group item source (tree.cc). `hist` is this node's histogram when
+  /// the parent already derived it (sibling subtraction), empty otherwise.
+  template <typename Items>
+  int BuildNodeHist(const BinnedMatrix& binned, Items& items, size_t begin,
+                    size_t end, int depth, Hist hist);
 
   struct Split {
     int feature = -1;
@@ -126,16 +174,19 @@ class DecisionTreeRegressor : public ConditionalMeanEstimator {
   };
   Split FindBestSplit(const FeatureMatrix& x, const std::vector<double>& y,
                       size_t begin, size_t end);
-  Split FindBestSplitHist(const BinnedMatrix& binned, size_t begin, size_t end,
+  /// Best histogram split of a node of `n` rows.
+  Split FindBestSplitHist(const BinnedMatrix& binned, size_t n,
                           const Hist& hist, double total_sum, double total_sq);
 
-  Hist AccumulateHist(const BinnedMatrix& binned, const std::vector<double>& y,
-                      size_t begin, size_t end) const;
+  template <typename Items>
+  static Hist AccumulateHist(const BinnedMatrix& binned, const Items& items,
+                             size_t begin, size_t end);
 
   TreeOptions options_;
   Rng rng_;
   std::vector<Node> nodes_;
-  std::vector<size_t> order_;  // row indices, partitioned during building
+  /// Row indices the exact splitter partitions; empty outside FitSubset.
+  std::vector<size_t> order_;
   int depth_ = 0;
 };
 

@@ -455,6 +455,15 @@ Result<std::shared_ptr<const Database>> ScenarioService::EffectiveDatabase(
   return world->Rows();
 }
 
+Result<std::shared_ptr<const Database>> ScenarioService::BaseDatabase(
+    const std::string& scenario) {
+  HYPER_RETURN_NOT_OK(recovery_status_);
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const World> world,
+                         SnapshotWorld(scenario));
+  // Shares the World's ownership, so the relations outlive later mutations.
+  return std::shared_ptr<const Database>(world, &world->base());
+}
+
 Result<size_t> ScenarioService::ApplyHypotheticalSql(
     const std::string& scenario, const std::string& whatif_sql) {
   HYPER_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseSql(whatif_sql));

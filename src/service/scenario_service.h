@@ -318,6 +318,12 @@ class ScenarioService {
   Result<std::shared_ptr<const Database>> EffectiveDatabase(
       const std::string& scenario);
 
+  /// The relations the branch's current World runs over, without its
+  /// cells. A branch overrides only cells, so relation names, row counts
+  /// and schemas are the base's: reading them builds no rows.
+  Result<std::shared_ptr<const Database>> BaseDatabase(
+      const std::string& scenario);
+
   const causal::CausalGraph* graph() const {
     return graph_.has_value() ? &*graph_ : nullptr;
   }

@@ -1,14 +1,18 @@
-// Histogram-training substrate tests: quantile binning invariants,
-// histogram-vs-exact split parity (identical trees when every distinct value
-// gets its own bin), PredictBatch bit-equality with per-row Predict, forest
-// determinism across thread budgets, and engine-level A/B equality for the
-// batched-inference path.
+// Histogram-training substrate tests: quantile binning and row grouping
+// invariants, histogram-vs-exact split parity (identical trees when every
+// distinct value gets its own bin), grouped training against row-at-a-time
+// training (the same trees, and forests pinned by hash), PredictBatch
+// bit-equality with per-row Predict, forest determinism across thread
+// budgets, and engine-level A/B equality for the batched-inference path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "learn/binning.h"
@@ -103,6 +107,43 @@ TEST(BinnedMatrixTest, EqualCountBinsOnSkewedData) {
   ASSERT_GE(binned.num_bins(0), 2u);
   ASSERT_LE(binned.num_bins(0), 16u);
   EXPECT_DOUBLE_EQ(binned.bin_max(0, 0), 1.0);
+}
+
+TEST(BinnedMatrixTest, GroupsHoldEachDistinctCodeRowOnce) {
+  // Three features of three values and one constant feature: at most 27
+  // code rows among 500 rows.
+  const size_t n = 500;
+  Rng rng(19);
+  FeatureMatrix x(n, 4);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t f = 0; f < 3; ++f) {
+      x.Set(i, f, static_cast<double>(rng.UniformInt(0, 2)));
+    }
+    x.Set(i, 3, 7.0);
+  }
+  auto binned = BinnedMatrix::Build(x, 256).value();
+  ASSERT_LE(binned.num_groups(), 27u);
+  std::set<std::string> distinct;
+  size_t next_new = 0;  // groups are numbered in order of first appearance
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t g = binned.group(i);
+    ASSERT_LT(g, binned.num_groups());
+    ASSERT_LE(g, next_new) << "row " << i;
+    if (g == next_new) {
+      ++next_new;
+      const uint8_t* codes = binned.group_codes(g);
+      EXPECT_TRUE(distinct.emplace(codes, codes + 4).second) << "group " << g;
+    }
+    for (size_t f = 0; f < 4; ++f) {
+      EXPECT_EQ(binned.code(i, f), binned.group_codes(g)[f]);
+      EXPECT_DOUBLE_EQ(binned.bin_min(f, binned.code(i, f)), x.At(i, f));
+    }
+  }
+  EXPECT_EQ(next_new, binned.num_groups());
+
+  // Without features every row has the one empty code row.
+  EXPECT_EQ(BinnedMatrix::Build(FeatureMatrix(5, 0)).value().num_groups(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +350,215 @@ TEST(ForestThreadsTest, ExplicitBudgetOverridesWorkHeuristic) {
   ASSERT_TRUE(f_par.Fit(x, y).ok());
   for (size_t t = 0; t < f_seq.num_trees(); ++t) {
     EXPECT_EQ(f_seq.tree(t).StructureDigest(), f_par.tree(t).StructureDigest());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped training
+// ---------------------------------------------------------------------------
+
+TEST(GroupedTrainingTest, TargetsSumExactlyOnlyForBoundedIntegers) {
+  EXPECT_TRUE(TargetsSumExactly({0.0, 1.0, 1.0}, 3));
+  EXPECT_TRUE(TargetsSumExactly({-3.0, 12.0}, 1000));
+  // n * max|y| == 2^26 is inside the bound; one more unit is not.
+  EXPECT_TRUE(TargetsSumExactly({65536.0, -2.0}, 1024));
+  EXPECT_FALSE(TargetsSumExactly({65537.0, -2.0}, 1024));
+  EXPECT_FALSE(TargetsSumExactly({0.0, 0.5}, 2));
+  EXPECT_FALSE(TargetsSumExactly({1.0, std::nan("")}, 2));
+  EXPECT_FALSE(TargetsSumExactly({1.0, HUGE_VAL}, 2));
+}
+
+TEST(GroupedTrainingTest, GroupItemsGrowTheRowItemTree) {
+  // The same bootstrap draws, once as one row item per draw and once folded
+  // into group items, grow the same tree — with feature sampling on, so the
+  // RNG is consumed per node in the same order too.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    FeatureMatrix x;
+    std::vector<double> y;
+    IntegerData(3000, 5, 4 + seed, seed, &x, &y);
+    for (size_t i = 0; i < y.size(); i += 3) y[i] += 3.0;  // integer, not 0/1
+    ASSERT_TRUE(TargetsSumExactly(y, y.size()));
+    const BinnedMatrix binned = BinnedMatrix::Build(x).value();
+
+    Rng rng(seed);
+    std::vector<size_t> rows(y.size());
+    GroupFold fold(binned, y);
+    for (size_t& r : rows) {
+      r = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(y.size()) - 1));
+      fold.Draw(r);
+    }
+    TreeOptions opt;
+    opt.max_features = 2;
+    DecisionTreeRegressor by_rows(opt, /*seed=*/seed),
+        by_groups(opt, /*seed=*/seed);
+    ASSERT_TRUE(by_rows.FitBinned(binned, y, rows).ok());
+    ASSERT_TRUE(by_groups.FitGroups(binned, fold.Take()).ok());
+    EXPECT_GT(by_rows.num_nodes(), 1u);
+    EXPECT_EQ(by_rows.StructureDigest(), by_groups.StructureDigest())
+        << "seed " << seed;
+    // Take restarts the fold empty.
+    EXPECT_TRUE(fold.Take().empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned forests: every tree of these 16-tree forests, at budgets 1 and 4,
+// must keep the structure recorded from row-at-a-time histogram training.
+// Integer targets train over distinct code rows, fractional ones (and
+// integers past the exactness bound) over one item per bootstrap draw, and
+// neither may move a threshold, a leaf value or the RNG stream.
+// ---------------------------------------------------------------------------
+
+/// FNV hash of every tree's StructureDigest, in tree order.
+uint64_t ForestHash(const RandomForestRegressor& forest) {
+  Fnv1a h;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    h.MixString(forest.tree(t).StructureDigest());
+  }
+  return h.hash();
+}
+
+struct PinnedForest {
+  std::string name;
+  FeatureMatrix x;
+  std::vector<double> y;
+  uint64_t pinned;
+};
+
+/// German-Syn 20k: the (Status, Age, Housing) adjustment features of the
+/// golden Status statements, target Credit.
+PinnedForest GermanCredit(uint64_t pinned) {
+  data::GermanOptions gopt;
+  gopt.rows = 20000;
+  auto ds = data::MakeGermanSyn(gopt).value();
+  const Table* t = ds.db.GetTable("German").value();
+  const std::vector<size_t> cols = {t->schema().IndexOf("Status").value(),
+                                    t->schema().IndexOf("Age").value(),
+                                    t->schema().IndexOf("Housing").value()};
+  const size_t credit = t->schema().IndexOf("Credit").value();
+  PinnedForest out{"german20k", FeatureMatrix(t->num_rows(), cols.size()),
+                   {}, pinned};
+  for (size_t r = 0; r < t->num_rows(); ++r) {
+    for (size_t f = 0; f < cols.size(); ++f) {
+      out.x.Set(r, f, t->At(r, cols[f]).AsDouble().value());
+    }
+    out.y.push_back(t->At(r, credit).AsDouble().value());
+  }
+  return out;
+}
+
+/// `n` rows of `num_features` discrete features of `cardinality` values;
+/// the target is `target(row, rng)`.
+template <typename Target>
+PinnedForest Discrete(std::string name, size_t n, size_t num_features,
+                      int64_t cardinality, uint64_t seed, Target target,
+                      uint64_t pinned) {
+  Rng rng(seed);
+  PinnedForest out{std::move(name), FeatureMatrix(n, num_features), {},
+                   pinned};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t f = 0; f < num_features; ++f) {
+      out.x.Set(i, f, static_cast<double>(rng.UniformInt(0, cardinality - 1)));
+    }
+    out.y.push_back(target(out.x.row(i), rng));
+  }
+  return out;
+}
+
+TEST(GroupedTrainingTest, GroupedTrainingMatchesPinnedForests) {
+  std::vector<PinnedForest> fixtures;
+  fixtures.push_back(GermanCredit(0xd3d883c34ebac501ULL));
+  // 27 distinct code rows, binary target.
+  fixtures.push_back(Discrete(
+      "binary27", 5000, 3, 3, 41,
+      [](const double* r, Rng& rng) {
+        const double score = r[0] + 2 * r[1] + r[2] +
+                             static_cast<double>(rng.UniformInt(0, 2));
+        return score > 4 ? 1.0 : 0.0;
+      },
+      0x3307a5abd04c0ffbULL));
+  // Up to 1024 distinct code rows, integer target in [0, 12].
+  fixtures.push_back(Discrete(
+      "int1024", 8000, 5, 4, 42,
+      [](const double* r, Rng& rng) {
+        return r[0] + r[1] + r[2] + r[4] +
+               static_cast<double>(rng.UniformInt(0, 1));
+      },
+      0x571d7023493f35d6ULL));
+  // 20k rows, every code row distinct: (i mod 200, i / 200) lead nine
+  // features, integer target in [0, 6].
+  {
+    PinnedForest wide = Discrete(
+        "int20k", 20000, 9, 3, 43,
+        [](const double* r, Rng& rng) {
+          return static_cast<double>(
+              (static_cast<int64_t>(r[2] + 2 * r[3] + r[4]) +
+               rng.UniformInt(0, 3)) % 7);
+        },
+        0xaf940aabd93464ebULL);
+    for (size_t i = 0; i < 20000; ++i) {
+      wide.x.Set(i, 0, static_cast<double>(i % 200));
+      wide.x.Set(i, 1, static_cast<double>(i / 200));
+    }
+    fixtures.push_back(std::move(wide));
+  }
+  // A continuous feature (quantile bins) beside two discrete ones.
+  {
+    PinnedForest mixed = Discrete(
+        "continuous", 4000, 3, 5, 44,
+        [](const double* r, Rng& rng) {
+          return (r[1] > 2) != rng.Bernoulli(0.2) ? 1.0 : 0.0;
+        },
+        0x6280505d42294bd1ULL);
+    Rng rng(45);
+    for (size_t i = 0; i < mixed.x.num_rows(); ++i) {
+      const double u = rng.Uniform(0, 1);
+      mixed.x.Set(i, 0, u);
+      if (u > 0.7) mixed.y[i] = 1.0 - mixed.y[i];
+    }
+    fixtures.push_back(std::move(mixed));
+  }
+  // Fractional target: its sums depend on their order, so it trains over
+  // one item per draw.
+  fixtures.push_back(Discrete(
+      "fractional", 3000, 3, 4, 46,
+      [](const double* r, Rng& rng) {
+        return 0.1 * r[0] + 0.37 * r[1] + rng.Uniform(0, 0.3);
+      },
+      0xc59c5430584e3303ULL));
+  // n * max|y| == 2^26 (1024 rows, |y| <= 2^16), then just past it.
+  for (const int64_t top : {int64_t{1} << 16, (int64_t{1} << 16) + 1}) {
+    PinnedForest bound = Discrete(
+        top == (int64_t{1} << 16) ? "at_bound" : "past_bound", 1024, 3, 3,
+        47,
+        [](const double* r, Rng& rng) {
+          return static_cast<double>(rng.UniformInt(-15, 15) * 4096) + r[0];
+        },
+        top == (int64_t{1} << 16) ? 0x44cfa3e2a30181d7ULL
+                                  : 0x2825b8b622b68862ULL);
+    bound.y[0] = static_cast<double>(top);
+    fixtures.push_back(std::move(bound));
+  }
+
+  // The groups the integer fixtures train over: at most 36 German
+  // (Status, Age, Housing) points, and 27 to 20k code rows.
+  EXPECT_LE(BinnedMatrix::Build(fixtures[0].x).value().num_groups(), 36u);
+  EXPECT_EQ(BinnedMatrix::Build(fixtures[1].x).value().num_groups(), 27u);
+  EXPECT_EQ(BinnedMatrix::Build(fixtures[3].x).value().num_groups(), 20000u);
+
+  for (const PinnedForest& fx : fixtures) {
+    for (size_t threads : {1u, 4u}) {
+      ForestOptions opt;
+      opt.num_trees = 16;
+      opt.num_threads = threads;
+      RandomForestRegressor forest(opt);
+      ASSERT_TRUE(forest.Fit(fx.x, fx.y).ok()) << fx.name;
+      const uint64_t hash = ForestHash(forest);
+      EXPECT_EQ(hash, fx.pinned)
+          << fx.name << " at budget " << threads << ": got 0x" << std::hex
+          << hash;
+    }
   }
 }
 

@@ -288,6 +288,13 @@ TEST(TreeTest, FitErrors) {
   EXPECT_FALSE(tree.Fit(x, {1.0, 2.0}).ok());
   EXPECT_FALSE(tree.FitSubset(x, {1.0}, {}).ok());
   EXPECT_FALSE(tree.FitSubset(x, {1.0}, {5}).ok());
+  const BinnedMatrix binned = BinnedMatrix::Build(FeatureMatrix(x)).value();
+  EXPECT_FALSE(tree.FitBinned(binned, {1.0}, {5}).ok());
+  EXPECT_FALSE(tree.FitGroups(binned, {}).ok());
+  EXPECT_FALSE(tree.FitGroups(binned, {GroupItem{1, 1, 1.0, 1.0}}).ok());
+  EXPECT_FALSE(tree.FitGroups(binned, {GroupItem{0, 0, 0.0, 0.0}}).ok());
+  EXPECT_TRUE(tree.FitGroups(binned, {GroupItem{0, 2, 2.0, 2.0}}).ok());
+  EXPECT_DOUBLE_EQ(tree.Predict({1}), 1.0);
 }
 
 // ---------------------------------------------------------------------------

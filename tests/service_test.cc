@@ -991,6 +991,32 @@ TEST_F(ServiceTest, KindChangingApplyBuildsTheBranchRowsOnce) {
                                      kAvgQuery);
 }
 
+// A branch overrides only cells, so its relation names, row counts and
+// schemas (the shell's \tables and \schema) are the base's: reading them
+// builds no rows, and they equal the branch rows' when those are built.
+TEST_F(ServiceTest, BaseDatabaseReadsBranchMetadataWithoutRows) {
+  auto service = MakeService(EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency));
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  ASSERT_TRUE(service->ApplyHypotheticalSql("b", kSetSavingsOfId5).ok());
+  auto base = service->BaseDatabase("b");
+  ASSERT_TRUE(base.ok()) << base.status();
+  EXPECT_EQ(0u, service->world_row_builds());
+
+  auto rows = service->EffectiveDatabase("b");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(1u, service->world_row_builds());
+  ASSERT_EQ((*rows)->TableNames(), (*base)->TableNames());
+  for (const std::string& name : (*base)->TableNames()) {
+    const Table* from_base = (*base)->GetTable(name).value();
+    const Table* from_rows = (*rows)->GetTable(name).value();
+    EXPECT_EQ(from_rows->num_rows(), from_base->num_rows()) << name;
+    EXPECT_EQ(from_rows->schema().ToString(), from_base->schema().ToString())
+        << name;
+  }
+  EXPECT_FALSE(service->BaseDatabase("missing").ok());
+}
+
 // An embedded select reads the branch's cells, and the cross-tuple blocks
 // of Amazon's graph read its link columns: both ask for the branch's rows.
 // Two different statements on one version share one row build, and each
