@@ -29,7 +29,8 @@
 //                         budget as it was
 //   \cache stats|clear    stage cache (scope/causal/learn/query sections;
 //                         the query section holds the plans), admission
-//                         counters and the branches' row builds
+//                         counters, the branches' row builds and the
+//                         forests' bootstrap memo
 //   \metrics              full metrics snapshot (the server's /statusz JSON)
 //   \wal stats            durability state (needs --data-dir <dir>)
 //   \quit
@@ -47,6 +48,7 @@
 #include "data/datasets.h"
 #include "durability/manager.h"
 #include "examples/shell_common.h"
+#include "learn/forest.h"
 #include "obs/metrics.h"
 #include "service/scenario_service.h"
 #include "service/service_metrics.h"
@@ -257,6 +259,11 @@ void RunCommand(ShellState& state, const std::string& line) {
       std::printf("worlds: %llu row build(s)\n",
                   static_cast<unsigned long long>(
                       state.service->world_row_builds()));
+      const learn::BootstrapMemoStats memo = learn::GetBootstrapMemoStats();
+      std::printf("bootstrap memo: %llu hit(s), %llu miss(es), %llu byte(s)\n",
+                  static_cast<unsigned long long>(memo.hits),
+                  static_cast<unsigned long long>(memo.misses),
+                  static_cast<unsigned long long>(memo.bytes));
     }
   } else if (cmd == "\\metrics") {
     // The same JSON document the server exposes on /statusz, so in-process

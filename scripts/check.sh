@@ -170,6 +170,29 @@ printf '%s\n' "$SHELL_OUT" | grep -q '^worlds: 0 row build(s)$' \
   || { echo "shell smoke: branch metadata built rows: $SHELL_OUT"; exit 1; }
 echo "shell smoke passed: \\tables and \\schema on b built no rows"
 
+echo "== shell smoke (a branch retrain reads the bootstrap memo) =="
+# A one-cell Housing delta makes the branch retrain the forest of
+# `Update(Status)` (Housing is in its adjustment set), over the trunk's
+# (seed, rows, trees): the bootstrap multiplicities come from the
+# process-wide memo, so between the trunk's query and the branch's the
+# `learn` misses rise by one (a retrain) and the memo's hits rise too. A
+# dead memo would leave every answer right; only its counter shows it.
+SHELL_OUT="$(printf '%s\n' '\estimator t' \
+  'Use German Update(Status) = 1 Output Avg(Post(Credit))' '\cache stats' \
+  '\scenario new b' \
+  '\scenario apply Use German When Id = 3 Update(Housing) = 2 Output Count(*)' \
+  'Use German Update(Status) = 1 Output Avg(Post(Credit))' '\cache stats' \
+  '\quit' | "$BUILD_DIR"/hyper_shell german 2>&1)"
+read -r LEARN_MAIN LEARN_BRANCH <<<"$(printf '%s\n' "$SHELL_OUT" \
+  | sed -n 's/^learn .*| [0-9]* hit(s), \([0-9]*\) miss(es).*/\1/p' | tr '\n' ' ')"
+read -r MEMO_MAIN MEMO_BRANCH <<<"$(printf '%s\n' "$SHELL_OUT" \
+  | sed -n 's/^bootstrap memo: \([0-9]*\) hit(s).*/\1/p' | tr '\n' ' ')"
+[ -n "${LEARN_BRANCH:-}" ] && [ "$LEARN_BRANCH" -eq $((LEARN_MAIN + 1)) ] \
+  || { echo "shell smoke: the branch did not retrain: $SHELL_OUT"; exit 1; }
+[ -n "${MEMO_BRANCH:-}" ] && [ "$MEMO_BRANCH" -gt "$MEMO_MAIN" ] \
+  || { echo "shell smoke: the retrain missed the bootstrap memo: $SHELL_OUT"; exit 1; }
+echo "shell smoke passed: the branch retrain hit the bootstrap memo ($MEMO_MAIN -> $MEMO_BRANCH hits)"
+
 echo "== server flag smoke (refused numbers) =="
 # The server's count flags take only a whole non-negative integer, and
 # --port one in [0, 65535]: `--port abc` (which strtol read as 0, an

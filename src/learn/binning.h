@@ -10,16 +10,24 @@
 namespace hyper::learn {
 
 /// Pre-binned image of a FeatureMatrix for histogram tree training
-/// (LightGBM-style): every feature is quantile-binned to at most 256
-/// uint8_t codes, computed ONCE per training matrix and shared across all
-/// pattern estimators and all trees of a forest.
+/// (LightGBM-style): every feature is binned to at most 256 uint8_t codes,
+/// computed ONCE per training matrix and shared across all pattern
+/// estimators and all trees of a forest.
+///
+/// One O(rows) counting pass per feature finds its distinct values
+/// (-0.0 and +0.0 are one value; NaN fails the build). A feature with at
+/// most max_bins of them gets one bin per value, the bins in value order,
+/// and no sort of the column: the adjustment features of a what-if are
+/// discrete. A denser feature stops the pass and gets equal-count
+/// (quantile) bins from its sorted column.
 ///
 /// A row's *code row* is its F codes, one byte per feature. Rows with equal
 /// code rows are indistinguishable to every split a tree can make, so the
 /// image stores each distinct code row once, as a *group*, plus one 4-byte
 /// group id per row. Groups are numbered in order of first appearance.
-/// A forest whose targets sum exactly folds each tree's bootstrap draws
-/// into per-group items and grows the tree over those (tree.h), so a node
+/// A forest whose targets sum exactly folds how often each tree drew each
+/// row into per-group items and grows the tree over those (tree.h,
+/// forest.h), so a node
 /// costs O(groups drawn), not O(rows drawn). The adjustment features of a
 /// what-if are discrete: 20k German rows over (Status, Age, Housing) hold
 /// at most 36 groups.
@@ -37,9 +45,10 @@ namespace hyper::learn {
 class BinnedMatrix {
  public:
   /// Bins `x` with at most `max_bins` (clamped to 256) codes per feature.
-  /// Features with <= max_bins distinct values get one bin per value;
-  /// denser features get equal-count (quantile) bins. Then groups the rows
-  /// by code row in O(rows), with no per-row allocation.
+  /// Features with <= max_bins distinct values get one bin per value in
+  /// O(rows); denser features get equal-count (quantile) bins in
+  /// O(rows log rows). Then groups the rows by code row in O(rows), with no
+  /// per-row allocation.
   static Result<BinnedMatrix> Build(const FeatureMatrix& x,
                                     size_t max_bins = 256);
 

@@ -1,13 +1,112 @@
 #include "learn/forest.h"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
+#include <memory>
 
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace hyper::learn {
+
+namespace {
+
+/// How often each tree of a forest drew each row: tree t's count of row r
+/// at [t * n + r].
+using Multiplicities = std::vector<uint8_t>;
+
+/// The bootstraps FitImpl draws, counted: n draws of a row per tree from
+/// Rng(seed), tree after tree. Null when one tree draws a row more than 255
+/// times, which needs more than 255 rows and is vanishingly rare.
+std::shared_ptr<const Multiplicities> DrawMultiplicities(uint64_t seed,
+                                                        size_t n,
+                                                        size_t trees) {
+  auto table = std::make_shared<Multiplicities>(trees * n);
+  Rng rng(seed);
+  for (size_t t = 0; t < trees; ++t) {
+    uint8_t* counts = table->data() + t * n;
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t& c = counts[rng.UniformInt(0, static_cast<int64_t>(n) - 1)];
+      if (c == std::numeric_limits<uint8_t>::max()) return nullptr;
+      ++c;
+    }
+  }
+  return table;
+}
+
+/// The most recently used multiplicity tables, process-wide: a forest is
+/// fitted lazily where no service object is in reach, and the key holds no
+/// data. A miss draws outside the lock, so concurrent misses on one key
+/// draw the same table twice and keep one.
+class BootstrapMemo {
+ public:
+  static BootstrapMemo& Instance() {
+    static BootstrapMemo memo;
+    return memo;
+  }
+
+  /// The table of (seed, n, trees), or null when the key is declined.
+  std::shared_ptr<const Multiplicities> Get(uint64_t seed, size_t n,
+                                            size_t trees) EXCLUDES(mu_) {
+    const Key key{seed, n, trees};
+    {
+      MutexLock lock(&mu_);
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->key == key) {
+          std::rotate(entries_.begin(), it, it + 1);
+          ++hits_;
+          return entries_.front().table;
+        }
+      }
+      ++misses_;
+    }
+    std::shared_ptr<const Multiplicities> table =
+        DrawMultiplicities(seed, n, trees);
+    if (table == nullptr) return nullptr;
+    MutexLock lock(&mu_);
+    std::erase_if(entries_, [&](const Entry& e) { return e.key == key; });
+    entries_.insert(entries_.begin(), Entry{key, table});
+    if (entries_.size() > kBootstrapMemoCapacity) {
+      entries_.resize(kBootstrapMemoCapacity);
+    }
+    return table;
+  }
+
+  BootstrapMemoStats Stats() EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    BootstrapMemoStats stats;
+    stats.hits = hits_;
+    stats.misses = misses_;
+    for (const Entry& e : entries_) stats.bytes += e.table->size();
+    return stats;
+  }
+
+ private:
+  struct Key {
+    uint64_t seed;
+    size_t n;
+    size_t trees;
+    bool operator==(const Key&) const = default;
+  };
+  struct Entry {
+    Key key;
+    std::shared_ptr<const Multiplicities> table;
+  };
+
+  Mutex mu_;
+  std::vector<Entry> entries_ GUARDED_BY(mu_);  // most recently used first
+  uint64_t hits_ GUARDED_BY(mu_) = 0;
+  uint64_t misses_ GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace
+
+BootstrapMemoStats GetBootstrapMemoStats() {
+  return BootstrapMemo::Instance().Stats();
+}
 
 Status RandomForestRegressor::Fit(const FeatureMatrix& x,
                                   const std::vector<double>& y) {
@@ -52,35 +151,30 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
         std::ceil(std::sqrt(static_cast<double>(x.num_cols()))));
   }
 
-  // Draw every bootstrap sample up front from one sequential stream so the
-  // forest is deterministic regardless of how training is scheduled. When
-  // the targets sum exactly, each tree's draws fold into its group items as
-  // they are drawn, so no tree ever holds n draws; otherwise (fractional
-  // targets, or the exact splitter) each tree keeps its draws as rows.
-  Rng rng(options_.seed);
+  // Draw every bootstrap up front, from one sequential stream, so the forest
+  // is deterministic however training is scheduled. With exact targets each
+  // tree folds its row multiplicities into group items, so no tree holds n
+  // draws; otherwise (fractional targets, the exact splitter, or a key the
+  // memo declines) each tree keeps its draws as rows.
   const size_t n = x.num_rows();
-  const size_t sample_size = std::max<size_t>(1, n);  // bootstrap of n
-  const bool grouped =
-      binned != nullptr && TargetsSumExactly(y, sample_size);
-  std::vector<std::vector<GroupItem>> items(grouped ? options_.num_trees : 0);
-  std::vector<std::vector<size_t>> bootstraps(grouped ? 0
-                                                      : options_.num_trees);
-  std::optional<GroupFold> fold;
-  if (grouped) fold.emplace(*binned, y);
-  for (size_t t = 0; t < options_.num_trees; ++t) {
-    if (grouped) {
-      for (size_t i = 0; i < sample_size; ++i) {
-        fold->Draw(static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(n) - 1)));
-      }
-      items[t] = fold->Take();
-    } else {
-      bootstraps[t].resize(sample_size);
-      for (size_t i = 0; i < sample_size; ++i) {
-        bootstraps[t][i] = static_cast<size_t>(
+  std::shared_ptr<const Multiplicities> multiplicities;
+  if (binned != nullptr && TargetsSumExactly(y, n)) {
+    multiplicities =
+        BootstrapMemo::Instance().Get(options_.seed, n, options_.num_trees);
+  }
+  std::vector<std::vector<size_t>> bootstraps;
+  if (multiplicities == nullptr) {
+    Rng rng(options_.seed);
+    bootstraps.resize(options_.num_trees);
+    for (std::vector<size_t>& rows : bootstraps) {
+      rows.resize(n);
+      for (size_t& r : rows) {
+        r = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(n) - 1));
       }
     }
+  }
+  for (size_t t = 0; t < options_.num_trees; ++t) {
     trees_.emplace_back(tree_options, /*seed=*/options_.seed + 7919 * (t + 1));
   }
 
@@ -95,12 +189,16 @@ Status RandomForestRegressor::FitImpl(const FeatureMatrix& x,
   // an explicit budget bounds concurrency even when the process-wide pool
   // is larger. Trees are independent and every tree's result is a function
   // of its (seed, bootstrap) alone, so scheduling never changes the forest.
+  // A tree folds its own multiplicities into group items.
   std::vector<Status> statuses(options_.num_trees);
   ThreadPool::Shared().ParallelFor(
       options_.num_trees,
       [&](size_t t) {
-        if (grouped) {
-          statuses[t] = trees_[t].FitGroups(*binned, std::move(items[t]));
+        if (multiplicities != nullptr) {
+          GroupFold fold(*binned, y);
+          const uint8_t* m = multiplicities->data() + t * n;
+          for (size_t r = 0; r < n; ++r) fold.Add(r, m[r]);
+          statuses[t] = trees_[t].FitGroups(*binned, fold.Take());
         } else if (binned != nullptr) {
           statuses[t] =
               trees_[t].FitBinned(*binned, y, std::move(bootstraps[t]));

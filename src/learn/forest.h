@@ -19,10 +19,26 @@ struct ForestOptions {
   /// Worker budget for tree training: 0 = one worker per hardware thread
   /// (floor 1, gated on there being enough work), 1 = sequential, n = at
   /// most n workers on the shared pool. Training results are bit-for-bit
-  /// identical for every setting — bootstraps are drawn up front from one
-  /// sequential stream and trees are independent.
+  /// identical for every setting — every tree's bootstrap is drawn up front
+  /// from one sequential stream (or read from the bootstrap memo, which
+  /// holds those same draws) and trees are independent.
   size_t num_threads = 0;
 };
+
+/// Keys (seed, rows, trees) whose bootstrap multiplicities the process-wide
+/// bootstrap memo holds at once, most recently used first. A table costs
+/// trees x rows bytes.
+inline constexpr size_t kBootstrapMemoCapacity = 4;
+
+/// Process-wide counters of the bootstrap memo: forests whose multiplicity
+/// table it held (hits) or drew (misses), and the bytes of the tables it
+/// holds now.
+struct BootstrapMemoStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bytes = 0;
+};
+BootstrapMemoStats GetBootstrapMemoStats();
 
 /// Bagged random forest regressor — the estimator the paper uses for
 /// conditional probabilities (§5 "random forest regressor").
@@ -32,7 +48,7 @@ class RandomForestRegressor : public ConditionalMeanEstimator {
       : options_(options) {}
 
   /// Trains the forest. In histogram mode (tree.use_histograms, default)
-  /// the matrix is quantile-binned once and shared by every tree.
+  /// the matrix is binned once and shared by every tree.
   Status Fit(const FeatureMatrix& x, const std::vector<double>& y) override;
 
   /// Histogram training against a caller-provided binned image of `x` —
@@ -54,6 +70,13 @@ class RandomForestRegressor : public ConditionalMeanEstimator {
   const DecisionTreeRegressor& tree(size_t t) const { return trees_[t]; }
 
  private:
+  /// Tree t trains on n draws of rows from Rng(seed), drawn after the
+  /// draws of trees 0..t-1, whatever the data. Over a binned matrix with
+  /// targets that sum exactly (TargetsSumExactly), each tree folds how often
+  /// it drew each row into group items; the memo keeps those multiplicities
+  /// per (seed, n, trees), so a key it holds draws no random number. Other
+  /// forests, and a key with a row drawn more than 255 times by one tree,
+  /// keep each tree's draws as rows.
   Status FitImpl(const FeatureMatrix& x, const BinnedMatrix* binned,
                  const std::vector<double>& y);
 

@@ -49,7 +49,7 @@ Status DecisionTreeRegressor::Fit(const FeatureMatrix& x,
     HYPER_ASSIGN_OR_RETURN(BinnedMatrix binned, BinnedMatrix::Build(x));
     if (TargetsSumExactly(y, y.size())) {
       GroupFold fold(binned, y);
-      for (size_t r = 0; r < y.size(); ++r) fold.Draw(r);
+      for (size_t r = 0; r < y.size(); ++r) fold.Add(r, 1);
       return FitGroups(binned, fold.Take());
     }
     std::vector<size_t> rows(y.size());

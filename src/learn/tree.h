@@ -47,17 +47,21 @@ struct GroupItem {
 /// same draws one row at a time.
 bool TargetsSumExactly(const std::vector<double>& y, size_t draws);
 
-/// Folds row draws into group items: Draw each row, then Take the items.
+/// Folds bootstrap draws into group items: Add each row with the number of
+/// times it was drawn, then Take the items. Under TargetsSumExactly every
+/// m * y and m * y * y is an exact integer, so the items equal those of the
+/// same draws added one at a time, in any order.
 class GroupFold {
  public:
   GroupFold(const BinnedMatrix& binned, const std::vector<double>& y);
 
-  void Draw(size_t row) {
+  void Add(size_t row, uint32_t m) {
     GroupItem& item = acc_[binned_.group(row)];
     const double t = y_[row];
-    ++item.count;
-    item.sum += t;
-    item.sum_sq += t * t;
+    const double dm = static_cast<double>(m);
+    item.count += m;
+    item.sum += dm * t;
+    item.sum_sq += dm * (t * t);
   }
 
   /// The groups drawn at least once, in group order; the fold restarts

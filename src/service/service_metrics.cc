@@ -4,6 +4,7 @@
 
 #include "common/json.h"
 #include "common/strings.h"
+#include "learn/forest.h"
 
 namespace hyper {
 namespace service {
@@ -243,6 +244,14 @@ std::string StatuszJson(const ScenarioService& service,
   w.EndObject();
   w.Key("worlds").BeginObject()
       .Key("row_builds").UInt(service.world_row_builds())
+      .EndObject();
+  const learn::BootstrapMemoStats memo = learn::GetBootstrapMemoStats();
+  w.Key("learn").BeginObject()
+      .Key("bootstrap_memo").BeginObject()
+      .Key("hits").UInt(memo.hits)
+      .Key("misses").UInt(memo.misses)
+      .Key("bytes").UInt(memo.bytes)
+      .EndObject()
       .EndObject();
 
   const durability::WalStats wal = service.wal_stats();

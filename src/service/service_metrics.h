@@ -46,7 +46,9 @@ void AppendServiceSeries(const ScenarioService& service,
                          obs::MetricsSnapshot* snapshot);
 
 /// The /statusz document: drain state, admission counters, cache sections,
-/// the branch worlds' row builds, and (when a registry is wired) the full
+/// the branch worlds' row builds, the process-wide bootstrap memo of forest
+/// training (learn.bootstrap_memo: hits, misses, resident bytes), and (when
+/// a registry is wired) the full
 /// metrics snapshot with latency quantiles. Also serves `\metrics` in
 /// hyper_shell.
 std::string StatuszJson(const ScenarioService& service,

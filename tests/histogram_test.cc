@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -144,6 +149,232 @@ TEST(BinnedMatrixTest, GroupsHoldEachDistinctCodeRowOnce) {
   // Without features every row has the one empty code row.
   EXPECT_EQ(BinnedMatrix::Build(FeatureMatrix(5, 0)).value().num_groups(),
             1u);
+}
+
+// ---------------------------------------------------------------------------
+// Binning parity: BinnedMatrix::Build against the sort-based binning it
+// replaced for features of at most max_bins distinct values, which is still
+// its path for denser ones.
+// ---------------------------------------------------------------------------
+
+/// The sort-based binning, per feature: sort the column, walk it once
+/// closing a bin at the end of a tie run that has filled its equal-count
+/// share (or at every distinct value when there are at most max_bins), then
+/// code each value by binary search over the bin maxima. Groups number the
+/// distinct code rows in order of first appearance.
+struct SortBinned {
+  std::vector<std::vector<double>> bin_min, bin_max;  // per feature
+  std::vector<std::vector<uint8_t>> codes;            // per feature, per row
+  std::vector<uint32_t> group;                        // per row
+  size_t num_groups = 0;
+};
+
+SortBinned SortBin(const FeatureMatrix& x, size_t max_bins) {
+  max_bins = std::min<size_t>(max_bins, 256);
+  const size_t n = x.num_rows();
+  SortBinned out;
+  out.bin_min.resize(x.num_cols());
+  out.bin_max.resize(x.num_cols());
+  out.codes.assign(x.num_cols(), std::vector<uint8_t>(n));
+  for (size_t f = 0; f < x.num_cols(); ++f) {
+    std::vector<double> sorted(n);
+    for (size_t r = 0; r < n; ++r) sorted[r] = x.At(r, f);
+    std::sort(sorted.begin(), sorted.end());
+    if (n == 0) continue;
+    size_t distinct = 1;
+    for (size_t r = 1; r < n; ++r) distinct += sorted[r] != sorted[r - 1];
+    const size_t target_bins = std::min(distinct, max_bins);
+    size_t bin_start = 0, bins_made = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const bool last = r + 1 == n;
+      const bool tie = !last && sorted[r + 1] == sorted[r];
+      const size_t remaining_bins = target_bins - bins_made;
+      const bool quota =
+          (r + 1 - bin_start) * remaining_bins >= n - bin_start;
+      if (last || (!tie && (quota || target_bins == distinct))) {
+        if (!last && remaining_bins == 1) continue;
+        out.bin_min[f].push_back(sorted[bin_start]);
+        out.bin_max[f].push_back(sorted[r]);
+        ++bins_made;
+        bin_start = r + 1;
+      }
+    }
+    const std::vector<double>& bmax = out.bin_max[f];
+    for (size_t r = 0; r < n; ++r) {
+      const size_t b =
+          std::lower_bound(bmax.begin(), bmax.end(), x.At(r, f)) -
+          bmax.begin();
+      out.codes[f][r] = static_cast<uint8_t>(std::min(b, bmax.size() - 1));
+    }
+  }
+  std::map<std::vector<uint8_t>, uint32_t> groups;
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<uint8_t> row(x.num_cols());
+    for (size_t f = 0; f < x.num_cols(); ++f) row[f] = out.codes[f][r];
+    const uint32_t next = static_cast<uint32_t>(groups.size());
+    out.group.push_back(groups.emplace(std::move(row), next).first->second);
+  }
+  out.num_groups = groups.size();
+  return out;
+}
+
+/// FindBestSplitHist's threshold between adjacent bins.
+double Threshold(double lo, double hi) {
+  const double t = (lo + hi) / 2.0;
+  return t > lo && t < hi ? t : lo;
+}
+
+/// Build's bins, thresholds, codes and groups equal SortBin's. Bin extrema
+/// compare as numbers, since the sort's tie run of -0.0 and +0.0 keeps
+/// whichever zero it ends on.
+void ExpectSortBinning(const FeatureMatrix& x, size_t max_bins,
+                       const std::string& what) {
+  SCOPED_TRACE(what + " at max_bins " + std::to_string(max_bins));
+  const SortBinned want = SortBin(x, max_bins);
+  auto got = BinnedMatrix::Build(x, max_bins);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->num_features(), x.num_cols());
+  for (size_t f = 0; f < x.num_cols(); ++f) {
+    const size_t bins = want.bin_min[f].size();
+    ASSERT_EQ(got->num_bins(f), bins) << "feature " << f;
+    for (size_t b = 0; b < bins; ++b) {
+      EXPECT_EQ(got->bin_min(f, b), want.bin_min[f][b]) << f << "/" << b;
+      EXPECT_EQ(got->bin_max(f, b), want.bin_max[f][b]) << f << "/" << b;
+      if (b + 1 == bins) continue;
+      const double t = Threshold(got->bin_max(f, b), got->bin_min(f, b + 1));
+      const double w = Threshold(want.bin_max[f][b], want.bin_min[f][b + 1]);
+      EXPECT_EQ(std::memcmp(&t, &w, sizeof t), 0)
+          << "threshold " << f << "/" << b << ": " << t << " vs " << w;
+    }
+    for (size_t r = 0; r < x.num_rows(); ++r) {
+      ASSERT_EQ(got->code(r, f), want.codes[f][r]) << "row " << r << " f " << f;
+    }
+  }
+  ASSERT_EQ(got->num_groups(), want.num_groups);
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    ASSERT_EQ(got->group(r), want.group[r]) << "row " << r;
+  }
+}
+
+/// `n` x `cols` matrix whose every cell is `value(rng)`.
+template <typename Value>
+FeatureMatrix RandomMatrix(size_t n, size_t cols, uint64_t seed, Value value) {
+  Rng rng(seed);
+  FeatureMatrix x(n, cols);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < cols; ++c) x.Set(r, c, value(rng));
+  }
+  return x;
+}
+
+/// One of `values`, uniformly.
+auto OneOf(std::vector<double> values) {
+  return [values = std::move(values)](Rng& rng) {
+    return values[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1))];
+  };
+}
+
+/// `n` rows of one feature holding each of `k` distinct values (multiples of
+/// 0.5 from -3) at least once, in shuffled order.
+FeatureMatrix KDistinct(size_t n, size_t k, uint64_t seed) {
+  std::vector<double> column(n);
+  for (size_t r = 0; r < n; ++r) {
+    column[r] = -3.0 + 0.5 * static_cast<double>(r % k);
+  }
+  Rng rng(seed);
+  rng.Shuffle(&column);
+  FeatureMatrix x(n, 1);
+  for (size_t r = 0; r < n; ++r) x.Set(r, 0, column[r]);
+  return x;
+}
+
+TEST(BinningParityTest, MatchesSortBinning) {
+  const double inf = HUGE_VAL;
+  const double big = 9007199254740992.0;  // 2^53
+  const struct {
+    const char* name;
+    std::function<double(Rng&)> value;
+  } kinds[] = {
+      {"four integers", OneOf({0, 1, 2, 3})},
+      {"negative integers", OneOf({-7, -4, -3, -1, 0, 2})},
+      {"non-integers", OneOf({0.1, 0.2, 0.30000000000000004, 1.0 / 3, -2.75,
+                              1e-9, 123.456})},
+      {"signed zeros", OneOf({-0.0, 0.0, -1, 1})},
+      {"infinities", OneOf({-inf, -1, 0, 2.5, inf})},
+      {"past 2^53", OneOf({big, big + 2, -big - 2, 1e300, -1e300, 0x1p62,
+                           1.0})},
+  };
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& kind : kinds) {
+      const FeatureMatrix x = RandomMatrix(2000, 3, seed, kind.value);
+      for (size_t max_bins : {size_t{256}, size_t{4}, size_t{2}}) {
+        ExpectSortBinning(x, max_bins, kind.name);
+      }
+    }
+    // Every kind side by side, one feature each.
+    Rng rng(seed);
+    FeatureMatrix mixed(3000, std::size(kinds));
+    for (size_t r = 0; r < mixed.num_rows(); ++r) {
+      for (size_t c = 0; c < std::size(kinds); ++c) {
+        mixed.Set(r, c, kinds[c].value(rng));
+      }
+    }
+    ExpectSortBinning(mixed, 256, "mixed");
+    ExpectSortBinning(mixed, 4, "mixed");
+  }
+}
+
+TEST(BinningParityTest, MaxBinsAndOneMoreDistinctValues) {
+  for (size_t max_bins : {size_t{256}, size_t{4}}) {
+    for (size_t k : {max_bins, max_bins + 1}) {
+      const FeatureMatrix x = KDistinct(4 * k + 3, k, /*seed=*/k);
+      ExpectSortBinning(x, max_bins, std::to_string(k) + " distinct");
+      const BinnedMatrix binned = BinnedMatrix::Build(x, max_bins).value();
+      if (k == max_bins) {
+        // One bin per distinct value, the bins in value order.
+        ASSERT_EQ(binned.num_bins(0), k);
+        for (size_t b = 0; b < k; ++b) {
+          EXPECT_EQ(binned.bin_min(0, b), -3.0 + 0.5 * static_cast<double>(b));
+          EXPECT_EQ(binned.bin_max(0, b), binned.bin_min(0, b));
+        }
+      } else {
+        EXPECT_LE(binned.num_bins(0), max_bins);
+      }
+    }
+  }
+  // A continuous column beside a discrete one.
+  Rng rng(5);
+  FeatureMatrix x(5000, 2);
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    x.Set(r, 0, rng.Uniform(-1, 1));
+    x.Set(r, 1, static_cast<double>(rng.UniformInt(0, 9)));
+  }
+  ExpectSortBinning(x, 256, "continuous");
+  ExpectSortBinning(x, 16, "continuous");
+}
+
+TEST(BinningParityTest, NaNFailsWherever) {
+  for (size_t max_bins : {size_t{256}, size_t{4}}) {
+    // In the first row.
+    FeatureMatrix first = KDistinct(3 * max_bins, max_bins, 7);
+    first.Set(0, 0, std::nan(""));
+    // After max_bins + 1 distinct values, in a second feature.
+    FeatureMatrix late(3 * max_bins, 2);
+    for (size_t r = 0; r < late.num_rows(); ++r) {
+      late.Set(r, 0, 1.0);
+      late.Set(r, 1, static_cast<double>(r));
+    }
+    late.Set(late.num_rows() - 1, 1, std::nan(""));
+    for (const FeatureMatrix* x : {&first, &late}) {
+      auto binned = BinnedMatrix::Build(*x, max_bins);
+      ASSERT_FALSE(binned.ok()) << "max_bins " << max_bins;
+      EXPECT_EQ(binned.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(binned.status().message().find("cannot bin NaN feature values"),
+                std::string::npos)
+          << binned.status();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +617,7 @@ TEST(GroupedTrainingTest, GroupItemsGrowTheRowItemTree) {
     for (size_t& r : rows) {
       r = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(y.size()) - 1));
-      fold.Draw(r);
+      fold.Add(r, 1);
     }
     TreeOptions opt;
     opt.max_features = 2;
@@ -417,6 +648,18 @@ uint64_t ForestHash(const RandomForestRegressor& forest) {
     h.MixString(forest.tree(t).StructureDigest());
   }
   return h.hash();
+}
+
+/// Fits forests of kBootstrapMemoCapacity + 1 row counts no other test
+/// fits, which evicts every other key from the bootstrap memo.
+void EvictBootstrapMemo() {
+  for (size_t i = 0; i <= kBootstrapMemoCapacity; ++i) {
+    const size_t n = 101 + i;
+    FeatureMatrix x(n, 1);
+    for (size_t r = 0; r < n; ++r) x.Set(r, 0, static_cast<double>(r % 3));
+    RandomForestRegressor forest;
+    ASSERT_TRUE(forest.Fit(x, std::vector<double>(n, 1.0)).ok());
+  }
 }
 
 struct PinnedForest {
@@ -547,18 +790,83 @@ TEST(GroupedTrainingTest, GroupedTrainingMatchesPinnedForests) {
   EXPECT_EQ(BinnedMatrix::Build(fixtures[1].x).value().num_groups(), 27u);
   EXPECT_EQ(BinnedMatrix::Build(fixtures[3].x).value().num_groups(), 20000u);
 
+  // Each fixture is fitted with its key fresh from the bootstrap memo, or
+  // held there, and again after forests of other row counts evicted it.
+  // Integer targets within the exactness bound take their multiplicities
+  // from the memo; the fractional and past-bound fixtures never reach it.
   for (const PinnedForest& fx : fixtures) {
-    for (size_t threads : {1u, 4u}) {
-      ForestOptions opt;
-      opt.num_trees = 16;
-      opt.num_threads = threads;
-      RandomForestRegressor forest(opt);
-      ASSERT_TRUE(forest.Fit(fx.x, fx.y).ok()) << fx.name;
-      const uint64_t hash = ForestHash(forest);
-      EXPECT_EQ(hash, fx.pinned)
-          << fx.name << " at budget " << threads << ": got 0x" << std::hex
-          << hash;
+    const bool memoized = TargetsSumExactly(fx.y, fx.y.size());
+    for (const bool evicted : {false, true}) {
+      if (evicted) EvictBootstrapMemo();
+      for (size_t threads : {1u, 4u}) {
+        ForestOptions opt;
+        opt.num_trees = 16;
+        opt.num_threads = threads;
+        RandomForestRegressor forest(opt);
+        const BootstrapMemoStats before = GetBootstrapMemoStats();
+        ASSERT_TRUE(forest.Fit(fx.x, fx.y).ok()) << fx.name;
+        const BootstrapMemoStats after = GetBootstrapMemoStats();
+        const uint64_t hash = ForestHash(forest);
+        EXPECT_EQ(hash, fx.pinned)
+            << fx.name << " at budget " << threads
+            << (evicted ? " after eviction" : "") << ": got 0x" << std::hex
+            << hash;
+        if (!memoized) {
+          EXPECT_EQ(after.hits, before.hits) << fx.name;
+          EXPECT_EQ(after.misses, before.misses) << fx.name;
+        } else if (evicted) {
+          // The first fit after the eviction draws the key again; the
+          // second finds it.
+          EXPECT_EQ(after.misses - before.misses, threads == 1 ? 1u : 0u)
+              << fx.name;
+          EXPECT_EQ(after.hits - before.hits, threads == 1 ? 0u : 1u)
+              << fx.name;
+        }
+      }
     }
+  }
+}
+
+TEST(BootstrapMemoTest, ConcurrentFirstFitsOfOneKeyMatchSequential) {
+  FeatureMatrix x;
+  std::vector<double> y;
+  IntegerData(3001, 3, 5, /*seed=*/61, &x, &y);
+  ForestOptions opt;
+  opt.num_trees = 16;
+  opt.num_threads = 1;
+  opt.seed = 0x5eed0f3001ULL;  // a key no other test fits
+  ASSERT_TRUE(TargetsSumExactly(y, y.size()));
+
+  const BootstrapMemoStats before = GetBootstrapMemoStats();
+  constexpr size_t kFitters = 4;
+  std::vector<uint64_t> hashes(kFitters, 0);
+  std::vector<Status> statuses(kFitters);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> fitters;
+  for (size_t i = 0; i < kFitters; ++i) {
+    fitters.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kFitters) std::this_thread::yield();
+      RandomForestRegressor forest(opt);
+      statuses[i] = forest.Fit(x, y);
+      if (statuses[i].ok()) hashes[i] = ForestHash(forest);
+    });
+  }
+  for (std::thread& t : fitters) t.join();
+  const BootstrapMemoStats after = GetBootstrapMemoStats();
+  EXPECT_GE(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.misses - before.misses + after.hits - before.hits,
+            kFitters);
+
+  // The sequential reference draws the key afresh.
+  EvictBootstrapMemo();
+  const BootstrapMemoStats fresh = GetBootstrapMemoStats();
+  RandomForestRegressor reference(opt);
+  ASSERT_TRUE(reference.Fit(x, y).ok());
+  EXPECT_EQ(GetBootstrapMemoStats().misses, fresh.misses + 1);
+  for (size_t i = 0; i < kFitters; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i];
+    EXPECT_EQ(hashes[i], ForestHash(reference)) << "fitter " << i;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "data/datasets.h"
+#include "learn/forest.h"
 #include "net/http.h"
 #include "net/listener.h"
 #include "net/query_handler.h"
@@ -460,6 +461,34 @@ TEST_F(QueryHandlerTest, StatuszCountsBranchRowBuilds) {
   EXPECT_EQ(row_builds(), 1);
   EXPECT_EQ(Call(handler, "POST", "/v1/query", select).status, 200);
   EXPECT_EQ(row_builds(), 1);
+}
+
+// /statusz reports the process-wide bootstrap memo of forest training
+// under "learn": hits, misses and the bytes of the tables it holds.
+TEST_F(QueryHandlerTest, StatuszReportsTheBootstrapMemo) {
+  auto service = MakeService();
+  QueryHandler handler(service.get(), &registry_);
+  learn::FeatureMatrix x(50, 1);
+  for (size_t r = 0; r < 50; ++r) x.Set(r, 0, static_cast<double>(r % 2));
+  learn::ForestOptions forest_options;
+  forest_options.num_trees = 2;
+  forest_options.seed = 0x57a7052ULL;  // a key no other test fits
+  learn::RandomForestRegressor forest(forest_options);
+  ASSERT_TRUE(forest.Fit(x, std::vector<double>(50, 1.0)).ok());
+  const learn::BootstrapMemoStats memo = learn::GetBootstrapMemoStats();
+  EXPECT_GE(memo.misses, 1u);
+  EXPECT_GE(memo.bytes, 100u);  // at least this forest's 2 x 50 table
+
+  auto statusz = JsonValue::Parse(Call(handler, "GET", "/statusz", "").body);
+  ASSERT_TRUE(statusz.ok()) << statusz.status();
+  const JsonValue* learn_section = statusz->Find("learn");
+  ASSERT_NE(learn_section, nullptr);
+  const JsonValue* reported = learn_section->Find("bootstrap_memo");
+  ASSERT_NE(reported, nullptr);
+  EXPECT_EQ(reported->GetNumber("hits", -1), static_cast<double>(memo.hits));
+  EXPECT_EQ(reported->GetNumber("misses", -1),
+            static_cast<double>(memo.misses));
+  EXPECT_EQ(reported->GetNumber("bytes", -1), static_cast<double>(memo.bytes));
 }
 
 TEST_F(QueryHandlerTest, ClientMistakesMapInto4xx) {

@@ -9,6 +9,7 @@
 #include "data/datasets.h"
 #include "golden_cases.h"
 #include "howto/engine.h"
+#include "learn/forest.h"
 #include "net/query_handler.h"
 #include "relational/eval.h"
 #include "service/scenario_service.h"
@@ -1345,6 +1346,38 @@ TEST_F(ServiceTest, BranchDeltaOnAdjustmentAttributeInvalidatesLearnStage) {
   Response credit = service->Submit({"credit", kQuery, {}});
   ASSERT_TRUE(credit.ok()) << credit.status;
   EXPECT_EQ(3u, service->cache_stats().learn.misses);
+}
+
+// A branch whose Housing delta touches the adjustment set retrains its
+// forest, but over the trunk's (seed, rows, trees): the multiplicities of
+// its bootstraps come from the process-wide memo, and no row is redrawn.
+TEST_F(ServiceTest, BranchRetrainReadsItsBootstrapsFromTheMemo) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  auto service = MakeService(options);
+  constexpr const char* kRetrained =
+      "Use German Update(Status) = 1 Output Avg(Post(Credit))";
+  ASSERT_TRUE(service->CreateScenario("housing").ok());
+  auto updated = service->ApplyHypotheticalSql(
+      "housing", "Use German When Id = 3 Update(Housing) = 2 Output Count(*)");
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  ASSERT_EQ(1u, *updated);
+
+  ASSERT_TRUE(service->Submit({"main", kRetrained, {}}).ok());
+  const size_t learn_misses = service->cache_stats().learn.misses;
+  const learn::BootstrapMemoStats before = learn::GetBootstrapMemoStats();
+  Response branch = service->Submit({"housing", kRetrained, {}});
+  ASSERT_TRUE(branch.ok()) << branch.status;
+  const learn::BootstrapMemoStats after = learn::GetBootstrapMemoStats();
+  EXPECT_EQ(learn_misses + 1, service->cache_stats().learn.misses);
+  EXPECT_EQ(before.hits + 1, after.hits);
+  EXPECT_EQ(before.misses, after.misses);
+  EXPECT_GE(after.bytes, 800u * options.forest.num_trees);
+
+  std::shared_ptr<const Database> world =
+      service->EffectiveDatabase("housing").value();
+  whatif::WhatIfEngine fresh(world.get(), &graph_, options);
+  EXPECT_EQ(fresh.RunSql(kRetrained)->value, branch.whatif.value);
 }
 
 // Evicting an upstream stage must not invalidate live downstream stages: a
