@@ -99,7 +99,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 # and the column reader share one evaluation walk, and Explain reads a
 # freshly prepared plan), and histogram_test and learn_test (histogram
 # training indexes flattened bins by the byte codes of rows and of grouped
-# code rows, and a forest fans its trees out on the pool): TSan catches
+# code rows, and a forest fans its trees out on the pool), and common_test
+# (the grouping table that numbers code rows, residual groups and
+# evaluation points reads keys bytewise and grows in place): TSan catches
 # data races on the shared stage caches, the admission/cancellation state,
 # and the pool's morsel cursor under skewed load, ASan catches lifetime
 # bugs in abort unwinding (an aborted request must not leave a stage
@@ -111,7 +113,7 @@ run_sanitizer_leg() {
   local SAN="$1"         # thread | address | undefined
   local FLAG="-fsanitize=$SAN"
   local SAN_BUILD_DIR="${BUILD_DIR}-${2}"   # build dir suffix: tsan | asan | ubsan
-  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test, histogram_test, learn_test) =="
+  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test, histogram_test, learn_test, common_test) =="
   local PROBE
   PROBE="$(mktemp -d)"
   printf 'int main(){return 0;}\n' > "$PROBE/probe.cc"
@@ -119,9 +121,9 @@ run_sanitizer_leg() {
       && "$PROBE/probe"; then
     rm -rf "$PROBE"
     cmake -B "$SAN_BUILD_DIR" -S . -DHYPER_SANITIZE="$SAN" >/dev/null
-    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test histogram_test learn_test
+    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test histogram_test learn_test common_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -L service
-    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test|histogram_test|learn_test)$'
+    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test|histogram_test|learn_test|common_test)$'
   else
     rm -rf "$PROBE"
     echo "${SAN}Sanitizer unavailable in this toolchain; skipping ${2} smoke"

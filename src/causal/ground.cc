@@ -1,5 +1,7 @@
 #include "causal/ground.h"
 
+#include <cstdint>
+
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -10,10 +12,6 @@ namespace {
 std::string NodeKey(const std::string& relation, size_t tid,
                     const std::string& attr) {
   return relation + "#" + std::to_string(tid) + "#" + attr;
-}
-
-std::string TupleKey(const TupleId& t) {
-  return t.relation + "#" + std::to_string(t.tid);
 }
 
 /// Union-find with path compression.
@@ -137,17 +135,16 @@ Result<TupleComponents> TupleComponents::Build(const CausalGraph& graph,
   TupleComponents out;
 
   // Index all tuples of relations that carry causal attributes (relations
-  // outside the model form singleton blocks and are indexed too).
-  std::vector<TupleId> tuples;
+  // outside the model form singleton blocks and are indexed too): each
+  // relation's tuples are one span of indices.
+  size_t num_tuples = 0;
   for (const std::string& rel : db.TableNames()) {
-    const Table& table = *db.GetTable(rel).value();
-    for (size_t t = 0; t < table.num_rows(); ++t) {
-      out.tuple_index_.emplace(TupleKey(TupleId{rel, t}), tuples.size());
-      tuples.push_back(TupleId{rel, t});
-    }
+    const size_t rows = db.GetTable(rel).value()->num_rows();
+    out.span_of_.emplace(rel, Span{num_tuples, rows});
+    num_tuples += rows;
   }
 
-  UnionFind uf(tuples.size());
+  UnionFind uf(num_tuples);
 
   // For every edge that relates different tuples, union the tuples that
   // agree on the link attribute. A per-(attribute, value) representative
@@ -179,38 +176,34 @@ Result<TupleComponents> TupleComponents::Build(const CausalGraph& graph,
             "link attribute '" + edge.link_attribute +
             "' missing from relation '" + rel + "'");
       }
+      const size_t offset = out.span_of_.at(rel).offset;
       for (size_t t = 0; t < table.num_rows(); ++t) {
         const Value& v = table.At(t, *attr_idx);
-        const size_t tuple_idx =
-            out.tuple_index_.at(TupleKey(TupleId{rel, t}));
-        auto [it, inserted] = representative.emplace(v, tuple_idx);
-        if (!inserted) uf.Union(tuple_idx, it->second);
+        auto [it, inserted] = representative.emplace(v, offset + t);
+        if (!inserted) uf.Union(offset + t, it->second);
       }
       if (from_rel == to_rel) break;  // one pass when both ends share a table
     }
   }
 
-  // Dense block ids by first occurrence.
-  out.block_of_.resize(tuples.size());
-  std::unordered_map<size_t, size_t> root_to_block;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    size_t root = uf.Find(i);
-    auto [it, inserted] = root_to_block.emplace(root, out.blocks_.size());
-    if (inserted) out.blocks_.emplace_back();
-    out.block_of_[i] = it->second;
-    out.blocks_[it->second].push_back(tuples[i]);
+  // Dense block ids by first occurrence of each root.
+  out.block_of_.resize(num_tuples);
+  std::vector<size_t> block_of_root(num_tuples, SIZE_MAX);
+  for (size_t i = 0; i < num_tuples; ++i) {
+    size_t& block = block_of_root[uf.Find(i)];
+    if (block == SIZE_MAX) block = out.num_blocks_++;
+    out.block_of_[i] = block;
   }
-  out.num_blocks_ = out.blocks_.size();
   return out;
 }
 
 Result<size_t> TupleComponents::BlockOf(const TupleId& tuple) const {
-  auto it = tuple_index_.find(TupleKey(tuple));
-  if (it == tuple_index_.end()) {
+  auto it = span_of_.find(tuple.relation);
+  if (it == span_of_.end() || tuple.tid >= it->second.rows) {
     return Status::NotFound("tuple not indexed: " + tuple.relation + "[" +
                             std::to_string(tuple.tid) + "]");
   }
-  return block_of_[it->second];
+  return block_of_[it->second.offset + tuple.tid];
 }
 
 }  // namespace hyper::causal

@@ -21,12 +21,6 @@ struct TupleId {
   }
 };
 
-struct TupleIdHash {
-  size_t operator()(const TupleId& t) const {
-    return std::hash<std::string>()(t.relation) * 1000003u ^ t.tid;
-  }
-};
-
 /// A node of the ground causal graph: attribute A of tuple t (the paper's
 /// ground variables A[t], §2.2).
 struct GroundNode {
@@ -80,22 +74,25 @@ class GroundCausalGraph {
 /// edges: tuples that agree on the link attribute of any cross-tuple (or
 /// cross-relation) edge are unioned through a per-value representative.
 ///
-/// Returns block ids, dense in [0, num_blocks), keyed by tuple.
+/// Block ids are dense in [0, num_blocks), numbered by first appearance
+/// over the relations in name order, each relation's tuples in tid order.
 class TupleComponents {
  public:
   static Result<TupleComponents> Build(const CausalGraph& graph,
                                        const Database& db);
 
   size_t num_blocks() const { return num_blocks_; }
+  /// NotFound for a relation the database lacks or a tid past its end.
   Result<size_t> BlockOf(const TupleId& tuple) const;
 
-  /// Tuples of each block, grouped: block id -> members.
-  const std::vector<std::vector<TupleId>>& blocks() const { return blocks_; }
-
  private:
-  std::unordered_map<std::string, size_t> tuple_index_;  // "rel#tid"
-  std::vector<size_t> block_of_;
-  std::vector<std::vector<TupleId>> blocks_;
+  /// A relation's tuples: tuple t is block_of_[offset + t], t < rows.
+  struct Span {
+    size_t offset = 0;
+    size_t rows = 0;
+  };
+  std::unordered_map<std::string, Span> span_of_;  // by relation name
+  std::vector<size_t> block_of_;                   // per tuple
   size_t num_blocks_ = 0;
 };
 

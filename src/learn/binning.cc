@@ -3,36 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
+#include "common/grouping.h"
+
 namespace hyper::learn {
-
-namespace {
-
-/// Hash of one code row stored as `words` zero-padded 8-byte words.
-uint64_t HashCodeRow(const uint8_t* codes, size_t words) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t word;
-    std::memcpy(&word, codes + 8 * w, 8);
-    h = (h ^ word) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return h;
-}
-
-bool SameCodeRow(const uint8_t* a, const uint8_t* b, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t wa, wb;
-    std::memcpy(&wa, a + 8 * w, 8);
-    std::memcpy(&wb, b + 8 * w, 8);
-    if (wa != wb) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
                                          size_t max_bins) {
@@ -48,11 +23,12 @@ Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
   BinnedMatrix out;
   out.num_features_ = x.num_cols();
   out.offsets_.assign(out.num_features_ + 1, 0);
-  // Code rows are zero-padded to whole 8-byte words, so grouping hashes and
-  // compares words.
-  const size_t words = (out.num_features_ + 7) / 8;
-  out.stride_ = 8 * words;
-  std::vector<uint8_t> codes(n * out.stride_);  // row-major until grouped
+  // Code rows are zero-padded to whole 8-byte words: the grouping table's
+  // keys.
+  out.words_ = (out.num_features_ + 7) / 8;
+  const size_t stride = 8 * out.words_;
+  std::vector<uint64_t> code_rows(n * out.words_);  // row-major until grouped
+  uint8_t* const codes = reinterpret_cast<uint8_t*>(code_rows.data());
 
   // A feature's distinct values, found in one pass over the column through
   // an open-addressing table over value bits, with room for max_bins (at
@@ -78,8 +54,7 @@ Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
     const size_t cols = x.num_cols();
     uint64_t* keys = slot_bits.data();
     uint8_t* index = slot_index.data();
-    uint8_t* code = codes.data() + f;
-    const size_t stride = out.stride_;
+    uint8_t* code = codes + f;
     bool dense = false;
     for (size_t r = 0; r < n; ++r) {
       const double v = column[r * cols];
@@ -173,47 +148,19 @@ Result<BinnedMatrix> BinnedMatrix::Build(const FeatureMatrix& x,
       const double v = x.At(r, f);
       const size_t b =
           std::lower_bound(bmax, bmax + bins, v) - bmax;
-      codes[r * out.stride_ + f] =
-          static_cast<uint8_t>(b < bins ? b : bins - 1);
+      code[r * stride] = static_cast<uint8_t>(b < bins ? b : bins - 1);
     }
   }
   out.offsets_[out.num_features_] = out.bin_min_.size();
 
   // Group rows by code row, numbering groups in order of first appearance.
-  // The open-addressing table holds group ids; a group's code row, stored
-  // once, is its key. The table doubles when half full.
-  out.group_of_.assign(n, 0);
-  if (words == 0) {
-    out.num_groups_ = n > 0 ? 1 : 0;  // every row has the empty code row
-    return out;
-  }
-  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> slots(64, kEmpty);
+  GroupingTable groups(out.words_);
+  out.group_of_.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    const uint8_t* row = codes.data() + r * out.stride_;
-    size_t mask = slots.size() - 1;
-    size_t s = HashCodeRow(row, words) & mask;
-    uint32_t g;
-    while ((g = slots[s]) != kEmpty &&
-           !SameCodeRow(out.group_codes(g), row, words)) {
-      s = (s + 1) & mask;
-    }
-    if (g == kEmpty) {
-      g = static_cast<uint32_t>(out.num_groups_++);
-      out.group_codes_.insert(out.group_codes_.end(), row, row + out.stride_);
-      slots[s] = g;
-      if (2 * out.num_groups_ > slots.size()) {
-        slots.assign(2 * slots.size(), kEmpty);
-        mask = slots.size() - 1;
-        for (uint32_t other = 0; other < out.num_groups_; ++other) {
-          size_t t = HashCodeRow(out.group_codes(other), words) & mask;
-          while (slots[t] != kEmpty) t = (t + 1) & mask;
-          slots[t] = other;
-        }
-      }
-    }
-    out.group_of_[r] = g;
+    out.group_of_[r] = groups.Insert(code_rows.data() + r * out.words_);
   }
+  out.num_groups_ = groups.size();
+  out.group_codes_ = std::move(groups).TakeKeys();
   return out;
 }
 

@@ -21,10 +21,12 @@ namespace hyper::learn {
 /// discrete. A denser feature stops the pass and gets equal-count
 /// (quantile) bins from its sorted column.
 ///
-/// A row's *code row* is its F codes, one byte per feature. Rows with equal
-/// code rows are indistinguishable to every split a tree can make, so the
-/// image stores each distinct code row once, as a *group*, plus one 4-byte
-/// group id per row. Groups are numbered in order of first appearance.
+/// A row's *code row* is its F codes, one byte per feature, zero-padded to
+/// whole 8-byte words. Rows with equal code rows are indistinguishable to
+/// every split a tree can make, so the image stores each distinct code row
+/// once, as a *group*, plus one 4-byte group id per row. A GroupingTable
+/// (common/grouping.h) numbers the groups in order of first appearance, and
+/// its keys are the stored code rows.
 /// A forest whose targets sum exactly folds how often each tree drew each
 /// row into per-group items and grows the tree over those (tree.h,
 /// forest.h), so a node
@@ -61,7 +63,8 @@ class BinnedMatrix {
   uint32_t group(size_t r) const { return group_of_[r]; }
   /// Codes of group `g`, contiguous, one byte per feature.
   const uint8_t* group_codes(size_t g) const {
-    return group_codes_.data() + g * stride_;
+    return reinterpret_cast<const uint8_t*>(group_codes_.data() +
+                                            g * words_);
   }
 
   /// Code of row `r` on feature `f`: its group's.
@@ -82,14 +85,14 @@ class BinnedMatrix {
 
  private:
   size_t num_features_ = 0;
-  /// Bytes per stored code row: num_features zero-padded to whole words.
-  size_t stride_ = 0;
+  /// 8-byte words per stored code row: num_features zero-padded bytes.
+  size_t words_ = 0;
   size_t num_groups_ = 0;
-  std::vector<uint8_t> group_codes_;  // num_groups x stride
-  std::vector<uint32_t> group_of_;    // per row
-  std::vector<size_t> offsets_;       // per-feature bin offsets, size F+1
-  std::vector<double> bin_min_;       // flattened per-bin minima
-  std::vector<double> bin_max_;       // flattened per-bin maxima
+  std::vector<uint64_t> group_codes_;  // num_groups x words
+  std::vector<uint32_t> group_of_;     // per row
+  std::vector<size_t> offsets_;        // per-feature bin offsets, size F+1
+  std::vector<double> bin_min_;        // flattened per-bin minima
+  std::vector<double> bin_max_;        // flattened per-bin maxima
 };
 
 }  // namespace hyper::learn

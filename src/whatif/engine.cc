@@ -1,6 +1,7 @@
 #include "whatif/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <unordered_set>
 
 #include "causal/ground.h"
+#include "common/grouping.h"
 #include "common/hash.h"
 #include "common/mutex.h"
 #include "common/rng.h"
@@ -85,36 +87,60 @@ struct PatternEstimators {
   std::unique_ptr<learn::ConditionalMeanEstimator> value;   // E[Y * 1{res}]
 };
 
-std::unique_ptr<learn::ConditionalMeanEstimator> MakeEstimator(
-    const WhatIfOptions& options) {
-  if (options.estimator == learn::EstimatorKind::kFrequency) {
-    return std::make_unique<learn::FrequencyEstimator>(
-        /*backoff=*/true, options.frequency_smoothing);
-  }
-  learn::ForestOptions fo = options.forest;
-  fo.seed = options.seed * 2654435761u + 17;
-  // The engine's thread budget (--threads at the service/shell layer) is
-  // also the forest trainer's budget, unless the forest was configured with
-  // its own. Training results are identical for every setting.
-  if (fo.num_threads == 0) fo.num_threads = options.num_threads;
-  return std::make_unique<learn::RandomForestRegressor>(fo);
+/// What pattern-estimator training reads of a request's options: the
+/// fields EstimatorConfigKey encodes, with the forest's seed derived from
+/// the request's. A LearnStage keeps this and nothing else of the request
+/// that built it: no guard, token or budget, and no thread count, since a
+/// pattern trains under the budget of the call that needs it.
+struct EstimatorConfig {
+  learn::EstimatorKind kind = learn::EstimatorKind::kForest;
+  double frequency_smoothing = 0.0;
+  learn::ForestOptions forest;  // num_threads: 0, set per training call
+};
+
+EstimatorConfig EstimatorConfigOf(const WhatIfOptions& options) {
+  EstimatorConfig config;
+  config.kind = options.estimator;
+  config.frequency_smoothing = options.frequency_smoothing;
+  config.forest = options.forest;
+  config.forest.seed = options.seed * 2654435761u + 17;
+  config.forest.num_threads = 0;
+  return config;
 }
 
-/// Trains a freshly-made pattern estimator, routing forests through the
-/// plan-shared pre-binned matrix when one is available (binning is a pure
-/// function of the training matrix, so sharing it never changes the trees).
-Status FitPatternEstimator(learn::ConditionalMeanEstimator* est,
-                           const WhatIfOptions& options,
-                           const learn::FeatureMatrix& x,
-                           const learn::BinnedMatrix* binned,
-                           const std::vector<double>& y) {
-  if (binned != nullptr &&
-      options.estimator == learn::EstimatorKind::kForest &&
-      options.forest.tree.use_histograms) {
-    return static_cast<learn::RandomForestRegressor*>(est)->FitPreBinned(
-        x, *binned, y);
+/// The forest trainer's budget in an engine call whose own budget is
+/// `budget` (unresolved: 0 = the forest's auto mode), unless the call's
+/// forest options set their own. Training results are identical for every
+/// setting.
+size_t TrainThreads(const WhatIfOptions& options, size_t budget) {
+  return options.forest.num_threads != 0 ? options.forest.num_threads
+                                         : budget;
+}
+
+/// A fresh estimator of `config` fitted to (x, y). A forest trains on
+/// `train_threads` workers (0 = its auto mode), through the stage-shared
+/// binned image of x when there is one: a stage bins only for histogram
+/// forests, and binning is a pure function of the training matrix, so
+/// sharing it never changes the trees.
+Result<std::unique_ptr<learn::ConditionalMeanEstimator>> TrainEstimator(
+    const EstimatorConfig& config, size_t train_threads,
+    const learn::FeatureMatrix& x, const learn::BinnedMatrix* binned,
+    const std::vector<double>& y) {
+  std::unique_ptr<learn::ConditionalMeanEstimator> est;
+  if (config.kind == learn::EstimatorKind::kFrequency) {
+    est = std::make_unique<learn::FrequencyEstimator>(
+        /*backoff=*/true, config.frequency_smoothing);
+  } else {
+    learn::ForestOptions fo = config.forest;
+    fo.num_threads = train_threads;
+    est = std::make_unique<learn::RandomForestRegressor>(fo);
   }
-  return est->Fit(x, y);
+  HYPER_RETURN_NOT_OK(
+      binned != nullptr
+          ? static_cast<learn::RandomForestRegressor*>(est.get())
+                ->FitPreBinned(x, *binned, y)
+          : est->Fit(x, y));
+  return est;
 }
 
 double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
@@ -637,42 +663,57 @@ struct CausalStageData {
   std::vector<size_t> block_end;
 };
 
-/// LearnStage: fitted encoders, the (binned) training matrix, psi prep, and
-/// the lazily-grown cache of trained pattern estimators. Keyed by the delta
+/// LearnStage: fitted encoders, the feature matrix of every view row, its
+/// residual groups, the (binned) training matrix, psi prep, and the
+/// lazily-grown cache of trained pattern estimators. Keyed by the delta
 /// fingerprint restricted to the attributes training reads, so branches
 /// whose deltas miss that set share one LearnStage — estimators included.
 struct LearnStageData {
-  WhatIfOptions options;  // estimator-relevant engine options at build time
+  EstimatorConfig estimator;
   bool has_output = false;
 
-  /// Intervention-independent psi (cross-tuple feature) state: link groups,
-  /// pre-update sums and the per-row pre group means.
+  /// Intervention-independent psi (cross-tuple feature) state: link groups
+  /// and pre-update sums. A row's pre-update group mean is its psi feature,
+  /// in x.
   struct PsiPrep {
     std::vector<double> pre_b;
     std::vector<uint32_t> gid;
     std::vector<double> sum_pre;
     std::vector<size_t> counts;
-    std::vector<double> psi_pre;  // per row
   };
   std::vector<PsiPrep> psi;
 
   std::optional<learn::FeatureEncoder> encoder;
   std::vector<std::optional<learn::QuantileDiscretizer>> feature_disc;
-  std::vector<std::vector<double>> feat;  // encoded + snapped, per feature
-  /// Rows grouped by the byte pattern of their non-update feature columns
-  /// (same byte-equality the per-row dedup uses, so group == distinct
+  /// Every view row's features, row-major: the F encoded (and snapped)
+  /// features in plan order, update attributes first, then the P psi
+  /// pre-update group means. Unsampled, it is the training matrix.
+  learn::FeatureMatrix x;
+  /// Rows grouped by their residual key, the words [#updates, F) of their
+  /// row of x: the bits of their non-update features (same bitwise
+  /// equality as an evaluation's point dedup, so group == distinct
   /// post-update feature point whenever the update features and psi are
   /// row-constant). Lets a Set-update evaluation map affected rows to batch
   /// slots with one array read instead of hashing the point per row.
   std::vector<uint32_t> residual_gid;
   uint32_t residual_groups = 0;
+  /// HypeR-sampled training (§5.2): the sampled view rows, in draw order,
+  /// and their rows of x. Both empty when every row trains.
   std::vector<size_t> train_rows;
-  learn::FeatureMatrix train_x;
-  /// Quantile-binned image of train_x for histogram forest training,
+  learn::FeatureMatrix sampled_x;
+  /// Binned image of the training matrix for histogram forest training,
   /// computed once per stage and shared across every pattern estimator and
   /// every tree (absent for other estimator configs).
   std::optional<learn::BinnedMatrix> train_binned;
-  std::vector<double> y_obs;
+  std::vector<double> y_obs;  // per training row
+
+  const learn::FeatureMatrix& train_x() const {
+    return train_rows.empty() ? x : sampled_x;
+  }
+  /// The view row of training row `i`.
+  size_t train_row(size_t i) const {
+    return train_rows.empty() ? i : train_rows[i];
+  }
 
   double SnapFeature(size_t j, double v) const {
     return feature_disc[j].has_value()
@@ -695,14 +736,15 @@ struct LearnStageData {
   /// by the stage key's restricted-fingerprint contract). `was_cached`
   /// reports whether training was skipped; `train_time` accrues the cost
   /// actually incurred by this call; the residual's mask kernel runs on at
-  /// most `threads` threads. Thread-safe; a pattern is trained by exactly
-  /// the first caller that needs it.
+  /// most `threads` threads, and a forest trains on `train_threads`
+  /// (TrainThreads). Thread-safe; a pattern is trained by exactly the first
+  /// caller that needs it.
   Result<const PatternEstimators*> EnsurePattern(
       const std::string& key, bool is_literal, bool literal_value,
       const relational::ColumnBoundExpr* exact, bool* was_cached,
       Stopwatch::Clock::duration* train_time,
-      const governance::ExecGuard* guard, size_t threads) const
-      EXCLUDES(mu) {
+      const governance::ExecGuard* guard, size_t threads,
+      size_t train_threads) const EXCLUDES(mu) {
     MutexLock lock(&mu);
     auto it = patterns.find(key);
     if (it != patterns.end()) {
@@ -710,11 +752,12 @@ struct LearnStageData {
       return &it->second;
     }
     *was_cached = false;
+    const learn::FeatureMatrix& tx = train_x();
+    const size_t m = tx.num_rows();
     // A governed abort below unwinds before the emplace, so the pattern
     // cache never holds a partially trained estimator.
     if (guard != nullptr) {
-      HYPER_RETURN_NOT_OK(
-          guard->ChargeRows(train_rows.size(), "whatif.train"));
+      HYPER_RETURN_NOT_OK(guard->ChargeRows(m, "whatif.train"));
     }
     Stopwatch train_timer;
     PatternEstimators pat;
@@ -723,42 +766,40 @@ struct LearnStageData {
 
     const learn::BinnedMatrix* binned =
         train_binned.has_value() ? &*train_binned : nullptr;
-    std::vector<double> ind(train_rows.size(), 1.0);
+    std::vector<double> ind(m, 1.0);
     governance::LoopCheck gov_loop(guard);
     if (!is_literal) {
-      // Indicator of the residual pattern over the sampled rows. The mask
+      // Indicator of the residual pattern over the training rows. The mask
       // kernel evaluates all rows branch-free and the gather keeps exactly
-      // the sampled ones; on ineligible trees the per-row loop (which can
+      // the training ones; on ineligible trees the per-row loop (which can
       // also surface evaluation errors) runs instead.
       std::vector<uint8_t> ind_mask;
       if (exact->TryMaskKernel(&ind_mask, threads)) {
-        for (size_t i = 0; i < train_rows.size(); ++i) {
-          ind[i] = ind_mask[train_rows[i]] != 0 ? 1.0 : 0.0;
+        for (size_t i = 0; i < m; ++i) {
+          ind[i] = ind_mask[train_row(i)] != 0 ? 1.0 : 0.0;
         }
       } else {
-        for (size_t i = 0; i < train_rows.size(); ++i) {
+        for (size_t i = 0; i < m; ++i) {
           if (gov_loop.Due()) {
             HYPER_RETURN_NOT_OK(guard->Check("whatif.train"));
           }
-          HYPER_ASSIGN_OR_RETURN(bool b, exact->EvalBool(train_rows[i]));
+          HYPER_ASSIGN_OR_RETURN(bool b, exact->EvalBool(train_row(i)));
           ind[i] = b ? 1.0 : 0.0;
         }
       }
-      pat.weight = MakeEstimator(options);
-      HYPER_RETURN_NOT_OK(
-          FitPatternEstimator(pat.weight.get(), options, train_x, binned, ind));
+      HYPER_ASSIGN_OR_RETURN(
+          pat.weight,
+          TrainEstimator(estimator, train_threads, tx, binned, ind));
     }
     if (has_output && !(is_literal && !literal_value)) {
       if (guard != nullptr) {
         HYPER_RETURN_NOT_OK(guard->Check("whatif.train"));
       }
-      std::vector<double> value_target(train_rows.size());
-      for (size_t i = 0; i < train_rows.size(); ++i) {
-        value_target[i] = y_obs[i] * ind[i];
-      }
-      pat.value = MakeEstimator(options);
-      HYPER_RETURN_NOT_OK(FitPatternEstimator(pat.value.get(), options,
-                                              train_x, binned, value_target));
+      std::vector<double> value_target(m);
+      for (size_t i = 0; i < m; ++i) value_target[i] = y_obs[i] * ind[i];
+      HYPER_ASSIGN_OR_RETURN(
+          pat.value,
+          TrainEstimator(estimator, train_threads, tx, binned, value_target));
     }
     *train_time += train_timer.Elapsed();
     auto [ins, inserted] = patterns.emplace(key, std::move(pat));
@@ -947,7 +988,7 @@ std::string EstimatorConfigKey(const WhatIfOptions& options) {
       "|est=%d|smooth=%.17g|sample=%zu|seed=%llu",
       static_cast<int>(options.estimator), options.frequency_smoothing,
       options.sample_size, static_cast<unsigned long long>(options.seed));
-  // No forest.seed: MakeEstimator derives every forest's seed from
+  // No forest.seed: EstimatorConfigOf derives every forest's seed from
   // options.seed, so requests that differ only there train the same bits.
   const learn::ForestOptions& f = options.forest;
   key += StrFormat(
@@ -1098,9 +1139,10 @@ Status BuildBlocks(const CompiledWhatIf& q, const Database& db,
     HYPER_ASSIGN_OR_RETURN(const Database* rows, SnapshotRows(db, ctx, &hold));
     auto components = causal::TupleComponents::Build(graph, *rows);
     if (!components.ok()) return Status::OK();
+    causal::TupleId tuple{q.view_info->update_relation, 0};
     for (size_t r = 0; r < n; ++r) {
-      auto block = components->BlockOf(
-          causal::TupleId{q.view_info->update_relation, tid[r]});
+      tuple.tid = tid[r];
+      auto block = components->BlockOf(tuple);
       block_of_row[r] = block.ok() ? *block : 0;
     }
   }
@@ -1215,16 +1257,24 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     const CompiledWhatIf& q, const WhatIfOptions& options,
     const ExecGuard* guard) {
   auto stage = std::make_shared<LearnStageData>();
-  stage->options = options;
+  stage->estimator = EstimatorConfigOf(options);
   stage->has_output = q.output_value != nullptr;
   const ColumnTable& cview = scope.cview;
   const Schema& vschema = q.view_info->view->schema();
   const size_t n = cview.num_rows();
   const WhatIfPlan& plan = causal.plan;
   const std::vector<WhatIfPlan::PsiSpec>& psi_specs = plan.psi_specs;
+  // Feature layout from the shared plan: update attributes, then backdoor
+  // columns, then For conditioning columns, then psi.
+  const std::vector<std::string>& feature_cols = plan.feature_cols;
+  const size_t num_features = feature_cols.size();
+  const size_t dims = num_features + psi_specs.size();
   if (guard != nullptr) {
     HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.prepare.learn"));
+    HYPER_RETURN_NOT_OK(
+        guard->ChargeBytes(n * dims * sizeof(double), "whatif.prepare.learn"));
   }
+  stage->x = learn::FeatureMatrix(n, dims);
 
   // psi prep: link groups and pre-update sums, accumulated in row order.
   stage->psi.resize(psi_specs.size());
@@ -1249,18 +1299,13 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
       prep.sum_pre[prep.gid[r]] += prep.pre_b[r];
       ++prep.counts[prep.gid[r]];
     }
-    prep.psi_pre.resize(n);
     for (size_t r = 0; r < n; ++r) {
       const uint32_t g = prep.gid[r];
-      prep.psi_pre[r] =
-          prep.sum_pre[g] / static_cast<double>(prep.counts[g]);
+      stage->x.Set(r, num_features + p,
+                   prep.sum_pre[g] / static_cast<double>(prep.counts[g]));
     }
   }
 
-  // Feature layout from the shared plan: update attributes, then backdoor
-  // columns, then For conditioning columns, then psi.
-  const std::vector<std::string>& feature_cols = plan.feature_cols;
-  const size_t num_features = feature_cols.size();
   HYPER_ASSIGN_OR_RETURN(learn::FeatureEncoder encoder,
                          learn::FeatureEncoder::Fit(cview, feature_cols));
   stage->encoder = std::move(encoder);
@@ -1285,99 +1330,56 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     }
   }
 
-  // Encoded (and snapped) feature columns for every row, in one typed pass
-  // per feature.
-  stage->feat.resize(num_features);
+  // Encoded (and snapped) features, one typed pass per feature into its
+  // column of x.
   for (size_t j = 0; j < num_features; ++j) {
-    if (guard != nullptr) {
-      HYPER_RETURN_NOT_OK(
-          guard->ChargeBytes(n * sizeof(double), "whatif.prepare.learn"));
-    }
-    HYPER_ASSIGN_OR_RETURN(stage->feat[j],
+    HYPER_ASSIGN_OR_RETURN(std::vector<double> column,
                            stage->encoder->EncodeColumn(cview, j));
-    if (stage->feature_disc[j].has_value()) {
-      for (size_t r = 0; r < n; ++r) {
-        stage->feat[j][r] = stage->SnapFeature(j, stage->feat[j][r]);
-      }
+    for (size_t r = 0; r < n; ++r) {
+      stage->x.Set(r, j, stage->SnapFeature(j, column[r]));
     }
   }
 
-  // Residual dedup grouping: rows keyed by the bytes of their non-update
-  // feature columns (update features come first in the plan layout). A
-  // Set-update evaluation with no psi features then resolves each affected
-  // row's batch slot from its group id instead of hashing the full feature
-  // point per row; byte equality here is exactly the memcmp the per-row
-  // dedup applies, so the slot assignment is identical.
+  // Residual groups: rows numbered by first appearance of their residual
+  // key, the bits of their non-update features (update features come first
+  // in the layout). A Set-update evaluation with no psi features then
+  // resolves each affected row's batch slot from its group id instead of
+  // grouping the full feature point per row; both groupings compare bits,
+  // so the slot assignment is identical.
   const size_t first = q.updates.size();
+  GroupingTable residual(num_features - first);
   stage->residual_gid.resize(n);
-  std::unordered_map<uint64_t, std::vector<uint32_t>> gid_of_hash;
-  std::vector<uint32_t> group_rep;  // first row of each group
   for (size_t r = 0; r < n; ++r) {
-    Fnv1a hasher;
-    for (size_t j = first; j < num_features; ++j) {
-      uint64_t bits;
-      std::memcpy(&bits, &stage->feat[j][r], sizeof(bits));
-      hasher.Mix(bits);
-    }
-    std::vector<uint32_t>& candidates = gid_of_hash[hasher.hash()];
-    uint32_t gid = UINT32_MAX;
-    for (uint32_t g : candidates) {
-      const size_t rep = group_rep[g];
-      bool same = true;
-      for (size_t j = first; same && j < num_features; ++j) {
-        same = std::memcmp(&stage->feat[j][r], &stage->feat[j][rep],
-                           sizeof(double)) == 0;
-      }
-      if (same) {
-        gid = g;
-        break;
-      }
-    }
-    if (gid == UINT32_MAX) {
-      gid = static_cast<uint32_t>(group_rep.size());
-      group_rep.push_back(static_cast<uint32_t>(r));
-      candidates.push_back(gid);
-    }
-    stage->residual_gid[r] = gid;
+    stage->residual_gid[r] = residual.Insert(stage->x.row(r) + first);
   }
-  stage->residual_groups = static_cast<uint32_t>(group_rep.size());
+  stage->residual_groups = static_cast<uint32_t>(residual.size());
 
-  // Training rows (HypeR-sampled caps them).
+  // HypeR-sampled training rows, gathered from x.
   if (options.sample_size > 0 && options.sample_size < n) {
     Rng rng(options.seed);
     stage->train_rows = rng.SampleWithoutReplacement(n, options.sample_size);
-  } else {
-    stage->train_rows.resize(n);
-    for (size_t r = 0; r < n; ++r) stage->train_rows[r] = r;
-  }
-
-  // Training features: pure double copies out of the encoded columns, into
-  // one flat row-major allocation.
-  if (guard != nullptr) {
-    HYPER_RETURN_NOT_OK(guard->ChargeBytes(
-        stage->train_rows.size() * (num_features + psi_specs.size()) *
-            sizeof(double),
-        "whatif.prepare.learn"));
-  }
-  stage->train_x = learn::FeatureMatrix(stage->train_rows.size(),
-                                        num_features + psi_specs.size());
-  for (size_t i = 0; i < stage->train_rows.size(); ++i) {
-    const size_t r = stage->train_rows[i];
-    double* row = stage->train_x.mutable_row(i);
-    for (size_t j = 0; j < num_features; ++j) row[j] = stage->feat[j][r];
-    for (size_t p = 0; p < psi_specs.size(); ++p) {
-      row[num_features + p] = stage->psi[p].psi_pre[r];
+    const size_t m = stage->train_rows.size();
+    if (guard != nullptr) {
+      HYPER_RETURN_NOT_OK(guard->ChargeBytes(m * dims * sizeof(double),
+                                             "whatif.prepare.learn"));
+    }
+    stage->sampled_x = learn::FeatureMatrix(m, dims);
+    for (size_t i = 0; i < m; ++i) {
+      std::copy_n(stage->x.row(stage->train_rows[i]), dims,
+                  stage->sampled_x.mutable_row(i));
     }
   }
+  const learn::FeatureMatrix& train_x = stage->train_x();
+  const size_t m = train_x.num_rows();
 
-  // Quantile-bin the training matrix once for histogram forest training;
-  // every pattern estimator and every tree shares these codes. (Binning is
+  // Bin the training matrix once for histogram forest training; every
+  // pattern estimator and every tree shares these codes. (Binning is
   // deterministic in the matrix alone, so plans trained from a shared
   // binned image are bit-identical to independently trained ones.)
   if (options.estimator == learn::EstimatorKind::kForest &&
       options.forest.tree.use_histograms) {
     HYPER_ASSIGN_OR_RETURN(learn::BinnedMatrix binned,
-                           learn::BinnedMatrix::Build(stage->train_x));
+                           learn::BinnedMatrix::Build(train_x));
     stage->train_binned = std::move(binned);
   }
 
@@ -1390,33 +1392,33 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
         relational::CompiledExpr::Compile(*q.output_value, scope.scope));
     HYPER_ASSIGN_OR_RETURN(relational::ColumnBoundExpr be,
                            relational::ColumnBoundExpr::Bind(ce, cview));
-    stage->y_obs.resize(stage->train_rows.size());
-    // Evaluate the full column once, then gather the sampled rows. If the
-    // tree is kernel-ineligible or any sampled row errored (division by zero
-    // is the only error an eligible tree can raise), the per-row loop runs
-    // instead, so the build fails with the per-row error and ordering.
+    stage->y_obs.resize(m);
+    // Evaluate the full column once, then gather the training rows. If the
+    // tree is kernel-ineligible or any training row errored (division by
+    // zero is the only error an eligible tree can raise), the per-row loop
+    // runs instead, so the build fails with the per-row error and ordering.
     bool done = false;
     std::vector<double> all;
     std::vector<uint8_t> err;
     if (be.TryEvalDoubleKernel(&all, &err,
                                ThreadPool::ResolveBudget(options.num_threads))) {
       bool any_err = false;
-      for (size_t r : stage->train_rows) any_err |= err[r] != 0;
+      for (size_t i = 0; i < m; ++i) any_err |= err[stage->train_row(i)] != 0;
       if (!any_err) {
-        for (size_t i = 0; i < stage->train_rows.size(); ++i) {
-          stage->y_obs[i] = all[stage->train_rows[i]];
+        for (size_t i = 0; i < m; ++i) {
+          stage->y_obs[i] = all[stage->train_row(i)];
         }
         done = true;
       }
     }
     if (!done) {
       LoopCheck gov_loop(guard);
-      for (size_t i = 0; i < stage->train_rows.size(); ++i) {
+      for (size_t i = 0; i < m; ++i) {
         if (gov_loop.Due()) {
           HYPER_RETURN_NOT_OK(guard->Check("whatif.prepare.learn"));
         }
         HYPER_ASSIGN_OR_RETURN(relational::Scalar v,
-                               be.Eval(stage->train_rows[i]));
+                               be.Eval(stage->train_row(i)));
         HYPER_ASSIGN_OR_RETURN(stage->y_obs[i], v.AsDouble());
       }
     }
@@ -1835,10 +1837,12 @@ namespace {
 
 /// The per-intervention fifth of a what-if run, against a prepared plan.
 /// Its row-order passes fold per ColumnTable::kSegmentRows segment on at
-/// most `threads` threads, the calling thread included.
+/// most `threads` threads, the calling thread included; a pattern it trains
+/// trains its forest on `train_threads` (TrainThreads).
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      const ExecGuard* guard, size_t threads) {
+                                      const ExecGuard* guard, size_t threads,
+                                      size_t train_threads) {
   Stopwatch eval_timer;
   WhatIfResult result;
   const ScopeStageData& sc = *im.scope;
@@ -1951,7 +1955,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     for (size_t r = 0; r < n; ++r) {
       const uint32_t g = prep.gid[r];
       psi_post[p][r] = sum_post[g] / static_cast<double>(prep.counts[g]);
-      if (std::fabs(prep.psi_pre[r] - psi_post[p][r]) > 1e-12) {
+      if (std::fabs(le.x.At(r, num_features + p) - psi_post[p][r]) > 1e-12) {
         psi_changed[r] = 1;
       }
     }
@@ -1983,18 +1987,17 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   /// Post-update feature point of row r, written into dst[0..dims).
   const size_t dims = num_features + psi_specs.size();
   auto emit_features = [&](size_t r, double* dst) {
+    const double* pre = le.x.row(r);
     for (size_t j = 0; j < updates.size(); ++j) {
       if (!in_s[r]) {
-        dst[j] = le.feat[j][r];
+        dst[j] = pre[j];
       } else if (upost[j].is_set) {
         dst[j] = set_feature[j];
       } else {
         dst[j] = le.SnapFeature(j, upost[j].per_row[r]);
       }
     }
-    for (size_t j = updates.size(); j < num_features; ++j) {
-      dst[j] = le.feat[j][r];
-    }
+    std::copy(pre + updates.size(), pre + num_features, dst + updates.size());
     for (size_t p = 0; p < psi_specs.size(); ++p) {
       dst[num_features + p] = psi_post[p][r];
     }
@@ -2010,9 +2013,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // point); Pass B just reads its row's slot.
   struct EntryBatch {
     std::vector<double> feat;  // row-major distinct points, dims wide
-    uint32_t count = 0;        // distinct points
-    /// FNV-of-bytes hash -> slots with that hash (memcmp resolves).
-    std::unordered_map<size_t, std::vector<uint32_t>> dedup;
     std::vector<double> weights, values;  // per slot
   };
   std::vector<EntryBatch> batches;
@@ -2112,7 +2112,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         const PatternEstimators* pat,
         le.EnsurePattern(e.key, e.is_literal, e.literal_value,
                          e.exact.has_value() ? &*e.exact : nullptr,
-                         &was_cached, &train_time, guard, threads));
+                         &was_cached, &train_time, guard, threads,
+                         train_threads));
     pattern_of_entry[id] = pat;
     if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
     return pat;
@@ -2236,7 +2237,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
         if (state[id] == kSkip) continue;
         EntryBatch& eb = batches[id];
-        slot = eb.count++;
+        slot = static_cast<uint32_t>(eb.feat.size() / dims);
         emit_features(r, point.data());
         eb.feat.insert(eb.feat.end(), point.begin(), point.end());
       }
@@ -2244,8 +2245,10 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   } else {
     // Scale/shift updates or psi features (the feature point varies within
     // a residual group), holes over a post image, or too many entries for
-    // the key tables: hash each affected row's feature point, one row at a
-    // time on the calling thread.
+    // the key tables: group each affected row's feature point, one row at a
+    // time on the calling thread. A row's slot is its point's id in its
+    // entry's table.
+    std::vector<GroupingTable> points;
     slot_of_row.assign(n, 0);
     LoopCheck pass_a_check(guard);
     for (size_t r = 0; r < n; ++r) {
@@ -2283,30 +2286,16 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         HYPER_ASSIGN_OR_RETURN(pat, ensure_pattern(id));
       }
       if (pat->weight == nullptr && pat->value == nullptr) continue;
-      if (id >= batches.size()) batches.resize(id + 1);
-      EntryBatch& eb = batches[id];
+      if (id >= points.size()) points.resize(id + 1, GroupingTable(dims));
       emit_features(r, point.data());
-      Fnv1a hasher;
-      for (size_t i = 0; i < dims; ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &point[i], sizeof(bits));
-        hasher.Mix(bits);
-      }
-      std::vector<uint32_t>& slots = eb.dedup[hasher.hash()];
-      uint32_t slot = UINT32_MAX;
-      for (uint32_t s : slots) {
-        if (std::memcmp(eb.feat.data() + static_cast<size_t>(s) * dims,
-                        point.data(), dims * sizeof(double)) == 0) {
-          slot = s;
-          break;
-        }
-      }
-      if (slot == UINT32_MAX) {
-        slot = eb.count++;
-        slots.push_back(slot);
-        eb.feat.insert(eb.feat.end(), point.begin(), point.end());
-      }
-      slot_of_row[r] = slot;
+      slot_of_row[r] = points[id].Insert(point.data());
+    }
+    batches.resize(points.size());
+    for (size_t id = 0; id < points.size(); ++id) {
+      const std::vector<uint64_t> bits = std::move(points[id]).TakeKeys();
+      batches[id].feat.resize(bits.size());
+      std::transform(bits.begin(), bits.end(), batches[id].feat.begin(),
+                     [](uint64_t b) { return std::bit_cast<double>(b); });
     }
   }
 
@@ -2314,7 +2303,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // distinct feature points collected above.
   for (uint32_t id = 0; id < batches.size(); ++id) {
     EntryBatch& eb = batches[id];
-    if (eb.count == 0) continue;
+    if (eb.feat.empty()) continue;
     const PatternEstimators* pat = pattern_of_entry[id];
     const learn::FeatureMatrix points(dims, std::move(eb.feat));
     if (pat->weight != nullptr) {
@@ -2576,7 +2565,8 @@ Result<WhatIfResult> WhatIfEngine::Evaluate(
     const PreparedWhatIf& plan, const std::vector<UpdateSpec>& updates) const {
   const ExecGuardPtr guard = GuardFor(options_);
   return EvaluatePrepared(*plan.impl_, updates, guard.get(),
-                          ThreadPool::ResolveBudget(options_.num_threads));
+                          ThreadPool::ResolveBudget(options_.num_threads),
+                          TrainThreads(options_, options_.num_threads));
 }
 
 Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
@@ -2590,11 +2580,14 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
   const ExecGuardPtr guard = GuardFor(options_);
   std::vector<Status> item_status(interventions.size());
   // The budget is spent once: across the interventions when there are
-  // several, else on the one intervention's segments. Every evaluation is
-  // deterministic at any budget, so results[i] is bit-for-bit identical to
-  // Evaluate(interventions[i]).
+  // several, else on the one intervention's segments and training. Every
+  // evaluation is deterministic at any budget, so results[i] is bit-for-bit
+  // identical to Evaluate(interventions[i]).
   const size_t budget = ThreadPool::ResolveBudget(options_.num_threads);
-  const size_t item_threads = interventions.size() > 1 ? 1 : budget;
+  const size_t item_budget =
+      interventions.size() > 1 ? 1 : options_.num_threads;
+  const size_t item_threads = ThreadPool::ResolveBudget(item_budget);
+  const size_t train_threads = TrainThreads(options_, item_budget);
   ThreadPool::Shared().ParallelFor(
       interventions.size(),
       [&](size_t i) {
@@ -2606,7 +2599,7 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
           }
         }
         auto r = EvaluatePrepared(*plan.impl_, interventions[i], guard.get(),
-                                  item_threads);
+                                  item_threads, train_threads);
         if (!r.ok()) {
           item_status[i] = r.status();
         } else {

@@ -158,7 +158,8 @@ struct WhatIfOptions {
   bool use_blocks = true;
   uint64_t seed = 7;
   /// Thread budget on the process-wide pool (0 = hardware default): the
-  /// forest trainer's (unless forest.num_threads overrides it), the segment
+  /// forest trainer's (unless forest.num_threads overrides it; 1 for a
+  /// pattern trained by an item of a multi-item sweep), the segment
   /// kernels' (When masks, output columns), and one evaluation's. An
   /// evaluation folds per ColumnTable::kSegmentRows segment and merges the
   /// segment partials in segment order, so a view of more than one segment

@@ -343,6 +343,33 @@ TEST(TupleComponentsTest, CategoryEdgeMergesLaptops) {
             blocks.BlockOf(TupleId{"Product", 1}).value());
 }
 
+TEST(TupleComponentsTest, BlocksAreNumberedByFirstAppearance) {
+  Database db = AmazonDb();
+  auto blocks = TupleComponents::Build(AmazonGraph(), db).value();
+  // Over the relations in name order, each in tid order, every block id
+  // first appears right after the ids before it.
+  size_t next = 0;
+  for (const std::string& rel : db.TableNames()) {
+    for (size_t t = 0; t < db.GetTable(rel).value()->num_rows(); ++t) {
+      const size_t block = blocks.BlockOf(TupleId{rel, t}).value();
+      EXPECT_LE(block, next) << rel << "[" << t << "]";
+      if (block == next) ++next;
+    }
+  }
+  EXPECT_EQ(next, blocks.num_blocks());
+}
+
+TEST(TupleComponentsTest, BlockOfUnknownTupleIsNotFound) {
+  Database db = AmazonDb();
+  auto blocks = TupleComponents::Build(AmazonGraph(), db).value();
+  const size_t products = db.GetTable("Product").value()->num_rows();
+  EXPECT_TRUE(blocks.BlockOf(TupleId{"Product", products - 1}).ok());
+  EXPECT_EQ(StatusCode::kNotFound,
+            blocks.BlockOf(TupleId{"Product", products}).status().code());
+  EXPECT_EQ(StatusCode::kNotFound,
+            blocks.BlockOf(TupleId{"Vendor", 0}).status().code());
+}
+
 TEST(TupleComponentsTest, NoEdgesMeansSingletonBlocks) {
   Database db = AmazonDb();
   CausalGraph g;

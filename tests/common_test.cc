@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <set>
+#include <vector>
 
+#include "common/grouping.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -122,6 +129,92 @@ TEST(StringsTest, Join) {
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d/%s", 7, "x"), "7/x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
+}
+
+// ---------------------------------------------------------------------------
+// GroupingTable
+// ---------------------------------------------------------------------------
+
+/// Inserts `keys` (each `words` words) into a GroupingTable and into a
+/// std::map reference that numbers keys by first appearance, and checks
+/// every id, the distinct count and the stored keys against it.
+void ExpectGroupsLikeFirstAppearance(
+    size_t words, const std::vector<std::vector<uint64_t>>& keys) {
+  GroupingTable table(words);
+  std::map<std::vector<uint64_t>, uint32_t> reference;
+  std::vector<std::vector<uint64_t>> key_of_id;
+  for (const std::vector<uint64_t>& key : keys) {
+    ASSERT_EQ(words, key.size());
+    auto [it, inserted] = reference.emplace(
+        key, static_cast<uint32_t>(reference.size()));
+    if (inserted) key_of_id.push_back(key);
+    ASSERT_EQ(it->second, table.Insert(key.data())) << "words=" << words;
+  }
+  ASSERT_EQ(reference.size(), table.size());
+  for (uint32_t id = 0; id < table.size(); ++id) {
+    EXPECT_EQ(key_of_id[id],
+              std::vector<uint64_t>(table.key(id), table.key(id) + words));
+  }
+  std::vector<uint64_t> flat;
+  for (const std::vector<uint64_t>& key : key_of_id) {
+    flat.insert(flat.end(), key.begin(), key.end());
+  }
+  EXPECT_EQ(flat, std::move(table).TakeKeys());
+}
+
+TEST(GroupingTableTest, NumbersRandomKeysByFirstAppearance) {
+  Rng rng(2024);
+  for (size_t words : {0u, 1u, 2u, 3u, 9u}) {
+    // A pool of 3000 keys. Half are random words: 1500 distinct keys grow
+    // the table from 64 to 4096 slots. Half are small integers as doubles,
+    // which differ only in their high bits and often coincide. 12000 draws
+    // from the pool repeat most keys several times.
+    std::vector<std::vector<uint64_t>> pool(3000, std::vector<uint64_t>(words));
+    for (size_t k = 0; k < pool.size(); ++k) {
+      for (uint64_t& w : pool[k]) {
+        w = k % 2 == 0 ? static_cast<uint64_t>(rng.UniformInt(
+                             std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max()))
+                       : std::bit_cast<uint64_t>(
+                             static_cast<double>(rng.UniformInt(0, 7)));
+      }
+    }
+    std::vector<std::vector<uint64_t>> keys;
+    for (int i = 0; i < 12000; ++i) {
+      keys.push_back(pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+    }
+    ExpectGroupsLikeFirstAppearance(words, keys);
+  }
+}
+
+TEST(GroupingTableTest, ComparesBitsNotNumbers) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double rows[][2] = {{0.0, 1.0}, {-0.0, 1.0}, {nan, 1.0},
+                            {0.0, 1.0}, {nan, 1.0},  {-0.0, 1.0}};
+  GroupingTable table(2);
+  std::vector<uint32_t> ids;
+  for (const auto& row : rows) ids.push_back(table.Insert(row));
+  // -0.0 and +0.0 are two keys; one NaN bit pattern is one key.
+  EXPECT_EQ((std::vector<uint32_t>{0, 1, 2, 0, 2, 1}), ids);
+  EXPECT_EQ(3u, table.size());
+
+  // A NaN with another payload is another key.
+  const double other_nan = std::bit_cast<double>(
+      std::bit_cast<uint64_t>(nan) | uint64_t{1});
+  ASSERT_TRUE(std::isnan(other_nan));
+  const double row[2] = {other_nan, 1.0};
+  EXPECT_EQ(3u, table.Insert(row));
+}
+
+TEST(GroupingTableTest, ZeroWordKeysAreOneKey) {
+  GroupingTable table(0);
+  EXPECT_EQ(0u, table.size());
+  const double unused = 5.0;
+  EXPECT_EQ(0u, table.Insert(&unused));
+  EXPECT_EQ(0u, table.Insert(&unused));
+  EXPECT_EQ(1u, table.size());
+  EXPECT_TRUE(std::move(table).TakeKeys().empty());
 }
 
 // ---------------------------------------------------------------------------

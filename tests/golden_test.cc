@@ -188,6 +188,23 @@ std::vector<WhatIfCase> WhatIfCases() {
     c.options.forest.num_trees = 6;
     cases.push_back(std::move(c));
   }
+  // HypeR-sampled (§5.2): estimators train on 500 of the 1500 rows, drawn
+  // by the seed, while every row is evaluated. A When selection and a For
+  // whose residual keeps a trained weight pattern beside the value one.
+  for (learn::EstimatorKind estimator :
+       {learn::EstimatorKind::kForest, learn::EstimatorKind::kFrequency}) {
+    WhatIfCase c;
+    c.id = std::string("whatif.german1500.sampled.") +
+           learn::EstimatorKindName(estimator);
+    c.ds = &German1500();
+    c.sql =
+        "Use German When Sex = 1 Update(Status) = 2 "
+        "Output Avg(Post(Credit)) For Post(Credit) = 1 Or Pre(Age) = 1";
+    c.options.estimator = estimator;
+    c.options.forest.num_trees = 4;
+    c.options.sample_size = 500;
+    cases.push_back(std::move(c));
+  }
   // A joined, aggregated view (one row and one block per product) under
   // every backdoor mode.
   for (whatif::BackdoorMode mode :

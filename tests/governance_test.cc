@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <set>
@@ -16,6 +17,7 @@
 #include "common/governance.h"
 #include "data/datasets.h"
 #include "howto/engine.h"
+#include "service/plan_cache.h"
 #include "service/scenario_service.h"
 #include "sql/parser.h"
 #include "whatif/engine.h"
@@ -379,6 +381,39 @@ TEST_F(GovernanceTest, GenerousBudgetAnswersBitEqualToUngoverned) {
   ASSERT_TRUE(served.ok()) << served.status;
   EXPECT_TRUE(served.whatif.plan_cache_hit);
   EXPECT_EQ(expected, served.whatif.value);
+}
+
+// A LearnStage outlives the request that built it, in the stage cache. It
+// keeps the estimator configuration its training reads and nothing of the
+// request: once the engine, the plan and the request's handle are gone, the
+// request's pre-armed guard is freed although its LearnStage stays cached.
+TEST_F(GovernanceTest, CachedLearnStageDoesNotKeepTheRequestGuard) {
+  service::StageCache cache(8);
+  whatif::StageContext ctx;
+  ctx.stages = &cache;
+  ctx.data_scope = "d";
+  QueryBudget budget;
+  budget.deadline_seconds = 3600.0;
+  whatif::WhatIfOptions options = EngineOptions();
+  options.exec_guard = governance::ExecGuard::Arm(budget, CancelToken::Make());
+  ASSERT_NE(nullptr, options.exec_guard);
+  const std::weak_ptr<governance::ExecGuard> guard = options.exec_guard;
+  {
+    whatif::WhatIfEngine engine(&db_, &graph_, options);
+    options.exec_guard.reset();
+    auto stmt = sql::ParseSql(kAvgQuery);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto plan = engine.Prepare(*stmt->whatif, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto result =
+        engine.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(FreshRun(kAvgQuery), result->value);
+  }
+  // The query section holds the plan; the learn section keeps its stage.
+  EXPECT_EQ(1u, cache.EvictTagged("query|"));
+  EXPECT_EQ(1u, cache.stats().learn.entries);
+  EXPECT_TRUE(guard.expired()) << "a cached stage keeps the request's guard";
 }
 
 // --- service-level aborts and counters ------------------------------------
