@@ -101,7 +101,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 # training indexes flattened bins by the byte codes of rows and of grouped
 # code rows, and a forest fans its trees out on the pool), and common_test
 # (the grouping table that numbers code rows, residual groups and
-# evaluation points reads keys bytewise and grows in place): TSan catches
+# evaluation points reads keys bytewise and grows in place), and
+# integration_test and invariants_test (the what-if fold reads each row's
+# term at a computed key: integration_test runs the cross-tuple market's
+# multi-row blocks, psi features and hashing Pass A, invariants_test the
+# invariant matrix): TSan catches
 # data races on the shared stage caches, the admission/cancellation state,
 # and the pool's morsel cursor under skewed load, ASan catches lifetime
 # bugs in abort unwinding (an aborted request must not leave a stage
@@ -113,7 +117,7 @@ run_sanitizer_leg() {
   local SAN="$1"         # thread | address | undefined
   local FLAG="-fsanitize=$SAN"
   local SAN_BUILD_DIR="${BUILD_DIR}-${2}"   # build dir suffix: tsan | asan | ubsan
-  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test, histogram_test, learn_test, common_test) =="
+  echo "== ${2} smoke (service-labeled tests, golden_test, simd_test, column_test, storage_test, howto_test, edge_cases_test, relational_test, whatif_test, histogram_test, learn_test, common_test, integration_test, invariants_test) =="
   local PROBE
   PROBE="$(mktemp -d)"
   printf 'int main(){return 0;}\n' > "$PROBE/probe.cc"
@@ -121,9 +125,9 @@ run_sanitizer_leg() {
       && "$PROBE/probe"; then
     rm -rf "$PROBE"
     cmake -B "$SAN_BUILD_DIR" -S . -DHYPER_SANITIZE="$SAN" >/dev/null
-    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test histogram_test learn_test common_test
+    cmake --build "$SAN_BUILD_DIR" -j"$(nproc)" --target service_test governance_test obs_test net_test durability_test morsel_test golden_test simd_test column_test storage_test howto_test edge_cases_test relational_test whatif_test histogram_test learn_test common_test integration_test invariants_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -L service
-    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test|histogram_test|learn_test|common_test)$'
+    ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -R '^(golden_test|simd_test|column_test|storage_test|howto_test|edge_cases_test|relational_test|whatif_test|histogram_test|learn_test|common_test|integration_test|invariants_test)$'
   else
     rm -rf "$PROBE"
     echo "${SAN}Sanitizer unavailable in this toolchain; skipping ${2} smoke"

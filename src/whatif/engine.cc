@@ -145,6 +145,13 @@ Result<std::unique_ptr<learn::ConditionalMeanEstimator>> TrainEstimator(
 
 double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
+/// `c ? a : b` through bit masks, so that no branch depends on `c`.
+inline double Select(bool c, double a, double b) {
+  const uint64_t m = uint64_t{0} - static_cast<uint64_t>(c);
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(a) & m) |
+                               (std::bit_cast<uint64_t>(b) & ~m));
+}
+
 // ---------------------------------------------------------------------------
 // Query planning: everything derivable from the compiled query + causal
 // graph without scanning a single row.
@@ -1864,12 +1871,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   result.num_blocks = ca.num_blocks;
   result.backdoor = ca.plan.backdoor_causal;
 
-  if (guard != nullptr) {
-    HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.eval.rows"));
-  }
-
   // The intervention must target the plan's update attributes in order;
-  // constants and update functions are free.
+  // constants and update functions are free. It is checked before the rows
+  // are charged: an invalid intervention reads none.
   if (updates.size() != q.updates.size()) {
     return Status::InvalidArgument(StrFormat(
         "intervention has %zu update(s); the prepared plan expects %zu",
@@ -1882,6 +1886,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           "' does not match the prepared plan's '" + q.updates[j].attribute +
           "'");
     }
+  }
+  if (guard != nullptr) {
+    HYPER_RETURN_NOT_OK(guard->ChargeRows(n, "whatif.eval.rows"));
   }
 
   // Deterministic post image u = f(b) on S, held as per-attribute overrides
@@ -1931,11 +1938,13 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   }
   post_image.set_active(&in_s);
 
-  // Post-update psi group means from the precomputed pre sums. Without psi
-  // features the changed mask stays unallocated — readers treat empty as
-  // all-zero — so psi-free evaluations skip an n-byte zeroed allocation.
+  // Post-update psi group means from the precomputed pre sums. A row is
+  // affected (its post-update distribution comes from the estimators) when
+  // it is in S or one of its psi means moved; without psi features that is
+  // the When mask itself, so psi-free evaluations copy no mask.
   std::vector<std::vector<double>> psi_post(psi_specs.size());
-  std::vector<uint8_t> psi_changed(psi_specs.empty() ? 0 : n, 0);
+  std::vector<uint8_t> psi_affected;
+  if (!psi_specs.empty()) psi_affected = in_s;
   for (size_t p = 0; p < psi_specs.size(); ++p) {
     const WhatIfPlan::PsiSpec& spec = psi_specs[p];
     const LearnStageData::PsiPrep& prep = le.psi[p];
@@ -1956,12 +1965,12 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       const uint32_t g = prep.gid[r];
       psi_post[p][r] = sum_post[g] / static_cast<double>(prep.counts[g]);
       if (std::fabs(le.x.At(r, num_features + p) - psi_post[p][r]) > 1e-12) {
-        psi_changed[r] = 1;
+        psi_affected[r] = 1;
       }
     }
   }
-
-  const uint8_t* psic = psi_changed.empty() ? nullptr : psi_changed.data();
+  const uint8_t* const affected =
+      psi_specs.empty() ? in_s.data() : psi_affected.data();
 
   // Encoded Set-update feature values (one per update, not per row).
   std::vector<double> set_feature(updates.size(), 0.0);
@@ -2010,7 +2019,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // intervention) share one prediction slot, since estimators are pure
   // functions of the point. One PredictBatch per estimator then covers the
   // distinct points (PredictBatch returns exactly what Predict returns per
-  // point); Pass B just reads its row's slot.
+  // point), and each slot's term is computed once for Pass B.
   struct EntryBatch {
     std::vector<double> feat;  // row-major distinct points, dims wide
     std::vector<double> weights, values;  // per slot
@@ -2101,6 +2110,11 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   const uint32_t* row_entry =
       resolved ? qs.row_entry.data() : entry_of_row.data();
   const size_t num_entries = local_entries.size();
+  // The hot loops below take `shared` (every row has the shared entry
+  // uniform_id) as a compile-time constant, so that a loop over the shared
+  // entry reads no entry id; the other loops pass `uniform`.
+  using Shared = std::true_type;
+  using PerRow = std::false_type;
 
   // Trains (or fetches) the pattern estimators of entry `id` on the
   // LearnStage. Entries are immutable once published, so the residual
@@ -2119,6 +2133,11 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     return pat;
   };
 
+  // Both Pass A paths give each row a key, key_base[id] + sub[r], from its
+  // entry id and its residual group (grouped path) or batch slot (hashing
+  // path). Pass B reads a row's term at its key.
+  std::vector<uint32_t> key_base;
+
   // Grouped Pass A — entries known per row (row-invariant or resolved
   // holes), Set updates only, no psi features: every affected row's
   // post-update point is (constant set features) ++ (its non-update feature
@@ -2136,17 +2155,23 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   const uint32_t* gid = le.residual_gid.data();
   const bool grouped = all_set && psi_specs.empty() &&
                        (uniform || (resolved && num_entries * groups <= n));
-  // A key is entry * key_stride + group: the group alone for the shared
-  // entry, entry * groups + group for resolved entries.
-  const size_t key_stride = uniform ? 0 : groups;
   // The batch slot of each key on the grouped path.
   std::vector<uint32_t> slot_of_key;
-  // The batch slot of each affected row on the hashing path.
+  // The batch slot of each affected row on the hashing path (0 for the
+  // other rows).
   std::vector<uint32_t> slot_of_row;
   if (grouped) {
     // Sized before the merge: references into it stay valid.
     batches.resize(num_entries);
-    slot_of_key.assign(uniform ? groups : num_entries * groups, UINT32_MAX);
+    // Keys: the group alone for the shared entry, entry * groups + group
+    // for resolved entries, then a sink of one key per group, so that a key
+    // is always a base plus the row's group. Every skipped entry has the
+    // sink as its base, and each segment meets the sink before its scan
+    // starts.
+    const auto sink =
+        static_cast<uint32_t>((uniform ? 1 : num_entries) * groups);
+    slot_of_key.assign(size_t{sink} + groups, UINT32_MAX);
+    key_base.assign(num_entries, sink);
     // Per entry: not yet met on an affected row, gathering, or nothing to
     // batch (disqualified, or a literal pattern without an estimator).
     enum : uint8_t { kUnseen, kGather, kSkip };
@@ -2156,6 +2181,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       const Entry* e = local_entries[id];
       if (e != nullptr && !(e->is_literal && !e->literal_value)) {
         state[id] = kUnseen;
+        key_base[id] = static_cast<uint32_t>(uniform ? 0 : id * groups);
         any_live = true;
       }
     }
@@ -2171,62 +2197,51 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         state[uniform_id] = any_live ? kGather : kSkip;
       }
     }
+    // A row's key, for the scan and the merge alike.
+    const auto key_of = [row_entry, base = key_base.data(), gid,
+                         shared_base = uniform ? key_base[uniform_id] : 0](
+                            size_t r, auto shared) {
+      return (shared ? shared_base : base[row_entry[r]]) + gid[r];
+    };
     std::vector<std::vector<size_t>> firsts(num_segments);
     std::vector<Status> failed(num_segments);
-    // Lists segment s's affected rows that first meet a key in [begin,
-    // end); key_of(r) is a row's key, or kNoKey when its entry is skipped.
-    // The loop reads local copies only (see Pass B's row body).
-    constexpr size_t kNoKey = SIZE_MAX;
-    const auto scan = [&](size_t s, size_t begin, size_t end, auto key_of) {
-      const uint8_t* affected = in_s.data();
-      const ExecGuard* const check = guard;
-      std::vector<uint8_t> met(slot_of_key.size(), 0);
-      uint8_t* const seen = met.data();
-      std::vector<size_t> out;
-      for (size_t base = begin; base < end; base += kGuardStride) {
-        if (check != nullptr) {
-          Status st = check->Check("whatif.eval.rows");
-          if (!st.ok()) {
-            failed[s] = std::move(st);
-            return;
+    // Lists segment s's affected rows that first meet a key. The loop reads
+    // local copies only (see Pass B's row body).
+    const auto scan = [&](auto shared) {
+      for_each_segment([&](size_t s, size_t begin, size_t end) {
+        const auto key = key_of;
+        const uint8_t* const aff = affected;
+        const ExecGuard* const check = guard;
+        std::vector<uint8_t> met(slot_of_key.size(), 0);
+        uint8_t* const seen = met.data();
+        std::fill(seen + sink, seen + sink + groups, 1);
+        std::vector<size_t> out;
+        for (size_t base = begin; base < end; base += kGuardStride) {
+          if (check != nullptr) {
+            Status st = check->Check("whatif.eval.rows");
+            if (!st.ok()) {
+              failed[s] = std::move(st);
+              return;
+            }
+          }
+          const size_t lim = std::min(end, base + kGuardStride);
+          for (size_t r = base; r < lim; ++r) {
+            if (!aff[r]) continue;
+            const uint32_t k = key(r, shared);
+            if (seen[k] != 0) continue;
+            seen[k] = 1;
+            out.push_back(r);
           }
         }
-        const size_t lim = std::min(end, base + kGuardStride);
-        for (size_t r = base; r < lim; ++r) {
-          if (!affected[r]) continue;  // psi_changed is all-zero with no psi
-          const size_t key = key_of(r);
-          if (key == kNoKey || seen[key] != 0) continue;
-          seen[key] = 1;
-          out.push_back(r);
-        }
-      }
-      firsts[s] = std::move(out);
+        firsts[s] = std::move(out);
+      });
     };
-    if (!any_live) {
-      // No affected row can batch: nothing to scan.
-    } else if (uniform) {
-      // One shared entry, in a scan of its own so that the key is the
-      // row's group alone.
-      for_each_segment([&](size_t s, size_t begin, size_t end) {
-        scan(s, begin, end, [gid](size_t r) -> size_t { return gid[r]; });
-      });
-    } else {
-      const uint8_t* entry_state = state.data();
-      for_each_segment([&](size_t s, size_t begin, size_t end) {
-        scan(s, begin, end,
-             [row_entry, entry_state, key_stride, gid](size_t r) -> size_t {
-               const uint32_t id = row_entry[r];
-               return entry_state[id] == kSkip
-                          ? kNoKey
-                          : size_t{id} * key_stride + gid[r];
-             });
-      });
-    }
+    if (any_live) uniform ? scan(Shared{}) : scan(PerRow{});
     for (const Status& st : failed) HYPER_RETURN_NOT_OK(st);
     for (const std::vector<size_t>& rows : firsts) {
       for (const size_t r : rows) {
         const uint32_t id = uniform ? uniform_id : row_entry[r];
-        uint32_t& slot = slot_of_key[size_t{id} * key_stride + gid[r]];
+        uint32_t& slot = slot_of_key[key_of(r, uniform)];
         if (slot != UINT32_MAX) continue;  // met in an earlier segment
         if (state[id] == kUnseen) {
           HYPER_ASSIGN_OR_RETURN(const PatternEstimators* pat,
@@ -2280,7 +2295,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       }
       const Entry& e = *local_entries[id];
       if (e.is_literal && !e.literal_value) continue;  // disqualified
-      if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
+      if (!affected[r]) continue;  // Pass B
       const PatternEstimators* pat = pattern_of_entry[id];
       if (pat == nullptr) {
         HYPER_ASSIGN_OR_RETURN(pat, ensure_pattern(id));
@@ -2290,7 +2305,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       emit_features(r, point.data());
       slot_of_row[r] = points[id].Insert(point.data());
     }
-    batches.resize(points.size());
+    batches.resize(local_entries.size());
     for (size_t id = 0; id < points.size(); ++id) {
       const std::vector<uint64_t> bits = std::move(points[id]).TakeKeys();
       batches[id].feat.resize(bits.size());
@@ -2316,160 +2331,197 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     }
   }
 
-  // Pass B: the row body every loop below runs. It folds tuple r (resolved
-  // to entry `id`) into (*num, *den) with prob::AddTuple. An unchanged
-  // tuple is exact — weight 1 and its observed output, read from the
-  // stage-level caches; a tri-state error mark re-evaluates the row,
-  // reproducing its per-row error. An affected tuple reads its pattern's
-  // batch slot: its key's on the grouped path, its own on the hashing
-  // path. Returns false with *error set when a re-evaluated row fails.
+  // Each key's term: the (num, den) that prob::AddTuple adds to a zero pair
+  // for an affected row of entry `id` in batch slot `slot` (UINT32_MAX:
+  // none), from the clamped weight (1 or 0 for a literal pattern) and the
+  // predicted value. A disqualified entry, an entry that meets no affected
+  // row, or a weight that the clamp leaves at 0 gets the zero term.
+  struct Term {
+    double num = 0.0, den = 0.0;
+  };
+  const sql::AggKind agg = q.output_agg;
+  const auto term_of = [&](size_t id, uint32_t slot) {
+    Term t;
+    const PatternEstimators* pat = pattern_of_entry[id];
+    if (pat == nullptr) return t;
+    const bool has_slot = slot != UINT32_MAX;
+    const double weight =
+        pat->literal ? (pat->literal_value ? 1.0 : 0.0)
+        : has_slot   ? Clamp01(batches[id].weights[slot])
+                     : 0.0;
+    if (weight <= 0.0) return t;
+    const double value =
+        pat->value != nullptr && has_slot ? batches[id].values[slot] : 0.0;
+    prob::AddTuple(agg, weight, value, &t.num, &t.den);
+    return t;
+  };
+  std::vector<Term> terms;
+  if (grouped) {
+    terms.resize(slot_of_key.size());
+    const size_t sink = slot_of_key.size() - groups;  // its terms stay zero
+    for (size_t id = 0; id < num_entries; ++id) {
+      if (key_base[id] == sink) continue;
+      for (uint32_t k = key_base[id]; k < key_base[id] + groups; ++k) {
+        terms[k] = term_of(id, slot_of_key[k]);
+      }
+    }
+  } else {
+    // Each entry's slots in turn (a batched entry has one estimator or
+    // two, each predicting every slot). A row without a slot reads slot 0
+    // of its entry, which is the one key of an entry without slots.
+    key_base.resize(local_entries.size());
+    for (size_t id = 0; id < local_entries.size(); ++id) {
+      const size_t slots =
+          std::max(batches[id].weights.size(), batches[id].values.size());
+      key_base[id] = static_cast<uint32_t>(terms.size());
+      if (slots == 0) terms.push_back(term_of(id, UINT32_MAX));
+      for (uint32_t s = 0; s < slots; ++s) terms.push_back(term_of(id, s));
+    }
+  }
+
+  // Two observed keys follow: an unaffected row reads obs + v, where v is
+  // its qualification mark, 0 (the zero term) or 1 (what prob::AddTuple
+  // adds for weight 1 besides the observed output, which the row adds
+  // itself: 1 for Count, a denominator of 1 for Avg).
+  const auto obs = static_cast<uint32_t>(terms.size());
+  Term unit;
+  prob::AddTuple(agg, 1.0, 0.0, &unit.num, &unit.den);
+  terms.push_back(Term{});
+  terms.push_back(unit);
+
+  // How an unaffected row qualifies: per entry, 0 or 1 for a literal and 2
+  // (re-evaluate the residual) for a residual without a mask, ORed with the
+  // shared entry's cached mask when it has one (0/1, 2 where evaluation
+  // errs), read per row; one zero byte stands in for a missing mask.
+  static constexpr uint8_t kZeroByte = 0;
+  std::vector<uint8_t> qual_of(local_entries.size(), 0);
+  for (size_t id = 0; id < local_entries.size(); ++id) {
+    const Entry* e = local_entries[id];
+    if (e == nullptr) continue;
+    qual_of[id] = e->is_literal ? (e->literal_value ? 1 : 0)
+                  : e->exact_vals.empty() ? 2
+                                          : 0;
+  }
+  const std::vector<uint8_t>* shared_mask =
+      uniform ? &local_entries[uniform_id]->exact_vals : nullptr;
+  const bool masked = shared_mask != nullptr && !shared_mask->empty();
+  const bool has_output = qs.out_eval.has_value();
+
+  // Pass B's exception path: the term of an unaffected row whose mark v
+  // is 2 or whose output y has an error mark, re-evaluating the residual,
+  // and the output when the row qualifies, so that the row reproduces its
+  // own error (set in *error). The term is what the row body adds for the
+  // observed key obs + v. It stays out of line and returns the term rather
+  // than adding it: inlined, or handed the partial sums (which then live in
+  // memory), it made every row of the body slower.
+  const auto reevaluate =
+      [entries = local_entries.data(),
+       out_eval = has_output ? &*qs.out_eval : nullptr,
+       unit](size_t r, uint32_t id, bool out_err, uint8_t v, double y,
+             Status* error) __attribute__((noinline, cold)) {
+        if (v == 2) {
+          auto qr = entries[id]->exact->EvalBool(r);
+          if (!qr.ok()) {
+            *error = qr.status();
+            return Term{};
+          }
+          v = *qr ? 1 : 0;
+        }
+        if (v == 0) return Term{};
+        if (out_err) {
+          auto vr = out_eval->Eval(r);
+          if (!vr.ok()) {
+            *error = vr.status();
+            return Term{};
+          }
+          auto dr = vr->AsDouble();
+          if (!dr.ok()) {
+            *error = dr.status();
+            return Term{};
+          }
+          y = *dr;
+        }
+        return Term{unit.num + y, unit.den};
+      };
+
+  // Pass B: the row body every fold below runs. It adds row r's term to
+  // (*num, *den): an affected row's key term, or an unaffected row's
+  // observed term, which is exact (weight 1 and its observed output, read
+  // from the stage-level caches) when it qualifies and zero when it does
+  // not. Only an unaffected row whose qualification or output must be
+  // re-evaluated (a mark of 2, or an output error mark) leaves the select
+  // for the exception path; the body then returns false with *error set
+  // when that evaluation fails. Every other row selects its key and its
+  // output with bit masks, so no branch depends on the When mask, the
+  // qualification or the row's entry. A partial starts at +0.0 and can
+  // never become -0.0, so adding a zero term is exactly skipping the row,
+  // and the one addend t.num + y, of which one side is +0.0, is exactly
+  // the other side. `shared` and `output` (the plan has an output
+  // expression) are compile-time constants.
   //
   // The body captures plain pointers and scalars by value, and each fold
   // runs a local copy of it: the segment closures handed to the pool make
   // every local they capture by reference escape, and a value read through
   // such a capture would be re-read on every row.
-  const Entry* const* entry_at = local_entries.data();
-  const PatternEstimators* const* pattern_at = pattern_of_entry.data();
-  const EntryBatch* batch_at = batches.data();
-  const uint8_t* affected = in_s.data();
-  const relational::ColumnBoundExpr* out_eval =
-      qs.out_eval.has_value() ? &*qs.out_eval : nullptr;
-  const uint8_t* out_err = qs.out_err.data();
-  const double* out_all = qs.out_all.data();
-  const uint32_t* key_slot = grouped ? slot_of_key.data() : nullptr;
-  const uint32_t* row_slot = slot_of_row.data();
-  const sql::AggKind agg = q.output_agg;
-  const auto add_row = [entry_at, pattern_at, batch_at, affected, psic,
-                        out_eval, out_err, out_all, key_stride, key_slot, gid,
-                        row_slot, agg](size_t r, uint32_t id, double* num,
-                                       double* den, Status* error)
-      __attribute__((always_inline)) {
-    const auto slot = [&] {
-      return key_slot != nullptr ? key_slot[size_t{id} * key_stride + gid[r]]
-                                 : row_slot[r];
-    };
-    const Entry& e = *entry_at[id];
-    if (e.is_literal && !e.literal_value) return true;  // disqualified
-    double weight = 1.0, weighted_value = 0.0;
-    if (!(affected[r] || (psic != nullptr && psic[r]))) {
-      bool qualifies = e.literal_value;
-      if (!e.is_literal) {
-        const uint8_t v = e.exact_vals.empty() ? 2 : e.exact_vals[r];
-        if (v == 2) {
-          auto qr = e.exact->EvalBool(r);
-          if (!qr.ok()) {
-            *error = qr.status();
-            return false;
-          }
-          qualifies = *qr;
-        } else {
-          qualifies = v != 0;
+  const auto add_row =
+      [row_entry, shared_id = uniform_id, base = key_base.data(),
+       shared_base = uniform ? key_base[uniform_id] : 0,
+       sub = grouped ? gid : slot_of_row.data(), term = terms.data(), obs,
+       affected, qual = qual_of.data(),
+       shared_qual = uniform ? qual_of[uniform_id] : 0,
+       mask_at = masked ? shared_mask->data() : &kZeroByte,
+       mask_mask = masked ? SIZE_MAX : size_t{0}, y_at = qs.out_all.data(),
+       err_at = qs.out_err.data(),
+       reevaluate](size_t r, double* num, double* den, Status* error,
+                   auto shared, auto output) __attribute__((always_inline)) {
+        const uint32_t id = shared ? shared_id : row_entry[r];
+        const uint8_t a = affected[r];
+        const uint8_t v =
+            mask_at[r & mask_mask] | (shared ? shared_qual : qual[id]);
+        const double y = output ? y_at[r] : 0.0;
+        const uint8_t e = output ? err_at[r] : 0;
+        // Marks are 0/1/2 and flags 0/1, so bit 1 of v is a mark of 2. The
+        // tests are bit arithmetic: a chain of bool operators compiles to
+        // branches on each operand.
+        if ((((v >> 1) | e) & ~a & 1) != 0) [[unlikely]] {
+          const Term o = reevaluate(r, id, e != 0, v, y, error);
+          if (!error->ok()) return false;
+          *num += o.num;
+          *den += o.den;
+          return true;
         }
-      }
-      if (!qualifies) return true;
-      if (out_eval != nullptr) {
-        if (out_err[r]) {
-          auto vr = out_eval->Eval(r);
-          if (!vr.ok()) {
-            *error = vr.status();
-            return false;
-          }
-          auto dr = vr->AsDouble();
-          if (!dr.ok()) {
-            *error = dr.status();
-            return false;
-          }
-          weighted_value = *dr;
-        } else {
-          weighted_value = out_all[r];
-        }
-      }
-    } else {
-      const PatternEstimators* pat = pattern_at[id];
-      weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                            : Clamp01(batch_at[id].weights[slot()]);
-      if (weight <= 0.0) return true;
-      if (pat->value != nullptr) {
-        weighted_value = batch_at[id].values[slot()];
-      }
-    }
-    prob::AddTuple(agg, weight, weighted_value, num, den);
-    return true;
-  };
+        const uint32_t m = 0u - a;
+        const Term t =
+            term[(((shared ? shared_base : base[id]) + sub[r]) & m) |
+                 ((obs + v) & ~m)];
+        *num += output ? t.num + Select((v & ~a & 1) != 0, y, 0.0) : t.num;
+        *den += t.den;
+        return true;
+      };
 
   prob::BlockAccumulator acc(q.output_agg);
-  if (ca.block_rows.empty()) {
-    // Row-order fold: one block per row in row order, or one block of every
-    // row, folded per segment. A segment's partial starts at +0.0, takes
-    // its rows in row order with the same row body and the same += sequence
-    // as the block-ordered merge (starting from +0.0 the partial can never
-    // be -0.0, so one merge of the segment's flat totals is bit-identical to
-    // its singleton merges), and merges into the accumulator in segment
-    // order: a view of one segment is one loop and one merge. Errors
-    // surface as the first failing row, which is the first failing
-    // segment's first failing row.
-    struct Partial {
-      double num = 0.0, den = 0.0;
-      Status status;
-    };
-    std::vector<Partial> partials(num_segments);
-    // Branchless specialization for the dominant serving shape: one shared
-    // entry, Count with a trained weight estimator and a cached
-    // qualification mask. Every row adds exactly what the generic body
-    // adds — non-qualifying and zero-weight rows contribute +0.0, which is
-    // bit-identical to skipping them because the partial starts at +0.0 and
-    // only ever accumulates non-negative clamped weights (it can never be
-    // -0.0). Replacing the affected/unaffected branch with a select removes
-    // the data-dependent mispredictions that dominate this loop on mixed
-    // selections.
-    const Entry* ue = uniform ? local_entries[uniform_id] : nullptr;
-    const PatternEstimators* upat =
-        uniform ? pattern_of_entry[uniform_id] : nullptr;
-    const bool table_disqualified =
-        uniform && ue->is_literal && !ue->literal_value;
-    const bool turbo_count =
-        uniform && !table_disqualified && psi_specs.empty() &&
-        q.output_agg == sql::AggKind::kCount && !ue->is_literal &&
-        !ue->exact_vals.empty() && upat != nullptr && !upat->literal &&
-        upat->weight != nullptr && uniform_id < batches.size() &&
-        !batches[uniform_id].weights.empty() && !qs.out_eval.has_value();
-    if (table_disqualified) {
-      // Every tuple resolves to a disqualified literal entry: the fold is
-      // empty and the zero partials below are all that remains.
-    } else if (turbo_count) {
-      const uint8_t* qual = ue->exact_vals.data();
-      const uint8_t* aff = in_s.data();
-      // The clamped weight of each key (grouped) or slot (hashing), read
-      // per row through index[r]. An unaffected row reads an entry
-      // harmlessly — its group's, or slot 0's (weights is non-empty) — and
-      // the select keeps only the arm the generic body would take.
-      const std::vector<double>& w = batches[uniform_id].weights;
-      std::vector<double> clamped;
-      const uint32_t* index = nullptr;
-      if (grouped) {
-        clamped.assign(slot_of_key.size(), 0.0);
-        for (size_t g = 0; g < slot_of_key.size(); ++g) {
-          if (slot_of_key[g] != UINT32_MAX) {
-            clamped[g] = Clamp01(w[slot_of_key[g]]);
-          }
-        }
-        index = gid;
-      } else {
-        clamped.resize(w.size());
-        for (size_t i = 0; i < w.size(); ++i) clamped[i] = Clamp01(w[i]);
-        index = slot_of_row.data();
-      }
-      const double* clamped_at = clamped.data();
+  const auto fold = [&](auto shared, auto output) -> Status {
+    if (ca.block_rows.empty()) {
+      // Row-order fold: one block per row in row order, or one block of
+      // every row, folded per segment. A segment's partial starts at +0.0,
+      // takes its rows in row order with the same row body and the same +=
+      // sequence as the block-ordered merge (starting from +0.0 the partial
+      // can never be -0.0, so one merge of the segment's flat totals is
+      // bit-identical to its singleton merges), and merges into the
+      // accumulator in segment order: a view of one segment is one loop and
+      // one merge. Errors surface as the first failing row, which is the
+      // first failing segment's first failing row.
+      struct Partial {
+        double num = 0.0, den = 0.0;
+        Status status;
+      };
+      std::vector<Partial> partials(num_segments);
       for_each_segment([&](size_t s, size_t begin, size_t end) {
         // Local copies only (see the row body).
-        const uint8_t* const qual_at = qual;
-        const uint8_t* const aff_at = aff;
-        const double* const cw = clamped_at;
-        const uint32_t* const index_at = index;
-        const relational::ColumnBoundExpr* const exact = &*ue->exact;
+        const auto row = add_row;
         const ExecGuard* const check = guard;
         Partial& p = partials[s];
-        double num = 0.0;
+        double num = 0.0, den = 0.0;
         for (size_t base = begin; base < end; base += kGuardStride) {
           if (check != nullptr) {
             Status st = check->Check("whatif.eval.blocks");
@@ -2480,52 +2532,18 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
           }
           const size_t lim = std::min(end, base + kGuardStride);
           for (size_t r = base; r < lim; ++r) {
-            const bool affd = aff_at[r] != 0;
-            const uint8_t v = qual_at[r];
-            if (v == 2 && !affd) {  // cache miss: per-row evaluator decides
-              Result<bool> qb = exact->EvalBool(r);
-              if (!qb.ok()) {
-                p.status = qb.status();
-                return;
-              }
-              num += *qb ? 1.0 : 0.0;
-              continue;
-            }
-            const double unw = v != 0 ? 1.0 : 0.0;
-            num += affd ? cw[index_at[r]] : unw;
+            if (!row(r, &num, &den, &p.status, shared, output)) return;
           }
-        }
-        p.num = num;
-      });
-    } else {
-      for_each_segment([&](size_t s, size_t begin, size_t end) {
-        // Local copies only (see the row body).
-        const auto row = add_row;
-        const uint32_t* const entry_of = uniform ? nullptr : row_entry;
-        const uint32_t shared = uniform_id;
-        const ExecGuard* const check = guard;
-        Partial& p = partials[s];
-        double num = 0.0, den = 0.0;
-        for (size_t r = begin; r < end; ++r) {
-          if (check != nullptr && (r & 63) == 0) {
-            Status st = check->Check("whatif.eval.blocks");
-            if (!st.ok()) {
-              p.status = std::move(st);
-              return;
-            }
-          }
-          const uint32_t id = entry_of == nullptr ? shared : entry_of[r];
-          if (!row(r, id, &num, &den, &p.status)) return;
         }
         p.num = num;
         p.den = den;
       });
+      for (const Partial& p : partials) {
+        HYPER_RETURN_NOT_OK(p.status);
+        acc.MergeBlockPartial(p.num, p.den);
+      }
+      return Status::OK();
     }
-    for (const Partial& p : partials) {
-      HYPER_RETURN_NOT_OK(p.status);
-      acc.MergeBlockPartial(p.num, p.den);
-    }
-  } else {
     // Multi-row blocks, on the calling thread: the first failing block
     // returns its status, as the first failing row of the block-ordered
     // scan.
@@ -2538,12 +2556,22 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         if (guard != nullptr && (k & 63) == 0) {
           HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
         }
-        const size_t r = ca.block_rows[k];
-        const uint32_t id = uniform ? uniform_id : row_entry[r];
-        if (!row(r, id, &num, &den, &error)) return error;
+        if (!row(ca.block_rows[k], &num, &den, &error, shared, output)) {
+          return error;
+        }
       }
       acc.MergeBlockPartial(num, den);
     }
+    return Status::OK();
+  };
+  using Output = std::true_type;
+  using NoOutput = std::false_type;
+  if (uniform) {
+    HYPER_RETURN_NOT_OK(has_output ? fold(Shared{}, Output{})
+                                   : fold(Shared{}, NoOutput{}));
+  } else {
+    HYPER_RETURN_NOT_OK(has_output ? fold(PerRow{}, Output{})
+                                   : fold(PerRow{}, NoOutput{}));
   }
 
   result.num_patterns = used_patterns.size();

@@ -154,7 +154,10 @@ struct WhatIfOptions {
   /// ("HypeR"), >0 = "HypeR-sampled" with this many rows (§5.2).
   size_t sample_size = 0;
   /// Compute per block of the block-independent decomposition (§3.3). Off
-  /// switches to a single block — same value, used by the ablation bench.
+  /// switches to a single block, used by the ablation bench. The value is
+  /// the same up to rounding: over multi-row, non-contiguous blocks the
+  /// block-ordered merge adds the tuples in another order than the single
+  /// block's row-order fold, and the two differ in the last bits.
   bool use_blocks = true;
   uint64_t seed = 7;
   /// Thread budget on the process-wide pool (0 = hardware default): the

@@ -383,6 +383,49 @@ TEST_F(GovernanceTest, GenerousBudgetAnswersBitEqualToUngoverned) {
   EXPECT_EQ(expected, served.whatif.value);
 }
 
+// An intervention that does not fit the plan fails before any row is read,
+// so it charges no rows: with a budget of exactly two evaluations of a warm
+// plan, a sweep of [invalid, valid, valid] answers both valid items.
+TEST_F(GovernanceTest, InvalidInterventionChargesNoRows) {
+  data::GermanOptions german;
+  german.rows = 800;
+  auto ds = data::MakeGermanSyn(german);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  auto stmt = sql::ParseSql(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  const std::vector<whatif::UpdateSpec> good =
+      whatif::SpecsOfStatement(*stmt->whatif);
+  std::vector<whatif::UpdateSpec> bad = good;
+  bad[0].attribute = "Savings";
+  // Warm: the plan is prepared and its patterns trained ungoverned, so an
+  // evaluation charges its 800 view rows and nothing else.
+  whatif::WhatIfOptions options = EngineOptions();
+  options.num_threads = 1;
+  const whatif::WhatIfEngine warm(&ds->db, &ds->graph, options);
+  auto plan = warm.Prepare(*stmt->whatif);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto expected = warm.Evaluate(**plan, good);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  options.budget.max_rows_touched = 2 * 800;
+  const whatif::WhatIfEngine governed(&ds->db, &ds->graph, options);
+  for (const bool with_bad : {false, true}) {
+    std::vector<std::vector<whatif::UpdateSpec>> sweep = {good, good};
+    if (with_bad) sweep.insert(sweep.begin(), bad);
+    std::vector<Status> statuses;
+    auto results = governed.EvaluateBatch(**plan, sweep, &statuses);
+    ASSERT_TRUE(results.ok()) << results.status();
+    ASSERT_EQ(sweep.size(), statuses.size());
+    if (with_bad) {
+      EXPECT_EQ(StatusCode::kInvalidArgument, statuses[0].code())
+          << statuses[0];
+    }
+    for (size_t i = with_bad ? 1 : 0; i < sweep.size(); ++i) {
+      ASSERT_TRUE(statuses[i].ok()) << "item " << i << ": " << statuses[i];
+      EXPECT_EQ(expected->value, (*results)[i].value);
+    }
+  }
+}
+
 // A LearnStage outlives the request that built it, in the stage cache. It
 // keeps the estimator configuration its training reads and nothing of the
 // request: once the engine, the plan and the request's handle are gone, the

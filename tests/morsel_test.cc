@@ -156,10 +156,12 @@ TEST(MorselTest, MaxParallelismCapsParticipants) {
 // identical at every thread budget. One evaluation folds per 64k-row segment
 // and merges the segment partials in segment order, so a view of three
 // segments runs its segments on 1 to 4 threads and must still give one
-// answer. The shapes cover the fold's paths: Count on the shared entry (the
-// branchless loop), Avg and Sum (the row body), a For on a pre-value
-// (entries resolved per row), a Scale update (the hashing Pass A), and a
-// When that ends inside the second segment. The three partials of most
+// answer. The shapes cover the fold's paths: Count, Avg and Sum on the
+// shared entry (its cached mask), a For on a pre-value (entries resolved
+// per row), a Scale update (the hashing Pass A), a When that ends inside
+// the second segment, and a For whose resolved entries are literals for
+// some rows and a residual for others, which the unaffected rows
+// re-evaluate one by one. The three partials of most
 // shapes sum to the same bits in either order; those of `Update(Status) = 1
 // ... Count(Credit = 1)` do not (62332.497230493267 in segment order,
 // 62332.49723049326 reversed), so a merge order that depended on the
@@ -194,7 +196,9 @@ TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
         "1)",
         "Use German When Id < 100000 Update(Status) = 2 Output Count(Credit = "
         "1)",
-        "Use German Update(Status) = 1 Output Count(Credit = 1)"}) {
+        "Use German Update(Status) = 1 Output Count(Credit = 1)",
+        "Use German When Sex = 1 Update(Status) = 2 Output Avg(Post(Credit)) "
+        "For Post(Credit) = 1 Or Pre(Age) = 1"}) {
     auto stmt = sql::ParseSql(text);
     ASSERT_TRUE(stmt.ok()) << stmt.status();
     ASSERT_NE(stmt->whatif, nullptr);

@@ -432,6 +432,52 @@ TEST(WhatIfEngineTest, ForHoleErrorFailsEveryEvaluate) {
   EXPECT_EQ(run.status().message(), "division by zero");
 }
 
+TEST(WhatIfEngineTest, UnaffectedRowsReEvaluateAResidualWithoutAMask) {
+  // When Id < 0 selects no row: no pattern trains, and every row folds as
+  // unaffected, reading its qualification from a literal, a cached mask or
+  // a re-evaluation of its residual on the pre image. Each residual below
+  // divides by zero on some rows, so every Evaluate must fail there:
+  //  - the hole (Pre(Housing) - 1) resolves each row's entry at Prepare,
+  //    and the residual of the Housing = 1 entry divides by zero;
+  //  - `Post(Credit) / 0 = 1` is one shared entry, whose cached mask marks
+  //    every row 2 (re-evaluate);
+  //  - the first statement under Avg, which also reads the output.
+  // A fold that read a mark of 2 as "does not qualify" would answer
+  // instead. One segment (800 rows) and three (150k), at budgets 1 and 4.
+  const char* const kQueries[] = {
+      "Use German When Id < 0 Update(Status) = 3 Output Count(Credit = 1) "
+      "For Post(Credit) / (Pre(Housing) - 1) = 1",
+      "Use German When Id < 0 Update(Status) = 3 Output Count(Credit = 1) "
+      "For Post(Credit) / 0 = 1",
+      "Use German When Id < 0 Update(Status) = 3 Output Avg(Post(Credit)) "
+      "For Post(Credit) / (Pre(Housing) - 1) = 1"};
+  for (const size_t rows : {size_t{800}, size_t{150000}}) {
+    data::GermanOptions opt;
+    opt.rows = rows;
+    auto ds = data::MakeGermanSyn(opt);
+    ASSERT_TRUE(ds.ok());
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      WhatIfOptions options;
+      options.estimator = learn::EstimatorKind::kFrequency;
+      options.num_threads = threads;
+      WhatIfEngine engine(&ds->db, &ds->graph, options);
+      for (const char* query : kQueries) {
+        auto stmt = sql::ParseSql(query);
+        ASSERT_TRUE(stmt.ok()) << stmt.status();
+        ASSERT_NE(stmt->whatif, nullptr);
+        auto plan = engine.Prepare(*stmt->whatif);
+        ASSERT_TRUE(plan.ok()) << query << ": " << plan.status();
+        auto result =
+            engine.Evaluate(**plan, SpecsOfStatement(*stmt->whatif));
+        ASSERT_FALSE(result.ok())
+            << query << " rows=" << rows << " threads=" << threads;
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(result.status().message(), "division by zero");
+      }
+    }
+  }
+}
+
 TEST(WhatIfEngineTest, PreImageHolesMatchPostImageHoles) {
   // Post(A) of an attribute no update touches reads its pre image, so each
   // pair below asks the same question. The Pre form's holes read no post
